@@ -153,7 +153,7 @@ def _build_problem(manifest: RunManifest) -> problems.IvpProblem:
     )
 
 
-def _run_config(manifest: RunManifest, problem, coarse, fine, N, T, init, metrics=()):
+def _run_config(manifest: RunManifest, coarse, fine, N, T, init, metrics=()):
     return parareal.PararealConfig(
         T=T,
         N=N,
@@ -176,7 +176,7 @@ def cmd_run(manifest: RunManifest) -> str:
     N = int(manifest.get("N", 10))
     T = float(manifest.get("T", problem.T))
     init = manifest.get("init", "coarse")
-    cfg = _run_config(manifest, problem, coarse, fine, N, T, init)
+    cfg = _run_config(manifest, coarse, fine, N, T, init)
     _, history = parareal.run(cfg, problem)
 
     with_ref = history[0].abs_error is not None
@@ -209,7 +209,7 @@ def _experiment_kepler(manifest: RunManifest) -> tuple[list[str], list[list]]:
     rows = []
     for fine in algorithms:
         cfg = _run_config(
-            manifest, problem, coarse, fine, N, problem.T, init,
+            manifest, coarse, fine, N, problem.T, init,
             metrics=[("abs_error_pos", _position_error)],
         )
         try:
@@ -241,7 +241,7 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
             problem = problems.build_burgers(nu, round(2.0 / dx)).to_ivp()
             fine = PropagatorSpec.chebyshev_gauss(m)
             N = round(problem.T / dt)
-            cfg = _run_config(manifest, problem, coarse, fine, N, problem.T, init)
+            cfg = _run_config(manifest, coarse, fine, N, problem.T, init)
             param = {"dt": dt, "dx": dx, "m": m}[sweep]
             try:
                 _, history = parareal.run(cfg, problem)

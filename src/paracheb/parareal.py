@@ -21,11 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .chebyshev import build_operator, cg_points
-from .collocation import solve_linear, solve_nonlinear
 from .errors import MaxIterationsError, SweepError
 from .problems import IvpProblem
-from .propagators import PropagatorKind, PropagatorSpec, advance
+from .propagators import PropagatorSpec, advance
 
 #: Extra per-iteration metrics: name -> fn(u_table, ref_table) -> float.
 MetricFunction = Callable[[np.ndarray, np.ndarray], float]
@@ -42,7 +40,6 @@ class PararealConfig:
     init: str = "coarse"  # "coarse" | "random"
     seed: int = 0
     workers: int = 1
-    recompute_coarse: bool = False  # debug: ignore the cached coarse values
     metrics: tuple[tuple[str, MetricFunction], ...] = ()
 
     def __post_init__(self):
@@ -87,7 +84,6 @@ class PararealState:
     """
 
     u: np.ndarray
-    u_prev: np.ndarray | None
     g_prev: np.ndarray | None
     k: int
     history: list[ConvergenceRecord]
@@ -96,25 +92,9 @@ class PararealState:
 
 def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
     """Bind a propagator spec and problem into a ``(t, u) -> u_next`` callable."""
-    if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS and problem.linear is not None:
-        op = build_operator(spec.cg_points)
-        A, g = problem.linear
-
-        def step(t, u):
-            return solve_linear(op, A, g, cg_points(spec.cg_points, t, t + dT), u).u_end
-
-        return step
-    if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        op = build_operator(spec.cg_points)
-
-        def step(t, u):
-            points = cg_points(spec.cg_points, t, t + dT)
-            return solve_nonlinear(op, problem.f, points, u, spec.picard).u_end
-
-        return step
 
     def step(t, u):
-        return advance(spec, problem.f, t, u, dT, jac=problem.jacobian)
+        return advance(spec, problem.f, t, u, dT, jac=problem.jacobian, linear=problem.linear)
 
     return step
 
@@ -180,7 +160,7 @@ def initialize(cfg: PararealConfig, problem: IvpProblem) -> PararealState:
     ref_table = None
     if problem.reference is not None:
         ref_table = np.array([problem.reference(n * cfg.dT) for n in range(N + 1)])
-    return PararealState(u=u, u_prev=None, g_prev=g_prev, k=0, history=[], ref_table=ref_table)
+    return PararealState(u=u, g_prev=g_prev, k=0, history=[], ref_table=ref_table)
 
 
 def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> PararealState:
@@ -197,7 +177,7 @@ def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> P
     g_new = np.empty((N, state.u.shape[1]))
     for n in range(N):
         g_new[n] = coarse(times[n], u_new[n])
-        if state.g_prev is not None and not cfg.recompute_coarse:
+        if state.g_prev is not None:
             subtracted = state.g_prev[n]
         else:
             subtracted = coarse(times[n], state.u[n])
@@ -213,7 +193,6 @@ def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> P
         for name, fn in cfg.metrics:
             extras[name] = float(fn(u_new, state.ref_table))
 
-    state.u_prev = state.u
     state.u = u_new
     state.g_prev = g_new
     state.k += 1

@@ -10,6 +10,7 @@ dT >= 0``, which is what the contraction analysis consumes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -17,11 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .chebyshev import build_operator, cg_points
-from .collocation import PicardConfig, solve_checked, solve_linear, solve_nonlinear
+from .collocation import PicardConfig, RhsFunction, solve_checked, solve_linear, solve_nonlinear
 from .errors import NonConvergenceError
-
-RhsFunction = Callable[[float, np.ndarray], np.ndarray]
-JacFunction = Callable[[float, np.ndarray], np.ndarray]
 
 _SQRT2 = math.sqrt(2.0)
 _TRBDF2_GAMMA = 2.0 - _SQRT2  # standard splitting; the choice is conventional
@@ -49,22 +47,19 @@ class PropagatorKind(str, enum.Enum):
 class NewtonConfig:
     """Settings for the nonlinear stage solves of the implicit kinds.
 
-    ``jacobian`` is "fd" (forward differences with step sqrt(eps) * (1+|u|),
-    the default), "analytic" (a caller-supplied hook is required) or "auto"
-    (use the hook when one is supplied, differences otherwise).
+    Stage Jacobians come from the problem's ``jacobian`` hook when one is
+    supplied, and from forward differences (step sqrt(eps) * (1+|u|))
+    otherwise.
     """
 
     tol: float = 1e-12
     max_iter: int = 25
-    jacobian: str = "fd"  # "fd" | "analytic" | "auto"
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.jacobian not in ("auto", "fd", "analytic"):
-            raise ValueError(f"unknown jacobian mode {self.jacobian!r}")
 
 
 @dataclass(frozen=True)
@@ -152,44 +147,25 @@ def _fd_jacobian(f: RhsFunction, t: float, u: np.ndarray) -> np.ndarray:
     return J
 
 
-def _jacobian_at(
-    f: RhsFunction, jac: JacFunction | None, cfg: NewtonConfig, t: float, u: np.ndarray
-) -> np.ndarray:
-    if cfg.jacobian == "analytic" or (cfg.jacobian == "auto" and jac is not None):
-        if jac is None:
-            raise ValueError("jacobian='analytic' requires a jacobian function")
-        return np.asarray(jac(t, u), dtype=float)
-    return _fd_jacobian(f, t, u)
-
-
-def _solve_stage(
-    f: RhsFunction,
-    jac: JacFunction | None,
-    cfg: NewtonConfig,
-    t_stage: float,
-    beta_h: float,
-    rhs: np.ndarray,
+def _newton(
+    residual: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
+    cfg: NewtonConfig,
 ) -> np.ndarray:
-    """Newton solve of the scalar-stage equation x = rhs + beta_h * f(t, x).
+    """Damped Newton iteration for ``residual(x) = 0`` started at ``x0``.
 
     Steps are backtracked (halved up to 8 times) whenever the full update
     fails to reduce the residual; far-off starting values occur routinely
     under randomized outer iterations.
     """
-    x = x0.copy()
-    n = x.size
-
-    def residual(y):
-        return y - rhs - beta_h * np.atleast_1d(np.asarray(f(t_stage, y), dtype=float))
-
+    x = x0
     res = residual(x)
     for _ in range(cfg.max_iter):
         res_norm = np.max(np.abs(res))
         if res_norm <= cfg.tol * (1.0 + np.max(np.abs(x))):
             return x
-        J = np.eye(n) - beta_h * _jacobian_at(f, jac, cfg, t_stage, x)
-        step = np.linalg.solve(J, res)
+        step = np.linalg.solve(jacobian(x), res)
         scale = 1.0
         for _ in range(8):
             x_new = x - scale * step
@@ -204,6 +180,27 @@ def _solve_stage(
         f"Newton stage solve did not converge in {cfg.max_iter} iterations",
         float(np.max(np.abs(res))),
     )
+
+
+def _solve_stage(
+    f: RhsFunction,
+    jac: RhsFunction,
+    cfg: NewtonConfig,
+    t_stage: float,
+    beta_h: float,
+    rhs: np.ndarray,
+    x0: np.ndarray,
+) -> np.ndarray:
+    """Newton solve of the scalar-stage equation x = rhs + beta_h * f(t, x)."""
+    eye = np.eye(x0.size)
+
+    def residual(y):
+        return y - rhs - beta_h * np.atleast_1d(np.asarray(f(t_stage, y), dtype=float))
+
+    def jacobian(y):
+        return eye - beta_h * np.asarray(jac(t_stage, y), dtype=float)
+
+    return _newton(residual, jacobian, x0, cfg)
 
 
 def _step_backward_euler(f, jac, cfg, t, u, h):
@@ -240,34 +237,17 @@ def _step_gauss4(f, jac, cfg, t, u, h):
             [np.atleast_1d(np.asarray(f(ts[i], s), dtype=float)) for i, s in enumerate(stages_of(K))]
         )
 
-    K = np.concatenate(
-        [np.atleast_1d(np.asarray(f(ts[i], u), dtype=float)) for i in range(2)]
-    )
-    res = residual(K)
-    for _ in range(cfg.max_iter):
-        res_norm = np.max(np.abs(res))
-        if res_norm <= cfg.tol * (1.0 + np.max(np.abs(K))):
-            return u + h * (_GAUSS4_B[0] * K[:n] + _GAUSS4_B[1] * K[n:])
+    def jacobian(K):
         J = np.eye(2 * n)
         for i, stage in enumerate(stages_of(K)):
-            Jf = _jacobian_at(f, jac, cfg, ts[i], stage)
+            Jf = np.asarray(jac(ts[i], stage), dtype=float)
             for j in range(2):
                 J[i * n : (i + 1) * n, j * n : (j + 1) * n] -= h * _GAUSS4_A[i, j] * Jf
-        step = np.linalg.solve(J, res)
-        scale = 1.0
-        for _ in range(8):
-            K_new = K - scale * step
-            res_new = residual(K_new)
-            if np.all(np.isfinite(res_new)) and np.max(np.abs(res_new)) < res_norm:
-                break
-            scale *= 0.5
-        if not np.all(np.isfinite(res_new)):
-            raise NonConvergenceError("Newton stage solve produced non-finite values", float("inf"))
-        K, res = K_new, res_new
-    raise NonConvergenceError(
-        f"Newton stage solve did not converge in {cfg.max_iter} iterations",
-        float(np.max(np.abs(res))),
-    )
+        return J
+
+    K0 = np.concatenate([np.atleast_1d(np.asarray(f(ts[i], u), dtype=float)) for i in range(2)])
+    K = _newton(residual, jacobian, K0, cfg)
+    return u + h * (_GAUSS4_B[0] * K[:n] + _GAUSS4_B[1] * K[n:])
 
 
 def _step_forward_euler(f, jac, cfg, t, u, h):
@@ -298,15 +278,17 @@ def advance(
     t_n: float,
     u_n,
     dT: float,
-    jac: JacFunction | None = None,
+    jac: RhsFunction | None = None,
     linear: tuple[np.ndarray, Callable[[float], np.ndarray] | None] | None = None,
 ) -> np.ndarray:
     """Advance the state from ``t_n`` to ``t_n + dT``.
 
     One-step kinds take ``spec.substeps`` equal substeps; the collocation
-    kind performs a single spectral solve over the subinterval.  When the
-    problem is linear, callers may pass ``linear=(A, g)`` for ``u' + A u =
-    g``; the collocation kind then uses the direct solve, which is defined
+    kind performs a single spectral solve over the subinterval.  ``jac`` is
+    the Jacobian of ``f``, called as ``jac(t, u)``; the implicit kinds' stage
+    solves use it, or forward differences of ``f`` when it is None.  When
+    the problem is linear, callers may pass ``linear=(A, g)`` for ``u' + A u
+    = g``; the collocation kind then uses the direct solve, which is defined
     even where the fixed-point sweep diverges.
     """
     if dT <= 0:
@@ -321,6 +303,8 @@ def advance(
             return solve_linear(op, A, g, points, u).u_end
         return solve_nonlinear(op, f, points, u, spec.picard).u_end
 
+    if jac is None:
+        jac = functools.partial(_fd_jacobian, f)
     step = _STEPPERS[spec.kind]
     h = dT / spec.substeps
     for j in range(spec.substeps):

@@ -118,12 +118,17 @@ class TestIterate:
             np.testing.assert_allclose(state.u[: k + 1], fine_serial[: k + 1], atol=1e-11)
 
     def test_cached_coarse_agrees_with_recomputation(self):
+        # The correction subtracts g_prev[n], so it must be exactly the
+        # coarse step from the current iterate u[n].
         prob = diag_problem(T=0.5)
-        base = dict(T=0.5, N=5, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6), max_k=8)
-        u_cached, hist_cached = run(PararealConfig(**base), prob)
-        u_fresh, hist_fresh = run(PararealConfig(**base, recompute_coarse=True), prob)
-        np.testing.assert_array_equal(u_cached, u_fresh)
-        assert [r.iter_error for r in hist_cached] == [r.iter_error for r in hist_fresh]
+        cfg = PararealConfig(T=0.5, N=5, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6))
+        coarse = _make_stepper(BE, prob, cfg.dT)
+        state = initialize(cfg, prob)
+        for k in range(4):
+            if k > 0:
+                state = iterate(state, cfg, prob)
+            for n in range(cfg.N):
+                np.testing.assert_array_equal(state.g_prev[n], coarse(n * cfg.dT, state.u[n]))
 
     def test_failing_fine_subinterval_reported(self):
         # One collocation node with z = 5 puts the fixed-point sweep far

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from paracheb import (
+    KeplerProblem,
     NewtonConfig,
     NonConvergenceError,
     PropagatorKind,
     PropagatorSpec,
     advance,
+    build_burgers,
     parse_spec,
     stability,
 )
@@ -21,6 +23,13 @@ ALL_SPECS = [
     PropagatorSpec.gauss4(2),
     PropagatorSpec.erk4(1),
     PropagatorSpec.chebyshev_gauss(20),
+]
+
+IMPLICIT_KINDS = [
+    PropagatorKind.BACKWARD_EULER,
+    PropagatorKind.TRAPEZOIDAL,
+    PropagatorKind.TR_BDF2,
+    PropagatorKind.GAUSS4,
 ]
 
 
@@ -59,20 +68,46 @@ class TestAdvance:
         with pytest.raises(ValueError):
             advance(PropagatorSpec.backward_euler(1), decay(1.0), 0.0, np.array([1.0]), 0.0)
 
-    def test_newton_nonconvergence_raises(self):
-        spec = PropagatorSpec.backward_euler(1, newton=NewtonConfig(max_iter=1))
-        with pytest.raises(NonConvergenceError):
+    @pytest.mark.parametrize("kind", IMPLICIT_KINDS, ids=lambda k: k.value)
+    def test_newton_nonconvergence_raises(self, kind):
+        spec = PropagatorSpec(kind, newton=NewtonConfig(max_iter=1))
+        with pytest.raises(NonConvergenceError, match="did not converge"):
             advance(spec, lambda t, u: -(u**3), 0.0, np.array([2.0]), 10.0)
 
-    def test_analytic_mode_requires_jacobian(self):
-        spec = PropagatorSpec.backward_euler(1, newton=NewtonConfig(jacobian="analytic"))
-        with pytest.raises(ValueError):
-            advance(spec, decay(1.0), 0.0, np.array([1.0]), 1.0)
+    @pytest.mark.parametrize("kind", IMPLICIT_KINDS, ids=lambda k: k.value)
+    def test_newton_nonfinite_raises(self, kind):
+        # With dT = 10 every kind's starting guess lands where f is
+        # infinite, so no damped update can bring the residual back.
+        def f(t, u):
+            return np.where(np.abs(u) > 1.5, np.inf, -u)
+
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonConvergenceError, match="non-finite values"):
+                advance(PropagatorSpec(kind), f, 0.0, np.array([1.0]), 10.0)
 
     def test_analytic_jacobian_accepted(self):
-        spec = PropagatorSpec.backward_euler(1, newton=NewtonConfig(jacobian="analytic"))
-        got = advance(spec, decay(1.0), 0.0, np.array([1.0]), 1.0, jac=lambda t, u: -np.eye(1))
+        calls = []
+
+        def jac(t, u):
+            calls.append(t)
+            return -np.eye(1)
+
+        spec = PropagatorSpec.backward_euler(1)
+        got = advance(spec, decay(1.0), 0.0, np.array([1.0]), 1.0, jac=jac)
         assert got[0] == pytest.approx(0.5, abs=1e-13)
+        assert calls
+
+    @pytest.mark.parametrize("kind", IMPLICIT_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "ivp, dT",
+        [(KeplerProblem().to_ivp(), 0.25), (build_burgers(0.05, 16).to_ivp(), 1.0 / 32.0)],
+        ids=["kepler", "burgers"],
+    )
+    def test_problem_jacobian_agrees_with_differences(self, kind, ivp, dT):
+        spec = PropagatorSpec(kind, substeps=6)
+        hook = advance(spec, ivp.f, 0.0, ivp.u0, dT, jac=ivp.jacobian)
+        fd = advance(spec, ivp.f, 0.0, ivp.u0, dT, jac=None)
+        assert np.max(np.abs(hook - fd)) <= 1e-13 * np.max(np.abs(fd))
 
     def test_collocation_linear_route(self):
         got = advance(
@@ -161,4 +196,4 @@ class TestSpecPlumbing:
         with pytest.raises(ValueError):
             PropagatorSpec.chebyshev_gauss(-1)
         with pytest.raises(ValueError):
-            NewtonConfig(jacobian="symbolic")
+            NewtonConfig(max_iter=0)
