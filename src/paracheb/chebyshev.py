@@ -56,7 +56,8 @@ class CollocationOperator:
     diagonal, ``S`` is ``(M+2, M+1)`` and ``C_alpha = (1/4) R S V T2`` maps
     right-hand-side node values to solution coefficients (up to the external
     interval-length factor).  ``T1_C`` caches ``T1 @ C_alpha``, the node-to-node
-    map used by the fixed-point sweep and the stability function.
+    map of the shifted system ``I + z T1_C`` that the direct linear solve and
+    the stability function solve.
 
     All arrays are read-only; instances may be shared across threads.
     """

@@ -8,9 +8,12 @@ side at the CG nodes.  Nonlinear problems run fixed-point (Picard) sweeps,
     node values   u_nodes = T1 @ u_hat,
 
 which converge linearly when the Lipschitz constant times the interval
-length is small.  Linear problems ``u' + A u = g`` are instead solved as one
-dense linear system in the node values; the direct solve stays well defined
-far outside the fixed-point convergence region.
+length is small.  Linear problems ``u' + A u = g`` with symmetric ``A`` are
+instead solved directly in the eigenbasis of ``A``: each eigenvalue
+``lambda`` gives one ``(M+1)``-sized shifted system ``I + z T1_C`` with
+``z = lambda * (b - a)``, the same system whose solution defines the
+stability function ``R(z)``.  The direct solve stays well defined far
+outside the fixed-point convergence region.
 
 States are arrays of shape ``(dim,)``; node tables are node-major,
 ``(M+1, dim)``.
@@ -18,7 +21,6 @@ States are arrays of shape ``(dim,)``; node tables are node-major,
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,29 +34,19 @@ RhsFunction = Callable[[float, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Stopping rule for the fixed-point sweep.
-
-    ``initial_guess`` chooses between the constant initial value at all nodes
-    and a caller-provided node table.  ``on_nonconvergence`` selects whether
-    hitting ``max_iter`` raises (default) or emits a warning and returns the
-    best iterate; the outer predictor-corrector loop can often still contract
-    on a poor inner solve.
+    """Stopping rule for the fixed-point sweep, which starts from the
+    initial value at every node and raises ``NonConvergenceError`` when
+    ``max_iter`` sweeps do not reach ``tol``.
     """
 
     tol: float = 1e-12
     max_iter: int = 100
-    initial_guess: str = "constant"  # "constant" | "provided"
-    on_nonconvergence: str = "raise"  # "raise" | "warn"
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.initial_guess not in ("constant", "provided"):
-            raise ValueError(f"unknown initial_guess {self.initial_guess!r}")
-        if self.on_nonconvergence not in ("raise", "warn"):
-            raise ValueError(f"unknown on_nonconvergence {self.on_nonconvergence!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +62,6 @@ class CollocationSolution:
     u_nodes: np.ndarray
     u_end: np.ndarray
     iterations: int
-    converged: bool
 
 
 def _as_state(u) -> np.ndarray:
@@ -80,21 +71,33 @@ def _as_state(u) -> np.ndarray:
     return u
 
 
-def solve_checked(K: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense solve that flags (near-)singular systems instead of returning
-    the amplified garbage a backward-stable factorization would produce.
+def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
+    """Solve the shifted collocation system ``(I + z T1_C) x = b``.
 
-    The systems here have identity-plus-term structure, so unit scale is the
-    natural yardstick even when cancellation shrinks the whole matrix.
+    ``z`` is a scalar, with ``b`` of shape ``(M+1,)``, or a vector of shifts,
+    with row ``i`` of ``b`` (shape ``(len(z), M+1)``) the right-hand side for
+    ``z[i]``; all systems are solved in one stacked call.  A (near-)singular
+    system, a pole of the rational stability function, raises
+    ``SingularSystemError`` instead of returning the amplified garbage a
+    backward-stable factorization would produce: the smallest singular value
+    over the whole stack is compared with the largest.  The systems have
+    identity-plus-term structure, so unit scale is the natural yardstick
+    even when cancellation shrinks them.
     """
+    z = np.asarray(z, dtype=float)
+    K = np.eye(op.M + 1) + z[..., None, None] * op.T1_C
+    # Each system's singular values come sorted in descending order.  The
+    # builtin min/max cost less than array reductions on the one-system
+    # path, which the stability analysis runs thousands of times.
     spectrum = np.linalg.svd(K, compute_uv=False)
-    if spectrum[-1] <= 1e-14 * max(spectrum[0], 1.0):
+    smallest = min(spectrum[..., -1].flat)
+    if smallest <= 1e-14 * max(max(spectrum[..., 0].flat), 1.0):
         raise SingularSystemError(
             f"collocation system is singular to working precision "
-            f"(smallest singular value {spectrum[-1]:.2e})"
+            f"(smallest singular value {smallest:.2e})"
         )
     try:
-        return np.linalg.solve(K, b)
+        return np.linalg.solve(K, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"collocation system is singular: {exc}") from exc
 
@@ -145,24 +148,17 @@ def solve_nonlinear(
     points: CgPointSet,
     u_a,
     cfg: PicardConfig | None = None,
-    u_guess: np.ndarray | None = None,
 ) -> CollocationSolution:
     """Iterate fixed-point sweeps until successive node values settle.
 
     The stopping metric is the max norm of the node-value difference between
-    consecutive sweeps.  On hitting ``cfg.max_iter`` the configured
-    nonconvergence policy applies.
+    consecutive sweeps.  Hitting ``cfg.max_iter`` raises
+    ``NonConvergenceError``.
     """
     cfg = cfg or PicardConfig()
     u_a = _as_state(u_a)
-    if cfg.initial_guess == "provided":
-        if u_guess is None:
-            raise ValueError("initial_guess='provided' requires u_guess")
-        u_nodes = np.array(u_guess, dtype=float)
-    else:
-        u_nodes = np.tile(u_a, (op.M + 1, 1))
+    u_nodes = np.tile(u_a, (op.M + 1, 1))
 
-    u_hat = None
     diff = np.inf
     for p in range(1, cfg.max_iter + 1):
         u_hat, u_new = picard_sweep(op, f, points, u_a, u_nodes)
@@ -176,25 +172,9 @@ def solve_nonlinear(
                 u_nodes=u_nodes,
                 u_end=endpoint_value(u_hat),
                 iterations=p,
-                converged=True,
             )
-
-    if cfg.on_nonconvergence == "raise":
-        raise NonConvergenceError(
-            f"fixed-point sweep did not converge in {cfg.max_iter} iterations", diff
-        )
-    warnings.warn(
-        f"fixed-point sweep stopped at residual {diff:.3e} after "
-        f"{cfg.max_iter} iterations; returning best iterate",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return CollocationSolution(
-        u_hat=u_hat,
-        u_nodes=u_nodes,
-        u_end=endpoint_value(u_hat),
-        iterations=cfg.max_iter,
-        converged=False,
+    raise NonConvergenceError(
+        f"fixed-point sweep did not converge in {cfg.max_iter} iterations", diff
     )
 
 
@@ -205,16 +185,20 @@ def solve_linear(
     points: CgPointSet,
     u_a,
 ) -> CollocationSolution:
-    """Direct collocation solve of ``u' + A u = g(t)``.
+    """Direct collocation solve of ``u' + A u = g(t)`` for symmetric ``A``.
 
-    Assembles the node values as one dense system of size ``(M+1) * dim``:
+    With ``A = Q diag(lam) Q^T`` the node system decouples into one shifted
+    system per eigenvalue, in the eigenbasis coordinates ``c = Q^T u_a`` and
+    ``G~ = G Q`` of the initial value and the forcing node values:
 
-        u_nodes + dT * T1_C @ (A u_nodes) = T1 U0 + dT * T1_C @ g_nodes
+        (I + lam_i dT T1_C) x_i = c_i + dT * T1_C @ G~[:, i]
 
-    and recovers the coefficients from the solved right-hand side.  A
-    singular system (the scaled problem sits on a pole of the rational
-    stability function) raises ``SingularSystemError`` rather than being
-    regularized.
+    all solved by ``solve_checked`` in one stacked call.  The coefficients
+    are formed in the eigenbasis from ``F = G~ - X lam`` and only then mapped
+    back with ``Q^T``.  A singular block (the scaled problem sits on a pole
+    of the rational stability function) raises ``SingularSystemError``
+    rather than being regularized; a non-symmetric ``A`` raises
+    ``ValueError``.
     """
     if points.M != op.M:
         raise ValueError(f"operator built for M={op.M} but points have M={points.M}")
@@ -223,31 +207,30 @@ def solve_linear(
     dim = u_a.size
     if A.shape != (dim, dim):
         raise ValueError(f"matrix must be {dim}x{dim} (got shape {A.shape})")
+    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
+        raise ValueError("matrix must be symmetric")
     n = op.M + 1
     dT = points.length
 
-    if g is None:
-        G = np.zeros((n, dim))
-    else:
-        G = np.empty((n, dim))
-        for m, tm in enumerate(points.t):
-            G[m] = np.atleast_1d(np.asarray(g(tm), dtype=float))
+    G = np.zeros((n, dim))
+    if g is not None:
+        G = _rhs_table(lambda t, _: g(t), points, G)
 
-    K = np.eye(n * dim) + dT * np.kron(op.T1_C, A)
-    rhs = np.tile(u_a, (n, 1)) + dT * (op.T1_C @ G)
-    u_flat = solve_checked(K, rhs.reshape(-1))
-    if not np.all(np.isfinite(u_flat)):
+    lam, Q = np.linalg.eigh(A)
+    c = u_a @ Q
+    G_eig = G @ Q
+    X = solve_checked(op, lam * dT, c[:, None] + dT * (op.T1_C @ G_eig).T)
+    if not np.all(np.isfinite(X)):
         raise SingularSystemError("collocation system produced non-finite values")
-    U = u_flat.reshape(n, dim)
 
-    F = G - U @ A.T
+    F = G_eig - X.T * lam
     u_hat = np.zeros((op.M + 2, dim))
-    u_hat[0] = u_a
+    u_hat[0] = c
     u_hat += dT * (op.C_alpha @ F)
+    u_hat = u_hat @ Q.T
     return CollocationSolution(
         u_hat=u_hat,
         u_nodes=op.T1 @ u_hat,
         u_end=endpoint_value(u_hat),
         iterations=0,
-        converged=True,
     )

@@ -84,7 +84,7 @@ class PararealState:
     """
 
     u: np.ndarray
-    g_prev: np.ndarray | None
+    g_prev: np.ndarray
     k: int
     history: list[ConvergenceRecord]
     ref_table: np.ndarray | None = None
@@ -136,26 +136,26 @@ def _fine_sweep(step, times, u_table, workers: int) -> list[np.ndarray]:
 def initialize(cfg: PararealConfig, problem: IvpProblem) -> PararealState:
     """Build the pass-0 iterate table.
 
-    The default policy fills it with a sequential coarse sweep (and caches
-    the coarse results for the first correction).  The random policy draws
-    every interior value i.i.d. uniform in [-1, 1] from the seeded generator,
-    which reproduces the randomized-start experiments.
+    The default policy fills it with a sequential coarse sweep.  The random
+    policy draws every interior value i.i.d. uniform in [-1, 1] from the
+    seeded generator, which reproduces the randomized-start experiments.
+    Either way the coarse result from every ``u[n]`` is cached in ``g_prev``
+    for the first correction.
     """
     u0 = problem.u0
     N, dim = cfg.N, u0.size
     u = np.empty((N + 1, dim))
     u[0] = u0
-    g_prev: np.ndarray | None = None
-
-    if cfg.init == "coarse":
-        step = _make_stepper(cfg.coarse, problem, cfg.dT)
-        g_prev = np.empty((N, dim))
-        for n in range(N):
-            u[n + 1] = step(n * cfg.dT, u[n])
-            g_prev[n] = u[n + 1]
-    else:
+    if cfg.init == "random":
         rng = np.random.default_rng(cfg.seed)
         u[1:] = rng.uniform(-1.0, 1.0, size=(N, dim))
+
+    coarse = _make_stepper(cfg.coarse, problem, cfg.dT)
+    g_prev = np.empty((N, dim))
+    for n in range(N):
+        g_prev[n] = coarse(n * cfg.dT, u[n])
+        if cfg.init == "coarse":
+            u[n + 1] = g_prev[n]
 
     ref_table = None
     if problem.reference is not None:
@@ -177,13 +177,9 @@ def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> P
     g_new = np.empty((N, state.u.shape[1]))
     for n in range(N):
         g_new[n] = coarse(times[n], u_new[n])
-        if state.g_prev is not None:
-            subtracted = state.g_prev[n]
-        else:
-            subtracted = coarse(times[n], state.u[n])
         # Summed as fine value plus small coarse increment: near convergence
         # the increment vanishes, so the fine result's bits are preserved.
-        u_new[n + 1] = fine_results[n] + (g_new[n] - subtracted)
+        u_new[n + 1] = fine_results[n] + (g_new[n] - state.g_prev[n])
 
     iter_error = float(np.max(np.abs(u_new - state.u)))
     abs_error = None

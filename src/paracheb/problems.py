@@ -39,8 +39,9 @@ class IvpProblem:
     ``reference`` maps a time to the exact (or high-accuracy) state when one
     is known.  ``jacobian`` is the optional analytic hook used by implicit
     stage solves.  ``linear`` carries ``(A, g)`` when the right-hand side has
-    the form ``g(t) - A u``, which lets the collocation propagator use its
-    direct linear solve.
+    the form ``g(t) - A u`` with symmetric ``A``, which lets the collocation
+    propagator use its direct linear solve in the eigenbasis of ``A`` (a
+    non-symmetric ``A`` there raises ValueError).
     """
 
     dim: int

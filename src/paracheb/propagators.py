@@ -19,7 +19,7 @@ import numpy as np
 
 from .chebyshev import build_operator, cg_points
 from .collocation import PicardConfig, RhsFunction, solve_checked, solve_linear, solve_nonlinear
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, SingularSystemError
 
 _SQRT2 = math.sqrt(2.0)
 _TRBDF2_GAMMA = 2.0 - _SQRT2  # standard splitting; the choice is conventional
@@ -157,7 +157,8 @@ def _newton(
 
     Steps are backtracked (halved up to 8 times) whenever the full update
     fails to reduce the residual; far-off starting values occur routinely
-    under randomized outer iterations.
+    under randomized outer iterations.  A singular stage matrix raises
+    ``SingularSystemError``.
     """
     x = x0
     res = residual(x)
@@ -165,7 +166,10 @@ def _newton(
         res_norm = np.max(np.abs(res))
         if res_norm <= cfg.tol * (1.0 + np.max(np.abs(x))):
             return x
-        step = np.linalg.solve(jacobian(x), res)
+        try:
+            step = np.linalg.solve(jacobian(x), res)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"Newton stage matrix is singular: {exc}") from exc
         scale = 1.0
         for _ in range(8):
             x_new = x - scale * step
@@ -338,8 +342,9 @@ def stability(spec: PropagatorSpec, z: float) -> float:
 
         R(z) = T (I - z C_alpha (I + z T1_C)^{-1} T1) E
 
-    by one linear solve; a singular system (a pole of the rational function)
-    raises ``SingularSystemError``.
+    by one shifted-system solve (``collocation.solve_checked``, the solve the
+    linear collocation propagator runs once per eigenvalue); a singular
+    system (a pole of the rational function) raises ``SingularSystemError``.
     """
     z = float(z)
     if z < 0:
@@ -350,7 +355,7 @@ def stability(spec: PropagatorSpec, z: float) -> float:
             return 1.0
         op = build_operator(spec.cg_points)
         ones = np.ones(spec.cg_points + 1)  # T1 @ E is the all-ones column
-        x = solve_checked(np.eye(spec.cg_points + 1) + z * op.T1_C, ones)
+        x = solve_checked(op, z, ones)
         return 1.0 - z * float((op.C_alpha @ x).sum())
 
     return _one_step_stability(spec.kind, z / spec.substeps) ** spec.substeps

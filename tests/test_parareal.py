@@ -8,6 +8,7 @@ from paracheb import (
     MaxIterationsError,
     PararealConfig,
     PropagatorSpec,
+    SingularSystemError,
     SweepError,
     initialize,
     iterate,
@@ -119,16 +120,20 @@ class TestIterate:
 
     def test_cached_coarse_agrees_with_recomputation(self):
         # The correction subtracts g_prev[n], so it must be exactly the
-        # coarse step from the current iterate u[n].
+        # coarse step from the current iterate u[n], whichever way the
+        # pass-0 table was filled.
         prob = diag_problem(T=0.5)
-        cfg = PararealConfig(T=0.5, N=5, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6))
-        coarse = _make_stepper(BE, prob, cfg.dT)
-        state = initialize(cfg, prob)
-        for k in range(4):
-            if k > 0:
-                state = iterate(state, cfg, prob)
-            for n in range(cfg.N):
-                np.testing.assert_array_equal(state.g_prev[n], coarse(n * cfg.dT, state.u[n]))
+        for init in ("coarse", "random"):
+            cfg = PararealConfig(
+                T=0.5, N=5, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6), init=init
+            )
+            coarse = _make_stepper(BE, prob, cfg.dT)
+            state = initialize(cfg, prob)
+            for k in range(4):
+                if k > 0:
+                    state = iterate(state, cfg, prob)
+                for n in range(cfg.N):
+                    np.testing.assert_array_equal(state.g_prev[n], coarse(n * cfg.dT, state.u[n]))
 
     def test_failing_fine_subinterval_reported(self):
         # One collocation node with z = 5 puts the fixed-point sweep far
@@ -139,6 +144,13 @@ class TestIterate:
         with pytest.raises(SweepError) as err:
             iterate(state, cfg, prob)
         assert err.value.indices == [0, 1]
+
+    def test_singular_coarse_stage_raises_typed_error(self):
+        # Backward Euler on u' = u with dT = 1 has the stage matrix 1 - 1 = 0.
+        prob = IvpProblem(dim=1, f=lambda t, u: u, u0=np.array([1.0]), T=2.0)
+        cfg = PararealConfig(T=2.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
+        with pytest.raises(SingularSystemError):
+            run(cfg, prob)
 
 
 class TestRun:

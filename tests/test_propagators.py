@@ -9,6 +9,7 @@ from paracheb import (
     NonConvergenceError,
     PropagatorKind,
     PropagatorSpec,
+    SingularSystemError,
     advance,
     build_burgers,
     parse_spec,
@@ -84,6 +85,13 @@ class TestAdvance:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NonConvergenceError, match="non-finite values"):
                 advance(PropagatorSpec(kind), f, 0.0, np.array([1.0]), 10.0)
+
+    @pytest.mark.parametrize("kind, dT", [("beuler", 1.0), ("tr", 2.0)])
+    def test_singular_stage_matrix_raises(self, kind, dT):
+        # For u' = u the stage matrix I - beta_h * I is exactly zero here.
+        spec = parse_spec(f"{kind}:1")
+        with pytest.raises(SingularSystemError, match="Newton stage matrix is singular"):
+            advance(spec, lambda t, u: u, 0.0, np.array([1.0]), dT, jac=lambda t, u: np.eye(1))
 
     def test_analytic_jacobian_accepted(self):
         calls = []
