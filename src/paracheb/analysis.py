@@ -29,6 +29,8 @@ Z0_STAR = 1.0
 Z1_STAR = 8.0 + 6.0 * math.sqrt(2.0)
 
 _SEARCH_CAP = 512
+_RHO_GRID = 2048  # log-spaced samples of K(z) before the maxima are refined
+_ROOT_XTOL = 1e-10  # bisection tolerance of the threshold roots
 
 
 class Branch(enum.Enum):
@@ -98,9 +100,7 @@ def _golden_max(fun, a: float, b: float, xtol: float = 1e-8) -> tuple[float, flo
     return x, fun(x)
 
 
-def rho_over_interval(
-    spec: PropagatorSpec, z_max: float, n_grid: int = 2048
-) -> ContractionReport:
+def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
     """Convergence factor ``max K(z)`` over ``[0, z_max]``.
 
     Samples ``K`` on a log-spaced grid (plus ``z = 0``), then sharpens every
@@ -111,7 +111,7 @@ def rho_over_interval(
     if z_max <= 0:
         raise ValueError("z_max must be positive")
     lo = max(z_max * 1e-6, 1e-8)
-    zs = np.concatenate(([0.0], np.geomspace(lo, z_max, n_grid)))
+    zs = np.concatenate(([0.0], np.geomspace(lo, z_max, _RHO_GRID)))
     Ks = np.array([contraction(spec, z) for z in zs])
 
     extra_z, extra_K = [], []
@@ -167,7 +167,7 @@ def m_min(z_max: float) -> MminResult:
     raise PointSearchError(z_max, _SEARCH_CAP, value)
 
 
-def find_threshold_roots(xtol: float = 1e-10) -> tuple[float, float]:
+def find_threshold_roots() -> tuple[float, float]:
     """Numerically recover the two branch thresholds from the contraction factor.
 
     The first is the unique positive root of ``K(z) = 1/3`` with zero
@@ -178,8 +178,8 @@ def find_threshold_roots(xtol: float = 1e-10) -> tuple[float, float]:
     """
     cg0 = PropagatorSpec.chebyshev_gauss(0)
     cg1 = PropagatorSpec.chebyshev_gauss(1)
-    z0 = bisect(lambda z: contraction(cg0, z) - 1.0 / 3.0, 1e-6, 10.0, xtol=xtol)
+    z0 = bisect(lambda z: contraction(cg0, z) - 1.0 / 3.0, 1e-6, 10.0, xtol=_ROOT_XTOL)
     # With one interior point K re-crosses 1/3 from below somewhere past
     # z = 8 and increases from there; bracket to the right of the tangency.
-    z1 = bisect(lambda z: contraction(cg1, z) - 1.0 / 3.0, 8.5, 1e3, xtol=xtol)
+    z1 = bisect(lambda z: contraction(cg1, z) - 1.0 / 3.0, 8.5, 1e3, xtol=_ROOT_XTOL)
     return float(z0), float(z1)

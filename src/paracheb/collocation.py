@@ -16,7 +16,8 @@ stability function ``R(z)``.  The direct solve stays well defined far
 outside the fixed-point convergence region.
 
 States are arrays of shape ``(dim,)``; node tables are node-major,
-``(M+1, dim)``.
+``(M+1, dim)``.  ``f`` evaluates a stack of states (the contract stated on
+``problems.IvpProblem``), so a sweep's node table is one call.
 """
 
 from __future__ import annotations
@@ -103,12 +104,12 @@ def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
 
 
 def _rhs_table(f: RhsFunction, points: CgPointSet, u_nodes: np.ndarray) -> np.ndarray:
-    F = np.empty_like(u_nodes)
-    for m, tm in enumerate(points.t):
-        val = np.atleast_1d(np.asarray(f(tm, u_nodes[m]), dtype=float))
-        if not np.all(np.isfinite(val)):
-            raise NonFiniteRhsError(m, tm)
-        F[m] = val
+    F = f(points.t[:, None], u_nodes)
+    if np.shape(F) != u_nodes.shape:
+        raise ValueError(f"f returned shape {np.shape(F)}, expected {u_nodes.shape}")
+    if not np.isfinite(F).all():
+        m = int(np.argmin(np.isfinite(F).all(axis=1)))
+        raise NonFiniteRhsError(m, points.t[m])
     return F
 
 
@@ -119,7 +120,12 @@ def picard_sweep(
     u_a,
     u_prev_nodes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One fixed-point update; returns the new ``(u_hat, u_nodes)`` pair."""
+    """One fixed-point update; returns the new ``(u_hat, u_nodes)`` pair.
+
+    ``f`` is called once, with ``t`` of shape ``(M+1, 1)`` and the node
+    table ``u`` of shape ``(M+1, dim)``; a result not of ``u``'s shape raises
+    ``ValueError``.
+    """
     if points.M != op.M:
         raise ValueError(f"operator built for M={op.M} but points have M={points.M}")
     u_a = _as_state(u_a)
@@ -138,8 +144,7 @@ def picard_sweep(
 
 def endpoint_value(u_hat: np.ndarray) -> np.ndarray:
     """State at the right endpoint: the componentwise coefficient sum."""
-    u_hat = np.asarray(u_hat, dtype=float)
-    return u_hat.sum(axis=0)
+    return np.asarray(u_hat, dtype=float).sum(axis=0)
 
 
 def solve_nonlinear(
@@ -153,7 +158,8 @@ def solve_nonlinear(
 
     The stopping metric is the max norm of the node-value difference between
     consecutive sweeps.  Hitting ``cfg.max_iter`` raises
-    ``NonConvergenceError``.
+    ``NonConvergenceError``.  Each sweep is one call of ``f`` on the stack
+    of node states (see ``picard_sweep``).
     """
     cfg = cfg or PicardConfig()
     u_a = _as_state(u_a)
@@ -167,12 +173,7 @@ def solve_nonlinear(
         if not np.isfinite(diff):
             break
         if diff < cfg.tol:
-            return CollocationSolution(
-                u_hat=u_hat,
-                u_nodes=u_nodes,
-                u_end=endpoint_value(u_hat),
-                iterations=p,
-            )
+            return CollocationSolution(u_hat, u_nodes, endpoint_value(u_hat), iterations=p)
     raise NonConvergenceError(
         f"fixed-point sweep did not converge in {cfg.max_iter} iterations", diff
     )
@@ -189,7 +190,8 @@ def solve_linear(
 
     With ``A = Q diag(lam) Q^T`` the node system decouples into one shifted
     system per eigenvalue, in the eigenbasis coordinates ``c = Q^T u_a`` and
-    ``G~ = G Q`` of the initial value and the forcing node values:
+    ``G~ = G Q`` of the initial value and the forcing node values (one call
+    ``g(t_nodes[:, None])``):
 
         (I + lam_i dT T1_C) x_i = c_i + dT * T1_C @ G~[:, i]
 
@@ -228,9 +230,4 @@ def solve_linear(
     u_hat[0] = c
     u_hat += dT * (op.C_alpha @ F)
     u_hat = u_hat @ Q.T
-    return CollocationSolution(
-        u_hat=u_hat,
-        u_nodes=op.T1 @ u_hat,
-        u_end=endpoint_value(u_hat),
-        iterations=0,
-    )
+    return CollocationSolution(u_hat, op.T1 @ u_hat, endpoint_value(u_hat), iterations=0)

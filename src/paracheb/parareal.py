@@ -140,8 +140,12 @@ def initialize(cfg: PararealConfig, problem: IvpProblem) -> PararealState:
     policy draws every interior value i.i.d. uniform in [-1, 1] from the
     seeded generator, which reproduces the randomized-start experiments.
     Either way the coarse result from every ``u[n]`` is cached in ``g_prev``
-    for the first correction.
+    for the first correction.  Extra ``cfg.metrics`` compare against the
+    reference solution, so a problem without one raises ValueError.
     """
+    if cfg.metrics and problem.reference is None:
+        names = ", ".join(name for name, _ in cfg.metrics)
+        raise ValueError(f"metrics {names} need a problem with a reference solution")
     u0 = problem.u0
     N, dim = cfg.N, u0.size
     u = np.empty((N + 1, dim))
@@ -182,12 +186,9 @@ def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> P
         u_new[n + 1] = fine_results[n] + (g_new[n] - state.g_prev[n])
 
     iter_error = float(np.max(np.abs(u_new - state.u)))
-    abs_error = None
-    extras: dict[str, float] = {}
-    if state.ref_table is not None:
-        abs_error = float(np.max(np.abs(u_new - state.ref_table)))
-        for name, fn in cfg.metrics:
-            extras[name] = float(fn(u_new, state.ref_table))
+    ref = state.ref_table  # present whenever cfg.metrics is (see initialize)
+    abs_error = None if ref is None else float(np.max(np.abs(u_new - ref)))
+    extras = {name: float(fn(u_new, ref)) for name, fn in cfg.metrics}
 
     state.u = u_new
     state.g_prev = g_new

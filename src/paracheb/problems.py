@@ -36,6 +36,12 @@ _KEPLER_V0 = (-2.8381188, -0.7871898, 7.0830275)  # km/s
 class IvpProblem:
     """An initial-value problem ``du/dt = f(t, u)``, ``u(0) = u0``.
 
+    ``f`` evaluates a stack of states: ``u`` has shape ``(..., dim)``, ``t``
+    is a float or an array that broadcasts against ``u[..., :1]``, and the
+    result is a float array of ``u``'s shape whose row ``i`` is
+    ``f(t_i, u_i)``.  The constructor checks this once, on two copies of
+    ``u0``.  The forcing ``g(t)`` of ``linear`` follows the same rule.
+
     ``reference`` maps a time to the exact (or high-accuracy) state when one
     is known.  ``jacobian`` is the optional analytic hook used by implicit
     stage solves.  ``linear`` carries ``(A, g)`` when the right-hand side has
@@ -60,7 +66,10 @@ class IvpProblem:
         if u0.size != self.dim:
             raise ValueError(f"u0 has size {u0.size}, expected {self.dim}")
         object.__setattr__(self, "u0", u0)
-        if not np.all(np.isfinite(np.asarray(self.f(0.0, u0), dtype=float))):
+        val = self.f(np.zeros((2, 1)), np.stack((u0, u0)))
+        if np.shape(val) != (2, self.dim):
+            raise ValueError(f"f(t, u) on two states has shape {np.shape(val)}, expected (2, {self.dim})")
+        if not np.all(np.isfinite(val)):
             raise ValueError("f(0, u0) is not finite")
 
 
@@ -96,21 +105,16 @@ class SpdLinearProblem:
 
     def to_ivp(self) -> IvpProblem:
         A, g = self.A, self.g
-
+        reference = None
         if g is None:
-            def f(t, u):
-                return -(A @ u)
-
             lam, Q = np.linalg.eigh(A)
             c0 = Q.T @ self.u0
 
             def reference(t):
                 return Q @ (np.exp(-lam * t) * c0)
-        else:
-            def f(t, u):
-                return g(t) - A @ u
 
-            reference = None
+        def f(t, u):
+            return -(u @ A.T) if g is None else g(t) - u @ A.T
 
         return IvpProblem(
             dim=self.dim,
@@ -187,9 +191,9 @@ class KeplerProblem:
         mu = self.mu
 
         def f(t, u):
-            r = u[:3]
-            rn = np.linalg.norm(r)
-            return np.concatenate((u[3:], -mu / rn**3 * r))
+            r = u[..., :3]
+            rn = np.sqrt((r * r).sum(axis=-1, keepdims=True))
+            return np.concatenate((u[..., 3:], -mu / rn**3 * r), axis=-1)
 
         def jacobian(t, u):
             r = u[:3]
@@ -341,7 +345,7 @@ class BurgersProblem:
         x = self.x
 
         def f(t, u):
-            return -(A1 @ u) - u * (A2 @ u)
+            return -(u @ A1.T) - u * (u @ A2.T)
 
         def jacobian(t, u):
             return -A1 - np.diag(A2 @ u) - u[:, None] * A2

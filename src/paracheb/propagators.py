@@ -129,22 +129,20 @@ def parse_spec(text: str) -> PropagatorSpec:
     except ValueError:
         valid = ", ".join(k.value for k in PropagatorKind)
         raise ValueError(f"unknown propagator {name!r} (expected one of {valid})")
-    value = int(arg) if arg else (0 if kind is PropagatorKind.CHEBYSHEV_GAUSS else 1)
+    try:
+        value = int(arg) if arg else (0 if kind is PropagatorKind.CHEBYSHEV_GAUSS else 1)
+    except ValueError:
+        raise ValueError(f"propagator spec {text!r}: {arg!r} is not an integer count") from None
     if kind is PropagatorKind.CHEBYSHEV_GAUSS:
         return PropagatorSpec(kind, cg_points=value)
     return PropagatorSpec(kind, substeps=value)
 
 
 def _fd_jacobian(f: RhsFunction, t: float, u: np.ndarray) -> np.ndarray:
-    f0 = np.atleast_1d(np.asarray(f(t, u), dtype=float))
-    n = u.size
-    J = np.empty((f0.size, n))
-    for j in range(n):
-        h = math.sqrt(np.finfo(float).eps) * (1.0 + abs(u[j]))
-        up = u.copy()
-        up[j] += h
-        J[:, j] = (np.atleast_1d(np.asarray(f(t, up), dtype=float)) - f0) / h
-    return J
+    """Forward differences, with ``f`` called once on ``[u; u + diag(h)]``."""
+    h = math.sqrt(np.finfo(float).eps) * (1.0 + np.abs(u))
+    F = f(t, np.vstack((u, u + np.diag(h))))
+    return ((F[1:] - F[0]) / h[:, None]).T
 
 
 def _newton(
@@ -199,7 +197,7 @@ def _solve_stage(
     eye = np.eye(x0.size)
 
     def residual(y):
-        return y - rhs - beta_h * np.atleast_1d(np.asarray(f(t_stage, y), dtype=float))
+        return y - rhs - beta_h * f(t_stage, y)
 
     def jacobian(y):
         return eye - beta_h * np.asarray(jac(t_stage, y), dtype=float)
@@ -208,12 +206,12 @@ def _solve_stage(
 
 
 def _step_backward_euler(f, jac, cfg, t, u, h):
-    guess = u + h * np.atleast_1d(np.asarray(f(t, u), dtype=float))
+    guess = u + h * f(t, u)
     return _solve_stage(f, jac, cfg, t + h, h, u, guess)
 
 
 def _step_trapezoidal(f, jac, cfg, t, u, h):
-    fn = np.atleast_1d(np.asarray(f(t, u), dtype=float))
+    fn = f(t, u)
     rhs = u + 0.5 * h * fn
     guess = u + h * fn
     return _solve_stage(f, jac, cfg, t + h, 0.5 * h, rhs, guess)
@@ -221,7 +219,7 @@ def _step_trapezoidal(f, jac, cfg, t, u, h):
 
 def _step_tr_bdf2(f, jac, cfg, t, u, h):
     g = _TRBDF2_GAMMA
-    fn = np.atleast_1d(np.asarray(f(t, u), dtype=float))
+    fn = f(t, u)
     rhs1 = u + 0.5 * g * h * fn
     u_mid = _solve_stage(f, jac, cfg, t + g * h, 0.5 * g * h, rhs1, u + g * h * fn)
     rhs2 = (u_mid / g - (1.0 - g) ** 2 / g * u) / (2.0 - g)
@@ -230,39 +228,35 @@ def _step_tr_bdf2(f, jac, cfg, t, u, h):
 
 
 def _step_gauss4(f, jac, cfg, t, u, h):
+    # K holds the two stage slopes end to end; f sees both stages as one stack.
     n = u.size
     ts = t + _GAUSS4_C * h
 
     def stages_of(K):
-        return [u + h * (_GAUSS4_A[i, 0] * K[:n] + _GAUSS4_A[i, 1] * K[n:]) for i in range(2)]
+        return u + h * (_GAUSS4_A @ K.reshape(2, n))
 
     def residual(K):
-        return K - np.concatenate(
-            [np.atleast_1d(np.asarray(f(ts[i], s), dtype=float)) for i, s in enumerate(stages_of(K))]
-        )
+        return K - f(ts[:, None], stages_of(K)).reshape(-1)
 
     def jacobian(K):
-        J = np.eye(2 * n)
-        for i, stage in enumerate(stages_of(K)):
-            Jf = np.asarray(jac(ts[i], stage), dtype=float)
-            for j in range(2):
-                J[i * n : (i + 1) * n, j * n : (j + 1) * n] -= h * _GAUSS4_A[i, j] * Jf
-        return J
+        Jf = [np.asarray(jac(ts[i], stage), dtype=float) for i, stage in enumerate(stages_of(K))]
+        blocks = [[h * _GAUSS4_A[i, j] * Jf[i] for j in range(2)] for i in range(2)]
+        return np.eye(2 * n) - np.block(blocks)
 
-    K0 = np.concatenate([np.atleast_1d(np.asarray(f(ts[i], u), dtype=float)) for i in range(2)])
+    K0 = f(ts[:, None], np.stack((u, u))).reshape(-1)
     K = _newton(residual, jacobian, K0, cfg)
     return u + h * (_GAUSS4_B[0] * K[:n] + _GAUSS4_B[1] * K[n:])
 
 
 def _step_forward_euler(f, jac, cfg, t, u, h):
-    return u + h * np.atleast_1d(np.asarray(f(t, u), dtype=float))
+    return u + h * f(t, u)
 
 
 def _step_erk4(f, jac, cfg, t, u, h):
-    k1 = np.atleast_1d(np.asarray(f(t, u), dtype=float))
-    k2 = np.atleast_1d(np.asarray(f(t + 0.5 * h, u + 0.5 * h * k1), dtype=float))
-    k3 = np.atleast_1d(np.asarray(f(t + 0.5 * h, u + 0.5 * h * k2), dtype=float))
-    k4 = np.atleast_1d(np.asarray(f(t + h, u + h * k3), dtype=float))
+    k1 = f(t, u)
+    k2 = f(t + 0.5 * h, u + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, u + 0.5 * h * k2)
+    k4 = f(t + h, u + h * k3)
     return u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -287,10 +281,13 @@ def advance(
 ) -> np.ndarray:
     """Advance the state from ``t_n`` to ``t_n + dT``.
 
-    One-step kinds take ``spec.substeps`` equal substeps; the collocation
-    kind performs a single spectral solve over the subinterval.  ``jac`` is
-    the Jacobian of ``f``, called as ``jac(t, u)``; the implicit kinds' stage
-    solves use it, or forward differences of ``f`` when it is None.  When
+    ``f`` takes a stack of states, as stated on ``problems.IvpProblem``: a
+    collocation sweep, both Gauss stages and a forward-difference Jacobian
+    are one call each.  One-step kinds take ``spec.substeps`` equal
+    substeps; the collocation kind performs a single spectral solve over the
+    subinterval.  ``jac`` is the Jacobian of ``f`` at one state, called as
+    ``jac(t, u)``; the implicit kinds' stage solves use it, or forward
+    differences of ``f`` when it is None.  When
     the problem is linear, callers may pass ``linear=(A, g)`` for ``u' + A u
     = g``; the collocation kind then uses the direct solve, which is defined
     even where the fixed-point sweep diverges.
@@ -303,8 +300,7 @@ def advance(
         op = build_operator(spec.cg_points)
         points = cg_points(spec.cg_points, t_n, t_n + dT)
         if linear is not None:
-            A, g = linear
-            return solve_linear(op, A, g, points, u).u_end
+            return solve_linear(op, *linear, points, u).u_end
         return solve_nonlinear(op, f, points, u, spec.picard).u_end
 
     if jac is None:

@@ -201,3 +201,10 @@ class TestMainEntry:
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             main(["experiment", "--out", str(tmp_path / "x.csv"), "--set", "name=lorenz"])
+
+    @pytest.mark.parametrize("spec", ["beuler:x", "cg:2.5"])
+    def test_non_integer_spec_count_quoted(self, tmp_path, spec):
+        out = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match=f"'{spec}'"):
+            main(["analyze", "--out", str(out), "--set", f"specs=cg:0,{spec}"])
+        assert not out.exists()

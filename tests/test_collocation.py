@@ -59,7 +59,7 @@ class TestPicardSweep:
         op = build_operator(4)
         pts = cg_points(4, 0.0, 1.0)
         u_prev = np.zeros((5, 1))
-        _, u_nodes = picard_sweep(op, lambda t, u: np.ones(1), pts, 0.0, u_prev)
+        _, u_nodes = picard_sweep(op, lambda t, u: np.ones_like(u), pts, 0.0, u_prev)
         np.testing.assert_allclose(u_nodes[:, 0], pts.t, atol=1e-12)
 
     def test_fixed_point_matches_coarsest_stability_value(self):
@@ -77,11 +77,17 @@ class TestPicardSweep:
         pts = cg_points(3, 0.0, 1.0)
 
         def f(t, u):
-            return np.full(1, np.nan) if t > pts.t[1] else -u
+            return np.where(t > pts.t[1], np.nan, -u)
 
         with pytest.raises(NonFiniteRhsError) as err:
             picard_sweep(op, f, pts, 1.0, np.ones((4, 1)))
         assert err.value.node == 2
+
+    def test_rhs_ignoring_the_stack_rejected(self):
+        op = build_operator(3)
+        pts = cg_points(3, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"\(4, 2\)"):
+            picard_sweep(op, lambda t, u: np.ones(2), pts, np.ones(2), np.ones((4, 2)))
 
     def test_dimension_mismatch_rejected(self):
         op = build_operator(3)
@@ -105,6 +111,18 @@ class TestSolveNonlinear:
         sol = solve_nonlinear(op, lambda t, u: -u, pts, 1.0, PicardConfig(tol=1e-13))
         assert sol.u_end[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    def test_one_rhs_call_per_sweep(self):
+        op = build_operator(8)
+        pts = cg_points(8, 0.0, 0.5)
+        shapes = []
+
+        def f(t, u):
+            shapes.append((t.shape, u.shape))
+            return -u
+
+        sol = solve_nonlinear(op, f, pts, 1.0, PicardConfig(tol=1e-13))
+        assert shapes == [((9, 1), (9, 1))] * sol.iterations
+
     def test_divergence_detected(self):
         # With one node the sweep multiplies errors by z/2; z = 4 diverges.
         op = build_operator(0)
@@ -118,7 +136,7 @@ class TestSolveNonlinear:
         pts = cg_points(4, 0.3, 0.9)
         poly = lambda t: 3.0 * t**2 - 2.0 * t + 1.0
         anti = lambda t: t**3 - t**2 + t
-        sol = solve_nonlinear(op, lambda t, u: np.full(1, poly(t)), pts, anti(0.3))
+        sol = solve_nonlinear(op, lambda t, u: poly(t) * np.ones_like(u), pts, anti(0.3))
         np.testing.assert_allclose(sol.u_nodes[:, 0], anti(pts.t), atol=1e-11)
         assert sol.u_end[0] == pytest.approx(anti(0.9), abs=1e-11)
 
@@ -171,7 +189,7 @@ class TestSolveLinear:
         # u' + u = 1, u(0) = 0 has solution 1 - exp(-t).
         op = build_operator(16)
         pts = cg_points(16, 0.0, 1.0)
-        sol = solve_linear(op, np.array([[1.0]]), lambda t: np.ones(1), pts, 0.0)
+        sol = solve_linear(op, np.array([[1.0]]), lambda t: np.ones_like(t), pts, 0.0)
         assert sol.u_end[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_node_values_consistent_with_coefficients(self):
@@ -200,7 +218,7 @@ class TestSolveLinear:
         op = build_operator(3)
         pts = cg_points(3, 0.0, 1.0)
         with pytest.raises(NonFiniteRhsError) as err:
-            solve_linear(op, np.array([[1.0]]), lambda t: np.full(1, np.nan), pts, 1.0)
+            solve_linear(op, np.array([[1.0]]), lambda t: np.full_like(t, np.nan), pts, 1.0)
         assert err.value.node == 0
         assert err.value.t == pts.t[0]
 
@@ -215,7 +233,7 @@ class TestSolveLinear:
     @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
     def test_agrees_with_kronecker_system(self, name, params, M, dT, forced):
         problem = spd_catalog(name, **params)
-        g = (lambda t: math.sin(t) * np.ones(problem.dim)) if forced else None
+        g = (lambda t: np.sin(t) * np.ones(problem.dim)) if forced else None
         op = build_operator(M)
         pts = cg_points(M, 0.3, 0.3 + dT)
         sol = solve_linear(op, problem.A, g, pts, problem.u0)

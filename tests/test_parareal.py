@@ -210,6 +210,15 @@ class TestRun:
             run(cfg, prob)
         assert len(err.value.history) == 3
 
+    def test_metrics_without_reference_rejected(self):
+        prob = IvpProblem(dim=1, f=lambda t, u: -u, u0=np.array([1.0]), T=1.0)
+        cfg = PararealConfig(
+            T=1.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4),
+            metrics=(("pos_error", lambda u, ref: 0.0),),
+        )
+        with pytest.raises(ValueError, match="pos_error"):
+            run(cfg, prob)
+
     def test_config_validation(self):
         fine = PropagatorSpec.chebyshev_gauss(4)
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paracheb import (
+    IvpProblem,
     KeplerProblem,
     SpdLinearProblem,
     build_burgers,
@@ -211,3 +212,34 @@ class TestIvpMetadata:
         ):
             assert ivp.u0.shape == (ivp.dim,)
             assert np.all(np.isfinite(ivp.f(0.0, ivp.u0)))
+
+
+STACK_CASES = {
+    "burgers": lambda: build_burgers(0.05, 16).to_ivp(),
+    "kepler": lambda: KeplerProblem().to_ivp(),
+    "spd": lambda: spd_catalog("laplacian-1d", m=8).to_ivp(),
+    "spd-forced": lambda: SpdLinearProblem(
+        A=spd_catalog("laplacian-1d", m=8).A,
+        u0=np.ones(8),
+        T=1.0,
+        g=lambda t: np.sin(t) * np.ones(8),
+    ).to_ivp(),
+}
+
+
+class TestRhsContract:
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_stack_agrees_row_by_row(self, case):
+        ivp = STACK_CASES[case]()
+        rng = np.random.default_rng(5)
+        shift = 0.1 * np.max(np.abs(ivp.u0)) * rng.uniform(-1.0, 1.0, (5, ivp.dim))
+        U = ivp.u0 * rng.uniform(0.5, 1.5, (5, ivp.dim)) + shift
+        t = rng.uniform(0.0, 2.0, 5)
+        F = ivp.f(t[:, None], U)
+        assert F.shape == U.shape
+        rows = np.array([ivp.f(t[i], U[i]) for i in range(5)])
+        assert np.max(np.abs(F - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+    def test_rhs_ignoring_the_stack_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2, 2\)"):
+            IvpProblem(dim=2, f=lambda t, u: np.ones(2), u0=np.ones(2), T=1.0)

@@ -15,6 +15,7 @@ from paracheb import (
     parse_spec,
     stability,
 )
+from paracheb.propagators import _fd_jacobian
 
 ALL_SPECS = [
     PropagatorSpec.backward_euler(3),
@@ -117,6 +118,23 @@ class TestAdvance:
         fd = advance(spec, ivp.f, 0.0, ivp.u0, dT, jac=None)
         assert np.max(np.abs(hook - fd)) <= 1e-13 * np.max(np.abs(fd))
 
+    def test_fd_jacobian_is_one_stacked_call(self):
+        # One call on [u; u + diag(h)] gives the same columns as one call
+        # per perturbed state.
+        f = KeplerProblem().to_ivp().f
+        calls = []
+
+        def counted(t, u):
+            calls.append(u.shape)
+            return f(t, u)
+
+        u = KeplerProblem().u0
+        J = _fd_jacobian(counted, 0.0, u)
+        assert calls == [(7, 6)]
+        h = math.sqrt(np.finfo(float).eps) * (1.0 + np.abs(u))
+        columns = [(f(0.0, u + h[j] * np.eye(6)[j]) - f(0.0, u)) / h[j] for j in range(6)]
+        np.testing.assert_array_equal(J, np.array(columns).T)
+
     def test_collocation_linear_route(self):
         got = advance(
             PropagatorSpec.chebyshev_gauss(1),
@@ -197,6 +215,11 @@ class TestSpecPlumbing:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError):
             parse_spec("rk45:3")
+
+    @pytest.mark.parametrize("text", ["beuler:x", "cg:2.5"])
+    def test_parse_rejects_non_integer_count(self, text):
+        with pytest.raises(ValueError, match=f"'{text}'.*not an integer"):
+            parse_spec(text)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
