@@ -77,8 +77,13 @@ def contraction(spec: PropagatorSpec, z: float) -> float:
         raise ValueError("z must be nonnegative")
     if z == 0.0:
         return 0.0
+    return contraction_from_stability(stability(spec, z), z)
+
+
+def contraction_from_stability(R: float, z: float) -> float:
+    """``K(z)`` from the fine propagator's amplification factor ``R = R_F(z)``, ``z > 0``."""
     r_coarse = 1.0 / (1.0 + z)
-    return abs(stability(spec, z) - r_coarse) / (1.0 - r_coarse)
+    return abs(R - r_coarse) / (1.0 - r_coarse)
 
 
 def _golden_max(fun, a: float, b: float, xtol: float = 1e-8) -> tuple[float, float]:

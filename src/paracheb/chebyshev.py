@@ -30,22 +30,33 @@ _TAU_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class CgPointSet:
-    """Chebyshev-Gauss nodes on a concrete interval.
+    """Chebyshev-Gauss nodes on one interval, or on a stack of intervals.
 
-    ``tau`` holds the standard nodes in (-1, 1), ``t`` their affine images in
-    ``(a, b)``.  The ``t`` values are the zeros of the shifted Chebyshev
+    ``tau`` holds the standard nodes in (-1, 1), ``t`` their affine images:
+    shape ``(M+1,)`` on one interval ``(a, b)``, and ``(N, M+1)`` on a stack
+    of ``N`` intervals whose endpoints ``a`` and ``b`` have shape ``(N,)``.
+    ``length`` is the interval length, one value shared by every interval
+    of a stack.  The ``t`` values are the zeros of the shifted Chebyshev
     polynomial of degree ``M + 1``.
     """
 
     M: int
     tau: np.ndarray
     t: np.ndarray
-    a: float
-    b: float
+    a: float | np.ndarray
+    b: float | np.ndarray
+    length: float
 
-    @property
-    def length(self) -> float:
-        return self.b - self.a
+    def shifted(self, starts) -> "CgPointSet":
+        """The same nodes moved onto the intervals ``[s, s + length]``.
+
+        ``starts`` is a float or an array of shape ``(N,)``.  Every interval
+        keeps exactly this set's ``length``: for a uniform grid ``(s + dT) - s``
+        differs from ``dT`` in the last bit, and a stack must share one length.
+        """
+        starts = np.asarray(starts, dtype=float)
+        t = starts[..., None] + (self.t - self.a)
+        return CgPointSet(self.M, self.tau, _freeze(t), starts, starts + self.length, self.length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +100,8 @@ def cg_points(M: int, a: float, b: float) -> CgPointSet:
     m = np.arange(M + 1)
     tau = -np.cos((2 * m + 1) * np.pi / (2 * M + 2))
     t = 0.5 * (b - a) * tau + 0.5 * (a + b)
-    return CgPointSet(M=M, tau=_freeze(tau), t=_freeze(t), a=float(a), b=float(b))
+    a, b = float(a), float(b)
+    return CgPointSet(M=M, tau=_freeze(tau), t=_freeze(t), a=a, b=b, length=b - a)
 
 
 def chebyshev_eval(l: int, tau: float) -> float:

@@ -105,10 +105,11 @@ def cmd_analyze(manifest: RunManifest) -> str:
         header += [f"absR_{spec.label}", f"K_{spec.label}"]
     rows = []
     for z in np.geomspace(z_min, z_max, n):
-        row = [float(z)]
+        z = float(z)
+        row = [z]
         for spec in specs:
-            row.append(abs(stability(spec, z)))
-            row.append(analysis.contraction(spec, z))
+            R = stability(spec, z)  # one evaluation gives both columns
+            row += [abs(R), analysis.contraction_from_stability(R, z)]
         rows.append(row)
     write_csv(manifest.out, header, rows)
     return manifest.out

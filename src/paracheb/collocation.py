@@ -15,9 +15,15 @@ instead solved directly in the eigenbasis of ``A``: each eigenvalue
 stability function ``R(z)``.  The direct solve stays well defined far
 outside the fixed-point convergence region.
 
-States are arrays of shape ``(dim,)``; node tables are node-major,
-``(M+1, dim)``.  ``f`` evaluates a stack of states (the contract stated on
-``problems.IvpProblem``), so a sweep's node table is one call.
+A state has shape ``(dim,)`` and its node table ``(M+1, dim)``.  A stack of
+``N`` states, one per subinterval of a uniform grid, has shape ``(N, dim)``
+with node tables ``(N, M+1, dim)``, on a stacked point set
+(``CgPointSet.shifted``); every solve then covers all rows in the same
+calls.  ``f`` evaluates a stack of states (the contract stated on
+``problems.IvpProblem``), so a sweep over every row's node table is one
+call.  On a stack each row stops on its own; a failing row is left out
+while the others finish, and the solve then raises ``SweepError`` naming
+every failed row.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .chebyshev import CgPointSet, CollocationOperator
-from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError
+from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError, raise_row_failures
 
 RhsFunction = Callable[[float, np.ndarray], np.ndarray]
 
@@ -55,8 +61,10 @@ class CollocationSolution:
     """Result of a single-interval solve.
 
     ``u_hat`` has shape ``(M+2, dim)``, ``u_nodes`` ``(M+1, dim)`` and
-    ``u_end`` ``(dim,)``.  Because every basis polynomial equals one at the
-    right endpoint, ``u_end`` is the column sum of ``u_hat``.
+    ``u_end`` ``(dim,)``, each with a leading ``N`` axis for a stack.
+    Because every basis polynomial equals one at the right endpoint,
+    ``u_end`` is the column sum of ``u_hat``.  ``iterations`` is the sweep
+    count, the largest over the rows of a stack.
     """
 
     u_hat: np.ndarray
@@ -66,9 +74,10 @@ class CollocationSolution:
 
 
 def _as_state(u) -> np.ndarray:
+    """A state ``(dim,)`` or a stack of states ``(N, dim)`` as a float array."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.ndim != 1:
-        raise ValueError(f"state must be one-dimensional (got shape {u.shape})")
+    if u.ndim > 2:
+        raise ValueError(f"state must have shape (dim,) or (N, dim) (got shape {u.shape})")
     return u
 
 
@@ -77,7 +86,10 @@ def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
 
     ``z`` is a scalar, with ``b`` of shape ``(M+1,)``, or a vector of shifts,
     with row ``i`` of ``b`` (shape ``(len(z), M+1)``) the right-hand side for
-    ``z[i]``; all systems are solved in one stacked call.  A (near-)singular
+    ``z[i]``; ``b`` may carry leading axes, one right-hand side per system
+    for each of their entries.  All systems are solved in one stacked call,
+    one right-hand side at a time, so a column's bits do not depend on how
+    many columns share the call.  A (near-)singular
     system, a pole of the rational stability function, raises
     ``SingularSystemError`` instead of returning the amplified garbage a
     backward-stable factorization would produce: the smallest singular value
@@ -103,14 +115,36 @@ def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
         raise SingularSystemError(f"collocation system is singular: {exc}") from exc
 
 
-def _rhs_table(f: RhsFunction, points: CgPointSet, u_nodes: np.ndarray) -> np.ndarray:
-    F = f(points.t[:, None], u_nodes)
+def _nonfinite_rows(F: np.ndarray, t_nodes: np.ndarray) -> dict[int, NonFiniteRhsError]:
+    """Rows of a stacked table ``(N, M+1, dim)`` holding a NaN or infinity.
+
+    Each maps to the error naming its first bad node and that node's time;
+    ``t_nodes`` broadcasts against ``(N, M+1)``.
+    """
+    finite = np.isfinite(F).all(axis=-1)
+    if finite.all():
+        return {}
+    t_nodes = np.broadcast_to(t_nodes, finite.shape)
+    errors = {}
+    for i in np.flatnonzero(~finite.all(axis=-1)):
+        m = int(np.argmin(finite[i]))
+        errors[int(i)] = NonFiniteRhsError(m, t_nodes[i, m])
+    return errors
+
+
+def _rhs_table(f: RhsFunction, t_nodes: np.ndarray, u_nodes: np.ndarray) -> np.ndarray:
+    F = f(t_nodes[..., None], u_nodes)
     if np.shape(F) != u_nodes.shape:
         raise ValueError(f"f returned shape {np.shape(F)}, expected {u_nodes.shape}")
-    if not np.isfinite(F).all():
-        m = int(np.argmin(np.isfinite(F).all(axis=1)))
-        raise NonFiniteRhsError(m, points.t[m])
     return F
+
+
+def _coefficients(op: CollocationOperator, length: float, u_a: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """``u_hat = U0 + length * C_alpha @ F`` for a node table or a stack of them."""
+    u_hat = np.zeros(F.shape[:-2] + (op.M + 2, F.shape[-1]))
+    u_hat[..., 0, :] = u_a
+    u_hat += length * (op.C_alpha @ F)
+    return u_hat
 
 
 def picard_sweep(
@@ -123,28 +157,28 @@ def picard_sweep(
     """One fixed-point update; returns the new ``(u_hat, u_nodes)`` pair.
 
     ``f`` is called once, with ``t`` of shape ``(M+1, 1)`` and the node
-    table ``u`` of shape ``(M+1, dim)``; a result not of ``u``'s shape raises
-    ``ValueError``.
+    table ``u`` of shape ``(M+1, dim)`` (a leading ``N`` axis on both for a
+    stack); a result not of ``u``'s shape raises ``ValueError``, a
+    non-finite one ``NonFiniteRhsError`` naming the first bad node.
     """
     if points.M != op.M:
         raise ValueError(f"operator built for M={op.M} but points have M={points.M}")
     u_a = _as_state(u_a)
     u_prev_nodes = np.asarray(u_prev_nodes, dtype=float)
-    if u_prev_nodes.shape != (op.M + 1, u_a.size):
-        raise ValueError(
-            f"node table must have shape {(op.M + 1, u_a.size)} "
-            f"(got {u_prev_nodes.shape})"
-        )
-    F = _rhs_table(f, points, u_prev_nodes)
-    u_hat = np.zeros((op.M + 2, u_a.size))
-    u_hat[0] = u_a
-    u_hat += points.length * (op.C_alpha @ F)
+    expected = u_a.shape[:-1] + (op.M + 1, u_a.shape[-1])
+    if u_prev_nodes.shape != expected:
+        raise ValueError(f"node table must have shape {expected} (got {u_prev_nodes.shape})")
+    F = _rhs_table(f, points.t, u_prev_nodes)
+    bad = _nonfinite_rows(F.reshape((-1,) + expected[-2:]), points.t)
+    if bad:
+        raise bad[min(bad)]
+    u_hat = _coefficients(op, points.length, u_a, F)
     return u_hat, op.T1 @ u_hat
 
 
 def endpoint_value(u_hat: np.ndarray) -> np.ndarray:
     """State at the right endpoint: the componentwise coefficient sum."""
-    return np.asarray(u_hat, dtype=float).sum(axis=0)
+    return np.asarray(u_hat, dtype=float).sum(axis=-2)
 
 
 def solve_nonlinear(
@@ -158,25 +192,61 @@ def solve_nonlinear(
 
     The stopping metric is the max norm of the node-value difference between
     consecutive sweeps.  Hitting ``cfg.max_iter`` raises
-    ``NonConvergenceError``.  Each sweep is one call of ``f`` on the stack
-    of node states (see ``picard_sweep``).
+    ``NonConvergenceError``, a non-finite ``f`` value ``NonFiniteRhsError``.
+    Each sweep is one call of ``f`` on the node tables of every row still
+    sweeping; a row leaves once it settles or fails, so each row runs
+    exactly the sweeps it would run alone.
     """
     cfg = cfg or PicardConfig()
+    if points.M != op.M:
+        raise ValueError(f"operator built for M={op.M} but points have M={points.M}")
     u_a = _as_state(u_a)
-    u_nodes = np.tile(u_a, (op.M + 1, 1))
+    U = u_a if u_a.ndim == 2 else u_a[None]
+    N, dim = U.shape
+    t_nodes = np.broadcast_to(points.t, (N, op.M + 1))
+    u_hat_out = np.empty((N, op.M + 2, dim))
+    nodes_out = np.empty((N, op.M + 1, dim))
+    failures: dict[int, Exception] = {}
+    iterations = 0
+    stall = f"fixed-point sweep did not converge in {cfg.max_iter} iterations"
 
-    diff = np.inf
+    def rhs(t_act, nodes):
+        if u_a.ndim == 2:
+            return _rhs_table(f, t_act, nodes)
+        return _rhs_table(f, t_act[0], nodes[0])[None]  # f sees one node table
+
+    rows = np.arange(N)  # rows still sweeping
+    U_act, t_act = U, t_nodes
+    nodes = np.repeat(U[:, None, :], op.M + 1, axis=1)
     for p in range(1, cfg.max_iter + 1):
-        u_hat, u_new = picard_sweep(op, f, points, u_a, u_nodes)
-        diff = float(np.max(np.abs(u_new - u_nodes)))
-        u_nodes = u_new
-        if not np.isfinite(diff):
-            break
-        if diff < cfg.tol:
-            return CollocationSolution(u_hat, u_nodes, endpoint_value(u_hat), iterations=p)
-    raise NonConvergenceError(
-        f"fixed-point sweep did not converge in {cfg.max_iter} iterations", diff
-    )
+        F = rhs(t_act, nodes)
+        keep = np.ones(len(rows), dtype=bool)
+        for i, exc in _nonfinite_rows(F, t_act).items():
+            failures[int(rows[i])] = exc
+            keep[i] = False
+        u_hat = _coefficients(op, points.length, U_act, F)
+        u_new = op.T1 @ u_hat
+        diff = np.max(np.abs(u_new - nodes), axis=(-2, -1))
+        done = keep & (diff < cfg.tol)
+        if done.any():
+            u_hat_out[rows[done]] = u_hat[done]
+            nodes_out[rows[done]] = u_new[done]
+            iterations = p
+        for i in np.flatnonzero(keep & ~np.isfinite(diff)):
+            failures[int(rows[i])] = NonConvergenceError(stall, diff[i])
+        keep &= np.isfinite(diff) & ~done
+        if not keep.all():
+            rows, U_act, t_act = rows[keep], U_act[keep], t_act[keep]
+            u_new, diff = u_new[keep], diff[keep]
+            if not len(rows):
+                break
+        nodes = u_new
+    for i, row in enumerate(rows):
+        failures[int(row)] = NonConvergenceError(stall, diff[i])
+    raise_row_failures(failures, u_a.ndim == 2)
+    if u_a.ndim == 1:
+        u_hat_out, nodes_out = u_hat_out[0], nodes_out[0]
+    return CollocationSolution(u_hat_out, nodes_out, endpoint_value(u_hat_out), iterations)
 
 
 def solve_linear(
@@ -191,43 +261,53 @@ def solve_linear(
     With ``A = Q diag(lam) Q^T`` the node system decouples into one shifted
     system per eigenvalue, in the eigenbasis coordinates ``c = Q^T u_a`` and
     ``G~ = G Q`` of the initial value and the forcing node values (one call
-    ``g(t_nodes[:, None])``):
+    ``g(t_nodes[..., None])``):
 
         (I + lam_i dT T1_C) x_i = c_i + dT * T1_C @ G~[:, i]
 
-    all solved by ``solve_checked`` in one stacked call.  The coefficients
-    are formed in the eigenbasis from ``F = G~ - X lam`` and only then mapped
-    back with ``Q^T``.  A singular block (the scaled problem sits on a pole
-    of the rational stability function) raises ``SingularSystemError``
-    rather than being regularized; a non-symmetric ``A`` raises
-    ``ValueError``.
+    ``dT`` is the interval length, which every row of a stack shares, so
+    the systems and their singularity check are built once per call and
+    every row's right-hand sides go to ``solve_checked`` in one stacked
+    call.  The coefficients are formed in the eigenbasis from
+    ``F = G~ - X lam`` and only then mapped back with ``Q^T``.  A singular
+    block (the scaled problem sits on a pole of the rational stability
+    function) raises ``SingularSystemError`` for the whole call rather than
+    being regularized; a non-symmetric ``A`` raises ``ValueError``.
     """
     if points.M != op.M:
         raise ValueError(f"operator built for M={op.M} but points have M={points.M}")
     u_a = _as_state(u_a)
+    U = u_a if u_a.ndim == 2 else u_a[None]
+    N, dim = U.shape
     A = np.asarray(A, dtype=float)
-    dim = u_a.size
     if A.shape != (dim, dim):
         raise ValueError(f"matrix must be {dim}x{dim} (got shape {A.shape})")
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
         raise ValueError("matrix must be symmetric")
     n = op.M + 1
     dT = points.length
+    t_nodes = np.broadcast_to(points.t, (N, n))
 
-    G = np.zeros((n, dim))
+    G = np.zeros((N, n, dim))
+    failures: dict[int, Exception] = {}
     if g is not None:
-        G = _rhs_table(lambda t, _: g(t), points, G)
+        G = _rhs_table(lambda t, _: g(t), t_nodes, G)
+        failures = _nonfinite_rows(G, t_nodes)
+        if failures and u_a.ndim == 1:
+            raise failures[0]
 
     lam, Q = np.linalg.eigh(A)
-    c = u_a @ Q
+    # One vector-matrix product per row: a one-row matrix product would
+    # take another BLAS kernel than a taller one.
+    c = (U[:, None, :] @ Q)[:, 0, :]
     G_eig = G @ Q
-    X = solve_checked(op, lam * dT, c[:, None] + dT * (op.T1_C @ G_eig).T)
-    if not np.all(np.isfinite(X)):
-        raise SingularSystemError("collocation system produced non-finite values")
+    X = solve_checked(op, lam * dT, c[:, :, None] + dT * (op.T1_C @ G_eig).swapaxes(-1, -2))
+    for i in np.flatnonzero(~np.isfinite(X).all(axis=(-2, -1))):
+        failures.setdefault(int(i), SingularSystemError("collocation system produced non-finite values"))
+    raise_row_failures(failures, u_a.ndim == 2)
 
-    F = G_eig - X.T * lam
-    u_hat = np.zeros((op.M + 2, dim))
-    u_hat[0] = c
-    u_hat += dT * (op.C_alpha @ F)
-    u_hat = u_hat @ Q.T
+    F = G_eig - X.swapaxes(-1, -2) * lam
+    u_hat = _coefficients(op, dT, c, F) @ Q.T
+    if u_a.ndim == 1:
+        u_hat = u_hat[0]
     return CollocationSolution(u_hat, op.T1 @ u_hat, endpoint_value(u_hat), iterations=0)

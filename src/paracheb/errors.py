@@ -41,12 +41,30 @@ class MaxIterationsError(SolverError):
 
 
 class SweepError(SolverError):
-    """One or more subintervals of a concurrent fine sweep failed."""
+    """One or more rows (subintervals) of a stacked fine sweep failed.
+
+    ``indices`` lists every failed row; ``cause`` is the error of the lowest.
+    """
 
     def __init__(self, indices, cause: BaseException):
         super().__init__(f"fine propagator failed on subintervals {sorted(indices)}: {cause}")
         self.indices = sorted(indices)
         self.cause = cause
+
+
+def raise_row_failures(failures: dict[int, BaseException], stacked: bool) -> None:
+    """Raise the row failures of a stacked call, if there are any.
+
+    ``failures`` maps a row to its error.  A stack raises ``SweepError``
+    naming every failed row; a single state (``stacked`` false) raises its
+    own error.
+    """
+    if not failures:
+        return
+    first = failures[min(failures)]
+    if not stacked:
+        raise first
+    raise SweepError(failures.keys(), first) from first
 
 
 class PointSearchError(SolverError):

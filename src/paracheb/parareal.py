@@ -8,13 +8,16 @@ applies
 
 which leaves the first ``k`` grid values identical to the serial fine
 trajectory after ``k`` passes, and contracts the remainder at the rate the
-analysis module predicts.  The fine sweep is the only concurrent region:
-every subinterval reads the shared iterate table and writes its own slot of
-a preallocated result list, so results are invariant to the worker count.
+analysis module predicts.  The fine sweep advances all subintervals in
+stacked calls, one per contiguous chunk of rows; each chunk reads the
+shared iterate table and writes its own rows of the result table, and a
+row's bits do not depend on the chunking, so results are invariant to the
+worker count.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,6 +42,8 @@ class PararealConfig:
     max_k: int = 50
     init: str = "coarse"  # "coarse" | "random"
     seed: int = 0
+    #: Cap on the number of row chunks of the fine sweep; each chunk is one
+    #: stacked call, and more than one run on a thread pool.
     workers: int = 1
     metrics: tuple[tuple[str, MetricFunction], ...] = ()
 
@@ -91,7 +96,11 @@ class PararealState:
 
 
 def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
-    """Bind a propagator spec and problem into a ``(t, u) -> u_next`` callable."""
+    """Bind a propagator spec and problem into a ``(t, u) -> u_next`` callable.
+
+    ``t`` and ``u`` are one start time and state, or a stack of them (see
+    ``propagators.advance``).
+    """
 
     def step(t, u):
         return advance(spec, problem.f, t, u, dT, jac=problem.jacobian, linear=problem.linear)
@@ -99,37 +108,52 @@ def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
     return step
 
 
-def _fine_sweep(step, times, u_table, workers: int) -> list[np.ndarray]:
-    """Apply the fine propagator on every subinterval, slot results by index.
+def _chunks(n: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous row ranges ``[lo, hi)`` of a sweep over ``n`` rows.
 
-    Failures are collected rather than aborting sibling subintervals; when
-    any occurred the sweep raises afterwards with the offending indices.
+    There are at most ``workers`` ranges, and none has a single row unless
+    ``n`` is 1: BLAS computes a one-row stack with matrix-vector kernels
+    whose last bits differ from those of the matrix-matrix kernels used for
+    taller stacks, while a row of a stack of two or more comes out the same
+    whatever the split.
     """
-    n = len(times)
-    results: list[np.ndarray | None] = [None] * n
-    failures: dict[int, BaseException] = {}
+    k = max(1, min(workers, n // 2))
+    bounds = [n * i // k for i in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
 
-    def task(i: int):
-        return step(times[i], u_table[i])
 
-    if workers == 1:
-        for i in range(n):
-            try:
-                results[i] = task(i)
-            except Exception as exc:  # noqa: BLE001 - reported collectively below
-                failures[i] = exc
+def _fine_sweep(step, times: np.ndarray, u_table: np.ndarray, workers: int) -> np.ndarray:
+    """Apply the fine propagator on every subinterval; returns the ``(N, dim)`` table.
+
+    The rows are split into at most ``workers`` contiguous chunks
+    (``_chunks``), each advanced by one stacked ``step`` call; more than one
+    chunk run on a thread pool.  Within a call every row stops on its own
+    and a failing row leaves the others running.  Afterwards the sweep
+    raises ``SweepError`` listing every failed subinterval; an error not
+    tied to a row counts against every row of its chunk.
+    """
+    chunks = _chunks(len(times), workers)
+    if len(chunks) == 1:
+        outcomes = [functools.partial(step, times, u_table)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(task, i) for i in range(n)}
-            for i, fut in futures.items():
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    failures[i] = exc
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            futures = [pool.submit(step, times[lo:hi], u_table[lo:hi]) for lo, hi in chunks]
+        outcomes = [fut.result for fut in futures]
 
-    if failures:
-        first = failures[min(failures)]
-        raise SweepError(failures.keys(), first) from first
+    results = np.empty_like(u_table)
+    failed: list[int] = []
+    causes: list[BaseException] = []
+    for (lo, hi), outcome in zip(chunks, outcomes):
+        try:
+            results[lo:hi] = outcome()
+        except SweepError as exc:
+            failed += [lo + i for i in exc.indices]
+            causes.append(exc.cause)
+        except Exception as exc:  # noqa: BLE001 - reported collectively below
+            failed += range(lo, hi)
+            causes.append(exc)
+    if failed:
+        raise SweepError(failed, causes[0]) from causes[0]
     return results
 
 
@@ -172,9 +196,9 @@ def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> P
     fine = _make_stepper(cfg.fine, problem, cfg.dT)
     coarse = _make_stepper(cfg.coarse, problem, cfg.dT)
     N = cfg.N
-    times = [n * cfg.dT for n in range(N)]
+    times = np.arange(N) * cfg.dT
 
-    fine_results = _fine_sweep(fine, times, state.u, cfg.workers)
+    fine_results = _fine_sweep(fine, times, state.u[:N], cfg.workers)
 
     u_new = np.empty_like(state.u)
     u_new[0] = state.u[0]

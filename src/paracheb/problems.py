@@ -42,9 +42,13 @@ class IvpProblem:
     ``f(t_i, u_i)``.  The constructor checks this once, on two copies of
     ``u0``.  The forcing ``g(t)`` of ``linear`` follows the same rule.
 
+    ``jacobian`` is the optional analytic hook used by implicit stage
+    solves.  It takes the same ``(t, u)`` as ``f`` and returns the stack of
+    Jacobians, shape ``(..., dim, dim)``, whose entry ``i`` is the Jacobian
+    of ``f`` at ``(t_i, u_i)``; the constructor checks it like ``f``.
+
     ``reference`` maps a time to the exact (or high-accuracy) state when one
-    is known.  ``jacobian`` is the optional analytic hook used by implicit
-    stage solves.  ``linear`` carries ``(A, g)`` when the right-hand side has
+    is known.  ``linear`` carries ``(A, g)`` when the right-hand side has
     the form ``g(t) - A u`` with symmetric ``A``, which lets the collocation
     propagator use its direct linear solve in the eigenbasis of ``A`` (a
     non-symmetric ``A`` there raises ValueError).
@@ -71,6 +75,13 @@ class IvpProblem:
             raise ValueError(f"f(t, u) on two states has shape {np.shape(val)}, expected (2, {self.dim})")
         if not np.all(np.isfinite(val)):
             raise ValueError("f(0, u0) is not finite")
+        if self.jacobian is not None:
+            J = self.jacobian(np.zeros((2, 1)), np.stack((u0, u0)))
+            expected = (2, self.dim, self.dim)
+            if np.shape(J) != expected:
+                raise ValueError(f"jacobian(t, u) on two states has shape {np.shape(J)}, expected {expected}")
+            if not np.all(np.isfinite(J)):
+                raise ValueError("jacobian(0, u0) is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +127,15 @@ class SpdLinearProblem:
         def f(t, u):
             return -(u @ A.T) if g is None else g(t) - u @ A.T
 
+        neg_A = -A
+
         return IvpProblem(
             dim=self.dim,
             f=f,
             u0=self.u0,
             T=self.T,
             reference=reference,
-            jacobian=lambda t, u: -A,
+            jacobian=lambda t, u: np.broadcast_to(neg_A, u.shape + A.shape[-1:]),
             linear=(A, g),
             name=self.name,
         )
@@ -196,12 +209,13 @@ class KeplerProblem:
             return np.concatenate((u[..., 3:], -mu / rn**3 * r), axis=-1)
 
         def jacobian(t, u):
-            r = u[:3]
-            rn = np.linalg.norm(r)
-            grav = mu * (3.0 * np.outer(r, r) / rn**5 - np.eye(3) / rn**3)
-            J = np.zeros((6, 6))
-            J[:3, 3:] = np.eye(3)
-            J[3:, :3] = grav
+            r = u[..., :3]
+            # Each state's |r|^2 as a dot product, the sum np.linalg.norm takes.
+            rn = np.sqrt(r[..., None, :] @ r[..., :, None])
+            grav = mu * (3.0 * (r[..., :, None] * r[..., None, :]) / rn**5 - np.eye(3) / rn**3)
+            J = np.zeros(u.shape + (6,))
+            J[..., :3, 3:] = np.eye(3)
+            J[..., 3:, :3] = grav
             return J
 
         return IvpProblem(
@@ -347,8 +361,12 @@ class BurgersProblem:
         def f(t, u):
             return -(u @ A1.T) - u * (u @ A2.T)
 
+        neg_A1, eye = -A1, np.eye(self.Nx)
+
         def jacobian(t, u):
-            return -A1 - np.diag(A2 @ u) - u[:, None] * A2
+            # -A1 - diag(A2 u) - u * A2 for each state, with A2 u one
+            # matrix-vector product per state.
+            return neg_A1 - (A2 @ u[..., None]) * eye - u[..., :, None] * A2
 
         return IvpProblem(
             dim=self.Nx,

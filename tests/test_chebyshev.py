@@ -40,6 +40,18 @@ class TestCgPoints:
         pts = cg_points(9, -1.0, 1.0)
         np.testing.assert_allclose(pts.tau, -pts.tau[::-1], atol=1e-15)
 
+    def test_shifted_stack_shares_one_length(self):
+        # On a uniform grid (s + dT) - s is not always dT; a stack keeps dT.
+        dT = 0.1 / 16
+        ref = cg_points(5, 0.0, dT)
+        starts = np.arange(16) * dT
+        assert any((s + dT) - s != dT for s in starts)
+        stack = ref.shifted(starts)
+        assert stack.t.shape == (16, 6) and stack.length == dT
+        np.testing.assert_array_equal(stack.t, starts[:, None] + ref.t)
+        np.testing.assert_array_equal(stack.a, starts)
+        assert np.all((stack.t > stack.a[:, None]) & (stack.t < stack.b[:, None]))
+
     @pytest.mark.parametrize("M,a,b", [(-1, 0.0, 1.0), (2, 1.0, 1.0), (2, 2.0, 1.0)])
     def test_rejects_bad_arguments(self, M, a, b):
         with pytest.raises(ValueError):

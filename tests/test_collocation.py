@@ -89,6 +89,19 @@ class TestPicardSweep:
         with pytest.raises(ValueError, match=r"\(4, 2\)"):
             picard_sweep(op, lambda t, u: np.ones(2), pts, np.ones(2), np.ones((4, 2)))
 
+    def test_stack_sweeps_every_row_in_one_call(self):
+        op = build_operator(4)
+        points = cg_points(4, 0.0, 0.5).shifted(np.array([0.0, 0.5, 1.0]))
+        f = lambda t, u: -t * u**2
+        u_a = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
+        nodes = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 5, 2))
+        u_hat, u_nodes = picard_sweep(op, f, points, u_a, nodes)
+        for i in range(3):
+            one = cg_points(4, 0.0, 0.5).shifted(points.a[i])
+            hat_i, nodes_i = picard_sweep(op, f, one, u_a[i], nodes[i])
+            np.testing.assert_array_equal(u_hat[i], hat_i)
+            np.testing.assert_array_equal(u_nodes[i], nodes_i)
+
     def test_dimension_mismatch_rejected(self):
         op = build_operator(3)
         pts = cg_points(2, 0.0, 1.0)
@@ -122,6 +135,30 @@ class TestSolveNonlinear:
 
         sol = solve_nonlinear(op, f, pts, 1.0, PicardConfig(tol=1e-13))
         assert shapes == [((9, 1), (9, 1))] * sol.iterations
+
+    def test_stack_rows_stop_on_their_own(self):
+        # Rows further from equilibrium need more sweeps.  Each sweep is one
+        # f call on the rows still sweeping, every row ends on its own
+        # single-state solve, and the reported count is the largest.
+        op = build_operator(8)
+        f = lambda t, u: -(u**2)
+        U = np.array([[0.01], [1.0], [3.0]])
+        points = cg_points(8, 0.0, 0.2).shifted(np.zeros(3))
+        heights = []
+
+        def counted(t, u):
+            heights.append(len(u))
+            return f(t, u)
+
+        sol = solve_nonlinear(op, counted, points, U)
+        rows = [solve_nonlinear(op, f, cg_points(8, 0.0, 0.2), u) for u in U]
+        counts = [r.iterations for r in rows]
+        assert len(set(counts)) == 3
+        assert sol.iterations == max(counts) == len(heights)
+        assert heights == sorted(heights, reverse=True) and heights[0] == 3
+        for i, r in enumerate(rows):
+            np.testing.assert_array_equal(sol.u_hat[i], r.u_hat)
+            np.testing.assert_array_equal(sol.u_end[i], r.u_end)
 
     def test_divergence_detected(self):
         # With one node the sweep multiplies errors by z/2; z = 4 diverges.

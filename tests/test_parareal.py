@@ -5,17 +5,21 @@ import pytest
 
 from paracheb import (
     IvpProblem,
+    NonConvergenceError,
+    NonFiniteRhsError,
     MaxIterationsError,
     PararealConfig,
     PropagatorSpec,
     SingularSystemError,
     SweepError,
+    build_burgers,
     initialize,
     iterate,
     run,
+    parse_spec,
     spd_catalog,
 )
-from paracheb.parareal import _make_stepper
+from paracheb.parareal import _chunks, _make_stepper
 
 BE = PropagatorSpec.backward_euler(1)
 
@@ -145,6 +149,32 @@ class TestIterate:
             iterate(state, cfg, prob)
         assert err.value.indices == [0, 1]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # pool threads see the inf rows
+    @pytest.mark.parametrize("fine", ["beuler:2", "cg:4"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_only_failing_rows_reported(self, fine, workers):
+        # f is infinite above 0.5, so exactly the random starts above 0.5
+        # fail; forward Euler as the coarse step carries them silently.
+        def f(t, u):
+            return np.where(u > 0.5, np.inf, -u)
+
+        prob = IvpProblem(dim=1, f=f, u0=np.zeros(1), T=1.0)
+        cfg = PararealConfig(
+            T=1.0, N=12, coarse=parse_spec("feuler:1"), fine=parse_spec(fine),
+            init="random", seed=4, workers=workers,
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            state = initialize(cfg, prob)
+            expected = [n for n in range(12) if state.u[n, 0] > 0.5]
+            assert 0 < len(expected) < 11
+            with pytest.raises(SweepError) as err:
+                iterate(state, cfg, prob)
+        assert err.value.indices == expected
+        if fine == "cg:4":
+            assert isinstance(err.value.cause, NonFiniteRhsError) and err.value.cause.node == 0
+        else:
+            assert isinstance(err.value.cause, NonConvergenceError)
+
     def test_singular_coarse_stage_raises_typed_error(self):
         # Backward Euler on u' = u with dT = 1 has the stage matrix 1 - 1 = 0.
         prob = IvpProblem(dim=1, f=lambda t, u: u, u0=np.array([1.0]), T=2.0)
@@ -199,6 +229,52 @@ class TestRun:
         u4, h4 = run(PararealConfig(**base, workers=4), prob)
         np.testing.assert_array_equal(u1, u4)
         assert [r.iter_error for r in h1] == [r.iter_error for r in h4]
+
+    @pytest.mark.parametrize("name", ["diag-spectrum", "laplacian-1d"])
+    def test_worker_count_invariance_linear_path(self, name):
+        # workers = 16 asks for one-row chunks, whose BLAS kernels differ
+        # in the last bit from taller stacks.
+        prob = spd_catalog(name, m=8, T=2.0).to_ivp()
+        base = dict(T=2.0, N=16, coarse=BE, fine=parse_spec("cg:6"), init="random", seed=5)
+        tables = {}
+        for workers in (1, 2, 8, 16):
+            cfg = PararealConfig(**base, workers=workers)
+            state = initialize(cfg, prob)
+            for _ in range(3):
+                state = iterate(state, cfg, prob)
+            tables[workers] = state
+        for state in tables.values():
+            np.testing.assert_array_equal(state.u, tables[1].u)
+            assert state.history == tables[1].history
+
+    @pytest.mark.parametrize(
+        "prob, fine, init",
+        [
+            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), "tr:2", "random"),
+            (build_burgers(0.05, 16).to_ivp(), "cg:8", "coarse"),
+        ],
+        ids=["newton", "picard"],
+    )
+    def test_worker_count_invariance_nonlinear_paths(self, prob, fine, init):
+        base = dict(T=0.5, N=16, coarse=BE, fine=parse_spec(fine), init=init, seed=6)
+        states = []
+        for workers in (1, 16):
+            cfg = PararealConfig(**base, workers=workers)
+            state = initialize(cfg, prob)
+            for _ in range(3):
+                state = iterate(state, cfg, prob)
+            states.append(state)
+        np.testing.assert_array_equal(states[0].u, states[1].u)
+        assert states[0].history == states[1].history
+
+    def test_chunks_never_split_off_one_row(self):
+        for n in range(1, 40):
+            for workers in (1, 2, 3, 8, 16, 64):
+                chunks = _chunks(n, workers)
+                assert chunks[0][0] == 0 and chunks[-1][1] == n
+                assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+                assert len(chunks) <= workers
+                assert n == 1 or all(hi - lo >= 2 for lo, hi in chunks)
 
     def test_iteration_cap_carries_history(self):
         prob = diag_problem(T=4.0)

@@ -243,3 +243,37 @@ class TestRhsContract:
     def test_rhs_ignoring_the_stack_rejected(self):
         with pytest.raises(ValueError, match=r"\(2, 2\)"):
             IvpProblem(dim=2, f=lambda t, u: np.ones(2), u0=np.ones(2), T=1.0)
+
+
+JACOBIAN_CASES = {
+    "burgers": lambda: build_burgers(0.05, 16).to_ivp(),
+    "kepler": lambda: KeplerProblem().to_ivp(),
+    "spd": lambda: spd_catalog("laplacian-1d", m=8).to_ivp(),
+}
+
+
+class TestJacobianContract:
+    @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+    def test_stack_agrees_row_by_row(self, case):
+        ivp = JACOBIAN_CASES[case]()
+        rng = np.random.default_rng(6)
+        shift = 0.1 * np.max(np.abs(ivp.u0)) * rng.uniform(-1.0, 1.0, (5, ivp.dim))
+        U = ivp.u0 * rng.uniform(0.5, 1.5, (5, ivp.dim)) + shift
+        t = rng.uniform(0.0, 2.0, 5)
+        J = ivp.jacobian(t[:, None], U)
+        assert J.shape == (5, ivp.dim, ivp.dim)
+        rows = np.array([ivp.jacobian(t[i], U[i]) for i in range(5)])
+        assert np.max(np.abs(J - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+    def test_jacobian_ignoring_the_stack_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2, 2, 2\)"):
+            IvpProblem(
+                dim=2, f=lambda t, u: -u, u0=np.ones(2), T=1.0, jacobian=lambda t, u: -np.eye(2)
+            )
+
+    def test_nonfinite_jacobian_rejected(self):
+        def jac(t, u):
+            return np.full(u.shape + (1,), np.nan)
+
+        with pytest.raises(ValueError, match="not finite"):
+            IvpProblem(dim=1, f=lambda t, u: -u, u0=np.ones(1), T=1.0, jacobian=jac)

@@ -7,12 +7,15 @@ from paracheb import (
     KeplerProblem,
     NewtonConfig,
     NonConvergenceError,
+    NonFiniteRhsError,
     PropagatorKind,
     PropagatorSpec,
     SingularSystemError,
+    SweepError,
     advance,
     build_burgers,
     parse_spec,
+    spd_catalog,
     stability,
 )
 from paracheb.propagators import _fd_jacobian
@@ -92,14 +95,14 @@ class TestAdvance:
         # For u' = u the stage matrix I - beta_h * I is exactly zero here.
         spec = parse_spec(f"{kind}:1")
         with pytest.raises(SingularSystemError, match="Newton stage matrix is singular"):
-            advance(spec, lambda t, u: u, 0.0, np.array([1.0]), dT, jac=lambda t, u: np.eye(1))
+            advance(spec, lambda t, u: u, 0.0, np.array([1.0]), dT, jac=lambda t, u: np.ones(u.shape + (1,)))
 
     def test_analytic_jacobian_accepted(self):
         calls = []
 
         def jac(t, u):
             calls.append(t)
-            return -np.eye(1)
+            return -np.ones(u.shape + (1,))
 
         spec = PropagatorSpec.backward_euler(1)
         got = advance(spec, decay(1.0), 0.0, np.array([1.0]), 1.0, jac=jac)
@@ -145,6 +148,98 @@ class TestAdvance:
             linear=(np.array([[1.0]]), None),
         )
         assert got[0] == pytest.approx(9.0 / 25.0, abs=1e-13)
+
+
+def per_row(spec, f, times, U, dT, **kw):
+    """Reference: one single-state ``advance`` call per row, as the fine
+    sweep made them before it was stacked."""
+    return np.array([advance(spec, f, t, u, dT, **kw) for t, u in zip(times, U)])
+
+
+def perturbed_stack(ivp, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 2.0, n), ivp.u0 * rng.uniform(0.9, 1.1, (n, ivp.dim))
+
+
+ONE_STEP_SPECS = ["feuler:3", "erk4:3", "beuler:3", "tr:3", "trbdf2:3", "gauss4:3"]
+
+
+class TestStackedAdvance:
+    @pytest.mark.parametrize("jac", ["hook", "fd"])
+    @pytest.mark.parametrize("text", ONE_STEP_SPECS + ["cg:6"])
+    def test_kepler_stack_is_bit_identical_to_rows(self, text, jac):
+        # Kepler's f and jacobian work state by state, so stacking changes
+        # no bit of any row; dT = 0.3 is not a binary fraction.
+        ivp = KeplerProblem().to_ivp()
+        hook = ivp.jacobian if jac == "hook" else None
+        times, U = perturbed_stack(ivp, 7, 1)
+        got = advance(parse_spec(text), ivp.f, times, U, 0.3, jac=hook)
+        np.testing.assert_array_equal(got, per_row(parse_spec(text), ivp.f, times, U, 0.3, jac=hook))
+
+    @pytest.mark.parametrize("text", ONE_STEP_SPECS + ["cg:8"])
+    def test_burgers_stack_agrees_with_rows(self, text):
+        # Burgers' f is a matrix product: a one-state call takes BLAS's
+        # matrix-vector kernel, a stack its matrix-matrix kernel, which
+        # differ in the last bit.  Collocation node tables and Gauss stage
+        # pairs are matrix-matrix either way and agree exactly.
+        ivp = build_burgers(0.05, 16).to_ivp()
+        times, U = perturbed_stack(ivp, 7, 2)
+        got = advance(parse_spec(text), ivp.f, times, U, 0.03, jac=ivp.jacobian)
+        ref = per_row(parse_spec(text), ivp.f, times, U, 0.03, jac=ivp.jacobian)
+        if text in ("gauss4:3", "cg:8"):
+            np.testing.assert_array_equal(got, ref)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    def test_linear_collocation_stack_is_bit_identical_to_rows(self, forced):
+        # Each row gets its own vector-matrix product and its own
+        # one-column solve, so the shared systems change no bit.
+        A = spd_catalog("laplacian-1d", m=24).A
+        g = (lambda t: np.sin(t) * np.ones(24)) if forced else None
+        rng = np.random.default_rng(3)
+        U = rng.uniform(-1.0, 1.0, (16, 24))
+        times = np.arange(16) * (0.1 / 16)
+        spec = parse_spec("cg:12")
+        got = advance(spec, None, times, U, 0.1 / 16, linear=(A, g))
+        np.testing.assert_array_equal(got, per_row(spec, None, times, U, 0.1 / 16, linear=(A, g)))
+
+    def test_single_state_is_the_one_row_stack(self):
+        ivp = KeplerProblem().to_ivp()
+        spec = parse_spec("tr:2")
+        single = advance(spec, ivp.f, 0.5, ivp.u0, 0.25, jac=ivp.jacobian)
+        stack = advance(spec, ivp.f, np.array([0.5]), ivp.u0[None], 0.25, jac=ivp.jacobian)
+        assert single.shape == (6,) and stack.shape == (1, 6)
+        np.testing.assert_array_equal(single, stack[0])
+
+    @pytest.mark.parametrize("text", ["beuler:2", "gauss4:1", "cg:4"])
+    def test_failing_rows_named_and_typed(self, text):
+        # f is infinite above 0.5: rows starting there fail at once, rows
+        # starting below decay towards 0 and finish.
+        def f(t, u):
+            return np.where(u > 0.5, np.inf, -u)
+
+        U = np.array([[0.2], [0.9], [-0.7], [0.6], [0.1]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SweepError) as err:
+                advance(parse_spec(text), f, np.zeros(5), U, 0.5)
+        assert err.value.indices == [1, 3]
+        if text == "cg:4":
+            assert isinstance(err.value.cause, NonFiniteRhsError) and err.value.cause.node == 0
+        else:
+            assert isinstance(err.value.cause, NonConvergenceError)
+        surviving = advance(parse_spec(text), f, np.zeros(3), U[[0, 2, 4]], 0.5)
+        assert np.all(np.isfinite(surviving))
+
+    def test_newton_rows_backtrack_on_their_own(self):
+        # With dT = 10 the far rows need damped steps and more iterations
+        # than the near ones; each row still lands on its own solve.
+        def f(t, u):
+            return -(u**3)
+
+        spec = parse_spec("beuler:1")
+        U = np.array([[0.1], [2.0], [4.0], [0.5]])
+        got = advance(spec, f, np.zeros(4), U, 10.0)
+        np.testing.assert_array_equal(got, per_row(spec, f, np.zeros(4), U, 10.0))
 
 
 class TestStability:
