@@ -73,8 +73,8 @@ def contraction(spec: PropagatorSpec, z: float) -> float:
     for explicit kinds past their stability limit) are returned as-is.
     """
     z = float(z)
-    if z < 0:
-        raise ValueError("z must be nonnegative")
+    if not 0.0 <= z < math.inf:
+        raise ValueError("z must be nonnegative and finite")
     if z == 0.0:
         return 0.0
     return contraction_from_stability(stability(spec, z), z)
@@ -113,8 +113,8 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
     The refined points are merged into the returned grid so ``rho`` equals
     the maximum of ``K_values``.
     """
-    if z_max <= 0:
-        raise ValueError("z_max must be positive")
+    if not 0 < z_max < math.inf:
+        raise ValueError("z_max must be positive and finite")
     lo = max(z_max * 1e-6, 1e-8)
     zs = np.concatenate(([0.0], np.geomspace(lo, z_max, _RHO_GRID)))
     Ks = np.array([contraction(spec, z) for z in zs])
@@ -156,8 +156,8 @@ def m_min(z_max: float) -> MminResult:
     single point suffices.  Beyond that the count is found by incrementing M
     until the endpoint criterion holds, capped at M = 512.
     """
-    if z_max <= 0:
-        raise ValueError("z_max must be positive")
+    if not 0 < z_max < math.inf:
+        raise ValueError("z_max must be positive and finite")
     if z_max <= Z0_STAR:
         _, value, threshold = _endpoint_condition(0, z_max)
         return MminResult(z_max, 0, Branch.ZERO, value, threshold)

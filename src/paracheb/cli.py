@@ -11,6 +11,7 @@ notation with 16 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -97,8 +98,8 @@ def cmd_analyze(manifest: RunManifest) -> str:
     z_min = float(manifest.get("z_min", 1e-2))
     z_max = float(manifest.get("z_max", 1e4))
     n = int(manifest.get("z_points", 200))
-    if z_min <= 0 or z_max <= z_min or n < 2:
-        raise ValueError("need 0 < z_min < z_max and z_points >= 2")
+    if not 0 < z_min < z_max < math.inf or n < 2:
+        raise ValueError("need 0 < z_min < z_max, both finite, and z_points >= 2")
 
     header = ["z"]
     for spec in specs:

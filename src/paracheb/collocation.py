@@ -28,6 +28,7 @@ every failed row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,8 +51,8 @@ class PicardConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -293,8 +294,6 @@ def solve_linear(
     if g is not None:
         G = _rhs_table(lambda t, _: g(t), t_nodes, G)
         failures = _nonfinite_rows(G, t_nodes)
-        if failures and u_a.ndim == 1:
-            raise failures[0]
 
     lam, Q = np.linalg.eigh(A)
     # One vector-matrix product per row: a one-row matrix product would

@@ -18,6 +18,7 @@ worker count.
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -50,10 +51,10 @@ class PararealConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError("T must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_k < 1:
             raise ValueError("max_k must be >= 1")
         if self.init not in ("coarse", "random"):

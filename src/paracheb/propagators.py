@@ -56,8 +56,8 @@ class NewtonConfig:
     max_iter: int = 25
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -163,105 +163,93 @@ def _newton(
     jacobian: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     x0: np.ndarray,
     cfg: NewtonConfig,
-    skip=(),
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """Damped Newton iteration for ``residual(x) = 0`` on a stack of rows.
 
     ``x0`` has shape ``(N, n)``.  ``residual(x, rows)`` and
     ``jacobian(x, rows)`` evaluate the equations of rows ``rows`` of the
-    stack (all of them when None) at ``x``.  Each row stops on its own test,
-    and its step is halved (up to 8 tries in all) whenever the full update
-    fails to reduce that row's residual; far-off starting values occur
-    routinely under randomized outer iterations.  A row leaves the stack
-    once it settles or fails, so every row follows exactly the iterates it
-    would follow alone.  Rows in ``skip`` are left out from the start.
+    stack (all of them when None) at ``x``.  A row's step is halved (up to
+    8 tries in all) whenever the full update fails to reduce that row's
+    residual; far-off starting values occur routinely under randomized
+    outer iterations.  The test at the top of each iteration is the only
+    place where a row leaves the stack: a row within the tolerance leaves
+    with its value, a row whose residual is NaN or infinite leaves holding
+    NaN.  So every row that settles follows exactly the iterates it would
+    follow alone.  There are ``cfg.max_iter`` updates and one test more, so
+    a row that reaches the tolerance on its last update settles.
 
     Returns the solution stack and the failures, a dict row -> error: a
-    singular stage matrix gives ``SingularSystemError``, a residual that
-    stays non-finite or misses the tolerance ``NonConvergenceError``.
-    Failed and skipped rows hold NaN.
+    singular stage matrix gives ``SingularSystemError`` (the row takes a
+    NaN step and leaves at the next test), a residual that turns non-finite
+    or misses the tolerance ``NonConvergenceError``.  Failed rows hold NaN.
     """
     failures: dict[int, Exception] = {}
     out = None  # the result stack, filled in as rows leave
     rows = None  # rows still iterating; None while that is all of them
-
-    def leave(keep):
-        nonlocal out, rows
-        if out is None:
-            out = np.full_like(x0, np.nan)
-        rows = np.flatnonzero(keep) if rows is None else rows[keep]
-
-    x = x0
-    if len(skip):
-        keep = np.ones(len(x0), dtype=bool)
-        keep[list(skip)] = False
-        leave(keep)
-        x = x0[rows]
-    res = residual(x, rows)
-    for _ in range(cfg.max_iter):
+    x, res = x0, residual(x0, None)
+    check = True  # a residual may be non-finite: at the start and after backtracking
+    for it in range(cfg.max_iter + 1):
         norm = np.abs(res).max(axis=-1)
-        settled = norm <= cfg.tol * (1.0 + np.abs(x).max(axis=-1))
-        if settled.any():
-            if rows is None and settled.all():
-                return x, failures
+        done = norm <= cfg.tol * (1.0 + np.abs(x).max(axis=-1))
+        if check and not np.isfinite(norm).all():
+            lost = ~np.isfinite(norm)
             ids = np.arange(len(x)) if rows is None else rows
-            leave(~settled)
-            out[ids[settled]] = x[settled]
+            for i in ids[lost]:
+                failures.setdefault(
+                    int(i), NonConvergenceError("Newton stage solve produced non-finite values", math.inf)
+                )
+            x = np.where(lost[:, None], np.nan, x)
+            done |= lost
+        if done.any():
+            if rows is None and done.all():
+                return x, failures
+            if out is None:
+                out = np.full_like(x0, np.nan)
+            ids = np.arange(len(x)) if rows is None else rows
+            out[ids[done]] = x[done]
+            rows = ids[~done]
             if not len(rows):
                 return out, failures
-            x, res, norm = x[~settled], res[~settled], norm[~settled]
+            x, res, norm = x[~done], res[~done], norm[~done]
+        if it == cfg.max_iter:
+            break
 
         J = jacobian(x, rows)
         try:
             step = np.linalg.solve(J, res[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            # Find the singular rows one by one; the others keep their steps.
-            ids = np.arange(len(x)) if rows is None else rows
+            # Find the singular rows one by one.  Each takes a NaN step, so
+            # it leaves at the next test; the others keep their steps.
             step = np.empty_like(x)
-            keep = np.ones(len(x), dtype=bool)
             for i in range(len(x)):
                 try:
                     step[i] = np.linalg.solve(J[i], res[i])
                 except np.linalg.LinAlgError as exc:
-                    failures[int(ids[i])] = SingularSystemError(f"Newton stage matrix is singular: {exc}")
-                    keep[i] = False
-            leave(keep)
-            if not len(rows):
-                return out, failures
-            x, res, norm, step = x[keep], res[keep], norm[keep], step[keep]
+                    row = i if rows is None else rows[i]
+                    failures[int(row)] = SingularSystemError(f"Newton stage matrix is singular: {exc}")
+                    step[i] = np.nan
 
         x_new = x - step
         res_new = residual(x_new, rows)
         # A NaN or infinite residual fails the comparison: max propagates NaN.
         ok = np.abs(res_new).max(axis=-1) < norm
-        if not ok.all():
-            back = np.flatnonzero(~ok)
+        check = not ok.all()
+        if check:
+            back = np.flatnonzero(~ok & np.isfinite(step).all(axis=-1))  # a NaN step cannot recover
             scale = 1.0
             for _ in range(7):
+                if not len(back):
+                    break
                 scale *= 0.5
                 x_new[back] = x[back] - scale * step[back]
                 res_new[back] = residual(x_new[back], back if rows is None else rows[back])
                 back = back[~(np.abs(res_new[back]).max(axis=-1) < norm[back])]
-                if not len(back):
-                    break
-            finite = np.isfinite(res_new).all(axis=-1)
-            if not finite.all():
-                ids = np.arange(len(x)) if rows is None else rows
-                for i in np.flatnonzero(~finite):
-                    failures[int(ids[i])] = NonConvergenceError(
-                        "Newton stage solve produced non-finite values", float("inf")
-                    )
-                leave(finite)
-                if not len(rows):
-                    return out, failures
-                x_new, res_new = x_new[finite], res_new[finite]
         x, res = x_new, res_new
 
     ids = np.arange(len(x)) if rows is None else rows
     for i, row in enumerate(ids):
         failures[int(row)] = NonConvergenceError(
-            f"Newton stage solve did not converge in {cfg.max_iter} iterations",
-            float(np.max(np.abs(res[i]))),
+            f"Newton stage solve did not converge in {cfg.max_iter} iterations", float(norm[i])
         )
     return np.full_like(x0, np.nan) if out is None else out, failures
 
@@ -274,7 +262,6 @@ def _solve_stage(
     beta_h: float,
     rhs: np.ndarray,
     x0: np.ndarray,
-    skip=(),
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """Newton solve of the stage equations x = rhs + beta_h * f(t, x), row by row."""
     eye = np.eye(x0.shape[-1])
@@ -285,12 +272,14 @@ def _solve_stage(
     def jacobian(y, rows):
         return eye - beta_h * jac(_rows(t_stage, rows), y)
 
-    return _newton(residual, jacobian, x0, cfg, skip)
+    return _newton(residual, jacobian, x0, cfg)
 
 
 # Each one-step kind maps a stack of states ``u`` (N, dim) at times ``t`` (a
 # float or an (N, 1) column) to the states one substep later, plus the rows
-# whose stage solves failed (a dict row -> error).
+# whose stage solves failed (a dict row -> error).  A failed row comes out as
+# NaN and stays in the stack; a NaN row leaves each later stage solve at its
+# first test, and its first error is the one kept.
 
 
 def _step_backward_euler(f, jac, cfg, t, u, h):
@@ -312,7 +301,7 @@ def _step_tr_bdf2(f, jac, cfg, t, u, h):
     u_mid, lost = _solve_stage(f, jac, cfg, t + g * h, 0.5 * g * h, rhs1, u + g * h * fn)
     rhs2 = (u_mid / g - (1.0 - g) ** 2 / g * u) / (2.0 - g)
     beta = (1.0 - g) / (2.0 - g) * h
-    u_next, lost2 = _solve_stage(f, jac, cfg, t + h, beta, rhs2, u_mid, skip=list(lost))
+    u_next, lost2 = _solve_stage(f, jac, cfg, t + h, beta, rhs2, u_mid)
     return u_next, {**lost2, **lost}
 
 
@@ -389,11 +378,12 @@ def advance(
     the direct solve, which is defined even where the fixed-point sweep
     diverges.
 
-    Every row stops its inner iterations on its own.  A single state raises
-    its typed error.  On a stack a failing row is left out while the others
-    finish, and the call then raises ``SweepError`` naming every failed
-    row; an error not tied to a row (a singular collocation system, an
-    exception from ``f``) propagates as it is.
+    Every row stops its inner iterations on its own.  A failing row carries
+    on through the remaining substeps as NaN while the others finish, and
+    keeps the first error it met.  A single state then raises that typed
+    error; a stack raises ``SweepError`` naming every failed row.  An error
+    not tied to a row (a singular collocation system, an exception from
+    ``f``) propagates as it is.
     """
     if dT <= 0:
         raise ValueError("dT must be positive")
@@ -415,17 +405,9 @@ def advance(
     U = u if stacked else u[None]
     t = t[:, None] if t.ndim else float(t)  # per-row column, or one float
     failures: dict[int, Exception] = {}
-    rows = None  # rows still advancing; None while that is all of them
     for j in range(spec.substeps):
         U, lost = step(f, jac, spec.newton, t + j * h, U, h)
-        if lost:
-            ids = np.arange(len(U)) if rows is None else rows
-            failures.update({int(ids[i]): exc for i, exc in lost.items()})
-            keep = np.ones(len(U), dtype=bool)
-            keep[list(lost)] = False
-            rows, U, t = ids[keep], U[keep], _rows(t, keep)
-            if not len(rows):
-                break
+        failures = {**lost, **failures}
     raise_row_failures(failures, stacked)
     return U if stacked else U[0]
 
@@ -461,8 +443,8 @@ def stability(spec: PropagatorSpec, z: float) -> float:
     system (a pole of the rational function) raises ``SingularSystemError``.
     """
     z = float(z)
-    if z < 0:
-        raise ValueError("z must be nonnegative")
+    if not 0.0 <= z < math.inf:
+        raise ValueError("z must be nonnegative and finite")
 
     if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
         if z == 0.0:

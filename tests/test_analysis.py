@@ -18,6 +18,7 @@ from paracheb import (
 
 CG0 = PropagatorSpec.chebyshev_gauss(0)
 CG1 = PropagatorSpec.chebyshev_gauss(1)
+NONFINITE = pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 
 
 class TestContraction:
@@ -59,6 +60,11 @@ class TestContraction:
         with pytest.raises(ValueError):
             contraction(CG0, -1.0)
 
+    @NONFINITE
+    def test_rejects_nonfinite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            contraction(CG0, value)
+
 
 class TestRhoOverInterval:
     def test_monotone_case_peaks_at_endpoint(self):
@@ -85,6 +91,11 @@ class TestRhoOverInterval:
     def test_blow_up_kind_reported_not_raised(self):
         rep = rho_over_interval(PropagatorSpec.forward_euler(1), 100.0)
         assert rep.rho > 1.0
+
+    @NONFINITE
+    def test_rejects_nonfinite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            rho_over_interval(CG1, value)
 
 
 class TestMmin:
@@ -133,6 +144,12 @@ class TestMmin:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             m_min(0.0)
+
+    @NONFINITE
+    def test_rejects_nonfinite(self, value):
+        # Before the check, inf ran the whole search to M = 512.
+        with pytest.raises(ValueError, match="finite"):
+            m_min(value)
 
 
 class TestThresholdRoots:

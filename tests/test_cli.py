@@ -202,6 +202,23 @@ class TestMainEntry:
         with pytest.raises(ValueError):
             main(["experiment", "--out", str(tmp_path / "x.csv"), "--set", "name=lorenz"])
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["z_min", "z_max"])
+    def test_analyze_rejects_nonfinite_bounds(self, tmp_path, key, value):
+        out = tmp_path / "a.csv"
+        with pytest.raises(ValueError, match="finite"):
+            main(["analyze", "--out", str(out), "--set", "specs=cg:0", "--set", f"{key}={value}"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("option", ["--tol", "T"])
+    def test_run_rejects_nonfinite_time_and_tolerance(self, tmp_path, option, value):
+        out = tmp_path / "r.csv"
+        flags = ["--tol", value] if option == "--tol" else ["--set", f"T={value}"]
+        with pytest.raises(ValueError, match="finite"):
+            main(["run", "--out", str(out), "--set", "problem=kepler", "--set", "N=4"] + flags)
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["beuler:x", "cg:2.5"])
     def test_non_integer_spec_count_quoted(self, tmp_path, spec):
         out = tmp_path / "c.csv"

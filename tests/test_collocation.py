@@ -112,6 +112,11 @@ class TestPicardSweep:
 
 
 class TestSolveNonlinear:
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_tol_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            PicardConfig(tol=value)
+
     def test_exponential_decay(self):
         op = build_operator(16)
         pts = cg_points(16, 0.0, 0.5)

@@ -305,3 +305,10 @@ class TestRun:
             PararealConfig(T=1.0, N=2, coarse=BE, fine=fine, init="guess")
         with pytest.raises(ValueError):
             PararealConfig(T=1.0, N=2, coarse=BE, fine=fine, workers=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["T", "tol"])
+    def test_config_rejects_nonfinite(self, field, value):
+        kw = {"T": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            PararealConfig(N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4), **kw)

@@ -38,6 +38,9 @@ IMPLICIT_KINDS = [
 ]
 
 
+NONFINITE = pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+
+
 def decay(lam):
     return lambda t, u: -lam * u
 
@@ -89,6 +92,56 @@ class TestAdvance:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NonConvergenceError, match="non-finite values"):
                 advance(PropagatorSpec(kind), f, 0.0, np.array([1.0]), 10.0)
+
+    @pytest.mark.parametrize("kind", IMPLICIT_KINDS, ids=lambda k: k.value)
+    def test_overflowing_guess_does_not_settle(self, kind):
+        # From u = 1e200 backward Euler's explicit guess overflows to -inf,
+        # and so does its residual: an infinite residual must not pass the
+        # tolerance test relative to an infinite iterate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergenceError, match="non-finite values"):
+                advance(PropagatorSpec(kind), lambda t, u: -(u**3), 0.0, np.array([1e200]), 1.0)
+
+    def test_newton_settles_on_its_last_update(self):
+        # From u = 5 with dT = 10 the stage equation 10 x^3 + x - 5 = 0
+        # takes all 25 updates: the last one reaches the tolerance, and the
+        # test after it counts.  One update fewer is not enough.
+        def f(t, u):
+            return -(u**3)
+
+        x = advance(PropagatorSpec.backward_euler(1), f, 0.0, np.array([5.0]), 10.0)[0]
+        assert abs(10.0 * x**3 + x - 5.0) <= 1e-12 * (1.0 + abs(x))
+        spec = PropagatorSpec.backward_euler(1, newton=NewtonConfig(max_iter=24))
+        with pytest.raises(NonConvergenceError, match="did not converge in 24 iterations"):
+            advance(spec, f, 0.0, np.array([5.0]), 10.0)
+
+    @pytest.mark.parametrize("text, dT", [("beuler:3", 3.0), ("trbdf2:1", 2.0 / (2.0 - math.sqrt(2.0)))])
+    def test_failed_row_keeps_its_first_error(self, text, dT):
+        # u' = c(t) u with c = 1 before t = 5 and 1/2 after.  Row 0's first
+        # stage matrix 1 - c * beta_h is exactly zero (beuler's first
+        # substep, trbdf2's first stage); rows 1 and 2 start past t = 5 and
+        # finish.  Row 0 carries on as NaN through the later stages and
+        # substeps, whose non-finite residuals must not replace its error,
+        # and no call of f is spent on failed rows alone (no damped retries
+        # of a NaN step).
+        seen = []
+
+        def c(t):
+            return np.where(t < 5.0, 1.0, 0.5)
+
+        def f(t, u):
+            seen.append(np.isfinite(u).any())
+            return c(t) * u
+
+        def jac(t, u):
+            return c(t)[..., None] * np.ones(u.shape + (1,))
+
+        U = np.array([[1.0], [2.0], [3.0]])
+        with pytest.raises(SweepError) as err:
+            advance(parse_spec(text), f, np.array([0.0, 10.0, 20.0]), U, dT, jac=jac)
+        assert err.value.indices == [0]
+        assert isinstance(err.value.cause, SingularSystemError)
+        assert all(seen)
 
     @pytest.mark.parametrize("kind, dT", [("beuler", 1.0), ("tr", 2.0)])
     def test_singular_stage_matrix_raises(self, kind, dT):
@@ -297,6 +350,11 @@ class TestStability:
         with pytest.raises(ValueError):
             stability(PropagatorSpec.backward_euler(1), -0.5)
 
+    @NONFINITE
+    def test_rejects_nonfinite_argument(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            stability(PropagatorSpec.backward_euler(1), value)
+
 
 class TestSpecPlumbing:
     def test_parse_round_trip(self):
@@ -323,3 +381,8 @@ class TestSpecPlumbing:
             PropagatorSpec.chebyshev_gauss(-1)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
+
+    @NONFINITE
+    def test_newton_tol_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            NewtonConfig(tol=value)
