@@ -80,10 +80,16 @@ def contraction(spec: PropagatorSpec, z: float) -> float:
     return contraction_from_stability(stability(spec, z), z)
 
 
-def contraction_from_stability(R: float, z: float) -> float:
-    """``K(z)`` from the fine propagator's amplification factor ``R = R_F(z)``, ``z > 0``."""
+def contraction_from_stability(R, z):
+    """``K(z)`` from the fine propagator's amplification factor ``R = R_F(z)``, ``z > 0``.
+
+    Takes floats or arrays of matching shape.  A ``z`` so small that
+    ``1 + z == 1`` leaves no denominator and raises an ``ArithmeticError``
+    in both forms.
+    """
     r_coarse = 1.0 / (1.0 + z)
-    return abs(R - r_coarse) / (1.0 - r_coarse)
+    with np.errstate(divide="raise", invalid="raise"):
+        return abs(R - r_coarse) / (1.0 - r_coarse)
 
 
 def _golden_max(fun, a: float, b: float, xtol: float = 1e-8) -> tuple[float, float]:
@@ -108,16 +114,20 @@ def _golden_max(fun, a: float, b: float, xtol: float = 1e-8) -> tuple[float, flo
 def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
     """Convergence factor ``max K(z)`` over ``[0, z_max]``.
 
-    Samples ``K`` on a log-spaced grid (plus ``z = 0``), then sharpens every
-    local maximum, including the right endpoint, by golden-section search.
-    The refined points are merged into the returned grid so ``rho`` equals
-    the maximum of ``K_values``.
+    Samples ``K`` on a log-spaced grid (plus ``z = 0``, where ``K`` is 0),
+    with one ``stability`` call for the whole grid (the collocation kind
+    solves it in blocks of shifted systems), then sharpens every local
+    maximum, including the right endpoint, by golden-section search on
+    scalar ``contraction`` calls.  Each grid value equals its scalar
+    ``contraction`` call bit for bit.  The refined points are merged into
+    the returned grid so ``rho`` equals the maximum of ``K_values``.
     """
     if not 0 < z_max < math.inf:
         raise ValueError("z_max must be positive and finite")
     lo = max(z_max * 1e-6, 1e-8)
-    zs = np.concatenate(([0.0], np.geomspace(lo, z_max, _RHO_GRID)))
-    Ks = np.array([contraction(spec, z) for z in zs])
+    grid = np.geomspace(lo, z_max, _RHO_GRID)
+    zs = np.concatenate(([0.0], grid))
+    Ks = np.concatenate(([0.0], contraction_from_stability(stability(spec, grid), grid)))
 
     extra_z, extra_K = [], []
     if np.all(np.isfinite(Ks)):

@@ -93,7 +93,11 @@ def _parse_spec_list(text: str) -> list[PropagatorSpec]:
 
 
 def cmd_analyze(manifest: RunManifest) -> str:
-    """Tabulate |R(z)| and K(z) for each requested propagator on a log grid."""
+    """Tabulate |R(z)| and K(z) for each requested propagator on a log grid.
+
+    Each propagator's column pair comes from one ``stability`` call on the
+    whole grid.
+    """
     specs = _parse_spec_list(manifest.get("specs", ""))
     z_min = float(manifest.get("z_min", 1e-2))
     z_max = float(manifest.get("z_max", 1e4))
@@ -104,15 +108,12 @@ def cmd_analyze(manifest: RunManifest) -> str:
     header = ["z"]
     for spec in specs:
         header += [f"absR_{spec.label}", f"K_{spec.label}"]
-    rows = []
-    for z in np.geomspace(z_min, z_max, n):
-        z = float(z)
-        row = [z]
-        for spec in specs:
-            R = stability(spec, z)  # one evaluation gives both columns
-            row += [abs(R), analysis.contraction_from_stability(R, z)]
-        rows.append(row)
-    write_csv(manifest.out, header, rows)
+    zs = np.geomspace(z_min, z_max, n)
+    columns = [zs]
+    for spec in specs:
+        R = stability(spec, zs)  # one call per spec; it gives both columns
+        columns += [np.abs(R), analysis.contraction_from_stability(R, zs)]
+    write_csv(manifest.out, header, np.column_stack(columns).tolist())
     return manifest.out
 
 

@@ -82,34 +82,84 @@ def _as_state(u) -> np.ndarray:
     return u
 
 
-def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
-    """Solve the shifted collocation system ``(I + z T1_C) x = b``.
+_SINGULAR_RTOL = 1e-14  # smallest singular value against max(largest, 1)
 
-    ``z`` is a scalar, with ``b`` of shape ``(M+1,)``, or a vector of shifts,
-    with row ``i`` of ``b`` (shape ``(len(z), M+1)``) the right-hand side for
-    ``z[i]``; ``b`` may carry leading axes, one right-hand side per system
-    for each of their entries.  All systems are solved in one stacked call,
-    one right-hand side at a time, so a column's bits do not depend on how
-    many columns share the call.  A (near-)singular
-    system, a pole of the rational stability function, raises
-    ``SingularSystemError`` instead of returning the amplified garbage a
-    backward-stable factorization would produce: the smallest singular value
-    over the whole stack is compared with the largest.  The systems have
-    identity-plus-term structure, so unit scale is the natural yardstick
-    even when cancellation shrinks them.
+
+def _certified(K: np.ndarray) -> bool:
+    """Whether Cholesky proves every system in ``K`` far from singular.
+
+    ``K`` has shape ``(S, k, n, n)``: ``S`` systems of ``k`` diagonal blocks.
+    Each block is certified when Cholesky succeeds on ``K^T K - tau I`` with
+
+        tau = 4 n gamma_{n+1} ||K||_F^2 + (1e-14 max(F, 1))^2,
+
+    ``gamma_m = m u / (1 - m u)`` and ``F`` the largest block norm
+    ``||K||_F`` of its system.  The computed Gram matrix is within
+    ``gamma_n ||K||_F^2`` of ``K^T K`` and the factorization's backward
+    error is at most ``gamma_{n+1}`` times its squared factor norm (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3),
+    so success gives ``sigma_min^2 > (1e-14 max(F, 1))^2`` with room to
+    spare.  Since ``F`` bounds every block's largest singular value, the
+    singular-value test would pass.  A non-finite entry or a failed
+    factorization returns False, and the caller runs that test.
+    """
+    n = K.shape[-1]
+    unit = np.finfo(float).eps / 2
+    gamma = (n + 1) * unit / (1 - (n + 1) * unit)
+    fro2 = np.einsum("...ij,...ij->...", K, K)
+    threshold = _SINGULAR_RTOL * np.maximum(np.sqrt(fro2.max(axis=-1, keepdims=True)), 1.0)
+    tau = 4 * n * gamma * fro2 + threshold * threshold
+    if not np.isfinite(tau).all():
+        return False
+    gram = K.swapaxes(-1, -2) @ K
+    diag = np.arange(n)
+    gram[..., diag, diag] -= tau[..., None]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
+    """Solve the shifted collocation systems ``(I + z T1_C) x = b``.
+
+    ``z`` has shape ``(..., k)``: each entry of the leading axes is a
+    separate system whose ``k`` diagonal blocks are ``I + z_j T1_C``, and a
+    scalar ``z`` is one system of one block.  ``b`` broadcasts against
+    ``z.shape + (M+1,)``, one right-hand side per block; it may carry more
+    leading axes (the rows of a stack).  So ``solve_linear`` passes the
+    eigenvalue shifts of one matrix as a vector (one block-diagonal
+    system), and ``stability`` passes a grid of ``z`` as a column (one
+    system per ``z``).  All blocks are solved in one stacked call, one
+    right-hand side at a time, so a column's bits do not depend on how many
+    columns share the call.
+
+    A (near-)singular system, a pole of the rational stability function,
+    raises ``SingularSystemError`` instead of returning the amplified
+    garbage a backward-stable factorization would produce: a system is
+    singular when its smallest singular value, over all its blocks, is at
+    most 1e-14 times its largest (or times 1, when that is smaller).  The
+    systems have identity-plus-term structure, so unit scale is the natural
+    yardstick even when cancellation shrinks them.  A Cholesky certificate
+    (``_certified``) settles the usual case without the singular values;
+    only when it fails does the SVD run and decide, so the decision is the
+    SVD test's.
     """
     z = np.asarray(z, dtype=float)
-    K = np.eye(op.M + 1) + z[..., None, None] * op.T1_C
-    # Each system's singular values come sorted in descending order.  The
-    # builtin min/max cost less than array reductions on the one-system
-    # path, which the stability analysis runs thousands of times.
-    spectrum = np.linalg.svd(K, compute_uv=False)
-    smallest = min(spectrum[..., -1].flat)
-    if smallest <= 1e-14 * max(max(spectrum[..., 0].flat), 1.0):
-        raise SingularSystemError(
-            f"collocation system is singular to working precision "
-            f"(smallest singular value {smallest:.2e})"
-        )
+    n = op.M + 1
+    K = np.eye(n) + z[..., None, None] * op.T1_C
+    systems = K.reshape(-1, z.shape[-1] if z.ndim else 1, n, n)
+    if not _certified(systems):
+        # Singular values come sorted in descending order.
+        spectrum = np.linalg.svd(systems, compute_uv=False)
+        smallest = spectrum[..., -1].min(axis=-1)
+        singular = smallest <= _SINGULAR_RTOL * np.maximum(spectrum[..., 0].max(axis=-1), 1.0)
+        if singular.any():
+            raise SingularSystemError(
+                f"collocation system is singular to working precision "
+                f"(smallest singular value {smallest[singular].min():.2e})"
+            )
     try:
         return np.linalg.solve(K, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:

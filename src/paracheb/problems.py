@@ -66,6 +66,8 @@ class IvpProblem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if not 0 < self.T < math.inf:
+            raise ValueError("T must be positive and finite")
         u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
         if u0.size != self.dim:
             raise ValueError(f"u0 has size {u0.size}, expected {self.dim}")
@@ -100,6 +102,8 @@ class SpdLinearProblem:
     name: str = "spd"
 
     def __post_init__(self):
+        if not 0 < self.T < math.inf:
+            raise ValueError("T must be positive and finite")
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")

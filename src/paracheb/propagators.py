@@ -385,8 +385,8 @@ def advance(
     not tied to a row (a singular collocation system, an exception from
     ``f``) propagates as it is.
     """
-    if dT <= 0:
-        raise ValueError("dT must be positive")
+    if not 0 < dT < math.inf:
+        raise ValueError("dT must be positive and finite")
     u = np.atleast_1d(np.asarray(u_n, dtype=float))
     t = np.asarray(t_n, dtype=float)
 
@@ -412,7 +412,7 @@ def advance(
     return U if stacked else U[0]
 
 
-def _one_step_stability(kind: PropagatorKind, z: float) -> float:
+def _one_step_stability(kind: PropagatorKind, z: np.ndarray) -> np.ndarray:
     if kind is PropagatorKind.BACKWARD_EULER:
         return 1.0 / (1.0 + z)
     if kind is PropagatorKind.FORWARD_EULER:
@@ -426,32 +426,66 @@ def _one_step_stability(kind: PropagatorKind, z: float) -> float:
     if kind is PropagatorKind.GAUSS4:
         return (z * z - 6.0 * z + 12.0) / (z * z + 6.0 * z + 12.0)
     if kind is PropagatorKind.ERK4:
-        return 1.0 - z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0
+        return 1.0 - z + z * z / 2.0 - _pow(z, 3) / 6.0 + _pow(z, 4) / 24.0
     raise ValueError(f"no one-step stability function for {kind}")
 
 
-def stability(spec: PropagatorSpec, z: float) -> float:
+def _pow(x: np.ndarray, p: int) -> np.ndarray:
+    """``x ** p`` elementwise with Python's float power (the C library's ``pow``).
+
+    numpy's own power loop, vectorized on some CPUs, differs from ``pow`` in
+    the last bit for a few percent of arguments; this keeps the values of
+    the scalar formulas.  An overflow raises ``OverflowError``, as a Python
+    float power does.
+    """
+    return np.asarray(x, dtype=float).astype(object) ** p
+
+
+#: Matrix elements per stacked solve of the collocation ``R(z)``: caps the
+#: memory a long z-grid takes (a block of 12 systems at M = 51).
+_BLOCK_ELEMENTS = 2**15
+
+
+def stability(spec: PropagatorSpec, z):
     """Amplification factor over one coarse interval for ``u' = -lambda u``.
+
+    ``z`` is a scalar, giving a float, or an array of any shape, giving an
+    array of its shape; a scalar is the one-element case of the same
+    computation, and each entry's bits equal those of its scalar call.
+    Every entry must be nonnegative and finite (``ValueError`` otherwise).
 
     One-step kinds compose their single-step factor, ``r(z/J)**J``.  The
     collocation kind evaluates the matrix expression
 
         R(z) = T (I - z C_alpha (I + z T1_C)^{-1} T1) E
+             = 1 - z * sum(C_alpha (I + z T1_C)^{-1} 1)
 
-    by one shifted-system solve (``collocation.solve_checked``, the solve the
-    linear collocation propagator runs once per eigenvalue); a singular
-    system (a pole of the rational function) raises ``SingularSystemError``.
+    by shifted-system solves (``collocation.solve_checked``, the solve the
+    linear collocation propagator runs once per eigenvalue), one stacked
+    call per block of ``z`` values; a block holds at most
+    ``_BLOCK_ELEMENTS`` matrix elements.  Each ``z`` is its own system, with
+    its own singularity test: a singular system (a pole of the rational
+    function) raises ``SingularSystemError``.
     """
-    z = float(z)
-    if not 0.0 <= z < math.inf:
+    z = np.asarray(z, dtype=float)
+    if not ((0.0 <= z) & (z < math.inf)).all():
         raise ValueError("z must be nonnegative and finite")
 
     if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        if z == 0.0:
-            return 1.0
         op = build_operator(spec.cg_points)
-        ones = np.ones(spec.cg_points + 1)  # T1 @ E is the all-ones column
-        x = solve_checked(op, z, ones)
-        return 1.0 - z * float((op.C_alpha @ x).sum())
-
-    return _one_step_stability(spec.kind, z / spec.substeps) ** spec.substeps
+        n = spec.cg_points + 1
+        ones = np.ones(n)  # T1 @ E is the all-ones column
+        zs = z.reshape(-1)
+        sums = np.empty_like(zs)
+        block = max(1, _BLOCK_ELEMENTS // (n * n))
+        for i in range(0, zs.size, block):
+            x = solve_checked(op, zs[i : i + block, None], ones)[:, 0]
+            # Each z's own matrix-vector product and sum: summing in another
+            # order moves the last bits.
+            sums[i : i + block] = (op.C_alpha @ x[..., None])[..., 0].sum(axis=-1)
+        R = (1.0 - zs * sums).reshape(z.shape)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as Python floats give
+            r = _one_step_stability(spec.kind, z / spec.substeps)
+        R = np.asarray(_pow(r, spec.substeps), dtype=float)
+    return float(R) if R.ndim == 0 else R

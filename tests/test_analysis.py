@@ -8,13 +8,16 @@ from paracheb import (
     Branch,
     PointSearchError,
     PropagatorSpec,
+    SingularSystemError,
     Z1_STAR,
+    build_operator,
     contraction,
     find_threshold_roots,
     m_min,
     rho_over_interval,
     stability,
 )
+from paracheb.collocation import solve_checked
 
 CG0 = PropagatorSpec.chebyshev_gauss(0)
 CG1 = PropagatorSpec.chebyshev_gauss(1)
@@ -65,6 +68,11 @@ class TestContraction:
         with pytest.raises(ValueError, match="finite"):
             contraction(CG0, value)
 
+    @pytest.mark.parametrize("z", [1e-17, np.array([1e-3, 1e-17])], ids=["float", "array"])
+    def test_unresolvable_small_z_raises(self, z):
+        with pytest.raises(ArithmeticError):
+            analysis.contraction_from_stability(stability(CG1, z), z)
+
 
 class TestRhoOverInterval:
     def test_monotone_case_peaks_at_endpoint(self):
@@ -96,6 +104,35 @@ class TestRhoOverInterval:
     def test_rejects_nonfinite(self, value):
         with pytest.raises(ValueError, match="finite"):
             rho_over_interval(CG1, value)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [CG0, PropagatorSpec.chebyshev_gauss(16), PropagatorSpec.erk4(2), PropagatorSpec.tr_bdf2(1)],
+        ids=lambda s: s.label,
+    )
+    def test_grid_equals_scalar_contraction(self, spec):
+        rep = rho_over_interval(spec, 200.0)
+        grid = np.concatenate(([0.0], np.geomspace(200.0 * 1e-6, 200.0, analysis._RHO_GRID)))
+        on_grid = np.isin(rep.z_grid, grid)
+        assert on_grid.sum() == grid.size
+        np.testing.assert_array_equal(rep.K_values[on_grid], [contraction(spec, z) for z in grid])
+
+    def test_collocation_grid_runs_no_svd(self, monkeypatch):
+        # The Cholesky certificate settles every system of this pass; a
+        # silent fallback to the singular-value test would show here.
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(analysis.np.linalg, "svd", counted)
+        rho_over_interval(PropagatorSpec.chebyshev_gauss(16), 1e3)
+        assert calls == []
+        with pytest.raises(SingularSystemError):  # a pole: the certificate fails
+            solve_checked(build_operator(0), -2.0, np.ones(1))
+        assert len(calls) == 1  # and the counter sees the fallback
 
 
 class TestMmin:

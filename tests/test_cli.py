@@ -76,6 +76,26 @@ class TestAnalyze:
         assert len(mantissa.split(".")[1]) >= 15
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+class TestGoldenTables:
+    """Both tables, byte for byte, as the scalar ``R(z)`` loop wrote them."""
+
+    def test_analyze_table_unchanged(self, tmp_path):
+        out = tmp_path / "curves.csv"
+        main(["analyze", "--set", "specs=cg:0,cg:1,cg:5,cg:16,beuler:2,erk4:1", "--set", "z_points=200",
+              "--out", str(out)])
+        with open(os.path.join(DATA, "analyze_golden.csv"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+    def test_mmin_table_unchanged(self, tmp_path):
+        out = tmp_path / "mmin.csv"
+        main(["mmin", "--set", "z_max_list=0.5,1,10,16.49,50,100,1000,10000", "--out", str(out)])
+        with open(os.path.join(DATA, "mmin_golden.csv"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+
 class TestMmin:
     def test_threshold_table(self, tmp_path):
         out = tmp_path / "mmin.csv"

@@ -16,6 +16,8 @@ from paracheb import (
     solve_nonlinear,
     spd_catalog,
 )
+from paracheb import collocation
+from paracheb.collocation import solve_checked
 
 
 def series_eval(coeffs, tau):
@@ -296,6 +298,66 @@ class TestSolveLinear:
             direct = solve_linear(op, np.array([[lam]]), None, pts, u0)
             picard = solve_nonlinear(op, lambda t, u: -lam * u, pts, u0, PicardConfig(tol=1e-14, max_iter=300))
             assert direct.u_end[0] == pytest.approx(picard.u_end[0], abs=1e-10)
+
+
+def svd_rejects(K):
+    """The singular-value test of ``solve_checked`` on one system ``K``."""
+    s = np.linalg.svd(K, compute_uv=False)
+    return s[-1] <= 1e-14 * max(s[0], 1.0)
+
+
+def real_poles(M):
+    """``z = -1/mu`` for the real eigenvalues ``mu`` of ``T1_C`` (one exists for even M)."""
+    mu = np.linalg.eigvals(build_operator(M).T1_C)
+    return [-1.0 / m.real for m in mu if m.imag == 0.0]
+
+
+class TestSingularityCertificate:
+    @pytest.mark.parametrize("M", [*range(65), 128, 512])
+    def test_never_passes_what_the_svd_rejects(self, M):
+        # The positive grid up to 1e8, plus shifts from a pole out to where
+        # the singular-value test stops rejecting.
+        op = build_operator(M)
+        zs = list(np.concatenate(([0.0], np.geomspace(1e-3, 1e8, 25))))
+        for pole in real_poles(M):
+            zs += [pole * (1.0 + d) for d in (0.0, 1e-15, -1e-15, 1e-12, -1e-9, 1e-6, 1e-3)]
+        for z in zs:
+            K = np.eye(M + 1) + z * op.T1_C
+            if collocation._certified(K[None, None]):
+                assert not svd_rejects(K), z
+
+    def test_certificate_rejects_near_poles_and_accepts_nearby(self):
+        # Both outcomes occur: the check is not vacuous.
+        op = build_operator(4)
+        (pole,) = real_poles(4)
+        K = np.eye(5) + pole * op.T1_C
+        assert svd_rejects(K) and not collocation._certified(K[None, None])
+        K = np.eye(5) + 0.5 * pole * op.T1_C
+        assert not svd_rejects(K) and collocation._certified(K[None, None])
+
+    def test_one_system_per_leading_entry(self):
+        # A vector of shifts is one block-diagonal system, tested as a
+        # whole; a column of shifts is one system per entry.  The huge
+        # block raises the yardstick of the system it belongs to.
+        op = build_operator(0)  # T1_C = [[1/2]]: the block is 1 + z/2
+        z = np.array([-2.0 + 4e-13, 1e3])  # blocks 2e-13 and 501
+        solve_checked(op, z[:, None], np.ones((2, 1, 1)))
+        with pytest.raises(SingularSystemError):
+            solve_checked(op, z, np.ones((2, 1)))
+
+    @pytest.mark.parametrize("M", [0, 2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("shift", [0.0, 1e-15, -1e-15], ids=["pole", "above", "below"])
+    def test_shifted_systems_at_a_pole_raise(self, M, shift):
+        op = build_operator(M)
+        pts = cg_points(M, 0.0, 1.0)
+        for pole in real_poles(M):
+            z = pole * (1.0 + shift)
+            with pytest.raises(SingularSystemError):
+                solve_checked(op, z, np.ones(M + 1))
+            with pytest.raises(SingularSystemError):
+                solve_checked(op, np.array([[0.5], [z]]), np.ones(M + 1))
+            with pytest.raises(SingularSystemError):
+                solve_linear(op, np.array([[z]]), None, pts, np.ones(1))
 
 
 class TestEndpointValue:

@@ -213,6 +213,16 @@ class TestIvpMetadata:
             assert ivp.u0.shape == (ivp.dim,)
             assert np.all(np.isfinite(ivp.f(0.0, ivp.u0)))
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        with pytest.raises(ValueError, match="finite"):
+            IvpProblem(dim=1, f=lambda t, u: -u, u0=np.ones(1), T=T)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_spd_horizon_must_be_positive_and_finite(self, T):
+        with pytest.raises(ValueError, match="finite"):
+            spd_catalog("diag-spectrum", T=T)
+
 
 STACK_CASES = {
     "burgers": lambda: build_burgers(0.05, 16).to_ivp(),

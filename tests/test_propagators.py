@@ -76,6 +76,14 @@ class TestAdvance:
         with pytest.raises(ValueError):
             advance(PropagatorSpec.backward_euler(1), decay(1.0), 0.0, np.array([1.0]), 0.0)
 
+    @NONFINITE
+    @pytest.mark.parametrize("text", ["beuler:1", "cg:3"])
+    def test_rejects_nonfinite_step(self, text, value):
+        # Unchecked, a NaN step surfaces as a Newton failure and an
+        # infinite one as a run of NaN sweeps.
+        with pytest.raises(ValueError, match="finite"):
+            advance(parse_spec(text), decay(1.0), 0.0, np.array([1.0]), value)
+
     @pytest.mark.parametrize("kind", IMPLICIT_KINDS, ids=lambda k: k.value)
     def test_newton_nonconvergence_raises(self, kind):
         spec = PropagatorSpec(kind, newton=NewtonConfig(max_iter=1))
@@ -354,6 +362,49 @@ class TestStability:
     def test_rejects_nonfinite_argument(self, value):
         with pytest.raises(ValueError, match="finite"):
             stability(PropagatorSpec.backward_euler(1), value)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+    def test_stack_is_bit_identical_to_scalar_calls(self, spec):
+        # z = 0 entries, the explicit kinds' blow-up range (|R| > 1 past
+        # z = 2 for forward Euler and about 2.8 for RK4), and more values
+        # than one block of collocation systems holds.
+        zs = np.concatenate(([0.0, 0.0], np.linspace(1.5, 40.0, 60), np.geomspace(1e-3, 1e4, 300), [0.0]))
+        scalar = np.array([stability(spec, z) for z in zs])
+        stacked = stability(spec, zs)
+        np.testing.assert_array_equal(stacked, scalar)
+        assert stacked.shape == zs.shape
+        np.testing.assert_array_equal(stability(spec, zs.reshape(3, -1)), scalar.reshape(3, -1))
+        assert type(stability(spec, zs[5])) is float
+
+    def test_one_step_powers_are_python_float_powers(self):
+        # numpy's vectorized power differs from Python's float power (the C
+        # library's pow) in the last bit on a few percent of arguments; the
+        # stacked formulas keep Python's bits.
+        zs = np.geomspace(1e-3, 1e3, 500)
+
+        def erk4(z):
+            return 1.0 - z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0
+
+        expected = {
+            "beuler:3": [(1.0 / (1.0 + z / 3)) ** 3 for z in zs.tolist()],
+            "erk4:2": [erk4(z / 2) ** 2 for z in zs.tolist()],
+        }
+        for text, values in expected.items():
+            np.testing.assert_array_equal(stability(parse_spec(text), zs), values)
+
+    def test_systems_larger_than_a_block(self):
+        # 201 x 201 systems exceed the block cap: one system per solve.
+        spec = PropagatorSpec.chebyshev_gauss(200)
+        zs = np.array([0.0, 0.7, 30.0, 1e5])
+        np.testing.assert_array_equal(stability(spec, zs), [stability(spec, z) for z in zs])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_stack_with_one_bad_entry_rejected(self, spec, bad):
+        zs = np.linspace(0.0, 5.0, 11)
+        zs[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            stability(spec, zs)
 
 
 class TestSpecPlumbing:
