@@ -142,9 +142,13 @@ def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
     most 1e-14 times its largest (or times 1, when that is smaller).  The
     systems have identity-plus-term structure, so unit scale is the natural
     yardstick even when cancellation shrinks them.  A Cholesky certificate
-    (``_certified``) settles the usual case without the singular values;
-    only when it fails does the SVD run and decide, so the decision is the
-    SVD test's.
+    settles the usual case without the singular values: a successful
+    factorization of ``K^T K - tau I``, with
+    ``tau = 4 n gamma_{n+1} ||K||_F^2 + (1e-14 max(F, 1))^2`` per block and
+    ``F`` the system's largest block norm, proves the system passes the
+    test (the bound is derived in ``_certified``).  Only when it fails, or
+    an entry is not finite, does the SVD run and decide, so the decision
+    is the SVD test's.
     """
     z = np.asarray(z, dtype=float)
     n = op.M + 1
