@@ -22,7 +22,6 @@ from .analysis import (
 from .chebyshev import CgPointSet, CollocationOperator, build_operator, cg_points, chebyshev_eval
 from .collocation import (
     CollocationSolution,
-    PicardConfig,
     endpoint_value,
     picard_sweep,
     solve_linear,
@@ -48,7 +47,7 @@ from .problems import (
     kepler_reference,
     spd_catalog,
 )
-from .propagators import NewtonConfig, PropagatorKind, PropagatorSpec, advance, parse_spec, stability
+from .propagators import PropagatorKind, PropagatorSpec, advance, parse_spec, stability
 
 __version__ = "0.1.0"
 
@@ -64,12 +63,10 @@ __all__ = [
     "KeplerProblem",
     "MaxIterationsError",
     "MminResult",
-    "NewtonConfig",
     "NonConvergenceError",
     "NonFiniteRhsError",
     "PararealConfig",
     "PararealState",
-    "PicardConfig",
     "PointSearchError",
     "PropagatorKind",
     "PropagatorSpec",

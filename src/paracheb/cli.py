@@ -39,11 +39,14 @@ class RunManifest:
     out: str
     seed: int = 0
     workers: int = 1
-    tol: float | None = None
     params: dict[str, str] = field(default_factory=dict)
 
     def get(self, key: str, default=None):
         return self.params.get(key, default)
+
+    def given(self, **casts) -> dict:
+        """The keys of ``casts`` that were set, each value cast by its function."""
+        return {key: cast(self.params[key]) for key, cast in casts.items() if key in self.params}
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -102,8 +105,9 @@ def cmd_analyze(manifest: RunManifest) -> str:
     z_min = float(manifest.get("z_min", 1e-2))
     z_max = float(manifest.get("z_max", 1e4))
     n = int(manifest.get("z_points", 200))
-    if not 0 < z_min < z_max < math.inf or n < 2:
-        raise ValueError("need 0 < z_min < z_max, both finite, and z_points >= 2")
+    if not (1.0 + z_min > 1.0 and z_min < z_max < math.inf and n >= 2):
+        # Where 1 + z rounds to 1, K(z) has no denominator.
+        raise ValueError("need 1 + z_min > 1, z_min < z_max, both finite, and z_points >= 2")
 
     header = ["z"]
     for spec in specs:
@@ -140,34 +144,27 @@ def _build_problem(manifest: RunManifest) -> problems.IvpProblem:
         nx = int(manifest.get("nx", 8))
         return problems.build_burgers(nu, nx).to_ivp()
     if name in ("diag-spectrum", "laplacian-1d"):
-        params = {}
-        if manifest.get("m") is not None:
-            params["m"] = int(manifest.get("m"))
+        casts = {"m": int, "T": float}
         if name == "diag-spectrum":
-            if manifest.get("lambda_min") is not None:
-                params["lambda_min"] = float(manifest.get("lambda_min"))
-            if manifest.get("lambda_max") is not None:
-                params["lambda_max"] = float(manifest.get("lambda_max"))
-        if manifest.get("T") is not None:
-            params["T"] = float(manifest.get("T"))
-        return problems.spd_catalog(name, **params).to_ivp()
+            casts.update(lambda_min=float, lambda_max=float)
+        return problems.spd_catalog(name, **manifest.given(**casts)).to_ivp()
     raise ValueError(
         f"unknown problem {name!r} (expected kepler, burgers, diag-spectrum or laplacian-1d)"
     )
 
 
 def _run_config(manifest: RunManifest, coarse, fine, N, T, init, metrics=()):
+    # PararealConfig owns the defaults of tol and max_k: pass only those set.
     return parareal.PararealConfig(
         T=T,
         N=N,
         coarse=coarse,
         fine=fine,
-        tol=manifest.tol if manifest.tol is not None else 1e-10,
-        max_k=int(manifest.get("max_k", 100)),
         init=init,
         seed=manifest.seed,
         workers=manifest.workers,
         metrics=tuple(metrics),
+        **manifest.given(tol=float, max_k=int),
     )
 
 
@@ -308,6 +305,8 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         params[key.strip()] = value.strip()
+    if args.tol is not None:
+        params["tol"] = repr(args.tol)  # exact: repr round-trips a float
 
     def pick(flag, key, default, cast):
         if flag is not None:
@@ -324,7 +323,6 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
         out=out,
         seed=pick(args.seed, "seed", 0, int),
         workers=pick(args.workers, "workers", 1, int),
-        tol=pick(args.tol, "tol", None, float),
         params=params,
     )
 

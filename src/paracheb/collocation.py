@@ -40,21 +40,12 @@ from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError,
 RhsFunction = Callable[[float, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class PicardConfig:
-    """Stopping rule for the fixed-point sweep, which starts from the
-    initial value at every node and raises ``NonConvergenceError`` when
-    ``max_iter`` sweeps do not reach ``tol``.
-    """
-
-    tol: float = 1e-12
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+def check_limits(tol: float, max_iter: int) -> None:
+    """Reject inner-iteration limits no iteration can meet."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,18 +232,20 @@ def solve_nonlinear(
     f: RhsFunction,
     points: CgPointSet,
     u_a,
-    cfg: PicardConfig | None = None,
+    tol: float = 1e-12,
+    max_iter: int = 100,
 ) -> CollocationSolution:
-    """Iterate fixed-point sweeps until successive node values settle.
+    """Iterate fixed-point sweeps, starting from the initial value at every
+    node, until successive node values settle.
 
     The stopping metric is the max norm of the node-value difference between
-    consecutive sweeps.  Hitting ``cfg.max_iter`` raises
-    ``NonConvergenceError``, a non-finite ``f`` value ``NonFiniteRhsError``.
-    Each sweep is one call of ``f`` on the node tables of every row still
-    sweeping; a row leaves once it settles or fails, so each row runs
-    exactly the sweeps it would run alone.
+    consecutive sweeps, which must fall below ``tol``.  Hitting ``max_iter``
+    sweeps raises ``NonConvergenceError``, a non-finite ``f`` value
+    ``NonFiniteRhsError``.  Each sweep is one call of ``f`` on the node
+    tables of every row still sweeping; a row leaves once it settles or
+    fails, so each row runs exactly the sweeps it would run alone.
     """
-    cfg = cfg or PicardConfig()
+    check_limits(tol, max_iter)
     if points.M != op.M:
         raise ValueError(f"operator built for M={op.M} but points have M={points.M}")
     u_a = _as_state(u_a)
@@ -263,7 +256,7 @@ def solve_nonlinear(
     nodes_out = np.empty((N, op.M + 1, dim))
     failures: dict[int, Exception] = {}
     iterations = 0
-    stall = f"fixed-point sweep did not converge in {cfg.max_iter} iterations"
+    stall = f"fixed-point sweep did not converge in {max_iter} iterations"
 
     def rhs(t_act, nodes):
         if u_a.ndim == 2:
@@ -273,7 +266,7 @@ def solve_nonlinear(
     rows = np.arange(N)  # rows still sweeping
     U_act, t_act = U, t_nodes
     nodes = np.repeat(U[:, None, :], op.M + 1, axis=1)
-    for p in range(1, cfg.max_iter + 1):
+    for p in range(1, max_iter + 1):
         F = rhs(t_act, nodes)
         keep = np.ones(len(rows), dtype=bool)
         for i, exc in _nonfinite_rows(F, t_act).items():
@@ -282,7 +275,7 @@ def solve_nonlinear(
         u_hat = _coefficients(op, points.length, U_act, F)
         u_new = op.T1 @ u_hat
         diff = np.max(np.abs(u_new - nodes), axis=(-2, -1))
-        done = keep & (diff < cfg.tol)
+        done = keep & (diff < tol)
         if done.any():
             u_hat_out[rows[done]] = u_hat[done]
             nodes_out[rows[done]] = u_new[done]

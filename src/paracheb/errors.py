@@ -6,6 +6,15 @@ from __future__ import annotations
 class SolverError(RuntimeError):
     """Base class for numerical failures (as opposed to bad arguments)."""
 
+    #: The subinterval and pass (0 for the initial sweep) of the coarse step
+    #: that raised the error, also named in its message; None elsewhere.
+    subinterval: int | None = None
+    k: int | None = None
+
+    def name_coarse_step(self, subinterval: int, k: int) -> None:
+        self.subinterval, self.k = subinterval, k
+        self.args = (f"coarse step on subinterval {subinterval} in pass {k}: {self}",)
+
 
 class NonFiniteRhsError(SolverError):
     """The right-hand side returned a NaN or infinity at a collocation node."""

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MaxIterationsError, SweepError
+from .errors import MaxIterationsError, SolverError, SweepError
 from .problems import IvpProblem
 from .propagators import PropagatorSpec, advance
 
@@ -40,7 +40,7 @@ class PararealConfig:
     coarse: PropagatorSpec
     fine: PropagatorSpec
     tol: float = 1e-10
-    max_k: int = 50
+    max_k: int = 100
     init: str = "coarse"  # "coarse" | "random"
     seed: int = 0
     #: Cap on the number of row chunks of the fine sweep; each chunk is one
@@ -181,10 +181,14 @@ def initialize(cfg: PararealConfig, problem: IvpProblem) -> PararealState:
 
     coarse = _make_stepper(cfg.coarse, problem, cfg.dT)
     g_prev = np.empty((N, dim))
-    for n in range(N):
-        g_prev[n] = coarse(n * cfg.dT, u[n])
-        if cfg.init == "coarse":
-            u[n + 1] = g_prev[n]
+    try:
+        for n in range(N):
+            g_prev[n] = coarse(n * cfg.dT, u[n])
+            if cfg.init == "coarse":
+                u[n + 1] = g_prev[n]
+    except SolverError as exc:
+        exc.name_coarse_step(n, 0)
+        raise
 
     ref_table = None
     if problem.reference is not None:
@@ -204,11 +208,15 @@ def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> P
     u_new = np.empty_like(state.u)
     u_new[0] = state.u[0]
     g_new = np.empty((N, state.u.shape[1]))
-    for n in range(N):
-        g_new[n] = coarse(times[n], u_new[n])
-        # Summed as fine value plus small coarse increment: near convergence
-        # the increment vanishes, so the fine result's bits are preserved.
-        u_new[n + 1] = fine_results[n] + (g_new[n] - state.g_prev[n])
+    try:
+        for n in range(N):
+            g_new[n] = coarse(times[n], u_new[n])
+            # Summed as fine value plus small coarse increment: near convergence
+            # the increment vanishes, so the fine result's bits are preserved.
+            u_new[n + 1] = fine_results[n] + (g_new[n] - state.g_prev[n])
+    except SolverError as exc:
+        exc.name_coarse_step(n, state.k + 1)
+        raise
 
     iter_error = float(np.max(np.abs(u_new - state.u)))
     ref = state.ref_table  # present whenever cfg.metrics is (see initialize)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .chebyshev import build_operator, cg_points
-from .collocation import PicardConfig, RhsFunction, solve_checked, solve_linear, solve_nonlinear
+from .collocation import RhsFunction, check_limits, solve_checked, solve_linear, solve_nonlinear
 from .errors import NonConvergenceError, SingularSystemError, raise_row_failures
 
 _SQRT2 = math.sqrt(2.0)
@@ -44,84 +44,69 @@ class PropagatorKind(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class NewtonConfig:
-    """Settings for the nonlinear stage solves of the implicit kinds.
-
-    Stage Jacobians come from the problem's ``jacobian`` hook when one is
-    supplied, and from forward differences (step sqrt(eps) * (1+|u|))
-    otherwise.
-    """
-
-    tol: float = 1e-12
-    max_iter: int = 25
-
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
 class PropagatorSpec:
-    """A named integrator plus the parameters its kind honors.
+    """A named integrator: its kind, its count and its inner-iteration limits.
 
-    ``substeps`` applies to the one-step kinds, ``cg_points`` and ``picard``
-    to the collocation kind, ``newton`` to the implicit kinds.
+    ``count`` is the number in ``kind:number``: collocation points for
+    ``cg`` (default 0), substeps otherwise (default 1).  ``tol`` and
+    ``max_iter`` stop the kind's inner iteration: Picard sweeps for ``cg``
+    (default 100), Newton stage solves for the implicit kinds (default 25).
     """
 
     kind: PropagatorKind
-    substeps: int = 1
-    cg_points: int = 0
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
-    picard: PicardConfig = field(default_factory=PicardConfig)
+    count: int | None = None
+    tol: float = 1e-12
+    max_iter: int | None = None
 
     def __post_init__(self):
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
-        if self.cg_points < 0:
-            raise ValueError("cg_points must be >= 0")
+        cg = self.kind is PropagatorKind.CHEBYSHEV_GAUSS
+        if self.count is None:
+            object.__setattr__(self, "count", 0 if cg else 1)
+        if self.max_iter is None:
+            object.__setattr__(self, "max_iter", 100 if cg else 25)
+        if self.count < (0 if cg else 1):
+            raise ValueError(f"{self.kind.value} count must be >= {0 if cg else 1}")
+        check_limits(self.tol, self.max_iter)
 
     @property
     def label(self) -> str:
         if self.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-            return f"cg_m{self.cg_points}"
-        return f"{self.kind.value}_j{self.substeps}"
+            return f"cg_m{self.count}"
+        return f"{self.kind.value}_j{self.count}"
 
     @classmethod
-    def backward_euler(cls, substeps: int = 1, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.BACKWARD_EULER, substeps=substeps, **kw)
+    def backward_euler(cls, count: int = 1, **kw) -> "PropagatorSpec":
+        return cls(PropagatorKind.BACKWARD_EULER, count, **kw)
 
     @classmethod
-    def forward_euler(cls, substeps: int = 1, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.FORWARD_EULER, substeps=substeps, **kw)
+    def forward_euler(cls, count: int = 1, **kw) -> "PropagatorSpec":
+        return cls(PropagatorKind.FORWARD_EULER, count, **kw)
 
     @classmethod
-    def trapezoidal(cls, substeps: int = 1, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.TRAPEZOIDAL, substeps=substeps, **kw)
+    def trapezoidal(cls, count: int = 1, **kw) -> "PropagatorSpec":
+        return cls(PropagatorKind.TRAPEZOIDAL, count, **kw)
 
     @classmethod
-    def tr_bdf2(cls, substeps: int = 1, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.TR_BDF2, substeps=substeps, **kw)
+    def tr_bdf2(cls, count: int = 1, **kw) -> "PropagatorSpec":
+        return cls(PropagatorKind.TR_BDF2, count, **kw)
 
     @classmethod
-    def gauss4(cls, substeps: int = 1, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.GAUSS4, substeps=substeps, **kw)
+    def gauss4(cls, count: int = 1, **kw) -> "PropagatorSpec":
+        return cls(PropagatorKind.GAUSS4, count, **kw)
 
     @classmethod
-    def erk4(cls, substeps: int = 1, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.ERK4, substeps=substeps, **kw)
+    def erk4(cls, count: int = 1, **kw) -> "PropagatorSpec":
+        return cls(PropagatorKind.ERK4, count, **kw)
 
     @classmethod
-    def chebyshev_gauss(cls, cg_points: int, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.CHEBYSHEV_GAUSS, cg_points=cg_points, **kw)
+    def chebyshev_gauss(cls, count: int, **kw) -> "PropagatorSpec":
+        return cls(PropagatorKind.CHEBYSHEV_GAUSS, count, **kw)
 
 
 def parse_spec(text: str) -> PropagatorSpec:
     """Parse compact spec strings like ``cg:6`` or ``beuler:4``.
 
-    The number is the CG point count for ``cg`` and the substep count for
-    every other kind.
+    The number is the spec's ``count``; left out, the kind's default.
     """
     name, _, arg = text.strip().partition(":")
     try:
@@ -130,12 +115,10 @@ def parse_spec(text: str) -> PropagatorSpec:
         valid = ", ".join(k.value for k in PropagatorKind)
         raise ValueError(f"unknown propagator {name!r} (expected one of {valid})")
     try:
-        value = int(arg) if arg else (0 if kind is PropagatorKind.CHEBYSHEV_GAUSS else 1)
+        count = int(arg) if arg else None
     except ValueError:
         raise ValueError(f"propagator spec {text!r}: {arg!r} is not an integer count") from None
-    if kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        return PropagatorSpec(kind, cg_points=value)
-    return PropagatorSpec(kind, substeps=value)
+    return PropagatorSpec(kind, count)
 
 
 def _fd_jacobian(f: RhsFunction, t, u: np.ndarray) -> np.ndarray:
@@ -162,7 +145,7 @@ def _newton(
     residual: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     jacobian: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     x0: np.ndarray,
-    cfg: NewtonConfig,
+    spec: PropagatorSpec,
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """Damped Newton iteration for ``residual(x) = 0`` on a stack of rows.
 
@@ -175,7 +158,7 @@ def _newton(
     place where a row leaves the stack: a row within the tolerance leaves
     with its value, a row whose residual is NaN or infinite leaves holding
     NaN.  So every row that settles follows exactly the iterates it would
-    follow alone.  There are ``cfg.max_iter`` updates and one test more, so
+    follow alone.  There are ``spec.max_iter`` updates and one test more, so
     a row that reaches the tolerance on its last update settles.
 
     Returns the solution stack and the failures, a dict row -> error: a
@@ -188,9 +171,9 @@ def _newton(
     rows = None  # rows still iterating; None while that is all of them
     x, res = x0, residual(x0, None)
     check = True  # a residual may be non-finite: at the start and after backtracking
-    for it in range(cfg.max_iter + 1):
+    for it in range(spec.max_iter + 1):
         norm = np.abs(res).max(axis=-1)
-        done = norm <= cfg.tol * (1.0 + np.abs(x).max(axis=-1))
+        done = norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1))
         if check and not np.isfinite(norm).all():
             lost = ~np.isfinite(norm)
             ids = np.arange(len(x)) if rows is None else rows
@@ -211,7 +194,7 @@ def _newton(
             if not len(rows):
                 return out, failures
             x, res, norm = x[~done], res[~done], norm[~done]
-        if it == cfg.max_iter:
+        if it == spec.max_iter:
             break
 
         J = jacobian(x, rows)
@@ -249,7 +232,7 @@ def _newton(
     ids = np.arange(len(x)) if rows is None else rows
     for i, row in enumerate(ids):
         failures[int(row)] = NonConvergenceError(
-            f"Newton stage solve did not converge in {cfg.max_iter} iterations", float(norm[i])
+            f"Newton stage solve did not converge in {spec.max_iter} iterations", float(norm[i])
         )
     return np.full_like(x0, np.nan) if out is None else out, failures
 
@@ -257,7 +240,7 @@ def _newton(
 def _solve_stage(
     f: RhsFunction,
     jac: RhsFunction,
-    cfg: NewtonConfig,
+    spec: PropagatorSpec,
     t_stage,
     beta_h: float,
     rhs: np.ndarray,
@@ -272,7 +255,7 @@ def _solve_stage(
     def jacobian(y, rows):
         return eye - beta_h * jac(_rows(t_stage, rows), y)
 
-    return _newton(residual, jacobian, x0, cfg)
+    return _newton(residual, jacobian, x0, spec)
 
 
 # Each one-step kind maps a stack of states ``u`` (N, dim) at times ``t`` (a
@@ -282,30 +265,30 @@ def _solve_stage(
 # first test, and its first error is the one kept.
 
 
-def _step_backward_euler(f, jac, cfg, t, u, h):
+def _step_backward_euler(f, jac, spec, t, u, h):
     guess = u + h * f(t, u)
-    return _solve_stage(f, jac, cfg, t + h, h, u, guess)
+    return _solve_stage(f, jac, spec, t + h, h, u, guess)
 
 
-def _step_trapezoidal(f, jac, cfg, t, u, h):
+def _step_trapezoidal(f, jac, spec, t, u, h):
     fn = f(t, u)
     rhs = u + 0.5 * h * fn
     guess = u + h * fn
-    return _solve_stage(f, jac, cfg, t + h, 0.5 * h, rhs, guess)
+    return _solve_stage(f, jac, spec, t + h, 0.5 * h, rhs, guess)
 
 
-def _step_tr_bdf2(f, jac, cfg, t, u, h):
+def _step_tr_bdf2(f, jac, spec, t, u, h):
     g = _TRBDF2_GAMMA
     fn = f(t, u)
     rhs1 = u + 0.5 * g * h * fn
-    u_mid, lost = _solve_stage(f, jac, cfg, t + g * h, 0.5 * g * h, rhs1, u + g * h * fn)
+    u_mid, lost = _solve_stage(f, jac, spec, t + g * h, 0.5 * g * h, rhs1, u + g * h * fn)
     rhs2 = (u_mid / g - (1.0 - g) ** 2 / g * u) / (2.0 - g)
     beta = (1.0 - g) / (2.0 - g) * h
-    u_next, lost2 = _solve_stage(f, jac, cfg, t + h, beta, rhs2, u_mid)
+    u_next, lost2 = _solve_stage(f, jac, spec, t + h, beta, rhs2, u_mid)
     return u_next, {**lost2, **lost}
 
 
-def _step_gauss4(f, jac, cfg, t, u, h):
+def _step_gauss4(f, jac, spec, t, u, h):
     # K holds each row's two stage slopes end to end; f and jac see every
     # row's two stages as one (rows, 2, n) stack.
     N, n = u.shape
@@ -327,15 +310,15 @@ def _step_gauss4(f, jac, cfg, t, u, h):
         return np.eye(2 * n) - blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 2 * n, 2 * n)
 
     K0 = f(ts, np.stack((u, u), axis=1)).reshape(N, 2 * n)
-    K, lost = _newton(residual, jacobian, K0, cfg)
+    K, lost = _newton(residual, jacobian, K0, spec)
     return u + h * (_GAUSS4_B[0] * K[:, :n] + _GAUSS4_B[1] * K[:, n:]), lost
 
 
-def _step_forward_euler(f, jac, cfg, t, u, h):
+def _step_forward_euler(f, jac, spec, t, u, h):
     return u + h * f(t, u), {}
 
 
-def _step_erk4(f, jac, cfg, t, u, h):
+def _step_erk4(f, jac, spec, t, u, h):
     k1 = f(t, u)
     k2 = f(t + 0.5 * h, u + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, u + 0.5 * h * k2)
@@ -370,7 +353,7 @@ def advance(
     together: ``f`` takes a stack of states and ``jac`` a stack of
     Jacobians, as stated on ``problems.IvpProblem``, so each stage, Newton
     iteration or collocation sweep is one call for the whole stack.
-    One-step kinds take ``spec.substeps`` equal substeps; the collocation
+    One-step kinds take ``spec.count`` equal substeps; the collocation
     kind performs a single spectral solve over each subinterval.  The
     implicit kinds' stage solves use ``jac``, or forward differences of
     ``f`` when it is None.  When the problem is linear, callers may pass
@@ -391,22 +374,22 @@ def advance(
     t = np.asarray(t_n, dtype=float)
 
     if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        op = build_operator(spec.cg_points)
-        points = cg_points(spec.cg_points, 0.0, dT).shifted(t)
+        op = build_operator(spec.count)
+        points = cg_points(spec.count, 0.0, dT).shifted(t)
         if linear is not None:
             return solve_linear(op, *linear, points, u).u_end
-        return solve_nonlinear(op, f, points, u, spec.picard).u_end
+        return solve_nonlinear(op, f, points, u, spec.tol, spec.max_iter).u_end
 
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
     step = _STEPPERS[spec.kind]
-    h = dT / spec.substeps
+    h = dT / spec.count
     stacked = u.ndim == 2
     U = u if stacked else u[None]
     t = t[:, None] if t.ndim else float(t)  # per-row column, or one float
     failures: dict[int, Exception] = {}
-    for j in range(spec.substeps):
-        U, lost = step(f, jac, spec.newton, t + j * h, U, h)
+    for j in range(spec.count):
+        U, lost = step(f, jac, spec, t + j * h, U, h)
         failures = {**lost, **failures}
     raise_row_failures(failures, stacked)
     return U if stacked else U[0]
@@ -426,7 +409,9 @@ def _one_step_stability(kind: PropagatorKind, z: np.ndarray) -> np.ndarray:
     if kind is PropagatorKind.GAUSS4:
         return (z * z - 6.0 * z + 12.0) / (z * z + 6.0 * z + 12.0)
     if kind is PropagatorKind.ERK4:
-        return 1.0 - z + z * z / 2.0 - _pow(z, 3) / 6.0 + _pow(z, 4) / 24.0
+        r = 1.0 - z + z * z / 2.0 - _pow(z, 3) / 6.0 + _pow(z, 4) / 24.0
+        # Positive for every z (an even Taylor polynomial of exp): inf - inf is +inf.
+        return np.where(np.isnan(r), math.inf, r)
     raise ValueError(f"no one-step stability function for {kind}")
 
 
@@ -435,10 +420,18 @@ def _pow(x: np.ndarray, p: int) -> np.ndarray:
 
     numpy's own power loop, vectorized on some CPUs, differs from ``pow`` in
     the last bit for a few percent of arguments; this keeps the values of
-    the scalar formulas.  An overflow raises ``OverflowError``, as a Python
-    float power does.
+    the scalar formulas.  An entry that overflows, where a Python float
+    power raises ``OverflowError``, comes out as an infinity with the sign
+    of the exact power.
     """
-    return np.asarray(x, dtype=float).astype(object) ** p
+
+    def power(v: float) -> float:
+        try:
+            return v**p
+        except OverflowError:
+            return math.copysign(math.inf, v) if p % 2 else math.inf
+
+    return np.asarray(np.frompyfunc(power, 1, 1)(np.asarray(x, dtype=float)), dtype=float)
 
 
 #: Matrix elements per stacked solve of the collocation ``R(z)``: caps the
@@ -454,8 +447,9 @@ def stability(spec: PropagatorSpec, z):
     computation, and each entry's bits equal those of its scalar call.
     Every entry must be nonnegative and finite (``ValueError`` otherwise).
 
-    One-step kinds compose their single-step factor, ``r(z/J)**J``.  The
-    collocation kind evaluates the matrix expression
+    One-step kinds compose their single-step factor, ``r(z/J)**J``, an
+    infinity of the exact sign where a power overflows.  The collocation
+    kind evaluates the matrix expression
 
         R(z) = T (I - z C_alpha (I + z T1_C)^{-1} T1) E
              = 1 - z * sum(C_alpha (I + z T1_C)^{-1} 1)
@@ -472,8 +466,8 @@ def stability(spec: PropagatorSpec, z):
         raise ValueError("z must be nonnegative and finite")
 
     if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        op = build_operator(spec.cg_points)
-        n = spec.cg_points + 1
+        op = build_operator(spec.count)
+        n = spec.count + 1
         ones = np.ones(n)  # T1 @ E is the all-ones column
         zs = z.reshape(-1)
         sums = np.empty_like(zs)
@@ -485,7 +479,7 @@ def stability(spec: PropagatorSpec, z):
             sums[i : i + block] = (op.C_alpha @ x[..., None])[..., 0].sum(axis=-1)
         R = (1.0 - zs * sums).reshape(z.shape)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as Python floats give
-            r = _one_step_stability(spec.kind, z / spec.substeps)
-        R = np.asarray(_pow(r, spec.substeps), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an infinity
+            r = _one_step_stability(spec.kind, z / spec.count)
+            R = _pow(r, spec.count)
     return float(R) if R.ndim == 0 else R

@@ -10,7 +10,6 @@ import numpy as np
 from paracheb import (
     Branch,
     PararealConfig,
-    PicardConfig,
     PropagatorSpec,
     build_operator,
     cg_points,
@@ -205,7 +204,7 @@ def test_criterion_10_direct_solve_equals_fixed_point():
         pts = cg_points(M, 0.0, 1.0)
         direct = solve_linear(op, np.array([[lam]]), None, pts, u0)
         picard = solve_nonlinear(
-            op, lambda t, u: -lam * u, pts, u0, PicardConfig(tol=1e-14, max_iter=300)
+            op, lambda t, u: -lam * u, pts, u0, tol=1e-14, max_iter=300
         )
         assert abs(direct.u_end[0] - picard.u_end[0]) < 1e-10
     _report(10, "direct vs fixed-point solve", started, 1.0)
@@ -218,7 +217,7 @@ def test_criterion_11_spectral_accuracy_growth():
         op = build_operator(M)
         pts = cg_points(M, 0.0, 1.0)
         sol = solve_nonlinear(
-            op, lambda t, u: -u, pts, 1.0, PicardConfig(tol=1e-14, max_iter=200)
+            op, lambda t, u: -u, pts, 1.0, tol=1e-14, max_iter=200
         )
         errors.append(abs(sol.u_end[0] - math.exp(-1.0)))
     assert all(a > b for a, b in zip(errors, errors[1:]))

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from paracheb import MaxIterationsError
 from paracheb.cli import RunManifest, cmd_analyze, cmd_mmin, cmd_run, load_config, main
 
 
@@ -217,6 +218,16 @@ class TestMainEntry:
         assert main(common + ["--out", str(tight)]) == 0
         assert main(common + ["--out", str(loose), "--tol", "1e-4"]) == 0
         assert len(read_csv(loose)[1]) < len(read_csv(tight)[1])
+        # The flag takes precedence over the key.
+        flagged = tmp_path / "flagged.csv"
+        assert main(common + ["--out", str(flagged), "--set", "tol=1e-30", "--tol", "1e-4"]) == 0
+        assert flagged.read_bytes() == loose.read_bytes()
+
+    def test_max_k_key_caps_run(self, tmp_path):
+        args = ["run", "--out", str(tmp_path / "r.csv"), "--set", "problem=diag-spectrum",
+                "--set", "m=3", "--set", "N=6", "--set", "T=1.5", "--set", "fine=cg:6"]
+        with pytest.raises(MaxIterationsError, match="within 1 iterations"):
+            main(args + ["--set", "max_k=1"])
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -229,6 +240,23 @@ class TestMainEntry:
         with pytest.raises(ValueError, match="finite"):
             main(["analyze", "--out", str(out), "--set", "specs=cg:0", "--set", f"{key}={value}"])
         assert not out.exists()
+
+    def test_analyze_rejects_unresolvable_z_min(self, tmp_path):
+        # 1 + 1e-17 rounds to 1, which leaves K(z) without a denominator.
+        out = tmp_path / "a.csv"
+        with pytest.raises(ValueError, match="z_min"):
+            main(["analyze", "--out", str(out), "--set", "specs=cg:1",
+                  "--set", "z_min=1e-17", "--set", "z_max=1"])
+        assert not out.exists()
+
+    def test_analyze_overflowing_powers_are_infinite(self, tmp_path):
+        out = tmp_path / "a.csv"
+        main(["analyze", "--out", str(out), "--set", "specs=erk4:1,feuler:3",
+              "--set", "z_min=1", "--set", "z_max=1e200", "--set", "z_points=5"])
+        header, rows = read_csv(out)
+        assert header == ["z", "absR_erk4_j1", "K_erk4_j1", "absR_feuler_j3", "K_feuler_j3"]
+        assert rows[-1][1:] == ["inf"] * 4
+        assert all(np.isfinite(float(v)) for v in rows[0])
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("option", ["--tol", "T"])

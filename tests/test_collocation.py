@@ -6,7 +6,6 @@ import pytest
 from paracheb import (
     NonConvergenceError,
     NonFiniteRhsError,
-    PicardConfig,
     SingularSystemError,
     build_operator,
     cg_points,
@@ -117,18 +116,18 @@ class TestSolveNonlinear:
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     def test_tol_must_be_finite(self, value):
         with pytest.raises(ValueError, match="finite"):
-            PicardConfig(tol=value)
+            solve_nonlinear(build_operator(2), lambda t, u: -u, cg_points(2, 0.0, 1.0), 1.0, tol=value)
 
     def test_exponential_decay(self):
         op = build_operator(16)
         pts = cg_points(16, 0.0, 0.5)
-        sol = solve_nonlinear(op, lambda t, u: -u, pts, 1.0, PicardConfig(tol=1e-13))
+        sol = solve_nonlinear(op, lambda t, u: -u, pts, 1.0, tol=1e-13)
         assert sol.u_end[0] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_single_node_endpoint(self):
         op = build_operator(0)
         pts = cg_points(0, 0.0, 1.0)
-        sol = solve_nonlinear(op, lambda t, u: -u, pts, 1.0, PicardConfig(tol=1e-13))
+        sol = solve_nonlinear(op, lambda t, u: -u, pts, 1.0, tol=1e-13)
         assert sol.u_end[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_one_rhs_call_per_sweep(self):
@@ -140,7 +139,7 @@ class TestSolveNonlinear:
             shapes.append((t.shape, u.shape))
             return -u
 
-        sol = solve_nonlinear(op, f, pts, 1.0, PicardConfig(tol=1e-13))
+        sol = solve_nonlinear(op, f, pts, 1.0, tol=1e-13)
         assert shapes == [((9, 1), (9, 1))] * sol.iterations
 
     def test_stack_rows_stop_on_their_own(self):
@@ -202,7 +201,7 @@ class TestSolveNonlinear:
         for M in (4, 6, 8, 10, 12):
             op = build_operator(M)
             pts = cg_points(M, 0.0, 1.0)
-            sol = solve_nonlinear(op, lambda t, u: -u, pts, 1.0, PicardConfig(tol=1e-14, max_iter=200))
+            sol = solve_nonlinear(op, lambda t, u: -u, pts, 1.0, tol=1e-14, max_iter=200)
             errors.append(abs(sol.u_end[0] - math.exp(-1.0)))
         for e_coarse, e_fine in zip(errors, errors[1:]):
             if e_coarse < 1e-14:
@@ -296,7 +295,7 @@ class TestSolveLinear:
             pts = cg_points(M, 0.0, 1.0)
             u0 = rng.uniform(-2.0, 2.0)
             direct = solve_linear(op, np.array([[lam]]), None, pts, u0)
-            picard = solve_nonlinear(op, lambda t, u: -lam * u, pts, u0, PicardConfig(tol=1e-14, max_iter=300))
+            picard = solve_nonlinear(op, lambda t, u: -lam * u, pts, u0, tol=1e-14, max_iter=300)
             assert direct.u_end[0] == pytest.approx(picard.u_end[0], abs=1e-10)
 
 

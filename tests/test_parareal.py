@@ -179,8 +179,35 @@ class TestIterate:
         # Backward Euler on u' = u with dT = 1 has the stage matrix 1 - 1 = 0.
         prob = IvpProblem(dim=1, f=lambda t, u: u, u0=np.array([1.0]), T=2.0)
         cfg = PararealConfig(T=2.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError) as err:
             run(cfg, prob)
+        assert (err.value.subinterval, err.value.k) == (0, 0)
+        assert str(err.value).startswith("coarse step on subinterval 0 in pass 0: Newton stage matrix is singular")
+
+    def test_coarse_failure_names_a_later_subinterval(self):
+        # From uniform [-1, 1] random starts the backward Euler stage
+        # equation of this Burgers case has no real solution on subinterval
+        # 1; subinterval 0 starts from the smooth initial profile.
+        prob = build_burgers(0.005, 8).to_ivp()
+        cfg = PararealConfig(
+            T=prob.T, N=8, coarse=BE, fine=parse_spec("cg:8"), init="random", seed=1,
+        )
+        with pytest.raises(NonConvergenceError) as err:
+            run(cfg, prob)
+        assert (err.value.subinterval, err.value.k) == (1, 0)
+        assert str(err.value).startswith("coarse step on subinterval 1 in pass 0: Newton stage solve did not")
+        assert err.value.residual > 0.1  # the error's own data is kept
+
+    def test_coarse_failure_names_its_pass(self):
+        # A NaN cached coarse value makes the corrected start of subinterval
+        # 3 NaN, so the first coarse step to fail is that one, in pass 1.
+        prob = diag_problem(T=0.8)
+        cfg = PararealConfig(T=0.8, N=8, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
+        state = initialize(cfg, prob)
+        state.g_prev[2] = np.nan
+        with pytest.raises(NonConvergenceError, match="^coarse step on subinterval 3 in pass 1: ") as err:
+            iterate(state, cfg, prob)
+        assert (err.value.subinterval, err.value.k) == (3, 1)
 
 
 class TestRun:
@@ -294,6 +321,11 @@ class TestRun:
         )
         with pytest.raises(ValueError, match="pos_error"):
             run(cfg, prob)
+
+    def test_config_owns_the_stopping_defaults(self):
+        # The CLI passes tol and max_k only when they are set.
+        cfg = PararealConfig(T=1.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
+        assert (cfg.tol, cfg.max_k) == (1e-10, 100)
 
     def test_config_validation(self):
         fine = PropagatorSpec.chebyshev_gauss(4)

@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from paracheb import (
     KeplerProblem,
-    NewtonConfig,
     NonConvergenceError,
     NonFiniteRhsError,
     PropagatorKind,
@@ -14,7 +16,10 @@ from paracheb import (
     SweepError,
     advance,
     build_burgers,
+    build_operator,
+    cg_points,
     parse_spec,
+    solve_nonlinear,
     spd_catalog,
     stability,
 )
@@ -86,7 +91,7 @@ class TestAdvance:
 
     @pytest.mark.parametrize("kind", IMPLICIT_KINDS, ids=lambda k: k.value)
     def test_newton_nonconvergence_raises(self, kind):
-        spec = PropagatorSpec(kind, newton=NewtonConfig(max_iter=1))
+        spec = PropagatorSpec(kind, max_iter=1)
         with pytest.raises(NonConvergenceError, match="did not converge"):
             advance(spec, lambda t, u: -(u**3), 0.0, np.array([2.0]), 10.0)
 
@@ -119,7 +124,7 @@ class TestAdvance:
 
         x = advance(PropagatorSpec.backward_euler(1), f, 0.0, np.array([5.0]), 10.0)[0]
         assert abs(10.0 * x**3 + x - 5.0) <= 1e-12 * (1.0 + abs(x))
-        spec = PropagatorSpec.backward_euler(1, newton=NewtonConfig(max_iter=24))
+        spec = PropagatorSpec.backward_euler(1, max_iter=24)
         with pytest.raises(NonConvergenceError, match="did not converge in 24 iterations"):
             advance(spec, f, 0.0, np.array([5.0]), 10.0)
 
@@ -177,7 +182,7 @@ class TestAdvance:
         ids=["kepler", "burgers"],
     )
     def test_problem_jacobian_agrees_with_differences(self, kind, ivp, dT):
-        spec = PropagatorSpec(kind, substeps=6)
+        spec = PropagatorSpec(kind, 6)
         hook = advance(spec, ivp.f, 0.0, ivp.u0, dT, jac=ivp.jacobian)
         fd = advance(spec, ivp.f, 0.0, ivp.u0, dT, jac=None)
         assert np.max(np.abs(hook - fd)) <= 1e-13 * np.max(np.abs(fd))
@@ -392,6 +397,26 @@ class TestStability:
         for text, values in expected.items():
             np.testing.assert_array_equal(stability(parse_spec(text), zs), values)
 
+    @pytest.mark.parametrize("text", ["erk4:1", "erk4:2", "feuler:1", "feuler:2", "feuler:3"])
+    def test_overflow_is_an_infinity_of_the_exact_sign(self, text):
+        # Python's float power raises OverflowError on these powers.  An
+        # entry whose exact value overflows comes out as an infinity of its
+        # sign, every other entry stays finite, and each scalar call equals
+        # its array entry.
+        spec = parse_spec(text)
+        zs = [0.5, 3.0, 1e80, 1e120, 1e200, 1e308]
+        R = stability(spec, np.array(zs))
+        for z, got in zip(zs, R):
+            x = Fraction(z) / spec.count
+            r = 1 - x if spec.kind is PropagatorKind.FORWARD_EULER else 1 - x + x**2 / 2 - x**3 / 6 + x**4 / 24
+            exact = r**spec.count
+            if abs(exact) > Fraction(sys.float_info.max):
+                assert got == (math.inf if exact > 0 else -math.inf)
+            else:
+                assert math.isfinite(got)
+            assert stability(spec, z) == got
+        assert np.isinf(R).any() == (text != "feuler:1")  # 1 - z never overflows
+
     def test_systems_larger_than_a_block(self):
         # 201 x 201 systems exceed the block cap: one system per solve.
         spec = PropagatorSpec.chebyshev_gauss(200)
@@ -410,9 +435,9 @@ class TestStability:
 class TestSpecPlumbing:
     def test_parse_round_trip(self):
         spec = parse_spec("cg:6")
-        assert spec.kind is PropagatorKind.CHEBYSHEV_GAUSS and spec.cg_points == 6
+        assert spec.kind is PropagatorKind.CHEBYSHEV_GAUSS and spec.count == 6
         spec = parse_spec("beuler:4")
-        assert spec.kind is PropagatorKind.BACKWARD_EULER and spec.substeps == 4
+        assert spec.kind is PropagatorKind.BACKWARD_EULER and spec.count == 4
         assert parse_spec("tr:2").label == "tr_j2"
         assert parse_spec("cg:0").label == "cg_m0"
 
@@ -431,9 +456,46 @@ class TestSpecPlumbing:
         with pytest.raises(ValueError):
             PropagatorSpec.chebyshev_gauss(-1)
         with pytest.raises(ValueError):
-            NewtonConfig(max_iter=0)
+            PropagatorSpec.backward_euler(1, max_iter=0)
 
     @NONFINITE
     def test_newton_tol_must_be_finite(self, value):
         with pytest.raises(ValueError, match="finite"):
-            NewtonConfig(tol=value)
+            PropagatorSpec.backward_euler(1, tol=value)
+
+    def test_spec_is_kind_count_and_limits(self):
+        names = [f.name for f in dataclasses.fields(PropagatorSpec)]
+        assert names == ["kind", "count", "tol", "max_iter"]
+
+    def test_kind_derived_defaults(self):
+        assert parse_spec("cg") == PropagatorSpec.chebyshev_gauss(0)
+        assert PropagatorSpec.backward_euler(2) == parse_spec("beuler:2")
+        cg, beuler = parse_spec("cg"), parse_spec("beuler")
+        assert (cg.count, cg.tol, cg.max_iter) == (0, 1e-12, 100)
+        assert (beuler.count, beuler.tol, beuler.max_iter) == (1, 1e-12, 25)
+        for kind in PropagatorKind:
+            assert PropagatorSpec(kind) == parse_spec(kind.value)
+
+    @pytest.mark.parametrize("kind", list(PropagatorKind), ids=lambda k: k.value)
+    def test_count_below_the_kind_minimum_rejected(self, kind):
+        least = 0 if kind is PropagatorKind.CHEBYSHEV_GAUSS else 1
+        assert PropagatorSpec(kind, least).count == least
+        with pytest.raises(ValueError, match=f"{kind.value} count must be >= {least}"):
+            PropagatorSpec(kind, least - 1)
+
+    @pytest.mark.parametrize("kind", list(PropagatorKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("limits", [{"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"max_iter": 0}])
+    def test_limits_rejected_for_every_kind(self, kind, limits):
+        with pytest.raises(ValueError, match="tol must be positive and finite|max_iter must be >= 1"):
+            PropagatorSpec(kind, **limits)
+
+    def test_limits_reach_the_picard_sweeps(self):
+        # u' = -u over dT = 0.5 with 9 nodes takes more than 3 sweeps to
+        # settle to 1e-12; a loose tol stops the same sweeps early.
+        f, u = decay(1.0), np.array([1.0])
+        with pytest.raises(NonConvergenceError, match="fixed-point sweep did not converge in 3 iterations"):
+            advance(PropagatorSpec.chebyshev_gauss(8, max_iter=3), f, 0.0, u, 0.5)
+        op, pts = build_operator(8), cg_points(8, 0.0, 0.5)
+        loose = advance(PropagatorSpec.chebyshev_gauss(8, tol=1e-4), f, 0.0, u, 0.5)
+        np.testing.assert_array_equal(loose, solve_nonlinear(op, f, pts, u, tol=1e-4).u_end)
+        assert not np.array_equal(loose, advance(PropagatorSpec.chebyshev_gauss(8), f, 0.0, u, 0.5))
