@@ -215,7 +215,8 @@ def _experiment_kepler(manifest: RunManifest) -> tuple[list[str], list[list]]:
         try:
             _, history = parareal.run(cfg, problem)
         except SolverError as exc:
-            raise SolverError(f"orbit comparison, algorithm {fine.label}: {exc}") from exc
+            exc.add_context(f"orbit comparison, algorithm {fine.label}")
+            raise
         for rec in history:
             rows.append(
                 [fine.label, rec.k, rec.abs_error, rec.extras["abs_error_pos"], rec.iter_error]
@@ -246,9 +247,8 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
             try:
                 _, history = parareal.run(cfg, problem)
             except SolverError as exc:
-                raise SolverError(
-                    f"viscous sweep at nu={nu:g}, {sweep}={param:g}: {exc}"
-                ) from exc
+                exc.add_context(f"viscous sweep at nu={nu:g}, {sweep}={param:g}")
+                raise
             for rec in history:
                 rows.append([nu, param, rec.k, rec.iter_error])
     return ["nu", sweep, "k", "iter_error"], rows
@@ -286,7 +286,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument("--workers", type=int, help="fine-sweep worker cap (default 1)")
+        p.add_argument(
+            "--workers",
+            type=int,
+            help="accepted but has no effect: the fine sweep is one stacked call (default 1)",
+        )
         p.add_argument("--tol", type=float, help="stopping tolerance override")
         p.add_argument(
             "--set",

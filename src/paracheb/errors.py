@@ -13,7 +13,11 @@ class SolverError(RuntimeError):
 
     def name_coarse_step(self, subinterval: int, k: int) -> None:
         self.subinterval, self.k = subinterval, k
-        self.args = (f"coarse step on subinterval {subinterval} in pass {k}: {self}",)
+        self.add_context(f"coarse step on subinterval {subinterval} in pass {k}")
+
+    def add_context(self, context: str) -> None:
+        """Prefix the message with ``context``; the type and data are kept."""
+        self.args = (f"{context}: {self}",)
 
 
 class NonFiniteRhsError(SolverError):

@@ -1,31 +1,27 @@
 """Predictor-corrector iteration over a uniform coarse time grid.
 
 A cheap coarse propagator G initializes and corrects sequentially; an
-accurate fine propagator F runs concurrently on the subintervals.  Each pass
+accurate fine propagator F runs on all subintervals at once.  Each pass
 applies
 
     u[n+1] <- G(T_n, u_new[n]) + F(T_n, u_old[n]) - G(T_n, u_old[n]),
 
 which leaves the first ``k`` grid values identical to the serial fine
 trajectory after ``k`` passes, and contracts the remainder at the rate the
-analysis module predicts.  The fine sweep advances all subintervals in
-stacked calls, one per contiguous chunk of rows; each chunk reads the
-shared iterate table and writes its own rows of the result table, and a
-row's bits do not depend on the chunking, so results are invariant to the
-worker count.
+analysis module predicts.  The fine sweep advances all subintervals in one
+stacked call, so results do not depend on the ``workers`` value.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused here; bench/tracing.py patches this name
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import MaxIterationsError, SolverError, SweepError
+from .errors import MaxIterationsError, SolverError
 from .problems import IvpProblem
 from .propagators import PropagatorSpec, advance
 
@@ -43,8 +39,8 @@ class PararealConfig:
     max_k: int = 100
     init: str = "coarse"  # "coarse" | "random"
     seed: int = 0
-    #: Cap on the number of row chunks of the fine sweep; each chunk is one
-    #: stacked call, and more than one run on a thread pool.
+    #: Accepted and validated (>= 1) but has no effect: the fine sweep is
+    #: one stacked call whatever its value.
     workers: int = 1
     metrics: tuple[tuple[str, MetricFunction], ...] = ()
 
@@ -109,55 +105,6 @@ def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
     return step
 
 
-def _chunks(n: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous row ranges ``[lo, hi)`` of a sweep over ``n`` rows.
-
-    There are at most ``workers`` ranges, and none has a single row unless
-    ``n`` is 1: BLAS computes a one-row stack with matrix-vector kernels
-    whose last bits differ from those of the matrix-matrix kernels used for
-    taller stacks, while a row of a stack of two or more comes out the same
-    whatever the split.
-    """
-    k = max(1, min(workers, n // 2))
-    bounds = [n * i // k for i in range(k + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _fine_sweep(step, times: np.ndarray, u_table: np.ndarray, workers: int) -> np.ndarray:
-    """Apply the fine propagator on every subinterval; returns the ``(N, dim)`` table.
-
-    The rows are split into at most ``workers`` contiguous chunks
-    (``_chunks``), each advanced by one stacked ``step`` call; more than one
-    chunk run on a thread pool.  Within a call every row stops on its own
-    and a failing row leaves the others running.  Afterwards the sweep
-    raises ``SweepError`` listing every failed subinterval; an error not
-    tied to a row counts against every row of its chunk.
-    """
-    chunks = _chunks(len(times), workers)
-    if len(chunks) == 1:
-        outcomes = [functools.partial(step, times, u_table)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(step, times[lo:hi], u_table[lo:hi]) for lo, hi in chunks]
-        outcomes = [fut.result for fut in futures]
-
-    results = np.empty_like(u_table)
-    failed: list[int] = []
-    causes: list[BaseException] = []
-    for (lo, hi), outcome in zip(chunks, outcomes):
-        try:
-            results[lo:hi] = outcome()
-        except SweepError as exc:
-            failed += [lo + i for i in exc.indices]
-            causes.append(exc.cause)
-        except Exception as exc:  # noqa: BLE001 - reported collectively below
-            failed += range(lo, hi)
-            causes.append(exc)
-    if failed:
-        raise SweepError(failed, causes[0]) from causes[0]
-    return results
-
-
 def initialize(cfg: PararealConfig, problem: IvpProblem) -> PararealState:
     """Build the pass-0 iterate table.
 
@@ -197,13 +144,21 @@ def initialize(cfg: PararealConfig, problem: IvpProblem) -> PararealState:
 
 
 def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> PararealState:
-    """One predictor-corrector pass: concurrent fine sweep, sequential correction."""
+    """One predictor-corrector pass: one stacked fine sweep, sequential correction.
+
+    The fine sweep advances every subinterval in one ``advance`` call, in
+    which each row stops on its own and a failing row leaves the others
+    running; failed rows raise the ``SweepError`` that names every one of
+    them.  An error not tied to a row (a ``ValueError`` from a bad
+    ``linear`` operator, say) propagates with its own type.  A failed
+    coarse step raises its own error, naming its subinterval and pass.
+    """
     fine = _make_stepper(cfg.fine, problem, cfg.dT)
     coarse = _make_stepper(cfg.coarse, problem, cfg.dT)
     N = cfg.N
     times = np.arange(N) * cfg.dT
 
-    fine_results = _fine_sweep(fine, times, state.u[:N], cfg.workers)
+    fine_results = fine(times, state.u[:N])
 
     u_new = np.empty_like(state.u)
     u_new[0] = state.u[0]

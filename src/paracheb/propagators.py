@@ -407,7 +407,12 @@ def _one_step_stability(kind: PropagatorKind, z: np.ndarray) -> np.ndarray:
         r_tr = (1.0 - 0.5 * g * z) / (1.0 + 0.5 * g * z)
         return (r_tr - (1.0 - g) ** 2) / (g * (2.0 - g) + g * (1.0 - g) * z)
     if kind is PropagatorKind.GAUSS4:
-        return (z * z - 6.0 * z + 12.0) / (z * z + 6.0 * z + 12.0)
+        zz = z * z
+        r = (zz - 6.0 * z + 12.0) / (zz + 6.0 * z + 12.0)
+        # Where z * z overflows, the same fraction divided through by z * z.
+        big = np.isinf(zz)
+        w = 1.0 / np.where(big, z, 1.0)
+        return np.where(big, (1.0 - 6.0 * w + 12.0 * w * w) / (1.0 + 6.0 * w + 12.0 * w * w), r)
     if kind is PropagatorKind.ERK4:
         r = 1.0 - z + z * z / 2.0 - _pow(z, 3) / 6.0 + _pow(z, 4) / 24.0
         # Positive for every z (an even Taylor polynomial of exp): inf - inf is +inf.

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from paracheb import MaxIterationsError
+from paracheb import MaxIterationsError, NonConvergenceError
 from paracheb.cli import RunManifest, cmd_analyze, cmd_mmin, cmd_run, load_config, main
 
 
@@ -228,6 +228,24 @@ class TestMainEntry:
                 "--set", "m=3", "--set", "N=6", "--set", "T=1.5", "--set", "fine=cg:6"]
         with pytest.raises(MaxIterationsError, match="within 1 iterations"):
             main(args + ["--set", "max_k=1"])
+
+    @pytest.mark.parametrize(
+        "name, subinterval, context",
+        [
+            ("kepler-compare", 1, "orbit comparison, algorithm cg_m6"),
+            ("burgers-dt", 2, "viscous sweep at nu=0.005, dt=0.125"),
+        ],
+    )
+    def test_experiment_failure_keeps_its_type(self, tmp_path, name, subinterval, context):
+        # From random starts a coarse backward Euler stage fails in pass 0;
+        # the experiment adds its context and re-raises the same error.
+        out = tmp_path / "x.csv"
+        with pytest.raises(NonConvergenceError) as err:
+            main(["experiment", "--out", str(out), "--set", f"name={name}", "--set", "init=random"])
+        assert (err.value.subinterval, err.value.k) == (subinterval, 0)
+        assert str(err.value).startswith(f"{context}: coarse step on subinterval {subinterval} in pass 0: ")
+        assert err.value.residual > 0.1
+        assert not out.exists()
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -19,7 +19,8 @@ from paracheb import (
     parse_spec,
     spd_catalog,
 )
-from paracheb.parareal import _chunks, _make_stepper
+from paracheb import parareal
+from paracheb.parareal import _make_stepper
 
 BE = PropagatorSpec.backward_euler(1)
 
@@ -149,7 +150,6 @@ class TestIterate:
             iterate(state, cfg, prob)
         assert err.value.indices == [0, 1]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # pool threads see the inf rows
     @pytest.mark.parametrize("fine", ["beuler:2", "cg:4"])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_only_failing_rows_reported(self, fine, workers):
@@ -174,6 +174,17 @@ class TestIterate:
             assert isinstance(err.value.cause, NonFiniteRhsError) and err.value.cause.node == 0
         else:
             assert isinstance(err.value.cause, NonConvergenceError)
+
+    def test_call_wide_fine_error_keeps_its_type(self):
+        # The direct collocation solve rejects a non-symmetric A for the
+        # whole call, not for a row: the error is not a SweepError.
+        A = np.array([[1.0, 2.0], [0.0, 1.0]])
+        prob = IvpProblem(dim=2, f=lambda t, u: -u @ A.T, u0=np.ones(2), T=1.0, linear=(A, None))
+        cfg = PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec("cg:4"))
+        state = initialize(cfg, prob)
+        with pytest.raises(ValueError, match="symmetric") as err:
+            iterate(state, cfg, prob)
+        assert not isinstance(err.value, SweepError)
 
     def test_singular_coarse_stage_raises_typed_error(self):
         # Backward Euler on u' = u with dT = 1 has the stage matrix 1 - 1 = 0.
@@ -259,8 +270,6 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["diag-spectrum", "laplacian-1d"])
     def test_worker_count_invariance_linear_path(self, name):
-        # workers = 16 asks for one-row chunks, whose BLAS kernels differ
-        # in the last bit from taller stacks.
         prob = spd_catalog(name, m=8, T=2.0).to_ivp()
         base = dict(T=2.0, N=16, coarse=BE, fine=parse_spec("cg:6"), init="random", seed=5)
         tables = {}
@@ -273,6 +282,30 @@ class TestRun:
         for state in tables.values():
             np.testing.assert_array_equal(state.u, tables[1].u)
             assert state.history == tables[1].history
+
+    def test_one_fine_call_per_pass(self, monkeypatch):
+        calls = []
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec)
+            return advance(spec, *args, **kwargs)
+
+        advance = parareal.advance
+        monkeypatch.setattr(parareal, "advance", counting)
+        fine = parse_spec("cg:6")
+        prob = spd_catalog("laplacian-1d", m=8, T=2.0).to_ivp()
+        states = []
+        for workers in (1, 8):
+            cfg = PararealConfig(T=2.0, N=16, coarse=BE, fine=fine, init="random", seed=5, workers=workers)
+            state = initialize(cfg, prob)
+            for _ in range(3):
+                calls.clear()
+                state = iterate(state, cfg, prob)
+                assert calls.count(fine) == 1
+                assert calls.count(BE) == 16
+            states.append(state)
+        np.testing.assert_array_equal(states[0].u, states[1].u)
+        assert states[0].history == states[1].history
 
     @pytest.mark.parametrize(
         "prob, fine, init",
@@ -293,15 +326,6 @@ class TestRun:
             states.append(state)
         np.testing.assert_array_equal(states[0].u, states[1].u)
         assert states[0].history == states[1].history
-
-    def test_chunks_never_split_off_one_row(self):
-        for n in range(1, 40):
-            for workers in (1, 2, 3, 8, 16, 64):
-                chunks = _chunks(n, workers)
-                assert chunks[0][0] == 0 and chunks[-1][1] == n
-                assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-                assert len(chunks) <= workers
-                assert n == 1 or all(hi - lo >= 2 for lo, hi in chunks)
 
     def test_iteration_cap_carries_history(self):
         prob = diag_problem(T=4.0)

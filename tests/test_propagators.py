@@ -417,6 +417,22 @@ class TestStability:
             assert stability(spec, z) == got
         assert np.isinf(R).any() == (text != "feuler:1")  # 1 - z never overflows
 
+    @pytest.mark.parametrize("text, z_big", [("gauss4:1", 1e200), ("gauss4:2", 1e300)])
+    def test_gauss4_past_the_square_overflow(self, text, z_big):
+        # z * z overflows above about 1.3e154, where the fraction divided
+        # through by z * z still rounds to its exact value; below, the
+        # values are those of the undivided formula.
+        spec = parse_spec(text)
+        zs = [0.5, 3.0, 1e100, 1e154, z_big]
+        R = stability(spec, np.array(zs))
+        for z, got in zip(zs, R):
+            x = Fraction(z) / spec.count
+            exact = ((x * x - 6 * x + 12) / (x * x + 6 * x + 12)) ** spec.count
+            assert got == pytest.approx(float(exact), rel=1e-15)
+            assert stability(spec, z) == got
+        x = zs[1] / spec.count
+        assert R[1] == ((x * x - 6.0 * x + 12.0) / (x * x + 6.0 * x + 12.0)) ** spec.count
+
     def test_systems_larger_than_a_block(self):
         # 201 x 201 systems exceed the block cap: one system per solve.
         spec = PropagatorSpec.chebyshev_gauss(200)
