@@ -37,8 +37,6 @@ class RunManifest:
 
     command: str
     out: str
-    seed: int = 0
-    workers: int = 1
     params: dict[str, str] = field(default_factory=dict)
 
     def get(self, key: str, default=None):
@@ -153,18 +151,15 @@ def _build_problem(manifest: RunManifest) -> problems.IvpProblem:
     )
 
 
-def _run_config(manifest: RunManifest, coarse, fine, N, T, init, metrics=()):
-    # PararealConfig owns the defaults of tol and max_k: pass only those set.
+def _run_config(manifest: RunManifest, coarse, fine, N, T, metrics=()):
+    # PararealConfig owns the run defaults: pass only the keys that were set.
     return parareal.PararealConfig(
         T=T,
         N=N,
         coarse=coarse,
         fine=fine,
-        init=init,
-        seed=manifest.seed,
-        workers=manifest.workers,
         metrics=tuple(metrics),
-        **manifest.given(tol=float, max_k=int),
+        **manifest.given(tol=float, max_k=int, init=str, seed=int, workers=int),
     )
 
 
@@ -175,8 +170,7 @@ def cmd_run(manifest: RunManifest) -> str:
     fine = parse_spec(manifest.get("fine", "cg:8"))
     N = int(manifest.get("N", 10))
     T = float(manifest.get("T", problem.T))
-    init = manifest.get("init", "coarse")
-    cfg = _run_config(manifest, coarse, fine, N, T, init)
+    cfg = _run_config(manifest, coarse, fine, N, T)
     _, history = parareal.run(cfg, problem)
 
     with_ref = history[0].abs_error is not None
@@ -205,12 +199,10 @@ def _experiment_kepler(manifest: RunManifest) -> tuple[list[str], list[list]]:
         PropagatorSpec.trapezoidal(6),
         PropagatorSpec.gauss4(6),
     ]
-    init = manifest.get("init", "coarse")
     rows = []
     for fine in algorithms:
         cfg = _run_config(
-            manifest, coarse, fine, N, problem.T, init,
-            metrics=[("abs_error_pos", _position_error)],
+            manifest, coarse, fine, N, problem.T, metrics=[("abs_error_pos", _position_error)]
         )
         try:
             _, history = parareal.run(cfg, problem)
@@ -225,10 +217,10 @@ def _experiment_kepler(manifest: RunManifest) -> tuple[list[str], list[list]]:
 
 
 def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], list[list]]:
-    # Coarse-sweep start by default: uniform [-1, 1] random states can leave
-    # the backward Euler stage equation without a real solution on the
-    # largest coarse steps.  Pass init=random to opt into randomized starts.
-    init = manifest.get("init", "coarse")
+    # PararealConfig starts from a coarse sweep by default: uniform [-1, 1]
+    # random states can leave the backward Euler stage equation without a
+    # real solution on the largest coarse steps.  Pass init=random to opt
+    # into randomized starts.
     coarse = PropagatorSpec.backward_euler(1)
     rows = []
     for nu in _BURGERS_NUS:
@@ -242,7 +234,7 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
             problem = problems.build_burgers(nu, round(2.0 / dx)).to_ivp()
             fine = PropagatorSpec.chebyshev_gauss(m)
             N = round(problem.T / dt)
-            cfg = _run_config(manifest, coarse, fine, N, problem.T, init)
+            cfg = _run_config(manifest, coarse, fine, N, problem.T)
             param = {"dt": dt, "dx": dx, "m": m}[sweep]
             try:
                 _, history = parareal.run(cfg, problem)
@@ -285,13 +277,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument(
-            "--workers",
-            type=int,
-            help="accepted but has no effect: the fine sweep is one stacked call (default 1)",
-        )
-        p.add_argument("--tol", type=float, help="stopping tolerance override")
+        if name in ("run", "experiment"):  # the commands that run parareal
+            p.add_argument("--seed", type=int, help="random seed of init=random")
+            p.add_argument(
+                "--workers",
+                type=int,
+                help="accepted but has no effect: the fine sweep is one stacked call",
+            )
+            p.add_argument("--tol", type=float, help="stopping tolerance override")
         p.add_argument(
             "--set",
             action="append",
@@ -309,26 +302,14 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         params[key.strip()] = value.strip()
-    if args.tol is not None:
-        params["tol"] = repr(args.tol)  # exact: repr round-trips a float
-
-    def pick(flag, key, default, cast):
+    for key in ("seed", "workers", "tol"):  # flags of the run commands only
+        flag = getattr(args, key, None)
         if flag is not None:
-            return flag
-        if key in params:
-            return cast(params.pop(key))
-        return default
-
-    out = pick(args.out, "out", None, str)
+            params[key] = repr(flag)  # exact: repr round-trips a float
+    out = args.out if args.out is not None else params.pop("out", None)
     if out is None:
         raise ValueError("an output path is required (--out or 'out' in the config)")
-    return RunManifest(
-        command=args.command,
-        out=out,
-        seed=pick(args.seed, "seed", 0, int),
-        workers=pick(args.workers, "workers", 1, int),
-        params=params,
-    )
+    return RunManifest(command=args.command, out=out, params=params)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,6 +24,9 @@ calls.  ``f`` evaluates a stack of states (the contract stated on
 call.  On a stack each row stops on its own; a failing row is left out
 while the others finish, and the solve then raises ``SweepError`` naming
 every failed row.
+
+The collocation matrices depend on ``M`` alone, so each solve takes them
+from ``chebyshev.build_operator(points.M)``, which caches them per ``M``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chebyshev import CgPointSet, CollocationOperator
+from .chebyshev import CgPointSet, CollocationOperator, build_operator
 from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError, raise_row_failures
 
 RhsFunction = Callable[[float, np.ndarray], np.ndarray]
@@ -194,7 +197,6 @@ def _coefficients(op: CollocationOperator, length: float, u_a: np.ndarray, F: np
 
 
 def picard_sweep(
-    op: CollocationOperator,
     f: RhsFunction,
     points: CgPointSet,
     u_a,
@@ -204,20 +206,18 @@ def picard_sweep(
 
     ``f`` is called once, with ``t`` of shape ``(M+1, 1)`` and the node
     table ``u`` of shape ``(M+1, dim)`` (a leading ``N`` axis on both for a
-    stack); a result not of ``u``'s shape raises ``ValueError``, a
-    non-finite one ``NonFiniteRhsError`` naming the first bad node.
+    stack); a result not of ``u``'s shape raises ``ValueError``.  A
+    non-finite one raises ``NonFiniteRhsError`` naming the first bad node,
+    or on a stack ``SweepError`` naming every row that holds one.
     """
-    if points.M != op.M:
-        raise ValueError(f"operator built for M={op.M} but points have M={points.M}")
+    op = build_operator(points.M)
     u_a = _as_state(u_a)
     u_prev_nodes = np.asarray(u_prev_nodes, dtype=float)
     expected = u_a.shape[:-1] + (op.M + 1, u_a.shape[-1])
     if u_prev_nodes.shape != expected:
         raise ValueError(f"node table must have shape {expected} (got {u_prev_nodes.shape})")
     F = _rhs_table(f, points.t, u_prev_nodes)
-    bad = _nonfinite_rows(F.reshape((-1,) + expected[-2:]), points.t)
-    if bad:
-        raise bad[min(bad)]
+    raise_row_failures(_nonfinite_rows(F.reshape((-1,) + expected[-2:]), points.t), u_a.ndim == 2)
     u_hat = _coefficients(op, points.length, u_a, F)
     return u_hat, op.T1 @ u_hat
 
@@ -228,7 +228,6 @@ def endpoint_value(u_hat: np.ndarray) -> np.ndarray:
 
 
 def solve_nonlinear(
-    op: CollocationOperator,
     f: RhsFunction,
     points: CgPointSet,
     u_a,
@@ -246,8 +245,7 @@ def solve_nonlinear(
     fails, so each row runs exactly the sweeps it would run alone.
     """
     check_limits(tol, max_iter)
-    if points.M != op.M:
-        raise ValueError(f"operator built for M={op.M} but points have M={points.M}")
+    op = build_operator(points.M)
     u_a = _as_state(u_a)
     U = u_a if u_a.ndim == 2 else u_a[None]
     N, dim = U.shape
@@ -298,7 +296,6 @@ def solve_nonlinear(
 
 
 def solve_linear(
-    op: CollocationOperator,
     A: np.ndarray,
     g: Callable[[float], np.ndarray] | None,
     points: CgPointSet,
@@ -322,8 +319,7 @@ def solve_linear(
     function) raises ``SingularSystemError`` for the whole call rather than
     being regularized; a non-symmetric ``A`` raises ``ValueError``.
     """
-    if points.M != op.M:
-        raise ValueError(f"operator built for M={op.M} but points have M={points.M}")
+    op = build_operator(points.M)
     u_a = _as_state(u_a)
     U = u_a if u_a.ndim == 2 else u_a[None]
     N, dim = U.shape

@@ -24,6 +24,7 @@ class NonFiniteRhsError(SolverError):
     """The right-hand side returned a NaN or infinity at a collocation node."""
 
     def __init__(self, node: int, t: float):
+        t = float(t)  # a numpy scalar would print as np.float64(...)
         super().__init__(f"non-finite right-hand side at node {node} (t={t!r})")
         self.node = node
         self.t = t

@@ -36,11 +36,13 @@ _KEPLER_V0 = (-2.8381188, -0.7871898, 7.0830275)  # km/s
 class IvpProblem:
     """An initial-value problem ``du/dt = f(t, u)``, ``u(0) = u0``.
 
-    ``f`` evaluates a stack of states: ``u`` has shape ``(..., dim)``, ``t``
-    is a float or an array that broadcasts against ``u[..., :1]``, and the
-    result is a float array of ``u``'s shape whose row ``i`` is
-    ``f(t_i, u_i)``.  The constructor checks this once, on two copies of
-    ``u0``.  The forcing ``g(t)`` of ``linear`` follows the same rule.
+    ``u0`` is a nonempty vector (a scalar counts as one component), and the
+    state dimension ``dim`` is its size.  ``f`` evaluates a stack of
+    states: ``u`` has shape ``(..., dim)``, ``t`` is a float or an array
+    that broadcasts against ``u[..., :1]``, and the result is a float array
+    of ``u``'s shape whose row ``i`` is ``f(t_i, u_i)``.  The constructor
+    checks this once, on two copies of ``u0``.  The forcing ``g(t)`` of
+    ``linear`` follows the same rule.
 
     ``jacobian`` is the optional analytic hook used by implicit stage
     solves.  It takes the same ``(t, u)`` as ``f`` and returns the stack of
@@ -54,23 +56,19 @@ class IvpProblem:
     non-symmetric ``A`` there raises ValueError).
     """
 
-    dim: int
     f: Callable[[float, np.ndarray], np.ndarray]
     u0: np.ndarray
     T: float
     reference: Callable[[float], np.ndarray] | None = None
     jacobian: Callable[[float, np.ndarray], np.ndarray] | None = None
     linear: tuple[np.ndarray, Callable[[float], np.ndarray] | None] | None = None
-    name: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         if not 0 < self.T < math.inf:
             raise ValueError("T must be positive and finite")
         u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
-        if u0.size != self.dim:
-            raise ValueError(f"u0 has size {u0.size}, expected {self.dim}")
+        if u0.ndim != 1 or u0.size == 0:
+            raise ValueError(f"u0 must be a nonempty vector (got shape {u0.shape})")
         object.__setattr__(self, "u0", u0)
         val = self.f(np.zeros((2, 1)), np.stack((u0, u0)))
         if np.shape(val) != (2, self.dim):
@@ -84,6 +82,10 @@ class IvpProblem:
                 raise ValueError(f"jacobian(t, u) on two states has shape {np.shape(J)}, expected {expected}")
             if not np.all(np.isfinite(J)):
                 raise ValueError("jacobian(0, u0) is not finite")
+
+    @property
+    def dim(self) -> int:
+        return self.u0.size
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +101,6 @@ class SpdLinearProblem:
     u0: np.ndarray
     T: float
     g: Callable[[float], np.ndarray] | None = None
-    name: str = "spd"
 
     def __post_init__(self):
         if not 0 < self.T < math.inf:
@@ -111,8 +112,11 @@ class SpdLinearProblem:
             raise ValueError("A must be symmetric")
         if np.linalg.eigvalsh(A).min() <= 0.0:
             raise ValueError("A must be positive definite")
+        u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
+        if u0.shape != (len(A),):
+            raise ValueError(f"u0 has shape {u0.shape}, but A is {len(A)}x{len(A)}")
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "u0", np.atleast_1d(np.asarray(self.u0, dtype=float)))
+        object.__setattr__(self, "u0", u0)
 
     @property
     def dim(self) -> int:
@@ -134,14 +138,12 @@ class SpdLinearProblem:
         neg_A = -A
 
         return IvpProblem(
-            dim=self.dim,
             f=f,
             u0=self.u0,
             T=self.T,
             reference=reference,
             jacobian=lambda t, u: np.broadcast_to(neg_A, u.shape + A.shape[-1:]),
             linear=(A, g),
-            name=self.name,
         )
 
 
@@ -180,7 +182,7 @@ def spd_catalog(name: str, **params) -> SpdLinearProblem:
         A = (np.diag(np.full(m, 2.0)) - np.diag(np.ones(m - 1), 1) - np.diag(np.ones(m - 1), -1)) / dx**2
 
     u0 = np.ones(m) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float))
-    return SpdLinearProblem(A=A, u0=u0, T=T, name=name)
+    return SpdLinearProblem(A=A, u0=u0, T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +225,11 @@ class KeplerProblem:
             return J
 
         return IvpProblem(
-            dim=6,
             f=f,
             u0=self.u0,
             T=self.T,
             reference=lambda t: kepler_reference(self, t),
             jacobian=jacobian,
-            name="kepler",
         )
 
 
@@ -373,13 +373,11 @@ class BurgersProblem:
             return neg_A1 - (A2 @ u[..., None]) * eye - u[..., :, None] * A2
 
         return IvpProblem(
-            dim=self.Nx,
             f=f,
             u0=self.u0,
             T=self.T,
             reference=lambda t: burgers_exact(self, x, t),
             jacobian=jacobian,
-            name=f"burgers_nu{self.nu:g}",
         )
 
 

@@ -354,12 +354,13 @@ def advance(
     Jacobians, as stated on ``problems.IvpProblem``, so each stage, Newton
     iteration or collocation sweep is one call for the whole stack.
     One-step kinds take ``spec.count`` equal substeps; the collocation
-    kind performs a single spectral solve over each subinterval.  The
-    implicit kinds' stage solves use ``jac``, or forward differences of
-    ``f`` when it is None.  When the problem is linear, callers may pass
-    ``linear=(A, g)`` for ``u' + A u = g``; the collocation kind then uses
-    the direct solve, which is defined even where the fixed-point sweep
-    diverges.
+    kind performs a single spectral solve over each subinterval on
+    ``spec.count + 1`` CG points, and that solve takes the operator for
+    its point count from the cache.  The implicit kinds' stage solves use
+    ``jac``, or forward differences of ``f`` when it is None.  When the
+    problem is linear, callers may pass ``linear=(A, g)`` for
+    ``u' + A u = g``; the collocation kind then uses the direct solve,
+    which is defined even where the fixed-point sweep diverges.
 
     Every row stops its inner iterations on its own.  A failing row carries
     on through the remaining substeps as NaN while the others finish, and
@@ -374,11 +375,10 @@ def advance(
     t = np.asarray(t_n, dtype=float)
 
     if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        op = build_operator(spec.count)
         points = cg_points(spec.count, 0.0, dT).shifted(t)
         if linear is not None:
-            return solve_linear(op, *linear, points, u).u_end
-        return solve_nonlinear(op, f, points, u, spec.tol, spec.max_iter).u_end
+            return solve_linear(*linear, points, u).u_end
+        return solve_nonlinear(f, points, u, spec.tol, spec.max_iter).u_end
 
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)

@@ -11,7 +11,6 @@ from paracheb import (
     Branch,
     PararealConfig,
     PropagatorSpec,
-    build_operator,
     cg_points,
     find_threshold_roots,
     initialize,
@@ -200,11 +199,9 @@ def test_criterion_10_direct_solve_equals_fixed_point():
         lam = rng.uniform(0.05, 0.95)  # z < 1: fixed point converges
         M = int(rng.integers(0, 11))
         u0 = rng.uniform(-3.0, 3.0)
-        op = build_operator(M)
         pts = cg_points(M, 0.0, 1.0)
-        direct = solve_linear(op, np.array([[lam]]), None, pts, u0)
-        picard = solve_nonlinear(
-            op, lambda t, u: -lam * u, pts, u0, tol=1e-14, max_iter=300
+        direct = solve_linear(np.array([[lam]]), None, pts, u0)
+        picard = solve_nonlinear(lambda t, u: -lam * u, pts, u0, tol=1e-14, max_iter=300
         )
         assert abs(direct.u_end[0] - picard.u_end[0]) < 1e-10
     _report(10, "direct vs fixed-point solve", started, 1.0)
@@ -214,10 +211,8 @@ def test_criterion_11_spectral_accuracy_growth():
     started = time.perf_counter()
     errors = []
     for M in (4, 6, 8, 10):
-        op = build_operator(M)
         pts = cg_points(M, 0.0, 1.0)
-        sol = solve_nonlinear(
-            op, lambda t, u: -u, pts, 1.0, tol=1e-14, max_iter=200
+        sol = solve_nonlinear(lambda t, u: -u, pts, 1.0, tol=1e-14, max_iter=200
         )
         errors.append(abs(sol.u_end[0] - math.exp(-1.0)))
     assert all(a > b for a, b in zip(errors, errors[1:]))

@@ -223,6 +223,26 @@ class TestMainEntry:
         assert main(common + ["--out", str(flagged), "--set", "tol=1e-30", "--tol", "1e-4"]) == 0
         assert flagged.read_bytes() == loose.read_bytes()
 
+    def test_seed_flag_wins_over_key(self, tmp_path):
+        common = ["run", "--set", "problem=diag-spectrum", "--set", "m=3", "--set", "N=6",
+                  "--set", "T=1.5", "--set", "fine=cg:6", "--set", "init=random"]
+        paths = {name: tmp_path / f"{name}.csv" for name in ("key", "flag", "both")}
+        assert main(common + ["--out", str(paths["key"]), "--set", "seed=1"]) == 0
+        assert main(common + ["--out", str(paths["flag"]), "--seed", "2"]) == 0
+        assert main(common + ["--out", str(paths["both"]), "--set", "seed=1", "--seed", "2"]) == 0
+        assert paths["both"].read_bytes() == paths["flag"].read_bytes()
+        assert paths["key"].read_bytes() != paths["flag"].read_bytes()
+
+    @pytest.mark.parametrize("command", ["analyze", "mmin"])
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--workers", "0"], ["--tol", "1e-4"]])
+    def test_run_flags_rejected_elsewhere(self, tmp_path, command, flag):
+        # --seed, --workers and --tol set parareal options, so only the
+        # run commands take them.
+        with pytest.raises(SystemExit) as err:
+            main([command, "--out", str(tmp_path / "x.csv"), "--set", "z_max_list=1", *flag])
+        assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_max_k_key_caps_run(self, tmp_path):
         args = ["run", "--out", str(tmp_path / "r.csv"), "--set", "problem=diag-spectrum",
                 "--set", "m=3", "--set", "N=6", "--set", "T=1.5", "--set", "fine=cg:6"]

@@ -48,7 +48,7 @@ class TestInitialize:
         np.testing.assert_array_equal(state.u[1], expected)
 
     def test_zero_rhs_keeps_initial_state(self):
-        prob = IvpProblem(dim=2, f=lambda t, u: 0.0 * u, u0=np.array([1.0, -2.0]), T=1.0)
+        prob = IvpProblem(f=lambda t, u: 0.0 * u, u0=np.array([1.0, -2.0]), T=1.0)
         cfg = PararealConfig(T=1.0, N=5, coarse=BE, fine=PropagatorSpec.erk4(2))
         state = initialize(cfg, prob)
         np.testing.assert_array_equal(state.u, np.tile(prob.u0, (6, 1)))
@@ -90,7 +90,6 @@ class TestIterate:
 
     def test_first_interval_exact_after_one_pass(self):
         prob = IvpProblem(
-            dim=1,
             f=lambda t, u: -2.0 * u,
             u0=np.array([1.0]),
             T=1.0,
@@ -114,7 +113,7 @@ class TestIterate:
             np.testing.assert_allclose(state.u[: k + 1], fine_serial[: k + 1], atol=1e-12)
 
     def test_prefix_exactness_nonlinear(self):
-        prob = IvpProblem(dim=1, f=lambda t, u: -(u**2), u0=np.array([1.0]), T=1.0)
+        prob = IvpProblem(f=lambda t, u: -(u**2), u0=np.array([1.0]), T=1.0)
         fine = PropagatorSpec.chebyshev_gauss(10)
         cfg = PararealConfig(T=1.0, N=4, coarse=BE, fine=fine)
         fine_serial = serial_trajectory(fine, prob, 4, 0.25)
@@ -143,7 +142,7 @@ class TestIterate:
     def test_failing_fine_subinterval_reported(self):
         # One collocation node with z = 5 puts the fixed-point sweep far
         # outside its convergence region on every subinterval.
-        prob = IvpProblem(dim=1, f=lambda t, u: -5.0 * u, u0=np.array([1.0]), T=2.0)
+        prob = IvpProblem(f=lambda t, u: -5.0 * u, u0=np.array([1.0]), T=2.0)
         cfg = PararealConfig(T=2.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(0))
         state = initialize(cfg, prob)
         with pytest.raises(SweepError) as err:
@@ -158,7 +157,7 @@ class TestIterate:
         def f(t, u):
             return np.where(u > 0.5, np.inf, -u)
 
-        prob = IvpProblem(dim=1, f=f, u0=np.zeros(1), T=1.0)
+        prob = IvpProblem(f=f, u0=np.zeros(1), T=1.0)
         cfg = PararealConfig(
             T=1.0, N=12, coarse=parse_spec("feuler:1"), fine=parse_spec(fine),
             init="random", seed=4, workers=workers,
@@ -179,7 +178,7 @@ class TestIterate:
         # The direct collocation solve rejects a non-symmetric A for the
         # whole call, not for a row: the error is not a SweepError.
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
-        prob = IvpProblem(dim=2, f=lambda t, u: -u @ A.T, u0=np.ones(2), T=1.0, linear=(A, None))
+        prob = IvpProblem(f=lambda t, u: -u @ A.T, u0=np.ones(2), T=1.0, linear=(A, None))
         cfg = PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec("cg:4"))
         state = initialize(cfg, prob)
         with pytest.raises(ValueError, match="symmetric") as err:
@@ -188,7 +187,7 @@ class TestIterate:
 
     def test_singular_coarse_stage_raises_typed_error(self):
         # Backward Euler on u' = u with dT = 1 has the stage matrix 1 - 1 = 0.
-        prob = IvpProblem(dim=1, f=lambda t, u: u, u0=np.array([1.0]), T=2.0)
+        prob = IvpProblem(f=lambda t, u: u, u0=np.array([1.0]), T=2.0)
         cfg = PararealConfig(T=2.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
         with pytest.raises(SingularSystemError) as err:
             run(cfg, prob)
@@ -223,7 +222,7 @@ class TestIterate:
 
 class TestRun:
     def test_zero_rhs_converges_immediately(self):
-        prob = IvpProblem(dim=1, f=lambda t, u: 0.0 * u, u0=np.array([2.0]), T=1.0)
+        prob = IvpProblem(f=lambda t, u: 0.0 * u, u0=np.array([2.0]), T=1.0)
         u, history = run(
             PararealConfig(T=1.0, N=4, coarse=BE, fine=PropagatorSpec.erk4(1)), prob
         )
@@ -338,7 +337,7 @@ class TestRun:
         assert len(err.value.history) == 3
 
     def test_metrics_without_reference_rejected(self):
-        prob = IvpProblem(dim=1, f=lambda t, u: -u, u0=np.array([1.0]), T=1.0)
+        prob = IvpProblem(f=lambda t, u: -u, u0=np.array([1.0]), T=1.0)
         cfg = PararealConfig(
             T=1.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4),
             metrics=(("pos_error", lambda u, ref: 0.0),),

@@ -213,10 +213,24 @@ class TestIvpMetadata:
             assert ivp.u0.shape == (ivp.dim,)
             assert np.all(np.isfinite(ivp.f(0.0, ivp.u0)))
 
+    def test_dimension_is_the_size_of_u0(self):
+        ivp = IvpProblem(f=lambda t, u: -u, u0=2.0, T=1.0)  # a scalar is one component
+        assert ivp.dim == 1 and ivp.u0.shape == (1,)
+        assert IvpProblem(f=lambda t, u: -u, u0=[1.0, 2.0, 3.0], T=1.0).dim == 3
+
+    @pytest.mark.parametrize("u0", [np.ones(0), np.ones((2, 2))], ids=["empty", "matrix"])
+    def test_u0_must_be_a_nonempty_vector(self, u0):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            IvpProblem(f=lambda t, u: -u, u0=u0, T=1.0)
+
+    def test_spd_u0_must_match_the_matrix(self):
+        with pytest.raises(ValueError, match=r"shape \(3,\), but A is 2x2"):
+            SpdLinearProblem(A=np.eye(2), u0=np.ones(3), T=1.0)
+
     @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
     def test_horizon_must_be_positive_and_finite(self, T):
         with pytest.raises(ValueError, match="finite"):
-            IvpProblem(dim=1, f=lambda t, u: -u, u0=np.ones(1), T=T)
+            IvpProblem(f=lambda t, u: -u, u0=np.ones(1), T=T)
 
     @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
     def test_spd_horizon_must_be_positive_and_finite(self, T):
@@ -252,7 +266,7 @@ class TestRhsContract:
 
     def test_rhs_ignoring_the_stack_rejected(self):
         with pytest.raises(ValueError, match=r"\(2, 2\)"):
-            IvpProblem(dim=2, f=lambda t, u: np.ones(2), u0=np.ones(2), T=1.0)
+            IvpProblem(f=lambda t, u: np.ones(2), u0=np.ones(2), T=1.0)
 
 
 JACOBIAN_CASES = {
@@ -278,7 +292,7 @@ class TestJacobianContract:
     def test_jacobian_ignoring_the_stack_rejected(self):
         with pytest.raises(ValueError, match=r"\(2, 2, 2\)"):
             IvpProblem(
-                dim=2, f=lambda t, u: -u, u0=np.ones(2), T=1.0, jacobian=lambda t, u: -np.eye(2)
+                f=lambda t, u: -u, u0=np.ones(2), T=1.0, jacobian=lambda t, u: -np.eye(2)
             )
 
     def test_nonfinite_jacobian_rejected(self):
@@ -286,4 +300,4 @@ class TestJacobianContract:
             return np.full(u.shape + (1,), np.nan)
 
         with pytest.raises(ValueError, match="not finite"):
-            IvpProblem(dim=1, f=lambda t, u: -u, u0=np.ones(1), T=1.0, jacobian=jac)
+            IvpProblem(f=lambda t, u: -u, u0=np.ones(1), T=1.0, jacobian=jac)
