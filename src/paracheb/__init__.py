@@ -20,13 +20,7 @@ from .analysis import (
     rho_over_interval,
 )
 from .chebyshev import CgPointSet, CollocationOperator, build_operator, cg_points, chebyshev_eval
-from .collocation import (
-    CollocationSolution,
-    endpoint_value,
-    picard_sweep,
-    solve_linear,
-    solve_nonlinear,
-)
+from .collocation import CollocationSolution, picard_sweep, solve_linear, solve_nonlinear
 from .errors import (
     MaxIterationsError,
     NonConvergenceError,
@@ -42,7 +36,6 @@ from .problems import (
     IvpProblem,
     KeplerProblem,
     SpdLinearProblem,
-    build_burgers,
     burgers_exact,
     kepler_reference,
     spd_catalog,
@@ -77,13 +70,11 @@ __all__ = [
     "Z0_STAR",
     "Z1_STAR",
     "advance",
-    "build_burgers",
     "build_operator",
     "burgers_exact",
     "cg_points",
     "chebyshev_eval",
     "contraction",
-    "endpoint_value",
     "find_threshold_roots",
     "initialize",
     "iterate",

@@ -41,13 +41,14 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ContractionReport:
-    """Sampled contraction factors over ``[0, z_max]`` for one propagator."""
+    """Sampled contraction factors over ``[0, z_max]``; ``rho`` is their maximum."""
 
     z_grid: np.ndarray
     K_values: np.ndarray
-    rho: float
-    spec: PropagatorSpec
-    z_max: float
+
+    @property
+    def rho(self) -> float:
+        return float(np.max(self.K_values))
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,10 @@ class MminResult:
     m_min: int
     branch: Branch
     condition_value: float
-    threshold: float
+
+    @property
+    def threshold(self) -> float:
+        return (3.0 + self.z_max) / (3.0 * (1.0 + self.z_max))
 
 
 def contraction(spec: PropagatorSpec, z: float) -> float:
@@ -148,15 +152,11 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
         Ks = np.concatenate((Ks, extra_K))
         order = np.argsort(zs)
         zs, Ks = zs[order], Ks[order]
-    return ContractionReport(
-        z_grid=zs, K_values=Ks, rho=float(np.max(Ks)), spec=spec, z_max=float(z_max)
-    )
+    return ContractionReport(z_grid=zs, K_values=Ks)
 
 
-def _endpoint_condition(M: int, z_max: float) -> tuple[bool, float, float]:
-    value = abs(stability(PropagatorSpec.chebyshev_gauss(M), z_max))
-    threshold = (3.0 + z_max) / (3.0 * (1.0 + z_max))
-    return value <= threshold, value, threshold
+def _result(z_max: float, M: int, branch: Branch) -> MminResult:
+    return MminResult(z_max, M, branch, abs(stability(PropagatorSpec.chebyshev_gauss(M), z_max)))
 
 
 def m_min(z_max: float) -> MminResult:
@@ -169,17 +169,14 @@ def m_min(z_max: float) -> MminResult:
     if not 0 < z_max < math.inf:
         raise ValueError("z_max must be positive and finite")
     if z_max <= Z0_STAR:
-        _, value, threshold = _endpoint_condition(0, z_max)
-        return MminResult(z_max, 0, Branch.ZERO, value, threshold)
+        return _result(z_max, 0, Branch.ZERO)
     if z_max <= Z1_STAR:
-        _, value, threshold = _endpoint_condition(1, z_max)
-        return MminResult(z_max, 1, Branch.ONE, value, threshold)
-    value = math.inf
+        return _result(z_max, 1, Branch.ONE)
     for M in range(2, _SEARCH_CAP + 1):
-        ok, value, threshold = _endpoint_condition(M, z_max)
-        if ok:
-            return MminResult(z_max, M, Branch.SEARCH, value, threshold)
-    raise PointSearchError(z_max, _SEARCH_CAP, value)
+        res = _result(z_max, M, Branch.SEARCH)
+        if res.condition_value <= res.threshold:
+            return res
+    raise PointSearchError(z_max, _SEARCH_CAP, res.condition_value)
 
 
 def find_threshold_roots() -> tuple[float, float]:

@@ -33,18 +33,17 @@ class CgPointSet:
     """Chebyshev-Gauss nodes on one interval, or on a stack of intervals.
 
     ``tau`` holds the standard nodes in (-1, 1), ``t`` their affine images:
-    shape ``(M+1,)`` on one interval ``(a, b)``, and ``(N, M+1)`` on a stack
-    of ``N`` intervals whose endpoints ``a`` and ``b`` have shape ``(N,)``.
-    ``length`` is the interval length, one value shared by every interval
-    of a stack.  The ``t`` values are the zeros of the shifted Chebyshev
-    polynomial of degree ``M + 1``.
+    shape ``(M+1,)`` on one interval ``(a, a + length)``, and ``(N, M+1)``
+    on a stack of ``N`` intervals whose left endpoints ``a`` have shape
+    ``(N,)``.  ``length`` is the interval length, one value shared by every
+    interval of a stack.  The ``t`` values are the zeros of the shifted
+    Chebyshev polynomial of degree ``M + 1``.
     """
 
     M: int
     tau: np.ndarray
     t: np.ndarray
     a: float | np.ndarray
-    b: float | np.ndarray
     length: float
 
     def shifted(self, starts) -> "CgPointSet":
@@ -56,7 +55,7 @@ class CgPointSet:
         """
         starts = np.asarray(starts, dtype=float)
         t = starts[..., None] + (self.t - self.a)
-        return CgPointSet(self.M, self.tau, _freeze(t), starts, starts + self.length, self.length)
+        return CgPointSet(self.M, self.tau, _freeze(t), starts, self.length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +100,7 @@ def cg_points(M: int, a: float, b: float) -> CgPointSet:
     tau = -np.cos((2 * m + 1) * np.pi / (2 * M + 2))
     t = 0.5 * (b - a) * tau + 0.5 * (a + b)
     a, b = float(a), float(b)
-    return CgPointSet(M=M, tau=_freeze(tau), t=_freeze(t), a=a, b=b, length=b - a)
+    return CgPointSet(M=M, tau=_freeze(tau), t=_freeze(t), a=a, length=b - a)
 
 
 def chebyshev_eval(l: int, tau: float) -> float:

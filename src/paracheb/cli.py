@@ -30,6 +30,15 @@ _BURGERS_NUS = [0.05, 0.005]
 
 _EXPERIMENTS = ("kepler-compare", "burgers-dt", "burgers-dx", "burgers-m")
 
+#: Every config key that some command reads.  ``build_manifest`` rejects any
+#: other key; a key that only another command reads is accepted and unused.
+CONFIG_KEYS = frozenset({
+    "out", "seed", "workers", "tol", "max_k", "init",
+    "specs", "z_min", "z_max", "z_points", "z_max_list",
+    "problem", "m", "lambda_min", "lambda_max", "nu", "nx", "N", "T", "coarse", "fine",
+    "name",
+})
+
 
 @dataclass
 class RunManifest:
@@ -140,7 +149,7 @@ def _build_problem(manifest: RunManifest) -> problems.IvpProblem:
     if name == "burgers":
         nu = float(manifest.get("nu", 0.05))
         nx = int(manifest.get("nx", 8))
-        return problems.build_burgers(nu, nx).to_ivp()
+        return problems.BurgersProblem(nu, nx).to_ivp()
     if name in ("diag-spectrum", "laplacian-1d"):
         casts = {"m": int, "T": float}
         if name == "diag-spectrum":
@@ -231,7 +240,7 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
         else:
             cases = [(1.0 / 32.0, 1.0 / 4.0, m) for m in _BURGERS_M_SWEEP]
         for dt, dx, m in cases:
-            problem = problems.build_burgers(nu, round(2.0 / dx)).to_ivp()
+            problem = problems.BurgersProblem(nu, round(2.0 / dx)).to_ivp()
             fine = PropagatorSpec.chebyshev_gauss(m)
             N = round(problem.T / dt)
             cfg = _run_config(manifest, coarse, fine, N, problem.T)
@@ -302,6 +311,9 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         params[key.strip()] = value.strip()
+    unknown = sorted(params.keys() - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
     for key in ("seed", "workers", "tol"):  # flags of the run commands only
         flag = getattr(args, key, None)
         if flag is not None:

@@ -64,8 +64,11 @@ class CollocationSolution:
 
     u_hat: np.ndarray
     u_nodes: np.ndarray
-    u_end: np.ndarray
     iterations: int
+
+    @property
+    def u_end(self) -> np.ndarray:
+        return self.u_hat.sum(axis=-2)
 
 
 def _as_state(u) -> np.ndarray:
@@ -222,11 +225,6 @@ def picard_sweep(
     return u_hat, op.T1 @ u_hat
 
 
-def endpoint_value(u_hat: np.ndarray) -> np.ndarray:
-    """State at the right endpoint: the componentwise coefficient sum."""
-    return np.asarray(u_hat, dtype=float).sum(axis=-2)
-
-
 def solve_nonlinear(
     f: RhsFunction,
     points: CgPointSet,
@@ -292,7 +290,7 @@ def solve_nonlinear(
     raise_row_failures(failures, u_a.ndim == 2)
     if u_a.ndim == 1:
         u_hat_out, nodes_out = u_hat_out[0], nodes_out[0]
-    return CollocationSolution(u_hat_out, nodes_out, endpoint_value(u_hat_out), iterations)
+    return CollocationSolution(u_hat_out, nodes_out, iterations)
 
 
 def solve_linear(
@@ -352,4 +350,4 @@ def solve_linear(
     u_hat = _coefficients(op, dT, c, F) @ Q.T
     if u_a.ndim == 1:
         u_hat = u_hat[0]
-    return CollocationSolution(u_hat, op.T1 @ u_hat, endpoint_value(u_hat), iterations=0)
+    return CollocationSolution(u_hat, op.T1 @ u_hat, iterations=0)

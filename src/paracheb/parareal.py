@@ -80,16 +80,19 @@ class ConvergenceRecord:
 class PararealState:
     """Iterate table at the coarse grid points plus bookkeeping.
 
-    ``u[n]`` approximates the solution at ``T_n`` for the current pass ``k``;
-    ``g_prev[n]`` caches the coarse result from ``u[n]`` so the next
+    ``u[n]`` approximates the solution at ``T_n`` after ``k = len(history)``
+    passes; ``g_prev[n]`` caches the coarse result from ``u[n]`` so the next
     correction can subtract exactly the value that was added.
     """
 
     u: np.ndarray
     g_prev: np.ndarray
-    k: int
     history: list[ConvergenceRecord]
     ref_table: np.ndarray | None = None
+
+    @property
+    def k(self) -> int:
+        return len(self.history)
 
 
 def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
@@ -140,7 +143,7 @@ def initialize(cfg: PararealConfig, problem: IvpProblem) -> PararealState:
     ref_table = None
     if problem.reference is not None:
         ref_table = np.array([problem.reference(n * cfg.dT) for n in range(N + 1)])
-    return PararealState(u=u, g_prev=g_prev, k=0, history=[], ref_table=ref_table)
+    return PararealState(u=u, g_prev=g_prev, history=[], ref_table=ref_table)
 
 
 def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> PararealState:
@@ -180,9 +183,8 @@ def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> P
 
     state.u = u_new
     state.g_prev = g_new
-    state.k += 1
     state.history.append(
-        ConvergenceRecord(k=state.k, iter_error=iter_error, abs_error=abs_error, extras=extras)
+        ConvergenceRecord(k=state.k + 1, iter_error=iter_error, abs_error=abs_error, extras=extras)
     )
     return state
 

@@ -53,7 +53,10 @@ class IvpProblem:
     is known.  ``linear`` carries ``(A, g)`` when the right-hand side has
     the form ``g(t) - A u`` with symmetric ``A``, which lets the collocation
     propagator use its direct linear solve in the eigenbasis of ``A`` (a
-    non-symmetric ``A`` there raises ValueError).
+    non-symmetric ``A`` there raises ValueError).  The constructor rejects
+    an ``A`` that is not ``dim x dim``, and an ``f`` that differs from
+    ``g(t) - A u`` on the same two copies of ``u0`` by more than 1e-12
+    times their largest entry.
     """
 
     f: Callable[[float, np.ndarray], np.ndarray]
@@ -75,6 +78,16 @@ class IvpProblem:
             raise ValueError(f"f(t, u) on two states has shape {np.shape(val)}, expected (2, {self.dim})")
         if not np.all(np.isfinite(val)):
             raise ValueError("f(0, u0) is not finite")
+        if self.linear is not None:
+            A, g = self.linear
+            if np.shape(A) != (self.dim, self.dim):
+                raise ValueError(f"linear matrix has shape {np.shape(A)}, expected ({self.dim}, {self.dim})")
+            lin = -(np.stack((u0, u0)) @ np.transpose(A))
+            if g is not None:
+                lin = g(np.zeros((2, 1))) + lin
+            scale = max(np.abs(val).max(), np.abs(lin).max())
+            if not np.max(np.abs(val - lin)) <= 1e-12 * scale:
+                raise ValueError("f(0, u0) disagrees with g(0) - A u0 of linear")
         if self.jacobian is not None:
             J = self.jacobian(np.zeros((2, 1)), np.stack((u0, u0)))
             expected = (2, self.dim, self.dim)
@@ -342,17 +355,43 @@ class BurgersProblem:
 
     ``A1`` approximates ``-nu * d^2/dx^2`` and ``A2`` approximates ``d/dx``;
     the semi-discrete system is ``du/dt = -A1 u - u * (A2 u)`` with the
-    componentwise product.
+    componentwise product.  The constructor builds the grid ``x`` (spacing
+    ``dx = 2 / Nx``) and the compact-difference operators from ``nu`` and
+    ``Nx``, so ``dataclasses.replace`` rebuilds them; it factors the implicit
+    stencil matrices once and applies them to the explicit stencils to get
+    ``A1`` and ``A2`` as dense read-only matrices.
     """
 
     nu: float
     Nx: int
-    dx: float
-    x: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
     alpha: float = 2.0
     T: float = 4.0
+    dx: float = field(init=False)
+    x: np.ndarray = field(init=False)
+    A1: np.ndarray = field(init=False)
+    A2: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        Nx = self.Nx
+        if Nx < 4:
+            raise ValueError("Nx must be >= 4")
+        if not self.nu > 0:
+            raise ValueError("nu must be positive")
+        nu = float(self.nu)
+        dx = 2.0 / Nx
+        x = np.arange(Nx) * dx
+
+        P1 = _circulant(Nx, 5.0 / 6.0, 1.0 / 12.0, 1.0 / 12.0)
+        Q1 = _circulant(Nx, -2.0, 1.0, 1.0)
+        P2 = _circulant(Nx, 2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
+        Q2 = _circulant(Nx, 0.0, 1.0, -1.0)
+
+        A1 = -(nu / dx**2) * lu_solve(lu_factor(P1), Q1)
+        A2 = (1.0 / (2.0 * dx)) * lu_solve(lu_factor(P2), Q2)
+        for arr in (x, A1, A2):
+            arr.setflags(write=False)
+        for name, value in (("nu", nu), ("dx", dx), ("x", x), ("A1", A1), ("A2", A2)):
+            object.__setattr__(self, name, value)
 
     @property
     def u0(self) -> np.ndarray:
@@ -401,29 +440,3 @@ def _circulant(n: int, main: float, sup: float, sub: float) -> np.ndarray:
     C[0, -1] = sub
     C[-1, 0] = sup
     return C
-
-
-def build_burgers(nu: float, Nx: int) -> BurgersProblem:
-    """Assemble the compact-difference operators on an ``Nx``-point grid.
-
-    The implicit stencil matrices are factored once and applied to the
-    explicit stencils to realize ``A1`` and ``A2`` as dense operators, reused
-    by every right-hand-side and jacobian evaluation.
-    """
-    if Nx < 4:
-        raise ValueError("Nx must be >= 4")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    dx = 2.0 / Nx
-    x = np.arange(Nx) * dx
-
-    P1 = _circulant(Nx, 5.0 / 6.0, 1.0 / 12.0, 1.0 / 12.0)
-    Q1 = _circulant(Nx, -2.0, 1.0, 1.0)
-    P2 = _circulant(Nx, 2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
-    Q2 = _circulant(Nx, 0.0, 1.0, -1.0)
-
-    A1 = -(nu / dx**2) * lu_solve(lu_factor(P1), Q1)
-    A2 = (1.0 / (2.0 * dx)) * lu_solve(lu_factor(P2), Q2)
-    for arr in (x, A1, A2):
-        arr.setflags(write=False)
-    return BurgersProblem(nu=float(nu), Nx=Nx, dx=dx, x=x, A1=A1, A2=A2)

@@ -50,7 +50,7 @@ class TestCgPoints:
         assert stack.t.shape == (16, 6) and stack.length == dT
         np.testing.assert_array_equal(stack.t, starts[:, None] + ref.t)
         np.testing.assert_array_equal(stack.a, starts)
-        assert np.all((stack.t > stack.a[:, None]) & (stack.t < stack.b[:, None]))
+        assert np.all((stack.t > stack.a[:, None]) & (stack.t < stack.a[:, None] + stack.length))
 
     @pytest.mark.parametrize("M,a,b", [(-1, 0.0, 1.0), (2, 1.0, 1.0), (2, 2.0, 1.0)])
     def test_rejects_bad_arguments(self, M, a, b):

@@ -207,6 +207,27 @@ class TestMainEntry:
         _, rows = read_csv(out)
         assert [int(r[1]) for r in rows] == [0, 1]
 
+    @pytest.mark.parametrize("command", ["run", "mmin"])
+    def test_unknown_key_rejected(self, tmp_path, command):
+        # A misspelt key would otherwise run at the default it meant to change.
+        out = tmp_path / "x.csv"
+        args = [command, "--out", str(out), "--set", "problem=diag-spectrum", "--set", "fine=cg:4",
+                "--set", "z_max_list=1", "--set", "tols=1e-2"]
+        with pytest.raises(ValueError, match="unknown config key.*'tols'"):
+            main(args)
+        assert not out.exists()
+
+    def test_unknown_key_in_config_file_rejected(self, tmp_path):
+        cfg = tmp_path / "mmin.cfg"
+        cfg.write_text("z_max_list = 1\nz_max_lst = 2\n")
+        with pytest.raises(ValueError, match="'z_max_lst'"):
+            main(["mmin", "--config", str(cfg), "--out", str(tmp_path / "m.csv")])
+
+    def test_key_of_another_command_accepted(self, tmp_path):
+        # Keys are checked against every command's keys, not per command.
+        out = tmp_path / "m.csv"
+        assert main(["mmin", "--out", str(out), "--set", "z_max_list=1", "--set", "coarse=beuler:1"]) == 0
+
     def test_requires_output_path(self):
         with pytest.raises(ValueError):
             main(["mmin", "--set", "z_max_list=1"])

@@ -7,10 +7,10 @@ from paracheb import (
     NonConvergenceError,
     NonFiniteRhsError,
     SingularSystemError,
+    CollocationSolution,
     SweepError,
     build_operator,
     cg_points,
-    endpoint_value,
     picard_sweep,
     solve_linear,
     solve_nonlinear,
@@ -18,6 +18,11 @@ from paracheb import (
 )
 from paracheb import collocation
 from paracheb.collocation import solve_checked
+
+
+def endpoint(u_hat):
+    """The right-endpoint state of a solution with coefficients ``u_hat``."""
+    return CollocationSolution(u_hat, None, 0).u_end
 
 
 def series_eval(coeffs, tau):
@@ -69,7 +74,7 @@ class TestPicardSweep:
         u_nodes = np.ones((1, 1))
         for _ in range(80):
             u_hat, u_nodes = picard_sweep(lambda t, u: -u, pts, 1.0, u_nodes)
-        assert endpoint_value(u_hat)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert endpoint(u_hat)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_nonfinite_rhs_reports_node(self):
         pts = cg_points(3, 0.0, 1.0)
@@ -348,13 +353,13 @@ class TestSingularityCertificate:
 
 class TestEndpointValue:
     def test_constant_series(self):
-        assert endpoint_value(np.array([[3.0], [0.0], [0.0]]))[0] == 3.0
+        assert endpoint(np.array([[3.0], [0.0], [0.0]]))[0] == 3.0
 
     def test_first_mode(self):
-        assert endpoint_value(np.array([[0.0], [1.0], [0.0]]))[0] == 1.0
+        assert endpoint(np.array([[0.0], [1.0], [0.0]]))[0] == 1.0
 
     def test_matches_series_evaluation_at_right_endpoint(self):
         rng = np.random.default_rng(9)
         coeffs = rng.standard_normal(7)
-        got = endpoint_value(coeffs[:, None])[0]
+        got = endpoint(coeffs[:, None])[0]
         assert got == pytest.approx(series_eval(coeffs, 1.0), abs=1e-14)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paracheb import (
+    BurgersProblem,
     IvpProblem,
     NonConvergenceError,
     NonFiniteRhsError,
@@ -12,7 +13,6 @@ from paracheb import (
     PropagatorSpec,
     SingularSystemError,
     SweepError,
-    build_burgers,
     initialize,
     iterate,
     run,
@@ -198,7 +198,7 @@ class TestIterate:
         # From uniform [-1, 1] random starts the backward Euler stage
         # equation of this Burgers case has no real solution on subinterval
         # 1; subinterval 0 starts from the smooth initial profile.
-        prob = build_burgers(0.005, 8).to_ivp()
+        prob = BurgersProblem(0.005, 8).to_ivp()
         cfg = PararealConfig(
             T=prob.T, N=8, coarse=BE, fine=parse_spec("cg:8"), init="random", seed=1,
         )
@@ -310,7 +310,7 @@ class TestRun:
         "prob, fine, init",
         [
             (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), "tr:2", "random"),
-            (build_burgers(0.05, 16).to_ivp(), "cg:8", "coarse"),
+            (BurgersProblem(0.05, 16).to_ivp(), "cg:8", "coarse"),
         ],
         ids=["newton", "picard"],
     )

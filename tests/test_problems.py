@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from paracheb import (
+    BurgersProblem,
     IvpProblem,
     KeplerProblem,
     SpdLinearProblem,
-    build_burgers,
     burgers_exact,
     kepler_reference,
     spd_catalog,
@@ -130,21 +131,21 @@ class TestKepler:
 
 class TestBurgers:
     def test_exact_boundary_values(self):
-        p = build_burgers(0.05, 8)
+        p = BurgersProblem(0.05, 8)
         for t in (0.0, 1.0, 4.0):
             assert burgers_exact(p, 0.0, t) == 0.0
             assert abs(burgers_exact(p, 1.0, t)) < 1e-16
 
     def test_exact_direct_substitution(self):
-        p = build_burgers(0.05, 8)
+        p = BurgersProblem(0.05, 8)
         assert burgers_exact(p, 0.5, 0.0) == pytest.approx(0.05 * math.pi, abs=1e-15)
 
     def test_initial_condition_matches_exact(self):
-        p = build_burgers(0.005, 16)
+        p = BurgersProblem(0.005, 16)
         np.testing.assert_allclose(p.u0, burgers_exact(p, p.x, 0.0))
 
     def test_difference_operators_annihilate_constants(self):
-        p = build_burgers(0.05, 16)
+        p = BurgersProblem(0.05, 16)
         c = np.full(16, 3.7)
         assert np.max(np.abs(p.A1 @ c)) < 1e-12
         assert np.max(np.abs(p.A2 @ c)) < 1e-12
@@ -154,14 +155,14 @@ class TestBurgers:
     def test_fourth_order_derivative_accuracy(self):
         errs = []
         for Nx in (64, 128):
-            p = build_burgers(0.05, Nx)
+            p = BurgersProblem(0.05, Nx)
             got = p.A2 @ np.sin(np.pi * p.x)
             errs.append(np.max(np.abs(got - np.pi * np.cos(np.pi * p.x))))
         ratio = errs[0] / errs[1]
         assert 10.0 < ratio < 25.0  # halving dx cuts the error ~16x
 
     def test_mean_is_conserved_by_rhs(self):
-        p = build_burgers(0.05, 32)
+        p = BurgersProblem(0.05, 32)
         ivp = p.to_ivp()
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -174,7 +175,7 @@ class TestBurgers:
         from paracheb import PropagatorSpec
         from paracheb.parareal import _make_stepper
 
-        ivp = build_burgers(0.05, 64).to_ivp()
+        ivp = BurgersProblem(0.05, 64).to_ivp()
         dT = 1.0 / 64.0
         step = _make_stepper(PropagatorSpec.chebyshev_gauss(8), ivp, dT)
         u = ivp.u0.copy()
@@ -183,7 +184,7 @@ class TestBurgers:
         assert np.max(np.abs(u - ivp.reference(1.0))) < 1e-5
 
     def test_analytic_jacobian_matches_differences(self):
-        ivp = build_burgers(0.05, 8).to_ivp()
+        ivp = BurgersProblem(0.05, 8).to_ivp()
         rng = np.random.default_rng(4)
         u = rng.uniform(-0.5, 0.5, 8)
         J = ivp.jacobian(0.0, u)
@@ -197,10 +198,59 @@ class TestBurgers:
         np.testing.assert_allclose(J, Jfd, rtol=1e-6, atol=1e-8)
 
     def test_build_validation(self):
-        with pytest.raises(ValueError):
-            build_burgers(0.05, 3)
-        with pytest.raises(ValueError):
-            build_burgers(-0.1, 8)
+        with pytest.raises(ValueError, match="Nx must be >= 4"):
+            BurgersProblem(0.05, 3)
+        for nu in (-0.1, 0.0):
+            with pytest.raises(ValueError, match="nu must be positive"):
+                BurgersProblem(nu, 8)
+
+    def test_replace_rebuilds_operators(self):
+        # The grid and operators follow nu and Nx, so a replaced problem
+        # cannot keep the ones built for the old values.
+        base = BurgersProblem(0.05, 16)
+        np.testing.assert_array_equal(
+            dataclasses.replace(base, nu=0.005).A1, BurgersProblem(0.005, 16).A1
+        )
+        regrid, fresh = dataclasses.replace(base, Nx=32), BurgersProblem(0.05, 32)
+        for name in ("x", "A1", "A2"):
+            np.testing.assert_array_equal(getattr(regrid, name), getattr(fresh, name))
+        assert regrid.dx == fresh.dx == 2.0 / 32
+
+    def test_operators_are_derived_and_read_only(self):
+        with pytest.raises(TypeError):
+            BurgersProblem(0.05, 16, dx=0.1)
+        p = BurgersProblem(0.05, 16)
+        assert isinstance(p.nu, float)
+        for arr in (p.x, p.A1, p.A2):
+            assert not arr.flags.writeable
+
+
+class TestLinearHook:
+    def test_rhs_disagreeing_with_linear_rejected(self):
+        # The fine collocation solve would use linear, the coarse steps f.
+        with pytest.raises(ValueError, match="disagrees"):
+            IvpProblem(f=lambda t, u: u, u0=np.ones(2), T=1.0, linear=(np.diag([1.0, 4.0]), None))
+
+    def test_forcing_disagreeing_with_linear_rejected(self):
+        A = np.diag([1.0, 4.0])
+        with pytest.raises(ValueError, match="disagrees"):
+            IvpProblem(
+                f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=1.0, linear=(A, lambda t: 2.0 + 0.0 * t)
+            )
+
+    @pytest.mark.parametrize("A", [np.eye(3), np.ones(2), np.ones((2, 3))])
+    def test_matrix_of_wrong_shape_rejected(self, A):
+        with pytest.raises(ValueError, match=r"expected \(2, 2\)"):
+            IvpProblem(f=lambda t, u: -u, u0=np.ones(2), T=1.0, linear=(A, None))
+
+    def test_agreement_up_to_rounding_accepted(self):
+        # f forms A u in another order than u A^T; the two differ in the
+        # last bits only.
+        A = spd_catalog("laplacian-1d", m=8).A
+        u0 = np.linspace(0.1, 2.3, 8)
+        f = lambda t, u: np.sin(t) - np.einsum("ij,...j->...i", A, u)  # noqa: E731
+        ivp = IvpProblem(f=f, u0=u0, T=1.0, linear=(A, lambda t: np.sin(t) + 0.0 * u0))
+        assert ivp.linear[0] is A
 
 
 class TestIvpMetadata:
@@ -208,7 +258,7 @@ class TestIvpMetadata:
         for ivp in (
             spd_catalog("diag-spectrum", m=3).to_ivp(),
             KeplerProblem().to_ivp(),
-            build_burgers(0.05, 8).to_ivp(),
+            BurgersProblem(0.05, 8).to_ivp(),
         ):
             assert ivp.u0.shape == (ivp.dim,)
             assert np.all(np.isfinite(ivp.f(0.0, ivp.u0)))
@@ -239,7 +289,7 @@ class TestIvpMetadata:
 
 
 STACK_CASES = {
-    "burgers": lambda: build_burgers(0.05, 16).to_ivp(),
+    "burgers": lambda: BurgersProblem(0.05, 16).to_ivp(),
     "kepler": lambda: KeplerProblem().to_ivp(),
     "spd": lambda: spd_catalog("laplacian-1d", m=8).to_ivp(),
     "spd-forced": lambda: SpdLinearProblem(
@@ -270,7 +320,7 @@ class TestRhsContract:
 
 
 JACOBIAN_CASES = {
-    "burgers": lambda: build_burgers(0.05, 16).to_ivp(),
+    "burgers": lambda: BurgersProblem(0.05, 16).to_ivp(),
     "kepler": lambda: KeplerProblem().to_ivp(),
     "spd": lambda: spd_catalog("laplacian-1d", m=8).to_ivp(),
 }

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from paracheb import (
+    BurgersProblem,
     KeplerProblem,
     NonConvergenceError,
     NonFiniteRhsError,
@@ -15,7 +16,6 @@ from paracheb import (
     SingularSystemError,
     SweepError,
     advance,
-    build_burgers,
     cg_points,
     parse_spec,
     solve_nonlinear,
@@ -177,7 +177,7 @@ class TestAdvance:
     @pytest.mark.parametrize("kind", IMPLICIT_KINDS, ids=lambda k: k.value)
     @pytest.mark.parametrize(
         "ivp, dT",
-        [(KeplerProblem().to_ivp(), 0.25), (build_burgers(0.05, 16).to_ivp(), 1.0 / 32.0)],
+        [(KeplerProblem().to_ivp(), 0.25), (BurgersProblem(0.05, 16).to_ivp(), 1.0 / 32.0)],
         ids=["kepler", "burgers"],
     )
     def test_problem_jacobian_agrees_with_differences(self, kind, ivp, dT):
@@ -247,7 +247,7 @@ class TestStackedAdvance:
         # matrix-vector kernel, a stack its matrix-matrix kernel, which
         # differ in the last bit.  Collocation node tables and Gauss stage
         # pairs are matrix-matrix either way and agree exactly.
-        ivp = build_burgers(0.05, 16).to_ivp()
+        ivp = BurgersProblem(0.05, 16).to_ivp()
         times, U = perturbed_stack(ivp, 7, 2)
         got = advance(parse_spec(text), ivp.f, times, U, 0.03, jac=ivp.jacobian)
         ref = per_row(parse_spec(text), ivp.f, times, U, 0.03, jac=ivp.jacobian)

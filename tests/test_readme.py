@@ -1,7 +1,9 @@
-"""The README's library example runs against the current API."""
+"""The README's library example and config-key table match the current code."""
 
 import re
 from pathlib import Path
+
+from paracheb import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +12,11 @@ def test_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme_example"})
+
+
+def test_config_key_table_names_every_key():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(cli.CONFIG_KEYS)
