@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
+from scipy.optimize import bisect, minimize_scalar
 
 from .errors import PointSearchError
 from .propagators import PropagatorSpec, stability
@@ -30,6 +30,7 @@ Z1_STAR = 8.0 + 6.0 * math.sqrt(2.0)
 
 _SEARCH_CAP = 512
 _RHO_GRID = 2048  # log-spaced samples of K(z) before the maxima are refined
+_RHO_XTOL = 1e-8  # absolute tolerance of the refined maxima
 _ROOT_XTOL = 1e-10  # bisection tolerance of the threshold roots
 
 
@@ -96,40 +97,28 @@ def contraction_from_stability(R, z):
         return abs(R - r_coarse) / (1.0 - r_coarse)
 
 
-def _golden_max(fun, a: float, b: float, xtol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section search for a local maximum of ``fun`` on ``[a, b]``."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-    x = 0.5 * (a + b)
-    return x, fun(x)
-
-
 def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
     """Convergence factor ``max K(z)`` over ``[0, z_max]``.
 
-    Samples ``K`` on a log-spaced grid (plus ``z = 0``, where ``K`` is 0),
-    with one ``stability`` call for the whole grid (the collocation kind
-    solves it in blocks of shifted systems), then sharpens every local
-    maximum, including the right endpoint, by golden-section search on
-    scalar ``contraction`` calls.  Each grid value equals its scalar
+    Samples ``K`` on a log-spaced grid from ``max(z_max * 1e-6, 1e-8)``
+    (or ``z_max`` itself, if smaller) to ``z_max``, plus ``z = 0`` where
+    ``K`` is 0, with one ``stability`` call for the whole grid (the
+    collocation kind solves it in blocks of shifted systems).  It then
+    sharpens every local maximum, including the right endpoint, by Brent's
+    bounded search (``scipy.optimize.minimize_scalar``, ``xatol`` 1e-8) on
+    scalar ``contraction`` calls; a bracket narrower than that tolerance is
+    left to its grid point.  Each grid value equals its scalar
     ``contraction`` call bit for bit.  The refined points are merged into
-    the returned grid so ``rho`` equals the maximum of ``K_values``.
+    the returned grid so ``rho`` equals the maximum of ``K_values``.  A
+    ``z_max`` with ``1 + z_max == 1`` raises ValueError: ``K`` has no
+    denominator there.
     """
     if not 0 < z_max < math.inf:
         raise ValueError("z_max must be positive and finite")
-    lo = max(z_max * 1e-6, 1e-8)
-    grid = np.geomspace(lo, z_max, _RHO_GRID)
+    if 1.0 + z_max == 1.0:
+        raise ValueError(f"z_max={z_max!r} is below what K(z) can resolve (1 + z_max == 1)")
+    lo = min(max(z_max * 1e-6, 1e-8), z_max)
+    grid = np.geomspace(lo, z_max, _RHO_GRID if lo < z_max else 1)
     zs = np.concatenate(([0.0], grid))
     Ks = np.concatenate(([0.0], contraction_from_stability(stability(spec, grid), grid)))
 
@@ -143,9 +132,14 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
         if Ks[-1] >= Ks[-2]:
             brackets.append((zs[-2], zs[-1]))
         for a, b in brackets:
-            z_star, k_star = _golden_max(lambda z: contraction(spec, z), a, b)
-            extra_z.append(z_star)
-            extra_K.append(k_star)
+            if b - a < _RHO_XTOL:
+                continue  # the grid point is already within the tolerance
+            best = minimize_scalar(
+                lambda z: -contraction(spec, z), bounds=(a, b), method="bounded",
+                options={"xatol": _RHO_XTOL},
+            )
+            extra_z.append(best.x)
+            extra_K.append(-best.fun)
 
     if extra_z:
         zs = np.concatenate((zs, extra_z))

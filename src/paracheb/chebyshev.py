@@ -24,6 +24,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 _TAU_TOL = 1e-12
 
@@ -136,12 +137,10 @@ def build_operator(M: int) -> CollocationOperator:
         raise ValueError(f"number of collocation points must be >= 1 (got M={M})")
     tau = cg_points(M, -1.0, 1.0).tau
 
-    # Basis at the nodes, degrees 0 .. M+1, via the three-term recurrence.
-    T1 = np.empty((M + 1, M + 2))
-    T1[:, 0] = 1.0
-    T1[:, 1] = tau
-    for l in range(1, M + 1):
-        T1[:, l + 1] = 2.0 * tau * T1[:, l] - T1[:, l - 1]
+    # Basis at the nodes, degrees 0 .. M+1.  chebvander runs the three-term
+    # recurrence but returns a Fortran-ordered table; the products below
+    # take other BLAS paths on that layout and move the last bits.
+    T1 = np.ascontiguousarray(chebvander(tau, M + 1))
 
     # Forward transform: coefficients = V @ T2 @ values.
     T2 = T1[:, : M + 1].T.copy()

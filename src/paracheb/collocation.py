@@ -32,6 +32,7 @@ from ``chebyshev.build_operator(points.M)``, which caches them per ``M``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,10 +44,22 @@ from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError,
 RhsFunction = Callable[[float, np.ndarray], np.ndarray]
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a count that is not an integer, naming its field.
+
+    A float count would pass every range check and fail later in ``range``.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer (got {value!r})") from None
+
+
 def check_limits(tol: float, max_iter: int) -> None:
     """Reject inner-iteration limits no iteration can meet."""
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
+    check_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .collocation import check_integer
 from .errors import MaxIterationsError, SolverError
 from .problems import IvpProblem
 from .propagators import PropagatorSpec, advance
@@ -45,6 +46,8 @@ class PararealConfig:
     metrics: tuple[tuple[str, MetricFunction], ...] = ()
 
     def __post_init__(self):
+        check_integer("N", self.N)
+        check_integer("max_k", self.max_k)
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not 0 < self.T < math.inf:

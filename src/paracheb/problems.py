@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import circulant, lu_factor, lu_solve
+from scipy.optimize import brentq
 
 from .errors import SolverError
 
@@ -55,8 +56,9 @@ class IvpProblem:
     propagator use its direct linear solve in the eigenbasis of ``A`` (a
     non-symmetric ``A`` there raises ValueError).  The constructor rejects
     an ``A`` that is not ``dim x dim``, and an ``f`` that differs from
-    ``g(t) - A u`` on the same two copies of ``u0`` by more than 1e-12
-    times their largest entry.
+    ``g(t) - A u`` by more than 1e-12 times their largest entry on ``u0``
+    and every ``u0 + e_i`` at ``t = 0`` and on ``u0`` at ``t = T``: one
+    extra ``f`` call on ``dim + 1`` states.
     """
 
     f: Callable[[float, np.ndarray], np.ndarray]
@@ -82,12 +84,19 @@ class IvpProblem:
             A, g = self.linear
             if np.shape(A) != (self.dim, self.dim):
                 raise ValueError(f"linear matrix has shape {np.shape(A)}, expected ({self.dim}, {self.dim})")
-            lin = -(np.stack((u0, u0)) @ np.transpose(A))
+            # u0 and u0 + e_i at t = 0 are dim + 1 affinely independent
+            # states, so an affine f that agrees there agrees everywhere;
+            # u0 at t = T checks the forcing at a second time.
+            u = np.concatenate(([u0], u0 + np.eye(self.dim), [u0]))
+            t = np.zeros((len(u), 1))
+            t[-1] = self.T
+            fu = np.concatenate((val[:1], self.f(t[1:], u[1:])))
+            lin = -(u @ np.transpose(A))
             if g is not None:
-                lin = g(np.zeros((2, 1))) + lin
-            scale = max(np.abs(val).max(), np.abs(lin).max())
-            if not np.max(np.abs(val - lin)) <= 1e-12 * scale:
-                raise ValueError("f(0, u0) disagrees with g(0) - A u0 of linear")
+                lin = g(t) + lin
+            scale = max(np.abs(fu).max(), np.abs(lin).max())
+            if not np.max(np.abs(fu - lin)) <= 1e-12 * scale:
+                raise ValueError("f disagrees with g(t) - A u of linear at u0, u0 + e_i or t = T")
         if self.jacobian is not None:
             J = self.jacobian(np.zeros((2, 1)), np.stack((u0, u0)))
             expected = (2, self.dim, self.dim)
@@ -262,9 +271,9 @@ def _stumpff(z: float) -> tuple[float, float]:
 def kepler_reference(problem: KeplerProblem, t: float) -> np.ndarray:
     """Analytic state at time ``t`` via Lagrange coefficients.
 
-    Solves the universal-variable Kepler equation for the anomaly by a
-    bisection-safeguarded Newton iteration (the time residual is monotone in
-    the anomaly, so a bracket is always available), then combines the initial
+    Solves the universal-variable Kepler equation for the anomaly by Brent's
+    method (``scipy.optimize.brentq``; the time residual is monotone in the
+    anomaly, so a bracket is always available), then combines the initial
     position and velocity with the F and G coefficients.  The Wronskian
     identity ``F*Gdot - Fdot*G = 1`` is verified before returning.
     """
@@ -291,41 +300,21 @@ def kepler_reference(problem: KeplerProblem, t: float) -> np.ndarray:
             - sqrt_mu * t
         )
 
-    def slope(chi: float) -> float:
-        z = alpha * chi * chi
-        C, S = _stumpff(z)
-        return (
-            r0n * vr0 / sqrt_mu * chi * (1.0 - z * S)
-            + (1.0 - alpha * r0n) * chi * chi * C
-            + r0n
-        )
-
     chi = sqrt_mu * abs(alpha) * t if abs(alpha) > 1e-12 else sqrt_mu * t / r0n
 
-    # Expand a sign-changing bracket around the guess; residual(0) < 0 for t > 0.
-    lo, hi = 0.0, max(chi, 1.0)
+    # Expand a sign-changing bracket from the guess; residual(0) < 0 for t > 0.
+    hi = max(chi, 1.0)
     while residual(hi) < 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise SolverError("failed to bracket the universal Kepler equation")
 
-    converged = False
-    for _ in range(60):
-        res = residual(chi)
-        if res < 0.0:
-            lo = chi
-        else:
-            hi = chi
-        step = res / slope(chi)
-        chi_new = chi - step
-        if not lo < chi_new < hi:
-            chi_new = 0.5 * (lo + hi)
-        if abs(chi_new - chi) <= 1e-13 * max(1.0, abs(chi_new)):
-            chi = chi_new
-            converged = True
-            break
-        chi = chi_new
-    if not converged:
+    # brentq's smallest rtol (4 ulp) decides; its default xtol of 2e-12
+    # would stop chi up to that far off, ~1.6e-10 km of position.
+    chi, info = brentq(
+        residual, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, full_output=True, disp=False
+    )
+    if not info.converged:
         raise SolverError(f"universal Kepler equation did not converge at t={t!r}")
 
     z = alpha * chi * chi
@@ -381,10 +370,14 @@ class BurgersProblem:
         dx = 2.0 / Nx
         x = np.arange(Nx) * dx
 
-        P1 = _circulant(Nx, 5.0 / 6.0, 1.0 / 12.0, 1.0 / 12.0)
-        Q1 = _circulant(Nx, -2.0, 1.0, 1.0)
-        P2 = _circulant(Nx, 2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
-        Q2 = _circulant(Nx, 0.0, 1.0, -1.0)
+        def stencil(main, sup, sub):
+            # Periodic tridiagonal matrix: first column [main, sub, 0, ..., 0, sup].
+            return circulant(np.concatenate(([main, sub], np.zeros(Nx - 3), [sup])))
+
+        P1 = stencil(5.0 / 6.0, 1.0 / 12.0, 1.0 / 12.0)
+        Q1 = stencil(-2.0, 1.0, 1.0)
+        P2 = stencil(2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
+        Q2 = stencil(0.0, 1.0, -1.0)
 
         A1 = -(nu / dx**2) * lu_solve(lu_factor(P1), Q1)
         A2 = (1.0 / (2.0 * dx)) * lu_solve(lu_factor(P2), Q2)
@@ -433,10 +426,3 @@ def burgers_exact(problem: BurgersProblem, x, t: float):
         / (problem.alpha + decay * np.cos(math.pi * x))
     )
 
-
-def _circulant(n: int, main: float, sup: float, sub: float) -> np.ndarray:
-    C = np.diag(np.full(n, main))
-    C += np.diag(np.full(n - 1, sup), 1) + np.diag(np.full(n - 1, sub), -1)
-    C[0, -1] = sub
-    C[-1, 0] = sup
-    return C

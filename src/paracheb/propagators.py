@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .chebyshev import build_operator, cg_points
-from .collocation import RhsFunction, check_limits, solve_checked, solve_linear, solve_nonlinear
+from .collocation import RhsFunction, check_integer, check_limits, solve_checked, solve_linear, solve_nonlinear
 from .errors import NonConvergenceError, SingularSystemError, raise_row_failures
 
 _SQRT2 = math.sqrt(2.0)
@@ -64,6 +64,7 @@ class PropagatorSpec:
             object.__setattr__(self, "count", 0 if cg else 1)
         if self.max_iter is None:
             object.__setattr__(self, "max_iter", 100 if cg else 25)
+        check_integer("count", self.count)
         if self.count < (0 if cg else 1):
             raise ValueError(f"{self.kind.value} count must be >= {0 if cg else 1}")
         check_limits(self.tol, self.max_iter)

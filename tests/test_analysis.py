@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,51 @@ from paracheb.collocation import solve_checked
 CG0 = PropagatorSpec.chebyshev_gauss(0)
 CG1 = PropagatorSpec.chebyshev_gauss(1)
 NONFINITE = pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+
+
+def golden_max(fun, a, b, xtol):
+    """Reference search: the golden-section search for a local maximum of
+    ``fun`` on ``[a, b]`` that ``rho_over_interval`` ran before Brent's."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    while b - a > xtol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = fun(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = fun(x1)
+    x = 0.5 * (a + b)
+    return x, fun(x)
+
+
+def golden_minimize_scalar(fun, bounds, method, options):
+    """``minimize_scalar`` stand-in that runs ``golden_max`` on ``-fun``."""
+    x, neg = golden_max(lambda z: -fun(z), *bounds, options["xatol"])
+    return SimpleNamespace(x=x, fun=-neg)
+
+
+#: The bench's five search rows and the cases of TestRhoOverInterval.
+RHO_CASES = [
+    (PropagatorSpec.chebyshev_gauss(2), 16.49),
+    (PropagatorSpec.chebyshev_gauss(3), 50.0),
+    (PropagatorSpec.chebyshev_gauss(5), 100.0),
+    (PropagatorSpec.chebyshev_gauss(16), 1000.0),
+    (PropagatorSpec.chebyshev_gauss(51), 1e4),
+    (CG0, 1.0),
+    (CG1, 2.0),
+    (PropagatorSpec.backward_euler(2), 100.0),
+    (CG1, 5.0),
+    (PropagatorSpec.forward_euler(1), 100.0),
+    (CG0, 200.0),
+    (PropagatorSpec.chebyshev_gauss(16), 200.0),
+    (PropagatorSpec.erk4(2), 200.0),
+    (PropagatorSpec.tr_bdf2(1), 200.0),
+]
 
 
 class TestContraction:
@@ -116,6 +162,26 @@ class TestRhoOverInterval:
         on_grid = np.isin(rep.z_grid, grid)
         assert on_grid.sum() == grid.size
         np.testing.assert_array_equal(rep.K_values[on_grid], [contraction(spec, z) for z in grid])
+
+    @pytest.mark.parametrize("spec, z_max", RHO_CASES, ids=lambda v: v.label if isinstance(v, PropagatorSpec) else f"{v:g}")
+    def test_brent_matches_golden_section(self, spec, z_max, monkeypatch):
+        rho = rho_over_interval(spec, z_max).rho
+        monkeypatch.setattr(analysis, "minimize_scalar", golden_minimize_scalar)
+        reference = rho_over_interval(spec, z_max).rho
+        assert abs(rho - reference) <= 1e-12 * abs(reference)
+
+    @pytest.mark.parametrize("z_max", [1e-9, 2e-16, 5e-16, 1e-12, 1.5e-8, 1e-3])
+    def test_samples_stay_in_the_interval(self, z_max):
+        # The grid used to start at 1e-8 whatever z_max was.
+        for spec in (CG1, PropagatorSpec.backward_euler(2)):
+            rep = rho_over_interval(spec, z_max)
+            assert rep.z_grid[0] == 0.0 and rep.z_grid.max() <= z_max
+            assert np.isfinite(rep.rho) and rep.rho == rep.K_values.max()
+
+    @pytest.mark.parametrize("z_max", [1e-17, 1e-16])
+    def test_unresolvable_z_max_rejected(self, z_max):
+        with pytest.raises(ValueError, match=f"z_max={z_max!r}"):
+            rho_over_interval(CG1, z_max)
 
     def test_collocation_grid_runs_no_svd(self, monkeypatch):
         # The Cholesky certificate settles every system of this pass; a

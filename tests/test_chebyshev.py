@@ -6,6 +6,18 @@ import pytest
 from paracheb import build_operator, cg_points, chebyshev_eval
 
 
+def recurrence_T1(M):
+    """The basis table as ``build_operator`` assembled it before chebvander:
+    the three-term recurrence, column by column, in C order."""
+    tau = cg_points(M, -1.0, 1.0).tau
+    T1 = np.empty((M + 1, M + 2))
+    T1[:, 0] = 1.0
+    T1[:, 1] = tau
+    for l in range(1, M + 1):
+        T1[:, l + 1] = 2.0 * tau * T1[:, l] - T1[:, l - 1]
+    return T1
+
+
 def cheb_trig(l, tau):
     """Trigonometric closed form, kept as an independent oracle."""
     return math.cos(l * math.acos(tau))
@@ -122,6 +134,14 @@ class TestBuildOperator:
                 assert op.T1[m, l] == pytest.approx(cheb_trig(l, pts.tau[m]), abs=1e-12)
         # T2 is the transposed basis restricted to degrees 0..M.
         np.testing.assert_allclose(op.T2, op.T1[:, :7].T)
+
+    def test_basis_equals_recurrence_in_c_order(self):
+        # chebvander returns a Fortran-ordered table; products with it take
+        # other BLAS paths and move the last bits of T1_C and every solve.
+        for M in range(65):
+            T1 = build_operator(M).T1
+            np.testing.assert_array_equal(T1, recurrence_T1(M))
+            assert T1.flags.c_contiguous
 
     def test_transform_roundtrip(self):
         # Interpolating at the nodes and re-evaluating there is the identity.

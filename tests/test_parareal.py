@@ -10,6 +10,7 @@ from paracheb import (
     NonFiniteRhsError,
     MaxIterationsError,
     PararealConfig,
+    PropagatorKind,
     PropagatorSpec,
     SingularSystemError,
     SweepError,
@@ -360,6 +361,21 @@ class TestRun:
             PararealConfig(T=1.0, N=2, coarse=BE, fine=fine, init="guess")
         with pytest.raises(ValueError):
             PararealConfig(T=1.0, N=2, coarse=BE, fine=fine, workers=0)
+
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("N", lambda: PararealConfig(T=1.0, N=2.5, coarse=BE, fine=BE)),
+            ("max_k", lambda: PararealConfig(T=1.0, N=2, coarse=BE, fine=BE, max_k=2.5)),
+            ("count", lambda: PropagatorSpec(PropagatorKind.BACKWARD_EULER, 2.5)),
+            ("max_iter", lambda: PropagatorSpec(PropagatorKind.BACKWARD_EULER, 1, max_iter=2.5)),
+        ],
+        ids=["N", "max_k", "count", "max_iter"],
+    )
+    def test_float_counts_rejected_when_built(self, field, build):
+        # Each of these counts reaches a range() later; a float failed there.
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            build()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field", ["T", "tol"])

@@ -1,18 +1,67 @@
 import dataclasses
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
+from scipy.optimize import brentq
 
+import paracheb.problems as problems
 from paracheb import (
     BurgersProblem,
     IvpProblem,
     KeplerProblem,
+    SolverError,
     SpdLinearProblem,
     burgers_exact,
     kepler_reference,
     spd_catalog,
 )
+
+
+def newton_root(problem, t):
+    """``brentq`` stand-in for ``kepler_reference`` at time ``t``: the
+    bisection-safeguarded Newton iteration it ran before Brent's method,
+    from the same initial guess and inside the same expanded bracket."""
+    r0, v0 = np.asarray(problem.r0, float), np.asarray(problem.v0, float)
+    r0n = float(np.linalg.norm(r0))
+    vr0 = float(r0 @ v0) / r0n
+    alpha = 2.0 / r0n - float(v0 @ v0) / problem.mu
+    sqrt_mu = math.sqrt(problem.mu)
+
+    def slope(chi):
+        z = alpha * chi * chi
+        C, S = problems._stumpff(z)
+        return r0n * vr0 / sqrt_mu * chi * (1.0 - z * S) + (1.0 - alpha * r0n) * chi * chi * C + r0n
+
+    def root(residual, lo, hi, **kwargs):
+        chi = sqrt_mu * abs(alpha) * t if abs(alpha) > 1e-12 else sqrt_mu * t / r0n
+        for _ in range(60):
+            res = residual(chi)
+            if res < 0.0:
+                lo = chi
+            else:
+                hi = chi
+            chi_new = chi - res / slope(chi)
+            if not lo < chi_new < hi:
+                chi_new = 0.5 * (lo + hi)
+            if abs(chi_new - chi) <= 1e-13 * max(1.0, abs(chi_new)):
+                return chi_new, SimpleNamespace(converged=True)
+            chi = chi_new
+        return chi, SimpleNamespace(converged=False)
+
+    return root
+
+
+def hand_circulant(n, main, sup, sub):
+    """Reference periodic tridiagonal matrix, built entry by entry."""
+    C = np.diag(np.full(n, main))
+    C += np.diag(np.full(n - 1, sup), 1) + np.diag(np.full(n - 1, sub), -1)
+    C[0, -1] = sub
+    C[-1, 0] = sup
+    return C
 
 
 class TestSpdCatalog:
@@ -128,6 +177,21 @@ class TestKepler:
         with pytest.raises(ValueError):
             kepler_reference(KeplerProblem(), -1.0)
 
+    def test_brent_matches_newton_reference(self, monkeypatch):
+        # The kepler-compare grid (N = 200 steps of 0.25 s) and a few far times.
+        kp = KeplerProblem()
+        times = [*(n * 0.25 for n in range(201)), 5.0, 17.3, 50.0, 400.0]
+        states = [kepler_reference(kp, t) for t in times]
+        for t, state in zip(times, states):
+            monkeypatch.setattr(problems, "brentq", newton_root(kp, t))
+            reference = kepler_reference(kp, t)
+            assert np.max(np.abs(state - reference)) <= 1e-13 * np.linalg.norm(reference)
+
+    def test_unconverged_anomaly_raises_naming_t(self, monkeypatch):
+        monkeypatch.setattr(problems, "brentq", functools.partial(brentq, maxiter=1))
+        with pytest.raises(SolverError, match="did not converge at t=17.3"):
+            kepler_reference(KeplerProblem(), 17.3)
+
 
 class TestBurgers:
     def test_exact_boundary_values(self):
@@ -197,6 +261,16 @@ class TestBurgers:
             Jfd[:, j] = (ivp.f(0.0, up) - ivp.f(0.0, um)) / (2 * h)
         np.testing.assert_allclose(J, Jfd, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("Nx", [4, 5, 8, 16, 64])
+    def test_operators_equal_hand_built_stencils(self, Nx):
+        p = BurgersProblem(0.05, Nx)
+        P1 = hand_circulant(Nx, 5.0 / 6.0, 1.0 / 12.0, 1.0 / 12.0)
+        Q1 = hand_circulant(Nx, -2.0, 1.0, 1.0)
+        P2 = hand_circulant(Nx, 2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
+        Q2 = hand_circulant(Nx, 0.0, 1.0, -1.0)
+        np.testing.assert_array_equal(p.A1, -(p.nu / p.dx**2) * lu_solve(lu_factor(P1), Q1))
+        np.testing.assert_array_equal(p.A2, (1.0 / (2.0 * p.dx)) * lu_solve(lu_factor(P2), Q2))
+
     def test_build_validation(self):
         with pytest.raises(ValueError, match="Nx must be >= 4"):
             BurgersProblem(0.05, 3)
@@ -237,6 +311,28 @@ class TestLinearHook:
             IvpProblem(
                 f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=1.0, linear=(A, lambda t: 2.0 + 0.0 * t)
             )
+
+    def test_disagreement_away_from_u0_rejected(self):
+        # f and -A u both vanish at u0 = 0; they differ on u0 + e_i.
+        with pytest.raises(ValueError, match="disagrees"):
+            IvpProblem(f=lambda t, u: u, u0=np.zeros(2), T=1.0, linear=(np.diag([1.0, 4.0]), None))
+
+    def test_forcing_disagreeing_at_the_horizon_rejected(self):
+        # g(t) = 1 + t and the constant 1 of f agree at t = 0 only.
+        A = np.diag([1.0, 4.0])
+        with pytest.raises(ValueError, match="disagrees"):
+            IvpProblem(f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=2.0, linear=(A, lambda t: 1.0 + t))
+
+    def test_agreement_check_is_one_extra_call(self):
+        calls = []
+        A = spd_catalog("laplacian-1d", m=5).A
+
+        def f(t, u):
+            calls.append(np.shape(u))
+            return -(u @ A.T)
+
+        IvpProblem(f=f, u0=np.ones(5), T=1.0, linear=(A, None))
+        assert calls == [(2, 5), (6, 5)]
 
     @pytest.mark.parametrize("A", [np.eye(3), np.ones(2), np.ones((2, 3))])
     def test_matrix_of_wrong_shape_rejected(self, A):
