@@ -30,14 +30,28 @@ _BURGERS_NUS = [0.05, 0.005]
 
 _EXPERIMENTS = ("kepler-compare", "burgers-dt", "burgers-dx", "burgers-m")
 
-#: Every config key that some command reads.  ``build_manifest`` rejects any
-#: other key; a key that only another command reads is accepted and unused.
-CONFIG_KEYS = frozenset({
-    "out", "seed", "workers", "tol", "max_k", "init",
-    "specs", "z_min", "z_max", "z_points", "z_max_list",
-    "problem", "m", "lambda_min", "lambda_max", "nu", "nx", "N", "T", "coarse", "fine",
-    "name",
-})
+_COARSE = PropagatorSpec.backward_euler(1)  # every experiment's coarse propagator
+
+#: The problem parameters of ``run``; each problem takes some of them.
+_PROBLEM_PARAMS = {"m": int, "lambda_min": float, "lambda_max": float, "nu": float, "nx": int}
+
+_PARAREAL_KEYS = {"out", "seed", "workers", "tol", "max_k", "init"}
+
+#: The config keys each command reads.  ``build_manifest`` rejects any other
+#: key, and gives a command the ``--seed/--workers/--tol`` flags of the keys
+#: its entry holds.
+COMMAND_KEYS = {
+    "analyze": {"out", "specs", "z_min", "z_max", "z_points"},
+    "mmin": {"out", "z_max_list"},
+    "run": _PARAREAL_KEYS | {"problem", "N", "T", "coarse", "fine", *_PROBLEM_PARAMS},
+    "experiment": _PARAREAL_KEYS | {"name", "coarse"},
+}
+
+_FLAGS = {
+    "seed": (int, "random seed of init=random"),
+    "workers": (int, "accepted but has no effect: the fine sweep is one stacked call"),
+    "tol": (float, "stopping tolerance override"),
+}
 
 
 @dataclass
@@ -144,30 +158,30 @@ def cmd_mmin(manifest: RunManifest) -> str:
 
 def _build_problem(manifest: RunManifest) -> problems.IvpProblem:
     name = manifest.get("problem", "")
-    if name == "kepler":
-        return problems.KeplerProblem().to_ivp()
-    if name == "burgers":
-        nu = float(manifest.get("nu", 0.05))
-        nx = int(manifest.get("nx", 8))
-        return problems.BurgersProblem(nu, nx).to_ivp()
+    params = manifest.given(**_PROBLEM_PARAMS)
     if name in ("diag-spectrum", "laplacian-1d"):
-        casts = {"m": int, "T": float}
-        if name == "diag-spectrum":
-            casts.update(lambda_min=float, lambda_max=float)
-        return problems.spd_catalog(name, **manifest.given(**casts)).to_ivp()
-    raise ValueError(
-        f"unknown problem {name!r} (expected kepler, burgers, diag-spectrum or laplacian-1d)"
-    )
+        # spd_catalog rejects a parameter its problem does not take.
+        return problems.spd_catalog(name, **params, **manifest.given(T=float)).to_ivp()
+    if name == "kepler":
+        problem = problems.KeplerProblem()
+    elif name == "burgers":
+        problem = problems.BurgersProblem(params.pop("nu", 0.05), params.pop("nx", 8))
+    else:
+        raise ValueError(
+            f"unknown problem {name!r} (expected kepler, burgers, diag-spectrum or laplacian-1d)"
+        )
+    if params:
+        raise ValueError(f"unexpected parameters {sorted(params)} for {name}")
+    return problem.to_ivp()
 
 
-def _run_config(manifest: RunManifest, coarse, fine, N, T, metrics=()):
+def _run_config(manifest: RunManifest, coarse, fine, N, T):
     # PararealConfig owns the run defaults: pass only the keys that were set.
     return parareal.PararealConfig(
         T=T,
         N=N,
         coarse=coarse,
         fine=fine,
-        metrics=tuple(metrics),
         **manifest.given(tol=float, max_k=int, init=str, seed=int, workers=int),
     )
 
@@ -194,14 +208,9 @@ def cmd_run(manifest: RunManifest) -> str:
     return manifest.out
 
 
-def _position_error(u_table: np.ndarray, ref_table: np.ndarray) -> float:
-    return float(np.max(np.abs(u_table[:, :3] - ref_table[:, :3])))
-
-
 def _experiment_kepler(manifest: RunManifest) -> tuple[list[str], list[list]]:
     problem = problems.KeplerProblem().to_ivp()
     N = round(problem.T / _KEPLER_DT)
-    coarse = PropagatorSpec.backward_euler(1)
     algorithms = [
         PropagatorSpec.chebyshev_gauss(6),
         PropagatorSpec.backward_euler(6),
@@ -210,18 +219,15 @@ def _experiment_kepler(manifest: RunManifest) -> tuple[list[str], list[list]]:
     ]
     rows = []
     for fine in algorithms:
-        cfg = _run_config(
-            manifest, coarse, fine, N, problem.T, metrics=[("abs_error_pos", _position_error)]
-        )
+        cfg = _run_config(manifest, _COARSE, fine, N, problem.T)
         try:
             _, history = parareal.run(cfg, problem)
         except SolverError as exc:
             exc.add_context(f"orbit comparison, algorithm {fine.label}")
             raise
         for rec in history:
-            rows.append(
-                [fine.label, rec.k, rec.abs_error, rec.extras["abs_error_pos"], rec.iter_error]
-            )
+            abs_error_pos = float(np.max(rec.component_error[:3]))  # the position block
+            rows.append([fine.label, rec.k, rec.abs_error, abs_error_pos, rec.iter_error])
     return ["algorithm", "k", "abs_error", "abs_error_pos", "iter_error"], rows
 
 
@@ -230,7 +236,6 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
     # random states can leave the backward Euler stage equation without a
     # real solution on the largest coarse steps.  Pass init=random to opt
     # into randomized starts.
-    coarse = PropagatorSpec.backward_euler(1)
     rows = []
     for nu in _BURGERS_NUS:
         if sweep == "dt":
@@ -243,7 +248,7 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
             problem = problems.BurgersProblem(nu, round(2.0 / dx)).to_ivp()
             fine = PropagatorSpec.chebyshev_gauss(m)
             N = round(problem.T / dt)
-            cfg = _run_config(manifest, coarse, fine, N, problem.T)
+            cfg = _run_config(manifest, _COARSE, fine, N, problem.T)
             param = {"dt": dt, "dx": dx, "m": m}[sweep]
             try:
                 _, history = parareal.run(cfg, problem)
@@ -257,6 +262,8 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
 
 def cmd_experiment(manifest: RunManifest) -> str:
     """Reproduce one of the named desk-scale studies as a CSV table."""
+    if parse_spec(manifest.get("coarse", "beuler:1")) != _COARSE:
+        raise ValueError("every experiment uses coarse = beuler:1; no other coarse is accepted")
     name = manifest.get("name", "")
     if name == "kepler-compare":
         header, rows = _experiment_kepler(manifest)
@@ -286,14 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output CSV path")
-        if name in ("run", "experiment"):  # the commands that run parareal
-            p.add_argument("--seed", type=int, help="random seed of init=random")
-            p.add_argument(
-                "--workers",
-                type=int,
-                help="accepted but has no effect: the fine sweep is one stacked call",
-            )
-            p.add_argument("--tol", type=float, help="stopping tolerance override")
+        for key, (cast, text) in _FLAGS.items():
+            if key in COMMAND_KEYS[name]:
+                p.add_argument(f"--{key}", type=cast, help=text)
         p.add_argument(
             "--set",
             action="append",
@@ -311,10 +313,11 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         params[key.strip()] = value.strip()
-    unknown = sorted(params.keys() - CONFIG_KEYS)
+    keys = COMMAND_KEYS[args.command]
+    unknown = ", ".join(map(repr, sorted(params.keys() - keys)))
     if unknown:
-        raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
-    for key in ("seed", "workers", "tol"):  # flags of the run commands only
+        raise ValueError(f"unknown config key(s) {unknown} for {args.command} (it reads {sorted(keys)})")
+    for key in _FLAGS:
         flag = getattr(args, key, None)
         if flag is not None:
             params[key] = repr(flag)  # exact: repr round-trips a float

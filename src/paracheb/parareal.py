@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor  # unused here; bench/tracing.py patches this name
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .collocation import check_integer
 from .errors import MaxIterationsError, SolverError
 from .problems import IvpProblem
 from .propagators import PropagatorSpec, advance
-
-#: Extra per-iteration metrics: name -> fn(u_table, ref_table) -> float.
-MetricFunction = Callable[[np.ndarray, np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,6 @@ class PararealConfig:
     #: Accepted and validated (>= 1) but has no effect: the fine sweep is
     #: one stacked call whatever its value.
     workers: int = 1
-    metrics: tuple[tuple[str, MetricFunction], ...] = ()
 
     def __post_init__(self):
         check_integer("N", self.N)
@@ -71,12 +66,18 @@ class ConvergenceRecord:
     """Errors after one corrector pass, following the usual definitions:
     iteration error ``max_n ||u^{k}_n - u^{k-1}_n||_inf`` and, when a
     reference is available, absolute error ``max_n ||u^k_n - u(T_n)||_inf``.
+    ``component_error[i]`` is ``max_n |u^k_n[i] - u(T_n)[i]|``; for another
+    metric, loop ``initialize`` / ``iterate`` and read ``state.u``.
     """
 
     k: int
     iter_error: float
-    abs_error: float | None = None
-    extras: dict[str, float] = field(default_factory=dict)
+    component_error: tuple[float, ...] | None = None
+
+    @property
+    def abs_error(self) -> float | None:
+        # np.max, not max: a NaN component makes the whole error NaN.
+        return None if self.component_error is None else float(np.max(self.component_error))
 
 
 @dataclass(eq=False)
@@ -118,12 +119,8 @@ def initialize(cfg: PararealConfig, problem: IvpProblem) -> PararealState:
     policy draws every interior value i.i.d. uniform in [-1, 1] from the
     seeded generator, which reproduces the randomized-start experiments.
     Either way the coarse result from every ``u[n]`` is cached in ``g_prev``
-    for the first correction.  Extra ``cfg.metrics`` compare against the
-    reference solution, so a problem without one raises ValueError.
+    for the first correction.
     """
-    if cfg.metrics and problem.reference is None:
-        names = ", ".join(name for name, _ in cfg.metrics)
-        raise ValueError(f"metrics {names} need a problem with a reference solution")
     u0 = problem.u0
     N, dim = cfg.N, u0.size
     u = np.empty((N + 1, dim))
@@ -180,15 +177,12 @@ def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> P
         raise
 
     iter_error = float(np.max(np.abs(u_new - state.u)))
-    ref = state.ref_table  # present whenever cfg.metrics is (see initialize)
-    abs_error = None if ref is None else float(np.max(np.abs(u_new - ref)))
-    extras = {name: float(fn(u_new, ref)) for name, fn in cfg.metrics}
+    ref = state.ref_table
+    component_error = None if ref is None else tuple(np.max(np.abs(u_new - ref), axis=0).tolist())
 
     state.u = u_new
     state.g_prev = g_new
-    state.history.append(
-        ConvergenceRecord(k=state.k + 1, iter_error=iter_error, abs_error=abs_error, extras=extras)
-    )
+    state.history.append(ConvergenceRecord(state.k + 1, iter_error, component_error))
     return state
 
 

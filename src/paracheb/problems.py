@@ -130,6 +130,8 @@ class SpdLinearProblem:
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("A must be finite")
         if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
             raise ValueError("A must be symmetric")
         if np.linalg.eigvalsh(A).min() <= 0.0:
@@ -175,7 +177,7 @@ def spd_catalog(name: str, **params) -> SpdLinearProblem:
     ``diag-spectrum``: a diagonal matrix with ``m`` log-spaced eigenvalues in
     ``[lambda_min, lambda_max]``.  ``laplacian-1d``: the second-difference
     matrix of ``m`` interior unit-interval points scaled by ``1 / dx**2``.
-    Unknown names or parameters raise ValueError.
+    Unknown names or parameters, and out-of-range values, raise ValueError.
     """
     known = {"diag-spectrum", "laplacian-1d"}
     if name not in known:
@@ -189,15 +191,15 @@ def spd_catalog(name: str, **params) -> SpdLinearProblem:
         lam_min = float(params.pop("lambda_min", 1.0))
         lam_max = float(params.pop("lambda_max", 100.0))
         if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
-        if m < 1 or lam_min <= 0 or lam_max < lam_min:
-            raise ValueError("need m >= 1 and 0 < lambda_min <= lambda_max")
+            raise ValueError(f"unexpected parameters {sorted(params)} for {name}")
+        if not (m >= 1 and 0 < lam_min <= lam_max < math.inf):  # a NaN bound fails
+            raise ValueError("need m >= 1 and 0 < lambda_min <= lambda_max < inf")
         lam = np.geomspace(lam_min, lam_max, m) if m > 1 else np.array([lam_min])
         A = np.diag(lam)
     else:
         m = int(params.pop("m", 32))
         if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
+            raise ValueError(f"unexpected parameters {sorted(params)} for {name}")
         if m < 1:
             raise ValueError("need m >= 1")
         dx = 1.0 / (m + 1)

@@ -1,10 +1,20 @@
+import importlib
 import os
 
 import numpy as np
 import pytest
 
 from paracheb import MaxIterationsError, NonConvergenceError
-from paracheb.cli import RunManifest, cmd_analyze, cmd_mmin, cmd_run, load_config, main
+from paracheb.cli import (
+    RunManifest,
+    _build_parser,
+    build_manifest,
+    cmd_analyze,
+    cmd_mmin,
+    cmd_run,
+    load_config,
+    main,
+)
 
 
 def read_csv(path):
@@ -223,10 +233,58 @@ class TestMainEntry:
         with pytest.raises(ValueError, match="'z_max_lst'"):
             main(["mmin", "--config", str(cfg), "--out", str(tmp_path / "m.csv")])
 
-    def test_key_of_another_command_accepted(self, tmp_path):
-        # Keys are checked against every command's keys, not per command.
-        out = tmp_path / "m.csv"
-        assert main(["mmin", "--out", str(out), "--set", "z_max_list=1", "--set", "coarse=beuler:1"]) == 0
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("mmin", ["--set", "z_max_list=1", "--set", "coarse=beuler:1"]),
+            ("mmin", ["--set", "z_max_list=1", "--set", "workers=0"]),
+            ("experiment", ["--set", "name=burgers-m", "--set", "fine=cg:2"]),
+            ("analyze", ["--set", "specs=cg:0", "--set", "name=burgers-m"]),
+        ],
+        ids=["mmin-coarse", "mmin-workers", "experiment-fine", "analyze-name"],
+    )
+    def test_key_of_another_command_rejected(self, tmp_path, command, extra):
+        # A key the command does not read would otherwise be dropped silently.
+        out = tmp_path / "x.csv"
+        key = extra[-1].split("=")[0]
+        with pytest.raises(ValueError, match=f"'{key}' for {command} "):
+            main([command, "--out", str(out), *extra])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["lambda_min=2", "lambda_max=50", "nu=0.3", "nx=8"])
+    def test_run_rejects_parameter_the_problem_does_not_take(self, tmp_path, key):
+        out = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match=f"'{key.split('=')[0]}'.*laplacian-1d"):
+            main(["run", "--out", str(out), "--set", "problem=laplacian-1d", "--set", "m=4",
+                  "--set", "fine=cg:2", "--set", key])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", ["kepler", "burgers"])
+    def test_run_rejects_spd_parameter_on_other_problems(self, tmp_path, problem):
+        out = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match=rf"unexpected parameters \['m'\] for {problem}"):
+            main(["run", "--out", str(out), "--set", f"problem={problem}", "--set", "m=3"])
+        assert not out.exists()
+
+    def test_experiment_takes_only_the_backward_euler_coarse(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="beuler:1"):
+            main(["experiment", "--out", str(out), "--set", "name=burgers-m", "--set", "coarse=tr:1"])
+        assert not out.exists()
+        paths = {name: tmp_path / f"{name}.csv" for name in ("default", "pinned")}
+        args = ["experiment", "--set", "name=kepler-compare"]
+        assert main(args + ["--out", str(paths["default"])]) == 0
+        assert main(args + ["--out", str(paths["pinned"]), "--set", "coarse=beuler:1"]) == 0
+        assert paths["pinned"].read_bytes() == paths["default"].read_bytes()
+
+    @pytest.mark.parametrize("workload", ["burgers", "kepler", "laplacian", "analysis"])
+    def test_benchmark_command_lines_accepted(self, monkeypatch, workload):
+        # Parsed only: a key the benchmark passes must stay accepted.
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+        workloads = importlib.import_module("workloads")
+        for argv in workloads.commands(workload, 0).values():
+            manifest = build_manifest(_build_parser().parse_args([*argv, "--out", "x.csv"]))
+            assert manifest.command == argv[0]
 
     def test_requires_output_path(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ import pytest
 
 from paracheb import (
     BurgersProblem,
+    ConvergenceRecord,
     IvpProblem,
+    KeplerProblem,
     NonConvergenceError,
     NonFiniteRhsError,
     MaxIterationsError,
@@ -257,6 +259,44 @@ class TestRun:
         assert history[-1].abs_error == pytest.approx(np.max(np.abs(u - ref)), abs=1e-15)
         assert [r.k for r in history] == list(range(1, len(history) + 1))
 
+    def test_component_errors_give_both_kepler_errors(self):
+        prob = KeplerProblem(T=5.0).to_ivp()
+        cfg = PararealConfig(T=5.0, N=4, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6))
+        u, history = run(cfg, prob)
+        ref = np.array([prob.reference(1.25 * n) for n in range(5)])
+        rec = history[-1]
+        assert len(rec.component_error) == 6
+        assert rec.abs_error == float(np.max(np.abs(u - ref)))
+        # The position-block error of the kepler-compare table, as once computed
+        # from the full tables.
+        position = float(np.max(np.abs(u[:, :3] - ref[:, :3])))
+        assert max(rec.component_error[:3]) == position
+
+    def test_no_component_error_without_reference(self):
+        prob = IvpProblem(f=lambda t, u: -u, u0=np.array([1.0, 2.0]), T=1.0)
+        cfg = PararealConfig(T=1.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
+        _, history = run(cfg, prob)
+        assert all(r.component_error is None and r.abs_error is None for r in history)
+
+    def test_nan_component_makes_abs_error_nan(self):
+        rec = ConvergenceRecord(k=1, iter_error=0.0, component_error=(1.0, math.nan, 2.0))
+        assert math.isnan(rec.abs_error)
+
+    def test_initialize_iterate_loop_matches_run(self):
+        # The route to a per-pass metric of one's own: loop and read state.u.
+        prob = diag_problem(T=2.0)
+        cfg = PararealConfig(T=2.0, N=8, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6),
+                             init="random", seed=4)
+        u, history = run(cfg, prob)
+        state = initialize(cfg, prob)
+        end_values = []
+        while not (state.history and state.history[-1].iter_error <= cfg.tol):
+            state = iterate(state, cfg, prob)
+            end_values.append(float(state.u[-1, 0]))
+        np.testing.assert_array_equal(state.u, u)
+        assert state.history == history
+        assert len(end_values) == len(history)
+
     def test_worker_count_invariance(self):
         prob = diag_problem(T=2.0)
         base = dict(
@@ -336,15 +376,6 @@ class TestRun:
         with pytest.raises(MaxIterationsError) as err:
             run(cfg, prob)
         assert len(err.value.history) == 3
-
-    def test_metrics_without_reference_rejected(self):
-        prob = IvpProblem(f=lambda t, u: -u, u0=np.array([1.0]), T=1.0)
-        cfg = PararealConfig(
-            T=1.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4),
-            metrics=(("pos_error", lambda u, ref: 0.0),),
-        )
-        with pytest.raises(ValueError, match="pos_error"):
-            run(cfg, prob)
 
     def test_config_owns_the_stopping_defaults(self):
         # The CLI passes tol and max_k only when they are set.

@@ -108,6 +108,21 @@ class TestSpdCatalog:
         with pytest.raises(ValueError):
             spd_catalog("diag-spectrum", m=0)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"lambda_max": math.inf}, {"lambda_min": math.nan}, {"lambda_max": math.nan}],
+        ids=["max-inf", "min-nan", "max-nan"],
+    )
+    def test_rejects_nonfinite_bounds(self, bounds):
+        # inf once ended in LinAlgError from eigvalsh, NaN in "A must be symmetric".
+        with pytest.raises(ValueError, match="lambda_max < inf"):
+            spd_catalog("diag-spectrum", m=3, **bounds)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_nonfinite_matrix_rejected_before_symmetry(self, value):
+        with pytest.raises(ValueError, match="A must be finite"):
+            SpdLinearProblem(A=np.diag([1.0, value]), u0=np.ones(2), T=1.0)
+
     def test_spd_validation(self):
         with pytest.raises(ValueError):
             SpdLinearProblem(A=np.array([[1.0, 2.0], [0.0, 1.0]]), u0=np.ones(2), T=1.0)
