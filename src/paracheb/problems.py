@@ -16,6 +16,7 @@ horizon, and optional jacobian / linear-structure / reference hooks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -248,11 +249,17 @@ class KeplerProblem:
             J[..., 3:, :3] = grav
             return J
 
+        # One table per problem: a comparison of fine propagators asks for the
+        # same grid once per propagator.  Callers get copies of the entries.
+        @functools.lru_cache(maxsize=4096)
+        def exact(t):
+            return kepler_reference(self, t)
+
         return IvpProblem(
             f=f,
             u0=self.u0,
             T=self.T,
-            reference=lambda t: kepler_reference(self, t),
+            reference=lambda t: exact(float(t)).copy(),
             jacobian=jacobian,
         )
 

@@ -23,6 +23,7 @@ from paracheb import (
     spd_catalog,
 )
 from paracheb import parareal
+from paracheb.analysis import contraction
 from paracheb.parareal import _make_stepper
 
 BE = PropagatorSpec.backward_euler(1)
@@ -39,6 +40,46 @@ def serial_trajectory(spec, problem, N, dT):
     for n in range(N):
         u[n + 1] = step(n * dT, u[n])
     return u
+
+
+def reference_run(cfg, problem):
+    """``run`` without the reuse, the reference for it: every pass recomputes
+    every coarse and fine step, the fine ones in one stack of all ``N`` rows."""
+    state = initialize(cfg, problem)
+    fine = _make_stepper(cfg.fine, problem, cfg.dT)
+    coarse = _make_stepper(cfg.coarse, problem, cfg.dT)
+    times = np.arange(cfg.N) * cfg.dT
+    u, g_prev, history = state.u, state.g_prev, []
+    for k in range(1, cfg.max_k + 1):
+        fine_results = fine(times, u[: cfg.N])
+        u_new = u.copy()
+        g_new = np.empty_like(g_prev)
+        for n in range(cfg.N):
+            g_new[n] = coarse(times[n], u_new[n])
+            u_new[n + 1] = fine_results[n] + (g_new[n] - g_prev[n])
+        iter_error = float(np.max(np.abs(u_new - u)))
+        component_error = None
+        if state.ref_table is not None:
+            component_error = tuple(np.max(np.abs(u_new - state.ref_table), axis=0).tolist())
+        history.append(ConvergenceRecord(k, iter_error, component_error))
+        u, g_prev = u_new, g_new
+        if iter_error <= cfg.tol:
+            return u, history
+    raise MaxIterationsError("no convergence", history)
+
+
+@pytest.fixture
+def advance_calls(monkeypatch):
+    """``(spec, rows)`` of each ``advance`` call that parareal makes."""
+    calls = []
+    advance = parareal.advance
+
+    def counting(spec, f, t, u, *args, **kwargs):
+        calls.append((spec, len(u) if np.ndim(u) == 2 else 1))
+        return advance(spec, f, t, u, *args, **kwargs)
+
+    monkeypatch.setattr(parareal, "advance", counting)
+    return calls
 
 
 class TestInitialize:
@@ -105,7 +146,8 @@ class TestIterate:
         np.testing.assert_array_equal(state.u[1], direct)
 
     def test_prefix_exactness(self):
-        # After k passes the first k grid values equal the serial fine run.
+        # After k passes the first k grid values equal the serial fine run,
+        # bit for bit: the stacked and the one-state collocation solves agree.
         prob = diag_problem(T=0.06)
         fine = PropagatorSpec.chebyshev_gauss(8)
         cfg = PararealConfig(T=0.06, N=6, coarse=BE, fine=fine)
@@ -113,7 +155,7 @@ class TestIterate:
         state = initialize(cfg, prob)
         for k in range(1, 7):
             state = iterate(state, cfg, prob)
-            np.testing.assert_allclose(state.u[: k + 1], fine_serial[: k + 1], atol=1e-12)
+            np.testing.assert_array_equal(state.u[: k + 1], fine_serial[: k + 1])
 
     def test_prefix_exactness_nonlinear(self):
         prob = IvpProblem(f=lambda t, u: -(u**2), u0=np.array([1.0]), T=1.0)
@@ -123,7 +165,26 @@ class TestIterate:
         state = initialize(cfg, prob)
         for k in range(1, 5):
             state = iterate(state, cfg, prob)
-            np.testing.assert_allclose(state.u[: k + 1], fine_serial[: k + 1], atol=1e-11)
+            np.testing.assert_array_equal(state.u[: k + 1], fine_serial[: k + 1])
+
+    @pytest.mark.parametrize(
+        "prob, fine, T, init",
+        [
+            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), "cg:6", 0.5, "random"),
+            (BurgersProblem(0.05, 8).to_ivp(), "cg:8", 0.5, "coarse"),
+            (KeplerProblem(T=5.0).to_ivp(), "gauss4:2", 5.0, "coarse"),
+        ],
+        ids=["linear", "picard", "gauss4"],
+    )
+    def test_prefix_exactness_bit_for_bit(self, prob, fine, T, init):
+        # The rows the next pass reuses are exactly these: every pass leaves
+        # one more grid value on the serial fine trajectory.
+        cfg = PararealConfig(T=T, N=8, coarse=BE, fine=parse_spec(fine), init=init, seed=2)
+        fine_serial = serial_trajectory(cfg.fine, prob, 8, cfg.dT)
+        state = initialize(cfg, prob)
+        for k in range(1, 9):
+            state = iterate(state, cfg, prob)
+            np.testing.assert_array_equal(state.u[: k + 1], fine_serial[: k + 1])
 
     def test_cached_coarse_agrees_with_recomputation(self):
         # The correction subtracts g_prev[n], so it must be exactly the
@@ -249,6 +310,51 @@ class TestRun:
         gmean = math.exp(sum(math.log(r) for r in window) / len(window))
         assert gmean <= 0.35
 
+    @pytest.mark.parametrize(
+        "name, params, T, N, fine",
+        [
+            ("diag-spectrum", dict(m=3, lambda_min=1.0, lambda_max=100.0), 40.0, 40, "cg:5"),
+            ("laplacian-1d", dict(m=16), 0.2, 16, "cg:1"),
+        ],
+        ids=["diag-spectrum", "laplacian-1d"],
+    )
+    def test_contraction_bound_per_component(self, name, params, T, N, fine):
+        # With e^k the error against the serial fine run and R_G = 1/(1+z)
+        # the backward Euler factor, each eigencomponent obeys
+        #   e^{k+1}_{n+1} = R_G e^{k+1}_n + (R_F - R_G) e^k_n,
+        # so every pass shrinks max_n |e_i| by K(lambda_i dT) at least.
+        # Slack: the coarse Newton stops at a residual of 1e-12 (1 + |x|),
+        # which moves a step's eigencomponents by at most sqrt(m) times that,
+        # and rounding adds a few ulps per step; both enter each pass twice
+        # and are summed by the factor 1 / (1 - R_G) of the recursion.
+        # Error floor: none, every pass and component is compared; where an
+        # error is within the slack (1e-11 to 2e-10 here) the slack decides.
+        spd = spd_catalog(name, T=T, **params)
+        prob = spd.to_ivp()
+        cfg = PararealConfig(T=T, N=N, coarse=BE, fine=parse_spec(fine), init="random", seed=4)
+        lam, Q = np.linalg.eigh(spd.A)
+        z = lam * cfg.dT
+        K = np.array([contraction(cfg.fine, zi) for zi in z])
+        fine_serial = serial_trajectory(cfg.fine, prob, N, cfg.dT)
+        state = initialize(cfg, prob)
+        scale = 1.0 + max(np.abs(fine_serial).max(), np.abs(state.u).max())
+        step_error = math.sqrt(len(lam)) * 1e-12 * scale + 8 * np.finfo(float).eps * scale
+        slack = 2.0 * step_error / (1.0 - 1.0 / (1.0 + z))
+
+        def component_errors(u):
+            return np.max(np.abs((u - fine_serial) @ Q), axis=0)
+
+        errors = [component_errors(state.u)]
+        while not (state.history and state.history[-1].iter_error <= cfg.tol):
+            state = iterate(state, cfg, prob)
+            errors.append(component_errors(state.u))
+        before, after = np.array(errors[:-1]), np.array(errors[1:])
+        assert len(before) > 10
+        assert np.all(after <= K * before + slack)
+        # The bound is sharp: some pass takes nearly all of it.
+        measured = before > 1e-9
+        assert np.max(after[measured] / (K * before)[measured]) > 0.9
+
     def test_history_records_reference_error(self):
         prob = diag_problem(T=0.5)
         u, history = run(
@@ -323,26 +429,22 @@ class TestRun:
             np.testing.assert_array_equal(state.u, tables[1].u)
             assert state.history == tables[1].history
 
-    def test_one_fine_call_per_pass(self, monkeypatch):
-        calls = []
-
-        def counting(spec, *args, **kwargs):
-            calls.append(spec)
-            return advance(spec, *args, **kwargs)
-
-        advance = parareal.advance
-        monkeypatch.setattr(parareal, "advance", counting)
+    def test_one_fine_call_per_pass(self, advance_calls):
+        # Pass k reuses the k grid values the earlier passes made exact: its
+        # coarse steps start from the other 16 - k, and its one fine call
+        # stacks the 17 - k rows whose start value moved in pass k - 1.
+        calls = advance_calls
         fine = parse_spec("cg:6")
         prob = spd_catalog("laplacian-1d", m=8, T=2.0).to_ivp()
         states = []
         for workers in (1, 8):
             cfg = PararealConfig(T=2.0, N=16, coarse=BE, fine=fine, init="random", seed=5, workers=workers)
             state = initialize(cfg, prob)
-            for _ in range(3):
+            for k in (1, 2, 3):
                 calls.clear()
                 state = iterate(state, cfg, prob)
-                assert calls.count(fine) == 1
-                assert calls.count(BE) == 16
+                assert [rows for spec, rows in calls if spec == fine] == [17 - k]
+                assert [spec for spec, _ in calls].count(BE) == 16 - k
             states.append(state)
         np.testing.assert_array_equal(states[0].u, states[1].u)
         assert states[0].history == states[1].history
@@ -366,6 +468,62 @@ class TestRun:
             states.append(state)
         np.testing.assert_array_equal(states[0].u, states[1].u)
         assert states[0].history == states[1].history
+
+    @pytest.mark.parametrize(
+        "prob, T, N, fine, init",
+        [
+            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), 0.5, 16, "cg:6", "random"),
+            (diag_problem(T=2.0), 2.0, 16, "cg:6", "random"),
+            (BurgersProblem(0.05, 8).to_ivp(), 0.5, 8, "cg:8", "coarse"),
+            (KeplerProblem(T=5.0).to_ivp(), 5.0, 8, "gauss4:2", "coarse"),
+            (diag_problem(T=0.5), 0.5, 1, "cg:6", "coarse"),
+            (diag_problem(T=0.5), 0.5, 2, "cg:6", "random"),
+        ],
+        ids=["laplacian-1d", "diag-spectrum", "burgers", "kepler-gauss4", "N1", "N2"],
+    )
+    def test_reuse_matches_full_recomputation(self, prob, T, N, fine, init):
+        cfg = PararealConfig(T=T, N=N, coarse=BE, fine=parse_spec(fine), init=init, seed=3)
+        u, history = run(cfg, prob)
+        u_ref, history_ref = reference_run(cfg, prob)
+        np.testing.assert_array_equal(u, u_ref)
+        assert history == history_ref
+
+    def test_reuse_to_the_end_of_the_table(self, advance_calls):
+        # Pass N has one changed start value, stacked with its neighbour;
+        # pass N + 1 has none, so it steps nothing and changes nothing.
+        calls = advance_calls
+        fine = parse_spec("cg:6")
+        prob = diag_problem(T=0.4)
+        for N, fine_rows, coarse_calls in [(4, [4, 3, 2, 2, 0], [3, 2, 1, 0, 0]), (1, [1, 0], [0, 0])]:
+            cfg = PararealConfig(T=0.4, N=N, coarse=BE, fine=fine, init="random", seed=1)
+            state = initialize(cfg, prob)
+            rows, coarse = [], []
+            for _ in range(N + 1):
+                calls.clear()
+                state = iterate(state, cfg, prob)
+                rows.append(sum(r for spec, r in calls if spec == fine))
+                coarse.append(sum(spec == BE for spec, _ in calls))
+            assert (rows, coarse) == (fine_rows, coarse_calls)
+            assert state.history[-1].iter_error == 0.0
+            np.testing.assert_array_equal(state.u, serial_trajectory(fine, prob, N, cfg.dT))
+
+    def test_reuse_follows_the_table_not_the_pass(self):
+        # A start value changed by hand is a changed input: its fine step
+        # runs again, and a failure names its subinterval, not its row of
+        # the smaller stack.
+        def f(t, u):
+            return np.where(u > 0.5, np.inf, -u)
+
+        prob = IvpProblem(f=f, u0=np.zeros(1), T=1.0)
+        cfg = PararealConfig(T=1.0, N=12, coarse=parse_spec("feuler:1"), fine=parse_spec("beuler:2"))
+        state = iterate(initialize(cfg, prob), cfg, prob)
+        assert state.history[-1].iter_error == 0.0
+        state.u[5] = 0.9
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(SweepError) as err:
+            iterate(state, cfg, prob)
+        assert err.value.indices == [5]
+        assert str(err.value).startswith("fine propagator failed on subintervals [5]: ")
+        assert isinstance(err.value.cause, NonConvergenceError)
 
     def test_iteration_cap_carries_history(self):
         prob = diag_problem(T=4.0)

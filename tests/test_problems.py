@@ -147,6 +147,30 @@ class TestKepler:
             assert abs(energy - energy0) / abs(energy0) < 1e-9
             np.testing.assert_allclose(np.cross(r, v), momentum0, rtol=1e-9)
 
+    def test_reference_table_computed_once_per_problem(self, monkeypatch):
+        # kepler-compare builds the same 201-point table for each of its four
+        # fine propagators; the problem keeps the values, bit for bit.
+        kp = KeplerProblem()
+        times = [0.25 * n for n in range(201)]
+        expected = [kepler_reference(kp, t) for t in times]
+        calls = []
+
+        def counting(problem, t):
+            calls.append(t)
+            return kepler_reference(problem, t)
+
+        monkeypatch.setattr(problems, "kepler_reference", counting)
+        ivp = kp.to_ivp()
+        tables = [np.array([ivp.reference(t) for t in times]) for _ in range(4)]
+        assert len(calls) == 201
+        for table in tables:
+            np.testing.assert_array_equal(table, expected)
+        # The entries handed out are copies: changing one changes no other.
+        ivp.reference(12.5)[:] = np.nan
+        np.testing.assert_array_equal(ivp.reference(12.5), expected[50])
+        kp.to_ivp().reference(12.5)
+        assert len(calls) == 202  # each problem has its own table
+
     def test_against_brute_force_integration(self):
         # Classical fourth-order Runge-Kutta with a very small step is the
         # independent oracle for the analytic propagation.
