@@ -217,14 +217,15 @@ def _experiment_kepler(manifest: RunManifest) -> tuple[list[str], list[list]]:
         PropagatorSpec.trapezoidal(6),
         PropagatorSpec.gauss4(6),
     ]
+    # One batch: the runs share their coarse steps.
+    cfgs = [_run_config(manifest, _COARSE, fine, N, problem.T) for fine in algorithms]
+    try:
+        results = parareal.run(cfgs, problem)
+    except SolverError as exc:
+        exc.add_context(f"orbit comparison, algorithm {algorithms[exc.run].label}")
+        raise
     rows = []
-    for fine in algorithms:
-        cfg = _run_config(manifest, _COARSE, fine, N, problem.T)
-        try:
-            _, history = parareal.run(cfg, problem)
-        except SolverError as exc:
-            exc.add_context(f"orbit comparison, algorithm {fine.label}")
-            raise
+    for fine, (_, history) in zip(algorithms, results):
         for rec in history:
             abs_error_pos = float(np.max(rec.component_error[:3]))  # the position block
             rows.append([fine.label, rec.k, rec.abs_error, abs_error_pos, rec.iter_error])
@@ -236,27 +237,32 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
     # random states can leave the backward Euler stage equation without a
     # real solution on the largest coarse steps.  Pass init=random to opt
     # into randomized starts.
+    if sweep == "dt":
+        batches = [[(dt, 1.0 / 4.0, 4)] for dt in _BURGERS_DT_SWEEP]
+    elif sweep == "dx":
+        batches = [[(1.0 / 64.0, dx, 4)] for dx in _BURGERS_DX_SWEEP]
+    else:
+        # The point counts share a problem and a coarse grid: one batch.
+        batches = [[(1.0 / 32.0, 1.0 / 4.0, m) for m in _BURGERS_M_SWEEP]]
     rows = []
     for nu in _BURGERS_NUS:
-        if sweep == "dt":
-            cases = [(dt, 1.0 / 4.0, 4) for dt in _BURGERS_DT_SWEEP]
-        elif sweep == "dx":
-            cases = [(1.0 / 64.0, dx, 4) for dx in _BURGERS_DX_SWEEP]
-        else:
-            cases = [(1.0 / 32.0, 1.0 / 4.0, m) for m in _BURGERS_M_SWEEP]
-        for dt, dx, m in cases:
+        for batch in batches:
+            dt, dx, _ = batch[0]
             problem = problems.BurgersProblem(nu, round(2.0 / dx)).to_ivp()
-            fine = PropagatorSpec.chebyshev_gauss(m)
             N = round(problem.T / dt)
-            cfg = _run_config(manifest, _COARSE, fine, N, problem.T)
-            param = {"dt": dt, "dx": dx, "m": m}[sweep]
+            cfgs = [
+                _run_config(manifest, _COARSE, PropagatorSpec.chebyshev_gauss(m), N, problem.T)
+                for _, _, m in batch
+            ]
+            params = [{"dt": dt, "dx": dx, "m": m}[sweep] for dt, dx, m in batch]
             try:
-                _, history = parareal.run(cfg, problem)
+                results = parareal.run(cfgs, problem)
             except SolverError as exc:
-                exc.add_context(f"viscous sweep at nu={nu:g}, {sweep}={param:g}")
+                exc.add_context(f"viscous sweep at nu={nu:g}, {sweep}={params[exc.run]:g}")
                 raise
-            for rec in history:
-                rows.append([nu, param, rec.k, rec.iter_error])
+            for param, (_, history) in zip(params, results):
+                for rec in history:
+                    rows.append([nu, param, rec.k, rec.iter_error])
     return ["nu", sweep, "k", "iter_error"], rows
 
 

@@ -10,9 +10,13 @@ class SolverError(RuntimeError):
     #: that raised the error, also named in its message; None elsewhere.
     subinterval: int | None = None
     k: int | None = None
+    #: The run of a parareal batch that raised the error, its index among
+    #: the batch's configs (0 for a single run); None outside parareal.  The
+    #: message leaves it to the caller, who knows the run's name.
+    run: int | None = None
 
-    def name_coarse_step(self, subinterval: int, k: int) -> None:
-        self.subinterval, self.k = subinterval, k
+    def name_coarse_step(self, subinterval: int, k: int, run: int) -> None:
+        self.subinterval, self.k, self.run = subinterval, k, run
         self.add_context(f"coarse step on subinterval {subinterval} in pass {k}")
 
     def add_context(self, context: str) -> None:

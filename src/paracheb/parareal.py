@@ -20,13 +20,26 @@ about half of the steps of a run that takes ``N`` passes.  The table is the
 one a full recomputation gives, bit for bit, as long as a row's fine result
 does not depend on the rows stacked with it; the fine stack keeps at least
 two rows because a one-row stack may take other BLAS kernels.
+
+Runs that differ in their fine propagator only, as in a comparison of fine
+propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
+``iterate`` take a sequence of configs (and states) where they take one, and
+a single config is the one-run case of the same code.  The batch shares the
+initial coarse sweep, which never reads ``fine``, and each pass's
+correction: at every subinterval the start values of all runs that need a
+coarse step go to ``advance`` in one stack.  A run's rows follow the iterates
+they follow alone wherever a row of ``f`` does not depend on the rows
+stacked with it (Kepler's ``f``); an ``f`` built on a matrix product over the
+stack (``u @ A.T`` of the SPD and Burgers problems) may move the last bits.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor  # unused here; bench/tracing.py patches this name
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -115,6 +128,25 @@ class PararealState:
         return len(self.history)
 
 
+#: What ``run`` returns for one config: the iterate table and its history.
+RunResult = tuple[np.ndarray, list[ConvergenceRecord]]
+
+
+def _batch(cfg: PararealConfig | Sequence[PararealConfig]) -> list[PararealConfig]:
+    """The configs of a batch: ``cfg`` itself, or the sequence it is.
+
+    The configs must agree on everything but ``fine`` (``ValueError``
+    otherwise, and for an empty sequence).
+    """
+    cfgs = [cfg] if isinstance(cfg, PararealConfig) else list(cfg)
+    if not cfgs:
+        raise ValueError("a batch needs at least one config")
+    for other in cfgs[1:]:
+        if dataclasses.replace(other, fine=cfgs[0].fine) != cfgs[0]:
+            raise ValueError("the configs of a batch may differ in fine only")
+    return cfgs
+
+
 def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
     """Bind a propagator spec and problem into a ``(t, u) -> u_next`` callable.
 
@@ -128,7 +160,9 @@ def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
     return step
 
 
-def initialize(cfg: PararealConfig, problem: IvpProblem) -> PararealState:
+def initialize(
+    cfg: PararealConfig | Sequence[PararealConfig], problem: IvpProblem
+) -> PararealState | list[PararealState]:
     """Build the pass-0 iterate table.
 
     The default policy fills it with a sequential coarse sweep.  The random
@@ -136,30 +170,37 @@ def initialize(cfg: PararealConfig, problem: IvpProblem) -> PararealState:
     seeded generator, which reproduces the randomized-start experiments.
     Either way the coarse result from every ``u[n]`` is cached in ``g_prev``
     for the first correction.
+
+    A batch of configs (see ``run``) gets a list of states, one per config,
+    from one sweep: the table does not depend on ``fine``.  A failed coarse
+    step names its subinterval, pass 0 and run 0.
     """
+    cfgs = _batch(cfg)
+    first = cfgs[0]
     u0 = problem.u0
-    N, dim = cfg.N, u0.size
+    N, dim = first.N, u0.size
     u = np.empty((N + 1, dim))
     u[0] = u0
-    if cfg.init == "random":
-        rng = np.random.default_rng(cfg.seed)
+    if first.init == "random":
+        rng = np.random.default_rng(first.seed)
         u[1:] = rng.uniform(-1.0, 1.0, size=(N, dim))
 
-    coarse = _make_stepper(cfg.coarse, problem, cfg.dT)
+    coarse = _make_stepper(first.coarse, problem, first.dT)
     g_prev = np.empty((N, dim))
     try:
         for n in range(N):
-            g_prev[n] = coarse(n * cfg.dT, u[n])
-            if cfg.init == "coarse":
+            g_prev[n] = coarse(n * first.dT, u[n])
+            if first.init == "coarse":
                 u[n + 1] = g_prev[n]
     except SolverError as exc:
-        exc.name_coarse_step(n, 0)
+        exc.name_coarse_step(n, 0, 0)
         raise
 
     ref_table = None
     if problem.reference is not None:
-        ref_table = np.array([problem.reference(n * cfg.dT) for n in range(N + 1)])
-    return PararealState(u=u, g_prev=g_prev, history=[], ref_table=ref_table)
+        ref_table = np.array([problem.reference(n * first.dT) for n in range(N + 1)])
+    states = [PararealState(u=u.copy(), g_prev=g_prev.copy(), history=[], ref_table=ref_table) for _ in cfgs]
+    return states[0] if isinstance(cfg, PararealConfig) else states
 
 
 def _fine_results(state: PararealState, fine, times: np.ndarray) -> np.ndarray:
@@ -186,64 +227,132 @@ def _fine_results(state: PararealState, fine, times: np.ndarray) -> np.ndarray:
     return results
 
 
-def iterate(state: PararealState, cfg: PararealConfig, problem: IvpProblem) -> PararealState:
-    """One predictor-corrector pass: one stacked fine sweep, sequential correction.
+def iterate(
+    state: PararealState | Sequence[PararealState],
+    cfg: PararealConfig | Sequence[PararealConfig],
+    problem: IvpProblem,
+) -> PararealState | list[PararealState]:
+    """One predictor-corrector pass: stacked fine sweeps, one sequential correction.
 
-    The fine sweep advances every subinterval whose start value changed in
-    the last pass in one ``advance`` call, in which each row stops on its
-    own and a failing row leaves the others running; failed rows raise the
-    ``SweepError`` that names every one of them.  An error not tied to a
-    row (a ``ValueError`` from a bad ``linear`` operator, say) propagates
-    with its own type.  The correction takes a coarse step only from a
-    start value that differs from the cached one's; a failed coarse step
-    raises its own error, naming its subinterval and pass.
+    ``state`` and ``cfg`` are one state and its config, or a batch: equally
+    long sequences of states and of configs that differ in ``fine`` only
+    (see ``run``).  Each state is advanced by one pass and returned as it
+    was given, a state or a list.
+
+    Each run's fine sweep advances every subinterval whose start value
+    changed in the last pass in one ``advance`` call, in which each row
+    stops on its own and a failing row leaves the others running; failed
+    rows raise the ``SweepError`` that names every one of them.  An error
+    not tied to a row (a ``ValueError`` from a bad ``linear`` operator, say)
+    propagates with its own type.
+
+    The correction walks the subintervals once for the whole batch.  At each
+    it takes a coarse step only for the runs whose corrected start value
+    differs from the cached one's: one state goes to ``advance`` alone,
+    several in one stack.  A failed coarse step raises its own error, naming
+    its subinterval, pass and run (``subinterval``, ``k``, ``run``, the
+    run's index in the batch); of several failures in one stack, the lowest
+    run's.  A ``SolverError`` from a fine sweep names its run too.
     """
-    fine = _make_stepper(cfg.fine, problem, cfg.dT)
-    coarse = _make_stepper(cfg.coarse, problem, cfg.dT)
-    N = cfg.N
-    times = np.arange(N) * cfg.dT
+    cfgs = _batch(cfg)
+    states = [state] if isinstance(state, PararealState) else list(state)
+    if len(states) != len(cfgs):
+        raise ValueError(f"{len(states)} states for {len(cfgs)} configs")
+    first = cfgs[0]
+    N = first.N
+    times = np.arange(N) * first.dT
 
-    fine_results = _fine_results(state, fine, times)
+    fine_results = []
+    for r, (s, c) in enumerate(zip(states, cfgs)):
+        try:
+            fine_results.append(_fine_results(s, _make_stepper(c.fine, problem, first.dT), times))
+        except SolverError as exc:
+            exc.run = r
+            raise
 
-    u_new = np.empty_like(state.u)
-    u_new[0] = state.u[0]
-    g_new = np.empty((N, state.u.shape[1]))
+    # Rows 1..N of u_new are overwritten by the correction.
+    u_new = [s.u.copy() for s in states]
+    g_new = [s.g_prev.copy() for s in states]
+    coarse = _make_stepper(first.coarse, problem, first.dT)
+    runs = []  # the runs whose start value at T_n differs from the cached one's
     try:
         for n in range(N):
-            if u_new[n].tobytes() == state.u[n].tobytes():
-                g_new[n] = state.g_prev[n]
-            else:
-                g_new[n] = coarse(times[n], u_new[n])
-            # Summed as fine value plus small coarse increment: near convergence
-            # the increment vanishes, so the fine result's bits are preserved.
-            u_new[n + 1] = fine_results[n] + (g_new[n] - state.g_prev[n])
+            if len(runs) == 1:
+                g_new[runs[0]][n] = coarse(times[n], u_new[runs[0]][n])
+            elif runs:
+                steps = coarse(np.full(len(runs), times[n]), np.array([u_new[r][n] for r in runs]))
+                for r, g in zip(runs, steps):
+                    g_new[r][n] = g
+            runs = []
+            for r, (u, g, f, s) in enumerate(zip(u_new, g_new, fine_results, states)):
+                # Summed as fine value plus small coarse increment: near convergence
+                # the increment vanishes, so the fine result's bits are preserved.
+                u[n + 1] = f[n] + (g[n] - s.g_prev[n])
+                if u[n + 1].tobytes() != s.u[n + 1].tobytes():
+                    runs.append(r)
     except SolverError as exc:
-        exc.name_coarse_step(n, state.k + 1)
-        raise
+        # A stack's failures come as one SweepError; its cause is the lowest run's.
+        error, r = (exc.cause, runs[exc.indices[0]]) if isinstance(exc, SweepError) else (exc, runs[0])
+        error.name_coarse_step(n, states[r].k + 1, r)
+        if error is exc:
+            raise
+        raise error from None
 
-    iter_error = float(np.max(np.abs(u_new - state.u)))
-    ref = state.ref_table
-    component_error = None if ref is None else tuple(np.max(np.abs(u_new - ref), axis=0).tolist())
+    for s, u, g, f in zip(states, u_new, g_new, fine_results):
+        iter_error = float(np.max(np.abs(u - s.u)))
+        ref = s.ref_table
+        component_error = None if ref is None else tuple(np.max(np.abs(u - ref), axis=0).tolist())
+        s.u_prev, s.u = s.u, u
+        s.f_prev = f
+        s.g_prev = g
+        s.history.append(ConvergenceRecord(s.k + 1, iter_error, component_error))
+    return states[0] if isinstance(state, PararealState) else states
 
-    state.u_prev, state.u = state.u, u_new
-    state.f_prev = fine_results
-    state.g_prev = g_new
-    state.history.append(ConvergenceRecord(state.k + 1, iter_error, component_error))
-    return state
 
-
-def run(cfg: PararealConfig, problem: IvpProblem) -> tuple[np.ndarray, list[ConvergenceRecord]]:
+def run(
+    cfg: PararealConfig | Sequence[PararealConfig], problem: IvpProblem
+) -> RunResult | list[RunResult]:
     """Iterate until the stopping criterion ``iter_error <= tol`` is met.
 
     Returns the converged iterate table (shape ``(N+1, dim)``) and the full
     convergence history.  Hitting ``max_k`` raises ``MaxIterationsError``
     with the history attached.
+
+    A sequence of configs that agree on everything but ``fine`` runs as a
+    batch and returns a list of those pairs, one per config; other
+    sequences, and an empty one, raise ``ValueError``.  The runs go in
+    lockstep, sharing the initial sweep and each pass's coarse steps (see
+    ``iterate``), and a run leaves the batch once it has converged.
+
+    The first error stops the whole batch.  Its ``run`` is the index of the
+    config it belongs to (0 for the shared initial sweep), and a
+    ``MaxIterationsError`` carries that run's history.  Where several runs
+    would fail, the batch raises the failure it meets first: the earliest
+    pass; within a pass, the fine sweeps (in run order) before the
+    correction; within the correction, the lowest subinterval, then the
+    lowest run.  Running the configs one after another raises the lowest
+    failing run's error instead, so the two differ when a later run fails
+    in an earlier pass, or earlier in the same pass, than a lower one; a
+    lower run's ``MaxIterationsError`` is such a case, since it comes only
+    after ``max_k`` passes.
     """
-    state = initialize(cfg, problem)
-    for _ in range(cfg.max_k):
-        state = iterate(state, cfg, problem)
-        if state.history[-1].iter_error <= cfg.tol:
-            return state.u, state.history
-    raise MaxIterationsError(
-        f"no convergence to tol={cfg.tol:g} within {cfg.max_k} iterations", state.history
+    cfgs = _batch(cfg)
+    first = cfgs[0]
+    states = initialize(cfgs, problem)
+    live = list(range(len(cfgs)))
+    for _ in range(first.max_k):
+        try:
+            iterate([states[r] for r in live], [cfgs[r] for r in live], problem)
+        except SolverError as exc:
+            exc.run = live[exc.run]
+            raise
+        # A NaN iteration error is not convergence.
+        live = [r for r in live if not states[r].history[-1].iter_error <= cfgs[r].tol]
+        if not live:
+            results = [(s.u, s.history) for s in states]
+            return results[0] if isinstance(cfg, PararealConfig) else results
+    error = MaxIterationsError(
+        f"no convergence to tol={first.tol:g} within {first.max_k} iterations", states[live[0]].history
     )
+    error.run = live[0]
+    raise error

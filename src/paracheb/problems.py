@@ -232,7 +232,7 @@ class KeplerProblem:
         return np.concatenate((np.asarray(self.r0, float), np.asarray(self.v0, float)))
 
     def to_ivp(self) -> IvpProblem:
-        mu = self.mu
+        mu, eye = self.mu, np.eye(3)
 
         def f(t, u):
             r = u[..., :3]
@@ -243,9 +243,9 @@ class KeplerProblem:
             r = u[..., :3]
             # Each state's |r|^2 as a dot product, the sum np.linalg.norm takes.
             rn = np.sqrt(r[..., None, :] @ r[..., :, None])
-            grav = mu * (3.0 * (r[..., :, None] * r[..., None, :]) / rn**5 - np.eye(3) / rn**3)
+            grav = mu * (3.0 * (r[..., :, None] * r[..., None, :]) / rn**5 - eye / rn**3)
             J = np.zeros(u.shape + (6,))
-            J[..., :3, 3:] = np.eye(3)
+            J[..., :3, 3:] = eye
             J[..., 3:, :3] = grav
             return J
 

@@ -238,6 +238,14 @@ def _newton(
     return np.full_like(x0, np.nan) if out is None else out, failures
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The ``n`` by ``n`` identity, built once per size and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _solve_stage(
     f: RhsFunction,
     jac: RhsFunction,
@@ -248,7 +256,7 @@ def _solve_stage(
     x0: np.ndarray,
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """Newton solve of the stage equations x = rhs + beta_h * f(t, x), row by row."""
-    eye = np.eye(x0.shape[-1])
+    eye = _identity(x0.shape[-1])
 
     def residual(y, rows):
         return y - _rows(rhs, rows) - beta_h * f(_rows(t_stage, rows), y)
@@ -308,7 +316,7 @@ def _step_gauss4(f, jac, spec, t, u, h):
         # Block (i, j) of row r is h * A[i, j] * Jf[r, i].
         Jf = jac(times(rows), stages_of(K, rows))
         blocks = (h * _GAUSS4_A)[:, :, None, None] * Jf[:, :, None]
-        return np.eye(2 * n) - blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 2 * n, 2 * n)
+        return _identity(2 * n) - blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 2 * n, 2 * n)
 
     K0 = f(ts, np.stack((u, u), axis=1)).reshape(N, 2 * n)
     K, lost = _newton(residual, jacobian, K0, spec)

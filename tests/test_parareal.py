@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -572,3 +573,201 @@ class TestRun:
         kw = {"T": 1.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             PararealConfig(N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4), **kw)
+
+
+def coarse_rows(calls):
+    """``(calls, rows)`` of the backward Euler ``advance`` calls in ``calls``."""
+    coarse = [rows for spec, rows in calls if spec == BE]
+    return len(coarse), sum(coarse)
+
+
+class TestBatch:
+    """Configs that differ in ``fine`` only run as one batch; each run's solo
+    ``run`` is the reference."""
+
+    def test_kepler_batch_matches_solo_runs_bit_for_bit(self, advance_calls):
+        # Kepler's f has no matrix product over the stack, so a stacked
+        # coarse step gives each row the bits it gets alone.
+        prob = KeplerProblem(T=5.0).to_ivp()
+        cfgs = [
+            PararealConfig(T=5.0, N=8, coarse=BE, fine=parse_spec(fine))
+            for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")
+        ]
+        solo = []
+        for cfg in cfgs:
+            advance_calls.clear()
+            solo.append((run(cfg, prob), coarse_rows(advance_calls)))
+        advance_calls.clear()
+        batch = run(cfgs, prob)
+        assert len(batch) == len(cfgs)
+        for (u, history), ((u_solo, history_solo), _) in zip(batch, solo):
+            np.testing.assert_array_equal(u, u_solo)
+            assert history == history_solo
+        # The same coarse steps, less the three repeated initial sweeps, in
+        # at most one call per subinterval and pass.
+        calls, rows = coarse_rows(advance_calls)
+        assert rows == sum(r for _, (_, r) in solo) - 3 * 8
+        assert calls <= 8 * (1 + max(len(h) for _, h in batch))
+        assert calls < sum(c for _, (c, _) in solo) - 3 * 8
+
+    def test_burgers_batch_within_rounding_of_solo_runs(self):
+        # Burgers' f multiplies the whole stack by a matrix, so a row's bits
+        # may depend on the stack height; the passes may not.
+        prob = BurgersProblem(0.05, 8).to_ivp()
+        cfgs = [PararealConfig(T=0.5, N=8, coarse=BE, fine=parse_spec(f)) for f in ("cg:2", "cg:4", "cg:8")]
+        for cfg, (u, history) in zip(cfgs, run(cfgs, prob)):
+            u_solo, history_solo = run(cfg, prob)
+            assert [r.k for r in history] == [r.k for r in history_solo]
+            np.testing.assert_allclose(u, u_solo, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                [r.iter_error for r in history], [r.iter_error for r in history_solo], rtol=0, atol=1e-15
+            )
+
+    def test_runs_leave_the_batch_on_convergence(self, advance_calls):
+        # These runs take 1, 10, 15 and 17 passes; each returns its own history.
+        prob = spd_catalog("diag-spectrum", m=3, lambda_min=1.0, lambda_max=100.0, T=2.0).to_ivp()
+        cfgs = [
+            PararealConfig(T=2.0, N=16, coarse=BE, fine=parse_spec(f))
+            for f in ("beuler:1", "beuler:2", "cg:4", "gauss4:1")
+        ]
+        solo = [run(cfg, prob) for cfg in cfgs]
+        assert [len(h) for _, h in solo] == [1, 10, 15, 17]
+        advance_calls.clear()
+        batch = run(cfgs, prob)
+        for (u, history), (u_solo, history_solo) in zip(batch, solo):
+            np.testing.assert_array_equal(u, u_solo)
+            assert history == history_solo
+        # One initial sweep, then at most one coarse call per subinterval and pass.
+        assert coarse_rows(advance_calls)[0] <= 16 * (1 + 17)
+        # The fine calls: one per live run and pass (the last pass of the
+        # 17-pass run has no changed start value left to step).
+        fine_calls = [spec for spec, _ in advance_calls if spec != BE]
+        assert len(fine_calls) <= 1 + 10 + 15 + 17
+
+    def test_one_config_batch_makes_the_solo_calls(self, advance_calls):
+        prob = spd_catalog("laplacian-1d", m=8, T=2.0).to_ivp()
+        cfg = PararealConfig(T=2.0, N=16, coarse=BE, fine=parse_spec("cg:6"), init="random", seed=5)
+        u, history = run(cfg, prob)
+        solo_calls = list(advance_calls)
+        advance_calls.clear()
+        [(u_batch, history_batch)] = run([cfg], prob)
+        assert advance_calls == solo_calls
+        np.testing.assert_array_equal(u_batch, u)
+        assert history_batch == history
+
+    def test_initialize_and_iterate_take_a_batch(self):
+        prob = diag_problem(T=2.0)
+        cfgs = [PararealConfig(T=2.0, N=8, coarse=BE, fine=parse_spec(f), init="random", seed=4)
+                for f in ("cg:2", "cg:6")]
+        states = initialize(cfgs, prob)
+        assert [type(s) for s in states] == [parareal.PararealState] * 2
+        np.testing.assert_array_equal(states[0].u, initialize(cfgs[1], prob).u)
+        assert states[0].u is not states[1].u
+        for _ in range(3):
+            states = iterate(states, cfgs, prob)
+        for cfg, state in zip(cfgs, states):
+            solo = initialize(cfg, prob)
+            for _ in range(3):
+                solo = iterate(solo, cfg, prob)
+            np.testing.assert_array_equal(state.u, solo.u)
+            assert state.history == solo.history
+
+    def test_failure_names_its_run_subinterval_and_pass(self):
+        # u' = -12 u on dT = 1/4 (z = 3): forward Euler's factor is -2, so
+        # the second run's pass-2 iterate at T_2 is (-2)^2 = 4, and the
+        # coarse step's explicit Euler predictor from it, 4 (1 - 3) = -8,
+        # lies where f is NaN; no earlier value goes below -5.  The first run
+        # (fine equal to coarse) has left after pass 1, the third is live.
+        prob = IvpProblem(f=lambda t, u: np.where(u < -5.0, np.nan, -12.0 * u), u0=np.ones(1), T=1.0)
+        cfgs = [
+            PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec(f)) for f in ("beuler:1", "feuler:1", "cg:4")
+        ]
+        message = "^coarse step on subinterval 2 in pass 2: Newton stage solve produced non-finite values"
+        with pytest.raises(NonConvergenceError, match=message) as err:
+            run(cfgs, prob)
+        assert (err.value.run, err.value.subinterval, err.value.k) == (1, 2, 2)
+
+    def test_lowest_run_of_a_stacked_failure_is_raised(self):
+        # Both later runs get a NaN corrected start at subinterval 3 of pass 1,
+        # which one stacked coarse call takes.
+        prob = diag_problem(T=0.8)
+        cfgs = [PararealConfig(T=0.8, N=8, coarse=BE, fine=parse_spec(f)) for f in ("cg:2", "cg:4", "cg:6")]
+        states = initialize(cfgs, prob)
+        for state in states[1:]:
+            state.g_prev[2] = np.nan
+        with pytest.raises(NonConvergenceError, match="^coarse step on subinterval 3 in pass 1: ") as err:
+            iterate(states, cfgs, prob)
+        assert (err.value.run, err.value.subinterval, err.value.k) == (1, 3, 1)
+        assert not isinstance(err.value, SweepError)
+
+    def test_fine_failure_names_its_run(self):
+        def f(t, u):
+            return np.where(u > 0.5, np.inf, -u)
+
+        prob = IvpProblem(f=f, u0=np.zeros(1), T=1.0)
+        cfgs = [
+            PararealConfig(
+                T=1.0, N=12, coarse=parse_spec("feuler:1"), fine=parse_spec(fine), init="random", seed=4
+            )
+            for fine in ("erk4:1", "beuler:2")
+        ]
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(SweepError) as err:
+            iterate(initialize(cfgs, prob), cfgs, prob)
+        assert err.value.run == 1
+
+    def test_iteration_cap_carries_the_failing_runs_history(self):
+        # The first run converges in its first pass; the second cannot reach
+        # this tolerance in three.
+        prob = diag_problem(T=4.0)
+        cfgs = [
+            PararealConfig(T=4.0, N=16, coarse=BE, fine=parse_spec(f), tol=1e-16, max_k=3)
+            for f in ("beuler:1", "cg:4")
+        ]
+        with pytest.raises(MaxIterationsError, match="within 3 iterations") as err:
+            run(cfgs, prob)
+        with pytest.raises(MaxIterationsError) as solo:
+            run(cfgs[1], prob)
+        assert err.value.run == 1
+        assert err.value.history == solo.value.history
+        assert len(err.value.history) == 3
+
+    def test_initial_sweep_failure_belongs_to_run_0(self):
+        prob = BurgersProblem(0.005, 8).to_ivp()
+        cfgs = [PararealConfig(T=prob.T, N=8, coarse=BE, fine=parse_spec(f), init="random", seed=1)
+                for f in ("cg:8", "cg:4")]
+        with pytest.raises(NonConvergenceError) as err:
+            run(cfgs, prob)
+        assert (err.value.run, err.value.subinterval, err.value.k) == (0, 1, 0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(coarse=parse_spec("beuler:2")),
+            dict(N=8),
+            dict(T=2.0),
+            dict(tol=1e-8),
+            dict(init="random"),
+            dict(seed=1),
+            dict(max_k=5),
+            dict(workers=2),
+        ],
+        ids=["coarse", "N", "T", "tol", "init", "seed", "max_k", "workers"],
+    )
+    def test_configs_may_differ_in_fine_only(self, change):
+        prob = diag_problem(T=1.0)
+        base = PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec("cg:2"))
+        other = dataclasses.replace(base, fine=parse_spec("cg:4"), **change)
+        for call in (lambda: run([base, other], prob), lambda: initialize([base, other], prob)):
+            with pytest.raises(ValueError, match="differ in fine only"):
+                call()
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            run([], diag_problem())
+
+    def test_one_state_per_config(self):
+        prob = diag_problem(T=1.0)
+        cfgs = [PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec(f)) for f in ("cg:2", "cg:4")]
+        states = initialize(cfgs, prob)
+        with pytest.raises(ValueError, match="2 states for 1 configs"):
+            iterate(states, cfgs[:1], prob)

@@ -22,7 +22,7 @@ from paracheb import (
     spd_catalog,
     stability,
 )
-from paracheb.propagators import _fd_jacobian
+from paracheb.propagators import _fd_jacobian, _identity
 
 ALL_SPECS = [
     PropagatorSpec.backward_euler(3),
@@ -514,3 +514,11 @@ class TestSpecPlumbing:
         loose = advance(PropagatorSpec.chebyshev_gauss(8, tol=1e-4), f, 0.0, u, 0.5)
         np.testing.assert_array_equal(loose, solve_nonlinear(f, pts, u, tol=1e-4).u_end)
         assert not np.array_equal(loose, advance(PropagatorSpec.chebyshev_gauss(8), f, 0.0, u, 0.5))
+
+
+def test_stage_identity_is_built_once_and_read_only():
+    eye = _identity(4)
+    assert _identity(4) is eye
+    np.testing.assert_array_equal(eye, np.eye(4))
+    with pytest.raises(ValueError, match="read-only"):
+        eye[0, 0] = 2.0
