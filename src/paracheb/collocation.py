@@ -21,9 +21,9 @@ with node tables ``(N, M+1, dim)``, on a stacked point set
 (``CgPointSet.shifted``); every solve then covers all rows in the same
 calls.  ``f`` evaluates a stack of states (the contract stated on
 ``problems.IvpProblem``), so a sweep over every row's node table is one
-call.  On a stack each row stops on its own; a failing row is left out
-while the others finish, and the solve then raises ``SweepError`` naming
-every failed row.
+call.  On a stack each row stops on its own, by the rules of
+``settle_rows``, and a solve with failed rows raises ``SweepError`` naming
+every one of them once the others finish.
 
 The collocation matrices depend on ``M`` alone, so each solve takes them
 from ``chebyshev.build_operator(points.M)``, which caches them per ``M``.
@@ -62,6 +62,55 @@ def check_limits(tol: float, max_iter: int) -> None:
     check_integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+
+
+def _rows(a, rows):
+    """Rows ``rows`` of a per-row array; a float, or ``rows`` None, takes all."""
+    return a if rows is None or np.ndim(a) == 0 else a[rows]
+
+
+def settle_rows(test, update, state, max_iter: int, stall: str):
+    """Run an inner iteration on a stack of rows until each row settles or fails.
+
+    ``state`` is a tuple of arrays with one row per live row.  A round is
+    ``test(state)``, giving each live row's norm, the mask of settled rows
+    and a dict live index -> error of failed ones (none settled), then
+    ``update(state, norm, rows)``, giving the next state and the rows that
+    failed in it.  ``rows`` indexes the live rows in the stack and is None
+    while all are live.  There are ``max_iter`` updates and one test more.
+
+    A row leaves only at a test: settled, with its state; failed there or
+    in the update before, holding NaN with its first error; or, still live
+    at the last test, with ``NonConvergenceError(stall, norm)``.  So each
+    settled row follows exactly the iterates it would follow alone.
+    Returns every row's state, the failures and the updates made.
+    """
+    failures: dict[int, Exception] = {}
+    failed: dict[int, Exception] = {}  # live index -> error, from the last update
+    out = rows = None  # every row's state, filled in as rows leave; the live rows
+    for it in range(max_iter + 1):
+        norm, settled, lost = test(state)
+        failed = {**lost, **failed}  # an update's error came first
+        if it == max_iter:  # every row still live leaves now
+            for i in np.flatnonzero(~settled):
+                failed.setdefault(int(i), NonConvergenceError(stall, float(norm[i])))
+        settling = np.count_nonzero(settled)  # cheaper than any() and all() on a few rows
+        if rows is None and settling == len(norm):
+            return state, failures, it
+        if settling or failed:
+            leave = settled.copy()
+            leave[list(failed)] = True
+            ids = np.arange(len(norm)) if rows is None else rows
+            if out is None:
+                out = tuple(np.full_like(a, np.nan) for a in state)
+            for o, a in zip(out, state):
+                o[ids[settled]] = a[settled]
+            failures.update((int(ids[i]), exc) for i, exc in failed.items())
+            rows = ids[~leave]
+            if not len(rows):
+                return out, failures, it
+            state, norm = tuple(a[~leave] for a in state), norm[~leave]
+        state, failed = update(state, norm, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,58 +301,36 @@ def solve_nonlinear(
     consecutive sweeps, which must fall below ``tol``.  Hitting ``max_iter``
     sweeps raises ``NonConvergenceError``, a non-finite ``f`` value
     ``NonFiniteRhsError``.  Each sweep is one call of ``f`` on the node
-    tables of every row still sweeping; a row leaves once it settles or
-    fails, so each row runs exactly the sweeps it would run alone.
+    tables of every row still sweeping; ``settle_rows`` decides when a row
+    leaves.
     """
     check_limits(tol, max_iter)
     op = build_operator(points.M)
     u_a = _as_state(u_a)
     U = u_a if u_a.ndim == 2 else u_a[None]
-    N, dim = U.shape
-    t_nodes = np.broadcast_to(points.t, (N, op.M + 1))
-    u_hat_out = np.empty((N, op.M + 2, dim))
-    nodes_out = np.empty((N, op.M + 1, dim))
-    failures: dict[int, Exception] = {}
-    iterations = 0
+    t_nodes = np.broadcast_to(points.t, (len(U), op.M + 1))
     stall = f"fixed-point sweep did not converge in {max_iter} iterations"
 
-    def rhs(t_act, nodes):
-        if u_a.ndim == 2:
-            return _rhs_table(f, t_act, nodes)
-        return _rhs_table(f, t_act[0], nodes[0])[None]  # f sees one node table
-
-    rows = np.arange(N)  # rows still sweeping
-    U_act, t_act = U, t_nodes
-    nodes = np.repeat(U[:, None, :], op.M + 1, axis=1)
-    for p in range(1, max_iter + 1):
-        F = rhs(t_act, nodes)
-        keep = np.ones(len(rows), dtype=bool)
-        for i, exc in _nonfinite_rows(F, t_act).items():
-            failures[int(rows[i])] = exc
-            keep[i] = False
-        u_hat = _coefficients(op, points.length, U_act, F)
+    def sweep(state, _norm, rows):
+        nodes, t = state[1], _rows(t_nodes, rows)
+        F = _rhs_table(f, t, nodes) if u_a.ndim == 2 else _rhs_table(f, t[0], nodes[0])[None]  # f sees one table
+        failed = _nonfinite_rows(F, t)
+        u_hat = _coefficients(op, points.length, _rows(U, rows), F)
         u_new = op.T1 @ u_hat
         diff = np.max(np.abs(u_new - nodes), axis=(-2, -1))
-        done = keep & (diff < tol)
-        if done.any():
-            u_hat_out[rows[done]] = u_hat[done]
-            nodes_out[rows[done]] = u_new[done]
-            iterations = p
-        for i in np.flatnonzero(keep & ~np.isfinite(diff)):
-            failures[int(rows[i])] = NonConvergenceError(stall, diff[i])
-        keep &= np.isfinite(diff) & ~done
-        if not keep.all():
-            rows, U_act, t_act = rows[keep], U_act[keep], t_act[keep]
-            u_new, diff = u_new[keep], diff[keep]
-            if not len(rows):
-                break
-        nodes = u_new
-    for i, row in enumerate(rows):
-        failures[int(row)] = NonConvergenceError(stall, diff[i])
+        for i in np.flatnonzero(~np.isfinite(diff)):
+            failed.setdefault(int(i), NonConvergenceError(stall, diff[i]))
+        return (u_hat, u_new, diff), failed
+
+    # The start is u_a at every node; at an infinite distance no row settles.
+    u_hat = np.zeros((len(U), op.M + 2, U.shape[-1]))
+    u_hat[:, 0] = U
+    start = (u_hat, np.repeat(U[:, None, :], op.M + 1, axis=1), np.full(len(U), np.inf))
+    (u_hat, nodes, _), failures, sweeps = settle_rows(lambda s: (s[2], s[2] < tol, {}), sweep, start, max_iter, stall)
     raise_row_failures(failures, u_a.ndim == 2)
     if u_a.ndim == 1:
-        u_hat_out, nodes_out = u_hat_out[0], nodes_out[0]
-    return CollocationSolution(u_hat_out, nodes_out, iterations)
+        u_hat, nodes = u_hat[0], nodes[0]
+    return CollocationSolution(u_hat, nodes, sweeps)
 
 
 def solve_linear(

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .chebyshev import build_operator, cg_points
-from .collocation import RhsFunction, check_integer, check_limits, solve_checked, solve_linear, solve_nonlinear
+from .collocation import RhsFunction, _rows, check_integer, check_limits, settle_rows
+from .collocation import solve_checked, solve_linear, solve_nonlinear
 from .errors import NonConvergenceError, SingularSystemError, raise_row_failures
 
 _SQRT2 = math.sqrt(2.0)
@@ -137,11 +138,6 @@ def _fd_jacobian(f: RhsFunction, t, u: np.ndarray) -> np.ndarray:
     return ((F[..., 1:, :] - F[..., :1, :]) / h[..., :, None]).swapaxes(-1, -2)
 
 
-def _rows(a, rows):
-    """Rows ``rows`` of a per-row array; a float, or ``rows`` None, takes all."""
-    return a if rows is None or np.ndim(a) == 0 else a[rows]
-
-
 def _newton(
     residual: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     jacobian: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
@@ -155,87 +151,63 @@ def _newton(
     stack (all of them when None) at ``x``.  A row's step is halved (up to
     8 tries in all) whenever the full update fails to reduce that row's
     residual; far-off starting values occur routinely under randomized
-    outer iterations.  The test at the top of each iteration is the only
-    place where a row leaves the stack: a row within the tolerance leaves
-    with its value, a row whose residual is NaN or infinite leaves holding
-    NaN.  So every row that settles follows exactly the iterates it would
-    follow alone.  There are ``spec.max_iter`` updates and one test more, so
-    a row that reaches the tolerance on its last update settles.
+    outer iterations.  A row settles within ``spec.tol * (1 + |x|)``, and
+    ``settle_rows`` retires the rows over ``spec.max_iter`` updates.
 
     Returns the solution stack and the failures, a dict row -> error: a
     singular stage matrix gives ``SingularSystemError`` (the row takes a
-    NaN step and leaves at the next test), a residual that turns non-finite
-    or misses the tolerance ``NonConvergenceError``.  Failed rows hold NaN.
+    NaN step), a residual that turns non-finite or misses the tolerance
+    ``NonConvergenceError``.  Failed rows hold NaN.
     """
-    failures: dict[int, Exception] = {}
-    out = None  # the result stack, filled in as rows leave
-    rows = None  # rows still iterating; None while that is all of them
-    x, res = x0, residual(x0, None)
     check = True  # a residual may be non-finite: at the start and after backtracking
-    for it in range(spec.max_iter + 1):
-        norm = np.abs(res).max(axis=-1)
-        done = norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1))
-        if check and not np.isfinite(norm).all():
-            lost = ~np.isfinite(norm)
-            ids = np.arange(len(x)) if rows is None else rows
-            for i in ids[lost]:
-                failures.setdefault(
-                    int(i), NonConvergenceError("Newton stage solve produced non-finite values", math.inf)
-                )
-            x = np.where(lost[:, None], np.nan, x)
-            done |= lost
-        if done.any():
-            if rows is None and done.all():
-                return x, failures
-            if out is None:
-                out = np.full_like(x0, np.nan)
-            ids = np.arange(len(x)) if rows is None else rows
-            out[ids[done]] = x[done]
-            rows = ids[~done]
-            if not len(rows):
-                return out, failures
-            x, res, norm = x[~done], res[~done], norm[~done]
-        if it == spec.max_iter:
-            break
 
+    def test(state):
+        x, res = state
+        norm = np.abs(res).max(axis=-1)
+        settled = norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1))
+        lost = {}
+        if check and np.count_nonzero(np.isfinite(norm)) < len(norm):
+            settled &= np.isfinite(norm)  # an infinite residual at an infinite x
+            for i in np.flatnonzero(~np.isfinite(norm)):
+                lost[int(i)] = NonConvergenceError("Newton stage solve produced non-finite values", math.inf)
+        return norm, settled, lost
+
+    def update(state, norm, rows):
+        nonlocal check
+        x, res = state
+        failed = {}
         J = jacobian(x, rows)
         try:
             step = np.linalg.solve(J, res[..., None])[..., 0]
         except np.linalg.LinAlgError:
             # Find the singular rows one by one.  Each takes a NaN step, so
-            # it leaves at the next test; the others keep their steps.
+            # it fails the next test; the others keep their steps.
             step = np.empty_like(x)
             for i in range(len(x)):
                 try:
                     step[i] = np.linalg.solve(J[i], res[i])
                 except np.linalg.LinAlgError as exc:
-                    row = i if rows is None else rows[i]
-                    failures[int(row)] = SingularSystemError(f"Newton stage matrix is singular: {exc}")
+                    failed[i] = SingularSystemError(f"Newton stage matrix is singular: {exc}")
                     step[i] = np.nan
 
         x_new = x - step
         res_new = residual(x_new, rows)
         # A NaN or infinite residual fails the comparison: max propagates NaN.
         ok = np.abs(res_new).max(axis=-1) < norm
-        check = not ok.all()
+        check = np.count_nonzero(ok) < len(ok)
         if check:
             back = np.flatnonzero(~ok & np.isfinite(step).all(axis=-1))  # a NaN step cannot recover
-            scale = 1.0
-            for _ in range(7):
+            for halvings in range(1, 8):
                 if not len(back):
                     break
-                scale *= 0.5
-                x_new[back] = x[back] - scale * step[back]
+                x_new[back] = x[back] - 0.5**halvings * step[back]
                 res_new[back] = residual(x_new[back], back if rows is None else rows[back])
                 back = back[~(np.abs(res_new[back]).max(axis=-1) < norm[back])]
-        x, res = x_new, res_new
+        return (x_new, res_new), failed
 
-    ids = np.arange(len(x)) if rows is None else rows
-    for i, row in enumerate(ids):
-        failures[int(row)] = NonConvergenceError(
-            f"Newton stage solve did not converge in {spec.max_iter} iterations", float(norm[i])
-        )
-    return np.full_like(x0, np.nan) if out is None else out, failures
+    stall = f"Newton stage solve did not converge in {spec.max_iter} iterations"
+    (x, _), failures, _ = settle_rows(test, update, (x0, residual(x0, None)), spec.max_iter, stall)
+    return x, failures
 
 
 @functools.lru_cache(maxsize=None)
@@ -371,9 +343,9 @@ def advance(
     ``u' + A u = g``; the collocation kind then uses the direct solve,
     which is defined even where the fixed-point sweep diverges.
 
-    Every row stops its inner iterations on its own.  A failing row carries
-    on through the remaining substeps as NaN while the others finish, and
-    keeps the first error it met.  A single state then raises that typed
+    Every row stops its inner iterations on its own (``settle_rows``).  A
+    failing row carries on through the remaining substeps as NaN while the
+    others finish, and keeps the first error it met.  A single state then raises that typed
     error; a stack raises ``SweepError`` naming every failed row.  An error
     not tied to a row (a singular collocation system, an exception from
     ``f``) propagates as it is.

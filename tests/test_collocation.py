@@ -169,6 +169,25 @@ class TestSolveNonlinear:
             np.testing.assert_array_equal(sol.u_hat[i], r.u_hat)
             np.testing.assert_array_equal(sol.u_end[i], r.u_end)
 
+    def test_rows_settling_together_sweep_the_whole_stack(self):
+        # f is linear and each row's largest component is 1, so every row
+        # settles on the same sweep: each sweep is one f call on the whole
+        # stack, and each row ends on its own single-state solve.
+        heights = []
+
+        def f(t, u):
+            heights.append(len(u))
+            return -u
+
+        U = np.array([[1.0, -0.5], [-1.0, 0.25], [0.5, 1.0]])
+        starts = np.array([0.0, 0.2, 0.4])
+        sol = solve_nonlinear(f, cg_points(6, 0.0, 0.2).shifted(starts), U)
+        assert heights == [3] * sol.iterations
+        for a, u, u_hat in zip(starts, U, sol.u_hat):
+            alone = solve_nonlinear(lambda t, u: -u, cg_points(6, 0.0, 0.2).shifted(a), u)
+            assert alone.iterations == sol.iterations
+            np.testing.assert_array_equal(u_hat, alone.u_hat)
+
     def test_divergence_detected(self):
         # With one node the sweep multiplies errors by z/2; z = 4 diverges.
         pts = cg_points(0, 0.0, 1.0)

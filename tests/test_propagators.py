@@ -14,6 +14,7 @@ from paracheb import (
     PropagatorKind,
     PropagatorSpec,
     SingularSystemError,
+    SolverError,
     SweepError,
     advance,
     cg_points,
@@ -22,7 +23,8 @@ from paracheb import (
     spd_catalog,
     stability,
 )
-from paracheb.propagators import _fd_jacobian, _identity
+from paracheb import collocation, propagators
+from paracheb.propagators import _fd_jacobian, _identity, _newton
 
 ALL_SPECS = [
     PropagatorSpec.backward_euler(3),
@@ -305,6 +307,65 @@ class TestStackedAdvance:
         U = np.array([[0.1], [2.0], [4.0], [0.5]])
         got = advance(spec, f, np.zeros(4), U, 10.0)
         np.testing.assert_array_equal(got, per_row(spec, f, np.zeros(4), U, 10.0))
+
+    @pytest.mark.parametrize("text, max_iter", [("cg:4", 10), ("beuler:1", 3)])
+    def test_settled_nonfinite_and_stalled_rows(self, text, max_iter, monkeypatch):
+        # -(u**2) takes more inner iterations the larger u is: alone, row 0
+        # needs fewer than max_iter (6 sweeps, 2 Newton updates) and row 2
+        # more (17, 4).  Row 1 starts where f is infinite.
+        def f(t, u):
+            return np.where(u > 10.0, np.inf, -(u**2))
+
+        spec = dataclasses.replace(parse_spec(text), max_iter=max_iter)
+        U = np.array([[0.1], [20.0], [3.0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            alone = advance(spec, f, 0.0, U[0], 0.2)
+            errors = []
+            for u in U[1:]:
+                with pytest.raises(SolverError) as err:
+                    advance(spec, f, 0.0, u, 0.2)
+                errors.append(err.value)
+            with pytest.raises(SweepError) as err:
+                advance(spec, f, np.zeros(3), U, 0.2)
+            # The same call with row failures recorded instead of raised.
+            raised = []
+            for module in (collocation, propagators):
+                monkeypatch.setattr(module, "raise_row_failures", lambda failures, _: raised.append(failures))
+            got = advance(spec, f, np.zeros(3), U, 0.2)
+        nonfinite = NonFiniteRhsError if text == "cg:4" else NonConvergenceError
+        assert type(errors[0]) is nonfinite and "non-finite" in str(errors[0])
+        assert type(errors[1]) is NonConvergenceError
+        assert f"did not converge in {max_iter} iterations" in str(errors[1])
+        assert err.value.indices == [1, 2]
+        assert type(err.value.cause) is nonfinite and str(err.value.cause) == str(errors[0])
+        [failures] = raised
+        assert sorted(failures) == [1, 2] and [str(failures[i]) for i in (1, 2)] == [str(e) for e in errors]
+        np.testing.assert_array_equal(got[0], alone)
+        assert np.isnan(got[1:]).all()
+
+    @pytest.mark.parametrize("text", ["cg:4", "beuler:1"])
+    def test_empty_stack(self, text):
+        got = advance(parse_spec(text), lambda t, u: -u, np.zeros(0), np.zeros((0, 2)), 0.5)
+        assert got.shape == (0, 2)
+
+    def test_rows_settling_together_are_never_indexed(self):
+        # A linear stage equation: every row settles on the first update,
+        # so each residual and Jacobian call covers the whole stack
+        # (rows None), the path of every single-state coarse step.
+        seen = []
+        b = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.0]])
+
+        def residual(x, rows):
+            seen.append(rows)
+            return 2.0 * x - b
+
+        def jacobian(x, rows):
+            seen.append(rows)
+            return np.broadcast_to(2.0 * np.eye(2), (len(x), 2, 2))
+
+        x, failures = _newton(residual, jacobian, np.zeros((3, 2)), PropagatorSpec.backward_euler(1))
+        assert failures == {} and seen == [None] * 3
+        np.testing.assert_array_equal(x, b / 2.0)
 
 
 class TestStability:
