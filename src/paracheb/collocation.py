@@ -31,6 +31,7 @@ from ``chebyshev.build_operator(points.M)``, which caches them per ``M``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -142,6 +143,135 @@ def _as_state(u) -> np.ndarray:
 
 
 _SINGULAR_RTOL = 1e-14  # smallest singular value against max(largest, 1)
+_UNIT = np.finfo(float).eps / 2  # the unit roundoff u
+
+
+def _gamma(m: int) -> float:
+    """Higham's rounding constant ``gamma_m = m u / (1 - m u)``."""
+    return m * _UNIT / (1 - m * _UNIT)
+
+
+def _fro_above(A: np.ndarray) -> float:
+    """An upper bound on ``||A||_F``: the computed norm raised by its rounding."""
+    return float(np.sqrt(np.sum(A * A))) * (1 + 2 * _gamma(A.size + 2))
+
+
+def _cholesky_proves(A: np.ndarray, shift: float) -> bool:
+    """Whether Cholesky proves ``lambda_min(A) > shift`` for a symmetric ``A``.
+
+    It factors ``A - (shift + 4 n gamma_{n+1} ||A||_F) I``.  The margin
+    covers the factorization's backward error (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., Thm 10.3), as in
+    ``_certified``, and the rounding of the shifted diagonal.
+    """
+    n = len(A)
+    try:
+        np.linalg.cholesky(A - (shift + 4 * n * _gamma(n + 1) * _fro_above(A)) * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _proof(M: int) -> tuple[float, float, float, float] | None:
+    """Singular-value bounds for every computed ``K = fl(I + z T1_C)``, ``z >= 0``.
+
+    Returns ``(a, c, h0, h1)`` with ``sigma_min(K) >= a + c z`` and
+    ``sigma_max(K) <= h0 + h1 z`` at every ``z >= 0``, where also
+    ``a + c z > 2e-14 (h0 + h1 z)``, twice the threshold of the
+    singular-value test in ``solve_checked`` (``h0 > 1``).  Returns None
+    when the proof does not verify for this ``M`` or its bound is too weak
+    for that threshold.  Cached per ``M``, and built on the first call.
+
+    Write ``T = T1_C``.  Take a symmetric ``W`` with ``lambda_min(W) >=
+    w_lo > 0`` and ``lambda_max(W) <= w_hi``, and ``S = T^T W + W T`` with
+    ``lambda_min(S) >= s_lo > 0``.  For ``K = I + z T`` and ``z >= 0``,
+
+        x^T W K x = x^T W x + (z/2) x^T S x >= (1 + z s_lo / (2 w_hi)) x^T W x,
+
+    so Cauchy-Schwarz in the ``W`` inner product and ``w_lo |x|^2 <=
+    x^T W x <= w_hi |x|^2`` give ``sigma_min(K) >= a' + c' z`` with
+    ``a' = sqrt(w_lo / w_hi)`` and ``c' = a' s_lo / (2 w_hi)``.
+
+    Every eigenvalue of ``T`` has a positive real part (checked for
+    M <= 100), so ``T^T W + W T = I`` has a solution ``W > 0``; Roberts'
+    sign-function iteration ``A <- (A + A^-1)/2``, ``Q <- (Q + A^-T Q
+    A^-1)/2`` from ``A = T``, ``Q = I`` gives it as ``Q/2``.  The proof
+    uses only the computed ``W``, whatever its residual:
+
+    - ``w_lo = 1 / (4 ||T||_F)`` is certified by Cholesky of
+      ``W - w_lo I``, and ``s_lo = 1/2 - delta_S`` by Cholesky of
+      ``fl(S) - I/2``, each shift raised by Higham's margin
+      (``_cholesky_proves``);
+    - ``delta_S = gamma_{n+1} || |T^T| |W| + |W| |T| ||_F`` bounds
+      ``||S - fl(S)||_2``, the rounding of the products and their sum;
+    - ``w_hi`` is ``||W||_F``, raised by its rounding factor, and so is
+      ``||T||_F``.
+
+    Forming ``K`` in floating point, one product and on the diagonal one
+    sum per entry, moves it by at most ``u sqrt(n) + 3 u z ||T||_F`` in the
+    2-norm.  ``a`` and ``c`` give that up from ``a'`` and ``c'``, and
+    ``h0 + h1 z`` is ``||I + z T||_2 <= 1 + z ||T||_F`` plus the same.  The
+    few roundings of forming the bounds themselves are each a relative
+    ``u``, and an underflow in ``z T`` moves ``K`` by less than 1e-300;
+    the factor 2 on the threshold absorbs both.  So one check at
+    ``z = 0`` and on the slopes covers every ``z >= 0``.
+    """
+    T = build_operator(M).T1_C
+    n = M + 1
+    with np.errstate(all="ignore"):  # a failed iteration shows as a non-finite W
+        A, Q = T, np.eye(n)
+        try:
+            for _ in range(100):
+                inv = np.linalg.inv(A)
+                A, previous = (A + inv) / 2, A
+                Q = (Q + inv.T @ Q @ inv) / 2
+                # Quadratic convergence: after a step of sqrt(eps), Q is
+                # within rounding of its limit.
+                if np.abs(A - previous).max() <= np.sqrt(np.finfo(float).eps):
+                    break
+        except np.linalg.LinAlgError:
+            return None
+        W = (Q + Q.T) / 4
+        P = T.T @ W
+        S = P + P.T
+        B = np.abs(T.T) @ np.abs(W)
+        delta_S = 2 * _gamma(n + 1) * _fro_above(B + B.T)  # 2: the rounding of B
+    if not (np.isfinite(S).all() and np.isfinite(delta_S)):
+        return None
+    w_hi, t_hi = _fro_above(W), _fro_above(T)
+    # Half of what the exact W and S have: S = I, and
+    # x^T W x = int_0^inf |exp(-T t) x|^2 dt >= |x|^2 / (2 ||T||_2).
+    w_lo, s_lo = 1 / (4 * t_hi), 0.5 - delta_S
+    if not (s_lo > 0 and _cholesky_proves(W, w_lo) and _cholesky_proves(S, 0.5)):
+        return None
+    exact = math.sqrt(w_lo / w_hi)  # a' of the argument
+    formed = _UNIT * math.sqrt(n)  # and the rounding of forming K
+    a, c = exact - formed, exact * s_lo / (2 * w_hi) - 3 * _UNIT * t_hi
+    h0, h1 = 1 + formed, (1 + 3 * _UNIT) * t_hi
+    if not (a > 2 * _SINGULAR_RTOL * h0 and c >= 2 * _SINGULAR_RTOL * h1):
+        return None
+    return a, c, h0, h1
+
+
+def _proven(op: CollocationOperator, shifts: np.ndarray) -> bool:
+    """Whether ``_proof`` shows that every system of ``shifts`` passes the
+    singular-value test.
+
+    ``shifts`` has shape ``(S, k)``: ``S`` systems of ``k`` diagonal
+    blocks.  Every shift must be finite and ``>= 0``, and each system's
+    smallest block bound, at its smallest shift, must exceed twice the
+    threshold on its largest block bound, at its largest shift.  A single
+    block always passes, since ``_proof`` checked every ``z >= 0``.
+    """
+    lo, hi = shifts.min(axis=-1), shifts.max(axis=-1)
+    if not ((lo >= 0).all() and (hi < math.inf).all()):  # a NaN fails the first
+        return False
+    proof = _proof(op.M)
+    if proof is None:
+        return False
+    a, c, h0, h1 = proof
+    return bool((a + c * lo > 2 * _SINGULAR_RTOL * (h0 + h1 * hi)).all())
 
 
 def _certified(K: np.ndarray) -> bool:
@@ -161,10 +291,12 @@ def _certified(K: np.ndarray) -> bool:
     spare.  Since ``F`` bounds every block's largest singular value, the
     singular-value test would pass.  A non-finite entry or a failed
     factorization returns False, and the caller runs that test.
+    ``solve_checked`` runs this only where the per-``M`` proof of
+    ``_proof`` does not cover the shifts: some ``z < 0``, a non-finite
+    ``z``, or an ``M`` the proof does not verify for.
     """
     n = K.shape[-1]
-    unit = np.finfo(float).eps / 2
-    gamma = (n + 1) * unit / (1 - (n + 1) * unit)
+    gamma = _gamma(n + 1)
     fro2 = np.einsum("...ij,...ij->...", K, K)
     threshold = _SINGULAR_RTOL * np.maximum(np.sqrt(fro2.max(axis=-1, keepdims=True)), 1.0)
     tau = 4 * n * gamma * fro2 + threshold * threshold
@@ -200,20 +332,29 @@ def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
     singular when its smallest singular value, over all its blocks, is at
     most 1e-14 times its largest (or times 1, when that is smaller).  The
     systems have identity-plus-term structure, so unit scale is the natural
-    yardstick even when cancellation shrinks them.  A Cholesky certificate
-    settles the usual case without the singular values: a successful
-    factorization of ``K^T K - tau I``, with
-    ``tau = 4 n gamma_{n+1} ||K||_F^2 + (1e-14 max(F, 1))^2`` per block and
-    ``F`` the system's largest block norm, proves the system passes the
-    test (the bound is derived in ``_certified``).  Only when it fails, or
-    an entry is not finite, does the SVD run and decide, so the decision
-    is the SVD test's.
+    yardstick even when cancellation shrinks them.  Three steps decide,
+    each only when the one before cannot:
+
+    1. When every shift is finite and ``>= 0``, the per-``M`` proof of
+       ``_proof`` (built once per ``M``, on its first such call) bounds
+       every block's singular values linearly in ``z``, and shows that the
+       system passes the test whenever its smallest block bound clears
+       twice the threshold on its largest (``_proven``).
+    2. Otherwise a Cholesky certificate, a successful factorization of
+       ``K^T K - tau I`` with ``tau = 4 n gamma_{n+1} ||K||_F^2 +
+       (1e-14 max(F, 1))^2`` per block and ``F`` the system's largest
+       block norm, proves the system passes (``_certified``).
+    3. Only when both fail, or an entry is not finite, does the SVD run
+       and decide.
+
+    The first two only prove a pass, so the decision is the SVD test's;
+    the solve is the same whichever step decides.
     """
     z = np.asarray(z, dtype=float)
     n = op.M + 1
     K = np.eye(n) + z[..., None, None] * op.T1_C
     systems = K.reshape(-1, z.shape[-1] if z.ndim else 1, n, n)
-    if not _certified(systems):
+    if not (_proven(op, z.reshape(systems.shape[:2])) or _certified(systems)):
         # Singular values come sorted in descending order.
         spectrum = np.linalg.svd(systems, compute_uv=False)
         smallest = spectrum[..., -1].min(axis=-1)
@@ -302,7 +443,9 @@ def solve_nonlinear(
     sweeps raises ``NonConvergenceError``, a non-finite ``f`` value
     ``NonFiniteRhsError``.  Each sweep is one call of ``f`` on the node
     tables of every row still sweeping; ``settle_rows`` decides when a row
-    leaves.
+    leaves.  The sweeps, ``f`` included, run with numpy's overflow and
+    invalid-value warnings off, so a diverging solve reports only its typed
+    error.
     """
     check_limits(tol, max_iter)
     op = build_operator(points.M)
@@ -326,7 +469,9 @@ def solve_nonlinear(
     u_hat = np.zeros((len(U), op.M + 2, U.shape[-1]))
     u_hat[:, 0] = U
     start = (u_hat, np.repeat(U[:, None, :], op.M + 1, axis=1), np.full(len(U), np.inf))
-    (u_hat, nodes, _), failures, sweeps = settle_rows(lambda s: (s[2], s[2] < tol, {}), sweep, start, max_iter, stall)
+    # A diverging sweep's infinities and NaNs fail its row with a typed error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        (u_hat, nodes, _), failures, sweeps = settle_rows(lambda s: (s[2], s[2] < tol, {}), sweep, start, max_iter, stall)
     raise_row_failures(failures, u_a.ndim == 2)
     if u_a.ndim == 1:
         u_hat, nodes = u_hat[0], nodes[0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import paracheb.analysis as analysis
+from paracheb import collocation
 from paracheb import (
     Branch,
     PointSearchError,
@@ -184,21 +185,23 @@ class TestRhoOverInterval:
             rho_over_interval(CG1, z_max)
 
     def test_collocation_grid_runs_no_svd(self, monkeypatch):
-        # The Cholesky certificate settles every system of this pass; a
-        # silent fallback to the singular-value test would show here.
-        calls = []
-        svd = np.linalg.svd
+        # Every z of this pass is >= 0, so the per-M proof settles every
+        # system, with neither the Cholesky certificate nor the
+        # singular-value test; a silent fallback to either would show here.
+        calls, certificates = [], []
+        svd, certified = np.linalg.svd, collocation._certified
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(analysis.np.linalg, "svd", counted)
+        monkeypatch.setattr(collocation, "_certified", lambda K: certificates.append(K.shape) or certified(K))
         rho_over_interval(PropagatorSpec.chebyshev_gauss(16), 1e3)
-        assert calls == []
-        with pytest.raises(SingularSystemError):  # a pole: the certificate fails
+        assert calls == [] and certificates == []
+        with pytest.raises(SingularSystemError):  # a pole at z < 0: the certificate fails
             solve_checked(build_operator(0), -2.0, np.ones(1))
-        assert len(calls) == 1  # and the counter sees the fallback
+        assert len(certificates) == 1 and len(calls) == 1  # and the counters see the fallback
 
 
 class TestMmin:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from paracheb import (
     NonConvergenceError,
     NonFiniteRhsError,
+    PropagatorSpec,
     SingularSystemError,
     CollocationSolution,
     SweepError,
@@ -15,6 +18,7 @@ from paracheb import (
     solve_linear,
     solve_nonlinear,
     spd_catalog,
+    stability,
 )
 from paracheb import collocation
 from paracheb.collocation import solve_checked
@@ -194,6 +198,19 @@ class TestSolveNonlinear:
         with pytest.raises(NonConvergenceError):
             solve_nonlinear(lambda t, u: -4.0 * u, pts, 1.0)
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_blow_up_raises_its_typed_error_without_warnings(self, stacked):
+        # u' = u^2 from 1e3 overflows within a few sweeps.  Any numpy
+        # warning would be raised here ahead of the typed error.
+        pts = cg_points(2, 0.0, 1.0)
+        u_a = np.array([[1e3], [2e3]]) if stacked else np.array([1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SweepError if stacked else NonFiniteRhsError) as err:
+                solve_nonlinear(lambda t, u: u * u, pts.shifted(np.zeros(2)) if stacked else pts, u_a)
+        if stacked:
+            assert err.value.indices == [0, 1]
+
     def test_polynomial_rhs_integrated_exactly(self):
         # RHS p(t) of degree <= M is reproduced through its antiderivative.
         pts = cg_points(4, 0.3, 0.9)
@@ -368,6 +385,75 @@ class TestSingularityCertificate:
                 solve_checked(op, np.array([[0.5], [z]]), np.ones(M + 1))
             with pytest.raises(SingularSystemError):
                 solve_linear(np.array([[z]]), None, pts, np.ones(1))
+
+
+def count_certificates(monkeypatch):
+    """The shapes of the stacks ``_certified`` sees, filled in as it runs."""
+    calls = []
+    certified = collocation._certified
+    monkeypatch.setattr(collocation, "_certified", lambda K: calls.append(K.shape) or certified(K))
+    return calls
+
+
+class TestSingularityProof:
+    @pytest.mark.parametrize("M", [*range(65), 128])
+    def test_never_overstates_the_smallest_singular_value(self, M):
+        op = build_operator(M)
+        proof = collocation._proof(M)
+        if M <= 64:  # analysis and the workloads stay well inside this range
+            assert proof is not None
+        for z in np.concatenate(([0.0], np.geomspace(1e-3, 1e8, 25))):
+            K = np.eye(M + 1) + z * op.T1_C
+            proven = collocation._proven(op, np.array([[z]]))
+            assert proven == (proof is not None)
+            if proven:
+                a, c, h0, h1 = proof
+                spectrum = np.linalg.svd(K, compute_uv=False)
+                assert a + c * z <= spectrum[-1] and spectrum[0] <= h0 + h1 * z, z
+                assert not svd_rejects(K), z
+
+    @pytest.mark.parametrize(
+        "T",
+        [[[-0.5]], [[0.0, 1.0], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[math.nan]]],
+        ids=["negative", "imaginary", "singular", "nan"],
+    )
+    def test_unprovable_operator_reports_unproven(self, T, monkeypatch):
+        # An eigenvalue off the open right half-plane, or garbage: no W
+        # verifies, and the proof says so instead of raising.
+        fake = SimpleNamespace(M=len(T) - 1, T1_C=np.array(T))
+        monkeypatch.setattr(collocation, "build_operator", lambda M: fake)
+        assert collocation._proof.__wrapped__(fake.M) is None
+
+    def test_unproven_shifts_fall_back(self, monkeypatch):
+        op = build_operator(0)  # T1_C = [[1/2]]: the block is 1 + z/2
+        assert collocation._proven(op, np.array([[0.0, 1e3]]))
+        for z in ([-1.0], [math.inf], [math.nan], [0.0, 1e14]):
+            assert not collocation._proven(op, np.array([z])), z
+        # Blocks 1 and 5e13 pass the singular-value test, but the proof's
+        # bounds are too loose to show it, so the certificate runs.
+        calls = count_certificates(monkeypatch)
+        x = solve_checked(op, np.array([0.0, 1e14]), np.ones((2, 1)))
+        assert calls == [(1, 2, 1, 1)] and np.isfinite(x).all()
+
+    def test_spd_solve_runs_no_certificate(self, monkeypatch):
+        # Every shift of an SPD matrix is >= 0, so the proof settles the call.
+        calls = count_certificates(monkeypatch)
+        problem = spd_catalog("laplacian-1d", m=24)
+        pts = cg_points(12, 0.0, 1.0 / 16).shifted(np.arange(4) / 16)
+        solve_linear(problem.A, None, pts, np.tile(problem.u0, (4, 1)))
+        assert calls == []
+        with pytest.raises(SingularSystemError):  # a pole: z < 0
+            solve_checked(build_operator(0), -2.0, np.ones(1))
+        assert calls == [(1, 1, 1, 1)]
+
+    def test_unproven_stability_has_the_same_bits(self, monkeypatch):
+        spec = PropagatorSpec.chebyshev_gauss(51)
+        z = np.concatenate(([0.0], np.geomspace(1e-8, 1e10, 400)))
+        proven = stability(spec, z)
+        calls = count_certificates(monkeypatch)
+        monkeypatch.setattr(collocation, "_proof", lambda M: None)
+        assert stability(spec, z).tobytes() == proven.tobytes()
+        assert calls  # the certificate ran in the proof's place
 
 
 class TestEndpointValue:
