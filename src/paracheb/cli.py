@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -334,6 +335,7 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a failure propagates as its exception."""
     args = _build_parser().parse_args(argv)
     manifest = build_manifest(args)
     path = _COMMANDS[manifest.command](manifest)
@@ -341,5 +343,15 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def console(argv: list[str] | None = None) -> int:
+    """The ``paracheb`` command: ``main``, with a ``SolverError`` printed as
+    one ``paracheb: error: <message>`` line on stderr and exit status 1."""
+    try:
+        return main(argv)
+    except SolverError as exc:
+        print(f"paracheb: error: {exc}", file=sys.stderr)
+        return 1
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console())

@@ -161,8 +161,8 @@ def _cholesky_proves(A: np.ndarray, shift: float) -> bool:
 
     It factors ``A - (shift + 4 n gamma_{n+1} ||A||_F) I``.  The margin
     covers the factorization's backward error (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., Thm 10.3), as in
-    ``_certified``, and the rounding of the shifted diagonal.
+    Stability of Numerical Algorithms*, 2nd ed., Thm 10.3) and the
+    rounding of the shifted diagonal.
     """
     n = len(A)
     try:
@@ -259,57 +259,20 @@ def _proven(op: CollocationOperator, shifts: np.ndarray) -> bool:
     singular-value test.
 
     ``shifts`` has shape ``(S, k)``: ``S`` systems of ``k`` diagonal
-    blocks.  Every shift must be finite and ``>= 0``, and each system's
-    smallest block bound, at its smallest shift, must exceed twice the
-    threshold on its largest block bound, at its largest shift.  A single
-    block always passes, since ``_proof`` checked every ``z >= 0``.
+    blocks, every shift finite (``solve_checked`` rejects the others).
+    Every shift must be ``>= 0``, and each system's smallest block bound,
+    at its smallest shift, must exceed twice the threshold on its largest
+    block bound, at its largest shift.  A single block always passes,
+    since ``_proof`` checked every ``z >= 0``.
     """
     lo, hi = shifts.min(axis=-1), shifts.max(axis=-1)
-    if not ((lo >= 0).all() and (hi < math.inf).all()):  # a NaN fails the first
+    if not (lo >= 0).all():
         return False
     proof = _proof(op.M)
     if proof is None:
         return False
     a, c, h0, h1 = proof
     return bool((a + c * lo > 2 * _SINGULAR_RTOL * (h0 + h1 * hi)).all())
-
-
-def _certified(K: np.ndarray) -> bool:
-    """Whether Cholesky proves every system in ``K`` far from singular.
-
-    ``K`` has shape ``(S, k, n, n)``: ``S`` systems of ``k`` diagonal blocks.
-    Each block is certified when Cholesky succeeds on ``K^T K - tau I`` with
-
-        tau = 4 n gamma_{n+1} ||K||_F^2 + (1e-14 max(F, 1))^2,
-
-    ``gamma_m = m u / (1 - m u)`` and ``F`` the largest block norm
-    ``||K||_F`` of its system.  The computed Gram matrix is within
-    ``gamma_n ||K||_F^2`` of ``K^T K`` and the factorization's backward
-    error is at most ``gamma_{n+1}`` times its squared factor norm (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3),
-    so success gives ``sigma_min^2 > (1e-14 max(F, 1))^2`` with room to
-    spare.  Since ``F`` bounds every block's largest singular value, the
-    singular-value test would pass.  A non-finite entry or a failed
-    factorization returns False, and the caller runs that test.
-    ``solve_checked`` runs this only where the per-``M`` proof of
-    ``_proof`` does not cover the shifts: some ``z < 0``, a non-finite
-    ``z``, or an ``M`` the proof does not verify for.
-    """
-    n = K.shape[-1]
-    gamma = _gamma(n + 1)
-    fro2 = np.einsum("...ij,...ij->...", K, K)
-    threshold = _SINGULAR_RTOL * np.maximum(np.sqrt(fro2.max(axis=-1, keepdims=True)), 1.0)
-    tau = 4 * n * gamma * fro2 + threshold * threshold
-    if not np.isfinite(tau).all():
-        return False
-    gram = K.swapaxes(-1, -2) @ K
-    diag = np.arange(n)
-    gram[..., diag, diag] -= tau[..., None]
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
@@ -332,31 +295,30 @@ def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
     singular when its smallest singular value, over all its blocks, is at
     most 1e-14 times its largest (or times 1, when that is smaller).  The
     systems have identity-plus-term structure, so unit scale is the natural
-    yardstick even when cancellation shrinks them.  Three steps decide,
-    each only when the one before cannot:
+    yardstick even when cancellation shrinks them.  Two steps decide:
 
-    1. When every shift is finite and ``>= 0``, the per-``M`` proof of
-       ``_proof`` (built once per ``M``, on its first such call) bounds
-       every block's singular values linearly in ``z``, and shows that the
-       system passes the test whenever its smallest block bound clears
-       twice the threshold on its largest (``_proven``).
-    2. Otherwise a Cholesky certificate, a successful factorization of
-       ``K^T K - tau I`` with ``tau = 4 n gamma_{n+1} ||K||_F^2 +
-       (1e-14 max(F, 1))^2`` per block and ``F`` the system's largest
-       block norm, proves the system passes (``_certified``).
-    3. Only when both fail, or an entry is not finite, does the SVD run
-       and decide.
+    1. When every shift is ``>= 0``, the per-``M`` proof of ``_proof``
+       (built once per ``M``, on its first such call) bounds every block's
+       singular values linearly in ``z``, and shows that the system passes
+       the test whenever its smallest block bound clears twice the
+       threshold on its largest (``_proven``).
+    2. Only where the proof does not show that (some ``z < 0``, shifts
+       spread too wide for its bounds, or an ``M`` it does not verify for)
+       does the SVD run and decide.
 
-    The first two only prove a pass, so the decision is the SVD test's;
-    the solve is the same whichever step decides.
+    The proof only shows a pass, so the decision is the SVD test's; the
+    solve is the same whichever step decides.  A non-finite shift raises
+    ``ValueError`` before any factorization.
     """
     z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("collocation shifts must be finite")
     n = op.M + 1
     K = np.eye(n) + z[..., None, None] * op.T1_C
-    systems = K.reshape(-1, z.shape[-1] if z.ndim else 1, n, n)
-    if not (_proven(op, z.reshape(systems.shape[:2])) or _certified(systems)):
+    shifts = z.reshape(-1, z.shape[-1] if z.ndim else 1)
+    if not _proven(op, shifts):
         # Singular values come sorted in descending order.
-        spectrum = np.linalg.svd(systems, compute_uv=False)
+        spectrum = np.linalg.svd(K.reshape(shifts.shape + (n, n)), compute_uv=False)
         smallest = spectrum[..., -1].min(axis=-1)
         singular = smallest <= _SINGULAR_RTOL * np.maximum(spectrum[..., 0].max(axis=-1), 1.0)
         if singular.any():
@@ -500,7 +462,8 @@ def solve_linear(
     ``F = G~ - X lam`` and only then mapped back with ``Q^T``.  A singular
     block (the scaled problem sits on a pole of the rational stability
     function) raises ``SingularSystemError`` for the whole call rather than
-    being regularized; a non-symmetric ``A`` raises ``ValueError``.
+    being regularized; a non-finite or non-symmetric ``A`` raises
+    ``ValueError``.
     """
     op = build_operator(points.M)
     u_a = _as_state(u_a)
@@ -509,6 +472,8 @@ def solve_linear(
     A = np.asarray(A, dtype=float)
     if A.shape != (dim, dim):
         raise ValueError(f"matrix must be {dim}x{dim} (got shape {A.shape})")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix must be finite")
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
         raise ValueError("matrix must be symmetric")
     n = op.M + 1

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import paracheb.analysis as analysis
-from paracheb import collocation
 from paracheb import (
     Branch,
     PointSearchError,
@@ -186,22 +185,21 @@ class TestRhoOverInterval:
 
     def test_collocation_grid_runs_no_svd(self, monkeypatch):
         # Every z of this pass is >= 0, so the per-M proof settles every
-        # system, with neither the Cholesky certificate nor the
-        # singular-value test; a silent fallback to either would show here.
-        calls, certificates = [], []
-        svd, certified = np.linalg.svd, collocation._certified
+        # system without the singular-value test; a silent fallback to it
+        # would show here.
+        calls = []
+        svd = np.linalg.svd
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(analysis.np.linalg, "svd", counted)
-        monkeypatch.setattr(collocation, "_certified", lambda K: certificates.append(K.shape) or certified(K))
         rho_over_interval(PropagatorSpec.chebyshev_gauss(16), 1e3)
-        assert calls == [] and certificates == []
-        with pytest.raises(SingularSystemError):  # a pole at z < 0: the certificate fails
+        assert calls == []
+        with pytest.raises(SingularSystemError):  # a pole at z < 0: the SVD decides
             solve_checked(build_operator(0), -2.0, np.ones(1))
-        assert len(certificates) == 1 and len(calls) == 1  # and the counters see the fallback
+        assert len(calls) == 1  # and the counter sees the fallback
 
 
 class TestMmin:

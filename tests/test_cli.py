@@ -12,6 +12,7 @@ from paracheb.cli import (
     cmd_analyze,
     cmd_mmin,
     cmd_run,
+    console,
     load_config,
     main,
 )
@@ -285,6 +286,19 @@ class TestMainEntry:
         for argv in workloads.commands(workload, 0).values():
             manifest = build_manifest(_build_parser().parse_args([*argv, "--out", "x.csv"]))
             assert manifest.command == argv[0]
+
+    def test_console_prints_a_solver_error_as_one_line(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        argv = ["run", "--set", "problem=burgers", "--set", "nx=16", "--set", "N=2",
+                "--set", "fine=cg:2", "--out", str(out)]
+        assert console(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("paracheb: error: fine propagator failed on subintervals [0, 1]: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
+        assert console(["mmin", "--set", "z_max_list=1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
 
     def test_requires_output_path(self):
         with pytest.raises(ValueError):

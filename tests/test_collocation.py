@@ -286,6 +286,40 @@ class TestSolveLinear:
         with pytest.raises(ValueError, match="symmetric"):
             solve_linear(np.array([[1.0, 0.5], [0.0, 2.0]]), None, pts, np.ones(2))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_matrix_rejected(self, bad, capfd):
+        # Rejected before the symmetry test, which would warn, and before
+        # any LAPACK call.
+        pts = cg_points(4, 0.0, 0.5)
+        A = np.diag([1.0, 2.0])
+        A[0, 1] = A[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_linear(A, None, pts, np.ones(2))
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("M", [4, 8, 12, 16])
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    def test_indefinite_matrix_agrees_with_kronecker_system(self, M, forced, monkeypatch):
+        # Shifts z < 0 are outside the per-M proof, so the SVD decides; the
+        # most negative sits at 0.8 of the real pole, the others far off it.
+        dT = 0.5
+        (pole,) = real_poles(M)
+        lam = np.array([0.8 * pole / dT, -2.5, 0.0, 0.75, 3.0, 60.0])
+        rng = np.random.default_rng(M)
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        A = (Q * lam) @ Q.T
+        A = (A + A.T) / 2
+        g = (lambda t: np.sin(3 * t) * np.arange(1.0, 7.0)) if forced else None
+        pts = cg_points(M, 0.2, 0.2 + dT)
+        u0 = rng.standard_normal(6)
+        svds = count_svds(monkeypatch)
+        sol = solve_linear(A, g, pts, u0)
+        assert len(svds) == 1
+        u_hat, u_end = kronecker_solve(build_operator(M), A, g, pts, u0)
+        scale = np.max(np.abs(u_end))
+        assert np.max(np.abs(sol.u_end - u_end)) <= 1e-13 * scale
+        assert np.max(np.abs(sol.u_hat - u_hat)) <= 1e-13 * scale
+
     def test_nonfinite_forcing_reports_node(self):
         pts = cg_points(3, 0.0, 1.0)
         with pytest.raises(NonFiniteRhsError) as err:
@@ -340,27 +374,7 @@ def real_poles(M):
 
 
 class TestSingularityCertificate:
-    @pytest.mark.parametrize("M", [*range(65), 128, 512])
-    def test_never_passes_what_the_svd_rejects(self, M):
-        # The positive grid up to 1e8, plus shifts from a pole out to where
-        # the singular-value test stops rejecting.
-        op = build_operator(M)
-        zs = list(np.concatenate(([0.0], np.geomspace(1e-3, 1e8, 25))))
-        for pole in real_poles(M):
-            zs += [pole * (1.0 + d) for d in (0.0, 1e-15, -1e-15, 1e-12, -1e-9, 1e-6, 1e-3)]
-        for z in zs:
-            K = np.eye(M + 1) + z * op.T1_C
-            if collocation._certified(K[None, None]):
-                assert not svd_rejects(K), z
-
-    def test_certificate_rejects_near_poles_and_accepts_nearby(self):
-        # Both outcomes occur: the check is not vacuous.
-        op = build_operator(4)
-        (pole,) = real_poles(4)
-        K = np.eye(5) + pole * op.T1_C
-        assert svd_rejects(K) and not collocation._certified(K[None, None])
-        K = np.eye(5) + 0.5 * pole * op.T1_C
-        assert not svd_rejects(K) and collocation._certified(K[None, None])
+    """The singular-value test that decides where the per-M proof does not."""
 
     def test_one_system_per_leading_entry(self):
         # A vector of shifts is one block-diagonal system, tested as a
@@ -387,21 +401,22 @@ class TestSingularityCertificate:
                 solve_linear(np.array([[z]]), None, pts, np.ones(1))
 
 
-def count_certificates(monkeypatch):
-    """The shapes of the stacks ``_certified`` sees, filled in as it runs."""
+def count_svds(monkeypatch):
+    """The shapes of the stacks ``np.linalg.svd`` sees, filled in as it runs."""
     calls = []
-    certified = collocation._certified
-    monkeypatch.setattr(collocation, "_certified", lambda K: calls.append(K.shape) or certified(K))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda K, **kwargs: calls.append(K.shape) or svd(K, **kwargs))
     return calls
 
 
 class TestSingularityProof:
-    @pytest.mark.parametrize("M", [*range(65), 128])
+    # Up to m_min's search cap (analysis._SEARCH_CAP = 512): an M the proof
+    # does not verify for would only show as time lost to SVDs.
+    @pytest.mark.parametrize("M", [*range(65), 100, 128, 164, 256, 512])
     def test_never_overstates_the_smallest_singular_value(self, M):
         op = build_operator(M)
         proof = collocation._proof(M)
-        if M <= 64:  # analysis and the workloads stay well inside this range
-            assert proof is not None
+        assert proof is not None
         for z in np.concatenate(([0.0], np.geomspace(1e-3, 1e8, 25))):
             K = np.eye(M + 1) + z * op.T1_C
             proven = collocation._proven(op, np.array([[z]]))
@@ -427,17 +442,26 @@ class TestSingularityProof:
     def test_unproven_shifts_fall_back(self, monkeypatch):
         op = build_operator(0)  # T1_C = [[1/2]]: the block is 1 + z/2
         assert collocation._proven(op, np.array([[0.0, 1e3]]))
-        for z in ([-1.0], [math.inf], [math.nan], [0.0, 1e14]):
+        for z in ([-1.0], [0.0, 1e14]):
             assert not collocation._proven(op, np.array([z])), z
         # Blocks 1 and 5e13 pass the singular-value test, but the proof's
-        # bounds are too loose to show it, so the certificate runs.
-        calls = count_certificates(monkeypatch)
+        # bounds are too loose to show it, so the SVD runs.
+        calls = count_svds(monkeypatch)
         x = solve_checked(op, np.array([0.0, 1e14]), np.ones((2, 1)))
         assert calls == [(1, 2, 1, 1)] and np.isfinite(x).all()
 
-    def test_spd_solve_runs_no_certificate(self, monkeypatch):
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_shift_rejected_before_lapack(self, z, monkeypatch, capfd):
+        calls = count_svds(monkeypatch)
+        op = build_operator(4)
+        for shifts in (z, np.array([0.5, z]), np.array([[0.5], [z]])):
+            with pytest.raises(ValueError, match="finite"):
+                solve_checked(op, shifts, np.ones(5))
+        assert calls == [] and capfd.readouterr().err == ""
+
+    def test_spd_solve_runs_no_svd(self, monkeypatch):
         # Every shift of an SPD matrix is >= 0, so the proof settles the call.
-        calls = count_certificates(monkeypatch)
+        calls = count_svds(monkeypatch)
         problem = spd_catalog("laplacian-1d", m=24)
         pts = cg_points(12, 0.0, 1.0 / 16).shifted(np.arange(4) / 16)
         solve_linear(problem.A, None, pts, np.tile(problem.u0, (4, 1)))
@@ -450,10 +474,10 @@ class TestSingularityProof:
         spec = PropagatorSpec.chebyshev_gauss(51)
         z = np.concatenate(([0.0], np.geomspace(1e-8, 1e10, 400)))
         proven = stability(spec, z)
-        calls = count_certificates(monkeypatch)
+        calls = count_svds(monkeypatch)
         monkeypatch.setattr(collocation, "_proof", lambda M: None)
         assert stability(spec, z).tobytes() == proven.tobytes()
-        assert calls  # the certificate ran in the proof's place
+        assert calls  # the SVD ran in the proof's place
 
 
 class TestEndpointValue:
