@@ -459,8 +459,9 @@ class TestSingularityProof:
                 solve_checked(op, shifts, np.ones(5))
         assert calls == [] and capfd.readouterr().err == ""
 
-    def test_spd_solve_runs_no_svd(self, monkeypatch):
-        # Every shift of an SPD matrix is >= 0, so the proof settles the call.
+    def test_spd_solve_runs_no_certificate(self, monkeypatch):
+        # Every shift of an SPD matrix is >= 0, so the per-M proof settles
+        # the call and no SVD runs.
         calls = count_svds(monkeypatch)
         problem = spd_catalog("laplacian-1d", m=24)
         pts = cg_points(12, 0.0, 1.0 / 16).shifted(np.arange(4) / 16)
