@@ -50,7 +50,7 @@ COMMAND_KEYS = {
 
 _FLAGS = {
     "seed": (int, "random seed of init=random"),
-    "workers": (int, "accepted but has no effect: the fine sweep is one stacked call"),
+    "workers": (int, "must be >= 1; has no effect: the fine sweep is one stacked call"),
     "tol": (float, "stopping tolerance override"),
 }
 
@@ -177,13 +177,16 @@ def _build_problem(manifest: RunManifest) -> problems.IvpProblem:
 
 
 def _run_config(manifest: RunManifest, coarse, fine, N, T):
+    # workers is only checked: the fine sweep is one stacked call.
+    if int(manifest.get("workers", 1)) < 1:
+        raise ValueError("workers must be >= 1")
     # PararealConfig owns the run defaults: pass only the keys that were set.
     return parareal.PararealConfig(
         T=T,
         N=N,
         coarse=coarse,
         fine=fine,
-        **manifest.given(tol=float, max_k=int, init=str, seed=int, workers=int),
+        **manifest.given(tol=float, max_k=int, init=str, seed=int),
     )
 
 
@@ -344,13 +347,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console(argv: list[str] | None = None) -> int:
-    """The ``paracheb`` command: ``main``, with a ``SolverError`` printed as
-    one ``paracheb: error: <message>`` line on stderr and exit status 1."""
+    """The ``paracheb`` command: ``main``, with a ``SolverError`` or a
+    ``ValueError`` printed as one ``paracheb: error: <message>`` line on
+    stderr.  The exit status is 1 for a solver error and 2, as for a bad
+    command line, for a bad value."""
     try:
         return main(argv)
-    except SolverError as exc:
+    except (SolverError, ValueError) as exc:
         print(f"paracheb: error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, SolverError) else 2
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from ``chebyshev.build_operator(points.M)``, which caches them per ``M``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import operator
@@ -369,14 +370,16 @@ def picard_sweep(
     points: CgPointSet,
     u_a,
     u_prev_nodes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One fixed-point update; returns the new ``(u_hat, u_nodes)`` pair.
+) -> tuple[np.ndarray, np.ndarray, dict[int, NonFiniteRhsError]]:
+    """One fixed-point update; returns the new ``(u_hat, u_nodes, failures)``.
 
     ``f`` is called once, with ``t`` of shape ``(M+1, 1)`` and the node
-    table ``u`` of shape ``(M+1, dim)`` (a leading ``N`` axis on both for a
-    stack); a result not of ``u``'s shape raises ``ValueError``.  A
-    non-finite one raises ``NonFiniteRhsError`` naming the first bad node,
-    or on a stack ``SweepError`` naming every row that holds one.
+    table ``u`` of shape ``(M+1, dim)``, or on a stack with ``points.t[...,
+    None]`` and the ``(N, M+1, dim)`` tables.  ``failures`` maps each row
+    whose ``f`` values hold a NaN or infinity to the ``NonFiniteRhsError``
+    naming its first bad node (row 0 for a single state); that row's
+    update is returned as computed.  A node table, or a result of ``f``,
+    of the wrong shape raises ``ValueError``.
     """
     op = build_operator(points.M)
     u_a = _as_state(u_a)
@@ -385,9 +388,8 @@ def picard_sweep(
     if u_prev_nodes.shape != expected:
         raise ValueError(f"node table must have shape {expected} (got {u_prev_nodes.shape})")
     F = _rhs_table(f, points.t, u_prev_nodes)
-    raise_row_failures(_nonfinite_rows(F.reshape((-1,) + expected[-2:]), points.t), u_a.ndim == 2)
     u_hat = _coefficients(op, points.length, u_a, F)
-    return u_hat, op.T1 @ u_hat
+    return u_hat, op.T1 @ u_hat, _nonfinite_rows(F.reshape((-1,) + expected[-2:]), points.t)
 
 
 def solve_nonlinear(
@@ -403,34 +405,31 @@ def solve_nonlinear(
     The stopping metric is the max norm of the node-value difference between
     consecutive sweeps, which must fall below ``tol``.  Hitting ``max_iter``
     sweeps raises ``NonConvergenceError``, a non-finite ``f`` value
-    ``NonFiniteRhsError``.  Each sweep is one call of ``f`` on the node
-    tables of every row still sweeping; ``settle_rows`` decides when a row
-    leaves.  The sweeps, ``f`` included, run with numpy's overflow and
-    invalid-value warnings off, so a diverging solve reports only its typed
-    error.
+    ``NonFiniteRhsError``.  Each sweep is one ``picard_sweep`` call on the
+    node tables of every row still sweeping, so ``f`` always sees a stack,
+    one row for a single state; ``settle_rows`` decides when a row leaves.
+    The sweeps, ``f`` included, run with numpy's overflow and invalid-value
+    warnings off, so a diverging solve reports only its typed error.
     """
     check_limits(tol, max_iter)
-    op = build_operator(points.M)
+    M = points.M
     u_a = _as_state(u_a)
     U = u_a if u_a.ndim == 2 else u_a[None]
-    t_nodes = np.broadcast_to(points.t, (len(U), op.M + 1))
+    t_nodes = np.broadcast_to(points.t, (len(U), M + 1))
     stall = f"fixed-point sweep did not converge in {max_iter} iterations"
 
     def sweep(state, _norm, rows):
-        nodes, t = state[1], _rows(t_nodes, rows)
-        F = _rhs_table(f, t, nodes) if u_a.ndim == 2 else _rhs_table(f, t[0], nodes[0])[None]  # f sees one table
-        failed = _nonfinite_rows(F, t)
-        u_hat = _coefficients(op, points.length, _rows(U, rows), F)
-        u_new = op.T1 @ u_hat
-        diff = np.max(np.abs(u_new - nodes), axis=(-2, -1))
+        live = points if rows is None else dataclasses.replace(points, t=t_nodes[rows], a=_rows(points.a, rows))
+        u_hat, u_new, failed = picard_sweep(f, live, _rows(U, rows), state[1])
+        diff = np.max(np.abs(u_new - state[1]), axis=(-2, -1))
         for i in np.flatnonzero(~np.isfinite(diff)):
             failed.setdefault(int(i), NonConvergenceError(stall, diff[i]))
         return (u_hat, u_new, diff), failed
 
     # The start is u_a at every node; at an infinite distance no row settles.
-    u_hat = np.zeros((len(U), op.M + 2, U.shape[-1]))
+    u_hat = np.zeros((len(U), M + 2, U.shape[-1]))
     u_hat[:, 0] = U
-    start = (u_hat, np.repeat(U[:, None, :], op.M + 1, axis=1), np.full(len(U), np.inf))
+    start = (u_hat, np.repeat(U[:, None, :], M + 1, axis=1), np.full(len(U), np.inf))
     # A diverging sweep's infinities and NaNs fail its row with a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
         (u_hat, nodes, _), failures, sweeps = settle_rows(lambda s: (s[2], s[2] < tol, {}), sweep, start, max_iter, stall)

@@ -9,7 +9,7 @@ applies
 which leaves the first ``k`` grid values identical to the serial fine
 trajectory after ``k`` passes, and contracts the remainder at the rate the
 analysis module predicts.  The fine sweep advances its subintervals in one
-stacked call, so results do not depend on the ``workers`` value.
+stacked call.
 
 A pass reuses every result whose input has not changed bit for bit (the
 dependency-driven view of Elwasif et al., MTAGS 2011, and Aubanel, Parallel
@@ -59,9 +59,6 @@ class PararealConfig:
     max_k: int = 100
     init: str = "coarse"  # "coarse" | "random"
     seed: int = 0
-    #: Accepted and validated (>= 1) but has no effect: the fine sweep is
-    #: one stacked call whatever its value.
-    workers: int = 1
 
     def __post_init__(self):
         check_integer("N", self.N)
@@ -76,8 +73,6 @@ class PararealConfig:
             raise ValueError("max_k must be >= 1")
         if self.init not in ("coarse", "random"):
             raise ValueError(f"unknown init policy {self.init!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def dT(self) -> float:

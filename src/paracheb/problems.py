@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import circulant, lu_factor, lu_solve
 from scipy.optimize import brentq
 
+from .collocation import check_integer
 from .errors import SolverError
 
 # Earth gravitational parameter, km^3 / s^2.
@@ -187,8 +188,9 @@ def spd_catalog(name: str, **params) -> SpdLinearProblem:
     T = float(params.pop("T", 1.0))
     u0 = params.pop("u0", None)
 
+    m = params.pop("m", 3 if name == "diag-spectrum" else 32)
+    check_integer("m", m)
     if name == "diag-spectrum":
-        m = int(params.pop("m", 3))
         lam_min = float(params.pop("lambda_min", 1.0))
         lam_max = float(params.pop("lambda_max", 100.0))
         if params:
@@ -198,7 +200,6 @@ def spd_catalog(name: str, **params) -> SpdLinearProblem:
         lam = np.geomspace(lam_min, lam_max, m) if m > 1 else np.array([lam_min])
         A = np.diag(lam)
     else:
-        m = int(params.pop("m", 32))
         if params:
             raise ValueError(f"unexpected parameters {sorted(params)} for {name}")
         if m < 1:
@@ -249,17 +250,11 @@ class KeplerProblem:
             J[..., 3:, :3] = grav
             return J
 
-        # One table per problem: a comparison of fine propagators asks for the
-        # same grid once per propagator.  Callers get copies of the entries.
-        @functools.lru_cache(maxsize=4096)
-        def exact(t):
-            return kepler_reference(self, t)
-
         return IvpProblem(
             f=f,
             u0=self.u0,
             T=self.T,
-            reference=lambda t: exact(float(t)).copy(),
+            reference=functools.partial(kepler_reference, self),
             jacobian=jacobian,
         )
 
@@ -371,6 +366,7 @@ class BurgersProblem:
 
     def __post_init__(self):
         Nx = self.Nx
+        check_integer("Nx", Nx)
         if Nx < 4:
             raise ValueError("Nx must be >= 4")
         if not self.nu > 0:

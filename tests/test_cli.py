@@ -300,6 +300,32 @@ class TestMainEntry:
         assert console(["mmin", "--set", "z_max_list=1", "--out", str(out)]) == 0
         assert capsys.readouterr().out == f"{out}\n"
 
+    def test_console_prints_a_bad_value_as_one_line(self, tmp_path, capsys):
+        # main raises the ValueError; the command prints it and exits 2,
+        # the status argparse gives a bad command line.
+        out = tmp_path / "t.csv"
+        argv = ["run", "--set", "problem=burgers", "--set", "nx=8", "--set", "N=8", "--set", "T=0.5",
+                "--set", "fine=cg:4", "--set", "tols=1", "--out", str(out)]
+        with pytest.raises(ValueError, match="unknown config key"):
+            main(argv)
+        assert console(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("paracheb: error: unknown config key(s) 'tols' for run ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_workers_checked_but_without_effect(self, tmp_path):
+        # The benchmark passes --workers; a value below 1 is still rejected.
+        args = ["run", "--set", "problem=diag-spectrum", "--set", "m=3", "--set", "N=6",
+                "--set", "T=1.5", "--set", "fine=cg:6", "--set", "init=random"]
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            main(args + ["--out", str(tmp_path / "w0.csv"), "--workers", "0"])
+        assert not (tmp_path / "w0.csv").exists()
+        assert main(args + ["--out", str(tmp_path / "w2.csv"), "--workers", "2"]) == 0
+        assert main(args + ["--out", str(tmp_path / "w.csv")]) == 0
+        assert (tmp_path / "w2.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+
     def test_requires_output_path(self):
         with pytest.raises(ValueError):
             main(["mmin", "--set", "z_max_list=1"])

@@ -60,7 +60,8 @@ def kronecker_solve(op, A, g, points, u_a):
 class TestPicardSweep:
     def test_zero_rhs_preserves_constants(self):
         pts = cg_points(3, 0.0, 1.0)
-        u_hat, u_nodes = picard_sweep(lambda t, u: 0.0 * u, pts, 2.5, np.full((4, 1), 2.5))
+        u_hat, u_nodes, failures = picard_sweep(lambda t, u: 0.0 * u, pts, 2.5, np.full((4, 1), 2.5))
+        assert failures == {}
         np.testing.assert_allclose(u_hat[0], [2.5])
         np.testing.assert_allclose(u_hat[1:], 0.0, atol=1e-16)
         np.testing.assert_allclose(u_nodes[:, 0], 2.5)
@@ -68,7 +69,7 @@ class TestPicardSweep:
     def test_constant_rhs_integrates_exactly(self):
         pts = cg_points(4, 0.0, 1.0)
         u_prev = np.zeros((5, 1))
-        _, u_nodes = picard_sweep(lambda t, u: np.ones_like(u), pts, 0.0, u_prev)
+        _, u_nodes, _ = picard_sweep(lambda t, u: np.ones_like(u), pts, 0.0, u_prev)
         np.testing.assert_allclose(u_nodes[:, 0], pts.t, atol=1e-12)
 
     def test_fixed_point_matches_coarsest_stability_value(self):
@@ -77,18 +78,20 @@ class TestPicardSweep:
         pts = cg_points(0, 0.0, 1.0)
         u_nodes = np.ones((1, 1))
         for _ in range(80):
-            u_hat, u_nodes = picard_sweep(lambda t, u: -u, pts, 1.0, u_nodes)
+            u_hat, u_nodes, _ = picard_sweep(lambda t, u: -u, pts, 1.0, u_nodes)
         assert endpoint(u_hat)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_nonfinite_rhs_reports_node(self):
+        # A single state's failure is row 0's; the sweep returns, not raises.
         pts = cg_points(3, 0.0, 1.0)
 
         def f(t, u):
             return np.where(t > pts.t[1], np.nan, -u)
 
-        with pytest.raises(NonFiniteRhsError) as err:
-            picard_sweep(f, pts, 1.0, np.ones((4, 1)))
-        assert err.value.node == 2
+        _, _, failures = picard_sweep(f, pts, 1.0, np.ones((4, 1)))
+        assert list(failures) == [0]
+        assert isinstance(failures[0], NonFiniteRhsError)
+        assert (failures[0].node, failures[0].t) == (2, pts.t[2])
 
     def test_nonfinite_rhs_on_a_stack_names_every_row(self):
         points = cg_points(3, 0.0, 0.5).shifted(np.array([0.0, 0.5, 1.0]))
@@ -96,10 +99,10 @@ class TestPicardSweep:
         def f(t, u):
             return np.where(t > 0.5, np.nan, -u)  # rows 1 and 2 reach past t = 0.5
 
-        with pytest.raises(SweepError) as err:
-            picard_sweep(f, points, np.ones((3, 1)), np.ones((3, 4, 1)))
-        assert err.value.indices == [1, 2]
-        assert isinstance(err.value.cause, NonFiniteRhsError)
+        u_hat, _, failures = picard_sweep(f, points, np.ones((3, 1)), np.ones((3, 4, 1)))
+        assert sorted(failures) == [1, 2]
+        assert all(isinstance(exc, NonFiniteRhsError) for exc in failures.values())
+        assert np.isfinite(u_hat[0]).all()
 
     def test_rhs_ignoring_the_stack_rejected(self):
         pts = cg_points(3, 0.0, 1.0)
@@ -111,10 +114,10 @@ class TestPicardSweep:
         f = lambda t, u: -t * u**2
         u_a = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
         nodes = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 5, 2))
-        u_hat, u_nodes = picard_sweep(f, points, u_a, nodes)
+        u_hat, u_nodes, _ = picard_sweep(f, points, u_a, nodes)
         for i in range(3):
             one = cg_points(4, 0.0, 0.5).shifted(points.a[i])
-            hat_i, nodes_i = picard_sweep(f, one, u_a[i], nodes[i])
+            hat_i, nodes_i, _ = picard_sweep(f, one, u_a[i], nodes[i])
             np.testing.assert_array_equal(u_hat[i], hat_i)
             np.testing.assert_array_equal(u_nodes[i], nodes_i)
 
@@ -140,6 +143,7 @@ class TestSolveNonlinear:
         assert sol.u_end[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_one_rhs_call_per_sweep(self):
+        # Inside a solve, f always sees a stack: one row for a single state.
         pts = cg_points(8, 0.0, 0.5)
         shapes = []
 
@@ -148,7 +152,29 @@ class TestSolveNonlinear:
             return -u
 
         sol = solve_nonlinear(f, pts, 1.0, tol=1e-13)
-        assert shapes == [((9, 1), (9, 1))] * sol.iterations
+        assert shapes == [((9, 1), (1, 9, 1))] * sol.iterations
+
+    def test_every_sweep_is_one_picard_sweep_call(self, monkeypatch):
+        # A single state, then a stack whose row 1 fails in its first sweep:
+        # each sweep is one picard_sweep call on the rows still sweeping.
+        heights = []
+
+        def counting(f, points, u_a, u_prev_nodes):
+            heights.append(len(np.atleast_2d(u_a)))
+            return picard_sweep(f, points, u_a, u_prev_nodes)
+
+        monkeypatch.setattr(collocation, "picard_sweep", counting)
+        sol = solve_nonlinear(lambda t, u: -u, cg_points(8, 0.0, 0.5), 1.0, tol=1e-13)
+        assert heights == [1] * sol.iterations
+
+        f = lambda t, u: np.where(t > 0.5, np.nan, -u)  # row 1 reaches past t = 0.5
+        alone = solve_nonlinear(f, cg_points(4, 0.0, 0.5), np.ones(1))
+        heights.clear()
+        points = cg_points(4, 0.0, 0.5).shifted(np.array([0.0, 0.5]))
+        with pytest.raises(SweepError) as err:
+            solve_nonlinear(f, points, np.ones((2, 1)))
+        assert err.value.indices == [1] and isinstance(err.value.cause, NonFiniteRhsError)
+        assert heights == [2] + [1] * (alone.iterations - 1)
 
     def test_stack_rows_stop_on_their_own(self):
         # Rows further from equilibrium need more sweeps.  Each sweep is one
@@ -226,7 +252,7 @@ class TestSolveNonlinear:
         u_nodes = np.ones((7, 1))
         diffs = []
         for _ in range(8):
-            _, u_new = picard_sweep(lambda t, u: -u, pts, 1.0, u_nodes)
+            _, u_new, _ = picard_sweep(lambda t, u: -u, pts, 1.0, u_nodes)
             diffs.append(np.max(np.abs(u_new - u_nodes)))
             u_nodes = u_new
         ratios = [b / a for a, b in zip(diffs, diffs[1:]) if b > 1e-15]

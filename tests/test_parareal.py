@@ -215,8 +215,7 @@ class TestIterate:
         assert err.value.indices == [0, 1]
 
     @pytest.mark.parametrize("fine", ["beuler:2", "cg:4"])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_only_failing_rows_reported(self, fine, workers):
+    def test_only_failing_rows_reported(self, fine):
         # f is infinite above 0.5, so exactly the random starts above 0.5
         # fail; forward Euler as the coarse step carries them silently.
         def f(t, u):
@@ -225,7 +224,7 @@ class TestIterate:
         prob = IvpProblem(f=f, u0=np.zeros(1), T=1.0)
         cfg = PararealConfig(
             T=1.0, N=12, coarse=parse_spec("feuler:1"), fine=parse_spec(fine),
-            init="random", seed=4, workers=workers,
+            init="random", seed=4,
         )
         with np.errstate(invalid="ignore", over="ignore"):
             state = initialize(cfg, prob)
@@ -404,32 +403,6 @@ class TestRun:
         assert state.history == history
         assert len(end_values) == len(history)
 
-    def test_worker_count_invariance(self):
-        prob = diag_problem(T=2.0)
-        base = dict(
-            T=2.0, N=16, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6),
-            init="random", seed=3, max_k=30,
-        )
-        u1, h1 = run(PararealConfig(**base, workers=1), prob)
-        u4, h4 = run(PararealConfig(**base, workers=4), prob)
-        np.testing.assert_array_equal(u1, u4)
-        assert [r.iter_error for r in h1] == [r.iter_error for r in h4]
-
-    @pytest.mark.parametrize("name", ["diag-spectrum", "laplacian-1d"])
-    def test_worker_count_invariance_linear_path(self, name):
-        prob = spd_catalog(name, m=8, T=2.0).to_ivp()
-        base = dict(T=2.0, N=16, coarse=BE, fine=parse_spec("cg:6"), init="random", seed=5)
-        tables = {}
-        for workers in (1, 2, 8, 16):
-            cfg = PararealConfig(**base, workers=workers)
-            state = initialize(cfg, prob)
-            for _ in range(3):
-                state = iterate(state, cfg, prob)
-            tables[workers] = state
-        for state in tables.values():
-            np.testing.assert_array_equal(state.u, tables[1].u)
-            assert state.history == tables[1].history
-
     def test_one_fine_call_per_pass(self, advance_calls):
         # Pass k reuses the k grid values the earlier passes made exact: its
         # coarse steps start from the other 16 - k, and its one fine call
@@ -437,38 +410,13 @@ class TestRun:
         calls = advance_calls
         fine = parse_spec("cg:6")
         prob = spd_catalog("laplacian-1d", m=8, T=2.0).to_ivp()
-        states = []
-        for workers in (1, 8):
-            cfg = PararealConfig(T=2.0, N=16, coarse=BE, fine=fine, init="random", seed=5, workers=workers)
-            state = initialize(cfg, prob)
-            for k in (1, 2, 3):
-                calls.clear()
-                state = iterate(state, cfg, prob)
-                assert [rows for spec, rows in calls if spec == fine] == [17 - k]
-                assert [spec for spec, _ in calls].count(BE) == 16 - k
-            states.append(state)
-        np.testing.assert_array_equal(states[0].u, states[1].u)
-        assert states[0].history == states[1].history
-
-    @pytest.mark.parametrize(
-        "prob, fine, init",
-        [
-            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), "tr:2", "random"),
-            (BurgersProblem(0.05, 16).to_ivp(), "cg:8", "coarse"),
-        ],
-        ids=["newton", "picard"],
-    )
-    def test_worker_count_invariance_nonlinear_paths(self, prob, fine, init):
-        base = dict(T=0.5, N=16, coarse=BE, fine=parse_spec(fine), init=init, seed=6)
-        states = []
-        for workers in (1, 16):
-            cfg = PararealConfig(**base, workers=workers)
-            state = initialize(cfg, prob)
-            for _ in range(3):
-                state = iterate(state, cfg, prob)
-            states.append(state)
-        np.testing.assert_array_equal(states[0].u, states[1].u)
-        assert states[0].history == states[1].history
+        cfg = PararealConfig(T=2.0, N=16, coarse=BE, fine=fine, init="random", seed=5)
+        state = initialize(cfg, prob)
+        for k in (1, 2, 3):
+            calls.clear()
+            state = iterate(state, cfg, prob)
+            assert [rows for spec, rows in calls if spec == fine] == [17 - k]
+            assert [spec for spec, _ in calls].count(BE) == 16 - k
 
     @pytest.mark.parametrize(
         "prob, T, N, fine, init",
@@ -549,8 +497,6 @@ class TestRun:
             PararealConfig(T=-1.0, N=2, coarse=BE, fine=fine)
         with pytest.raises(ValueError):
             PararealConfig(T=1.0, N=2, coarse=BE, fine=fine, init="guess")
-        with pytest.raises(ValueError):
-            PararealConfig(T=1.0, N=2, coarse=BE, fine=fine, workers=0)
 
     @pytest.mark.parametrize(
         "field, build",
@@ -749,9 +695,8 @@ class TestBatch:
             dict(init="random"),
             dict(seed=1),
             dict(max_k=5),
-            dict(workers=2),
         ],
-        ids=["coarse", "N", "T", "tol", "init", "seed", "max_k", "workers"],
+        ids=["coarse", "N", "T", "tol", "init", "seed", "max_k"],
     )
     def test_configs_may_differ_in_fine_only(self, change):
         prob = diag_problem(T=1.0)

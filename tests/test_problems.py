@@ -13,10 +13,13 @@ from paracheb import (
     BurgersProblem,
     IvpProblem,
     KeplerProblem,
+    PararealConfig,
     SolverError,
     SpdLinearProblem,
     burgers_exact,
     kepler_reference,
+    parse_spec,
+    run,
     spd_catalog,
 )
 
@@ -123,6 +126,13 @@ class TestSpdCatalog:
         with pytest.raises(ValueError, match="A must be finite"):
             SpdLinearProblem(A=np.diag([1.0, value]), u0=np.ones(2), T=1.0)
 
+    @pytest.mark.parametrize("name", ["diag-spectrum", "laplacian-1d"])
+    def test_count_must_be_an_integer(self, name):
+        # int(2.5) would build a 2-point problem without a word.
+        with pytest.raises(TypeError, match=r"m must be an integer \(got 2.5\)"):
+            spd_catalog(name, m=2.5)
+        assert spd_catalog(name, m=np.int64(2)).dim == 2
+
     def test_spd_validation(self):
         with pytest.raises(ValueError):
             SpdLinearProblem(A=np.array([[1.0, 2.0], [0.0, 1.0]]), u0=np.ones(2), T=1.0)
@@ -147,12 +157,9 @@ class TestKepler:
             assert abs(energy - energy0) / abs(energy0) < 1e-9
             np.testing.assert_allclose(np.cross(r, v), momentum0, rtol=1e-9)
 
-    def test_reference_table_computed_once_per_problem(self, monkeypatch):
-        # kepler-compare builds the same 201-point table for each of its four
-        # fine propagators; the problem keeps the values, bit for bit.
-        kp = KeplerProblem()
-        times = [0.25 * n for n in range(201)]
-        expected = [kepler_reference(kp, t) for t in times]
+    def test_batch_run_evaluates_the_reference_once_per_grid_point(self, monkeypatch):
+        # kepler-compare runs its four fine propagators as one batch, which
+        # builds one reference table: N + 1 calls, with no cache behind them.
         calls = []
 
         def counting(problem, t):
@@ -160,16 +167,17 @@ class TestKepler:
             return kepler_reference(problem, t)
 
         monkeypatch.setattr(problems, "kepler_reference", counting)
+        kp = KeplerProblem(T=2.0)
         ivp = kp.to_ivp()
-        tables = [np.array([ivp.reference(t) for t in times]) for _ in range(4)]
-        assert len(calls) == 201
-        for table in tables:
-            np.testing.assert_array_equal(table, expected)
-        # The entries handed out are copies: changing one changes no other.
-        ivp.reference(12.5)[:] = np.nan
-        np.testing.assert_array_equal(ivp.reference(12.5), expected[50])
-        kp.to_ivp().reference(12.5)
-        assert len(calls) == 202  # each problem has its own table
+        N, coarse = 8, parse_spec("beuler:1")
+        cfgs = [PararealConfig(T=kp.T, N=N, coarse=coarse, fine=parse_spec(fine))
+                for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")]
+        results = run(cfgs, ivp)
+        assert calls == [n * cfgs[0].dT for n in range(N + 1)]
+        table = np.array([kepler_reference(kp, t) for t in calls])
+        for u, history in results:
+            last = np.max(np.abs(u - table), axis=0)
+            assert history[-1].component_error == tuple(last.tolist())
 
     def test_against_brute_force_integration(self):
         # Classical fourth-order Runge-Kutta with a very small step is the
@@ -242,6 +250,11 @@ class TestBurgers:
     def test_exact_direct_substitution(self):
         p = BurgersProblem(0.05, 8)
         assert burgers_exact(p, 0.5, 0.0) == pytest.approx(0.05 * math.pi, abs=1e-15)
+
+    def test_grid_size_must_be_an_integer(self):
+        # A float Nx once failed inside numpy's zeros.
+        with pytest.raises(TypeError, match=r"Nx must be an integer \(got 8.0\)"):
+            BurgersProblem(0.05, 8.0)
 
     def test_initial_condition_matches_exact(self):
         p = BurgersProblem(0.005, 16)
