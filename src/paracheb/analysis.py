@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect, minimize_scalar
 
 from .errors import PointSearchError
 from .propagators import PropagatorSpec, stability
@@ -131,6 +130,8 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
         ]
         if Ks[-1] >= Ks[-2]:
             brackets.append((zs[-2], zs[-1]))
+        from scipy.optimize import minimize_scalar  # imported here: most commands never load scipy
+
         for a, b in brackets:
             if b - a < _RHO_XTOL:
                 continue  # the grid point is already within the tolerance
@@ -182,6 +183,8 @@ def find_threshold_roots() -> tuple[float, float]:
     using the matrix-based stability evaluator, so the closed forms remain
     available as an independent check.
     """
+    from scipy.optimize import bisect
+
     cg0 = PropagatorSpec.chebyshev_gauss(0)
     cg1 = PropagatorSpec.chebyshev_gauss(1)
     z0 = bisect(lambda z: contraction(cg0, z) - 1.0 / 3.0, 1e-6, 10.0, xtol=_ROOT_XTOL)

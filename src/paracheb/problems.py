@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import circulant, lu_factor, lu_solve
-from scipy.optimize import brentq
 
 from .collocation import check_integer
 from .errors import SolverError
@@ -314,7 +312,10 @@ def kepler_reference(problem: KeplerProblem, t: float) -> np.ndarray:
             raise SolverError("failed to bracket the universal Kepler equation")
 
     # brentq's smallest rtol (4 ulp) decides; its default xtol of 2e-12
-    # would stop chi up to that far off, ~1.6e-10 km of position.
+    # would stop chi up to that far off, ~1.6e-10 km of position.  Imported
+    # here, so only the Kepler commands load scipy.
+    from scipy.optimize import brentq
+
     chi, info = brentq(
         residual, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, full_output=True, disp=False
     )
@@ -350,9 +351,11 @@ class BurgersProblem:
     the semi-discrete system is ``du/dt = -A1 u - u * (A2 u)`` with the
     componentwise product.  The constructor builds the grid ``x`` (spacing
     ``dx = 2 / Nx``) and the compact-difference operators from ``nu`` and
-    ``Nx``, so ``dataclasses.replace`` rebuilds them; it factors the implicit
-    stencil matrices once and applies them to the explicit stencils to get
-    ``A1`` and ``A2`` as dense read-only matrices.
+    ``Nx``, so ``dataclasses.replace`` rebuilds them; it solves the implicit
+    stencil matrices against the explicit stencils to get ``A1`` and ``A2``
+    as dense read-only matrices.  Both are kept in Fortran order, the order
+    LAPACK returns: the bits of ``u @ A1.T`` in ``f`` depend on the memory
+    order, so a C-ordered copy of the same values changes the results.
     """
 
     nu: float
@@ -375,17 +378,20 @@ class BurgersProblem:
         dx = 2.0 / Nx
         x = np.arange(Nx) * dx
 
+        i = np.arange(Nx)
+        shift = (i[:, None] - i) % Nx
+
         def stencil(main, sup, sub):
             # Periodic tridiagonal matrix: first column [main, sub, 0, ..., 0, sup].
-            return circulant(np.concatenate(([main, sub], np.zeros(Nx - 3), [sup])))
+            return np.concatenate(([main, sub], np.zeros(Nx - 3), [sup]))[shift]
 
         P1 = stencil(5.0 / 6.0, 1.0 / 12.0, 1.0 / 12.0)
         Q1 = stencil(-2.0, 1.0, 1.0)
         P2 = stencil(2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
         Q2 = stencil(0.0, 1.0, -1.0)
 
-        A1 = -(nu / dx**2) * lu_solve(lu_factor(P1), Q1)
-        A2 = (1.0 / (2.0 * dx)) * lu_solve(lu_factor(P2), Q2)
+        A1 = -(nu / dx**2) * np.asfortranarray(np.linalg.solve(P1, Q1))
+        A2 = (1.0 / (2.0 * dx)) * np.asfortranarray(np.linalg.solve(P2, Q2))
         for arr in (x, A1, A2):
             arr.setflags(write=False)
         for name, value in (("nu", nu), ("dx", dx), ("x", x), ("A1", A1), ("A2", A2)):

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import paracheb.analysis as analysis
 from paracheb import (
@@ -166,7 +167,7 @@ class TestRhoOverInterval:
     @pytest.mark.parametrize("spec, z_max", RHO_CASES, ids=lambda v: v.label if isinstance(v, PropagatorSpec) else f"{v:g}")
     def test_brent_matches_golden_section(self, spec, z_max, monkeypatch):
         rho = rho_over_interval(spec, z_max).rho
-        monkeypatch.setattr(analysis, "minimize_scalar", golden_minimize_scalar)
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", golden_minimize_scalar)
         reference = rho_over_interval(spec, z_max).rho
         assert abs(rho - reference) <= 1e-12 * abs(reference)
 

@@ -1,9 +1,13 @@
 import importlib
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import paracheb
 from paracheb import MaxIterationsError, NonConvergenceError
 from paracheb.cli import (
     RunManifest,
@@ -202,6 +206,51 @@ class TestExperimentGridSweep:
         dxs = [2.0**-j for j in range(1, 6)]
         assert set(final) == {(nu, dx) for nu in (0.05, 0.005) for dx in dxs}
         assert all(err <= 1e-10 for err in final.values())
+
+
+#: Run in a fresh interpreter by ``TestColdStart``: prints, as its last line,
+#: the scipy modules loaded after each step.
+_COLD_START = """
+import json, os, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {}
+import paracheb
+loaded["import"] = scipy_modules()
+from paracheb import cli
+out = sys.argv[1]
+runs = {
+    "laplacian-1d": ["run", "--set", "problem=laplacian-1d", "--set", "m=8", "--set", "N=8",
+                     "--set", "T=0.5", "--set", "fine=cg:4", "--set", "init=random"],
+    "burgers": ["run", "--set", "problem=burgers", "--set", "nx=8", "--set", "N=8",
+                "--set", "T=0.5", "--set", "fine=cg:4"],
+    "kepler-compare": ["experiment", "--set", "name=kepler-compare"],
+}
+for name, argv in runs.items():
+    assert cli.main([*argv, "--out", os.path.join(out, name + ".csv")]) == 0
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+class TestColdStart:
+    def test_only_kepler_loads_scipy(self, tmp_path):
+        # pytest has loaded scipy already, so the check needs its own interpreter.
+        src = os.path.dirname(os.path.dirname(paracheb.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START, str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded["import"] == loaded["laplacian-1d"] == loaded["burgers"] == []
+        # Kepler's anomaly solve imports brentq where it calls it, and gives
+        # the table it gives in a process that loaded scipy first.
+        assert "scipy.optimize" in loaded["kepler-compare"]
+        assert main(["experiment", "--set", "name=kepler-compare", "--out", str(tmp_path / "k.csv")]) == 0
+        assert (tmp_path / "kepler-compare.csv").read_bytes() == (tmp_path / "k.csv").read_bytes()
 
 
 class TestMainEntry:

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 
@@ -230,12 +231,12 @@ class TestKepler:
         times = [*(n * 0.25 for n in range(201)), 5.0, 17.3, 50.0, 400.0]
         states = [kepler_reference(kp, t) for t in times]
         for t, state in zip(times, states):
-            monkeypatch.setattr(problems, "brentq", newton_root(kp, t))
+            monkeypatch.setattr(scipy.optimize, "brentq", newton_root(kp, t))
             reference = kepler_reference(kp, t)
             assert np.max(np.abs(state - reference)) <= 1e-13 * np.linalg.norm(reference)
 
     def test_unconverged_anomaly_raises_naming_t(self, monkeypatch):
-        monkeypatch.setattr(problems, "brentq", functools.partial(brentq, maxiter=1))
+        monkeypatch.setattr(scipy.optimize, "brentq", functools.partial(brentq, maxiter=1))
         with pytest.raises(SolverError, match="did not converge at t=17.3"):
             kepler_reference(KeplerProblem(), 17.3)
 
@@ -320,8 +321,17 @@ class TestBurgers:
         Q1 = hand_circulant(Nx, -2.0, 1.0, 1.0)
         P2 = hand_circulant(Nx, 2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
         Q2 = hand_circulant(Nx, 0.0, 1.0, -1.0)
-        np.testing.assert_array_equal(p.A1, -(p.nu / p.dx**2) * lu_solve(lu_factor(P1), Q1))
-        np.testing.assert_array_equal(p.A2, (1.0 / (2.0 * p.dx)) * lu_solve(lu_factor(P2), Q2))
+        A1 = -(p.nu / p.dx**2) * lu_solve(lu_factor(P1), Q1)
+        A2 = (1.0 / (2.0 * p.dx)) * lu_solve(lu_factor(P2), Q2)
+        np.testing.assert_array_equal(p.A1, A1)
+        np.testing.assert_array_equal(p.A2, A2)
+        # Equal values are not enough: the memory order picks the BLAS path
+        # of u @ A1.T, so f must also keep the bits it has with these.
+        f = p.to_ivp().f
+        u = np.random.default_rng(Nx).uniform(-0.5, 0.5, (128, Nx))
+        for rows in (u[:1], u):
+            want = -(rows @ A1.T) - rows * (rows @ A2.T)
+            np.testing.assert_array_equal(f(0.0, rows).view(np.uint64), want.view(np.uint64))
 
     def test_build_validation(self):
         with pytest.raises(ValueError, match="Nx must be >= 4"):
