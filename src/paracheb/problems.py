@@ -376,9 +376,8 @@ class BurgersProblem:
             raise ValueError("nu must be positive")
         nu = float(self.nu)
         dx = 2.0 / Nx
-        x = np.arange(Nx) * dx
-
         i = np.arange(Nx)
+        x = i * dx
         shift = (i[:, None] - i) % Nx
 
         def stencil(main, sup, sub):

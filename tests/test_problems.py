@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import brentq
 
 import paracheb.problems as problems
 from paracheb import (
@@ -236,7 +235,7 @@ class TestKepler:
             assert np.max(np.abs(state - reference)) <= 1e-13 * np.linalg.norm(reference)
 
     def test_unconverged_anomaly_raises_naming_t(self, monkeypatch):
-        monkeypatch.setattr(scipy.optimize, "brentq", functools.partial(brentq, maxiter=1))
+        monkeypatch.setattr(scipy.optimize, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1))
         with pytest.raises(SolverError, match="did not converge at t=17.3"):
             kepler_reference(KeplerProblem(), 17.3)
 
