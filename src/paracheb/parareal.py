@@ -16,10 +16,19 @@ dependency-driven view of Elwasif et al., MTAGS 2011, and Aubanel, Parallel
 Computing 37, 2011): a coarse step from the start value that ``g_prev[n]``
 came from returns ``g_prev[n]``, and a fine step from the start value of the
 last pass returns that pass's result.  So the exact prefix costs nothing,
-about half of the steps of a run that takes ``N`` passes.  The table is the
-one a full recomputation gives, bit for bit, as long as a row's fine result
-does not depend on the rows stacked with it; the fine stack keeps at least
-two rows because a one-row stack may take other BLAS kernels.
+about half of the steps of a run that takes ``N`` passes.
+
+A coarse step from a changed start value is warm-started: its Newton stage
+solve starts at ``g_prev[n] + (u_new[n] - u[n])``, the cached result plus the
+change in the start value (the ``guess`` of ``propagators.advance``), not at
+the explicit Euler predictor, and takes fewer updates near convergence.  So
+G is not a pure function of its start value: the result also depends on the
+cached pair, and lies within the Newton stop, ``tol * (1 + |x|)``, of the
+cold step's.  The initial sweep has no cached result and starts cold.  The
+table is the one a full recomputation under this coarse rule gives, bit for
+bit, as long as a row's fine result does not depend on the rows stacked
+with it; the fine stack keeps at least two rows because a one-row stack may
+take other BLAS kernels.
 
 Runs that differ in their fine propagator only, as in a comparison of fine
 propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
@@ -103,8 +112,10 @@ class PararealState:
     """Iterate table at the coarse grid points plus bookkeeping.
 
     ``u[n]`` approximates the solution at ``T_n`` after ``k = len(history)``
-    passes; ``g_prev[n]`` caches the coarse result from ``u[n]`` so the next
-    correction can subtract exactly the value that was added.  ``f_prev[n]``
+    passes; ``g_prev[n]`` caches the coarse result taken from ``u[n]`` (cold
+    in pass 0, warm-started after), so the next correction can subtract
+    exactly the value that was added and the next coarse step from a
+    changed ``u[n]`` can start at ``g_prev[n]`` plus the change.  ``f_prev[n]``
     caches the fine result from ``u_prev[n]``, the table the last pass
     started from (both None before the first pass).  A pass reuses
     ``g_prev[n]`` for a corrected start value bitwise equal to ``u[n]``, and
@@ -145,14 +156,26 @@ def _batch(cfg: PararealConfig | Sequence[PararealConfig]) -> list[PararealConfi
 def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
     """Bind a propagator spec and problem into a ``(t, u) -> u_next`` callable.
 
-    ``t`` and ``u`` are one start time and state, or a stack of them (see
-    ``propagators.advance``).
+    ``t`` and ``u`` are one start time and state, or a stack of them, and
+    ``guess`` an optional estimate of the result (see ``propagators.advance``).
     """
 
-    def step(t, u):
-        return advance(spec, problem.f, t, u, dT, jac=problem.jacobian, linear=problem.linear)
+    def step(t, u, guess=None):
+        return advance(spec, problem.f, t, u, dT, jac=problem.jacobian, linear=problem.linear, guess=guess)
 
     return step
+
+
+def _coarse_failure(exc: SolverError, rows: Sequence[int]) -> tuple[SolverError, int]:
+    """The error a failed coarse call raises, and the entry of ``rows`` (one
+    per row of the call) it belongs to.
+
+    A stack's failures come as one ``SweepError``, whose cause is the lowest
+    failed row's error; an error not tied to a row belongs to the first.
+    """
+    if isinstance(exc, SweepError):
+        return exc.cause, rows[exc.indices[0]]
+    return exc, rows[0]
 
 
 def initialize(
@@ -162,13 +185,16 @@ def initialize(
 
     The default policy fills it with a sequential coarse sweep.  The random
     policy draws every interior value i.i.d. uniform in [-1, 1] from the
-    seeded generator, which reproduces the randomized-start experiments.
-    Either way the coarse result from every ``u[n]`` is cached in ``g_prev``
-    for the first correction.
+    seeded generator, which reproduces the randomized-start experiments,
+    and takes the coarse steps from all ``N`` drawn values in one stacked
+    ``advance`` call.  Either way the coarse result from every ``u[n]`` is
+    cached in ``g_prev`` for the first correction.  Every step starts cold
+    (there is no cached result to warm-start from).
 
     A batch of configs (see ``run``) gets a list of states, one per config,
     from one sweep: the table does not depend on ``fine``.  A failed coarse
-    step names its subinterval, pass 0 and run 0.
+    step raises its own error naming its subinterval, pass 0 and run 0; of
+    several failures in the random policy's stack, the lowest subinterval's.
     """
     cfgs = _batch(cfg)
     first = cfgs[0]
@@ -183,13 +209,20 @@ def initialize(
     coarse = _make_stepper(first.coarse, problem, first.dT)
     g_prev = np.empty((N, dim))
     try:
-        for n in range(N):
-            g_prev[n] = coarse(n * first.dT, u[n])
-            if first.init == "coarse":
+        if first.init == "random":
+            rows = range(N)
+            g_prev[:] = coarse(np.arange(N) * first.dT, u[:N])
+        else:
+            for n in range(N):
+                rows = [n]
+                g_prev[n] = coarse(n * first.dT, u[n])
                 u[n + 1] = g_prev[n]
     except SolverError as exc:
-        exc.name_coarse_step(n, 0, 0)
-        raise
+        error, n = _coarse_failure(exc, rows)
+        error.name_coarse_step(n, 0, 0)
+        if error is exc:
+            raise
+        raise error from None
 
     ref_table = None
     if problem.reference is not None:
@@ -243,8 +276,9 @@ def iterate(
 
     The correction walks the subintervals once for the whole batch.  At each
     it takes a coarse step only for the runs whose corrected start value
-    differs from the cached one's: one state goes to ``advance`` alone,
-    several in one stack.  A failed coarse step raises its own error, naming
+    differs from the cached one's, warm-started from the cached result plus
+    that difference: one state goes to ``advance`` alone, several in one
+    stack.  A failed coarse step raises its own error, naming
     its subinterval, pass and run (``subinterval``, ``k``, ``run``, the
     run's index in the batch); of several failures in one stack, the lowest
     run's.  A ``SolverError`` from a fine sweep names its run too.
@@ -272,10 +306,14 @@ def iterate(
     runs = []  # the runs whose start value at T_n differs from the cached one's
     try:
         for n in range(N):
+            # Each step's guess: the cached result plus the change in its start value.
+            guesses = [states[r].g_prev[n] + (u_new[r][n] - states[r].u[n]) for r in runs]
             if len(runs) == 1:
-                g_new[runs[0]][n] = coarse(times[n], u_new[runs[0]][n])
+                g_new[runs[0]][n] = coarse(times[n], u_new[runs[0]][n], guesses[0])
             elif runs:
-                steps = coarse(np.full(len(runs), times[n]), np.array([u_new[r][n] for r in runs]))
+                steps = coarse(
+                    np.full(len(runs), times[n]), np.array([u_new[r][n] for r in runs]), np.array(guesses)
+                )
                 for r, g in zip(runs, steps):
                     g_new[r][n] = g
             runs = []
@@ -286,8 +324,7 @@ def iterate(
                 if u[n + 1].tobytes() != s.u[n + 1].tobytes():
                     runs.append(r)
     except SolverError as exc:
-        # A stack's failures come as one SweepError; its cause is the lowest run's.
-        error, r = (exc.cause, runs[exc.indices[0]]) if isinstance(exc, SweepError) else (exc, runs[0])
+        error, r = _coarse_failure(exc, runs)
         error.name_coarse_step(n, states[r].k + 1, r)
         if error is exc:
             raise

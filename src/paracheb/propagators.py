@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .chebyshev import build_operator, cg_points
 from .collocation import RhsFunction, _rows, check_integer, check_limits, settle_rows
@@ -138,11 +139,28 @@ def _fd_jacobian(f: RhsFunction, t, u: np.ndarray) -> np.ndarray:
     return ((F[..., 1:, :] - F[..., :1, :]) / h[..., :, None]).swapaxes(-1, -2)
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(J, b[..., None])[..., 0]`` for real float stacks, bit for bit.
+
+    It calls the LAPACK gufunc behind ``np.linalg.solve`` under the same
+    floating-point error state, which raises ``LinAlgError`` for a singular
+    matrix, and skips the argument checks and type resolution: about 40% of
+    the cost of a 16-by-16 solve, the size of a Burgers Newton update.
+    """
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve(J, b[..., None], signature="dd->d")[..., 0]
+
+
 def _newton(
     residual: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     jacobian: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     x0: np.ndarray,
     spec: PropagatorSpec,
+    warm: np.ndarray | bool | None = None,
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """Damped Newton iteration for ``residual(x) = 0`` on a stack of rows.
 
@@ -152,7 +170,13 @@ def _newton(
     8 tries in all) whenever the full update fails to reduce that row's
     residual; far-off starting values occur routinely under randomized
     outer iterations.  A row settles within ``spec.tol * (1 + |x|)``, and
-    ``settle_rows`` retires the rows over ``spec.max_iter`` updates.
+    ``settle_rows`` retires the rows over ``spec.max_iter`` updates.  The
+    rows that start from a guess, those of the mask ``warm`` (every row when
+    it is True), make at least one update before they may settle: a guess
+    can meet the stop, which is far looser than an outer tolerance, and
+    still be off by as much as the stop allows.  A row that met the stop
+    keeps its state when the update does not reduce its residual, without
+    halving the step: the residual is then at its rounding floor.
 
     Returns the solution stack and the failures, a dict row -> error: a
     singular stage matrix gives ``SingularSystemError`` (the row takes a
@@ -160,25 +184,36 @@ def _newton(
     ``NonConvergenceError``.  Failed rows hold NaN.
     """
     check = True  # a residual may be non-finite: at the start and after backtracking
+    hold = warm  # the rows the first test keeps live
 
+    # A state is (x, residual, residual norm): each update computes the norms
+    # of the residuals it makes, and the next test reads them.
     def test(state):
-        x, res = state
-        norm = np.abs(res).max(axis=-1)
-        settled = norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1))
+        nonlocal hold
+        x, _, norm = state
+        if hold is True:  # no row may settle yet: skip the comparison
+            settled = np.zeros(len(norm), dtype=bool)
+        else:
+            settled = norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1))
+            if hold is not None:
+                settled &= ~hold
+        hold = None
         lost = {}
-        if check and np.count_nonzero(np.isfinite(norm)) < len(norm):
-            settled &= np.isfinite(norm)  # an infinite residual at an infinite x
-            for i in np.flatnonzero(~np.isfinite(norm)):
-                lost[int(i)] = NonConvergenceError("Newton stage solve produced non-finite values", math.inf)
+        if check:
+            finite = np.isfinite(norm)
+            if np.count_nonzero(finite) < len(finite):  # cheaper than all() on a few rows
+                settled &= finite  # an infinite residual at an infinite x
+                for i in np.flatnonzero(~finite):
+                    lost[int(i)] = NonConvergenceError("Newton stage solve produced non-finite values", math.inf)
         return norm, settled, lost
 
     def update(state, norm, rows):
         nonlocal check
-        x, res = state
+        x, res, _ = state
         failed = {}
         J = jacobian(x, rows)
         try:
-            step = np.linalg.solve(J, res[..., None])[..., 0]
+            step = _solve(J, res)
         except np.linalg.LinAlgError:
             # Find the singular rows one by one.  Each takes a NaN step, so
             # it fails the next test; the others keep their steps.
@@ -192,21 +227,29 @@ def _newton(
 
         x_new = x - step
         res_new = residual(x_new, rows)
+        norm_new = np.abs(res_new).max(axis=-1)
         # A NaN or infinite residual fails the comparison: max propagates NaN.
-        ok = np.abs(res_new).max(axis=-1) < norm
+        ok = norm_new < norm
         check = np.count_nonzero(ok) < len(ok)
         if check:
-            back = np.flatnonzero(~ok & np.isfinite(step).all(axis=-1))  # a NaN step cannot recover
+            # Only a warm start's first update can start within the stop.
+            met = ~ok & (norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1)))
+            x_new[met], res_new[met], norm_new[met] = x[met], res[met], norm[met]
+            back = np.flatnonzero(~ok & ~met & np.isfinite(step).all(axis=-1))  # a NaN step cannot recover
             for halvings in range(1, 8):
                 if not len(back):
                     break
                 x_new[back] = x[back] - 0.5**halvings * step[back]
                 res_new[back] = residual(x_new[back], back if rows is None else rows[back])
-                back = back[~(np.abs(res_new[back]).max(axis=-1) < norm[back])]
-        return (x_new, res_new), failed
+                norm_new[back] = np.abs(res_new[back]).max(axis=-1)
+                back = back[~(norm_new[back] < norm[back])]
+        return (x_new, res_new, norm_new), failed
 
     stall = f"Newton stage solve did not converge in {spec.max_iter} iterations"
-    (x, _), failures, _ = settle_rows(test, update, (x0, residual(x0, None)), spec.max_iter, stall)
+    res0 = residual(x0, None)
+    (x, _, _), failures, _ = settle_rows(
+        test, update, (x0, res0, np.abs(res0).max(axis=-1)), spec.max_iter, stall
+    )
     return x, failures
 
 
@@ -226,8 +269,12 @@ def _solve_stage(
     beta_h: float,
     rhs: np.ndarray,
     x0: np.ndarray,
+    warm: np.ndarray | bool | None = None,
 ) -> tuple[np.ndarray, dict[int, Exception]]:
-    """Newton solve of the stage equations x = rhs + beta_h * f(t, x), row by row."""
+    """Newton solve of the stage equations x = rhs + beta_h * f(t, x), row by row.
+
+    ``warm`` marks the rows whose ``x0`` is a guess (see ``_newton``).
+    """
     eye = _identity(x0.shape[-1])
 
     def residual(y, rows):
@@ -236,26 +283,45 @@ def _solve_stage(
     def jacobian(y, rows):
         return eye - beta_h * jac(_rows(t_stage, rows), y)
 
-    return _newton(residual, jacobian, x0, spec)
+    return _newton(residual, jacobian, x0, spec, warm)
 
 
 # Each one-step kind maps a stack of states ``u`` (N, dim) at times ``t`` (a
 # float or an (N, 1) column) to the states one substep later, plus the rows
 # whose stage solves failed (a dict row -> error).  A failed row comes out as
 # NaN and stays in the stack; a NaN row leaves each later stage solve at its
-# first test, and its first error is the one kept.
+# first test, and its first error is the one kept.  Backward Euler and the
+# trapezoidal rule solve one stage for the end state, so they also take a
+# ``guess`` of it (see ``advance``).
 
 
-def _step_backward_euler(f, jac, spec, t, u, h):
-    guess = u + h * f(t, u)
-    return _solve_stage(f, jac, spec, t + h, h, u, guess)
+def _start(guess, predict):
+    """Each row's Newton starting state, and which rows start warm.
+
+    A row starts from its row of ``guess`` where that is finite, and from
+    its row of the explicit predictor ``predict()`` otherwise; ``predict``
+    is called only when some row, or the missing guess, needs it.  The
+    rows started warm are None (no guess), True (every row) or a mask.
+    """
+    if guess is None:
+        return predict(), None
+    finite = np.isfinite(guess)
+    if np.count_nonzero(finite) == finite.size:
+        return guess, True
+    warm = finite.all(axis=-1)
+    return np.where(warm[:, None], guess, predict()), warm
 
 
-def _step_trapezoidal(f, jac, spec, t, u, h):
+def _step_backward_euler(f, jac, spec, t, u, h, guess=None):
+    x0, warm = _start(guess, lambda: u + h * f(t, u))
+    return _solve_stage(f, jac, spec, t + h, h, u, x0, warm)
+
+
+def _step_trapezoidal(f, jac, spec, t, u, h, guess=None):
     fn = f(t, u)
     rhs = u + 0.5 * h * fn
-    guess = u + h * fn
-    return _solve_stage(f, jac, spec, t + h, 0.5 * h, rhs, guess)
+    x0, warm = _start(guess, lambda: u + h * fn)
+    return _solve_stage(f, jac, spec, t + h, 0.5 * h, rhs, x0, warm)
 
 
 def _step_tr_bdf2(f, jac, spec, t, u, h):
@@ -316,6 +382,9 @@ _STEPPERS = {
     PropagatorKind.ERK4: _step_erk4,
 }
 
+#: The kinds whose one stage solves for the end state and takes a ``guess``.
+_WARM_KINDS = (PropagatorKind.BACKWARD_EULER, PropagatorKind.TRAPEZOIDAL)
+
 
 def advance(
     spec: PropagatorSpec,
@@ -325,6 +394,7 @@ def advance(
     dT: float,
     jac: RhsFunction | None = None,
     linear: tuple[np.ndarray, Callable[[float], np.ndarray] | None] | None = None,
+    guess=None,
 ) -> np.ndarray:
     """Advance a stack of states, row ``i`` from ``t_n[i]`` to ``t_n[i] + dT``.
 
@@ -343,6 +413,15 @@ def advance(
     ``u' + A u = g``; the collocation kind then uses the direct solve,
     which is defined even where the fixed-point sweep diverges.
 
+    ``guess``, of ``u_n``'s shape (``ValueError`` otherwise), estimates
+    each row's end state.
+    ``beuler`` and ``tr`` at count 1 solve their one stage for the end
+    state, and start each row's Newton iteration at its guess, where it is
+    finite, instead of at the explicit Euler predictor; such a row makes
+    at least one Newton update.  A row whose guess holds a NaN or an
+    infinity starts at the predictor, as without a guess.  Every other
+    kind or count ignores ``guess``.
+
     Every row stops its inner iterations on its own (``settle_rows``).  A
     failing row carries on through the remaining substeps as NaN while the
     others finish, and keeps the first error it met.  A single state then raises that typed
@@ -354,6 +433,10 @@ def advance(
         raise ValueError("dT must be positive and finite")
     u = np.atleast_1d(np.asarray(u_n, dtype=float))
     t = np.asarray(t_n, dtype=float)
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != u.shape:
+            raise ValueError(f"guess has shape {guess.shape}, expected {u.shape}")
 
     if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
         points = cg_points(spec.count, 0.0, dT).shifted(t)
@@ -368,9 +451,12 @@ def advance(
     stacked = u.ndim == 2
     U = u if stacked else u[None]
     t = t[:, None] if t.ndim else float(t)  # per-row column, or one float
+    start = {}
+    if guess is not None and spec.count == 1 and spec.kind in _WARM_KINDS:
+        start["guess"] = guess if stacked else guess[None]
     failures: dict[int, Exception] = {}
     for j in range(spec.count):
-        U, lost = step(f, jac, spec, t + j * h, U, h)
+        U, lost = step(f, jac, spec, t + j * h, U, h, **start)
         failures = {**lost, **failures}
     raise_row_failures(failures, stacked)
     return U if stacked else U[0]

@@ -44,8 +44,11 @@ def serial_trajectory(spec, problem, N, dT):
 
 
 def reference_run(cfg, problem):
-    """``run`` without the reuse, the reference for it: every pass recomputes
-    every coarse and fine step, the fine ones in one stack of all ``N`` rows."""
+    """``run`` without the fine reuse, the reference for it: every pass
+    recomputes every fine step, in one stack of all ``N`` rows.  The coarse
+    rule is the one ``iterate`` states: a start value with unchanged bits
+    returns ``g_prev[n]``, a changed one is stepped from the guess
+    ``g_prev[n] + (u_new[n] - u[n])``."""
     state = initialize(cfg, problem)
     fine = _make_stepper(cfg.fine, problem, cfg.dT)
     coarse = _make_stepper(cfg.coarse, problem, cfg.dT)
@@ -54,9 +57,10 @@ def reference_run(cfg, problem):
     for k in range(1, cfg.max_k + 1):
         fine_results = fine(times, u[: cfg.N])
         u_new = u.copy()
-        g_new = np.empty_like(g_prev)
+        g_new = g_prev.copy()
         for n in range(cfg.N):
-            g_new[n] = coarse(times[n], u_new[n])
+            if u_new[n].tobytes() != u[n].tobytes():
+                g_new[n] = coarse(times[n], u_new[n], g_prev[n] + (u_new[n] - u[n]))
             u_new[n + 1] = fine_results[n] + (g_new[n] - g_prev[n])
         iter_error = float(np.max(np.abs(u_new - u)))
         component_error = None
@@ -120,6 +124,33 @@ class TestInitialize:
         assert not np.array_equal(a.u, c.u)
         np.testing.assert_array_equal(a.u[0], prob.u0)
         assert np.all(np.abs(a.u[1:]) <= 1.0)
+
+
+    def test_random_policy_takes_one_stacked_coarse_call(self, advance_calls):
+        # The drawn values do not depend on each other: one cold stacked
+        # step, each row within the Newton stop of its single-state step.
+        prob = diag_problem()
+        cfg = PararealConfig(T=1.0, N=6, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4), init="random", seed=7)
+        state = initialize(cfg, prob)
+        assert advance_calls == [(BE, 6)]
+        coarse = _make_stepper(BE, prob, cfg.dT)
+        for n in range(cfg.N):
+            alone = coarse(n * cfg.dT, state.u[n])
+            np.testing.assert_allclose(state.g_prev[n], alone, rtol=0, atol=BE.tol * (1.0 + np.abs(alone).max()))
+
+    def test_random_policy_raises_the_lowest_failing_subinterval(self):
+        # f is infinite above 0.5, so every coarse step from a drawn value
+        # above 0.5 fails; the stack raises the lowest one's own error.
+        prob = IvpProblem(f=lambda t, u: np.where(u > 0.5, np.inf, -u), u0=np.zeros(1), T=1.0)
+        cfg = PararealConfig(T=1.0, N=12, coarse=BE, fine=parse_spec("cg:4"), init="random", seed=4)
+        drawn = np.random.default_rng(4).uniform(-1.0, 1.0, size=(12, 1))
+        failing = [n for n in range(1, 12) if drawn[n - 1, 0] > 0.5]
+        assert len(failing) > 1
+        with np.errstate(invalid="ignore"), pytest.raises(NonConvergenceError) as err:
+            initialize(cfg, prob)
+        assert not isinstance(err.value, SweepError)
+        assert (err.value.run, err.value.subinterval, err.value.k) == (0, failing[0], 0)
+        assert str(err.value).startswith(f"coarse step on subinterval {failing[0]} in pass 0: Newton stage solve")
 
 
 class TestIterate:
@@ -189,8 +220,11 @@ class TestIterate:
 
     def test_cached_coarse_agrees_with_recomputation(self):
         # The correction subtracts g_prev[n], so it must be exactly the
-        # coarse step from the current iterate u[n], whichever way the
-        # pass-0 table was filled.
+        # coarse step that pass took from the current iterate u[n],
+        # whichever way the pass-0 table was filled: cold in pass 0, then
+        # warm-started from the last pass's result plus the change in u[n]
+        # (or that result itself where u[n] kept its bits).  A cold step
+        # from u[n] lands within the Newton stop of it.
         prob = diag_problem(T=0.5)
         for init in ("coarse", "random"):
             cfg = PararealConfig(
@@ -198,11 +232,19 @@ class TestIterate:
             )
             coarse = _make_stepper(BE, prob, cfg.dT)
             state = initialize(cfg, prob)
-            for k in range(4):
-                if k > 0:
-                    state = iterate(state, cfg, prob)
+            for n in range(cfg.N):
+                np.testing.assert_array_equal(state.g_prev[n], coarse(n * cfg.dT, state.u[n]))
+            for k in range(3):
+                u_old, g_old = state.u.copy(), state.g_prev.copy()
+                state = iterate(state, cfg, prob)
                 for n in range(cfg.N):
-                    np.testing.assert_array_equal(state.g_prev[n], coarse(n * cfg.dT, state.u[n]))
+                    warm = g_old[n]
+                    if state.u[n].tobytes() != u_old[n].tobytes():
+                        warm = coarse(n * cfg.dT, state.u[n], g_old[n] + (state.u[n] - u_old[n]))
+                    np.testing.assert_array_equal(state.g_prev[n], warm)
+                    cold = coarse(n * cfg.dT, state.u[n])
+                    stop = BE.tol * (1.0 + np.abs(cold).max())
+                    assert np.abs(state.g_prev[n] - cold).max() <= stop
 
     def test_failing_fine_subinterval_reported(self):
         # One collocation node with z = 5 puts the fixed-point sweep far
@@ -437,6 +479,29 @@ class TestRun:
         np.testing.assert_array_equal(u, u_ref)
         assert history == history_ref
 
+    def test_warm_start_cuts_coarse_newton_updates(self, monkeypatch):
+        # Each coarse step of a pass starts from the cached result plus the
+        # change in its start value: fewer Newton updates (one Jacobian
+        # each) than from the explicit predictor, in as many passes.
+        jacobians = []
+        burgers = BurgersProblem(0.05, 8).to_ivp()
+
+        def jacobian(t, u):
+            jacobians.append(len(u))
+            return burgers.jacobian(t, u)
+
+        prob = dataclasses.replace(burgers, jacobian=jacobian)
+        cfg = PararealConfig(T=0.5, N=16, coarse=BE, fine=parse_spec("cg:8"))
+        jacobians.clear()
+        _, history = run(cfg, prob)
+        warm = len(jacobians)
+        advance = parareal.advance
+        monkeypatch.setattr(parareal, "advance", lambda *args, guess=None, **kw: advance(*args, **kw))
+        jacobians.clear()
+        _, history_cold = run(cfg, prob)
+        assert len(history) == len(history_cold) > 2
+        assert warm < len(jacobians)
+
     def test_reuse_to_the_end_of_the_table(self, advance_calls):
         # Pass N has one changed start value, stacked with its neighbour;
         # pass N + 1 has none, so it steps nothing and changes nothing.
@@ -619,19 +684,22 @@ class TestBatch:
             assert state.history == solo.history
 
     def test_failure_names_its_run_subinterval_and_pass(self):
-        # u' = -12 u on dT = 1/4 (z = 3): forward Euler's factor is -2, so
-        # the second run's pass-2 iterate at T_2 is (-2)^2 = 4, and the
-        # coarse step's explicit Euler predictor from it, 4 (1 - 3) = -8,
-        # lies where f is NaN; no earlier value goes below -5.  The first run
-        # (fine equal to coarse) has left after pass 1, the third is live.
+        # u' = -12 u on dT = 1/4 (z = 3): backward Euler's factor is 1/4 and
+        # forward Euler's -2.  The second run's iterates at T_3 are 217/64
+        # after pass 2 and (-2)^3 = -8 after pass 3, so the pass-3 coarse
+        # step there starts from the guess g + (u_new - u) = 217/256 - 8
+        # - 217/64 = -10.54, where f is NaN.  No earlier guess, start value
+        # or Newton iterate (each lands on the root u/4 of this linear
+        # stage) goes below -5.  The first run (fine equal to coarse) has
+        # left after pass 1, the third is live.
         prob = IvpProblem(f=lambda t, u: np.where(u < -5.0, np.nan, -12.0 * u), u0=np.ones(1), T=1.0)
         cfgs = [
             PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec(f)) for f in ("beuler:1", "feuler:1", "cg:4")
         ]
-        message = "^coarse step on subinterval 2 in pass 2: Newton stage solve produced non-finite values"
+        message = "^coarse step on subinterval 3 in pass 3: Newton stage solve produced non-finite values"
         with pytest.raises(NonConvergenceError, match=message) as err:
             run(cfgs, prob)
-        assert (err.value.run, err.value.subinterval, err.value.k) == (1, 2, 2)
+        assert (err.value.run, err.value.subinterval, err.value.k) == (1, 3, 3)
 
     def test_lowest_run_of_a_stacked_failure_is_raised(self):
         # Both later runs get a NaN corrected start at subinterval 3 of pass 1,

@@ -368,6 +368,66 @@ class TestStackedAdvance:
         np.testing.assert_array_equal(x, b / 2.0)
 
 
+def cubic(t, u):
+    return -(u**3)
+
+
+def counting_cubic_jacobian(calls):
+    """The Jacobian of ``cubic``, recording the rows of each call."""
+
+    def jac(t, u):
+        calls.append(len(u))
+        return -3.0 * u[..., :, None] ** 2 * np.eye(u.shape[-1])
+
+    return jac
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    def test_guess_meeting_the_stop_still_makes_one_update(self, text):
+        # The cold result meets the residual test; started there, the
+        # stage solve still makes exactly one update.
+        spec, u = parse_spec(text), np.array([[2.0, -1.0]])
+        cold_calls, warm_calls = [], []
+        cold = advance(spec, cubic, 0.0, u, 0.5, jac=counting_cubic_jacobian(cold_calls))
+        warm = advance(spec, cubic, 0.0, u, 0.5, jac=counting_cubic_jacobian(warm_calls), guess=cold)
+        assert len(cold_calls) > 1 and warm_calls == [1]
+        np.testing.assert_allclose(warm, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
+
+    @NONFINITE
+    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    def test_nonfinite_guess_row_starts_cold(self, text, value):
+        # The middle row's guess holds a NaN or an infinity, so it starts at
+        # the explicit predictor and follows its cold iterates; the rows
+        # around it start at their guesses and leave after one update.
+        spec, dT = parse_spec(text), 0.5
+        U = np.array([[0.5, 1.0], [2.0, -1.0], [1.5, 0.25]])
+        cold = np.array([advance(spec, cubic, 0.0, u, dT) for u in U])
+        guess = cold * (1.0 + 1e-6)
+        guess[1, 0] = value
+        calls, solo_calls = [], []
+        got = advance(spec, cubic, np.zeros(3), U, dT, jac=counting_cubic_jacobian(calls), guess=guess)
+        advance(spec, cubic, 0.0, U[1], dT, jac=counting_cubic_jacobian(solo_calls))
+        assert calls == [3] + [1] * (len(solo_calls) - 1)
+        np.testing.assert_array_equal(got[1], advance(spec, cubic, 0.0, U[1], dT, jac=counting_cubic_jacobian([])))
+        for i in (0, 2):
+            alone = advance(spec, cubic, 0.0, U[i], dT, jac=counting_cubic_jacobian([]), guess=guess[i])
+            np.testing.assert_array_equal(got[i], alone)
+
+    @pytest.mark.parametrize("text", ["beuler:1", "cg:4"])
+    def test_guess_of_another_shape_rejected(self, text):
+        # A transposed stack of guesses has the right size but the wrong rows.
+        U = np.array([[0.5, 1.0, 2.0], [2.0, -1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"guess has shape \(3, 2\), expected \(2, 3\)"):
+            advance(parse_spec(text), cubic, np.zeros(2), U, 0.2, guess=U.T)
+
+    @pytest.mark.parametrize("text", ["beuler:2", "tr:3", "trbdf2:1", "gauss4:1", "feuler:1", "erk4:1", "cg:4"])
+    def test_other_kinds_and_counts_ignore_the_guess(self, text):
+        spec, U = parse_spec(text), np.array([[0.5, 1.0], [2.0, -1.0]])
+        plain = advance(spec, cubic, np.zeros(2), U, 0.2)
+        np.testing.assert_array_equal(advance(spec, cubic, np.zeros(2), U, 0.2, guess=np.full((2, 2), 7.0)), plain)
+
+
 class TestStability:
     @pytest.mark.parametrize("z", [0.01, 0.1, 1.0, 2.0, 10.0, 100.0])
     def test_collocation_closed_forms(self, z):
