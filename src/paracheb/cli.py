@@ -86,23 +86,36 @@ def load_config(path: str) -> dict[str, str]:
     return options
 
 
-def _format(value) -> str:
+def _conversion(value) -> str:
+    """The ``%`` conversion of one CSV value: an integer (``int`` or
+    ``np.integer``) in full, a float in scientific notation with 16 digits
+    after the point, anything else as ``str`` gives it."""
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return "%d"
     if isinstance(value, float):
-        return f"{value:.16e}"
-    return str(value)
+        return "%.16e"
+    return "%s"
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Atomic CSV write: temp file in the target directory, then rename."""
+    """Atomic CSV write: temp file in the target directory, then rename.
+
+    Each row is formatted by one ``%`` template, built once for each
+    sequence of value types the rows hold.
+    """
+    templates: dict[tuple[type, ...], str] = {}
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_format(v) for v in row) + "\n")
+                row = tuple(row)
+                kinds = tuple(map(type, row))
+                template = templates.get(kinds)
+                if template is None:
+                    template = templates[kinds] = ",".join(map(_conversion, row)) + "\n"
+                fh.write(template % row)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -180,7 +180,7 @@ def _proof(M: int) -> tuple[float, float, float, float] | None:
     Returns ``(a, c, h0, h1)`` with ``sigma_min(K) >= a + c z`` and
     ``sigma_max(K) <= h0 + h1 z`` at every ``z >= 0``, where also
     ``a + c z > 2e-14 (h0 + h1 z)``, twice the threshold of the
-    singular-value test in ``solve_checked`` (``h0 > 1``).  Returns None
+    singular-value test in ``check_nonsingular`` (``h0 > 1``).  Returns None
     when the proof does not verify for this ``M`` or its bound is too weak
     for that threshold.  Cached per ``M``, and built on the first call.
 
@@ -260,7 +260,7 @@ def _proven(op: CollocationOperator, shifts: np.ndarray) -> bool:
     singular-value test.
 
     ``shifts`` has shape ``(S, k)``: ``S`` systems of ``k`` diagonal
-    blocks, every shift finite (``solve_checked`` rejects the others).
+    blocks, every shift finite (``check_nonsingular`` rejects the others).
     Every shift must be ``>= 0``, and each system's smallest block bound,
     at its smallest shift, must exceed twice the threshold on its largest
     block bound, at its largest shift.  A single block always passes,
@@ -276,6 +276,62 @@ def _proven(op: CollocationOperator, shifts: np.ndarray) -> bool:
     return bool((a + c * lo > 2 * _SINGULAR_RTOL * (h0 + h1 * hi)).all())
 
 
+#: Matrix elements per stacked SVD of the singular-value test: caps the
+#: memory a long column of systems takes when the proof does not apply.
+_SVD_ELEMENTS = 2**15
+
+
+def check_nonsingular(op: CollocationOperator, z) -> None:
+    """Raise ``SingularSystemError`` if a shifted system ``I + z T1_C`` is singular.
+
+    ``z`` has shape ``(..., k)``: each entry of the leading axes is a
+    separate system whose ``k`` diagonal blocks are ``I + z_j T1_C``, and a
+    scalar ``z`` is one system of one block.  ``solve_checked`` calls it
+    before each solve, and ``propagators.stability`` on its grid of ``z``
+    (one system per ``z``), which it then evaluates without a solve.
+
+    A system is (near-)singular, a pole of the rational stability function,
+    when its smallest singular value, over all its blocks, is at most 1e-14
+    times its largest (or times 1, when that is smaller).  The systems have
+    identity-plus-term structure, so unit scale is the natural yardstick
+    even when cancellation shrinks them.  Two steps decide:
+
+    1. When every shift is ``>= 0``, the per-``M`` proof of ``_proof``
+       (built once per ``M``, on its first such call) bounds every block's
+       singular values linearly in ``z``, and shows that the system passes
+       the test whenever its smallest block bound clears twice the
+       threshold on its largest (``_proven``).
+    2. Only where the proof does not show that (some ``z < 0``, shifts
+       spread too wide for its bounds, or an ``M`` it does not verify for)
+       does the SVD run and decide, on stacks of at most
+       ``_SVD_ELEMENTS`` matrix elements.
+
+    The proof only shows a pass, so the decision is the SVD test's.  A
+    non-finite shift raises ``ValueError`` before any factorization.
+    """
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("collocation shifts must be finite")
+    shifts = z.reshape(-1, z.shape[-1] if z.ndim else 1)
+    if _proven(op, shifts):
+        return
+    n = op.M + 1
+    step = max(1, _SVD_ELEMENTS // (shifts.shape[1] * n * n))
+    smallest, largest = np.empty(len(shifts)), np.empty(len(shifts))
+    for i in range(0, len(shifts), step):
+        # Singular values come sorted in descending order.
+        K = np.eye(n) + shifts[i : i + step, :, None, None] * op.T1_C
+        spectrum = np.linalg.svd(K, compute_uv=False)
+        smallest[i : i + step] = spectrum[..., -1].min(axis=-1)
+        largest[i : i + step] = spectrum[..., 0].max(axis=-1)
+    singular = smallest <= _SINGULAR_RTOL * np.maximum(largest, 1.0)
+    if singular.any():
+        raise SingularSystemError(
+            f"collocation system is singular to working precision "
+            f"(smallest singular value {smallest[singular].min():.2e})"
+        )
+
+
 def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
     """Solve the shifted collocation systems ``(I + z T1_C) x = b``.
 
@@ -285,48 +341,18 @@ def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
     ``z.shape + (M+1,)``, one right-hand side per block; it may carry more
     leading axes (the rows of a stack).  So ``solve_linear`` passes the
     eigenvalue shifts of one matrix as a vector (one block-diagonal
-    system), and ``stability`` passes a grid of ``z`` as a column (one
-    system per ``z``).  All blocks are solved in one stacked call, one
-    right-hand side at a time, so a column's bits do not depend on how many
-    columns share the call.
+    system).  All blocks are solved in one stacked call, one right-hand
+    side at a time, so a column's bits do not depend on how many columns
+    share the call.
 
-    A (near-)singular system, a pole of the rational stability function,
-    raises ``SingularSystemError`` instead of returning the amplified
-    garbage a backward-stable factorization would produce: a system is
-    singular when its smallest singular value, over all its blocks, is at
-    most 1e-14 times its largest (or times 1, when that is smaller).  The
-    systems have identity-plus-term structure, so unit scale is the natural
-    yardstick even when cancellation shrinks them.  Two steps decide:
-
-    1. When every shift is ``>= 0``, the per-``M`` proof of ``_proof``
-       (built once per ``M``, on its first such call) bounds every block's
-       singular values linearly in ``z``, and shows that the system passes
-       the test whenever its smallest block bound clears twice the
-       threshold on its largest (``_proven``).
-    2. Only where the proof does not show that (some ``z < 0``, shifts
-       spread too wide for its bounds, or an ``M`` it does not verify for)
-       does the SVD run and decide.
-
-    The proof only shows a pass, so the decision is the SVD test's; the
-    solve is the same whichever step decides.  A non-finite shift raises
-    ``ValueError`` before any factorization.
+    A (near-)singular system raises ``SingularSystemError``, decided by
+    ``check_nonsingular`` before the solve, instead of returning the
+    amplified garbage a backward-stable factorization would produce.  A
+    non-finite shift raises ``ValueError`` before any factorization.
     """
+    check_nonsingular(op, z)
     z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
-        raise ValueError("collocation shifts must be finite")
-    n = op.M + 1
-    K = np.eye(n) + z[..., None, None] * op.T1_C
-    shifts = z.reshape(-1, z.shape[-1] if z.ndim else 1)
-    if not _proven(op, shifts):
-        # Singular values come sorted in descending order.
-        spectrum = np.linalg.svd(K.reshape(shifts.shape + (n, n)), compute_uv=False)
-        smallest = spectrum[..., -1].min(axis=-1)
-        singular = smallest <= _SINGULAR_RTOL * np.maximum(spectrum[..., 0].max(axis=-1), 1.0)
-        if singular.any():
-            raise SingularSystemError(
-                f"collocation system is singular to working precision "
-                f"(smallest singular value {smallest[singular].min():.2e})"
-            )
+    K = np.eye(op.M + 1) + z[..., None, None] * op.T1_C
     try:
         return np.linalg.solve(K, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:

@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .chebyshev import build_operator, cg_points
+from .chebyshev import build_operator, cg_points, operator_eigenvalues
 from .collocation import RhsFunction, _rows, check_integer, check_limits, settle_rows
-from .collocation import solve_checked, solve_linear, solve_nonlinear
+from .collocation import check_nonsingular, solve_linear, solve_nonlinear
 from .errors import NonConvergenceError, SingularSystemError, raise_row_failures
 
 _SQRT2 = math.sqrt(2.0)
@@ -506,9 +506,10 @@ def _pow(x: np.ndarray, p: int) -> np.ndarray:
     return np.asarray(np.frompyfunc(power, 1, 1)(np.asarray(x, dtype=float)), dtype=float)
 
 
-#: Matrix elements per stacked solve of the collocation ``R(z)``: caps the
-#: memory a long z-grid takes (a block of 12 systems at M = 51).
-_BLOCK_ELEMENTS = 2**15
+#: Complex factors per block of the collocation ``R(z)``, ``M + 1`` per
+#: ``z``: caps the memory a long z-grid takes at 64 KiB per array (a block
+#: of 78 ``z`` at M = 51), which also keeps a block in cache.
+_BLOCK_ELEMENTS = 2**12
 
 
 def stability(spec: PropagatorSpec, z):
@@ -521,35 +522,36 @@ def stability(spec: PropagatorSpec, z):
 
     One-step kinds compose their single-step factor, ``r(z/J)**J``, an
     infinity of the exact sign where a power overflows.  The collocation
-    kind evaluates the matrix expression
+    kind's factor
 
         R(z) = T (I - z C_alpha (I + z T1_C)^{-1} T1) E
-             = 1 - z * sum(C_alpha (I + z T1_C)^{-1} 1)
+             = prod_i (1 - z lam_i) / (1 + z lam_i)
 
-    by shifted-system solves (``collocation.solve_checked``, the solve the
-    linear collocation propagator runs once per eigenvalue), one stacked
-    call per block of ``z`` values; a block holds at most
-    ``_BLOCK_ELEMENTS`` matrix elements.  Each ``z`` is its own system, with
-    its own singularity test: a singular system (a pole of the rational
-    function) raises ``SingularSystemError``.
+    is the real part of a product over the eigenvalues ``lam_i`` of
+    ``T1_C`` (``chebyshev.operator_eigenvalues``, taken once per ``M``),
+    ``O(M)`` work per ``z``, one ``np.prod`` per block of ``z`` values; a
+    block holds at most ``_BLOCK_ELEMENTS`` factors.  Each ``z`` keeps the
+    singularity test of its shifted system ``I + z T1_C``
+    (``collocation.check_nonsingular``): a singular system (a pole of the
+    rational function) raises ``SingularSystemError``.
     """
     z = np.asarray(z, dtype=float)
     if not ((0.0 <= z) & (z < math.inf)).all():
         raise ValueError("z must be nonnegative and finite")
 
     if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        op = build_operator(spec.count)
-        n = spec.count + 1
-        ones = np.ones(n)  # T1 @ E is the all-ones column
-        zs = z.reshape(-1)
-        sums = np.empty_like(zs)
-        block = max(1, _BLOCK_ELEMENTS // (n * n))
+        lam = operator_eigenvalues(spec.count)
+        zs = z.reshape(-1, 1)
+        check_nonsingular(build_operator(spec.count), zs)
+        R = np.empty(zs.size)
+        block = max(1, _BLOCK_ELEMENTS // lam.size)
         for i in range(0, zs.size, block):
-            x = solve_checked(op, zs[i : i + block, None], ones)[:, 0]
-            # Each z's own matrix-vector product and sum: summing in another
-            # order moves the last bits.
-            sums[i : i + block] = (op.C_alpha @ x[..., None])[..., 0].sum(axis=-1)
-        R = (1.0 - zs * sums).reshape(z.shape)
+            w = zs[i : i + block] * lam
+            r = 1.0 - w
+            w += 1.0
+            r /= w
+            R[i : i + block] = r.prod(axis=-1).real
+        R = R.reshape(z.shape)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an infinity
             r = _one_step_stability(spec.kind, z / spec.count)

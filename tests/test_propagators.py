@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -23,7 +25,9 @@ from paracheb import (
     spd_catalog,
     stability,
 )
-from paracheb import collocation, propagators
+from paracheb import analysis, collocation, propagators
+from paracheb.chebyshev import build_operator
+from paracheb.collocation import solve_checked
 from paracheb.propagators import _fd_jacobian, _identity, _newton
 
 ALL_SPECS = [
@@ -554,7 +558,7 @@ class TestStability:
         assert R[1] == ((x * x - 6.0 * x + 12.0) / (x * x + 6.0 * x + 12.0)) ** spec.count
 
     def test_systems_larger_than_a_block(self):
-        # 201 x 201 systems exceed the block cap: one system per solve.
+        # 201 factors per z: a block holds 20 z.
         spec = PropagatorSpec.chebyshev_gauss(200)
         zs = np.array([0.0, 0.7, 30.0, 1e5])
         np.testing.assert_array_equal(stability(spec, zs), [stability(spec, z) for z in zs])
@@ -566,6 +570,131 @@ class TestStability:
         zs[7] = bad
         with pytest.raises(ValueError, match="finite"):
             stability(spec, zs)
+
+
+
+def lu_stability(M, z):
+    """The collocation ``R(z)`` by LU solves of ``I + z T1_C``.
+
+    ``R(z) = 1 - z * sum(C_alpha (I + z T1_C)^{-1} 1)``, one
+    ``solve_checked`` call per block of at most 2**15 matrix elements and
+    each z's own matrix-vector product and sum: the evaluation that
+    ``stability`` replaced with the eigenvalue product, bit for bit.
+    """
+    op = build_operator(M)
+    n = M + 1
+    zs = np.asarray(z, dtype=float).reshape(-1)
+    sums = np.empty_like(zs)
+    block = max(1, 2**15 // (n * n))
+    for i in range(0, zs.size, block):
+        x = solve_checked(op, zs[i : i + block, None], np.ones(n))[:, 0]
+        sums[i : i + block] = (op.C_alpha @ x[..., None])[..., 0].sum(axis=-1)
+    return (1.0 - zs * sums).reshape(np.shape(z))
+
+
+def exact_lu_stability(M, z):
+    """``R(z)`` of the rounded ``T1_C`` and ``C_alpha`` in exact rational arithmetic."""
+    op = build_operator(M)
+    n = M + 1
+    z = Fraction(z)
+    c = [sum(map(Fraction, column)) for column in op.C_alpha.T.tolist()]
+    rows = [[int(i == j) + z * Fraction(v) for j, v in enumerate(row)] + [Fraction(1)]
+            for i, row in enumerate(op.T1_C.tolist())]
+    for k in range(n):  # Gaussian elimination; every pivot is nonzero for z >= 0
+        for i in range(k + 1, n):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum(rows[i][j] * x[j] for j in range(i + 1, n))) / rows[i][i]
+    return 1 - z * sum(ci * xi for ci, xi in zip(c, x))
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+WIDE_Z = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 400)))
+
+
+class TestCollocationProduct:
+    """The eigenvalue product of ``stability`` against the LU solves it replaced."""
+
+    @pytest.mark.parametrize("M", range(52))
+    def test_matches_lu_reference(self, M):
+        R = stability(PropagatorSpec.chebyshev_gauss(M), WIDE_Z)
+        assert np.abs(R - lu_stability(M, WIDE_Z)).max() <= 2e-13
+
+    @pytest.mark.parametrize("M", [100, 164, 256])
+    def test_matches_lu_reference_at_large_counts(self, M):
+        R = stability(PropagatorSpec.chebyshev_gauss(M), WIDE_Z)
+        assert np.abs(R - lu_stability(M, WIDE_Z)).max() <= 1e-12
+
+    @pytest.mark.parametrize("M", range(4))
+    def test_matches_exact_lu_of_the_rounded_operator(self, M):
+        zs = np.geomspace(1e-8, 1e8, 33)
+        R = stability(PropagatorSpec.chebyshev_gauss(M), zs)
+        for z, got in zip(zs.tolist(), R.tolist()):
+            assert abs(Fraction(got) - exact_lu_stability(M, z)) <= 2e-15, z
+
+    @pytest.mark.parametrize("M", [0, 1])
+    def test_closed_forms_within_an_ulp(self, M):
+        # Against R exactly, the product is within 1.5 units in the last
+        # place of 1 at every z, and its largest error over the grid is
+        # below the LU solves' (0.7 and 1.2 units against 2.8 and 4.8).
+        zs = np.geomspace(1e-8, 1e8, 801)
+        R = stability(PropagatorSpec.chebyshev_gauss(M), zs)
+        lu = lu_stability(M, zs)
+        worst = worst_lu = 0
+        for z, got, ref in zip(zs.tolist(), R.tolist(), lu.tolist()):
+            x = Fraction(z)
+            exact = (2 - x) / (2 + x) if M == 0 else ((4 - x) / (4 + x)) ** 2
+            error = abs(Fraction(got) - exact)
+            assert error <= 1.5 * np.finfo(float).eps, z
+            worst, worst_lu = max(worst, error), max(worst_lu, abs(Fraction(ref) - exact))
+        assert worst < worst_lu
+
+    @pytest.mark.parametrize("M", range(52))
+    def test_zeros_are_the_negated_poles(self, M):
+        # The product takes R(-z) R(z) = 1, the symmetry of the CG nodes;
+        # the LU solves, which do not assume it, show it on the rounded
+        # operator (every pole has |z| >= 2).
+        zs = np.geomspace(1e-3, 1.0, 9)
+        assert np.abs(lu_stability(M, zs) * lu_stability(M, -zs) - 1.0).max() <= 1e-14
+
+    def test_grid_spanning_blocks_matches_scalar_calls(self):
+        spec = PropagatorSpec.chebyshev_gauss(200)  # 20 z per block
+        zs = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 250)))
+        assert zs.size > 3 * (propagators._BLOCK_ELEMENTS // 201)
+        np.testing.assert_array_equal(stability(spec, zs), [stability(spec, z) for z in zs])
+
+    def test_golden_tables_match_lu_reference(self, monkeypatch):
+        # The committed tables, written by the eigenvalue product, stay
+        # within 5e-14 of the LU solves in R, and within that bound
+        # carried through K(z) = |R - 1/(1+z)| / (1 - 1/(1+z)) in K.
+        with open(os.path.join(DATA, "analyze_golden.csv"), encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        table = np.array(rows[1:], dtype=float)
+        zs = table[:, 0]
+        checked = 0
+        for j, name in enumerate(rows[0]):
+            if name.startswith("absR_cg_m"):
+                R = lu_stability(int(name[len("absR_cg_m") :]), zs)
+                assert np.abs(table[:, j] - np.abs(R)).max() <= 5e-14, name
+                K = analysis.contraction_from_stability(R, zs)
+                assert (np.abs(table[:, j + 1] - K) <= 5e-14 * (1 + zs) / zs).all(), rows[0][j + 1]
+                checked += 1
+        assert checked == 4
+
+        cg = PropagatorKind.CHEBYSHEV_GAUSS
+        monkeypatch.setattr(
+            analysis, "stability",
+            lambda spec, z: float(lu_stability(spec.count, z)) if spec.kind is cg else stability(spec, z),
+        )
+        with open(os.path.join(DATA, "mmin_golden.csv"), encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        for row in rows:
+            ref = analysis.m_min(float(row["z_max"]))
+            assert (int(row["m_min"]), row["branch"]) == (ref.m_min, ref.branch.value)
+            assert abs(float(row["condition_value"]) - ref.condition_value) <= 5e-14
 
 
 class TestSpecPlumbing:
