@@ -102,14 +102,14 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
     Samples ``K`` on a log-spaced grid from ``max(z_max * 1e-6, 1e-8)``
     (or ``z_max`` itself, if smaller) to ``z_max``, plus ``z = 0`` where
     ``K`` is 0, with one ``stability`` call for the whole grid (the
-    collocation kind solves it in blocks of shifted systems).  It then
-    sharpens every local maximum, including the right endpoint, by Brent's
-    bounded search (``scipy.optimize.minimize_scalar``, ``xatol`` 1e-8) on
-    scalar ``contraction`` calls; a bracket narrower than that tolerance is
-    left to its grid point.  Each grid value equals its scalar
-    ``contraction`` call bit for bit.  The refined points are merged into
-    the returned grid so ``rho`` equals the maximum of ``K_values``.  A
-    ``z_max`` with ``1 + z_max == 1`` raises ValueError: ``K`` has no
+    collocation kind evaluates it as an eigenvalue product, block by block
+    of ``z``).  It then sharpens every local maximum, including the right
+    endpoint, by Brent's bounded search (``scipy.optimize.minimize_scalar``,
+    ``xatol`` 1e-8) on scalar ``contraction`` calls; a bracket narrower than
+    that tolerance is left to its grid point.  Each grid value equals its
+    scalar ``contraction`` call bit for bit.  The refined points are merged
+    into the returned grid so ``rho`` equals the maximum of ``K_values``.
+    A ``z_max`` with ``1 + z_max == 1`` raises ValueError: ``K`` has no
     denominator there.
     """
     if not 0 < z_max < math.inf:

@@ -8,12 +8,13 @@ side at the CG nodes.  Nonlinear problems run fixed-point (Picard) sweeps,
     node values   u_nodes = T1 @ u_hat,
 
 which converge linearly when the Lipschitz constant times the interval
-length is small.  Linear problems ``u' + A u = g`` with symmetric ``A`` are
-instead solved directly in the eigenbasis of ``A``: each eigenvalue
-``lambda`` gives one ``(M+1)``-sized shifted system ``I + z T1_C`` with
-``z = lambda * (b - a)``, the same system whose solution defines the
-stability function ``R(z)``.  The direct solve stays well defined far
-outside the fixed-point convergence region.
+length is small.  Linear problems ``u' + A u = g`` with symmetric positive
+semidefinite ``A`` are instead solved directly in the eigenbasis of ``A``:
+each eigenvalue ``lambda`` gives one ``(M+1)``-sized shifted system ``I + z
+T1_C`` with ``z = lambda * (b - a) >= 0``, the same system whose solution
+defines the stability function ``R(z)``, and no such system is singular.
+The direct solve stays well defined far outside the fixed-point
+convergence region.
 
 A state has shape ``(dim,)`` and its node table ``(M+1, dim)``.  A stack of
 ``N`` states, one per subinterval of a uniform grid, has shape ``(N, dim)``
@@ -32,7 +33,6 @@ from ``chebyshev.build_operator(points.M)``, which caches them per ``M``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -143,197 +143,8 @@ def _as_state(u) -> np.ndarray:
     return u
 
 
-_SINGULAR_RTOL = 1e-14  # smallest singular value against max(largest, 1)
-_UNIT = np.finfo(float).eps / 2  # the unit roundoff u
-
-
-def _gamma(m: int) -> float:
-    """Higham's rounding constant ``gamma_m = m u / (1 - m u)``."""
-    return m * _UNIT / (1 - m * _UNIT)
-
-
-def _fro_above(A: np.ndarray) -> float:
-    """An upper bound on ``||A||_F``: the computed norm raised by its rounding."""
-    return float(np.sqrt(np.sum(A * A))) * (1 + 2 * _gamma(A.size + 2))
-
-
-def _cholesky_proves(A: np.ndarray, shift: float) -> bool:
-    """Whether Cholesky proves ``lambda_min(A) > shift`` for a symmetric ``A``.
-
-    It factors ``A - (shift + 4 n gamma_{n+1} ||A||_F) I``.  The margin
-    covers the factorization's backward error (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., Thm 10.3) and the
-    rounding of the shifted diagonal.
-    """
-    n = len(A)
-    try:
-        np.linalg.cholesky(A - (shift + 4 * n * _gamma(n + 1) * _fro_above(A)) * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-@functools.lru_cache(maxsize=None)
-def _proof(M: int) -> tuple[float, float, float, float] | None:
-    """Singular-value bounds for every computed ``K = fl(I + z T1_C)``, ``z >= 0``.
-
-    Returns ``(a, c, h0, h1)`` with ``sigma_min(K) >= a + c z`` and
-    ``sigma_max(K) <= h0 + h1 z`` at every ``z >= 0``, where also
-    ``a + c z > 2e-14 (h0 + h1 z)``, twice the threshold of the
-    singular-value test in ``check_nonsingular`` (``h0 > 1``).  Returns None
-    when the proof does not verify for this ``M`` or its bound is too weak
-    for that threshold.  Cached per ``M``, and built on the first call.
-
-    Write ``T = T1_C``.  Take a symmetric ``W`` with ``lambda_min(W) >=
-    w_lo > 0`` and ``lambda_max(W) <= w_hi``, and ``S = T^T W + W T`` with
-    ``lambda_min(S) >= s_lo > 0``.  For ``K = I + z T`` and ``z >= 0``,
-
-        x^T W K x = x^T W x + (z/2) x^T S x >= (1 + z s_lo / (2 w_hi)) x^T W x,
-
-    so Cauchy-Schwarz in the ``W`` inner product and ``w_lo |x|^2 <=
-    x^T W x <= w_hi |x|^2`` give ``sigma_min(K) >= a' + c' z`` with
-    ``a' = sqrt(w_lo / w_hi)`` and ``c' = a' s_lo / (2 w_hi)``.
-
-    Every eigenvalue of ``T`` has a positive real part (checked for
-    M <= 100), so ``T^T W + W T = I`` has a solution ``W > 0``; Roberts'
-    sign-function iteration ``A <- (A + A^-1)/2``, ``Q <- (Q + A^-T Q
-    A^-1)/2`` from ``A = T``, ``Q = I`` gives it as ``Q/2``.  The proof
-    uses only the computed ``W``, whatever its residual:
-
-    - ``w_lo = 1 / (4 ||T||_F)`` is certified by Cholesky of
-      ``W - w_lo I``, and ``s_lo = 1/2 - delta_S`` by Cholesky of
-      ``fl(S) - I/2``, each shift raised by Higham's margin
-      (``_cholesky_proves``);
-    - ``delta_S = gamma_{n+1} || |T^T| |W| + |W| |T| ||_F`` bounds
-      ``||S - fl(S)||_2``, the rounding of the products and their sum;
-    - ``w_hi`` is ``||W||_F``, raised by its rounding factor, and so is
-      ``||T||_F``.
-
-    Forming ``K`` in floating point, one product and on the diagonal one
-    sum per entry, moves it by at most ``u sqrt(n) + 3 u z ||T||_F`` in the
-    2-norm.  ``a`` and ``c`` give that up from ``a'`` and ``c'``, and
-    ``h0 + h1 z`` is ``||I + z T||_2 <= 1 + z ||T||_F`` plus the same.  The
-    few roundings of forming the bounds themselves are each a relative
-    ``u``, and an underflow in ``z T`` moves ``K`` by less than 1e-300;
-    the factor 2 on the threshold absorbs both.  So one check at
-    ``z = 0`` and on the slopes covers every ``z >= 0``.
-    """
-    T = build_operator(M).T1_C
-    n = M + 1
-    with np.errstate(all="ignore"):  # a failed iteration shows as a non-finite W
-        A, Q = T, np.eye(n)
-        try:
-            for _ in range(100):
-                inv = np.linalg.inv(A)
-                A, previous = (A + inv) / 2, A
-                Q = (Q + inv.T @ Q @ inv) / 2
-                # Quadratic convergence: after a step of sqrt(eps), Q is
-                # within rounding of its limit.
-                if np.abs(A - previous).max() <= np.sqrt(np.finfo(float).eps):
-                    break
-        except np.linalg.LinAlgError:
-            return None
-        W = (Q + Q.T) / 4
-        P = T.T @ W
-        S = P + P.T
-        B = np.abs(T.T) @ np.abs(W)
-        delta_S = 2 * _gamma(n + 1) * _fro_above(B + B.T)  # 2: the rounding of B
-    if not (np.isfinite(S).all() and np.isfinite(delta_S)):
-        return None
-    w_hi, t_hi = _fro_above(W), _fro_above(T)
-    # Half of what the exact W and S have: S = I, and
-    # x^T W x = int_0^inf |exp(-T t) x|^2 dt >= |x|^2 / (2 ||T||_2).
-    w_lo, s_lo = 1 / (4 * t_hi), 0.5 - delta_S
-    if not (s_lo > 0 and _cholesky_proves(W, w_lo) and _cholesky_proves(S, 0.5)):
-        return None
-    exact = math.sqrt(w_lo / w_hi)  # a' of the argument
-    formed = _UNIT * math.sqrt(n)  # and the rounding of forming K
-    a, c = exact - formed, exact * s_lo / (2 * w_hi) - 3 * _UNIT * t_hi
-    h0, h1 = 1 + formed, (1 + 3 * _UNIT) * t_hi
-    if not (a > 2 * _SINGULAR_RTOL * h0 and c >= 2 * _SINGULAR_RTOL * h1):
-        return None
-    return a, c, h0, h1
-
-
-def _proven(op: CollocationOperator, shifts: np.ndarray) -> bool:
-    """Whether ``_proof`` shows that every system of ``shifts`` passes the
-    singular-value test.
-
-    ``shifts`` has shape ``(S, k)``: ``S`` systems of ``k`` diagonal
-    blocks, every shift finite (``check_nonsingular`` rejects the others).
-    Every shift must be ``>= 0``, and each system's smallest block bound,
-    at its smallest shift, must exceed twice the threshold on its largest
-    block bound, at its largest shift.  A single block always passes,
-    since ``_proof`` checked every ``z >= 0``.
-    """
-    lo, hi = shifts.min(axis=-1), shifts.max(axis=-1)
-    if not (lo >= 0).all():
-        return False
-    proof = _proof(op.M)
-    if proof is None:
-        return False
-    a, c, h0, h1 = proof
-    return bool((a + c * lo > 2 * _SINGULAR_RTOL * (h0 + h1 * hi)).all())
-
-
-#: Matrix elements per stacked SVD of the singular-value test: caps the
-#: memory a long column of systems takes when the proof does not apply.
-_SVD_ELEMENTS = 2**15
-
-
-def check_nonsingular(op: CollocationOperator, z) -> None:
-    """Raise ``SingularSystemError`` if a shifted system ``I + z T1_C`` is singular.
-
-    ``z`` has shape ``(..., k)``: each entry of the leading axes is a
-    separate system whose ``k`` diagonal blocks are ``I + z_j T1_C``, and a
-    scalar ``z`` is one system of one block.  ``solve_checked`` calls it
-    before each solve, and ``propagators.stability`` on its grid of ``z``
-    (one system per ``z``), which it then evaluates without a solve.
-
-    A system is (near-)singular, a pole of the rational stability function,
-    when its smallest singular value, over all its blocks, is at most 1e-14
-    times its largest (or times 1, when that is smaller).  The systems have
-    identity-plus-term structure, so unit scale is the natural yardstick
-    even when cancellation shrinks them.  Two steps decide:
-
-    1. When every shift is ``>= 0``, the per-``M`` proof of ``_proof``
-       (built once per ``M``, on its first such call) bounds every block's
-       singular values linearly in ``z``, and shows that the system passes
-       the test whenever its smallest block bound clears twice the
-       threshold on its largest (``_proven``).
-    2. Only where the proof does not show that (some ``z < 0``, shifts
-       spread too wide for its bounds, or an ``M`` it does not verify for)
-       does the SVD run and decide, on stacks of at most
-       ``_SVD_ELEMENTS`` matrix elements.
-
-    The proof only shows a pass, so the decision is the SVD test's.  A
-    non-finite shift raises ``ValueError`` before any factorization.
-    """
-    z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
-        raise ValueError("collocation shifts must be finite")
-    shifts = z.reshape(-1, z.shape[-1] if z.ndim else 1)
-    if _proven(op, shifts):
-        return
-    n = op.M + 1
-    step = max(1, _SVD_ELEMENTS // (shifts.shape[1] * n * n))
-    smallest, largest = np.empty(len(shifts)), np.empty(len(shifts))
-    for i in range(0, len(shifts), step):
-        # Singular values come sorted in descending order.
-        K = np.eye(n) + shifts[i : i + step, :, None, None] * op.T1_C
-        spectrum = np.linalg.svd(K, compute_uv=False)
-        smallest[i : i + step] = spectrum[..., -1].min(axis=-1)
-        largest[i : i + step] = spectrum[..., 0].max(axis=-1)
-    singular = smallest <= _SINGULAR_RTOL * np.maximum(largest, 1.0)
-    if singular.any():
-        raise SingularSystemError(
-            f"collocation system is singular to working precision "
-            f"(smallest singular value {smallest[singular].min():.2e})"
-        )
-
-
 def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
-    """Solve the shifted collocation systems ``(I + z T1_C) x = b``.
+    """Solve the shifted collocation systems ``(I + z T1_C) x = b`` by LU.
 
     ``z`` has shape ``(..., k)``: each entry of the leading axes is a
     separate system whose ``k`` diagonal blocks are ``I + z_j T1_C``, and a
@@ -345,13 +156,19 @@ def solve_checked(op: CollocationOperator, z, b: np.ndarray) -> np.ndarray:
     side at a time, so a column's bits do not depend on how many columns
     share the call.
 
-    A (near-)singular system raises ``SingularSystemError``, decided by
-    ``check_nonsingular`` before the solve, instead of returning the
-    amplified garbage a backward-stable factorization would produce.  A
-    non-finite shift raises ``ValueError`` before any factorization.
+    The shifts of the package are ``z >= 0``: ``solve_linear`` passes
+    ``lambda * dT`` for the eigenvalues ``lambda`` of a symmetric positive
+    semidefinite ``A``.  On ``z >= 0`` no block is singular, since every
+    eigenvalue ``mu`` of ``T1_C`` has a positive real part and so ``|1 + z
+    mu| >= 1``; each block is factored as it stands, with no singularity
+    test.  A
+    non-finite shift raises ``ValueError`` before any factorization, and a
+    block LAPACK finds exactly singular (only a shift ``z < 0`` can give
+    one) raises ``SingularSystemError``.
     """
-    check_nonsingular(op, z)
     z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("collocation shifts must be finite")
     K = np.eye(op.M + 1) + z[..., None, None] * op.T1_C
     try:
         return np.linalg.solve(K, b[..., None])[..., 0]
@@ -471,7 +288,8 @@ def solve_linear(
     points: CgPointSet,
     u_a,
 ) -> CollocationSolution:
-    """Direct collocation solve of ``u' + A u = g(t)`` for symmetric ``A``.
+    """Direct collocation solve of ``u' + A u = g(t)`` for symmetric positive
+    semidefinite ``A``.
 
     With ``A = Q diag(lam) Q^T`` the node system decouples into one shifted
     system per eigenvalue, in the eigenbasis coordinates ``c = Q^T u_a`` and
@@ -481,14 +299,17 @@ def solve_linear(
         (I + lam_i dT T1_C) x_i = c_i + dT * T1_C @ G~[:, i]
 
     ``dT`` is the interval length, which every row of a stack shares, so
-    the systems and their singularity check are built once per call and
-    every row's right-hand sides go to ``solve_checked`` in one stacked
-    call.  The coefficients are formed in the eigenbasis from
-    ``F = G~ - X lam`` and only then mapped back with ``Q^T``.  A singular
-    block (the scaled problem sits on a pole of the rational stability
-    function) raises ``SingularSystemError`` for the whole call rather than
-    being regularized; a non-finite or non-symmetric ``A`` raises
-    ``ValueError``.
+    the systems are built once per call and every row's right-hand sides
+    go to ``solve_checked`` in one stacked call.  The coefficients are
+    formed in the eigenbasis from ``F = G~ - X lam`` and only then mapped
+    back with ``Q^T``.
+
+    Every shift ``lam_i dT`` is ``>= 0``, where no system is singular: an
+    eigenvalue below zero by no more than ``dim * eps * max|lam|``, the
+    rounding of ``eigh``, is taken as 0, and one further below raises
+    ``ValueError``, as does a non-finite or non-symmetric ``A``, before
+    ``g`` is called.  A row whose solve overflows to a non-finite value
+    raises ``SingularSystemError``.
     """
     op = build_operator(points.M)
     u_a = _as_state(u_a)
@@ -501,6 +322,10 @@ def solve_linear(
         raise ValueError("matrix must be finite")
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
         raise ValueError("matrix must be symmetric")
+    lam, Q = np.linalg.eigh(A)  # ascending
+    if lam[0] < -dim * np.finfo(float).eps * np.abs(lam).max():
+        raise ValueError("matrix must be positive semidefinite")
+    lam = np.maximum(lam, 0.0)
     n = op.M + 1
     dT = points.length
     t_nodes = np.broadcast_to(points.t, (N, n))
@@ -511,7 +336,6 @@ def solve_linear(
         G = _rhs_table(lambda t, _: g(t), t_nodes, G)
         failures = _nonfinite_rows(G, t_nodes)
 
-    lam, Q = np.linalg.eigh(A)
     # One vector-matrix product per row: a one-row matrix product would
     # take another BLAS kernel than a taller one.
     c = (U[:, None, :] @ Q)[:, 0, :]

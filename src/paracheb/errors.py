@@ -43,8 +43,12 @@ class NonConvergenceError(SolverError):
 
 
 class SingularSystemError(SolverError):
-    """A collocation system was singular, i.e. the scaled problem sits on a
-    pole of the rational stability function."""
+    """A linear solve had no usable answer: a Newton stage matrix was
+    singular, or a collocation solve overflowed to non-finite values.
+
+    The collocation systems themselves are never singular on their domain,
+    a symmetric positive semidefinite ``A``, whose shifts are all ``z >= 0``.
+    """
 
 
 class MaxIterationsError(SolverError):

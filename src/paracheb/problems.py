@@ -52,13 +52,14 @@ class IvpProblem:
 
     ``reference`` maps a time to the exact (or high-accuracy) state when one
     is known.  ``linear`` carries ``(A, g)`` when the right-hand side has
-    the form ``g(t) - A u`` with symmetric ``A``, which lets the collocation
-    propagator use its direct linear solve in the eigenbasis of ``A`` (a
-    non-symmetric ``A`` there raises ValueError).  The constructor rejects
-    an ``A`` that is not ``dim x dim``, and an ``f`` that differs from
-    ``g(t) - A u`` by more than 1e-12 times their largest entry on ``u0``
-    and every ``u0 + e_i`` at ``t = 0`` and on ``u0`` at ``t = T``: one
-    extra ``f`` call on ``dim + 1`` states.
+    the form ``g(t) - A u`` with symmetric positive semidefinite ``A``, which
+    lets the collocation propagator use its direct linear solve in the
+    eigenbasis of ``A`` (an ``A`` that is not symmetric, or has an
+    eigenvalue below zero by more than rounding, raises ValueError there).
+    The constructor rejects an ``A`` that is not ``dim x dim``, and an
+    ``f`` that differs from ``g(t) - A u`` by more than 1e-12 times their
+    largest entry on ``u0`` and every ``u0 + e_i`` at ``t = 0`` and on
+    ``u0`` at ``t = T``: one extra ``f`` call on ``dim + 1`` states.
     """
 
     f: Callable[[float, np.ndarray], np.ndarray]

@@ -176,6 +176,16 @@ class TestRunCommand:
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
         assert float(rows[-1][1]) <= 1e-10
 
+    def test_stiff_spd_run_completes(self, tmp_path, capsys):
+        # Eigenvalues 1 to 1e16 in one run: each eigencomponent's block is
+        # solved on its own, so the stiffest does not fail the others.
+        out = tmp_path / "stiff.csv"
+        main(["run", "--set", "problem=diag-spectrum", "--set", "m=3", "--set", "lambda_max=1e16",
+              "--set", "N=10", "--set", "fine=cg:4", "--out", str(out)])
+        header, rows = read_csv(out)
+        assert header == ["k", "iter_error", "abs_error"] and rows
+        assert np.all(np.isfinite([[float(v) for v in row] for row in rows]))
+
     def test_unknown_problem_rejected(self, tmp_path):
         manifest = RunManifest(
             command="run", out=str(tmp_path / "x.csv"), params={"problem": "pendulum"}

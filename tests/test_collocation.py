@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -300,12 +299,38 @@ class TestSolveLinear:
         np.testing.assert_allclose(sol.u_end, sol.u_hat.sum(axis=0), atol=1e-14)
 
     def test_singular_system_flagged(self):
-        # A negative eigenvalue can place the scaled problem on a pole; one
-        # singular eigen-block makes the whole solve singular.
+        # Only a negative eigenvalue can place the scaled problem on a pole
+        # (z = -2 for M = 0), and solve_linear rejects it before any solve;
+        # an exactly singular block given to solve_checked fails its LU.
         pts = cg_points(0, 0.0, 1.0)
         for A in (np.array([[-2.0]]), np.diag([1.0, -2.0])):
-            with pytest.raises(SingularSystemError):
+            with pytest.raises(ValueError, match="positive semidefinite"):
                 solve_linear(A, None, pts, np.ones(len(A)))
+        with pytest.raises(SingularSystemError, match="singular"):
+            solve_checked(build_operator(0), np.array([1.0, exact_pole()]), np.ones((2, 1)))
+
+    def test_indefinite_matrix_rejected(self):
+        # An eigenvalue below zero by more than eigh's rounding is outside
+        # the method's domain, however far from a pole its shift sits.
+        pts = cg_points(8, 0.0, 0.5)
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        calls = []
+        for lowest in (-2.5, -1e-9):
+            A = (Q * [lowest, 0.0, 1.0, 60.0]) @ Q.T
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                solve_linear((A + A.T) / 2, lambda t: calls.append(t) or np.ones((*t.shape[:-1], 4)), pts, np.ones(4))
+        assert calls == []  # rejected before the forcing is evaluated
+
+    @pytest.mark.parametrize("M", [0, 1, 4, 12])
+    def test_stiff_diagonal_matches_stability(self, M):
+        # Blocks of scale 1 and 1e15 in one call: each component is its own
+        # R(z) u0, however far apart the scales of the blocks.
+        pts = cg_points(M, 0.0, 1.0)
+        lam = np.array([1.0, 1e15])
+        sol = solve_linear(np.diag(lam), None, pts, np.ones(2))
+        R = stability(PropagatorSpec.chebyshev_gauss(M), lam)
+        np.testing.assert_allclose(sol.u_end, R, rtol=1e-13, atol=0)
 
     def test_nonsymmetric_matrix_rejected(self):
         pts = cg_points(4, 0.0, 0.5)
@@ -325,26 +350,28 @@ class TestSolveLinear:
 
     @pytest.mark.parametrize("M", [4, 8, 12, 16])
     @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
-    def test_indefinite_matrix_agrees_with_kronecker_system(self, M, forced, monkeypatch):
-        # Shifts z < 0 are outside the per-M proof, so the SVD decides; the
-        # most negative sits at 0.8 of the real pole, the others far off it.
+    def test_psd_matrix_agrees_with_kronecker_system(self, M, forced):
+        # Zero eigenvalues sit on the edge of the domain: eigh returns them
+        # as rounding-sized values of either sign, and solve_linear takes a
+        # negative one as 0.  The second matrix moves them to a quarter of
+        # the accepted band below zero, so its eigh surely returns one.
         dT = 0.5
-        (pole,) = real_poles(M)
-        lam = np.array([0.8 * pole / dT, -2.5, 0.0, 0.75, 3.0, 60.0])
+        lam = np.array([0.0, 2.5, 0.0, 0.75, 3.0, 60.0])
         rng = np.random.default_rng(M)
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         A = (Q * lam) @ Q.T
         A = (A + A.T) / 2
+        below = A - 6 * np.finfo(float).eps * 60.0 / 4 * np.eye(6)
+        assert np.linalg.eigh(below)[0][0] < 0
         g = (lambda t: np.sin(3 * t) * np.arange(1.0, 7.0)) if forced else None
         pts = cg_points(M, 0.2, 0.2 + dT)
         u0 = rng.standard_normal(6)
-        svds = count_svds(monkeypatch)
-        sol = solve_linear(A, g, pts, u0)
-        assert len(svds) == 1
-        u_hat, u_end = kronecker_solve(build_operator(M), A, g, pts, u0)
-        scale = np.max(np.abs(u_end))
-        assert np.max(np.abs(sol.u_end - u_end)) <= 1e-13 * scale
-        assert np.max(np.abs(sol.u_hat - u_hat)) <= 1e-13 * scale
+        for A in (A, below):
+            sol = solve_linear(A, g, pts, u0)
+            u_hat, u_end = kronecker_solve(build_operator(M), A, g, pts, u0)
+            scale = np.max(np.abs(u_end))
+            assert np.max(np.abs(sol.u_end - u_end)) <= 1e-13 * scale
+            assert np.max(np.abs(sol.u_hat - u_hat)) <= 1e-13 * scale
 
     def test_nonfinite_forcing_reports_node(self):
         pts = cg_points(3, 0.0, 1.0)
@@ -388,9 +415,18 @@ class TestSolveLinear:
 
 
 def svd_rejects(K):
-    """The singular-value test of ``solve_checked`` on one system ``K``."""
+    """Whether ``K`` is singular to working precision: its smallest singular
+    value at most 1e-14 times its largest, or times 1 when that is smaller."""
     s = np.linalg.svd(K, compute_uv=False)
     return s[-1] <= 1e-14 * max(s[0], 1.0)
+
+
+def exact_pole():
+    """The shift whose ``M = 0`` block ``1 + z T1_C`` rounds to exactly 0."""
+    t = build_operator(0).T1_C[0, 0]
+    z = -1.0 / t
+    assert 1.0 + z * t == 0.0
+    return z
 
 
 def real_poles(M):
@@ -400,85 +436,67 @@ def real_poles(M):
 
 
 class TestSingularityCertificate:
-    """The singular-value test that decides where the per-M proof does not."""
+    """The sign of the shifts certifies the systems: ``solve_linear`` admits
+    only ``z >= 0``, where no block is singular, and ``solve_checked``
+    solves each block as it stands."""
 
     def test_one_system_per_leading_entry(self):
-        # A vector of shifts is one block-diagonal system, tested as a
-        # whole; a column of shifts is one system per entry.  The huge
-        # block raises the yardstick of the system it belongs to.
-        op = build_operator(0)  # T1_C = [[1/2]]: the block is 1 + z/2
-        z = np.array([-2.0 + 4e-13, 1e3])  # blocks 2e-13 and 501
-        solve_checked(op, z[:, None], np.ones((2, 1, 1)))
-        with pytest.raises(SingularSystemError):
-            solve_checked(op, z, np.ones((2, 1)))
+        # A vector of shifts is one block-diagonal system, a column one
+        # system per entry; either way each block is solved alone, so a huge
+        # block beside a unit one changes no bit of the other's answer.
+        op = build_operator(4)
+        z = np.array([0.0, 1e15])
+        b = np.arange(1.0, 11.0).reshape(2, 5)
+        whole = solve_checked(op, z, b)
+        assert whole.shape == (2, 5)
+        for j in range(2):
+            alone = solve_checked(op, z[j], b[j])
+            assert whole[j].tobytes() == alone.tobytes()
+            assert solve_checked(op, z[:, None], b[:, None])[j, 0].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("M", [0, 2, 4, 8, 16, 32, 64])
     @pytest.mark.parametrize("shift", [0.0, 1e-15, -1e-15], ids=["pole", "above", "below"])
     def test_shifted_systems_at_a_pole_raise(self, M, shift):
-        op = build_operator(M)
+        # Every pole is at z < 0, which only a negative eigenvalue reaches;
+        # solve_linear and stability both reject it before any solve.
         pts = cg_points(M, 0.0, 1.0)
         for pole in real_poles(M):
             z = pole * (1.0 + shift)
-            with pytest.raises(SingularSystemError):
-                solve_checked(op, z, np.ones(M + 1))
-            with pytest.raises(SingularSystemError):
-                solve_checked(op, np.array([[0.5], [z]]), np.ones(M + 1))
-            with pytest.raises(SingularSystemError):
+            assert z < 0
+            with pytest.raises(ValueError, match="positive semidefinite"):
                 solve_linear(np.array([[z]]), None, pts, np.ones(1))
+            with pytest.raises(ValueError, match="nonnegative"):
+                stability(PropagatorSpec.chebyshev_gauss(M), z)
 
 
-def count_svds(monkeypatch):
-    """The shapes of the stacks ``np.linalg.svd`` sees, filled in as it runs."""
+def count_lapack(monkeypatch):
+    """The ``np.linalg`` factorizations and solves that run, by name, filled
+    in as they run."""
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda K, **kwargs: calls.append(K.shape) or svd(K, **kwargs))
+    for name in ("svd", "cholesky", "solve"):
+        original = getattr(np.linalg, name)
+        wrapped = lambda *args, name=name, original=original, **kwargs: calls.append(name) or original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
     return calls
 
 
 class TestSingularityProof:
-    # Up to m_min's search cap (analysis._SEARCH_CAP = 512): an M the proof
-    # does not verify for would only show as time lost to SVDs.
+    # Up to m_min's search cap (analysis._SEARCH_CAP = 512).
     @pytest.mark.parametrize("M", [*range(65), 100, 128, 164, 256, 512])
     def test_never_overstates_the_smallest_singular_value(self, M):
-        op = build_operator(M)
-        proof = collocation._proof(M)
-        assert proof is not None
-        for z in np.concatenate(([0.0], np.geomspace(1e-3, 1e8, 25))):
-            K = np.eye(M + 1) + z * op.T1_C
-            proven = collocation._proven(op, np.array([[z]]))
-            assert proven == (proof is not None)
-            if proven:
-                a, c, h0, h1 = proof
-                spectrum = np.linalg.svd(K, compute_uv=False)
-                assert a + c * z <= spectrum[-1] and spectrum[0] <= h0 + h1 * z, z
-                assert not svd_rejects(K), z
-
-    @pytest.mark.parametrize(
-        "T",
-        [[[-0.5]], [[0.0, 1.0], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[math.nan]]],
-        ids=["negative", "imaginary", "singular", "nan"],
-    )
-    def test_unprovable_operator_reports_unproven(self, T, monkeypatch):
-        # An eigenvalue off the open right half-plane, or garbage: no W
-        # verifies, and the proof says so instead of raising.
-        fake = SimpleNamespace(M=len(T) - 1, T1_C=np.array(T))
-        monkeypatch.setattr(collocation, "build_operator", lambda M: fake)
-        assert collocation._proof.__wrapped__(fake.M) is None
-
-    def test_unproven_shifts_fall_back(self, monkeypatch):
-        op = build_operator(0)  # T1_C = [[1/2]]: the block is 1 + z/2
-        assert collocation._proven(op, np.array([[0.0, 1e3]]))
-        for z in ([-1.0], [0.0, 1e14]):
-            assert not collocation._proven(op, np.array([z])), z
-        # Blocks 1 and 5e13 pass the singular-value test, but the proof's
-        # bounds are too loose to show it, so the SVD runs.
-        calls = count_svds(monkeypatch)
-        x = solve_checked(op, np.array([0.0, 1e14]), np.ones((2, 1)))
-        assert calls == [(1, 2, 1, 1)] and np.isfinite(x).all()
+        # Why solve_checked needs no singularity test: every eigenvalue mu
+        # of T1_C has a positive real part, so each eigenvalue of
+        # I + z T1_C has modulus |1 + z mu| >= 1 for z >= 0.  That does not
+        # overstate the smallest singular value: none of these blocks is
+        # singular to working precision, far past any shift a run makes.
+        T = build_operator(M).T1_C
+        assert np.linalg.eigvals(T).real.min() > 0
+        for z in np.concatenate(([0.0], np.geomspace(1e-3, 1e16, 25))):
+            assert not svd_rejects(np.eye(M + 1) + z * T), z
 
     @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
     def test_nonfinite_shift_rejected_before_lapack(self, z, monkeypatch, capfd):
-        calls = count_svds(monkeypatch)
+        calls = count_lapack(monkeypatch)
         op = build_operator(4)
         for shifts in (z, np.array([0.5, z]), np.array([[0.5], [z]])):
             with pytest.raises(ValueError, match="finite"):
@@ -486,25 +504,17 @@ class TestSingularityProof:
         assert calls == [] and capfd.readouterr().err == ""
 
     def test_spd_solve_runs_no_certificate(self, monkeypatch):
-        # Every shift of an SPD matrix is >= 0, so the per-M proof settles
-        # the call and no SVD runs.
-        calls = count_svds(monkeypatch)
+        # An SPD solve is one stacked LU solve: no singular-value test and
+        # no Cholesky factorization.  An exactly singular block (z < 0)
+        # still surfaces from that LU as SingularSystemError.
+        calls = count_lapack(monkeypatch)
         problem = spd_catalog("laplacian-1d", m=24)
         pts = cg_points(12, 0.0, 1.0 / 16).shifted(np.arange(4) / 16)
         solve_linear(problem.A, None, pts, np.tile(problem.u0, (4, 1)))
-        assert calls == []
-        with pytest.raises(SingularSystemError):  # a pole: z < 0
-            solve_checked(build_operator(0), -2.0, np.ones(1))
-        assert calls == [(1, 1, 1, 1)]
-
-    def test_unproven_stability_has_the_same_bits(self, monkeypatch):
-        spec = PropagatorSpec.chebyshev_gauss(51)
-        z = np.concatenate(([0.0], np.geomspace(1e-8, 1e10, 400)))
-        proven = stability(spec, z)
-        calls = count_svds(monkeypatch)
-        monkeypatch.setattr(collocation, "_proof", lambda M: None)
-        assert stability(spec, z).tobytes() == proven.tobytes()
-        assert calls  # the SVD ran in the proof's place
+        assert calls == ["solve"]
+        with pytest.raises(SingularSystemError):
+            solve_checked(build_operator(0), exact_pole(), np.ones(1))
+        assert calls == ["solve", "solve"]
 
 
 class TestEndpointValue:

@@ -291,6 +291,17 @@ class TestIterate:
             iterate(state, cfg, prob)
         assert not isinstance(err.value, SweepError)
 
+    def test_indefinite_linear_matrix_rejected_for_the_call(self):
+        # A negative eigenvalue is outside the collocation solve's domain,
+        # for the whole call: the error is a ValueError, not a SweepError.
+        A = np.diag([1.0, -2.0])
+        prob = IvpProblem(f=lambda t, u: -u @ A.T, u0=np.ones(2), T=1.0, linear=(A, None))
+        cfg = PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec("cg:4"))
+        state = initialize(cfg, prob)
+        with pytest.raises(ValueError, match="positive semidefinite") as err:
+            iterate(state, cfg, prob)
+        assert not isinstance(err.value, SweepError)
+
     def test_singular_coarse_stage_raises_typed_error(self):
         # Backward Euler on u' = u with dT = 1 has the stage matrix 1 - 1 = 0.
         prob = IvpProblem(f=lambda t, u: u, u0=np.array([1.0]), T=2.0)
