@@ -336,9 +336,7 @@ def solve_linear(
         G = _rhs_table(lambda t, _: g(t), t_nodes, G)
         failures = _nonfinite_rows(G, t_nodes)
 
-    # One vector-matrix product per row: a one-row matrix product would
-    # take another BLAS kernel than a taller one.
-    c = (U[:, None, :] @ Q)[:, 0, :]
+    c = np.vecmat(U, Q)
     G_eig = G @ Q
     X = solve_checked(op, lam * dT, c[:, :, None] + dT * (op.T1_C @ G_eig).swapaxes(-1, -2))
     for i in np.flatnonzero(~np.isfinite(X).all(axis=(-2, -1))):

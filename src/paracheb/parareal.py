@@ -26,9 +26,8 @@ G is not a pure function of its start value: the result also depends on the
 cached pair, and lies within the Newton stop, ``tol * (1 + |x|)``, of the
 cold step's.  The initial sweep has no cached result and starts cold.  The
 table is the one a full recomputation under this coarse rule gives, bit for
-bit, as long as a row's fine result does not depend on the rows stacked
-with it; the fine stack keeps at least two rows because a one-row stack may
-take other BLAS kernels.
+bit: a row of ``f`` does not depend on the rows stacked with it (the
+contract of ``problems.IvpProblem``), so neither does a row's step.
 
 Runs that differ in their fine propagator only, as in a comparison of fine
 propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
@@ -36,10 +35,8 @@ propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
 a single config is the one-run case of the same code.  The batch shares the
 initial coarse sweep, which never reads ``fine``, and each pass's
 correction: at every subinterval the start values of all runs that need a
-coarse step go to ``advance`` in one stack.  A run's rows follow the iterates
-they follow alone wherever a row of ``f`` does not depend on the rows
-stacked with it (Kepler's ``f``); an ``f`` built on a matrix product over the
-stack (``u @ A.T`` of the SPD and Burgers problems) may move the last bits.
+coarse step go to ``advance`` in one stack.  So each run's table and history
+are its solo run's, bit for bit.
 """
 
 from __future__ import annotations
@@ -235,18 +232,14 @@ def _fine_results(state: PararealState, fine, times: np.ndarray) -> np.ndarray:
     """The ``fine`` results from ``state.u[n]`` at ``times[n]``, computing only new ones.
 
     The rows whose start value changed in the last pass go to ``fine`` in
-    one stack, with a neighbour when there is just one of them: a one-row
-    stack may take other BLAS kernels than a taller one and move the last
-    bits.  A failed row raises ``SweepError`` naming its subinterval.
+    one stack.  A failed row raises ``SweepError`` naming its subinterval.
     """
     N = len(times)
     if state.f_prev is None:
         return fine(times, state.u[:N])
     results = state.f_prev.copy()
-    # Comparing bytes compares bits, so -0.0 differs from 0.0.
-    rows = np.array([n for n in range(N) if state.u[n].tobytes() != state.u_prev[n].tobytes()], dtype=int)
-    if len(rows) == 1 and N > 1:
-        rows = np.array([rows[0] - 1, rows[0]]) if rows[0] else np.array([0, 1])
+    # Comparing the words compares bits, so -0.0 differs from 0.0.
+    rows = np.flatnonzero((state.u[:N].view(np.uint64) != state.u_prev[:N].view(np.uint64)).any(axis=1))
     if len(rows):
         try:
             results[rows] = fine(times[rows], state.u[rows])
@@ -308,6 +301,7 @@ def iterate(
         for n in range(N):
             # Each step's guess: the cached result plus the change in its start value.
             guesses = [states[r].g_prev[n] + (u_new[r][n] - states[r].u[n]) for r in runs]
+            # One state alone only for speed: a stack gives each row the same bits.
             if len(runs) == 1:
                 g_new[runs[0]][n] = coarse(times[n], u_new[runs[0]][n], guesses[0])
             elif runs:

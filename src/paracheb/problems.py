@@ -41,9 +41,12 @@ class IvpProblem:
     state dimension ``dim`` is its size.  ``f`` evaluates a stack of
     states: ``u`` has shape ``(..., dim)``, ``t`` is a float or an array
     that broadcasts against ``u[..., :1]``, and the result is a float array
-    of ``u``'s shape whose row ``i`` is ``f(t_i, u_i)``.  The constructor
-    checks this once, on two copies of ``u0``.  The forcing ``g(t)`` of
-    ``linear`` follows the same rule.
+    of ``u``'s shape whose row ``i`` is ``f(t_i, u_i)``, bit for bit the
+    same whatever other rows share the call (the catalog's matrix products
+    go through ``_matvec`` for that), so a stacked solve gives each row the
+    bits it gets alone.  The constructor checks the shape once, on two
+    copies of ``u0``.  The forcing ``g(t)`` of ``linear`` follows the same
+    rule.
 
     ``jacobian`` is the optional analytic hook used by implicit stage
     solves.  It takes the same ``(t, u)`` as ``f`` and returns the stack of
@@ -111,6 +114,27 @@ class IvpProblem:
         return self.u0.size
 
 
+def _matvec(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map ``u -> u @ A.T`` that multiplies each state of ``u`` by ``A``
+    on its own.
+
+    A state or a stack of states, ``(dim,)`` or ``(N, dim)``, takes one
+    matrix-vector product per state (``np.matvec``): one matrix product over
+    the stack would give a row other bits at another stack height.  A stack
+    of tables, ``(N, n, dim)`` (Picard node tables, Gauss stage pairs,
+    forward-difference tables), is ``u @ A.T``, which numpy multiplies one
+    table at a time.  That product takes ``A.T`` copied to C order: the same
+    bits as the transposed view, about 2.5 times faster on a ``(128, 9, 16)``
+    stack.
+    """
+    At = np.ascontiguousarray(np.transpose(A))
+
+    def apply(u):
+        return np.matvec(A, u) if u.ndim <= 2 else u @ At
+
+    return apply
+
+
 # ---------------------------------------------------------------------------
 # Symmetric positive definite linear systems
 # ---------------------------------------------------------------------------
@@ -157,8 +181,10 @@ class SpdLinearProblem:
             def reference(t):
                 return Q @ (np.exp(-lam * t) * c0)
 
+        Au = _matvec(A)
+
         def f(t, u):
-            return -(u @ A.T) if g is None else g(t) - u @ A.T
+            return -Au(u) if g is None else g(t) - Au(u)
 
         neg_A = -A
 
@@ -354,9 +380,7 @@ class BurgersProblem:
     ``dx = 2 / Nx``) and the compact-difference operators from ``nu`` and
     ``Nx``, so ``dataclasses.replace`` rebuilds them; it solves the implicit
     stencil matrices against the explicit stencils to get ``A1`` and ``A2``
-    as dense read-only matrices.  Both are kept in Fortran order, the order
-    LAPACK returns: the bits of ``u @ A1.T`` in ``f`` depend on the memory
-    order, so a C-ordered copy of the same values changes the results.
+    as dense read-only matrices.
     """
 
     nu: float
@@ -390,8 +414,8 @@ class BurgersProblem:
         P2 = stencil(2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
         Q2 = stencil(0.0, 1.0, -1.0)
 
-        A1 = -(nu / dx**2) * np.asfortranarray(np.linalg.solve(P1, Q1))
-        A2 = (1.0 / (2.0 * dx)) * np.asfortranarray(np.linalg.solve(P2, Q2))
+        A1 = -(nu / dx**2) * np.linalg.solve(P1, Q1)
+        A2 = (1.0 / (2.0 * dx)) * np.linalg.solve(P2, Q2)
         for arr in (x, A1, A2):
             arr.setflags(write=False)
         for name, value in (("nu", nu), ("dx", dx), ("x", x), ("A1", A1), ("A2", A2)):
@@ -405,8 +429,10 @@ class BurgersProblem:
         A1, A2 = self.A1, self.A2
         x = self.x
 
+        A1u, A2u = _matvec(A1), _matvec(A2)
+
         def f(t, u):
-            return -(u @ A1.T) - u * (u @ A2.T)
+            return -A1u(u) - u * A2u(u)
 
         neg_A1, eye = -A1, np.eye(self.Nx)
 

@@ -205,8 +205,9 @@ class TestIterate:
             (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), "cg:6", 0.5, "random"),
             (BurgersProblem(0.05, 8).to_ivp(), "cg:8", 0.5, "coarse"),
             (KeplerProblem(T=5.0).to_ivp(), "gauss4:2", 5.0, "coarse"),
+            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), "tr:2", 0.5, "random"),
         ],
-        ids=["linear", "picard", "gauss4"],
+        ids=["linear", "picard", "gauss4", "linear-tr2"],
     )
     def test_prefix_exactness_bit_for_bit(self, prob, fine, T, init):
         # The rows the next pass reuses are exactly these: every pass leaves
@@ -514,12 +515,12 @@ class TestRun:
         assert warm < len(jacobians)
 
     def test_reuse_to_the_end_of_the_table(self, advance_calls):
-        # Pass N has one changed start value, stacked with its neighbour;
-        # pass N + 1 has none, so it steps nothing and changes nothing.
+        # Pass N has one changed start value, stepped alone; pass N + 1 has
+        # none, so it steps nothing and changes nothing.
         calls = advance_calls
         fine = parse_spec("cg:6")
         prob = diag_problem(T=0.4)
-        for N, fine_rows, coarse_calls in [(4, [4, 3, 2, 2, 0], [3, 2, 1, 0, 0]), (1, [1, 0], [0, 0])]:
+        for N, fine_rows, coarse_calls in [(4, [4, 3, 2, 1, 0], [3, 2, 1, 0, 0]), (1, [1, 0], [0, 0])]:
             cfg = PararealConfig(T=0.4, N=N, coarse=BE, fine=fine, init="random", seed=1)
             state = initialize(cfg, prob)
             rows, coarse = [], []
@@ -607,12 +608,20 @@ class TestBatch:
     """Configs that differ in ``fine`` only run as one batch; each run's solo
     ``run`` is the reference."""
 
-    def test_kepler_batch_matches_solo_runs_bit_for_bit(self, advance_calls):
-        # Kepler's f has no matrix product over the stack, so a stacked
-        # coarse step gives each row the bits it gets alone.
-        prob = KeplerProblem(T=5.0).to_ivp()
+    @pytest.mark.parametrize(
+        "prob, T",
+        [
+            (KeplerProblem(T=5.0).to_ivp(), 5.0),
+            (BurgersProblem(0.05, 8).to_ivp(), 0.5),
+            (spd_catalog("laplacian-1d", m=24, T=0.1).to_ivp(), 0.1),
+        ],
+        ids=["kepler", "burgers", "spd"],
+    )
+    def test_batch_matches_solo_runs_bit_for_bit(self, advance_calls, prob, T):
+        # A row of f does not depend on the rows stacked with it, so a
+        # stacked coarse step gives each row the bits it gets alone.
         cfgs = [
-            PararealConfig(T=5.0, N=8, coarse=BE, fine=parse_spec(fine))
+            PararealConfig(T=T, N=8, coarse=BE, fine=parse_spec(fine))
             for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")
         ]
         solo = []
@@ -631,19 +640,6 @@ class TestBatch:
         assert rows == sum(r for _, (_, r) in solo) - 3 * 8
         assert calls <= 8 * (1 + max(len(h) for _, h in batch))
         assert calls < sum(c for _, (c, _) in solo) - 3 * 8
-
-    def test_burgers_batch_within_rounding_of_solo_runs(self):
-        # Burgers' f multiplies the whole stack by a matrix, so a row's bits
-        # may depend on the stack height; the passes may not.
-        prob = BurgersProblem(0.05, 8).to_ivp()
-        cfgs = [PararealConfig(T=0.5, N=8, coarse=BE, fine=parse_spec(f)) for f in ("cg:2", "cg:4", "cg:8")]
-        for cfg, (u, history) in zip(cfgs, run(cfgs, prob)):
-            u_solo, history_solo = run(cfg, prob)
-            assert [r.k for r in history] == [r.k for r in history_solo]
-            np.testing.assert_allclose(u, u_solo, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(
-                [r.iter_error for r in history], [r.iter_error for r in history_solo], rtol=0, atol=1e-15
-            )
 
     def test_runs_leave_the_batch_on_convergence(self, advance_calls):
         # These runs take 1, 10, 15 and 17 passes; each returns its own history.

@@ -324,13 +324,15 @@ class TestBurgers:
         A2 = (1.0 / (2.0 * p.dx)) * lu_solve(lu_factor(P2), Q2)
         np.testing.assert_array_equal(p.A1, A1)
         np.testing.assert_array_equal(p.A2, A2)
-        # Equal values are not enough: the memory order picks the BLAS path
-        # of u @ A1.T, so f must also keep the bits it has with these.
+        # f gives each state the bits it gets alone, at every stack height
+        # and for the state as a vector.
         f = p.to_ivp().f
-        u = np.random.default_rng(Nx).uniform(-0.5, 0.5, (128, Nx))
-        for rows in (u[:1], u):
-            want = -(rows @ A1.T) - rows * (rows @ A2.T)
-            np.testing.assert_array_equal(f(0.0, rows).view(np.uint64), want.view(np.uint64))
+        u = np.random.default_rng(Nx).uniform(-0.5, 0.5, (130, Nx))
+        full = f(0.0, u).view(np.uint64)
+        for m in range(1, 131):
+            np.testing.assert_array_equal(f(0.0, u[:m]).view(np.uint64), full[:m])
+        for row, want in zip(u, full):
+            np.testing.assert_array_equal(f(0.0, row).view(np.uint64), want)
 
     def test_build_validation(self):
         with pytest.raises(ValueError, match="Nx must be >= 4"):

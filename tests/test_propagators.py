@@ -235,31 +235,41 @@ def perturbed_stack(ivp, n, seed):
 ONE_STEP_SPECS = ["feuler:3", "erk4:3", "beuler:3", "tr:3", "trbdf2:3", "gauss4:3"]
 
 
+def assert_stack_is_rows(ivp, text, jac, times, U, dT):
+    """A stacked ``advance`` gives every row the bits its own call gives:
+    ``f`` and ``jacobian`` compute each row on its own, whatever the stack
+    height.  ``jac`` is ``"hook"`` for the problem's hook, ``"fd"`` for
+    forward differences."""
+    kw = {"jac": ivp.jacobian if jac == "hook" else None, "linear": ivp.linear}
+    got = advance(parse_spec(text), ivp.f, times, U, dT, **kw)
+    np.testing.assert_array_equal(got, per_row(parse_spec(text), ivp.f, times, U, dT, **kw))
+
+
 class TestStackedAdvance:
     @pytest.mark.parametrize("jac", ["hook", "fd"])
     @pytest.mark.parametrize("text", ONE_STEP_SPECS + ["cg:6"])
     def test_kepler_stack_is_bit_identical_to_rows(self, text, jac):
-        # Kepler's f and jacobian work state by state, so stacking changes
-        # no bit of any row; dT = 0.3 is not a binary fraction.
+        # dT = 0.3 is not a binary fraction.
         ivp = KeplerProblem().to_ivp()
-        hook = ivp.jacobian if jac == "hook" else None
-        times, U = perturbed_stack(ivp, 7, 1)
-        got = advance(parse_spec(text), ivp.f, times, U, 0.3, jac=hook)
-        np.testing.assert_array_equal(got, per_row(parse_spec(text), ivp.f, times, U, 0.3, jac=hook))
+        assert_stack_is_rows(ivp, text, jac, *perturbed_stack(ivp, 7, 1), 0.3)
 
     @pytest.mark.parametrize("text", ONE_STEP_SPECS + ["cg:8"])
     def test_burgers_stack_agrees_with_rows(self, text):
-        # Burgers' f is a matrix product: a one-state call takes BLAS's
-        # matrix-vector kernel, a stack its matrix-matrix kernel, which
-        # differ in the last bit.  Collocation node tables and Gauss stage
-        # pairs are matrix-matrix either way and agree exactly.
+        # Burgers' f multiplies each state by a matrix on its own, so the
+        # stack height moves no bit.
         ivp = BurgersProblem(0.05, 16).to_ivp()
-        times, U = perturbed_stack(ivp, 7, 2)
-        got = advance(parse_spec(text), ivp.f, times, U, 0.03, jac=ivp.jacobian)
-        ref = per_row(parse_spec(text), ivp.f, times, U, 0.03, jac=ivp.jacobian)
-        if text in ("gauss4:3", "cg:8"):
-            np.testing.assert_array_equal(got, ref)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for jac in ("hook", "fd"):
+            assert_stack_is_rows(ivp, text, jac, *perturbed_stack(ivp, 7, 2), 0.03)
+
+    @pytest.mark.parametrize("jac", ["hook", "fd"])
+    @pytest.mark.parametrize("text", ONE_STEP_SPECS + ["cg:8"])
+    def test_spd_stack_is_bit_identical_to_rows(self, text, jac):
+        # At dimension 24 one matrix product over the stack would give a
+        # row other bits at another stack height.
+        ivp = spd_catalog("laplacian-1d", m=24).to_ivp()
+        rng = np.random.default_rng(4)
+        times, U = rng.uniform(0.0, 2.0, 7), rng.uniform(-1.0, 1.0, (7, 24))
+        assert_stack_is_rows(ivp, text, jac, times, U, 1e-3)
 
     @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
     def test_linear_collocation_stack_is_bit_identical_to_rows(self, forced):
