@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PointSearchError
-from .propagators import PropagatorSpec, stability
+from .propagators import PropagatorKind, PropagatorSpec, cg_rational, check_z, stability
 
 #: Largest z for which zero interior collocation points keep K <= 1/3.
 Z0_STAR = 1.0
@@ -70,30 +70,33 @@ class MminResult:
         return (3.0 + self.z_max) / (3.0 * (1.0 + self.z_max))
 
 
-def contraction(spec: PropagatorSpec, z: float) -> float:
+def contraction(spec: PropagatorSpec, z):
     """Contraction factor ``K(z)`` of the iteration with fine propagator ``spec``.
 
-    Returns 0 at ``z = 0`` by continuity.  Values above 1 (and infinities,
-    for explicit kinds past their stability limit) are returned as-is.
+    ``z`` is a scalar, giving a float, or an array of any shape, giving an
+    array of its shape, each entry equal to its scalar call bit for bit;
+    every entry must be nonnegative and finite (``ValueError`` otherwise).
+    ``K(0) = 0`` by continuity.  The collocation kind evaluates ``K =
+    |Q(z)| / D(z)`` from exact integer coefficients, each rounded once
+    (``propagators.CgRational``): nothing cancels at small ``z``, and the
+    error is within about an ulp of the terms' magnitudes, so relative to
+    ``K`` it grows only near the zeros of ``K``.  Every other kind takes ``|R - 1/(1+z)| / (1 - 1/(1+z))`` from
+    its ``stability``.  Both differences there cancel as ``z`` shrinks, the
+    relative error growing like ``eps / z`` (on cg:1 this form is 122% off
+    at ``z = 1e-8``, which is why cg does not use it), and a ``z > 0`` so
+    small that ``1 + z == 1`` leaves no denominator and raises an
+    ``ArithmeticError``.
+    Values above 1 (and infinities, for explicit kinds past their stability
+    limit) are returned as-is.
     """
-    z = float(z)
-    if not 0.0 <= z < math.inf:
-        raise ValueError("z must be nonnegative and finite")
-    if z == 0.0:
-        return 0.0
-    return contraction_from_stability(stability(spec, z), z)
-
-
-def contraction_from_stability(R, z):
-    """``K(z)`` from the fine propagator's amplification factor ``R = R_F(z)``, ``z > 0``.
-
-    Takes floats or arrays of matching shape.  A ``z`` so small that
-    ``1 + z == 1`` leaves no denominator and raises an ``ArithmeticError``
-    in both forms.
-    """
+    z = check_z(z)
+    if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
+        table = cg_rational(spec.count)
+        return abs(table.ratio(table.Q, z))
     r_coarse = 1.0 / (1.0 + z)
     with np.errstate(divide="raise", invalid="raise"):
-        return abs(R - r_coarse) / (1.0 - r_coarse)
+        K = np.divide(abs(stability(spec, z) - r_coarse), 1.0 - r_coarse, out=np.zeros_like(z), where=z > 0.0)
+    return float(K) if K.ndim == 0 else K
 
 
 def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
@@ -101,16 +104,16 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
 
     Samples ``K`` on a log-spaced grid from ``max(z_max * 1e-6, 1e-8)``
     (or ``z_max`` itself, if smaller) to ``z_max``, plus ``z = 0`` where
-    ``K`` is 0, with one ``stability`` call for the whole grid (the
-    collocation kind evaluates it as an eigenvalue product, block by block
-    of ``z``).  It then sharpens every local maximum, including the right
+    ``K`` is 0, with one ``contraction`` call for the whole grid (for the
+    collocation kind, Horner's rule on exact integer coefficients, ``O(M)``
+    per ``z``).  It then sharpens every local maximum, including the right
     endpoint, by Brent's bounded search (``scipy.optimize.minimize_scalar``,
     ``xatol`` 1e-8) on scalar ``contraction`` calls; a bracket narrower than
     that tolerance is left to its grid point.  Each grid value equals its
     scalar ``contraction`` call bit for bit.  The refined points are merged
     into the returned grid so ``rho`` equals the maximum of ``K_values``.
-    A ``z_max`` with ``1 + z_max == 1`` raises ValueError: ``K`` has no
-    denominator there.
+    A ``z_max`` with ``1 + z_max == 1`` raises ValueError for every kind:
+    there a one-step kind's ``K`` has no denominator.
     """
     if not 0 < z_max < math.inf:
         raise ValueError("z_max must be positive and finite")
@@ -119,7 +122,7 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
     lo = min(max(z_max * 1e-6, 1e-8), z_max)
     grid = np.geomspace(lo, z_max, _RHO_GRID if lo < z_max else 1)
     zs = np.concatenate(([0.0], grid))
-    Ks = np.concatenate(([0.0], contraction_from_stability(stability(spec, grid), grid)))
+    Ks = contraction(spec, zs)
 
     extra_z, extra_K = [], []
     if np.all(np.isfinite(Ks)):
@@ -179,16 +182,19 @@ def find_threshold_roots() -> tuple[float, float]:
 
     The first is the unique positive root of ``K(z) = 1/3`` with zero
     interior points; the second is the largest positive root with one
-    interior point.  Both are found by bisection on bracketing intervals
-    using the matrix-based stability evaluator, so the closed forms remain
-    available as an independent check.
+    interior point.  Both are found by bisection of ``z (K(z) - 1/3) =
+    |(1 + z) R(z) - 1| - z/3``, which has the same roots, on bracketing
+    intervals.  ``R`` is this module's ``stability``, whose cg:0 and cg:1
+    values are the closed forms behind ``Z0_STAR`` and ``Z1_STAR``; the
+    roots are an independent check of those constants only when
+    ``stability`` is swapped for another evaluator, such as LU solves of
+    the collocation systems.
     """
     from scipy.optimize import bisect
 
-    cg0 = PropagatorSpec.chebyshev_gauss(0)
-    cg1 = PropagatorSpec.chebyshev_gauss(1)
-    z0 = bisect(lambda z: contraction(cg0, z) - 1.0 / 3.0, 1e-6, 10.0, xtol=_ROOT_XTOL)
+    def excess(z: float, M: int) -> float:
+        return abs((1.0 + z) * stability(PropagatorSpec.chebyshev_gauss(M), z) - 1.0) - z / 3.0
+
     # With one interior point K re-crosses 1/3 from below somewhere past
     # z = 8 and increases from there; bracket to the right of the tangency.
-    z1 = bisect(lambda z: contraction(cg1, z) - 1.0 / 3.0, 8.5, 1e3, xtol=_ROOT_XTOL)
-    return float(z0), float(z1)
+    return tuple(float(bisect(excess, a, b, args=(M,), xtol=_ROOT_XTOL)) for M, a, b in ((0, 1e-6, 10.0), (1, 8.5, 1e3)))

@@ -68,8 +68,8 @@ class CollocationOperator:
     right-hand-side node values to solution coefficients (up to the external
     interval-length factor).  ``T1_C`` caches ``T1 @ C_alpha``, the node-to-node
     map of the shifted system ``I + z T1_C`` that the direct linear solve
-    solves; its eigenvalues (``operator_eigenvalues``) give the stability
-    function.
+    solves.  The stability function does not come from these matrices: it
+    has a closed form in exact integers (``propagators.CgRational``).
 
     All arrays are read-only; instances may be shared across threads.
     """
@@ -174,29 +174,3 @@ def build_operator(M: int) -> CollocationOperator:
         C_alpha=_freeze(C_alpha),
         T1_C=_freeze(T1_C),
     )
-
-
-@functools.lru_cache(maxsize=None)
-def operator_eigenvalues(M: int) -> np.ndarray:
-    """Eigenvalues of ``build_operator(M).T1_C``, read-only and cached per ``M``.
-
-    They are the whole collocation stability function.  By the matrix
-    determinant lemma, with ``c^T = 1^T C_alpha``,
-
-        R(z) = 1 - z c^T (I + z T1_C)^{-1} 1
-             = det(I + z (T1_C - 1 c^T)) / det(I + z T1_C),
-
-    so the poles are ``z = -1/lam_i``.  The CG nodes are symmetric about
-    the interval's midpoint, so the collocation method is symmetric,
-    ``R(z) R(-z) = 1``, and the numerator is the denominator at ``-z``:
-
-        R(z) = prod_i (1 - z lam_i) / (1 + z lam_i).
-
-    Only eigenvalues enter, never eigenvectors, whose matrix is
-    ill-conditioned.  Taking the zeros as the negated poles, and not as
-    the eigenvalues of ``T1_C - 1 c^T``, halves the eigenvalue work and is
-    the more accurate: within 7e-13 of an LU solve of ``I + z T1_C`` up to
-    ``M = 256`` and ``z = 1e8``, against 2.8e-12.
-    """
-    lam = np.linalg.eigvals(build_operator(M).T1_C)
-    return _freeze(lam)

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .chebyshev import cg_points, operator_eigenvalues
+from .chebyshev import cg_points
 from .collocation import RhsFunction, _rows, check_integer, check_limits, settle_rows
 from .collocation import solve_linear, solve_nonlinear
 from .errors import NonConvergenceError, SingularSystemError, raise_row_failures
@@ -506,10 +507,84 @@ def _pow(x: np.ndarray, p: int) -> np.ndarray:
     return np.asarray(np.frompyfunc(power, 1, 1)(np.asarray(x, dtype=float)), dtype=float)
 
 
-#: Complex factors per block of the collocation ``R(z)``, ``M + 1`` per
-#: ``z``: caps the memory a long z-grid takes at 64 KiB per array (a block
-#: of 78 ``z`` at M = 51), which also keeps a block in cache.
-_BLOCK_ELEMENTS = 2**12
+class CgRational(NamedTuple):
+    """The collocation ``R(z)`` and ``K(z)`` of ``M + 1`` CG points as rational functions.
+
+    With ``s = M + 1``, Nørsett's theorem (Hairer & Wanner, *Solving ODEs
+    II*, Thm. IV.3.10) gives ``R(z) = D(-z) / D(z)`` for the decay equation,
+
+        D(z) = sum_j 2**(s-j) T_s^(s-j)(1) z**j,
+        T_s^(k)(1) = prod_{i<k} (s**2 - i**2) / (2 i + 1),
+
+    and the contraction factor against a backward Euler coarse step is
+    ``K(z) = |R (1 + z) - 1| / z = |Q(z)| / D(z)`` with ``Q(z) = ((1 + z)
+    D(-z) - D(z)) / z``.  Every coefficient is an exact integer, and ``Q``'s
+    constant term, ``D_0 - 2 D_1``, is exactly 0, so ``K`` has nothing to
+    cancel at small ``z``.  ``D``, ``D_neg`` (``D(-z)``) and ``Q`` hold the
+    coefficients of ``y = z / scale``, lowest power first, each the exact
+    integer ratio ``coefficient * scale**j / D_0`` rounded once; ``scale``
+    is a power of two near the geometric mean of the magnitudes of ``D``'s
+    roots, which keeps the coefficients within float range up to ``M =
+    979``.
+    """
+
+    scale: float
+    D: tuple[float, ...]
+    D_neg: tuple[float, ...]
+    Q: tuple[float, ...]
+
+    def ratio(self, num: tuple[float, ...], z: np.ndarray):
+        """``num(z) / D(z)`` for a checked ``z``: a float for a 0-d array, else an array.
+
+        Horner in ``y = z / scale`` where ``y <= 1``, and above, both
+        polynomials divided by ``y**s``, Horner in ``1 / y``, so no power
+        overflows.  A scalar runs on Python floats, an array on numpy's
+        elementwise operations: the same arithmetic, so each entry's bits
+        equal those of its scalar call.
+        """
+        if z.ndim == 0:
+            y = float(z) / self.scale
+            return _horner_ratio(num, self.D, y) if y <= 1.0 else _horner_ratio(num[::-1], self.D[::-1], 1.0 / y)
+        y = z / self.scale  # a new array: each entry is overwritten by its ratio
+        low = y <= 1.0
+        y[~low] = _horner_ratio(num[::-1], self.D[::-1], 1.0 / y[~low])
+        y[low] = _horner_ratio(num, self.D, y[low])
+        return y
+
+
+def _horner_ratio(num, den, v):
+    """``num(v) / den(v)`` by Horner's rule; coefficients lowest power first."""
+    p, q = num[-1], den[-1]
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        p, q = p * v + a, q * v + b
+    return p / q
+
+
+@functools.lru_cache(maxsize=None)
+def cg_rational(M: int) -> CgRational:
+    """The ``CgRational`` of ``M + 1`` CG points, cached per ``M``.
+
+    Raises ValueError past ``M = 979``, where a coefficient would overflow.
+    """
+    if M > 979:
+        raise ValueError(f"the collocation R(z) and K(z) are tabulated up to cg:979 (got cg:{M})")
+    s = M + 1
+    # T_s^(k)(1) for k = 0 .. s; each floor division is exact.
+    T = itertools.accumulate(range(s), lambda t, i: t * (s * s - i * i) // (2 * i + 1), initial=1)
+    D = [2**k * t for k, t in enumerate(T)][::-1]
+    D_neg = [(-1) ** j * d for j, d in enumerate(D)]
+    # Q_k is the coefficient of z**(k+1) in (1 + z) D(-z) - D(z).
+    Q = [d + (D_neg[k + 1] - D[k + 1] if k < s else 0) for k, d in enumerate(D_neg)]
+    p = round((D[0].bit_length() - 1) / s)  # at least 1: D_0 >= 2**(2s-1)
+    return CgRational(2.0**p, *(tuple(c * 2 ** (p * j) / D[0] for j, c in enumerate(a)) for a in (D, D_neg, Q)))
+
+
+def check_z(z) -> np.ndarray:
+    """``z`` as a float array, each entry checked nonnegative and finite (``ValueError``)."""
+    z = np.asarray(z, dtype=float)
+    if not ((0.0 <= z) & (z < math.inf)).all():
+        raise ValueError("z must be nonnegative and finite")
+    return z
 
 
 def stability(spec: PropagatorSpec, z):
@@ -522,38 +597,18 @@ def stability(spec: PropagatorSpec, z):
 
     One-step kinds compose their single-step factor, ``r(z/J)**J``, an
     infinity of the exact sign where a power overflows.  The collocation
-    kind's factor
-
-        R(z) = T (I - z C_alpha (I + z T1_C)^{-1} T1) E
-             = prod_i (1 - z lam_i) / (1 + z lam_i)
-
-    is the real part of a product over the eigenvalues ``lam_i`` of
-    ``T1_C`` (``chebyshev.operator_eigenvalues``, taken once per ``M``),
-    ``O(M)`` work per ``z``, one ``np.prod`` per block of ``z`` values; a
-    block holds at most ``_BLOCK_ELEMENTS`` factors.  Every ``lam_i`` has a
-    positive real part, so on ``z >= 0`` each factor's denominator has
-    modulus at least 1: no shifted system ``I + z T1_C`` is singular, and
-    ``R`` has no pole there.  This is the domain of the paper's analysis,
-    the decay equation with ``A`` symmetric positive semidefinite.
+    kind's factor is Nørsett's closed form ``R(z) = D(-z) / D(z)``
+    (Hairer & Wanner, *Solving ODEs II*, Thm. IV.3.10; see ``CgRational``),
+    ``O(M)`` work per ``z`` from a coefficient table built once per ``M``.
+    Every coefficient of ``D`` is positive, so ``R`` has no pole on ``z >=
+    0``, the domain of the paper's analysis: the decay equation with ``A``
+    symmetric positive semidefinite.
     """
-    z = np.asarray(z, dtype=float)
-    if not ((0.0 <= z) & (z < math.inf)).all():
-        raise ValueError("z must be nonnegative and finite")
-
+    z = check_z(z)
     if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        lam = operator_eigenvalues(spec.count)
-        zs = z.reshape(-1, 1)
-        R = np.empty(zs.size)
-        block = max(1, _BLOCK_ELEMENTS // lam.size)
-        for i in range(0, zs.size, block):
-            w = zs[i : i + block] * lam
-            r = 1.0 - w
-            w += 1.0
-            r /= w
-            R[i : i + block] = r.prod(axis=-1).real
-        R = R.reshape(z.shape)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an infinity
-            r = _one_step_stability(spec.kind, z / spec.count)
-            R = _pow(r, spec.count)
+        table = cg_rational(spec.count)
+        return table.ratio(table.D_neg, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an infinity
+        r = _one_step_stability(spec.kind, z / spec.count)
+        R = _pow(r, spec.count)
     return float(R) if R.ndim == 0 else R

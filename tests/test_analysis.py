@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.optimize
 
 import paracheb.analysis as analysis
+from paracheb import chebyshev, collocation, propagators
 from paracheb import (
     Branch,
     PointSearchError,
@@ -114,8 +116,23 @@ class TestContraction:
 
     @pytest.mark.parametrize("z", [1e-17, np.array([1e-3, 1e-17])], ids=["float", "array"])
     def test_unresolvable_small_z_raises(self, z):
+        # A one-step kind's K comes from R(z), where 1 + z == 1 leaves no
+        # denominator; the collocation kind's exact form has no such limit.
         with pytest.raises(ArithmeticError):
-            analysis.contraction_from_stability(stability(CG1, z), z)
+            contraction(PropagatorSpec.backward_euler(2), z)
+        K = contraction(CG1, z)
+        expected = [float(abs(x * x - 8 * x) / (4 + x) ** 2) for x in map(Fraction, np.atleast_1d(z).tolist())]
+        np.testing.assert_allclose(K, expected if np.ndim(z) else expected[0], rtol=1e-15, atol=0.0)
+
+    def test_scalar_and_array_arguments(self):
+        zs = np.array([[0.0, 1e-9], [2.0, 1e3]])
+        for spec in (CG1, PropagatorSpec.chebyshev_gauss(7), PropagatorSpec.backward_euler(2), PropagatorSpec.erk4(1)):
+            K = contraction(spec, zs)
+            assert K.shape == zs.shape and K[0, 0] == 0.0
+            np.testing.assert_array_equal(K, [[contraction(spec, z) for z in row] for row in zs.tolist()])
+            assert type(contraction(spec, 2.0)) is float
+        with pytest.raises(ValueError, match="finite"):
+            contraction(CG1, np.array([1.0, -1.0]))
 
 
 class TestRhoOverInterval:
@@ -194,6 +211,23 @@ class TestRhoOverInterval:
         monkeypatch.setattr(analysis.np.linalg, "svd", counted)
         rho_over_interval(PropagatorSpec.chebyshev_gauss(16), 1e3)
         assert calls == []
+
+    def test_collocation_analysis_builds_no_operator(self, monkeypatch):
+        # R and K of cg come from integer coefficients alone: no collocation
+        # matrix is built and no linear algebra runs, on a fresh table too.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the collocation analysis called a matrix routine")
+
+        for module in (chebyshev, collocation):
+            monkeypatch.setattr(module, "build_operator", forbidden)
+        for name in np.linalg.__all__:
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        propagators.cg_rational.cache_clear()
+        spec = PropagatorSpec.chebyshev_gauss(16)
+        assert stability(spec, 3.0) == stability(spec, np.array([3.0]))[0]
+        assert contraction(spec, 3.0) == contraction(spec, np.array([3.0]))[0]
+        assert rho_over_interval(spec, 1e3).rho <= 1.0 / 3.0
+        assert m_min(1e5).m_min == 164
 
 
 class TestMmin:

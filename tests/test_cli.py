@@ -61,6 +61,19 @@ class TestAnalyze:
         assert abs_r == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert k == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    def test_small_z_contraction_columns_match_closed_forms(self, tmp_path):
+        # The K columns of cg come from the exact rational form; taken
+        # through R(z), as |R - 1/(1+z)| / (1 - 1/(1+z)), they are 120% off
+        # at z = 1e-9.
+        out = tmp_path / "curves.csv"
+        main(["analyze", "--set", "specs=cg:0,cg:1", "--set", "z_min=1e-9", "--set", "z_max=1e-3",
+              "--set", "z_points=7", "--out", str(out)])
+        header, rows = read_csv(out)
+        assert header == ["z", "absR_cg_m0", "K_cg_m0", "absR_cg_m1", "K_cg_m1"]
+        z, _, k0, _, k1 = np.array(rows, dtype=float).T
+        np.testing.assert_allclose(k0, z / (2 + z), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(k1, np.abs(z * z - 8 * z) / (4 + z) ** 2, rtol=1e-14, atol=0.0)
+
     def test_empty_spec_list_writes_nothing(self, tmp_path):
         out = tmp_path / "none.csv"
         manifest = RunManifest(command="analyze", out=str(out), params={"specs": " "})
@@ -124,7 +137,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class TestGoldenTables:
-    """Both tables, byte for byte, as the scalar ``R(z)`` loop wrote them."""
+    """Both tables, byte for byte, as the closed-form collocation ``R(z)``
+    and ``K(z)`` and the one-step kinds' stability functions wrote them."""
 
     def test_analyze_table_unchanged(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -486,7 +500,8 @@ class TestMainEntry:
         assert not out.exists()
 
     def test_analyze_rejects_unresolvable_z_min(self, tmp_path):
-        # 1 + 1e-17 rounds to 1, which leaves K(z) without a denominator.
+        # 1 + 1e-17 rounds to 1, which leaves a one-step kind's K(z)
+        # without a denominator; the check is the same for every kind.
         out = tmp_path / "a.csv"
         with pytest.raises(ValueError, match="z_min"):
             main(["analyze", "--out", str(out), "--set", "specs=cg:1",

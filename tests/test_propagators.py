@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -505,8 +506,9 @@ class TestStability:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_stack_is_bit_identical_to_scalar_calls(self, spec):
         # z = 0 entries, the explicit kinds' blow-up range (|R| > 1 past
-        # z = 2 for forward Euler and about 2.8 for RK4), and more values
-        # than one block of collocation systems holds.
+        # z = 2 for forward Euler and about 2.8 for RK4), and values on
+        # both sides of the collocation kind's switch from Horner in z/scale
+        # to Horner in scale/z.
         zs = np.concatenate(([0.0, 0.0], np.linspace(1.5, 40.0, 60), np.geomspace(1e-3, 1e4, 300), [0.0]))
         scalar = np.array([stability(spec, z) for z in zs])
         stacked = stability(spec, zs)
@@ -567,11 +569,18 @@ class TestStability:
         x = zs[1] / spec.count
         assert R[1] == ((x * x - 6.0 * x + 12.0) / (x * x + 6.0 * x + 12.0)) ** spec.count
 
-    def test_systems_larger_than_a_block(self):
-        # 201 factors per z: a block holds 20 z.
+    def test_large_point_count_stack_equals_scalar_calls(self):
+        # 201 coefficients per polynomial, z on both sides of scale = 256.
         spec = PropagatorSpec.chebyshev_gauss(200)
         zs = np.array([0.0, 0.7, 30.0, 1e5])
         np.testing.assert_array_equal(stability(spec, zs), [stability(spec, z) for z in zs])
+
+    def test_largest_tabulated_point_count(self):
+        # cg:979's coefficients fit a float; cg:980's would overflow.
+        R = stability(PropagatorSpec.chebyshev_gauss(979), np.array([0.0, 1.0, 1e8]))
+        assert R[0] == 1.0 and np.isfinite(R).all()
+        with pytest.raises(ValueError, match="up to cg:979 "):
+            stability(PropagatorSpec.chebyshev_gauss(980), 1.0)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
@@ -587,8 +596,8 @@ def lu_stability(M, z):
 
     ``R(z) = 1 - z * sum(C_alpha (I + z T1_C)^{-1} 1)``, one
     ``solve_checked`` call per block of at most 2**15 matrix elements and
-    each z's own matrix-vector product and sum: the evaluation that
-    ``stability`` replaced with the eigenvalue product, bit for bit.
+    each z's own matrix-vector product and sum: an evaluator independent of
+    ``stability``'s closed form.
     """
     op = build_operator(M)
     n = M + 1
@@ -623,8 +632,38 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 WIDE_Z = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 400)))
 
 
+def norsett_D(M):
+    """Integer coefficients, lowest power first, of ``D(z) = sum_j 2**(s-j)
+    T_s^(s-j)(1) z**j`` with ``s = M + 1``: ``R(z) = D(-z) / D(z)`` for the
+    decay equation.  ``T_s`` comes from the three-term recurrence on integer
+    power-basis coefficients and its derivatives by differentiating them."""
+    s = M + 1
+    prev, T = [1], [0, 1]
+    for _ in range(s - 1):
+        prev, T = T, [2 * a - b for a, b in itertools.zip_longest([0] + T, prev, fillvalue=0)]
+    at_one = []  # T_s^(k)(1), k = 0 .. s
+    for _ in range(s + 1):
+        at_one.append(sum(T))
+        T = [n * c for n, c in enumerate(T)][1:]
+    return [2 ** (s - j) * at_one[s - j] for j in range(s + 1)]
+
+
 class TestCollocationProduct:
-    """The eigenvalue product of ``stability`` against the LU solves it replaced."""
+    """The closed-form collocation ``R(z)`` of ``stability`` against exact
+    values of the formula and against LU solves of the collocation systems."""
+
+    @pytest.mark.parametrize("M", [*range(52), 100, 164, 256])
+    def test_matches_exact_formula(self, M):
+        zs = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 97)))
+        R = stability(PropagatorSpec.chebyshev_gauss(M), zs)
+        D = norsett_D(M)
+        for z, got in zip(zs.tolist(), R.tolist()):
+            # d**s D(-n/d) and d**s D(n/d) for z = n/d, by Horner in integers.
+            n, d = z.as_integer_ratio()
+            minus = plus = 0
+            for k, c in enumerate(reversed(D)):
+                minus, plus = minus * -n + c * d**k, plus * n + c * d**k
+            assert abs(Fraction(got) - Fraction(minus, plus)) <= 4.5e-16, z
 
     @pytest.mark.parametrize("M", range(52))
     def test_matches_lu_reference(self, M):
@@ -645,9 +684,9 @@ class TestCollocationProduct:
 
     @pytest.mark.parametrize("M", [0, 1])
     def test_closed_forms_within_an_ulp(self, M):
-        # Against R exactly, the product is within 1.5 units in the last
-        # place of 1 at every z, and its largest error over the grid is
-        # below the LU solves' (0.7 and 1.2 units against 2.8 and 4.8).
+        # Against R exactly, the closed form is within 1.5 units in the
+        # last place of 1 at every z, and its largest error over the grid is
+        # below the LU solves' (0.7 and 0.9 units against 2.8 and 4.8).
         zs = np.geomspace(1e-8, 1e8, 801)
         R = stability(PropagatorSpec.chebyshev_gauss(M), zs)
         lu = lu_stability(M, zs)
@@ -662,16 +701,16 @@ class TestCollocationProduct:
 
     @pytest.mark.parametrize("M", range(52))
     def test_zeros_are_the_negated_poles(self, M):
-        # The product takes R(-z) R(z) = 1, the symmetry of the CG nodes;
+        # The closed form has R(-z) R(z) = 1, the symmetry of the CG nodes;
         # the LU solves, which do not assume it, show it on the rounded
         # operator (every pole has |z| >= 2).
         zs = np.geomspace(1e-3, 1.0, 9)
         assert np.abs(lu_stability(M, zs) * lu_stability(M, -zs) - 1.0).max() <= 1e-14
 
     def test_golden_tables_match_lu_reference(self, monkeypatch):
-        # The committed tables, written by the eigenvalue product, stay
-        # within 5e-14 of the LU solves in R, and within that bound
-        # carried through K(z) = |R - 1/(1+z)| / (1 - 1/(1+z)) in K.
+        # The committed tables, written by the closed form, stay within
+        # 5e-14 of the LU solves in R, and within that bound carried
+        # through K(z) = |R - 1/(1+z)| / (1 - 1/(1+z)) in K.
         with open(os.path.join(DATA, "analyze_golden.csv"), encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         table = np.array(rows[1:], dtype=float)
@@ -681,7 +720,7 @@ class TestCollocationProduct:
             if name.startswith("absR_cg_m"):
                 R = lu_stability(int(name[len("absR_cg_m") :]), zs)
                 assert np.abs(table[:, j] - np.abs(R)).max() <= 5e-14, name
-                K = analysis.contraction_from_stability(R, zs)
+                K = np.abs(R - 1.0 / (1.0 + zs)) / (1.0 - 1.0 / (1.0 + zs))
                 assert (np.abs(table[:, j + 1] - K) <= 5e-14 * (1 + zs) / zs).all(), rows[0][j + 1]
                 checked += 1
         assert checked == 4
@@ -698,6 +737,75 @@ class TestCollocationProduct:
             ref = analysis.m_min(float(row["z_max"]))
             assert (int(row["m_min"]), row["branch"]) == (ref.m_min, ref.branch.value)
             assert abs(float(row["condition_value"]) - ref.condition_value) <= 5e-14
+
+    def test_threshold_roots_from_lu_solves(self, monkeypatch):
+        # With cg:0 and cg:1 from LU solves, the bisection finds the same
+        # thresholds as on the closed forms, within its tolerance.
+        closed = analysis.find_threshold_roots()
+        counts = []
+
+        def lu(spec, z):
+            counts.append(spec.count)
+            return float(lu_stability(spec.count, z))
+
+        monkeypatch.setattr(analysis, "stability", lu)
+        roots = analysis.find_threshold_roots()
+        assert sorted(set(counts)) == [0, 1]
+        assert np.abs(np.subtract(roots, closed)).max() <= analysis._ROOT_XTOL
+        assert abs(roots[1] - (8.0 + 6.0 * math.sqrt(2.0))) <= 1e-9
+
+
+def exact_K(D, z):
+    """``K(z) = |(1 + z) D(-z) - D(z)| / (z D(z))`` in exact rational arithmetic,
+    and ``|Q|(z) / D(z)``, ``Q(z) = ((1 + z) D(-z) - D(z)) / z`` with each
+    coefficient taken by its magnitude: the scale of a Horner evaluation's
+    rounding error."""
+    n, d = z.as_integer_ratio()
+
+    def scaled(coeffs, x):  # d**deg p(x/d), by Horner in integers
+        out = 0
+        for k, c in enumerate(reversed(coeffs)):
+            out = out * x + c * d**k
+        return out
+
+    D_neg = [(-1) ** j * c for j, c in enumerate(D)]
+    Q = [a + b - c for a, b, c in itertools.zip_longest(D_neg, [0] + D_neg, D, fillvalue=0)]
+    assert Q[0] == 0
+    at = scaled(D, n)
+    return (Fraction(abs((d + n) * scaled(D, -n) - d * at), n * at),
+            Fraction(scaled([abs(c) for c in Q[1:]], n), at))
+
+
+class TestExactCollocationContraction:
+    """The collocation K(z) against exact values of Nørsett's closed form.
+
+    Through ``|R - 1/(1+z)| / (1 - 1/(1+z))`` both differences cancel: K
+    of cg:1 comes out 122% off at z = 1e-8.  ``|Q(z)| / D(z)`` has nothing to
+    cancel at small z.  Near a zero of K, where the terms of Q cancel,
+    the error is Horner's, within a unit in the last place of ``|Q|(z) /
+    D(z)``: there no floating-point evaluation keeps a relative bound (on a
+    dip of cg:164, K(5012) = 5e-5 comes out 2.7e-13 off relative).
+    """
+
+    @pytest.mark.parametrize("M", [0, 1, 2, 5, 16, 51])
+    def test_small_z(self, M):
+        spec, D = PropagatorSpec.chebyshev_gauss(M), norsett_D(M)
+        for z in np.geomspace(1e-12, 1e-2, 41).tolist():
+            got, (exact, _) = analysis.contraction(spec, z), exact_K(D, z)
+            assert abs(Fraction(got) - exact) <= 1e-15 * exact, z
+
+    @pytest.mark.parametrize("M", [0, 1, 5, 16, 51, 164])
+    def test_wide_range(self, M):
+        zs = np.geomspace(1e-10, 1e8, 181)
+        K = analysis.contraction(PropagatorSpec.chebyshev_gauss(M), zs)
+        D = norsett_D(M)
+        for z, got in zip(zs.tolist(), K.tolist()):
+            exact, scale = exact_K(D, z)
+            assert abs(Fraction(got) - exact) <= 1e-13 * exact + np.finfo(float).eps * scale, z
+
+    def test_norsett_coefficients(self):
+        # R(z) = (2 - z)/(2 + z) and ((4 - z)/(4 + z))**2 for one and two points.
+        assert norsett_D(0) == [2, 1] and norsett_D(1) == [16, 8, 1]
 
 
 class TestSpecPlumbing:
