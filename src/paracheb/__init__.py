@@ -20,7 +20,7 @@ from .analysis import (
     rho_over_interval,
 )
 from .chebyshev import CgPointSet, CollocationOperator, build_operator, cg_points, chebyshev_eval
-from .collocation import CollocationSolution, picard_sweep, solve_linear, solve_nonlinear
+from .collocation import CollocationSolution, LinearRhs, picard_sweep, solve_linear, solve_nonlinear
 from .errors import (
     MaxIterationsError,
     NonConvergenceError,
@@ -54,6 +54,7 @@ __all__ = [
     "ConvergenceRecord",
     "IvpProblem",
     "KeplerProblem",
+    "LinearRhs",
     "MaxIterationsError",
     "MminResult",
     "NonConvergenceError",

@@ -80,12 +80,15 @@ def contraction(spec: PropagatorSpec, z):
     |Q(z)| / D(z)`` from exact integer coefficients, each rounded once
     (``propagators.CgRational``): nothing cancels at small ``z``, and the
     error is within about an ulp of the terms' magnitudes, so relative to
-    ``K`` it grows only near the zeros of ``K``.  Every other kind takes ``|R - 1/(1+z)| / (1 - 1/(1+z))`` from
-    its ``stability``.  Both differences there cancel as ``z`` shrinks, the
-    relative error growing like ``eps / z`` (on cg:1 this form is 122% off
-    at ``z = 1e-8``, which is why cg does not use it), and a ``z > 0`` so
-    small that ``1 + z == 1`` leaves no denominator and raises an
-    ``ArithmeticError``.
+    ``K`` it grows only near the zeros of ``K``.  Every other kind takes
+    ``|R - 1/(1+z)| / (1 - 1/(1+z))`` from its ``stability``.  Both
+    differences there cancel as ``z`` shrinks: the numerator is of order
+    ``z**2`` and each of its terms carries an error of order ``eps``, so
+    the relative error grows like ``eps / z**2`` (beuler:2 is off by 3.4 at
+    ``z = 1e-8``, 5e-4 at ``1e-6`` and 8e-8 at ``1e-4``; on cg:1 this form
+    is 122% off at ``z = 1e-8``, which is why cg does not use it), and a
+    ``z > 0`` so small that ``1 + z == 1`` leaves no denominator and raises
+    an ``ArithmeticError``.
     Values above 1 (and infinities, for explicit kinds past their stability
     limit) are returned as-is.
     """
@@ -113,7 +116,10 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
     scalar ``contraction`` call bit for bit.  The refined points are merged
     into the returned grid so ``rho`` equals the maximum of ``K_values``.
     A ``z_max`` with ``1 + z_max == 1`` raises ValueError for every kind:
-    there a one-step kind's ``K`` has no denominator.
+    there a one-step kind's ``K`` has no denominator.  A one-step kind's
+    ``K`` cancels at small ``z`` (see ``contraction``), so its grid values
+    near the 1e-8 floor are rounding noise: their relative error is 3.4
+    (beuler:2) to 7 (beuler:6) at ``z = 1e-8`` and about 5e-4 at ``1e-6``.
     """
     if not 0 < z_max < math.inf:
         raise ValueError("z_max must be positive and finite")

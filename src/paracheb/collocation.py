@@ -9,7 +9,8 @@ side at the CG nodes.  Nonlinear problems run fixed-point (Picard) sweeps,
 
 which converge linearly when the Lipschitz constant times the interval
 length is small.  Linear problems ``u' + A u = g`` with symmetric positive
-semidefinite ``A`` are instead solved directly in the eigenbasis of ``A``:
+semidefinite ``A`` are instead solved directly in the eigenbasis of ``A``,
+which their ``LinearRhs`` checks and takes once, when it is built:
 each eigenvalue ``lambda`` gives one ``(M+1)``-sized shifted system ``I + z
 T1_C`` with ``z = lambda * (b - a) >= 0``, the same system whose solution
 defines the stability function ``R(z)``, and no such system is singular.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -282,19 +283,49 @@ def solve_nonlinear(
     return CollocationSolution(u_hat, nodes, sweeps)
 
 
-def solve_linear(
-    A: np.ndarray,
-    g: Callable[[float], np.ndarray] | None,
-    points: CgPointSet,
-    u_a,
-) -> CollocationSolution:
-    """Direct collocation solve of ``u' + A u = g(t)`` for symmetric positive
-    semidefinite ``A``.
+@dataclass(frozen=True, eq=False)
+class LinearRhs:
+    """The right-hand side ``g(t) - A u`` of a linear problem ``u' + A u = g(t)``.
 
-    With ``A = Q diag(lam) Q^T`` the node system decouples into one shifted
-    system per eigenvalue, in the eigenbasis coordinates ``c = Q^T u_a`` and
-    ``G~ = G Q`` of the initial value and the forcing node values (one call
-    ``g(t_nodes[..., None])``):
+    ``A`` must be a square, finite, symmetric and positive semidefinite
+    matrix, and the constructor checks it once, where it enters:
+    symmetric means within ``1e-12 * max(1, max|A|)`` of its transpose, and
+    positive semidefinite no eigenvalue below ``-dim * eps * max|lam|``, the
+    rounding of ``eigh``; each failure raises ``ValueError``.  Its one
+    ``eigh`` gives ``A = Q diag(lam) Q^T``, ascending, with the eigenvalues
+    in that rounding band taken as 0, so every shift ``lam * dT`` of the
+    direct collocation solve is ``>= 0``.  ``g`` is the forcing, a function
+    of time that follows the stacking rule of ``problems.IvpProblem``'s
+    ``f``, or None for ``g = 0``.
+    """
+
+    A: np.ndarray
+    g: Callable[[float], np.ndarray] | None = None
+    lam: np.ndarray = field(init=False, repr=False)
+    Q: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        A = np.asarray(self.A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"matrix must be square (got shape {A.shape})")
+        if not np.isfinite(A).all():
+            raise ValueError("matrix must be finite")
+        if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
+            raise ValueError("matrix must be symmetric")
+        lam, Q = np.linalg.eigh(A)  # ascending
+        if lam[0] < -len(A) * np.finfo(float).eps * np.abs(lam).max():
+            raise ValueError("matrix must be positive semidefinite")
+        for name, value in (("A", A), ("lam", np.maximum(lam, 0.0)), ("Q", Q)):
+            object.__setattr__(self, name, value)
+
+
+def solve_linear(linear: LinearRhs, points: CgPointSet, u_a) -> CollocationSolution:
+    """Direct collocation solve of ``u' + A u = g(t)``, the problem of ``linear``.
+
+    With ``A = Q diag(lam) Q^T``, the decomposition ``linear`` holds, the
+    node system decouples into one shifted system per eigenvalue, in the
+    eigenbasis coordinates ``c = Q^T u_a`` and ``G~ = G Q`` of the initial
+    value and the forcing node values (one call ``g(t_nodes[..., None])``):
 
         (I + lam_i dT T1_C) x_i = c_i + dT * T1_C @ G~[:, i]
 
@@ -304,28 +335,18 @@ def solve_linear(
     formed in the eigenbasis from ``F = G~ - X lam`` and only then mapped
     back with ``Q^T``.
 
-    Every shift ``lam_i dT`` is ``>= 0``, where no system is singular: an
-    eigenvalue below zero by no more than ``dim * eps * max|lam|``, the
-    rounding of ``eigh``, is taken as 0, and one further below raises
-    ``ValueError``, as does a non-finite or non-symmetric ``A``, before
-    ``g`` is called.  A row whose solve overflows to a non-finite value
-    raises ``SingularSystemError``.
+    Every shift ``lam_i dT`` is ``>= 0``, where no system is singular:
+    ``LinearRhs`` checked ``A`` when it was built.  A state whose size is
+    not ``A``'s raises ``ValueError``, and a row whose solve overflows to a
+    non-finite value ``SingularSystemError``.
     """
     op = build_operator(points.M)
     u_a = _as_state(u_a)
     U = u_a if u_a.ndim == 2 else u_a[None]
     N, dim = U.shape
-    A = np.asarray(A, dtype=float)
-    if A.shape != (dim, dim):
-        raise ValueError(f"matrix must be {dim}x{dim} (got shape {A.shape})")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix must be finite")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
-        raise ValueError("matrix must be symmetric")
-    lam, Q = np.linalg.eigh(A)  # ascending
-    if lam[0] < -dim * np.finfo(float).eps * np.abs(lam).max():
-        raise ValueError("matrix must be positive semidefinite")
-    lam = np.maximum(lam, 0.0)
+    lam, Q, g = linear.lam, linear.Q, linear.g
+    if Q.shape != (dim, dim):
+        raise ValueError(f"matrix must be {dim}x{dim} (got shape {Q.shape})")
     n = op.M + 1
     dT = points.length
     t_nodes = np.broadcast_to(points.t, (N, n))

@@ -69,6 +69,7 @@ class PararealConfig:
     def __post_init__(self):
         check_integer("N", self.N)
         check_integer("max_k", self.max_k)
+        check_integer("seed", self.seed)
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not 0 < self.T < math.inf:
@@ -79,6 +80,8 @@ class PararealConfig:
             raise ValueError("max_k must be >= 1")
         if self.init not in ("coarse", "random"):
             raise ValueError(f"unknown init policy {self.init!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def dT(self) -> float:
@@ -264,8 +267,8 @@ def iterate(
     changed in the last pass in one ``advance`` call, in which each row
     stops on its own and a failing row leaves the others running; failed
     rows raise the ``SweepError`` that names every one of them.  An error
-    not tied to a row (a ``ValueError`` from a bad ``linear`` operator, say)
-    propagates with its own type.
+    not tied to a row (an exception raised by ``f`` itself, say) propagates
+    with its own type.
 
     The correction walks the subintervals once for the whole batch.  At each
     it takes a coarse step only for the runs whose corrected start value

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .collocation import check_integer
+from .collocation import LinearRhs, check_integer
 from .errors import SolverError
 
 # Earth gravitational parameter, km^3 / s^2.
@@ -54,11 +54,11 @@ class IvpProblem:
     of ``f`` at ``(t_i, u_i)``; the constructor checks it like ``f``.
 
     ``reference`` maps a time to the exact (or high-accuracy) state when one
-    is known.  ``linear`` carries ``(A, g)`` when the right-hand side has
-    the form ``g(t) - A u`` with symmetric positive semidefinite ``A``, which
-    lets the collocation propagator use its direct linear solve in the
-    eigenbasis of ``A`` (an ``A`` that is not symmetric, or has an
-    eigenvalue below zero by more than rounding, raises ValueError there).
+    is known.  ``linear`` is a ``collocation.LinearRhs`` when the
+    right-hand side has the form ``g(t) - A u`` with symmetric positive
+    semidefinite ``A``, which lets the collocation propagator use its direct
+    linear solve in the eigenbasis of ``A``; ``LinearRhs`` checks ``A`` and
+    takes that eigenbasis once, when it is built, so no step rejects it.
     The constructor rejects an ``A`` that is not ``dim x dim``, and an
     ``f`` that differs from ``g(t) - A u`` by more than 1e-12 times their
     largest entry on ``u0`` and every ``u0 + e_i`` at ``t = 0`` and on
@@ -70,7 +70,7 @@ class IvpProblem:
     T: float
     reference: Callable[[float], np.ndarray] | None = None
     jacobian: Callable[[float, np.ndarray], np.ndarray] | None = None
-    linear: tuple[np.ndarray, Callable[[float], np.ndarray] | None] | None = None
+    linear: LinearRhs | None = None
 
     def __post_init__(self):
         if not 0 < self.T < math.inf:
@@ -85,9 +85,9 @@ class IvpProblem:
         if not np.all(np.isfinite(val)):
             raise ValueError("f(0, u0) is not finite")
         if self.linear is not None:
-            A, g = self.linear
-            if np.shape(A) != (self.dim, self.dim):
-                raise ValueError(f"linear matrix has shape {np.shape(A)}, expected ({self.dim}, {self.dim})")
+            A, g = self.linear.A, self.linear.g
+            if A.shape != (self.dim, self.dim):
+                raise ValueError(f"linear matrix has shape {A.shape}, expected ({self.dim}, {self.dim})")
             # u0 and u0 + e_i at t = 0 are dim + 1 affinely independent
             # states, so an affine f that agrees there agrees everywhere;
             # u0 at t = T checks the forcing at a second time.
@@ -95,7 +95,7 @@ class IvpProblem:
             t = np.zeros((len(u), 1))
             t[-1] = self.T
             fu = np.concatenate((val[:1], self.f(t[1:], u[1:])))
-            lin = -(u @ np.transpose(A))
+            lin = -(u @ A.T)
             if g is not None:
                 lin = g(t) + lin
             scale = max(np.abs(fu).max(), np.abs(lin).max())
@@ -142,30 +142,34 @@ def _matvec(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SpdLinearProblem:
-    """Linear system ``u' + A u = g(t)`` with symmetric positive definite A."""
+    """Linear system ``u' + A u = g(t)`` with symmetric positive definite A.
+
+    The constructor builds ``linear``, the ``LinearRhs(A, g)`` that checks
+    ``A`` (``ValueError`` for a matrix that is not square, finite,
+    symmetric and positive semidefinite) and holds its eigendecomposition,
+    and rejects an ``A`` whose smallest eigenvalue there is not positive.
+    ``to_ivp`` takes the reference from that decomposition and passes
+    ``linear`` on, so a run decomposes ``A`` once.
+    """
 
     A: np.ndarray
     u0: np.ndarray
     T: float
     g: Callable[[float], np.ndarray] | None = None
+    linear: LinearRhs = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValueError("T must be positive and finite")
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("A must be finite")
-        if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
-            raise ValueError("A must be symmetric")
-        if np.linalg.eigvalsh(A).min() <= 0.0:
+        linear = LinearRhs(self.A, self.g)
+        if linear.lam[0] <= 0.0:
             raise ValueError("A must be positive definite")
+        n = len(linear.A)
         u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
-        if u0.shape != (len(A),):
-            raise ValueError(f"u0 has shape {u0.shape}, but A is {len(A)}x{len(A)}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "u0", u0)
+        if u0.shape != (n,):
+            raise ValueError(f"u0 has shape {u0.shape}, but A is {n}x{n}")
+        for name, value in (("A", linear.A), ("u0", u0), ("linear", linear)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -175,7 +179,7 @@ class SpdLinearProblem:
         A, g = self.A, self.g
         reference = None
         if g is None:
-            lam, Q = np.linalg.eigh(A)
+            lam, Q = self.linear.lam, self.linear.Q
             c0 = Q.T @ self.u0
 
             def reference(t):
@@ -194,7 +198,7 @@ class SpdLinearProblem:
             T=self.T,
             reference=reference,
             jacobian=lambda t, u: np.broadcast_to(neg_A, u.shape + A.shape[-1:]),
-            linear=(A, g),
+            linear=self.linear,
         )
 
 

@@ -21,7 +21,7 @@ from numpy.linalg import _umath_linalg
 
 from .chebyshev import cg_points
 from .collocation import RhsFunction, _rows, check_integer, check_limits, settle_rows
-from .collocation import solve_linear, solve_nonlinear
+from .collocation import LinearRhs, solve_linear, solve_nonlinear
 from .errors import NonConvergenceError, SingularSystemError, raise_row_failures
 
 _SQRT2 = math.sqrt(2.0)
@@ -161,7 +161,6 @@ def _newton(
     jacobian: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     x0: np.ndarray,
     spec: PropagatorSpec,
-    warm: np.ndarray | bool | None = None,
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """Damped Newton iteration for ``residual(x) = 0`` on a stack of rows.
 
@@ -171,13 +170,13 @@ def _newton(
     8 tries in all) whenever the full update fails to reduce that row's
     residual; far-off starting values occur routinely under randomized
     outer iterations.  A row settles within ``spec.tol * (1 + |x|)``, and
-    ``settle_rows`` retires the rows over ``spec.max_iter`` updates.  The
-    rows that start from a guess, those of the mask ``warm`` (every row when
-    it is True), make at least one update before they may settle: a guess
-    can meet the stop, which is far looser than an outer tolerance, and
-    still be off by as much as the stop allows.  A row that met the stop
-    keeps its state when the update does not reduce its residual, without
-    halving the step: the residual is then at its rounding floor.
+    ``settle_rows`` retires the rows over ``spec.max_iter`` updates.  Every
+    row makes at least one update before it may settle: a start, guess or
+    predictor, can meet the stop, which is far looser than an outer
+    tolerance, and still be off by as much as the stop allows.  A row that
+    met the stop keeps its state when the update does not reduce its
+    residual, without halving the step: the residual is then at its
+    rounding floor.
 
     Returns the solution stack and the failures, a dict row -> error: a
     singular stage matrix gives ``SingularSystemError`` (the row takes a
@@ -185,20 +184,15 @@ def _newton(
     ``NonConvergenceError``.  Failed rows hold NaN.
     """
     check = True  # a residual may be non-finite: at the start and after backtracking
-    hold = warm  # the rows the first test keeps live
+    first = True  # no row may settle before its first update
 
     # A state is (x, residual, residual norm): each update computes the norms
     # of the residuals it makes, and the next test reads them.
     def test(state):
-        nonlocal hold
+        nonlocal first
         x, _, norm = state
-        if hold is True:  # no row may settle yet: skip the comparison
-            settled = np.zeros(len(norm), dtype=bool)
-        else:
-            settled = norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1))
-            if hold is not None:
-                settled &= ~hold
-        hold = None
+        settled = np.zeros(len(norm), dtype=bool) if first else norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1))
+        first = False
         lost = {}
         if check:
             finite = np.isfinite(norm)
@@ -233,7 +227,7 @@ def _newton(
         ok = norm_new < norm
         check = np.count_nonzero(ok) < len(ok)
         if check:
-            # Only a warm start's first update can start within the stop.
+            # Only a first update can start within the stop.
             met = ~ok & (norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1)))
             x_new[met], res_new[met], norm_new[met] = x[met], res[met], norm[met]
             back = np.flatnonzero(~ok & ~met & np.isfinite(step).all(axis=-1))  # a NaN step cannot recover
@@ -270,12 +264,8 @@ def _solve_stage(
     beta_h: float,
     rhs: np.ndarray,
     x0: np.ndarray,
-    warm: np.ndarray | bool | None = None,
 ) -> tuple[np.ndarray, dict[int, Exception]]:
-    """Newton solve of the stage equations x = rhs + beta_h * f(t, x), row by row.
-
-    ``warm`` marks the rows whose ``x0`` is a guess (see ``_newton``).
-    """
+    """Newton solve of the stage equations x = rhs + beta_h * f(t, x), row by row."""
     eye = _identity(x0.shape[-1])
 
     def residual(y, rows):
@@ -284,7 +274,7 @@ def _solve_stage(
     def jacobian(y, rows):
         return eye - beta_h * jac(_rows(t_stage, rows), y)
 
-    return _newton(residual, jacobian, x0, spec, warm)
+    return _newton(residual, jacobian, x0, spec)
 
 
 # Each one-step kind maps a stack of states ``u`` (N, dim) at times ``t`` (a
@@ -297,32 +287,28 @@ def _solve_stage(
 
 
 def _start(guess, predict):
-    """Each row's Newton starting state, and which rows start warm.
+    """Each row's Newton starting state.
 
     A row starts from its row of ``guess`` where that is finite, and from
     its row of the explicit predictor ``predict()`` otherwise; ``predict``
-    is called only when some row, or the missing guess, needs it.  The
-    rows started warm are None (no guess), True (every row) or a mask.
+    is called only when some row, or the missing guess, needs it.
     """
     if guess is None:
-        return predict(), None
+        return predict()
     finite = np.isfinite(guess)
     if np.count_nonzero(finite) == finite.size:
-        return guess, True
-    warm = finite.all(axis=-1)
-    return np.where(warm[:, None], guess, predict()), warm
+        return guess
+    return np.where(finite.all(axis=-1)[:, None], guess, predict())
 
 
 def _step_backward_euler(f, jac, spec, t, u, h, guess=None):
-    x0, warm = _start(guess, lambda: u + h * f(t, u))
-    return _solve_stage(f, jac, spec, t + h, h, u, x0, warm)
+    return _solve_stage(f, jac, spec, t + h, h, u, _start(guess, lambda: u + h * f(t, u)))
 
 
 def _step_trapezoidal(f, jac, spec, t, u, h, guess=None):
     fn = f(t, u)
     rhs = u + 0.5 * h * fn
-    x0, warm = _start(guess, lambda: u + h * fn)
-    return _solve_stage(f, jac, spec, t + h, 0.5 * h, rhs, x0, warm)
+    return _solve_stage(f, jac, spec, t + h, 0.5 * h, rhs, _start(guess, lambda: u + h * fn))
 
 
 def _step_tr_bdf2(f, jac, spec, t, u, h):
@@ -394,7 +380,7 @@ def advance(
     u_n,
     dT: float,
     jac: RhsFunction | None = None,
-    linear: tuple[np.ndarray, Callable[[float], np.ndarray] | None] | None = None,
+    linear: LinearRhs | None = None,
     guess=None,
 ) -> np.ndarray:
     """Advance a stack of states, row ``i`` from ``t_n[i]`` to ``t_n[i] + dT``.
@@ -410,25 +396,27 @@ def advance(
     ``spec.count + 1`` CG points, and that solve takes the operator for
     its point count from the cache.  The implicit kinds' stage solves use
     ``jac``, or forward differences of ``f`` when it is None.  When the
-    problem is linear, callers may pass ``linear=(A, g)`` for
-    ``u' + A u = g``; the collocation kind then uses the direct solve,
-    which is defined even where the fixed-point sweep diverges.
+    problem is linear, callers may pass its ``LinearRhs`` as ``linear``
+    (``u' + A u = g``, with ``A`` checked and decomposed when that was
+    built); the collocation kind then uses the direct solve, which is
+    defined even where the fixed-point sweep diverges.
 
     ``guess``, of ``u_n``'s shape (``ValueError`` otherwise), estimates
     each row's end state.
     ``beuler`` and ``tr`` at count 1 solve their one stage for the end
     state, and start each row's Newton iteration at its guess, where it is
-    finite, instead of at the explicit Euler predictor; such a row makes
-    at least one Newton update.  A row whose guess holds a NaN or an
-    infinity starts at the predictor, as without a guess.  Every other
-    kind or count ignores ``guess``.
+    finite, instead of at the explicit Euler predictor.  A row whose guess
+    holds a NaN or an infinity starts at the predictor, as without a
+    guess.  Every other kind or count ignores ``guess``.  Every Newton
+    stage solve, from a guess or from a predictor, makes at least one
+    update.
 
     Every row stops its inner iterations on its own (``settle_rows``).  A
     failing row carries on through the remaining substeps as NaN while the
     others finish, and keeps the first error it met.  A single state then raises that typed
     error; a stack raises ``SweepError`` naming every failed row.  An error
-    not tied to a row (a singular collocation system, an exception from
-    ``f``) propagates as it is.
+    not tied to a row (a state whose size is not ``linear``'s, an
+    exception from ``f``) propagates as it is.
     """
     if not 0 < dT < math.inf:
         raise ValueError("dT must be positive and finite")
@@ -442,7 +430,7 @@ def advance(
     if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
         points = cg_points(spec.count, 0.0, dT).shifted(t)
         if linear is not None:
-            return solve_linear(*linear, points, u).u_end
+            return solve_linear(linear, points, u).u_end
         return solve_nonlinear(f, points, u, spec.tol, spec.max_iter).u_end
 
     if jac is None:

@@ -9,6 +9,7 @@ import numpy as np
 
 from paracheb import (
     Branch,
+    LinearRhs,
     PararealConfig,
     PropagatorSpec,
     cg_points,
@@ -200,7 +201,7 @@ def test_criterion_10_direct_solve_equals_fixed_point():
         M = int(rng.integers(0, 11))
         u0 = rng.uniform(-3.0, 3.0)
         pts = cg_points(M, 0.0, 1.0)
-        direct = solve_linear(np.array([[lam]]), None, pts, u0)
+        direct = solve_linear(LinearRhs(np.array([[lam]])), pts, u0)
         picard = solve_nonlinear(lambda t, u: -lam * u, pts, u0, tol=1e-14, max_iter=300
         )
         assert abs(direct.u_end[0] - picard.u_end[0]) < 1e-10

@@ -70,6 +70,18 @@ RHO_CASES = [
 ]
 
 
+def exact_one_step_contraction(spec, z):
+    """``K(z)`` of the one-step kind ``spec`` in exact rationals, at the float ``z``."""
+    y = Fraction(z) / spec.count
+    r = {
+        propagators.PropagatorKind.BACKWARD_EULER: lambda: 1 / (1 + y),
+        propagators.PropagatorKind.TRAPEZOIDAL: lambda: (1 - y / 2) / (1 + y / 2),
+        propagators.PropagatorKind.GAUSS4: lambda: (y * y - 6 * y + 12) / (y * y + 6 * y + 12),
+    }[spec.kind]()
+    coarse = 1 / (1 + Fraction(z))
+    return abs(r**spec.count - coarse) / (1 - coarse)
+
+
 class TestContraction:
     def test_single_node_closed_form(self):
         # K(z) = z / (2 + z) with a lone collocation node.
@@ -124,6 +136,18 @@ class TestContraction:
         expected = [float(abs(x * x - 8 * x) / (4 + x) ** 2) for x in map(Fraction, np.atleast_1d(z).tolist())]
         np.testing.assert_allclose(K, expected if np.ndim(z) else expected[0], rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("text", ["beuler:2", "beuler:6", "tr:2", "tr:6", "gauss4:1", "gauss4:3"])
+    def test_one_step_error_grows_like_eps_over_z_squared(self, text):
+        # |R - 1/(1+z)| ~ z^2 and each term carries an error of order eps,
+        # so K's relative error grows like eps / z^2 as z shrinks.
+        spec = propagators.parse_spec(text)
+        zs = np.geomspace(1e-8, 1e2, 121)
+        bound = 16 * np.finfo(float).eps / zs**2 + 1e-10
+        exact = np.array([float(exact_one_step_contraction(spec, z)) for z in zs.tolist()])
+        assert np.all(np.abs(contraction(spec, zs) / exact - 1.0) <= bound)
+
+    def test_scalar_and_array_arguments(self):
+        zs = np.array([[0.0, 1e-9], [2.0, 1e3]])
     def test_scalar_and_array_arguments(self):
         zs = np.array([[0.0, 1e-9], [2.0, 1e3]])
         for spec in (CG1, PropagatorSpec.chebyshev_gauss(7), PropagatorSpec.backward_euler(2), PropagatorSpec.erk4(1)):

@@ -190,6 +190,21 @@ class TestRunCommand:
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
         assert float(rows[-1][1]) <= 1e-10
 
+    def test_one_eigendecomposition_per_run(self, tmp_path, monkeypatch):
+        # The matrix is checked and decomposed once, when its LinearRhs is
+        # built: neither the reference nor a fine sweep decomposes it again.
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, name=name, original=original, **kw: calls.append(name) or original(*a, **kw)
+            )
+        out = tmp_path / "l8.csv"
+        main(["run", "--set", "problem=laplacian-1d", "--set", "m=8", "--set", "N=8", "--set", "T=0.5",
+              "--set", "fine=cg:4", "--set", "init=random", "--out", str(out)])
+        assert len(read_csv(out)[1]) == 9  # nine fine sweeps
+        assert calls == ["eigh"]
+
     def test_stiff_spd_run_completes(self, tmp_path, capsys):
         # Eigenvalues 1 to 1e16 in one run: each eigencomponent's block is
         # solved on its own, so the stiffest does not fail the others.

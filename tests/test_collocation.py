@@ -10,6 +10,7 @@ from paracheb import (
     PropagatorSpec,
     SingularSystemError,
     CollocationSolution,
+    LinearRhs,
     SweepError,
     build_operator,
     cg_points,
@@ -272,54 +273,52 @@ class TestSolveNonlinear:
 class TestSolveLinear:
     def test_coarsest_closed_form(self):
         pts = cg_points(0, 0.0, 1.0)
-        sol = solve_linear(np.array([[1.0]]), None, pts, 1.0)
+        sol = solve_linear(LinearRhs(np.array([[1.0]])), pts, 1.0)
         assert sol.u_end[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_two_node_closed_form(self):
         pts = cg_points(1, 0.0, 1.0)
-        sol = solve_linear(np.array([[1.0]]), None, pts, 1.0)
+        sol = solve_linear(LinearRhs(np.array([[1.0]])), pts, 1.0)
         assert sol.u_end[0] == pytest.approx(9.0 / 25.0, abs=1e-14)
 
     def test_diagonal_system_decouples(self):
         pts = cg_points(20, 0.0, 0.7)
-        sol = solve_linear(np.diag([1.0, 2.0]), None, pts, np.array([1.0, 1.0]))
+        sol = solve_linear(LinearRhs(np.diag([1.0, 2.0])), pts, np.array([1.0, 1.0]))
         np.testing.assert_allclose(sol.u_end, [math.exp(-0.7), math.exp(-1.4)], atol=1e-10)
 
     def test_forced_scalar_problem(self):
         # u' + u = 1, u(0) = 0 has solution 1 - exp(-t).
         pts = cg_points(16, 0.0, 1.0)
-        sol = solve_linear(np.array([[1.0]]), lambda t: np.ones_like(t), pts, 0.0)
+        sol = solve_linear(LinearRhs(np.array([[1.0]]), lambda t: np.ones_like(t)), pts, 0.0)
         assert sol.u_end[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_node_values_consistent_with_coefficients(self):
         op = build_operator(6)
         pts = cg_points(6, 0.0, 0.5)
-        sol = solve_linear(np.array([[2.0]]), None, pts, 1.0)
+        sol = solve_linear(LinearRhs(np.array([[2.0]])), pts, 1.0)
         np.testing.assert_allclose(sol.u_nodes, op.T1 @ sol.u_hat, atol=1e-14)
         np.testing.assert_allclose(sol.u_end, sol.u_hat.sum(axis=0), atol=1e-14)
 
     def test_singular_system_flagged(self):
         # Only a negative eigenvalue can place the scaled problem on a pole
-        # (z = -2 for M = 0), and solve_linear rejects it before any solve;
+        # (z = -2 for M = 0), and LinearRhs rejects it when it is built;
         # an exactly singular block given to solve_checked fails its LU.
-        pts = cg_points(0, 0.0, 1.0)
         for A in (np.array([[-2.0]]), np.diag([1.0, -2.0])):
             with pytest.raises(ValueError, match="positive semidefinite"):
-                solve_linear(A, None, pts, np.ones(len(A)))
+                LinearRhs(A)
         with pytest.raises(SingularSystemError, match="singular"):
             solve_checked(build_operator(0), np.array([1.0, exact_pole()]), np.ones((2, 1)))
 
     def test_indefinite_matrix_rejected(self):
         # An eigenvalue below zero by more than eigh's rounding is outside
         # the method's domain, however far from a pole its shift sits.
-        pts = cg_points(8, 0.0, 0.5)
         rng = np.random.default_rng(5)
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         calls = []
         for lowest in (-2.5, -1e-9):
             A = (Q * [lowest, 0.0, 1.0, 60.0]) @ Q.T
             with pytest.raises(ValueError, match="positive semidefinite"):
-                solve_linear((A + A.T) / 2, lambda t: calls.append(t) or np.ones((*t.shape[:-1], 4)), pts, np.ones(4))
+                LinearRhs((A + A.T) / 2, lambda t: calls.append(t) or np.ones((*t.shape[:-1], 4)))
         assert calls == []  # rejected before the forcing is evaluated
 
     @pytest.mark.parametrize("M", [0, 1, 4, 12])
@@ -328,25 +327,43 @@ class TestSolveLinear:
         # R(z) u0, however far apart the scales of the blocks.
         pts = cg_points(M, 0.0, 1.0)
         lam = np.array([1.0, 1e15])
-        sol = solve_linear(np.diag(lam), None, pts, np.ones(2))
+        sol = solve_linear(LinearRhs(np.diag(lam)), pts, np.ones(2))
         R = stability(PropagatorSpec.chebyshev_gauss(M), lam)
         np.testing.assert_allclose(sol.u_end, R, rtol=1e-13, atol=0)
 
     def test_nonsymmetric_matrix_rejected(self):
-        pts = cg_points(4, 0.0, 0.5)
         with pytest.raises(ValueError, match="symmetric"):
-            solve_linear(np.array([[1.0, 0.5], [0.0, 2.0]]), None, pts, np.ones(2))
+            LinearRhs(np.array([[1.0, 0.5], [0.0, 2.0]]))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_nonfinite_matrix_rejected(self, bad, capfd):
         # Rejected before the symmetry test, which would warn, and before
         # any LAPACK call.
-        pts = cg_points(4, 0.0, 0.5)
         A = np.diag([1.0, 2.0])
         A[0, 1] = A[1, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            solve_linear(A, None, pts, np.ones(2))
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            LinearRhs(A)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("A", [np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2))])
+    def test_non_square_matrix_rejected(self, A):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            LinearRhs(A)
+
+    def test_state_of_another_size_rejected(self):
+        pts = cg_points(4, 0.0, 0.5)
+        with pytest.raises(ValueError, match=r"matrix must be 3x3 \(got shape \(2, 2\)\)"):
+            solve_linear(LinearRhs(np.eye(2)), pts, np.ones(3))
+
+    def test_decomposition_held(self):
+        # The eigenvalues come ascending, a rounding-sized negative one as
+        # 0, and Q diag(lam) Q^T gives back A.
+        A = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        linear = LinearRhs(A)
+        np.testing.assert_allclose(linear.lam, [1.0, 3.0], rtol=1e-15)
+        np.testing.assert_allclose((linear.Q * linear.lam) @ linear.Q.T, A, atol=1e-15)
+        below = LinearRhs(np.diag([1.0, -1e-17]))
+        assert below.lam.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("M", [4, 8, 12, 16])
     @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
@@ -367,7 +384,7 @@ class TestSolveLinear:
         pts = cg_points(M, 0.2, 0.2 + dT)
         u0 = rng.standard_normal(6)
         for A in (A, below):
-            sol = solve_linear(A, g, pts, u0)
+            sol = solve_linear(LinearRhs(A, g), pts, u0)
             u_hat, u_end = kronecker_solve(build_operator(M), A, g, pts, u0)
             scale = np.max(np.abs(u_end))
             assert np.max(np.abs(sol.u_end - u_end)) <= 1e-13 * scale
@@ -376,7 +393,7 @@ class TestSolveLinear:
     def test_nonfinite_forcing_reports_node(self):
         pts = cg_points(3, 0.0, 1.0)
         with pytest.raises(NonFiniteRhsError) as err:
-            solve_linear(np.array([[1.0]]), lambda t: np.full_like(t, np.nan), pts, 1.0)
+            solve_linear(LinearRhs(np.array([[1.0]]), lambda t: np.full_like(t, np.nan)), pts, 1.0)
         assert err.value.node == 0
         assert err.value.t == pts.t[0]
         assert type(err.value.t) is float
@@ -396,7 +413,7 @@ class TestSolveLinear:
         g = (lambda t: np.sin(t) * np.ones(problem.dim)) if forced else None
         op = build_operator(M)
         pts = cg_points(M, 0.3, 0.3 + dT)
-        sol = solve_linear(problem.A, g, pts, problem.u0)
+        sol = solve_linear(LinearRhs(problem.A, g), pts, problem.u0)
         u_hat, u_end = kronecker_solve(op, problem.A, g, pts, problem.u0)
         scale = np.max(np.abs(u_end))
         assert np.max(np.abs(sol.u_end - u_end)) <= 1e-13 * scale
@@ -409,7 +426,7 @@ class TestSolveLinear:
             M = int(rng.integers(0, 9))
             pts = cg_points(M, 0.0, 1.0)
             u0 = rng.uniform(-2.0, 2.0)
-            direct = solve_linear(np.array([[lam]]), None, pts, u0)
+            direct = solve_linear(LinearRhs(np.array([[lam]])), pts, u0)
             picard = solve_nonlinear(lambda t, u: -lam * u, pts, u0, tol=1e-14, max_iter=300)
             assert direct.u_end[0] == pytest.approx(picard.u_end[0], abs=1e-10)
 
@@ -436,9 +453,9 @@ def real_poles(M):
 
 
 class TestSingularityCertificate:
-    """The sign of the shifts certifies the systems: ``solve_linear`` admits
-    only ``z >= 0``, where no block is singular, and ``solve_checked``
-    solves each block as it stands."""
+    """The sign of the shifts certifies the systems: ``LinearRhs`` admits
+    only eigenvalues that give ``z >= 0``, where no block is singular, and
+    ``solve_checked`` solves each block as it stands."""
 
     def test_one_system_per_leading_entry(self):
         # A vector of shifts is one block-diagonal system, a column one
@@ -458,13 +475,12 @@ class TestSingularityCertificate:
     @pytest.mark.parametrize("shift", [0.0, 1e-15, -1e-15], ids=["pole", "above", "below"])
     def test_shifted_systems_at_a_pole_raise(self, M, shift):
         # Every pole is at z < 0, which only a negative eigenvalue reaches;
-        # solve_linear and stability both reject it before any solve.
-        pts = cg_points(M, 0.0, 1.0)
+        # LinearRhs and stability both reject it before any solve.
         for pole in real_poles(M):
             z = pole * (1.0 + shift)
             assert z < 0
             with pytest.raises(ValueError, match="positive semidefinite"):
-                solve_linear(np.array([[z]]), None, pts, np.ones(1))
+                LinearRhs(np.array([[z]]))
             with pytest.raises(ValueError, match="nonnegative"):
                 stability(PropagatorSpec.chebyshev_gauss(M), z)
 
@@ -510,7 +526,7 @@ class TestSingularityProof:
         calls = count_lapack(monkeypatch)
         problem = spd_catalog("laplacian-1d", m=24)
         pts = cg_points(12, 0.0, 1.0 / 16).shifted(np.arange(4) / 16)
-        solve_linear(problem.A, None, pts, np.tile(problem.u0, (4, 1)))
+        solve_linear(LinearRhs(problem.A), pts, np.tile(problem.u0, (4, 1)))
         assert calls == ["solve"]
         with pytest.raises(SingularSystemError):
             solve_checked(build_operator(0), exact_pole(), np.ones(1))

@@ -9,6 +9,7 @@ from paracheb import (
     ConvergenceRecord,
     IvpProblem,
     KeplerProblem,
+    LinearRhs,
     NonConvergenceError,
     NonFiniteRhsError,
     MaxIterationsError,
@@ -169,7 +170,7 @@ class TestIterate:
             f=lambda t, u: -2.0 * u,
             u0=np.array([1.0]),
             T=1.0,
-            linear=(np.array([[2.0]]), None),
+            linear=LinearRhs(np.array([[2.0]])),
         )
         fine = PropagatorSpec.chebyshev_gauss(8)
         cfg = PararealConfig(T=1.0, N=2, coarse=BE, fine=fine)
@@ -282,25 +283,19 @@ class TestIterate:
             assert isinstance(err.value.cause, NonConvergenceError)
 
     def test_call_wide_fine_error_keeps_its_type(self):
-        # The direct collocation solve rejects a non-symmetric A for the
-        # whole call, not for a row: the error is not a SweepError.
-        A = np.array([[1.0, 2.0], [0.0, 1.0]])
-        prob = IvpProblem(f=lambda t, u: -u @ A.T, u0=np.ones(2), T=1.0, linear=(A, None))
-        cfg = PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec("cg:4"))
-        state = initialize(cfg, prob)
+        # A non-symmetric A is rejected for the whole problem when its
+        # LinearRhs is built, before any step: the error is a ValueError,
+        # not a SweepError.
         with pytest.raises(ValueError, match="symmetric") as err:
-            iterate(state, cfg, prob)
+            LinearRhs(np.array([[1.0, 2.0], [0.0, 1.0]]))
         assert not isinstance(err.value, SweepError)
 
     def test_indefinite_linear_matrix_rejected_for_the_call(self):
         # A negative eigenvalue is outside the collocation solve's domain,
-        # for the whole call: the error is a ValueError, not a SweepError.
-        A = np.diag([1.0, -2.0])
-        prob = IvpProblem(f=lambda t, u: -u @ A.T, u0=np.ones(2), T=1.0, linear=(A, None))
-        cfg = PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec("cg:4"))
-        state = initialize(cfg, prob)
+        # for the whole problem: the error comes when its LinearRhs is
+        # built, and it is a ValueError, not a SweepError.
         with pytest.raises(ValueError, match="positive semidefinite") as err:
-            iterate(state, cfg, prob)
+            LinearRhs(np.diag([1.0, -2.0]))
         assert not isinstance(err.value, SweepError)
 
     def test_singular_coarse_stage_raises_typed_error(self):
@@ -574,16 +569,21 @@ class TestRun:
             PararealConfig(T=-1.0, N=2, coarse=BE, fine=fine)
         with pytest.raises(ValueError):
             PararealConfig(T=1.0, N=2, coarse=BE, fine=fine, init="guess")
+        # numpy's SeedSequence would reject it only when init="random" draws.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            PararealConfig(T=1.0, N=2, coarse=BE, fine=fine, seed=-1)
 
     @pytest.mark.parametrize(
         "field, build",
         [
             ("N", lambda: PararealConfig(T=1.0, N=2.5, coarse=BE, fine=BE)),
             ("max_k", lambda: PararealConfig(T=1.0, N=2, coarse=BE, fine=BE, max_k=2.5)),
+            ("seed", lambda: PararealConfig(T=1.0, N=2, coarse=BE, fine=BE, seed=1.5)),
+            ("seed", lambda: PararealConfig(T=1.0, N=2, coarse=BE, fine=BE, seed="3")),
             ("count", lambda: PropagatorSpec(PropagatorKind.BACKWARD_EULER, 2.5)),
             ("max_iter", lambda: PropagatorSpec(PropagatorKind.BACKWARD_EULER, 1, max_iter=2.5)),
         ],
-        ids=["N", "max_k", "count", "max_iter"],
+        ids=["N", "max_k", "seed", "seed-str", "count", "max_iter"],
     )
     def test_float_counts_rejected_when_built(self, field, build):
         # Each of these counts reaches a range() later; a float failed there.

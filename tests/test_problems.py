@@ -13,6 +13,7 @@ from paracheb import (
     BurgersProblem,
     IvpProblem,
     KeplerProblem,
+    LinearRhs,
     PararealConfig,
     SolverError,
     SpdLinearProblem,
@@ -97,7 +98,7 @@ class TestSpdCatalog:
 
     def test_linear_metadata(self):
         ivp = spd_catalog("diag-spectrum", m=2).to_ivp()
-        A, g = ivp.linear
+        A, g = ivp.linear.A, ivp.linear.g
         assert g is None
         u = np.array([1.0, 2.0])
         np.testing.assert_allclose(ivp.f(0.0, u), -A @ u)
@@ -123,7 +124,7 @@ class TestSpdCatalog:
 
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
     def test_nonfinite_matrix_rejected_before_symmetry(self, value):
-        with pytest.raises(ValueError, match="A must be finite"):
+        with pytest.raises(ValueError, match="matrix must be finite"):
             SpdLinearProblem(A=np.diag([1.0, value]), u0=np.ones(2), T=1.0)
 
     @pytest.mark.parametrize("name", ["diag-spectrum", "laplacian-1d"])
@@ -374,25 +375,25 @@ class TestLinearHook:
     def test_rhs_disagreeing_with_linear_rejected(self):
         # The fine collocation solve would use linear, the coarse steps f.
         with pytest.raises(ValueError, match="disagrees"):
-            IvpProblem(f=lambda t, u: u, u0=np.ones(2), T=1.0, linear=(np.diag([1.0, 4.0]), None))
+            IvpProblem(f=lambda t, u: u, u0=np.ones(2), T=1.0, linear=LinearRhs(np.diag([1.0, 4.0])))
 
     def test_forcing_disagreeing_with_linear_rejected(self):
         A = np.diag([1.0, 4.0])
         with pytest.raises(ValueError, match="disagrees"):
             IvpProblem(
-                f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=1.0, linear=(A, lambda t: 2.0 + 0.0 * t)
+                f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=1.0, linear=LinearRhs(A, lambda t: 2.0 + 0.0 * t)
             )
 
     def test_disagreement_away_from_u0_rejected(self):
         # f and -A u both vanish at u0 = 0; they differ on u0 + e_i.
         with pytest.raises(ValueError, match="disagrees"):
-            IvpProblem(f=lambda t, u: u, u0=np.zeros(2), T=1.0, linear=(np.diag([1.0, 4.0]), None))
+            IvpProblem(f=lambda t, u: u, u0=np.zeros(2), T=1.0, linear=LinearRhs(np.diag([1.0, 4.0])))
 
     def test_forcing_disagreeing_at_the_horizon_rejected(self):
         # g(t) = 1 + t and the constant 1 of f agree at t = 0 only.
         A = np.diag([1.0, 4.0])
         with pytest.raises(ValueError, match="disagrees"):
-            IvpProblem(f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=2.0, linear=(A, lambda t: 1.0 + t))
+            IvpProblem(f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=2.0, linear=LinearRhs(A, lambda t: 1.0 + t))
 
     def test_agreement_check_is_one_extra_call(self):
         calls = []
@@ -402,13 +403,15 @@ class TestLinearHook:
             calls.append(np.shape(u))
             return -(u @ A.T)
 
-        IvpProblem(f=f, u0=np.ones(5), T=1.0, linear=(A, None))
+        IvpProblem(f=f, u0=np.ones(5), T=1.0, linear=LinearRhs(A))
         assert calls == [(2, 5), (6, 5)]
 
     @pytest.mark.parametrize("A", [np.eye(3), np.ones(2), np.ones((2, 3))])
     def test_matrix_of_wrong_shape_rejected(self, A):
-        with pytest.raises(ValueError, match=r"expected \(2, 2\)"):
-            IvpProblem(f=lambda t, u: -u, u0=np.ones(2), T=1.0, linear=(A, None))
+        # A square matrix of another size is rejected by the problem, a
+        # matrix that is not square when its LinearRhs is built.
+        with pytest.raises(ValueError, match=r"expected \(2, 2\)|matrix must be square"):
+            IvpProblem(f=lambda t, u: -u, u0=np.ones(2), T=1.0, linear=LinearRhs(A))
 
     def test_agreement_up_to_rounding_accepted(self):
         # f forms A u in another order than u A^T; the two differ in the
@@ -416,8 +419,8 @@ class TestLinearHook:
         A = spd_catalog("laplacian-1d", m=8).A
         u0 = np.linspace(0.1, 2.3, 8)
         f = lambda t, u: np.sin(t) - np.einsum("ij,...j->...i", A, u)  # noqa: E731
-        ivp = IvpProblem(f=f, u0=u0, T=1.0, linear=(A, lambda t: np.sin(t) + 0.0 * u0))
-        assert ivp.linear[0] is A
+        ivp = IvpProblem(f=f, u0=u0, T=1.0, linear=LinearRhs(A, lambda t: np.sin(t) + 0.0 * u0))
+        assert ivp.linear.A is A
 
 
 class TestIvpMetadata:

@@ -12,6 +12,7 @@ import pytest
 from paracheb import (
     BurgersProblem,
     KeplerProblem,
+    LinearRhs,
     NonConvergenceError,
     NonFiniteRhsError,
     PropagatorKind,
@@ -134,6 +135,27 @@ class TestAdvance:
         with pytest.raises(NonConvergenceError, match="did not converge in 24 iterations"):
             advance(spec, f, 0.0, np.array([5.0]), 10.0)
 
+    @pytest.mark.parametrize("text, solves", [("beuler:1", 1), ("tr:1", 1), ("trbdf2:1", 2), ("gauss4:1", 1)])
+    def test_start_meeting_the_stop_still_makes_one_update(self, text, solves):
+        # With f = 0 every predictor meets the stop; each stage solve still
+        # makes one update (one Jacobian call), which finds no lower
+        # residual and keeps the start.  TR-BDF2's second stage solves for
+        # (u_mid / g - (1 - g)^2 / g * u) / (2 - g), which is u only up to
+        # rounding, so its update may land on that root an ulp from u.
+        calls = []
+
+        def jac(t, u):
+            calls.append(u.shape)
+            return np.zeros(u.shape + u.shape[-1:])
+
+        U = np.array([[1.0, -2.5, 0.3], [0.1, 7.0, -1e-3]])
+        got = advance(parse_spec(text), lambda t, u: np.zeros_like(u), np.zeros(2), U, 0.1, jac=jac)
+        assert len(calls) == solves
+        if text == "trbdf2:1":
+            np.testing.assert_array_max_ulp(got, U, maxulp=1)
+        else:
+            assert got.tobytes() == U.tobytes()
+
     @pytest.mark.parametrize("text, dT", [("beuler:3", 3.0), ("trbdf2:1", 2.0 / (2.0 - math.sqrt(2.0)))])
     def test_failed_row_keeps_its_first_error(self, text, dT):
         # u' = c(t) u with c = 1 before t = 5 and 1/2 after.  Row 0's first
@@ -217,7 +239,7 @@ class TestAdvance:
             0.0,
             np.array([1.0]),
             1.0,
-            linear=(np.array([[1.0]]), None),
+            linear=LinearRhs(np.array([[1.0]])),
         )
         assert got[0] == pytest.approx(9.0 / 25.0, abs=1e-13)
 
@@ -282,8 +304,8 @@ class TestStackedAdvance:
         U = rng.uniform(-1.0, 1.0, (16, 24))
         times = np.arange(16) * (0.1 / 16)
         spec = parse_spec("cg:12")
-        got = advance(spec, None, times, U, 0.1 / 16, linear=(A, g))
-        np.testing.assert_array_equal(got, per_row(spec, None, times, U, 0.1 / 16, linear=(A, g)))
+        got = advance(spec, None, times, U, 0.1 / 16, linear=LinearRhs(A, g))
+        np.testing.assert_array_equal(got, per_row(spec, None, times, U, 0.1 / 16, linear=LinearRhs(A, g)))
 
     def test_single_state_is_the_one_row_stack(self):
         ivp = KeplerProblem().to_ivp()
