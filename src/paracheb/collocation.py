@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero
 
 from .chebyshev import CgPointSet, CollocationOperator, build_operator
 from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError, raise_row_failures
@@ -77,10 +78,15 @@ def settle_rows(test, update, state, max_iter: int, stall: str):
 
     ``state`` is a tuple of arrays with one row per live row.  A round is
     ``test(state)``, giving each live row's norm, the mask of settled rows
+    (or None for none, which only a test before the first update may give)
     and a dict live index -> error of failed ones (none settled), then
     ``update(state, norm, rows)``, giving the next state and the rows that
     failed in it.  ``rows`` indexes the live rows in the stack and is None
     while all are live.  There are ``max_iter`` updates and one test more.
+    It is the one driver of the Newton stage solves (``propagators._newton``)
+    and the Picard sweeps (``solve_nonlinear``).  While every row is live
+    and none leaves, a round costs the two calls and one ``count_nonzero``
+    of the mask, so a single-state solve pays little for the stack logic.
 
     A row leaves only at a test: settled, with its state; failed there or
     in the update before, holding NaN with its first error; or, still live
@@ -93,21 +99,24 @@ def settle_rows(test, update, state, max_iter: int, stall: str):
     out = rows = None  # every row's state, filled in as rows leave; the live rows
     for it in range(max_iter + 1):
         norm, settled, lost = test(state)
-        failed = {**lost, **failed}  # an update's error came first
+        if lost:
+            failed = {**lost, **failed}  # an update's error came first
         if it == max_iter:  # every row still live leaves now
             for i in np.flatnonzero(~settled):
                 failed.setdefault(int(i), NonConvergenceError(stall, float(norm[i])))
-        settling = np.count_nonzero(settled)  # cheaper than any() and all() on a few rows
+        # count_nonzero is cheaper than any() and all() on a few rows.
+        settling = 0 if settled is None else count_nonzero(settled)
         if rows is None and settling == len(norm):
             return state, failures, it
         if settling or failed:
-            leave = settled.copy()
+            leave = np.zeros(len(norm), dtype=bool) if settled is None else settled.copy()
             leave[list(failed)] = True
             ids = np.arange(len(norm)) if rows is None else rows
             if out is None:
                 out = tuple(np.full_like(a, np.nan) for a in state)
-            for o, a in zip(out, state):
-                o[ids[settled]] = a[settled]
+            if settling:
+                for o, a in zip(out, state):
+                    o[ids[settled]] = a[settled]
             failures.update((int(ids[i]), exc) for i, exc in failed.items())
             rows = ids[~leave]
             if not len(rows):

@@ -298,27 +298,27 @@ def iterate(
     # Rows 1..N of u_new are overwritten by the correction.
     u_new = [s.u.copy() for s in states]
     g_new = [s.g_prev.copy() for s in states]
+    batch = list(enumerate(zip(u_new, g_new, fine_results, [s.g_prev for s in states], [s.u for s in states])))
     coarse = _make_stepper(first.coarse, problem, first.dT)
     runs = []  # the runs whose start value at T_n differs from the cached one's
     try:
-        for n in range(N):
+        for n, t in enumerate(times.tolist()):
             # Each step's guess: the cached result plus the change in its start value.
-            guesses = [states[r].g_prev[n] + (u_new[r][n] - states[r].u[n]) for r in runs]
             # One state alone only for speed: a stack gives each row the same bits.
             if len(runs) == 1:
-                g_new[runs[0]][n] = coarse(times[n], u_new[runs[0]][n], guesses[0])
+                _, (u, g, _, g_prev, u_old) = batch[runs[0]]
+                g[n] = coarse(t, u[n], g_prev[n] + (u[n] - u_old[n]))
             elif runs:
-                steps = coarse(
-                    np.full(len(runs), times[n]), np.array([u_new[r][n] for r in runs]), np.array(guesses)
-                )
+                guesses = [states[r].g_prev[n] + (u_new[r][n] - states[r].u[n]) for r in runs]
+                steps = coarse(np.full(len(runs), t), np.array([u_new[r][n] for r in runs]), np.array(guesses))
                 for r, g in zip(runs, steps):
                     g_new[r][n] = g
             runs = []
-            for r, (u, g, f, s) in enumerate(zip(u_new, g_new, fine_results, states)):
+            for r, (u, g, f, g_prev, u_old) in batch:
                 # Summed as fine value plus small coarse increment: near convergence
                 # the increment vanishes, so the fine result's bits are preserved.
-                u[n + 1] = f[n] + (g[n] - s.g_prev[n])
-                if u[n + 1].tobytes() != s.u[n + 1].tobytes():
+                u[n + 1] = row = f[n] + (g[n] - g_prev[n])
+                if row.tobytes() != u_old[n + 1].tobytes():
                     runs.append(r)
     except SolverError as exc:
         error, r = _coarse_failure(exc, runs)

@@ -59,6 +59,7 @@ class IvpProblem:
     semidefinite ``A``, which lets the collocation propagator use its direct
     linear solve in the eigenbasis of ``A``; ``LinearRhs`` checks ``A`` and
     takes that eigenbasis once, when it is built, so no step rejects it.
+    Any other value of ``linear`` but None raises ``TypeError``.
     The constructor rejects an ``A`` that is not ``dim x dim``, and an
     ``f`` that differs from ``g(t) - A u`` by more than 1e-12 times their
     largest entry on ``u0`` and every ``u0 + e_i`` at ``t = 0`` and on
@@ -75,6 +76,8 @@ class IvpProblem:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValueError("T must be positive and finite")
+        if self.linear is not None and not isinstance(self.linear, LinearRhs):
+            raise TypeError(f"linear must be a LinearRhs or None (got {type(self.linear).__name__})")
         u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
         if u0.ndim != 1 or u0.size == 0:
             raise ValueError(f"u0 must be a nonempty vector (got shape {u0.shape})")

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .chebyshev import cg_points
@@ -144,16 +146,9 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(J, b[..., None])[..., 0]`` for real float stacks, bit for bit.
-
-    It calls the LAPACK gufunc behind ``np.linalg.solve`` under the same
-    floating-point error state, which raises ``LinAlgError`` for a singular
-    matrix, and skips the argument checks and type resolution: about 40% of
-    the cost of a 16-by-16 solve, the size of a Burgers Newton update.
-    """
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.solve(J, b[..., None], signature="dd->d")[..., 0]
+#: ``np.linalg.solve``'s floating-point error state, built once: LAPACK's
+#: invalid flag on a singular matrix raises ``LinAlgError`` through ``_singular``.
+_SOLVE_ERRORS = _make_extobj(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 def _newton(
@@ -173,42 +168,56 @@ def _newton(
     ``settle_rows`` retires the rows over ``spec.max_iter`` updates.  Every
     row makes at least one update before it may settle: a start, guess or
     predictor, can meet the stop, which is far looser than an outer
-    tolerance, and still be off by as much as the stop allows.  A row that
-    met the stop keeps its state when the update does not reduce its
-    residual, without halving the step: the residual is then at its
-    rounding floor.
+    tolerance, and still be off by as much as the stop allows, so the test
+    before the first update settles no row.  A row that met the stop keeps
+    its state when the update does not reduce its residual, without halving
+    the step: the residual is then at its rounding floor.
+
+    The solve is this function's test and update under ``settle_rows``,
+    and each update makes one ``jacobian`` call, one LAPACK call and one
+    ``residual`` call.  The LAPACK call is the gufunc that
+    ``np.linalg.solve`` calls for one right-hand side, ``solve1``, under
+    the same error state, ``_SOLVE_ERRORS``, set as ``np.errstate`` sets it
+    but built once: the same bits without the argument checks, the type
+    resolution and the error-state set-up, about half the cost of
+    ``np.linalg.solve`` on the 16-by-16 matrix of a Burgers Newton update.
+    Row maxima are ``np.maximum.reduce``, the reduction of ``ndarray.max``
+    without its Python wrapper, and masks are counted by numpy's C
+    ``count_nonzero``, cheaper than ``all()`` on a few rows.
 
     Returns the solution stack and the failures, a dict row -> error: a
     singular stage matrix gives ``SingularSystemError`` (the row takes a
     NaN step), a residual that turns non-finite or misses the tolerance
     ``NonConvergenceError``.  Failed rows hold NaN.
     """
+    tol = spec.tol
     check = True  # a residual may be non-finite: at the start and after backtracking
-    first = True  # no row may settle before its first update
+    updated = False  # no row may settle before its first update
 
     # A state is (x, residual, residual norm): each update computes the norms
     # of the residuals it makes, and the next test reads them.
     def test(state):
-        nonlocal first
         x, _, norm = state
-        settled = np.zeros(len(norm), dtype=bool) if first else norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1))
-        first = False
+        settled = norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1)) if updated else None
         lost = {}
         if check:
             finite = np.isfinite(norm)
-            if np.count_nonzero(finite) < len(finite):  # cheaper than all() on a few rows
-                settled &= finite  # an infinite residual at an infinite x
+            if count_nonzero(finite) < len(finite):
+                if updated:
+                    settled &= finite  # an infinite residual at an infinite x
                 for i in np.flatnonzero(~finite):
                     lost[int(i)] = NonConvergenceError("Newton stage solve produced non-finite values", math.inf)
         return norm, settled, lost
 
     def update(state, norm, rows):
-        nonlocal check
+        nonlocal check, updated
+        updated = True
         x, res, _ = state
         failed = {}
         J = jacobian(x, rows)
+        token = _extobj_contextvar.set(_SOLVE_ERRORS)
         try:
-            step = _solve(J, res)
+            step = _umath_linalg.solve1(J, res, signature="dd->d")
         except np.linalg.LinAlgError:
             # Find the singular rows one by one.  Each takes a NaN step, so
             # it fails the next test; the others keep their steps.
@@ -219,16 +228,18 @@ def _newton(
                 except np.linalg.LinAlgError as exc:
                     failed[i] = SingularSystemError(f"Newton stage matrix is singular: {exc}")
                     step[i] = np.nan
+        finally:
+            _extobj_contextvar.reset(token)
 
         x_new = x - step
         res_new = residual(x_new, rows)
-        norm_new = np.abs(res_new).max(axis=-1)
+        norm_new = np.maximum.reduce(np.abs(res_new), axis=-1)
         # A NaN or infinite residual fails the comparison: max propagates NaN.
         ok = norm_new < norm
-        check = np.count_nonzero(ok) < len(ok)
+        check = count_nonzero(ok) < len(ok)
         if check:
             # Only a first update can start within the stop.
-            met = ~ok & (norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1)))
+            met = ~ok & (norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1)))
             x_new[met], res_new[met], norm_new[met] = x[met], res[met], norm[met]
             back = np.flatnonzero(~ok & ~met & np.isfinite(step).all(axis=-1))  # a NaN step cannot recover
             for halvings in range(1, 8):
@@ -236,15 +247,14 @@ def _newton(
                     break
                 x_new[back] = x[back] - 0.5**halvings * step[back]
                 res_new[back] = residual(x_new[back], back if rows is None else rows[back])
-                norm_new[back] = np.abs(res_new[back]).max(axis=-1)
+                norm_new[back] = np.maximum.reduce(np.abs(res_new[back]), axis=-1)
                 back = back[~(norm_new[back] < norm[back])]
         return (x_new, res_new, norm_new), failed
 
     stall = f"Newton stage solve did not converge in {spec.max_iter} iterations"
     res0 = residual(x0, None)
-    (x, _, _), failures, _ = settle_rows(
-        test, update, (x0, res0, np.abs(res0).max(axis=-1)), spec.max_iter, stall
-    )
+    start = (x0, res0, np.maximum.reduce(np.abs(res0), axis=-1))
+    (x, _, _), failures, _ = settle_rows(test, update, start, spec.max_iter, stall)
     return x, failures
 
 
@@ -256,27 +266,6 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _solve_stage(
-    f: RhsFunction,
-    jac: RhsFunction,
-    spec: PropagatorSpec,
-    t_stage,
-    beta_h: float,
-    rhs: np.ndarray,
-    x0: np.ndarray,
-) -> tuple[np.ndarray, dict[int, Exception]]:
-    """Newton solve of the stage equations x = rhs + beta_h * f(t, x), row by row."""
-    eye = _identity(x0.shape[-1])
-
-    def residual(y, rows):
-        return y - _rows(rhs, rows) - beta_h * f(_rows(t_stage, rows), y)
-
-    def jacobian(y, rows):
-        return eye - beta_h * jac(_rows(t_stage, rows), y)
-
-    return _newton(residual, jacobian, x0, spec)
-
-
 # Each one-step kind maps a stack of states ``u`` (N, dim) at times ``t`` (a
 # float or an (N, 1) column) to the states one substep later, plus the rows
 # whose stage solves failed (a dict row -> error).  A failed row comes out as
@@ -286,39 +275,49 @@ def _solve_stage(
 # ``guess`` of it (see ``advance``).
 
 
-def _start(guess, predict):
-    """Each row's Newton starting state.
+def _solve_stage(f, jac, spec, t_stage, beta_h, rhs, predict, guess=None):
+    """Newton solve of the stage equations ``x = rhs + beta_h * f(t_stage, x)``, row by row.
 
     A row starts from its row of ``guess`` where that is finite, and from
     its row of the explicit predictor ``predict()`` otherwise; ``predict``
     is called only when some row, or the missing guess, needs it.
     """
     if guess is None:
-        return predict()
-    finite = np.isfinite(guess)
-    if np.count_nonzero(finite) == finite.size:
-        return guess
-    return np.where(finite.all(axis=-1)[:, None], guess, predict())
+        x0 = predict()
+    else:
+        finite = np.isfinite(guess)
+        x0 = guess if count_nonzero(finite) == finite.size else np.where(finite.all(axis=-1)[:, None], guess, predict())
+    eye = _identity(x0.shape[-1])
+
+    def residual(y, rows):
+        if rows is None:
+            return y - rhs - beta_h * f(t_stage, y)
+        return y - rhs[rows] - beta_h * f(_rows(t_stage, rows), y)
+
+    def jacobian(y, rows):
+        return eye - beta_h * jac(t_stage if rows is None else _rows(t_stage, rows), y)
+
+    return _newton(residual, jacobian, x0, spec)
 
 
 def _step_backward_euler(f, jac, spec, t, u, h, guess=None):
-    return _solve_stage(f, jac, spec, t + h, h, u, _start(guess, lambda: u + h * f(t, u)))
+    return _solve_stage(f, jac, spec, t + h, h, u, lambda: u + h * f(t, u), guess)
 
 
 def _step_trapezoidal(f, jac, spec, t, u, h, guess=None):
     fn = f(t, u)
-    rhs = u + 0.5 * h * fn
-    return _solve_stage(f, jac, spec, t + h, 0.5 * h, rhs, _start(guess, lambda: u + h * fn))
+    return _solve_stage(f, jac, spec, t + h, 0.5 * h, u + 0.5 * h * fn, lambda: u + h * fn, guess)
 
 
 def _step_tr_bdf2(f, jac, spec, t, u, h):
     g = _TRBDF2_GAMMA
     fn = f(t, u)
     rhs1 = u + 0.5 * g * h * fn
-    u_mid, lost = _solve_stage(f, jac, spec, t + g * h, 0.5 * g * h, rhs1, u + g * h * fn)
-    rhs2 = (u_mid / g - (1.0 - g) ** 2 / g * u) / (2.0 - g)
+    u_mid, lost = _solve_stage(f, jac, spec, t + g * h, 0.5 * g * h, rhs1, lambda: u + g * h * fn)
+    # (u_mid / g - (1 - g)^2 / g * u) / (2 - g), written so that u_mid = u gives u exactly.
+    rhs2 = u + (u_mid - u) / (g * (2.0 - g))
     beta = (1.0 - g) / (2.0 - g) * h
-    u_next, lost2 = _solve_stage(f, jac, spec, t + h, beta, rhs2, u_mid)
+    u_next, lost2 = _solve_stage(f, jac, spec, t + h, beta, rhs2, lambda: u_mid)
     return u_next, {**lost2, **lost}
 
 
@@ -387,7 +386,8 @@ def advance(
 
     ``u_n`` has shape ``(N, dim)`` and ``t_n`` shape ``(N,)``, one row per
     subinterval; a single state ``(dim,)`` with a float ``t_n`` is the
-    ``N = 1`` case and gives back shape ``(dim,)``.  All rows advance
+    ``N = 1`` case and gives back shape ``(dim,)`` (a state of more axes
+    raises ``ValueError``, whatever the kind).  All rows advance
     together: ``f`` takes a stack of states and ``jac`` a stack of
     Jacobians, as stated on ``problems.IvpProblem``, so each stage, Newton
     iteration or collocation sweep is one call for the whole stack.
@@ -411,42 +411,54 @@ def advance(
     stage solve, from a guess or from a predictor, makes at least one
     update.
 
+    A stage solve runs as one flat chain under this call: the kind's
+    stepper, ``_solve_stage`` (the start and the stage residual and
+    Jacobian), ``_newton`` and ``settle_rows``.  A single state is the
+    one-row stack of the same code, so a warm coarse step of ``parareal``
+    pays for its arithmetic and its checks, and for little else.
+
     Every row stops its inner iterations on its own (``settle_rows``).  A
     failing row carries on through the remaining substeps as NaN while the
-    others finish, and keeps the first error it met.  A single state then raises that typed
-    error; a stack raises ``SweepError`` naming every failed row.  An error
-    not tied to a row (a state whose size is not ``linear``'s, an
-    exception from ``f``) propagates as it is.
+    others finish, and keeps the first error it met.  A single state then
+    raises that typed error; a stack raises ``SweepError`` naming every
+    failed row.  An error not tied to a row (a state whose size is not
+    ``linear``'s, an exception from ``f``) propagates as it is.
     """
     if not 0 < dT < math.inf:
         raise ValueError("dT must be positive and finite")
-    u = np.atleast_1d(np.asarray(u_n, dtype=float))
-    t = np.asarray(t_n, dtype=float)
+    u = np.asarray(u_n, dtype=float)
+    if u.ndim > 2:
+        raise ValueError(f"state must have shape (dim,) or (N, dim) (got shape {u.shape})")
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
         if guess.shape != u.shape:
             raise ValueError(f"guess has shape {guess.shape}, expected {u.shape}")
 
-    if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        points = cg_points(spec.count, 0.0, dT).shifted(t)
+    step = _STEPPERS.get(spec.kind)
+    if step is None:  # the collocation kind
+        points = cg_points(spec.count, 0.0, dT).shifted(t_n)
         if linear is not None:
             return solve_linear(linear, points, u).u_end
         return solve_nonlinear(f, points, u, spec.tol, spec.max_iter).u_end
 
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
-    step = _STEPPERS[spec.kind]
     h = dT / spec.count
     stacked = u.ndim == 2
-    U = u if stacked else u[None]
-    t = t[:, None] if t.ndim else float(t)  # per-row column, or one float
-    start = {}
+    U = u if stacked else u.reshape(1, -1)
+    if isinstance(t_n, float):  # a Python or numpy float
+        t = float(t_n)
+    else:
+        t = np.asarray(t_n, dtype=float)
+        t = t[:, None] if t.ndim else float(t)  # per-row column, or one float
     if guess is not None and spec.count == 1 and spec.kind in _WARM_KINDS:
-        start["guess"] = guess if stacked else guess[None]
-    failures: dict[int, Exception] = {}
-    for j in range(spec.count):
-        U, lost = step(f, jac, spec, t + j * h, U, h, **start)
-        failures = {**lost, **failures}
+        U, failures = step(f, jac, spec, t, U, h, guess if stacked else guess.reshape(1, -1))
+    else:
+        failures: dict[int, Exception] = {}
+        for j in range(spec.count):
+            U, lost = step(f, jac, spec, t + j * h, U, h)
+            if lost:
+                failures = {**lost, **failures}
     raise_row_failures(failures, stacked)
     return U if stacked else U[0]
 

@@ -395,6 +395,11 @@ class TestLinearHook:
         with pytest.raises(ValueError, match="disagrees"):
             IvpProblem(f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=2.0, linear=LinearRhs(A, lambda t: 1.0 + t))
 
+    def test_linear_of_another_type_rejected(self):
+        # The (A, g) tuple that a LinearRhs replaced is not one.
+        with pytest.raises(TypeError, match=r"linear must be a LinearRhs or None \(got tuple\)"):
+            IvpProblem(f=lambda t, u: -u, u0=np.ones(2), T=1.0, linear=(np.eye(2), None))
+
     def test_agreement_check_is_one_extra_call(self):
         calls = []
         A = spd_catalog("laplacian-1d", m=5).A

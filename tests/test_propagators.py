@@ -140,8 +140,7 @@ class TestAdvance:
         # With f = 0 every predictor meets the stop; each stage solve still
         # makes one update (one Jacobian call), which finds no lower
         # residual and keeps the start.  TR-BDF2's second stage solves for
-        # (u_mid / g - (1 - g)^2 / g * u) / (2 - g), which is u only up to
-        # rounding, so its update may land on that root an ulp from u.
+        # u + (u_mid - u) / (g (2 - g)), which is u exactly when u_mid is.
         calls = []
 
         def jac(t, u):
@@ -151,10 +150,7 @@ class TestAdvance:
         U = np.array([[1.0, -2.5, 0.3], [0.1, 7.0, -1e-3]])
         got = advance(parse_spec(text), lambda t, u: np.zeros_like(u), np.zeros(2), U, 0.1, jac=jac)
         assert len(calls) == solves
-        if text == "trbdf2:1":
-            np.testing.assert_array_max_ulp(got, U, maxulp=1)
-        else:
-            assert got.tobytes() == U.tobytes()
+        assert got.tobytes() == U.tobytes()
 
     @pytest.mark.parametrize("text, dT", [("beuler:3", 3.0), ("trbdf2:1", 2.0 / (2.0 - math.sqrt(2.0)))])
     def test_failed_row_keeps_its_first_error(self, text, dT):
@@ -379,6 +375,12 @@ class TestStackedAdvance:
         assert sorted(failures) == [1, 2] and [str(failures[i]) for i in (1, 2)] == [str(e) for e in errors]
         np.testing.assert_array_equal(got[0], alone)
         assert np.isnan(got[1:]).all()
+
+    @pytest.mark.parametrize("text", ["erk4:1", "beuler:1", "gauss4:1", "cg:2"])
+    def test_state_of_three_axes_rejected(self, text):
+        # A one-step kind would take it for one row of all its entries.
+        with pytest.raises(ValueError, match=r"state must have shape \(dim,\) or \(N, dim\) \(got shape \(2, 2, 2\)\)"):
+            advance(parse_spec(text), lambda t, u: -u, 0.0, np.ones((2, 2, 2)), 0.1)
 
     @pytest.mark.parametrize("text", ["cg:4", "beuler:1"])
     def test_empty_stack(self, text):

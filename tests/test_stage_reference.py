@@ -1,0 +1,344 @@
+"""The implicit one-step kinds against a reference copy of their stage-solve chain.
+
+``advance`` reaches its Newton stage solves through one flat chain: the
+stepper, ``_solve_stage`` (start, residual and Jacobian), ``_newton`` (test
+and update) and ``collocation.settle_rows``.  The reference below is the
+chain as it stood before it was flattened (``_start``, ``_solve_stage``,
+``_newton`` and ``settle_rows`` as separate layers, ``np.linalg.solve``'s
+error state built per call, ``ndarray.max`` reductions and a zeros mask
+for the first test), with one change: the TR-BDF2 second stage takes its
+right-hand side in the exactly steady form ``u + (u_mid - u) / (g (2 -
+g))``, as the package does.  Each case asserts the same bits, the same
+typed errors and messages, and the same ``f`` and ``jac`` calls.
+"""
+
+import dataclasses
+import functools
+import math
+
+import numpy as np
+import pytest
+from numpy.linalg import _umath_linalg
+
+from paracheb import BurgersProblem, KeplerProblem, SolverError, SweepError, advance, parse_spec, spd_catalog
+from paracheb.errors import NonConvergenceError, SingularSystemError, raise_row_failures
+from paracheb.propagators import _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, _TRBDF2_GAMMA, PropagatorKind, _fd_jacobian
+
+
+def ref_rows(a, rows):
+    return a if rows is None or np.ndim(a) == 0 else a[rows]
+
+
+def ref_settle_rows(test, update, state, max_iter, stall):
+    failures = {}
+    failed = {}
+    out = rows = None
+    for it in range(max_iter + 1):
+        norm, settled, lost = test(state)
+        failed = {**lost, **failed}
+        if it == max_iter:
+            for i in np.flatnonzero(~settled):
+                failed.setdefault(int(i), NonConvergenceError(stall, float(norm[i])))
+        settling = np.count_nonzero(settled)
+        if rows is None and settling == len(norm):
+            return state, failures, it
+        if settling or failed:
+            leave = settled.copy()
+            leave[list(failed)] = True
+            ids = np.arange(len(norm)) if rows is None else rows
+            if out is None:
+                out = tuple(np.full_like(a, np.nan) for a in state)
+            for o, a in zip(out, state):
+                o[ids[settled]] = a[settled]
+            failures.update((int(ids[i]), exc) for i, exc in failed.items())
+            rows = ids[~leave]
+            if not len(rows):
+                return out, failures, it
+            state, norm = tuple(a[~leave] for a in state), norm[~leave]
+        state, failed = update(state, norm, rows)
+
+
+def ref_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def ref_solve(J, b):
+    with np.errstate(call=ref_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve(J, b[..., None], signature="dd->d")[..., 0]
+
+
+def ref_newton(residual, jacobian, x0, spec):
+    check = True
+    first = True
+
+    def test(state):
+        nonlocal first
+        x, _, norm = state
+        settled = np.zeros(len(norm), dtype=bool) if first else norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1))
+        first = False
+        lost = {}
+        if check:
+            finite = np.isfinite(norm)
+            if np.count_nonzero(finite) < len(finite):
+                settled &= finite
+                for i in np.flatnonzero(~finite):
+                    lost[int(i)] = NonConvergenceError("Newton stage solve produced non-finite values", math.inf)
+        return norm, settled, lost
+
+    def update(state, norm, rows):
+        nonlocal check
+        x, res, _ = state
+        failed = {}
+        J = jacobian(x, rows)
+        try:
+            step = ref_solve(J, res)
+        except np.linalg.LinAlgError:
+            step = np.empty_like(x)
+            for i in range(len(x)):
+                try:
+                    step[i] = np.linalg.solve(J[i], res[i])
+                except np.linalg.LinAlgError as exc:
+                    failed[i] = SingularSystemError(f"Newton stage matrix is singular: {exc}")
+                    step[i] = np.nan
+        x_new = x - step
+        res_new = residual(x_new, rows)
+        norm_new = np.abs(res_new).max(axis=-1)
+        ok = norm_new < norm
+        check = np.count_nonzero(ok) < len(ok)
+        if check:
+            met = ~ok & (norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1)))
+            x_new[met], res_new[met], norm_new[met] = x[met], res[met], norm[met]
+            back = np.flatnonzero(~ok & ~met & np.isfinite(step).all(axis=-1))
+            for halvings in range(1, 8):
+                if not len(back):
+                    break
+                x_new[back] = x[back] - 0.5**halvings * step[back]
+                res_new[back] = residual(x_new[back], back if rows is None else rows[back])
+                norm_new[back] = np.abs(res_new[back]).max(axis=-1)
+                back = back[~(norm_new[back] < norm[back])]
+        return (x_new, res_new, norm_new), failed
+
+    stall = f"Newton stage solve did not converge in {spec.max_iter} iterations"
+    res0 = residual(x0, None)
+    (x, _, _), failures, _ = ref_settle_rows(
+        test, update, (x0, res0, np.abs(res0).max(axis=-1)), spec.max_iter, stall
+    )
+    return x, failures
+
+
+def ref_solve_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
+    eye = np.eye(x0.shape[-1])
+
+    def residual(y, rows):
+        return y - ref_rows(rhs, rows) - beta_h * f(ref_rows(t_stage, rows), y)
+
+    def jacobian(y, rows):
+        return eye - beta_h * jac(ref_rows(t_stage, rows), y)
+
+    return ref_newton(residual, jacobian, x0, spec)
+
+
+def ref_start(guess, predict):
+    if guess is None:
+        return predict()
+    finite = np.isfinite(guess)
+    if np.count_nonzero(finite) == finite.size:
+        return guess
+    return np.where(finite.all(axis=-1)[:, None], guess, predict())
+
+
+def ref_backward_euler(f, jac, spec, t, u, h, guess=None):
+    return ref_solve_stage(f, jac, spec, t + h, h, u, ref_start(guess, lambda: u + h * f(t, u)))
+
+
+def ref_trapezoidal(f, jac, spec, t, u, h, guess=None):
+    fn = f(t, u)
+    rhs = u + 0.5 * h * fn
+    return ref_solve_stage(f, jac, spec, t + h, 0.5 * h, rhs, ref_start(guess, lambda: u + h * fn))
+
+
+def ref_tr_bdf2(f, jac, spec, t, u, h):
+    g = _TRBDF2_GAMMA
+    fn = f(t, u)
+    rhs1 = u + 0.5 * g * h * fn
+    u_mid, lost = ref_solve_stage(f, jac, spec, t + g * h, 0.5 * g * h, rhs1, u + g * h * fn)
+    rhs2 = u + (u_mid - u) / (g * (2.0 - g))
+    beta = (1.0 - g) / (2.0 - g) * h
+    u_next, lost2 = ref_solve_stage(f, jac, spec, t + h, beta, rhs2, u_mid)
+    return u_next, {**lost2, **lost}
+
+
+def ref_gauss4(f, jac, spec, t, u, h):
+    N, n = u.shape
+    ts = (t + _GAUSS4_C * h)[..., None]
+
+    def times(rows):
+        return ts if np.ndim(t) == 0 else ref_rows(ts, rows)
+
+    def stages_of(K, rows):
+        return ref_rows(u, rows)[:, None, :] + h * (_GAUSS4_A @ K.reshape(-1, 2, n))
+
+    def residual(K, rows):
+        return K - f(times(rows), stages_of(K, rows)).reshape(len(K), 2 * n)
+
+    def jacobian(K, rows):
+        Jf = jac(times(rows), stages_of(K, rows))
+        blocks = (h * _GAUSS4_A)[:, :, None, None] * Jf[:, :, None]
+        return np.eye(2 * n) - blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 2 * n, 2 * n)
+
+    K0 = f(ts, np.stack((u, u), axis=1)).reshape(N, 2 * n)
+    K, lost = ref_newton(residual, jacobian, K0, spec)
+    return u + h * (_GAUSS4_B[0] * K[:, :n] + _GAUSS4_B[1] * K[:, n:]), lost
+
+
+REF_STEPPERS = {
+    PropagatorKind.BACKWARD_EULER: ref_backward_euler,
+    PropagatorKind.TRAPEZOIDAL: ref_trapezoidal,
+    PropagatorKind.TR_BDF2: ref_tr_bdf2,
+    PropagatorKind.GAUSS4: ref_gauss4,
+}
+
+
+def ref_advance(spec, f, t_n, u_n, dT, jac=None, guess=None):
+    """The one-step branch of ``advance`` on the reference chain."""
+    u = np.atleast_1d(np.asarray(u_n, dtype=float))
+    t = np.asarray(t_n, dtype=float)
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+    if jac is None:
+        jac = functools.partial(_fd_jacobian, f)
+    step = REF_STEPPERS[spec.kind]
+    h = dT / spec.count
+    stacked = u.ndim == 2
+    U = u if stacked else u[None]
+    t = t[:, None] if t.ndim else float(t)
+    start = {}
+    warm = spec.kind in (PropagatorKind.BACKWARD_EULER, PropagatorKind.TRAPEZOIDAL)
+    if guess is not None and spec.count == 1 and warm:
+        start["guess"] = guess if stacked else guess[None]
+    failures = {}
+    for j in range(spec.count):
+        U, lost = step(f, jac, spec, t + j * h, U, h, **start)
+        failures = {**lost, **failures}
+    raise_row_failures(failures, stacked)
+    return U if stacked else U[0]
+
+
+def counted(fn, calls):
+    """``fn``, recording the shape of the state stack of each call."""
+
+    def wrapped(t, u):
+        calls.append(np.shape(u))
+        return fn(t, u)
+
+    return wrapped
+
+
+def outcome(run, f, jac):
+    """What ``run(f, jac)`` returns or raises, with the ``f`` and ``jac`` calls it made."""
+    f_calls, jac_calls = [], []
+    try:
+        result = run(counted(f, f_calls), None if jac is None else counted(jac, jac_calls))
+    except SolverError as exc:
+        result = exc
+    return result, f_calls, jac_calls
+
+
+def assert_same_outcome(spec, f, t, U, dT, jac=None, guess=None):
+    """``advance`` and the reference chain give the same bits or the same
+    typed error, and make the same ``f`` and ``jac`` calls."""
+    got = outcome(lambda f, jac: advance(spec, f, t, U, dT, jac=jac, guess=guess), f, jac)
+    ref = outcome(lambda f, jac: ref_advance(spec, f, t, U, dT, jac=jac, guess=guess), f, jac)
+    (result, f_calls, jac_calls), (expected, ref_f_calls, ref_jac_calls) = got, ref
+    assert (f_calls, jac_calls) == (ref_f_calls, ref_jac_calls)
+    if isinstance(expected, Exception):
+        assert type(result) is type(expected) and str(result) == str(expected)
+        if isinstance(expected, SweepError):
+            assert result.indices == expected.indices
+            assert type(result.cause) is type(expected.cause) and str(result.cause) == str(expected.cause)
+        return expected
+    assert result.shape == expected.shape and result.tobytes() == expected.tobytes()
+    return expected
+
+
+SPECS = ["beuler:1", "beuler:3", "tr:1", "trbdf2:1", "gauss4:2"]
+
+PROBLEMS = {
+    "burgers": (lambda: BurgersProblem(0.05, 16).to_ivp(), 4.0 / 128),
+    "kepler": (lambda: KeplerProblem().to_ivp(), 50.0 / 200),
+    "laplacian-1d": (lambda: spd_catalog("laplacian-1d", m=24).to_ivp(), 0.1 / 16),
+}
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("text", SPECS)
+def test_catalog_steps_match_reference(text, name):
+    # Single states and stacks, with the jac hook and with forward
+    # differences, cold and from a guess of the end state: the cold result,
+    # which meets the stop, that result moved by 1e-7, and the same with a
+    # NaN in its last row (that row starts at the predictor).
+    make, dT = PROBLEMS[name]
+    ivp, spec = make(), parse_spec(text)
+    rng = np.random.default_rng(5)
+    times = rng.uniform(0.0, 1.0, 4)
+    U = ivp.u0 * rng.uniform(0.9, 1.1, (4, ivp.dim))
+    for jac in (ivp.jacobian, None):
+        for t, u in ((times[0], U[0]), (times, U)):
+            cold = assert_same_outcome(spec, ivp.f, t, u, dT, jac=jac)
+            assert_same_outcome(spec, ivp.f, t, u, dT, jac=jac, guess=cold)
+            guess = cold * (1.0 + 1e-7)
+            assert_same_outcome(spec, ivp.f, t, u, dT, jac=jac, guess=guess)
+            guess.reshape(-1, ivp.dim)[-1, 0] = np.nan  # the last row's first component
+            assert_same_outcome(spec, ivp.f, t, u, dT, jac=jac, guess=guess)
+
+
+def cubic(t, u):
+    return -(u**3)
+
+
+@pytest.mark.parametrize("text", SPECS)
+def test_backtracking_steps_match_reference(text):
+    # At dT = 10 the far rows take damped steps; rows 1 and 2 need more
+    # updates than rows 0 and 3, so the live rows are indexed.
+    spec = parse_spec(text)
+    U = np.array([[0.1], [2.0], [4.0], [0.5]])
+    jac = lambda t, u: -3.0 * u[..., :, None] ** 2  # noqa: E731
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in (jac, None):
+            assert_same_outcome(spec, cubic, np.zeros(4), U, 10.0, jac=j)
+            assert_same_outcome(spec, cubic, 0.0, U[2], 10.0, jac=j)
+            assert_same_outcome(spec, cubic, np.zeros(4), U, 10.0, jac=j, guess=U)
+
+
+@pytest.mark.parametrize("text", SPECS)
+def test_singular_stage_matrix_matches_reference(text):
+    # u' = c(t) u with c = 1 before t = 5 and 1/2 after: row 0's first
+    # stage matrix 1 - beta_h is exactly zero for beuler:1 at dT = 1, tr:1
+    # at 2, beuler:3 at 3 and trbdf2:1 at 2 / (2 - sqrt 2).
+    def f(t, u):
+        return np.where(t < 5.0, 1.0, 0.5) * u
+
+    def jac(t, u):
+        return np.where(t < 5.0, 1.0, 0.5)[..., None] * np.ones(u.shape + (1,))
+
+    U = np.array([[1.0], [2.0], [3.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dT in (1.0, 2.0, 3.0, 2.0 / (2.0 - math.sqrt(2.0))):
+            assert_same_outcome(parse_spec(text), f, np.array([0.0, 10.0, 20.0]), U, dT, jac=jac)
+            assert_same_outcome(parse_spec(text), f, 0.0, U[0], dT, jac=jac)
+
+
+@pytest.mark.parametrize("text", SPECS)
+def test_nonfinite_and_stalled_rows_match_reference(text):
+    # f is infinite above 0.5: rows starting there fail at once, the others
+    # decay towards 0.  With max_iter = 2 the far rows of -(u**3) stall.
+    def f(t, u):
+        return np.where(u > 0.5, np.inf, -u)
+
+    spec = parse_spec(text)
+    U = np.array([[0.2], [0.9], [-0.7], [0.6], [0.1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_outcome(spec, f, np.zeros(5), U, 0.5)
+        assert_same_outcome(spec, f, 0.0, U[1], 0.5)
+        stalling = dataclasses.replace(spec, max_iter=2)
+        assert_same_outcome(stalling, cubic, np.zeros(3), np.array([[0.1], [20.0], [3.0]]), 0.2)
