@@ -69,8 +69,12 @@ def check_limits(tol: float, max_iter: int) -> None:
 
 
 def _rows(a, rows):
-    """Rows ``rows`` of a per-row array; a float, or ``rows`` None, takes all."""
-    return a if rows is None or np.ndim(a) == 0 else a[rows]
+    """Rows ``rows`` of a per-row array; a float, or ``rows`` None, takes all.
+
+    ``getattr`` and not ``np.ndim``, which on a Python float catches an
+    ``AttributeError`` and builds an array, on every backtracking step.
+    """
+    return a if rows is None or getattr(a, "ndim", 0) == 0 else a[rows]
 
 
 def settle_rows(test, update, state, max_iter: int, stall: str):

@@ -328,7 +328,7 @@ def _step_gauss4(f, jac, spec, t, u, h):
     ts = (t + _GAUSS4_C * h)[..., None]  # (2, 1), or (N, 2, 1) for per-row times
 
     def times(rows):
-        return ts if np.ndim(t) == 0 else _rows(ts, rows)
+        return ts if rows is None or ts.ndim == 2 else ts[rows]
 
     def stages_of(K, rows):
         return _rows(u, rows)[:, None, :] + h * (_GAUSS4_A @ K.reshape(-1, 2, n))
