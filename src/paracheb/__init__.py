@@ -19,7 +19,7 @@ from .analysis import (
     m_min,
     rho_over_interval,
 )
-from .chebyshev import CgPointSet, CollocationOperator, build_operator, cg_points, chebyshev_eval
+from .chebyshev import CgPointSet, CollocationOperator, build_operator, cg_points
 from .collocation import CollocationSolution, LinearRhs, picard_sweep, solve_linear, solve_nonlinear
 from .errors import (
     MaxIterationsError,
@@ -74,7 +74,6 @@ __all__ = [
     "build_operator",
     "burgers_exact",
     "cg_points",
-    "chebyshev_eval",
     "contraction",
     "find_threshold_roots",
     "initialize",

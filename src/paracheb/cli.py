@@ -173,13 +173,14 @@ def cmd_mmin(manifest: RunManifest) -> str:
 def _build_problem(manifest: RunManifest) -> problems.IvpProblem:
     name = manifest.get("problem", "")
     params = manifest.given(**_PROBLEM_PARAMS)
+    horizon = manifest.given(T=float)  # every problem's own default otherwise
     if name in ("diag-spectrum", "laplacian-1d"):
         # spd_catalog rejects a parameter its problem does not take.
-        return problems.spd_catalog(name, **params, **manifest.given(T=float)).to_ivp()
+        return problems.spd_catalog(name, **params, **horizon).to_ivp()
     if name == "kepler":
-        problem = problems.KeplerProblem()
+        problem = problems.KeplerProblem(**horizon)
     elif name == "burgers":
-        problem = problems.BurgersProblem(params.pop("nu", 0.05), params.pop("nx", 8))
+        problem = problems.BurgersProblem(params.pop("nu", 0.05), params.pop("nx", 8), **horizon)
     else:
         raise ValueError(
             f"unknown problem {name!r} (expected kepler, burgers, diag-spectrum or laplacian-1d)"
@@ -189,13 +190,12 @@ def _build_problem(manifest: RunManifest) -> problems.IvpProblem:
     return problem.to_ivp()
 
 
-def _run_config(manifest: RunManifest, coarse, fine, N, T):
+def _run_config(manifest: RunManifest, coarse, fine, N):
     # workers is only checked: the fine sweep is one stacked call.
     if int(manifest.get("workers", 1)) < 1:
         raise ValueError("workers must be >= 1")
     # PararealConfig owns the run defaults: pass only the keys that were set.
     return parareal.PararealConfig(
-        T=T,
         N=N,
         coarse=coarse,
         fine=fine,
@@ -209,8 +209,7 @@ def cmd_run(manifest: RunManifest) -> str:
     coarse = parse_spec(manifest.get("coarse", "beuler:1"))
     fine = parse_spec(manifest.get("fine", "cg:8"))
     N = int(manifest.get("N", 10))
-    T = float(manifest.get("T", problem.T))
-    cfg = _run_config(manifest, coarse, fine, N, T)
+    cfg = _run_config(manifest, coarse, fine, N)
     _, history = parareal.run(cfg, problem)
 
     with_ref = history[0].abs_error is not None
@@ -235,7 +234,7 @@ def _experiment_kepler(manifest: RunManifest) -> tuple[list[str], list[list]]:
         PropagatorSpec.gauss4(6),
     ]
     # One batch: the runs share their coarse steps.
-    cfgs = [_run_config(manifest, _COARSE, fine, N, problem.T) for fine in algorithms]
+    cfgs = [_run_config(manifest, _COARSE, fine, N) for fine in algorithms]
     try:
         results = parareal.run(cfgs, problem)
     except SolverError as exc:
@@ -268,7 +267,7 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
             problem = problems.BurgersProblem(nu, round(2.0 / dx)).to_ivp()
             N = round(problem.T / dt)
             cfgs = [
-                _run_config(manifest, _COARSE, PropagatorSpec.chebyshev_gauss(m), N, problem.T)
+                _run_config(manifest, _COARSE, PropagatorSpec.chebyshev_gauss(m), N)
                 for _, _, m in batch
             ]
             params = [{"dt": dt, "dx": dx, "m": m}[sweep] for dt, dx, m in batch]
@@ -360,13 +359,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console(argv: list[str] | None = None) -> int:
-    """The ``paracheb`` command: ``main``, with a ``SolverError`` or a
-    ``ValueError`` printed as one ``paracheb: error: <message>`` line on
-    stderr.  The exit status is 1 for a solver error and 2, as for a bad
-    command line, for a bad value."""
+    """The ``paracheb`` command: ``main``, with a ``SolverError``, a
+    ``ValueError`` or an ``OSError`` (a config file or an output directory
+    that is not there, say) printed as one ``paracheb: error: <message>``
+    line on stderr.  The exit status is 1 for a solver error and 2, as for a
+    bad command line, for a bad value or path."""
     try:
         return main(argv)
-    except (SolverError, ValueError) as exc:
+    except (SolverError, ValueError, OSError) as exc:
         print(f"paracheb: error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, SolverError) else 2
 

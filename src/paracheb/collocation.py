@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,20 +42,9 @@ import numpy as np
 from numpy._core.multiarray import count_nonzero
 
 from .chebyshev import CgPointSet, CollocationOperator, build_operator
-from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError, raise_row_failures
+from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError, check_integer, raise_row_failures
 
 RhsFunction = Callable[[float, np.ndarray], np.ndarray]
-
-
-def check_integer(name: str, value) -> None:
-    """Reject a count that is not an integer, naming its field.
-
-    A float count would pass every range check and fail later in ``range``.
-    """
-    try:
-        operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer (got {value!r})") from None
 
 
 def check_limits(tol: float, max_iter: int) -> None:
@@ -135,14 +123,18 @@ class CollocationSolution:
 
     ``u_hat`` has shape ``(M+2, dim)``, ``u_nodes`` ``(M+1, dim)`` and
     ``u_end`` ``(dim,)``, each with a leading ``N`` axis for a stack.
+    ``u_nodes`` is ``T1 @ u_hat``, the node values, computed when read.
     Because every basis polynomial equals one at the right endpoint,
     ``u_end`` is the column sum of ``u_hat``.  ``iterations`` is the sweep
     count, the largest over the rows of a stack.
     """
 
     u_hat: np.ndarray
-    u_nodes: np.ndarray
     iterations: int
+
+    @property
+    def u_nodes(self) -> np.ndarray:
+        return build_operator(self.u_hat.shape[-2] - 2).T1 @ self.u_hat
 
     @property
     def u_end(self) -> np.ndarray:
@@ -289,11 +281,9 @@ def solve_nonlinear(
     start = (u_hat, np.repeat(U[:, None, :], M + 1, axis=1), np.full(len(U), np.inf))
     # A diverging sweep's infinities and NaNs fail its row with a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
-        (u_hat, nodes, _), failures, sweeps = settle_rows(lambda s: (s[2], s[2] < tol, {}), sweep, start, max_iter, stall)
+        (u_hat, _, _), failures, sweeps = settle_rows(lambda s: (s[2], s[2] < tol, {}), sweep, start, max_iter, stall)
     raise_row_failures(failures, u_a.ndim == 2)
-    if u_a.ndim == 1:
-        u_hat, nodes = u_hat[0], nodes[0]
-    return CollocationSolution(u_hat, nodes, sweeps)
+    return CollocationSolution(u_hat if u_a.ndim == 2 else u_hat[0], sweeps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,6 +369,4 @@ def solve_linear(linear: LinearRhs, points: CgPointSet, u_a) -> CollocationSolut
 
     F = G_eig - X.swapaxes(-1, -2) * lam
     u_hat = _coefficients(op, dT, c, F) @ Q.T
-    if u_a.ndim == 1:
-        u_hat = u_hat[0]
-    return CollocationSolution(u_hat, op.T1 @ u_hat, iterations=0)
+    return CollocationSolution(u_hat if u_a.ndim == 2 else u_hat[0], iterations=0)

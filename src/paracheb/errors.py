@@ -1,6 +1,20 @@
-"""Exception types shared across the solver, analysis and driver layers."""
+"""Exception types shared across the solver, analysis and driver layers,
+and the integer check that every layer's counts pass."""
 
 from __future__ import annotations
+
+import operator
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a count that is not an integer, naming its field.
+
+    A float count would pass every range check and fail later in ``range``.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer (got {value!r})") from None
 
 
 class SolverError(RuntimeError):

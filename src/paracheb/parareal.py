@@ -49,15 +49,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .collocation import check_integer
-from .errors import MaxIterationsError, SolverError, SweepError
+from .errors import MaxIterationsError, SolverError, SweepError, check_integer
 from .problems import IvpProblem
 from .propagators import PropagatorSpec, advance
 
 
 @dataclass(frozen=True)
 class PararealConfig:
-    T: float
+    """The settings of one run.  The grid splits the problem's horizon
+    ``problem.T`` into ``N`` subintervals of length ``dT = problem.T / N``."""
+
     N: int
     coarse: PropagatorSpec
     fine: PropagatorSpec
@@ -72,8 +73,6 @@ class PararealConfig:
         check_integer("seed", self.seed)
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if not 0 < self.T < math.inf:
-            raise ValueError("T must be positive and finite")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         if self.max_k < 1:
@@ -82,10 +81,6 @@ class PararealConfig:
             raise ValueError(f"unknown init policy {self.init!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    @property
-    def dT(self) -> float:
-        return self.T / self.N
 
 
 @dataclass(frozen=True)
@@ -200,22 +195,23 @@ def initialize(
     first = cfgs[0]
     u0 = problem.u0
     N, dim = first.N, u0.size
+    dT = problem.T / N
     u = np.empty((N + 1, dim))
     u[0] = u0
     if first.init == "random":
         rng = np.random.default_rng(first.seed)
         u[1:] = rng.uniform(-1.0, 1.0, size=(N, dim))
 
-    coarse = _make_stepper(first.coarse, problem, first.dT)
+    coarse = _make_stepper(first.coarse, problem, dT)
     g_prev = np.empty((N, dim))
     try:
         if first.init == "random":
             rows = range(N)
-            g_prev[:] = coarse(np.arange(N) * first.dT, u[:N])
+            g_prev[:] = coarse(np.arange(N) * dT, u[:N])
         else:
             for n in range(N):
                 rows = [n]
-                g_prev[n] = coarse(n * first.dT, u[n])
+                g_prev[n] = coarse(n * dT, u[n])
                 u[n + 1] = g_prev[n]
     except SolverError as exc:
         error, n = _coarse_failure(exc, rows)
@@ -226,7 +222,7 @@ def initialize(
 
     ref_table = None
     if problem.reference is not None:
-        ref_table = np.array([problem.reference(n * first.dT) for n in range(N + 1)])
+        ref_table = np.array([problem.reference(n * dT) for n in range(N + 1)])
     states = [PararealState(u=u.copy(), g_prev=g_prev.copy(), history=[], ref_table=ref_table) for _ in cfgs]
     return states[0] if isinstance(cfg, PararealConfig) else states
 
@@ -285,12 +281,13 @@ def iterate(
         raise ValueError(f"{len(states)} states for {len(cfgs)} configs")
     first = cfgs[0]
     N = first.N
-    times = np.arange(N) * first.dT
+    dT = problem.T / N
+    times = np.arange(N) * dT
 
     fine_results = []
     for r, (s, c) in enumerate(zip(states, cfgs)):
         try:
-            fine_results.append(_fine_results(s, _make_stepper(c.fine, problem, first.dT), times))
+            fine_results.append(_fine_results(s, _make_stepper(c.fine, problem, dT), times))
         except SolverError as exc:
             exc.run = r
             raise
@@ -299,7 +296,7 @@ def iterate(
     u_new = [s.u.copy() for s in states]
     g_new = [s.g_prev.copy() for s in states]
     batch = list(enumerate(zip(u_new, g_new, fine_results, [s.g_prev for s in states], [s.u for s in states])))
-    coarse = _make_stepper(first.coarse, problem, first.dT)
+    coarse = _make_stepper(first.coarse, problem, dT)
     runs = []  # the runs whose start value at T_n differs from the cached one's
     try:
         for n, t in enumerate(times.tolist()):

@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .collocation import LinearRhs, check_integer
-from .errors import SolverError
+from .collocation import LinearRhs
+from .errors import SolverError, check_integer
 
 # Earth gravitational parameter, km^3 / s^2.
 MU_EARTH = 3.986e5

@@ -22,9 +22,9 @@ from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .chebyshev import cg_points
-from .collocation import RhsFunction, _rows, check_integer, check_limits, settle_rows
+from .collocation import RhsFunction, _rows, check_limits, settle_rows
 from .collocation import LinearRhs, solve_linear, solve_nonlinear
-from .errors import NonConvergenceError, SingularSystemError, raise_row_failures
+from .errors import NonConvergenceError, SingularSystemError, check_integer, raise_row_failures
 
 _SQRT2 = math.sqrt(2.0)
 _TRBDF2_GAMMA = 2.0 - _SQRT2  # standard splitting; the choice is conventional

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import paracheb
-from paracheb import MaxIterationsError, NonConvergenceError
+from paracheb import (
+    BurgersProblem,
+    KeplerProblem,
+    MaxIterationsError,
+    NonConvergenceError,
+    PararealConfig,
+    parse_spec,
+    run,
+)
 from paracheb.cli import (
     RunManifest,
     _build_parser,
@@ -260,6 +268,26 @@ class TestProblemSelectors:
         _, rows = read_csv(out)
         assert float(rows[-1][1]) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "keys, problem",
+        [
+            (["problem=kepler", "T=2"], KeplerProblem(T=2.0)),
+            (["problem=burgers", "nx=8", "T=0.5"], BurgersProblem(0.05, 8, T=0.5)),
+        ],
+        ids=["kepler", "burgers"],
+    )
+    def test_run_sets_the_problems_horizon(self, tmp_path, keys, problem):
+        # T is the problem's: the command builds the problem with it, and the
+        # run's grid splits it, as a library run on that problem does.
+        out = tmp_path / "cli.csv"
+        keys = keys + ["N=8", "fine=cg:6"]
+        assert main(["run", "--out", str(out)] + [arg for key in keys for arg in ("--set", key)]) == 0
+        cfg = PararealConfig(N=8, coarse=parse_spec("beuler:1"), fine=parse_spec("cg:6"))
+        _, history = run(cfg, problem.to_ivp())
+        rows = [[rec.k, rec.iter_error, rec.abs_error] for rec in history]
+        write_csv(str(tmp_path / "lib.csv"), ["k", "iter_error", "abs_error"], rows)
+        assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
 
 class TestExperimentGridSweep:
     def test_spatial_resolution_sweep(self, tmp_path):
@@ -430,6 +458,26 @@ class TestMainEntry:
         assert captured.err.startswith("paracheb: error: unknown config key(s) 'tols' for run ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["config", "out"])
+    def test_console_prints_a_missing_path_as_one_line(self, tmp_path, capsys, case):
+        # A config file or an output directory that is not there is a bad
+        # value: one line and status 2, not an OSError's traceback.
+        missing = tmp_path / "missing"
+        argv = ["mmin", "--set", "z_max_list=1"]
+        if case == "config":
+            argv += ["--config", str(missing / "run.cfg"), "--out", str(tmp_path / "m.csv")]
+        else:
+            argv += ["--out", str(missing / "m.csv")]
+        with pytest.raises(FileNotFoundError):
+            main(argv)
+        assert console(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("paracheb: error: [Errno 2] No such file or directory: ")
+        assert str(missing) in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not missing.exists() and not (tmp_path / "m.csv").exists()
 
     def test_workers_checked_but_without_effect(self, tmp_path):
         # The benchmark passes --workers; a value below 1 is still rejected.

@@ -26,7 +26,7 @@ from paracheb.collocation import solve_checked
 
 def endpoint(u_hat):
     """The right-endpoint state of a solution with coefficients ``u_hat``."""
-    return CollocationSolution(u_hat, None, 0).u_end
+    return CollocationSolution(u_hat, 0).u_end
 
 
 def series_eval(coeffs, tau):
@@ -195,9 +195,16 @@ class TestSolveNonlinear:
         assert len(set(counts)) == 3
         assert sol.iterations == max(counts) == len(heights)
         assert heights == sorted(heights, reverse=True) and heights[0] == 3
+        # The node values are derived from the coefficients, each row's bits
+        # those of its own product and of its solo solve.
+        T1 = build_operator(8).T1
+        nodes = sol.u_nodes
         for i, r in enumerate(rows):
             np.testing.assert_array_equal(sol.u_hat[i], r.u_hat)
             np.testing.assert_array_equal(sol.u_end[i], r.u_end)
+            np.testing.assert_array_equal(nodes[i], T1 @ sol.u_hat[i])
+            np.testing.assert_array_equal(nodes[i], r.u_nodes)
+            np.testing.assert_array_equal(r.u_nodes, T1 @ r.u_hat)
 
     def test_rows_settling_together_sweep_the_whole_stack(self):
         # f is linear and each row's largest component is 1, so every row

@@ -51,9 +51,10 @@ def reference_run(cfg, problem):
     returns ``g_prev[n]``, a changed one is stepped from the guess
     ``g_prev[n] + (u_new[n] - u[n])``."""
     state = initialize(cfg, problem)
-    fine = _make_stepper(cfg.fine, problem, cfg.dT)
-    coarse = _make_stepper(cfg.coarse, problem, cfg.dT)
-    times = np.arange(cfg.N) * cfg.dT
+    dT = problem.T / cfg.N
+    fine = _make_stepper(cfg.fine, problem, dT)
+    coarse = _make_stepper(cfg.coarse, problem, dT)
+    times = np.arange(cfg.N) * dT
     u, g_prev, history = state.u, state.g_prev, []
     for k in range(1, cfg.max_k + 1):
         fine_results = fine(times, u[: cfg.N])
@@ -91,7 +92,7 @@ def advance_calls(monkeypatch):
 class TestInitialize:
     def test_single_interval(self):
         prob = diag_problem(T=0.3)
-        cfg = PararealConfig(T=0.3, N=1, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
+        cfg = PararealConfig(N=1, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
         state = initialize(cfg, prob)
         expected = _make_stepper(BE, prob, 0.3)(0.0, prob.u0)
         np.testing.assert_array_equal(state.u[0], prob.u0)
@@ -99,13 +100,13 @@ class TestInitialize:
 
     def test_zero_rhs_keeps_initial_state(self):
         prob = IvpProblem(f=lambda t, u: 0.0 * u, u0=np.array([1.0, -2.0]), T=1.0)
-        cfg = PararealConfig(T=1.0, N=5, coarse=BE, fine=PropagatorSpec.erk4(2))
+        cfg = PararealConfig(N=5, coarse=BE, fine=PropagatorSpec.erk4(2))
         state = initialize(cfg, prob)
         np.testing.assert_array_equal(state.u, np.tile(prob.u0, (6, 1)))
 
     def test_coarse_sweep_matches_resolvent_powers(self):
         prob = diag_problem(T=0.4)
-        cfg = PararealConfig(T=0.4, N=4, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
+        cfg = PararealConfig(N=4, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
         state = initialize(cfg, prob)
         A = np.diag([1.0, 10.0, 100.0])
         resolvent = np.linalg.inv(np.eye(3) + 0.1 * A)
@@ -116,7 +117,7 @@ class TestInitialize:
     def test_random_policy_is_seeded(self):
         prob = diag_problem()
         cfg = lambda seed: PararealConfig(
-            T=1.0, N=6, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4), init="random", seed=seed
+            N=6, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4), init="random", seed=seed
         )
         a = initialize(cfg(7), prob)
         b = initialize(cfg(7), prob)
@@ -131,19 +132,20 @@ class TestInitialize:
         # The drawn values do not depend on each other: one cold stacked
         # step, each row within the Newton stop of its single-state step.
         prob = diag_problem()
-        cfg = PararealConfig(T=1.0, N=6, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4), init="random", seed=7)
+        cfg = PararealConfig(N=6, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4), init="random", seed=7)
         state = initialize(cfg, prob)
         assert advance_calls == [(BE, 6)]
-        coarse = _make_stepper(BE, prob, cfg.dT)
+        dT = prob.T / cfg.N
+        coarse = _make_stepper(BE, prob, dT)
         for n in range(cfg.N):
-            alone = coarse(n * cfg.dT, state.u[n])
+            alone = coarse(n * dT, state.u[n])
             np.testing.assert_allclose(state.g_prev[n], alone, rtol=0, atol=BE.tol * (1.0 + np.abs(alone).max()))
 
     def test_random_policy_raises_the_lowest_failing_subinterval(self):
         # f is infinite above 0.5, so every coarse step from a drawn value
         # above 0.5 fails; the stack raises the lowest one's own error.
         prob = IvpProblem(f=lambda t, u: np.where(u > 0.5, np.inf, -u), u0=np.zeros(1), T=1.0)
-        cfg = PararealConfig(T=1.0, N=12, coarse=BE, fine=parse_spec("cg:4"), init="random", seed=4)
+        cfg = PararealConfig(N=12, coarse=BE, fine=parse_spec("cg:4"), init="random", seed=4)
         drawn = np.random.default_rng(4).uniform(-1.0, 1.0, size=(12, 1))
         failing = [n for n in range(1, 12) if drawn[n - 1, 0] > 0.5]
         assert len(failing) > 1
@@ -158,7 +160,7 @@ class TestIterate:
     def test_identical_propagators_telescope(self):
         prob = diag_problem(T=0.5)
         spec = PropagatorSpec.chebyshev_gauss(6)
-        cfg = PararealConfig(T=0.5, N=5, coarse=spec, fine=spec)
+        cfg = PararealConfig(N=5, coarse=spec, fine=spec)
         state = initialize(cfg, prob)
         state = iterate(state, cfg, prob)
         np.testing.assert_array_equal(state.u, serial_trajectory(spec, prob, 5, 0.1))
@@ -173,7 +175,7 @@ class TestIterate:
             linear=LinearRhs(np.array([[2.0]])),
         )
         fine = PropagatorSpec.chebyshev_gauss(8)
-        cfg = PararealConfig(T=1.0, N=2, coarse=BE, fine=fine)
+        cfg = PararealConfig(N=2, coarse=BE, fine=fine)
         state = iterate(initialize(cfg, prob), cfg, prob)
         direct = _make_stepper(fine, prob, 0.5)(0.0, prob.u0)
         np.testing.assert_array_equal(state.u[1], direct)
@@ -183,7 +185,7 @@ class TestIterate:
         # bit for bit: the stacked and the one-state collocation solves agree.
         prob = diag_problem(T=0.06)
         fine = PropagatorSpec.chebyshev_gauss(8)
-        cfg = PararealConfig(T=0.06, N=6, coarse=BE, fine=fine)
+        cfg = PararealConfig(N=6, coarse=BE, fine=fine)
         fine_serial = serial_trajectory(fine, prob, 6, 0.01)
         state = initialize(cfg, prob)
         for k in range(1, 7):
@@ -193,7 +195,7 @@ class TestIterate:
     def test_prefix_exactness_nonlinear(self):
         prob = IvpProblem(f=lambda t, u: -(u**2), u0=np.array([1.0]), T=1.0)
         fine = PropagatorSpec.chebyshev_gauss(10)
-        cfg = PararealConfig(T=1.0, N=4, coarse=BE, fine=fine)
+        cfg = PararealConfig(N=4, coarse=BE, fine=fine)
         fine_serial = serial_trajectory(fine, prob, 4, 0.25)
         state = initialize(cfg, prob)
         for k in range(1, 5):
@@ -201,20 +203,20 @@ class TestIterate:
             np.testing.assert_array_equal(state.u[: k + 1], fine_serial[: k + 1])
 
     @pytest.mark.parametrize(
-        "prob, fine, T, init",
+        "prob, fine, init",
         [
-            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), "cg:6", 0.5, "random"),
-            (BurgersProblem(0.05, 8).to_ivp(), "cg:8", 0.5, "coarse"),
-            (KeplerProblem(T=5.0).to_ivp(), "gauss4:2", 5.0, "coarse"),
-            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), "tr:2", 0.5, "random"),
+            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), "cg:6", "random"),
+            (BurgersProblem(0.05, 8, T=0.5).to_ivp(), "cg:8", "coarse"),
+            (KeplerProblem(T=5.0).to_ivp(), "gauss4:2", "coarse"),
+            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), "tr:2", "random"),
         ],
         ids=["linear", "picard", "gauss4", "linear-tr2"],
     )
-    def test_prefix_exactness_bit_for_bit(self, prob, fine, T, init):
+    def test_prefix_exactness_bit_for_bit(self, prob, fine, init):
         # The rows the next pass reuses are exactly these: every pass leaves
         # one more grid value on the serial fine trajectory.
-        cfg = PararealConfig(T=T, N=8, coarse=BE, fine=parse_spec(fine), init=init, seed=2)
-        fine_serial = serial_trajectory(cfg.fine, prob, 8, cfg.dT)
+        cfg = PararealConfig(N=8, coarse=BE, fine=parse_spec(fine), init=init, seed=2)
+        fine_serial = serial_trajectory(cfg.fine, prob, 8, prob.T / 8)
         state = initialize(cfg, prob)
         for k in range(1, 9):
             state = iterate(state, cfg, prob)
@@ -230,21 +232,22 @@ class TestIterate:
         prob = diag_problem(T=0.5)
         for init in ("coarse", "random"):
             cfg = PararealConfig(
-                T=0.5, N=5, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6), init=init
+                N=5, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6), init=init
             )
-            coarse = _make_stepper(BE, prob, cfg.dT)
+            dT = prob.T / cfg.N
+            coarse = _make_stepper(BE, prob, dT)
             state = initialize(cfg, prob)
             for n in range(cfg.N):
-                np.testing.assert_array_equal(state.g_prev[n], coarse(n * cfg.dT, state.u[n]))
+                np.testing.assert_array_equal(state.g_prev[n], coarse(n * dT, state.u[n]))
             for k in range(3):
                 u_old, g_old = state.u.copy(), state.g_prev.copy()
                 state = iterate(state, cfg, prob)
                 for n in range(cfg.N):
                     warm = g_old[n]
                     if state.u[n].tobytes() != u_old[n].tobytes():
-                        warm = coarse(n * cfg.dT, state.u[n], g_old[n] + (state.u[n] - u_old[n]))
+                        warm = coarse(n * dT, state.u[n], g_old[n] + (state.u[n] - u_old[n]))
                     np.testing.assert_array_equal(state.g_prev[n], warm)
-                    cold = coarse(n * cfg.dT, state.u[n])
+                    cold = coarse(n * dT, state.u[n])
                     stop = BE.tol * (1.0 + np.abs(cold).max())
                     assert np.abs(state.g_prev[n] - cold).max() <= stop
 
@@ -252,7 +255,7 @@ class TestIterate:
         # One collocation node with z = 5 puts the fixed-point sweep far
         # outside its convergence region on every subinterval.
         prob = IvpProblem(f=lambda t, u: -5.0 * u, u0=np.array([1.0]), T=2.0)
-        cfg = PararealConfig(T=2.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(0))
+        cfg = PararealConfig(N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(0))
         state = initialize(cfg, prob)
         with pytest.raises(SweepError) as err:
             iterate(state, cfg, prob)
@@ -267,7 +270,7 @@ class TestIterate:
 
         prob = IvpProblem(f=f, u0=np.zeros(1), T=1.0)
         cfg = PararealConfig(
-            T=1.0, N=12, coarse=parse_spec("feuler:1"), fine=parse_spec(fine),
+            N=12, coarse=parse_spec("feuler:1"), fine=parse_spec(fine),
             init="random", seed=4,
         )
         with np.errstate(invalid="ignore", over="ignore"):
@@ -301,7 +304,7 @@ class TestIterate:
     def test_singular_coarse_stage_raises_typed_error(self):
         # Backward Euler on u' = u with dT = 1 has the stage matrix 1 - 1 = 0.
         prob = IvpProblem(f=lambda t, u: u, u0=np.array([1.0]), T=2.0)
-        cfg = PararealConfig(T=2.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
+        cfg = PararealConfig(N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
         with pytest.raises(SingularSystemError) as err:
             run(cfg, prob)
         assert (err.value.subinterval, err.value.k) == (0, 0)
@@ -313,7 +316,7 @@ class TestIterate:
         # 1; subinterval 0 starts from the smooth initial profile.
         prob = BurgersProblem(0.005, 8).to_ivp()
         cfg = PararealConfig(
-            T=prob.T, N=8, coarse=BE, fine=parse_spec("cg:8"), init="random", seed=1,
+            N=8, coarse=BE, fine=parse_spec("cg:8"), init="random", seed=1,
         )
         with pytest.raises(NonConvergenceError) as err:
             run(cfg, prob)
@@ -325,7 +328,7 @@ class TestIterate:
         # A NaN cached coarse value makes the corrected start of subinterval
         # 3 NaN, so the first coarse step to fail is that one, in pass 1.
         prob = diag_problem(T=0.8)
-        cfg = PararealConfig(T=0.8, N=8, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
+        cfg = PararealConfig(N=8, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
         state = initialize(cfg, prob)
         state.g_prev[2] = np.nan
         with pytest.raises(NonConvergenceError, match="^coarse step on subinterval 3 in pass 1: ") as err:
@@ -337,7 +340,7 @@ class TestRun:
     def test_zero_rhs_converges_immediately(self):
         prob = IvpProblem(f=lambda t, u: 0.0 * u, u0=np.array([2.0]), T=1.0)
         u, history = run(
-            PararealConfig(T=1.0, N=4, coarse=BE, fine=PropagatorSpec.erk4(1)), prob
+            PararealConfig(N=4, coarse=BE, fine=PropagatorSpec.erk4(1)), prob
         )
         assert len(history) == 1
         assert history[0].iter_error == 0.0
@@ -348,7 +351,7 @@ class TestRun:
         # nodes keep the convergence factor at or below one third.
         prob = diag_problem(T=10.0)
         cfg = PararealConfig(
-            T=10.0, N=40, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(3),
+            N=40, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(3),
             tol=1e-10, max_k=60, init="random", seed=7,
         )
         u, history = run(cfg, prob)
@@ -380,11 +383,11 @@ class TestRun:
         # error is within the slack (1e-11 to 2e-10 here) the slack decides.
         spd = spd_catalog(name, T=T, **params)
         prob = spd.to_ivp()
-        cfg = PararealConfig(T=T, N=N, coarse=BE, fine=parse_spec(fine), init="random", seed=4)
+        cfg = PararealConfig(N=N, coarse=BE, fine=parse_spec(fine), init="random", seed=4)
         lam, Q = np.linalg.eigh(spd.A)
-        z = lam * cfg.dT
+        z = lam * (T / N)
         K = np.array([contraction(cfg.fine, zi) for zi in z])
-        fine_serial = serial_trajectory(cfg.fine, prob, N, cfg.dT)
+        fine_serial = serial_trajectory(cfg.fine, prob, N, T / N)
         state = initialize(cfg, prob)
         scale = 1.0 + max(np.abs(fine_serial).max(), np.abs(state.u).max())
         step_error = math.sqrt(len(lam)) * 1e-12 * scale + 8 * np.finfo(float).eps * scale
@@ -407,7 +410,7 @@ class TestRun:
     def test_history_records_reference_error(self):
         prob = diag_problem(T=0.5)
         u, history = run(
-            PararealConfig(T=0.5, N=5, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(8)), prob
+            PararealConfig(N=5, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(8)), prob
         )
         assert history[0].abs_error is not None
         ref = np.array([prob.reference(0.1 * n) for n in range(6)])
@@ -416,7 +419,7 @@ class TestRun:
 
     def test_component_errors_give_both_kepler_errors(self):
         prob = KeplerProblem(T=5.0).to_ivp()
-        cfg = PararealConfig(T=5.0, N=4, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6))
+        cfg = PararealConfig(N=4, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6))
         u, history = run(cfg, prob)
         ref = np.array([prob.reference(1.25 * n) for n in range(5)])
         rec = history[-1]
@@ -429,7 +432,7 @@ class TestRun:
 
     def test_no_component_error_without_reference(self):
         prob = IvpProblem(f=lambda t, u: -u, u0=np.array([1.0, 2.0]), T=1.0)
-        cfg = PararealConfig(T=1.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
+        cfg = PararealConfig(N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
         _, history = run(cfg, prob)
         assert all(r.component_error is None and r.abs_error is None for r in history)
 
@@ -440,7 +443,7 @@ class TestRun:
     def test_initialize_iterate_loop_matches_run(self):
         # The route to a per-pass metric of one's own: loop and read state.u.
         prob = diag_problem(T=2.0)
-        cfg = PararealConfig(T=2.0, N=8, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6),
+        cfg = PararealConfig(N=8, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(6),
                              init="random", seed=4)
         u, history = run(cfg, prob)
         state = initialize(cfg, prob)
@@ -459,7 +462,7 @@ class TestRun:
         calls = advance_calls
         fine = parse_spec("cg:6")
         prob = spd_catalog("laplacian-1d", m=8, T=2.0).to_ivp()
-        cfg = PararealConfig(T=2.0, N=16, coarse=BE, fine=fine, init="random", seed=5)
+        cfg = PararealConfig(N=16, coarse=BE, fine=fine, init="random", seed=5)
         state = initialize(cfg, prob)
         for k in (1, 2, 3):
             calls.clear()
@@ -468,19 +471,19 @@ class TestRun:
             assert [spec for spec, _ in calls].count(BE) == 16 - k
 
     @pytest.mark.parametrize(
-        "prob, T, N, fine, init",
+        "prob, N, fine, init",
         [
-            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), 0.5, 16, "cg:6", "random"),
-            (diag_problem(T=2.0), 2.0, 16, "cg:6", "random"),
-            (BurgersProblem(0.05, 8).to_ivp(), 0.5, 8, "cg:8", "coarse"),
-            (KeplerProblem(T=5.0).to_ivp(), 5.0, 8, "gauss4:2", "coarse"),
-            (diag_problem(T=0.5), 0.5, 1, "cg:6", "coarse"),
-            (diag_problem(T=0.5), 0.5, 2, "cg:6", "random"),
+            (spd_catalog("laplacian-1d", m=8, T=0.5).to_ivp(), 16, "cg:6", "random"),
+            (diag_problem(T=2.0), 16, "cg:6", "random"),
+            (BurgersProblem(0.05, 8, T=0.5).to_ivp(), 8, "cg:8", "coarse"),
+            (KeplerProblem(T=5.0).to_ivp(), 8, "gauss4:2", "coarse"),
+            (diag_problem(T=0.5), 1, "cg:6", "coarse"),
+            (diag_problem(T=0.5), 2, "cg:6", "random"),
         ],
         ids=["laplacian-1d", "diag-spectrum", "burgers", "kepler-gauss4", "N1", "N2"],
     )
-    def test_reuse_matches_full_recomputation(self, prob, T, N, fine, init):
-        cfg = PararealConfig(T=T, N=N, coarse=BE, fine=parse_spec(fine), init=init, seed=3)
+    def test_reuse_matches_full_recomputation(self, prob, N, fine, init):
+        cfg = PararealConfig(N=N, coarse=BE, fine=parse_spec(fine), init=init, seed=3)
         u, history = run(cfg, prob)
         u_ref, history_ref = reference_run(cfg, prob)
         np.testing.assert_array_equal(u, u_ref)
@@ -491,14 +494,14 @@ class TestRun:
         # change in its start value: fewer Newton updates (one Jacobian
         # each) than from the explicit predictor, in as many passes.
         jacobians = []
-        burgers = BurgersProblem(0.05, 8).to_ivp()
+        burgers = BurgersProblem(0.05, 8, T=0.5).to_ivp()
 
         def jacobian(t, u):
             jacobians.append(len(u))
             return burgers.jacobian(t, u)
 
         prob = dataclasses.replace(burgers, jacobian=jacobian)
-        cfg = PararealConfig(T=0.5, N=16, coarse=BE, fine=parse_spec("cg:8"))
+        cfg = PararealConfig(N=16, coarse=BE, fine=parse_spec("cg:8"))
         jacobians.clear()
         _, history = run(cfg, prob)
         warm = len(jacobians)
@@ -516,7 +519,7 @@ class TestRun:
         fine = parse_spec("cg:6")
         prob = diag_problem(T=0.4)
         for N, fine_rows, coarse_calls in [(4, [4, 3, 2, 1, 0], [3, 2, 1, 0, 0]), (1, [1, 0], [0, 0])]:
-            cfg = PararealConfig(T=0.4, N=N, coarse=BE, fine=fine, init="random", seed=1)
+            cfg = PararealConfig(N=N, coarse=BE, fine=fine, init="random", seed=1)
             state = initialize(cfg, prob)
             rows, coarse = [], []
             for _ in range(N + 1):
@@ -526,7 +529,7 @@ class TestRun:
                 coarse.append(sum(spec == BE for spec, _ in calls))
             assert (rows, coarse) == (fine_rows, coarse_calls)
             assert state.history[-1].iter_error == 0.0
-            np.testing.assert_array_equal(state.u, serial_trajectory(fine, prob, N, cfg.dT))
+            np.testing.assert_array_equal(state.u, serial_trajectory(fine, prob, N, prob.T / N))
 
     def test_reuse_follows_the_table_not_the_pass(self):
         # A start value changed by hand is a changed input: its fine step
@@ -536,7 +539,7 @@ class TestRun:
             return np.where(u > 0.5, np.inf, -u)
 
         prob = IvpProblem(f=f, u0=np.zeros(1), T=1.0)
-        cfg = PararealConfig(T=1.0, N=12, coarse=parse_spec("feuler:1"), fine=parse_spec("beuler:2"))
+        cfg = PararealConfig(N=12, coarse=parse_spec("feuler:1"), fine=parse_spec("beuler:2"))
         state = iterate(initialize(cfg, prob), cfg, prob)
         assert state.history[-1].iter_error == 0.0
         state.u[5] = 0.9
@@ -549,7 +552,7 @@ class TestRun:
     def test_iteration_cap_carries_history(self):
         prob = diag_problem(T=4.0)
         cfg = PararealConfig(
-            T=4.0, N=16, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4),
+            N=16, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4),
             tol=1e-16, max_k=3,
         )
         with pytest.raises(MaxIterationsError) as err:
@@ -558,28 +561,26 @@ class TestRun:
 
     def test_config_owns_the_stopping_defaults(self):
         # The CLI passes tol and max_k only when they are set.
-        cfg = PararealConfig(T=1.0, N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
+        cfg = PararealConfig(N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4))
         assert (cfg.tol, cfg.max_k) == (1e-10, 100)
 
     def test_config_validation(self):
         fine = PropagatorSpec.chebyshev_gauss(4)
         with pytest.raises(ValueError):
-            PararealConfig(T=1.0, N=0, coarse=BE, fine=fine)
+            PararealConfig(N=0, coarse=BE, fine=fine)
         with pytest.raises(ValueError):
-            PararealConfig(T=-1.0, N=2, coarse=BE, fine=fine)
-        with pytest.raises(ValueError):
-            PararealConfig(T=1.0, N=2, coarse=BE, fine=fine, init="guess")
+            PararealConfig(N=2, coarse=BE, fine=fine, init="guess")
         # numpy's SeedSequence would reject it only when init="random" draws.
         with pytest.raises(ValueError, match="seed must be >= 0"):
-            PararealConfig(T=1.0, N=2, coarse=BE, fine=fine, seed=-1)
+            PararealConfig(N=2, coarse=BE, fine=fine, seed=-1)
 
     @pytest.mark.parametrize(
         "field, build",
         [
-            ("N", lambda: PararealConfig(T=1.0, N=2.5, coarse=BE, fine=BE)),
-            ("max_k", lambda: PararealConfig(T=1.0, N=2, coarse=BE, fine=BE, max_k=2.5)),
-            ("seed", lambda: PararealConfig(T=1.0, N=2, coarse=BE, fine=BE, seed=1.5)),
-            ("seed", lambda: PararealConfig(T=1.0, N=2, coarse=BE, fine=BE, seed="3")),
+            ("N", lambda: PararealConfig(N=2.5, coarse=BE, fine=BE)),
+            ("max_k", lambda: PararealConfig(N=2, coarse=BE, fine=BE, max_k=2.5)),
+            ("seed", lambda: PararealConfig(N=2, coarse=BE, fine=BE, seed=1.5)),
+            ("seed", lambda: PararealConfig(N=2, coarse=BE, fine=BE, seed="3")),
             ("count", lambda: PropagatorSpec(PropagatorKind.BACKWARD_EULER, 2.5)),
             ("max_iter", lambda: PropagatorSpec(PropagatorKind.BACKWARD_EULER, 1, max_iter=2.5)),
         ],
@@ -593,9 +594,12 @@ class TestRun:
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field", ["T", "tol"])
     def test_config_rejects_nonfinite(self, field, value):
-        kw = {"T": 1.0, field: value}
+        # The horizon is the problem's, and is rejected where it is set.
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            PararealConfig(N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4), **kw)
+            if field == "T":
+                KeplerProblem(T=value).to_ivp()
+            else:
+                PararealConfig(N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4), tol=value)
 
 
 def coarse_rows(calls):
@@ -609,19 +613,19 @@ class TestBatch:
     ``run`` is the reference."""
 
     @pytest.mark.parametrize(
-        "prob, T",
+        "prob",
         [
-            (KeplerProblem(T=5.0).to_ivp(), 5.0),
-            (BurgersProblem(0.05, 8).to_ivp(), 0.5),
-            (spd_catalog("laplacian-1d", m=24, T=0.1).to_ivp(), 0.1),
+            KeplerProblem(T=5.0).to_ivp(),
+            BurgersProblem(0.05, 8, T=0.5).to_ivp(),
+            spd_catalog("laplacian-1d", m=24, T=0.1).to_ivp(),
         ],
         ids=["kepler", "burgers", "spd"],
     )
-    def test_batch_matches_solo_runs_bit_for_bit(self, advance_calls, prob, T):
+    def test_batch_matches_solo_runs_bit_for_bit(self, advance_calls, prob):
         # A row of f does not depend on the rows stacked with it, so a
         # stacked coarse step gives each row the bits it gets alone.
         cfgs = [
-            PararealConfig(T=T, N=8, coarse=BE, fine=parse_spec(fine))
+            PararealConfig(N=8, coarse=BE, fine=parse_spec(fine))
             for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")
         ]
         solo = []
@@ -645,7 +649,7 @@ class TestBatch:
         # These runs take 1, 10, 15 and 17 passes; each returns its own history.
         prob = spd_catalog("diag-spectrum", m=3, lambda_min=1.0, lambda_max=100.0, T=2.0).to_ivp()
         cfgs = [
-            PararealConfig(T=2.0, N=16, coarse=BE, fine=parse_spec(f))
+            PararealConfig(N=16, coarse=BE, fine=parse_spec(f))
             for f in ("beuler:1", "beuler:2", "cg:4", "gauss4:1")
         ]
         solo = [run(cfg, prob) for cfg in cfgs]
@@ -664,7 +668,7 @@ class TestBatch:
 
     def test_one_config_batch_makes_the_solo_calls(self, advance_calls):
         prob = spd_catalog("laplacian-1d", m=8, T=2.0).to_ivp()
-        cfg = PararealConfig(T=2.0, N=16, coarse=BE, fine=parse_spec("cg:6"), init="random", seed=5)
+        cfg = PararealConfig(N=16, coarse=BE, fine=parse_spec("cg:6"), init="random", seed=5)
         u, history = run(cfg, prob)
         solo_calls = list(advance_calls)
         advance_calls.clear()
@@ -675,7 +679,7 @@ class TestBatch:
 
     def test_initialize_and_iterate_take_a_batch(self):
         prob = diag_problem(T=2.0)
-        cfgs = [PararealConfig(T=2.0, N=8, coarse=BE, fine=parse_spec(f), init="random", seed=4)
+        cfgs = [PararealConfig(N=8, coarse=BE, fine=parse_spec(f), init="random", seed=4)
                 for f in ("cg:2", "cg:6")]
         states = initialize(cfgs, prob)
         assert [type(s) for s in states] == [parareal.PararealState] * 2
@@ -701,7 +705,7 @@ class TestBatch:
         # left after pass 1, the third is live.
         prob = IvpProblem(f=lambda t, u: np.where(u < -5.0, np.nan, -12.0 * u), u0=np.ones(1), T=1.0)
         cfgs = [
-            PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec(f)) for f in ("beuler:1", "feuler:1", "cg:4")
+            PararealConfig(N=4, coarse=BE, fine=parse_spec(f)) for f in ("beuler:1", "feuler:1", "cg:4")
         ]
         message = "^coarse step on subinterval 3 in pass 3: Newton stage solve produced non-finite values"
         with pytest.raises(NonConvergenceError, match=message) as err:
@@ -712,7 +716,7 @@ class TestBatch:
         # Both later runs get a NaN corrected start at subinterval 3 of pass 1,
         # which one stacked coarse call takes.
         prob = diag_problem(T=0.8)
-        cfgs = [PararealConfig(T=0.8, N=8, coarse=BE, fine=parse_spec(f)) for f in ("cg:2", "cg:4", "cg:6")]
+        cfgs = [PararealConfig(N=8, coarse=BE, fine=parse_spec(f)) for f in ("cg:2", "cg:4", "cg:6")]
         states = initialize(cfgs, prob)
         for state in states[1:]:
             state.g_prev[2] = np.nan
@@ -728,7 +732,7 @@ class TestBatch:
         prob = IvpProblem(f=f, u0=np.zeros(1), T=1.0)
         cfgs = [
             PararealConfig(
-                T=1.0, N=12, coarse=parse_spec("feuler:1"), fine=parse_spec(fine), init="random", seed=4
+                N=12, coarse=parse_spec("feuler:1"), fine=parse_spec(fine), init="random", seed=4
             )
             for fine in ("erk4:1", "beuler:2")
         ]
@@ -741,7 +745,7 @@ class TestBatch:
         # this tolerance in three.
         prob = diag_problem(T=4.0)
         cfgs = [
-            PararealConfig(T=4.0, N=16, coarse=BE, fine=parse_spec(f), tol=1e-16, max_k=3)
+            PararealConfig(N=16, coarse=BE, fine=parse_spec(f), tol=1e-16, max_k=3)
             for f in ("beuler:1", "cg:4")
         ]
         with pytest.raises(MaxIterationsError, match="within 3 iterations") as err:
@@ -754,7 +758,7 @@ class TestBatch:
 
     def test_initial_sweep_failure_belongs_to_run_0(self):
         prob = BurgersProblem(0.005, 8).to_ivp()
-        cfgs = [PararealConfig(T=prob.T, N=8, coarse=BE, fine=parse_spec(f), init="random", seed=1)
+        cfgs = [PararealConfig(N=8, coarse=BE, fine=parse_spec(f), init="random", seed=1)
                 for f in ("cg:8", "cg:4")]
         with pytest.raises(NonConvergenceError) as err:
             run(cfgs, prob)
@@ -765,17 +769,16 @@ class TestBatch:
         [
             dict(coarse=parse_spec("beuler:2")),
             dict(N=8),
-            dict(T=2.0),
             dict(tol=1e-8),
             dict(init="random"),
             dict(seed=1),
             dict(max_k=5),
         ],
-        ids=["coarse", "N", "T", "tol", "init", "seed", "max_k"],
+        ids=["coarse", "N", "tol", "init", "seed", "max_k"],
     )
     def test_configs_may_differ_in_fine_only(self, change):
         prob = diag_problem(T=1.0)
-        base = PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec("cg:2"))
+        base = PararealConfig(N=4, coarse=BE, fine=parse_spec("cg:2"))
         other = dataclasses.replace(base, fine=parse_spec("cg:4"), **change)
         for call in (lambda: run([base, other], prob), lambda: initialize([base, other], prob)):
             with pytest.raises(ValueError, match="differ in fine only"):
@@ -787,7 +790,7 @@ class TestBatch:
 
     def test_one_state_per_config(self):
         prob = diag_problem(T=1.0)
-        cfgs = [PararealConfig(T=1.0, N=4, coarse=BE, fine=parse_spec(f)) for f in ("cg:2", "cg:4")]
+        cfgs = [PararealConfig(N=4, coarse=BE, fine=parse_spec(f)) for f in ("cg:2", "cg:4")]
         states = initialize(cfgs, prob)
         with pytest.raises(ValueError, match="2 states for 1 configs"):
             iterate(states, cfgs[:1], prob)

@@ -171,10 +171,10 @@ class TestKepler:
         kp = KeplerProblem(T=2.0)
         ivp = kp.to_ivp()
         N, coarse = 8, parse_spec("beuler:1")
-        cfgs = [PararealConfig(T=kp.T, N=N, coarse=coarse, fine=parse_spec(fine))
+        cfgs = [PararealConfig(N=N, coarse=coarse, fine=parse_spec(fine))
                 for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")]
         results = run(cfgs, ivp)
-        assert calls == [n * cfgs[0].dT for n in range(N + 1)]
+        assert calls == [n * (kp.T / N) for n in range(N + 1)]
         table = np.array([kepler_reference(kp, t) for t in calls])
         for u, history in results:
             last = np.max(np.abs(u - table), axis=0)
