@@ -89,8 +89,6 @@ def contraction(spec: PropagatorSpec, z):
     is 122% off at ``z = 1e-8``, which is why cg does not use it), and a
     ``z > 0`` so small that ``1 + z == 1`` leaves no denominator and raises
     an ``ArithmeticError``.
-    Values above 1 (and infinities, for explicit kinds past their stability
-    limit) are returned as-is.
     """
     z = check_z(z)
     if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
@@ -131,25 +129,24 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
     Ks = contraction(spec, zs)
 
     extra_z, extra_K = [], []
-    if np.all(np.isfinite(Ks)):
-        brackets = [
-            (zs[i - 1], zs[i + 1])
-            for i in range(1, len(zs) - 1)
-            if Ks[i] >= Ks[i - 1] and Ks[i] >= Ks[i + 1]
-        ]
-        if Ks[-1] >= Ks[-2]:
-            brackets.append((zs[-2], zs[-1]))
-        from scipy.optimize import minimize_scalar  # imported here: most commands never load scipy
+    brackets = [
+        (zs[i - 1], zs[i + 1])
+        for i in range(1, len(zs) - 1)
+        if Ks[i] >= Ks[i - 1] and Ks[i] >= Ks[i + 1]
+    ]
+    if Ks[-1] >= Ks[-2]:
+        brackets.append((zs[-2], zs[-1]))
+    from scipy.optimize import minimize_scalar  # imported here: most commands never load scipy
 
-        for a, b in brackets:
-            if b - a < _RHO_XTOL:
-                continue  # the grid point is already within the tolerance
-            best = minimize_scalar(
-                lambda z: -contraction(spec, z), bounds=(a, b), method="bounded",
-                options={"xatol": _RHO_XTOL},
-            )
-            extra_z.append(best.x)
-            extra_K.append(-best.fun)
+    for a, b in brackets:
+        if b - a < _RHO_XTOL:
+            continue  # the grid point is already within the tolerance
+        best = minimize_scalar(
+            lambda z: -contraction(spec, z), bounds=(a, b), method="bounded",
+            options={"xatol": _RHO_XTOL},
+        )
+        extra_z.append(best.x)
+        extra_K.append(-best.fun)
 
     if extra_z:
         zs = np.concatenate((zs, extra_z))

@@ -11,6 +11,7 @@ notation with 16 significant digits.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -346,6 +347,9 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
     out = args.out if args.out is not None else params.pop("out", None)
     if out is None:
         raise ValueError("an output path is required (--out or 'out' in the config)")
+    # Checked before the command runs, which may take long, and named as given.
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     return RunManifest(command=args.command, out=out, params=params)
 
 

@@ -150,7 +150,7 @@ class TestGoldenTables:
 
     def test_analyze_table_unchanged(self, tmp_path):
         out = tmp_path / "curves.csv"
-        main(["analyze", "--set", "specs=cg:0,cg:1,cg:5,cg:16,beuler:2,erk4:1", "--set", "z_points=200",
+        main(["analyze", "--set", "specs=cg:0,cg:1,cg:5,cg:16,beuler:2", "--set", "z_points=200",
               "--out", str(out)])
         with open(os.path.join(DATA, "analyze_golden.csv"), "rb") as fh:
             assert out.read_bytes() == fh.read()
@@ -571,14 +571,31 @@ class TestMainEntry:
                   "--set", "z_min=1e-17", "--set", "z_max=1"])
         assert not out.exists()
 
-    def test_analyze_overflowing_powers_are_infinite(self, tmp_path):
+    def test_analyze_far_z_is_finite(self, tmp_path):
+        # Every kind is A-stable, out to the float maximum: past where
+        # gauss4's z * z overflows, |R| <= 1 and K is finite.
         out = tmp_path / "a.csv"
-        main(["analyze", "--out", str(out), "--set", "specs=erk4:1,feuler:3",
-              "--set", "z_min=1", "--set", "z_max=1e200", "--set", "z_points=5"])
+        main(["analyze", "--out", str(out), "--set", "specs=beuler:3,tr:1,gauss4:1,cg:5",
+              "--set", "z_min=1", "--set", "z_max=1.7e308", "--set", "z_points=9"])
         header, rows = read_csv(out)
-        assert header == ["z", "absR_erk4_j1", "K_erk4_j1", "absR_feuler_j3", "K_feuler_j3"]
-        assert rows[-1][1:] == ["inf"] * 4
-        assert all(np.isfinite(float(v)) for v in rows[0])
+        assert header == ["z"] + [f"{c}_{s}" for s in ("beuler_j3", "tr_j1", "gauss4_j1", "cg_m5") for c in ("absR", "K")]
+        values = np.array(rows, dtype=float)
+        assert values[-1, 0] == 1.7e308 and np.isfinite(values).all()
+        assert (values[:, 1::2] <= 1.0).all()
+
+    def test_missing_output_directory_fails_before_the_command(self, tmp_path, monkeypatch, capsys):
+        # The CSV is written after the experiment; its directory is checked
+        # before the experiment runs, and the error names --out as given.
+        monkeypatch.setattr(paracheb.parareal, "run", lambda *a, **k: pytest.fail("the experiment ran"))
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["experiment", "--set", "name=burgers-m", "--out", str(out)]
+        with pytest.raises(FileNotFoundError) as err:
+            main(argv)
+        assert err.value.filename == str(out)
+        assert console(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"paracheb: error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("option", ["--tol", "T"])

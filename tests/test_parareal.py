@@ -35,6 +35,18 @@ def diag_problem(T=1.0):
     return spd_catalog("diag-spectrum", m=3, lambda_min=1.0, lambda_max=100.0, T=T).to_ivp()
 
 
+def infinite_inside(dT):
+    """A right-hand side ``-u``, infinite above ``u = 0.5`` at every time
+    strictly inside a subinterval of length ``dT``: the backward Euler
+    coarse step, which evaluates it at the grid points only, never fails."""
+
+    def f(t, u):
+        r = np.asarray(t) / dT
+        return np.where((u > 0.5) & (np.abs(r - np.round(r)) > 1e-9), np.inf, -u)
+
+    return f
+
+
 def serial_trajectory(spec, problem, N, dT):
     step = _make_stepper(spec, problem, dT)
     u = np.empty((N + 1, problem.dim))
@@ -100,7 +112,7 @@ class TestInitialize:
 
     def test_zero_rhs_keeps_initial_state(self):
         prob = IvpProblem(f=lambda t, u: 0.0 * u, u0=np.array([1.0, -2.0]), T=1.0)
-        cfg = PararealConfig(N=5, coarse=BE, fine=PropagatorSpec.erk4(2))
+        cfg = PararealConfig(N=5, coarse=BE, fine=PropagatorSpec.gauss4(2))
         state = initialize(cfg, prob)
         np.testing.assert_array_equal(state.u, np.tile(prob.u0, (6, 1)))
 
@@ -263,16 +275,12 @@ class TestIterate:
 
     @pytest.mark.parametrize("fine", ["beuler:2", "cg:4"])
     def test_only_failing_rows_reported(self, fine):
-        # f is infinite above 0.5, so exactly the random starts above 0.5
-        # fail; forward Euler as the coarse step carries them silently.
-        def f(t, u):
-            return np.where(u > 0.5, np.inf, -u)
-
-        prob = IvpProblem(f=f, u0=np.zeros(1), T=1.0)
-        cfg = PararealConfig(
-            N=12, coarse=parse_spec("feuler:1"), fine=parse_spec(fine),
-            init="random", seed=4,
-        )
+        # f is infinite above 0.5 inside the subintervals, so exactly the
+        # fine steps from the random starts above 0.5 fail: the midpoint of
+        # beuler:2 and every CG node are interior.  The backward Euler
+        # coarse step evaluates f at the grid points only, and never fails.
+        prob = IvpProblem(f=infinite_inside(1.0 / 12), u0=np.zeros(1), T=1.0)
+        cfg = PararealConfig(N=12, coarse=BE, fine=parse_spec(fine), init="random", seed=4)
         with np.errstate(invalid="ignore", over="ignore"):
             state = initialize(cfg, prob)
             expected = [n for n in range(12) if state.u[n, 0] > 0.5]
@@ -340,7 +348,7 @@ class TestRun:
     def test_zero_rhs_converges_immediately(self):
         prob = IvpProblem(f=lambda t, u: 0.0 * u, u0=np.array([2.0]), T=1.0)
         u, history = run(
-            PararealConfig(N=4, coarse=BE, fine=PropagatorSpec.erk4(1)), prob
+            PararealConfig(N=4, coarse=BE, fine=PropagatorSpec.gauss4(1)), prob
         )
         assert len(history) == 1
         assert history[0].iter_error == 0.0
@@ -539,7 +547,7 @@ class TestRun:
             return np.where(u > 0.5, np.inf, -u)
 
         prob = IvpProblem(f=f, u0=np.zeros(1), T=1.0)
-        cfg = PararealConfig(N=12, coarse=parse_spec("feuler:1"), fine=parse_spec("beuler:2"))
+        cfg = PararealConfig(N=12, coarse=BE, fine=parse_spec("beuler:2"))
         state = iterate(initialize(cfg, prob), cfg, prob)
         assert state.history[-1].iter_error == 0.0
         state.u[5] = 0.9
@@ -695,22 +703,22 @@ class TestBatch:
             assert state.history == solo.history
 
     def test_failure_names_its_run_subinterval_and_pass(self):
-        # u' = -12 u on dT = 1/4 (z = 3): backward Euler's factor is 1/4 and
-        # forward Euler's -2.  The second run's iterates at T_3 are 217/64
-        # after pass 2 and (-2)^3 = -8 after pass 3, so the pass-3 coarse
-        # step there starts from the guess g + (u_new - u) = 217/256 - 8
-        # - 217/64 = -10.54, where f is NaN.  No earlier guess, start value
-        # or Newton iterate (each lands on the root u/4 of this linear
-        # stage) goes below -5.  The first run (fine equal to coarse) has
-        # left after pass 1, the third is live.
-        prob = IvpProblem(f=lambda t, u: np.where(u < -5.0, np.nan, -12.0 * u), u0=np.ones(1), T=1.0)
+        # u' = -12 u on dT = 1/4 (z = 3), with f NaN at t = T_4 = 1 above
+        # u = 0.02.  Before the coarse steps of pass 2, no step evaluates f
+        # at T_4 above 1/256, the initial sweep's value there (beuler:1 and
+        # tr:2 end at T_4; the nodes of cg:4 are interior).  In pass 2 the
+        # coarse steps of subinterval 3 start, in one stack, from the
+        # guesses 0.0327 (tr:2) and 0.0246 (cg:4), where f is NaN.  The
+        # first run (fine equal to coarse) has left after pass 1, so the
+        # stack's lower run is run 1 of the batch.
+        prob = IvpProblem(f=lambda t, u: np.where((t == 1.0) & (u > 0.02), np.nan, -12.0 * u), u0=np.ones(1), T=1.0)
         cfgs = [
-            PararealConfig(N=4, coarse=BE, fine=parse_spec(f)) for f in ("beuler:1", "feuler:1", "cg:4")
+            PararealConfig(N=4, coarse=BE, fine=parse_spec(f)) for f in ("beuler:1", "tr:2", "cg:4")
         ]
-        message = "^coarse step on subinterval 3 in pass 3: Newton stage solve produced non-finite values"
+        message = "^coarse step on subinterval 3 in pass 2: Newton stage solve produced non-finite values"
         with pytest.raises(NonConvergenceError, match=message) as err:
             run(cfgs, prob)
-        assert (err.value.run, err.value.subinterval, err.value.k) == (1, 3, 3)
+        assert (err.value.run, err.value.subinterval, err.value.k) == (1, 3, 2)
 
     def test_lowest_run_of_a_stacked_failure_is_raised(self):
         # Both later runs get a NaN corrected start at subinterval 3 of pass 1,
@@ -726,15 +734,12 @@ class TestBatch:
         assert not isinstance(err.value, SweepError)
 
     def test_fine_failure_names_its_run(self):
-        def f(t, u):
-            return np.where(u > 0.5, np.inf, -u)
-
-        prob = IvpProblem(f=f, u0=np.zeros(1), T=1.0)
+        # The first run's fine steps, like the coarse steps, evaluate f at
+        # the grid points only; the second run's fail at their midpoints.
+        prob = IvpProblem(f=infinite_inside(1.0 / 12), u0=np.zeros(1), T=1.0)
         cfgs = [
-            PararealConfig(
-                N=12, coarse=parse_spec("feuler:1"), fine=parse_spec(fine), init="random", seed=4
-            )
-            for fine in ("erk4:1", "beuler:2")
+            PararealConfig(N=12, coarse=BE, fine=parse_spec(fine), init="random", seed=4)
+            for fine in ("beuler:1", "beuler:2")
         ]
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(SweepError) as err:
             iterate(initialize(cfgs, prob), cfgs, prob)

@@ -3,7 +3,6 @@ import dataclasses
 import itertools
 import math
 import os
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -34,18 +33,14 @@ from paracheb.propagators import _fd_jacobian, _identity, _newton
 
 ALL_SPECS = [
     PropagatorSpec.backward_euler(3),
-    PropagatorSpec.forward_euler(2),
     PropagatorSpec.trapezoidal(2),
-    PropagatorSpec.tr_bdf2(2),
     PropagatorSpec.gauss4(2),
-    PropagatorSpec.erk4(1),
     PropagatorSpec.chebyshev_gauss(20),
 ]
 
 IMPLICIT_KINDS = [
     PropagatorKind.BACKWARD_EULER,
     PropagatorKind.TRAPEZOIDAL,
-    PropagatorKind.TR_BDF2,
     PropagatorKind.GAUSS4,
 ]
 
@@ -74,15 +69,17 @@ class TestAdvance:
         assert got[0] == pytest.approx(r_half**2, abs=1e-12)
 
     def test_substep_time_grid(self):
-        # A time-dependent RHS checks that substeps advance the clock.
+        # A time-dependent RHS checks that substeps advance the clock: each
+        # backward Euler substep evaluates f at its start (the predictor)
+        # and at its end (the stage).
         seen = []
 
         def f(t, u):
             seen.append(t)
             return 0.0 * u
 
-        advance(PropagatorSpec.forward_euler(4), f, 2.0, np.array([1.0]), 1.0)
-        np.testing.assert_allclose(seen, [2.0, 2.25, 2.5, 2.75])
+        advance(PropagatorSpec.backward_euler(4), f, 2.0, np.array([1.0]), 1.0)
+        assert sorted(set(seen)) == [2.0, 2.25, 2.5, 2.75, 3.0]
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
@@ -135,12 +132,11 @@ class TestAdvance:
         with pytest.raises(NonConvergenceError, match="did not converge in 24 iterations"):
             advance(spec, f, 0.0, np.array([5.0]), 10.0)
 
-    @pytest.mark.parametrize("text, solves", [("beuler:1", 1), ("tr:1", 1), ("trbdf2:1", 2), ("gauss4:1", 1)])
+    @pytest.mark.parametrize("text, solves", [("beuler:1", 1), ("tr:1", 1), ("gauss4:1", 1)])
     def test_start_meeting_the_stop_still_makes_one_update(self, text, solves):
         # With f = 0 every predictor meets the stop; each stage solve still
         # makes one update (one Jacobian call), which finds no lower
-        # residual and keeps the start.  TR-BDF2's second stage solves for
-        # u + (u_mid - u) / (g (2 - g)), which is u exactly when u_mid is.
+        # residual and keeps the start.
         calls = []
 
         def jac(t, u):
@@ -152,13 +148,13 @@ class TestAdvance:
         assert len(calls) == solves
         assert got.tobytes() == U.tobytes()
 
-    @pytest.mark.parametrize("text, dT", [("beuler:3", 3.0), ("trbdf2:1", 2.0 / (2.0 - math.sqrt(2.0)))])
+    @pytest.mark.parametrize("text, dT", [("beuler:3", 3.0)])
     def test_failed_row_keeps_its_first_error(self, text, dT):
         # u' = c(t) u with c = 1 before t = 5 and 1/2 after.  Row 0's first
         # stage matrix 1 - c * beta_h is exactly zero (beuler's first
-        # substep, trbdf2's first stage); rows 1 and 2 start past t = 5 and
-        # finish.  Row 0 carries on as NaN through the later stages and
-        # substeps, whose non-finite residuals must not replace its error,
+        # substep); rows 1 and 2 start past t = 5 and finish.  Row 0
+        # carries on as NaN through the later substeps, whose non-finite
+        # residuals must not replace its error,
         # and no call of f is spent on failed rows alone (no damped retries
         # of a NaN step).
         seen = []
@@ -251,7 +247,7 @@ def perturbed_stack(ivp, n, seed):
     return rng.uniform(0.0, 2.0, n), ivp.u0 * rng.uniform(0.9, 1.1, (n, ivp.dim))
 
 
-ONE_STEP_SPECS = ["feuler:3", "erk4:3", "beuler:3", "tr:3", "trbdf2:3", "gauss4:3"]
+ONE_STEP_SPECS = ["beuler:3", "tr:3", "gauss4:3"]
 
 
 def assert_stack_is_rows(ivp, text, jac, times, U, dT):
@@ -376,7 +372,7 @@ class TestStackedAdvance:
         np.testing.assert_array_equal(got[0], alone)
         assert np.isnan(got[1:]).all()
 
-    @pytest.mark.parametrize("text", ["erk4:1", "beuler:1", "gauss4:1", "cg:2"])
+    @pytest.mark.parametrize("text", ["beuler:1", "gauss4:1", "cg:2"])
     def test_state_of_three_axes_rejected(self, text):
         # A one-step kind would take it for one row of all its entries.
         with pytest.raises(ValueError, match=r"state must have shape \(dim,\) or \(N, dim\) \(got shape \(2, 2, 2\)\)"):
@@ -460,7 +456,7 @@ class TestWarmStart:
         with pytest.raises(ValueError, match=r"guess has shape \(3, 2\), expected \(2, 3\)"):
             advance(parse_spec(text), cubic, np.zeros(2), U, 0.2, guess=U.T)
 
-    @pytest.mark.parametrize("text", ["beuler:2", "tr:3", "trbdf2:1", "gauss4:1", "feuler:1", "erk4:1", "cg:4"])
+    @pytest.mark.parametrize("text", ["beuler:2", "tr:3", "gauss4:1", "cg:4"])
     def test_other_kinds_and_counts_ignore_the_guess(self, text):
         spec, U = parse_spec(text), np.array([[0.5, 1.0], [2.0, -1.0]])
         plain = advance(spec, cubic, np.zeros(2), U, 0.2)
@@ -502,16 +498,20 @@ class TestStability:
         specs = [
             PropagatorSpec.backward_euler(1),
             PropagatorSpec.trapezoidal(2),
-            PropagatorSpec.tr_bdf2(1),
             PropagatorSpec.gauss4(2),
         ] + [PropagatorSpec.chebyshev_gauss(M) for M in (0, 1, 2, 4, 8, 16, 32)]
         for spec in specs:
             for z in zs:
                 assert abs(stability(spec, z)) < 1.0
-
-    def test_explicit_kinds_blow_up(self):
-        assert abs(stability(PropagatorSpec.forward_euler(1), 3.0)) > 1.0
-        assert abs(stability(PropagatorSpec.erk4(1), 3.0)) > 1.0
+        # Every kind, out to the float maximum, past where gauss4's z * z
+        # overflows: |R| <= 1 and a finite contraction factor.
+        far = np.array([0.0, 1e-8, 1.0, 1e3, 1e100, 1e154, 1.4e154, 1e200, 1e307, 1.7e308])
+        for text in ["beuler:1", "beuler:6", "tr:1", "tr:6", "gauss4:1", "gauss4:6", "cg:0", "cg:5", "cg:51"]:
+            spec = parse_spec(text)
+            for R in (stability(spec, far), [stability(spec, z) for z in far.tolist()]):
+                assert np.all(np.abs(R) <= 1.0), text
+            for K in (analysis.contraction(spec, far), [analysis.contraction(spec, z) for z in far.tolist()]):
+                assert np.all(np.isfinite(K)), text
 
     def test_collocation_limit_magnitude(self):
         for M in (0, 1, 2, 4, 20):
@@ -529,10 +529,9 @@ class TestStability:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_stack_is_bit_identical_to_scalar_calls(self, spec):
-        # z = 0 entries, the explicit kinds' blow-up range (|R| > 1 past
-        # z = 2 for forward Euler and about 2.8 for RK4), and values on
-        # both sides of the collocation kind's switch from Horner in z/scale
-        # to Horner in scale/z.
+        # z = 0 entries, tr's sign change at z = 2 per substep, and values
+        # on both sides of the collocation kind's switch from Horner in
+        # z/scale to Horner in scale/z.
         zs = np.concatenate(([0.0, 0.0], np.linspace(1.5, 40.0, 60), np.geomspace(1e-3, 1e4, 300), [0.0]))
         scalar = np.array([stability(spec, z) for z in zs])
         stacked = stability(spec, zs)
@@ -547,35 +546,16 @@ class TestStability:
         # stacked formulas keep Python's bits.
         zs = np.geomspace(1e-3, 1e3, 500)
 
-        def erk4(z):
-            return 1.0 - z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0
+        def gauss4(x):
+            return (x * x - 6.0 * x + 12.0) / (x * x + 6.0 * x + 12.0)
 
         expected = {
             "beuler:3": [(1.0 / (1.0 + z / 3)) ** 3 for z in zs.tolist()],
-            "erk4:2": [erk4(z / 2) ** 2 for z in zs.tolist()],
+            "tr:5": [((1.0 - 0.5 * (z / 5)) / (1.0 + 0.5 * (z / 5))) ** 5 for z in zs.tolist()],
+            "gauss4:7": [gauss4(z / 7) ** 7 for z in zs.tolist()],
         }
         for text, values in expected.items():
             np.testing.assert_array_equal(stability(parse_spec(text), zs), values)
-
-    @pytest.mark.parametrize("text", ["erk4:1", "erk4:2", "feuler:1", "feuler:2", "feuler:3"])
-    def test_overflow_is_an_infinity_of_the_exact_sign(self, text):
-        # Python's float power raises OverflowError on these powers.  An
-        # entry whose exact value overflows comes out as an infinity of its
-        # sign, every other entry stays finite, and each scalar call equals
-        # its array entry.
-        spec = parse_spec(text)
-        zs = [0.5, 3.0, 1e80, 1e120, 1e200, 1e308]
-        R = stability(spec, np.array(zs))
-        for z, got in zip(zs, R):
-            x = Fraction(z) / spec.count
-            r = 1 - x if spec.kind is PropagatorKind.FORWARD_EULER else 1 - x + x**2 / 2 - x**3 / 6 + x**4 / 24
-            exact = r**spec.count
-            if abs(exact) > Fraction(sys.float_info.max):
-                assert got == (math.inf if exact > 0 else -math.inf)
-            else:
-                assert math.isfinite(got)
-            assert stability(spec, z) == got
-        assert np.isinf(R).any() == (text != "feuler:1")  # 1 - z never overflows
 
     @pytest.mark.parametrize("text, z_big", [("gauss4:1", 1e200), ("gauss4:2", 1e300)])
     def test_gauss4_past_the_square_overflow(self, text, z_big):
@@ -844,6 +824,14 @@ class TestSpecPlumbing:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError):
             parse_spec("rk45:3")
+
+    @pytest.mark.parametrize("text", ["feuler:2", "erk4:1", "trbdf2:1"])
+    def test_parse_rejects_the_kinds_no_experiment_runs(self, text):
+        # The paper's comparison runs cg, tr and beuler, and kepler-compare
+        # adds gauss4: no other kind parses.
+        assert [k.value for k in PropagatorKind] == ["beuler", "tr", "gauss4", "cg"]
+        with pytest.raises(ValueError, match=r"unknown propagator .* \(expected one of beuler, tr, gauss4, cg\)$"):
+            parse_spec(text)
 
     @pytest.mark.parametrize("text", ["beuler:x", "cg:2.5"])
     def test_parse_rejects_non_integer_count(self, text):

@@ -1,4 +1,4 @@
-"""The implicit one-step kinds against a reference copy of their stage-solve chain.
+"""The one-step kinds against a reference copy of their stage-solve chain.
 
 ``advance`` reaches its Newton stage solves through one flat chain: the
 stepper, ``_solve_stage`` (start, residual and Jacobian), ``_newton`` (test
@@ -6,10 +6,8 @@ and update) and ``collocation.settle_rows``.  The reference below is the
 chain as it stood before it was flattened (``_start``, ``_solve_stage``,
 ``_newton`` and ``settle_rows`` as separate layers, ``np.linalg.solve``'s
 error state built per call, ``ndarray.max`` reductions and a zeros mask
-for the first test), with one change: the TR-BDF2 second stage takes its
-right-hand side in the exactly steady form ``u + (u_mid - u) / (g (2 -
-g))``, as the package does.  Each case asserts the same bits, the same
-typed errors and messages, and the same ``f`` and ``jac`` calls.
+for the first test).  Each case asserts the same bits, the same typed
+errors and messages, and the same ``f`` and ``jac`` calls.
 """
 
 import dataclasses
@@ -22,7 +20,7 @@ from numpy.linalg import _umath_linalg
 
 from paracheb import BurgersProblem, KeplerProblem, SolverError, SweepError, advance, parse_spec, spd_catalog
 from paracheb.errors import NonConvergenceError, SingularSystemError, raise_row_failures
-from paracheb.propagators import _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, _TRBDF2_GAMMA, PropagatorKind, _fd_jacobian
+from paracheb.propagators import _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, PropagatorKind, _fd_jacobian
 
 
 def ref_rows(a, rows):
@@ -157,17 +155,6 @@ def ref_trapezoidal(f, jac, spec, t, u, h, guess=None):
     return ref_solve_stage(f, jac, spec, t + h, 0.5 * h, rhs, ref_start(guess, lambda: u + h * fn))
 
 
-def ref_tr_bdf2(f, jac, spec, t, u, h):
-    g = _TRBDF2_GAMMA
-    fn = f(t, u)
-    rhs1 = u + 0.5 * g * h * fn
-    u_mid, lost = ref_solve_stage(f, jac, spec, t + g * h, 0.5 * g * h, rhs1, u + g * h * fn)
-    rhs2 = u + (u_mid - u) / (g * (2.0 - g))
-    beta = (1.0 - g) / (2.0 - g) * h
-    u_next, lost2 = ref_solve_stage(f, jac, spec, t + h, beta, rhs2, u_mid)
-    return u_next, {**lost2, **lost}
-
-
 def ref_gauss4(f, jac, spec, t, u, h):
     N, n = u.shape
     ts = (t + _GAUSS4_C * h)[..., None]
@@ -194,7 +181,6 @@ def ref_gauss4(f, jac, spec, t, u, h):
 REF_STEPPERS = {
     PropagatorKind.BACKWARD_EULER: ref_backward_euler,
     PropagatorKind.TRAPEZOIDAL: ref_trapezoidal,
-    PropagatorKind.TR_BDF2: ref_tr_bdf2,
     PropagatorKind.GAUSS4: ref_gauss4,
 }
 
@@ -261,7 +247,7 @@ def assert_same_outcome(spec, f, t, U, dT, jac=None, guess=None):
     return expected
 
 
-SPECS = ["beuler:1", "beuler:3", "tr:1", "trbdf2:1", "gauss4:2"]
+SPECS = ["beuler:1", "beuler:3", "tr:1", "gauss4:2"]
 
 PROBLEMS = {
     "burgers": (lambda: BurgersProblem(0.05, 16).to_ivp(), 4.0 / 128),
@@ -314,7 +300,7 @@ def test_backtracking_steps_match_reference(text):
 def test_singular_stage_matrix_matches_reference(text):
     # u' = c(t) u with c = 1 before t = 5 and 1/2 after: row 0's first
     # stage matrix 1 - beta_h is exactly zero for beuler:1 at dT = 1, tr:1
-    # at 2, beuler:3 at 3 and trbdf2:1 at 2 / (2 - sqrt 2).
+    # at 2 and beuler:3 at 3.
     def f(t, u):
         return np.where(t < 5.0, 1.0, 0.5) * u
 
@@ -323,7 +309,7 @@ def test_singular_stage_matrix_matches_reference(text):
 
     U = np.array([[1.0], [2.0], [3.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        for dT in (1.0, 2.0, 3.0, 2.0 / (2.0 - math.sqrt(2.0))):
+        for dT in (1.0, 2.0, 3.0):
             assert_same_outcome(parse_spec(text), f, np.array([0.0, 10.0, 20.0]), U, dT, jac=jac)
             assert_same_outcome(parse_spec(text), f, 0.0, U[0], dT, jac=jac)
 
