@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PointSearchError
-from .propagators import PropagatorKind, PropagatorSpec, cg_rational, check_z, stability
+from .propagators import PropagatorSpec, check_z, rational, stability
 
 #: Largest z for which zero interior collocation points keep K <= 1/3.
 Z0_STAR = 1.0
@@ -76,28 +76,16 @@ def contraction(spec: PropagatorSpec, z):
     ``z`` is a scalar, giving a float, or an array of any shape, giving an
     array of its shape, each entry equal to its scalar call bit for bit;
     every entry must be nonnegative and finite (``ValueError`` otherwise).
-    ``K(0) = 0`` by continuity.  The collocation kind evaluates ``K =
-    |Q(z)| / D(z)`` from exact integer coefficients, each rounded once
-    (``propagators.CgRational``): nothing cancels at small ``z``, and the
-    error is within about an ulp of the terms' magnitudes, so relative to
-    ``K`` it grows only near the zeros of ``K``.  Every other kind takes
-    ``|R - 1/(1+z)| / (1 - 1/(1+z))`` from its ``stability``.  Both
-    differences there cancel as ``z`` shrinks: the numerator is of order
-    ``z**2`` and each of its terms carries an error of order ``eps``, so
-    the relative error grows like ``eps / z**2`` (beuler:2 is off by 3.4 at
-    ``z = 1e-8``, 5e-4 at ``1e-6`` and 8e-8 at ``1e-4``; on cg:1 this form
-    is 122% off at ``z = 1e-8``, which is why cg does not use it), and a
-    ``z > 0`` so small that ``1 + z == 1`` leaves no denominator and raises
-    an ``ArithmeticError``.
+    ``K(0) = 0``.  Every kind evaluates ``K = |Q(z)| / D(z)`` from exact
+    integer coefficients, each rounded once (``propagators.Rational``):
+    ``Q``'s constant term is exactly 0, so nothing cancels at small ``z``,
+    and the error is within about an ulp of the terms' magnitudes, so
+    relative to ``K`` it grows only near the zeros of ``K``.  Past a kind's
+    largest count (``beuler:1043``, ``tr:1043``, ``gauss4:427``,
+    ``cg:979``) a coefficient would overflow a float, and ``ValueError``
+    names the spec and that count.
     """
-    z = check_z(z)
-    if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        table = cg_rational(spec.count)
-        return abs(table.ratio(table.Q, z))
-    r_coarse = 1.0 / (1.0 + z)
-    with np.errstate(divide="raise", invalid="raise"):
-        K = np.divide(abs(stability(spec, z) - r_coarse), 1.0 - r_coarse, out=np.zeros_like(z), where=z > 0.0)
-    return float(K) if K.ndim == 0 else K
+    return rational(spec.kind, spec.count).contraction(check_z(z))
 
 
 def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
@@ -105,24 +93,19 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
 
     Samples ``K`` on a log-spaced grid from ``max(z_max * 1e-6, 1e-8)``
     (or ``z_max`` itself, if smaller) to ``z_max``, plus ``z = 0`` where
-    ``K`` is 0, with one ``contraction`` call for the whole grid (for the
-    collocation kind, Horner's rule on exact integer coefficients, ``O(M)``
-    per ``z``).  It then sharpens every local maximum, including the right
-    endpoint, by Brent's bounded search (``scipy.optimize.minimize_scalar``,
-    ``xatol`` 1e-8) on scalar ``contraction`` calls; a bracket narrower than
-    that tolerance is left to its grid point.  Each grid value equals its
-    scalar ``contraction`` call bit for bit.  The refined points are merged
-    into the returned grid so ``rho`` equals the maximum of ``K_values``.
-    A ``z_max`` with ``1 + z_max == 1`` raises ValueError for every kind:
-    there a one-step kind's ``K`` has no denominator.  A one-step kind's
-    ``K`` cancels at small ``z`` (see ``contraction``), so its grid values
-    near the 1e-8 floor are rounding noise: their relative error is 3.4
-    (beuler:2) to 7 (beuler:6) at ``z = 1e-8`` and about 5e-4 at ``1e-6``.
+    ``K`` is 0, with one ``contraction`` call for the whole grid (Horner's
+    rule on exact integer coefficients, ``O(count)`` per ``z``).  It then
+    sharpens every local maximum, including the right endpoint, by Brent's
+    bounded search (``scipy.optimize.minimize_scalar``, ``xatol`` 1e-8) on
+    scalar ``contraction`` calls; a bracket narrower than that tolerance is
+    left to its grid point.  Each grid value equals its scalar
+    ``contraction`` call bit for bit.  The refined points are merged into
+    the returned grid so ``rho`` equals the maximum of ``K_values``.  Every
+    kind's ``K`` is exact down to the smallest ``z``, so every positive
+    finite ``z_max`` has a report.
     """
     if not 0 < z_max < math.inf:
         raise ValueError("z_max must be positive and finite")
-    if 1.0 + z_max == 1.0:
-        raise ValueError(f"z_max={z_max!r} is below what K(z) can resolve (1 + z_max == 1)")
     lo = min(max(z_max * 1e-6, 1e-8), z_max)
     grid = np.geomspace(lo, z_max, _RHO_GRID if lo < z_max else 1)
     zs = np.concatenate(([0.0], grid))

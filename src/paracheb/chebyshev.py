@@ -65,7 +65,7 @@ class CollocationOperator:
     interval-length factor).  ``T1_C`` caches ``T1 @ C_alpha``, the node-to-node
     map of the shifted system ``I + z T1_C`` that the direct linear solve
     solves.  The stability function does not come from these matrices: it
-    has a closed form in exact integers (``propagators.CgRational``).
+    has a closed form in exact integers (``propagators.Rational``).
 
     All arrays are read-only; instances may be shared across threads.
     """

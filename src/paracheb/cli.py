@@ -135,16 +135,15 @@ def cmd_analyze(manifest: RunManifest) -> str:
     """Tabulate |R(z)| and K(z) for each requested propagator on a log grid.
 
     Each propagator's pair of columns comes from one ``stability`` and one
-    ``analysis.contraction`` call on the whole grid; the collocation kind's
-    ``K`` is its exact rational form, with no cancellation at small ``z``.
+    ``analysis.contraction`` call on the whole grid; every kind's ``K`` is
+    its exact rational form, with no cancellation at small ``z``.
     """
     specs = _parse_spec_list(manifest.get("specs", ""))
     z_min = float(manifest.get("z_min", 1e-2))
     z_max = float(manifest.get("z_max", 1e4))
     n = int(manifest.get("z_points", 200))
-    if not (1.0 + z_min > 1.0 and z_min < z_max < math.inf and n >= 2):
-        # Where 1 + z rounds to 1, a one-step kind's K(z) has no denominator.
-        raise ValueError("need 1 + z_min > 1, z_min < z_max, both finite, and z_points >= 2")
+    if not (0.0 < z_min < z_max < math.inf and n >= 2):
+        raise ValueError("need 0 < z_min < z_max, both finite, and z_points >= 2")
 
     header = ["z"]
     for spec in specs:

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy._core.multiarray import count_nonzero
@@ -419,74 +419,94 @@ def advance(
     return U if stacked else U[0]
 
 
-def _one_step_stability(kind: PropagatorKind, z: np.ndarray) -> np.ndarray:
-    if kind is PropagatorKind.BACKWARD_EULER:
-        return 1.0 / (1.0 + z)
-    if kind is PropagatorKind.TRAPEZOIDAL:
-        return (1.0 - 0.5 * z) / (1.0 + 0.5 * z)
-    if kind is PropagatorKind.GAUSS4:
-        zz = z * z
-        r = (zz - 6.0 * z + 12.0) / (zz + 6.0 * z + 12.0)
-        # Where z * z overflows, the same fraction divided through by z * z.
-        big = np.isinf(zz)
-        w = 1.0 / np.where(big, z, 1.0)
-        return np.where(big, (1.0 - 6.0 * w + 12.0 * w * w) / (1.0 + 6.0 * w + 12.0 * w * w), r)
-    raise ValueError(f"no one-step stability function for {kind}")
+#: Each kind's largest count whose ``K`` coefficients fit a float, and a
+#: one-step kind's substep factor ``r(w) = num(w) / den(w)``, ``w = z / J``:
+#: integer coefficients, lowest power first, the numerator as long as the denominator.
+_KINDS = {
+    PropagatorKind.BACKWARD_EULER: (1043, (1, 0), (1, 1)),
+    PropagatorKind.TRAPEZOIDAL: (1043, (2, -1), (2, 1)),
+    PropagatorKind.GAUSS4: (427, (12, -6, 1), (12, 6, 1)),
+    PropagatorKind.CHEBYSHEV_GAUSS: (979, None, None),
+}
 
 
-def _pow(x: np.ndarray, p: int) -> np.ndarray:
-    """``x ** p`` elementwise with Python's float power (the C library's ``pow``).
+class Rational(NamedTuple):
+    """A propagator's ``R(z)`` and ``K(z)`` as rational functions with exact integer coefficients.
 
-    numpy's own power loop, vectorized on some CPUs, differs from ``pow`` in
-    the last bit for a few percent of arguments; this keeps the values of
-    the scalar formulas.
-    """
-    return np.asarray(np.frompyfunc(lambda v: v**p, 1, 1)(np.asarray(x, dtype=float)), dtype=float)
-
-
-class CgRational(NamedTuple):
-    """The collocation ``R(z)`` and ``K(z)`` of ``M + 1`` CG points as rational functions.
-
-    With ``s = M + 1``, Nørsett's theorem (Hairer & Wanner, *Solving ODEs
-    II*, Thm. IV.3.10) gives ``R(z) = D(-z) / D(z)`` for the decay equation,
+    Every kind is a small integer rational ``r = num / den`` taken ``J``
+    times.  With ``w = z / J``, ``r`` is ``1 / (1 + w)`` for ``beuler``,
+    ``(2 - w) / (2 + w)`` for ``tr`` and ``(12 - 6 w + w**2) / (12 + 6 w +
+    w**2)`` for ``gauss4``, ``J`` the count of substeps; for ``M + 1`` CG
+    points it is ``D(-z) / D(z)`` with ``J = 1``, by Nørsett's theorem
+    (Hairer & Wanner, *Solving ODEs II*, Thm. IV.3.10), where with ``s = M +
+    1``
 
         D(z) = sum_j 2**(s-j) T_s^(s-j)(1) z**j,
-        T_s^(k)(1) = prod_{i<k} (s**2 - i**2) / (2 i + 1),
+        T_s^(k)(1) = prod_{i<k} (s**2 - i**2) / (2 i + 1).
 
-    and the contraction factor against a backward Euler coarse step is
-    ``K(z) = |R (1 + z) - 1| / z = |Q(z)| / D(z)`` with ``Q(z) = ((1 + z)
-    D(-z) - D(z)) / z``.  Every coefficient is an exact integer, and ``Q``'s
-    constant term, ``D_0 - 2 D_1``, is exactly 0, so ``K`` has nothing to
-    cancel at small ``z``.  ``D``, ``D_neg`` (``D(-z)``) and ``Q`` hold the
+    ``R(z) = r(z / J)**J``, evaluated on ``r``: expanded, ``tr:6``'s
+    numerator ``(12 - z)**6`` would lose digits near its 6-fold zero.  The
+    contraction factor against a backward Euler coarse step is ``K(z) = |R
+    (1 + z) - 1| / z = |Q(z)| / D(z)``, where ``N`` and ``D`` are ``J**(g J)
+    num(z / J)**J`` and ``J**(g J) den(z / J)**J`` (``g`` the degree of
+    ``den``), both integer polynomials, and ``Q(z) = ((1 + z) N(z) - D(z)) /
+    z``.  Every kind is consistent, ``r(w) = 1 - w + O(w**2)``, so ``Q``'s
+    constant term, ``N_0 + N_1 - D_1``, is exactly 0, and ``K`` has nothing
+    to cancel at small ``z``.
+
+    ``R`` holds ``(scale, num, den)`` and ``K`` ``(scale, Q, D)``: the
     coefficients of ``y = z / scale``, lowest power first, each the exact
-    integer ratio ``coefficient * scale**j / D_0`` rounded once; ``scale``
-    is a power of two near the geometric mean of the magnitudes of ``D``'s
-    roots, which keeps the coefficients within float range up to ``M =
-    979``.
+    integer ratio ``coefficient * 2**(p j) / den_0`` rounded once, and
+    ``scale = J * 2**p`` for ``r`` and ``2**p`` for ``K``, where ``2**p`` is
+    near the geometric mean of the magnitudes of the denominator's roots.
+    That keeps ``K``'s coefficients within float range up to the kind's
+    largest count (``beuler:1043``, ``tr:1043``, ``gauss4:427`` and
+    ``cg:979``); past it a one-step kind's ``K`` is None.
     """
 
-    scale: float
-    D: tuple[float, ...]
-    D_neg: tuple[float, ...]
-    Q: tuple[float, ...]
+    kind: PropagatorKind
+    count: int
+    J: int
+    R: tuple[float, tuple[float, ...], tuple[float, ...]]
+    K: tuple[float, tuple[float, ...], tuple[float, ...]] | None
 
-    def ratio(self, num: tuple[float, ...], z: np.ndarray):
-        """``num(z) / D(z)`` for a checked ``z``: a float for a 0-d array, else an array.
+    def stability(self, z: np.ndarray):
+        """``R(z)`` for a checked ``z``: a float for a 0-d array, else an array.
 
-        Horner in ``y = z / scale`` where ``y <= 1``, and above, both
-        polynomials divided by ``y**s``, Horner in ``1 / y``, so no power
-        overflows.  A scalar runs on Python floats, an array on numpy's
-        elementwise operations: the same arithmetic, so each entry's bits
-        equal those of its scalar call.
+        With ``J = 1`` there is no power to take.  Otherwise it is Python's
+        float power (the C library's ``pow``), also elementwise on an array:
+        numpy's own power loop, vectorized on some CPUs, differs from ``pow``
+        in the last bit for a few percent of arguments, and each entry of a
+        stack must equal its scalar call.
         """
-        if z.ndim == 0:
-            y = float(z) / self.scale
-            return _horner_ratio(num, self.D, y) if y <= 1.0 else _horner_ratio(num[::-1], self.D[::-1], 1.0 / y)
-        y = z / self.scale  # a new array: each entry is overwritten by its ratio
-        low = y <= 1.0
-        y[~low] = _horner_ratio(num[::-1], self.D[::-1], 1.0 / y[~low])
-        y[low] = _horner_ratio(num, self.D, y[low])
-        return y
+        r, J = _ratio(*self.R, z), self.J
+        return r if J == 1 else r**J if isinstance(r, float) else np.frompyfunc(lambda v: v**J, 1, 1)(r).astype(float)
+
+    def contraction(self, z: np.ndarray):
+        """``K(z)`` for a checked ``z``; ValueError past the kind's largest count."""
+        if self.K is None:
+            name = self.kind.value
+            raise ValueError(f"K(z) is tabulated up to {name}:{_KINDS[self.kind][0]} (got {name}:{self.count})")
+        return abs(_ratio(*self.K, z))
+
+
+def _ratio(scale: float, num: tuple[float, ...], den: tuple[float, ...], z: np.ndarray):
+    """``num(z) / den(z)`` for a checked ``z``: a float for a 0-d array, else an array.
+
+    Horner in ``y = z / scale`` where ``y <= 1``, and above, both
+    polynomials divided by ``y**g``, Horner in ``1 / y``, so no power
+    overflows.  A scalar runs on Python floats, an array on numpy's
+    elementwise operations: the same arithmetic, so each entry's bits
+    equal those of its scalar call.
+    """
+    if z.ndim == 0:
+        y = float(z) / scale
+        return _horner_ratio(num, den, y) if y <= 1.0 else _horner_ratio(num[::-1], den[::-1], 1.0 / y)
+    y = z / scale  # a new array: each entry is overwritten by its ratio
+    low = y <= 1.0
+    y[~low] = _horner_ratio(num[::-1], den[::-1], 1.0 / y[~low])
+    y[low] = _horner_ratio(num, den, y[low])
+    return y
 
 
 def _horner_ratio(num, den, v):
@@ -497,23 +517,51 @@ def _horner_ratio(num, den, v):
     return p / q
 
 
-@functools.lru_cache(maxsize=None)
-def cg_rational(M: int) -> CgRational:
-    """The ``CgRational`` of ``M + 1`` CG points, cached per ``M``.
+def _scaled(num: Sequence[int], den: Sequence[int], J: int = 1):
+    """``(scale, num, den)`` of ``num(z / J) / den(z / J)``: see ``Rational``."""
+    p = round((den[0].bit_length() - den[-1].bit_length()) / (len(den) - 1))
+    return J * 2.0**p, *(tuple(c * 2 ** (p * j) / den[0] for j, c in enumerate(a)) for a in (num, den))
 
-    Raises ValueError past ``M = 979``, where a coefficient would overflow.
+
+def _poly_pow(p: list[int], n: int) -> list[int]:
+    """``p(z)**n`` for integer coefficients ``p``, lowest power first, with ``p[0] != 0``.
+
+    J. C. P. Miller's recurrence (Knuth, *TAOCP* Vol. 2, 4.7): each
+    coefficient from the ones below it, ``O(n g**2)`` operations on exact
+    integers for ``p`` of degree ``g``, each division exact.
     """
-    if M > 979:
-        raise ValueError(f"the collocation R(z) and K(z) are tabulated up to cg:979 (got cg:{M})")
-    s = M + 1
-    # T_s^(k)(1) for k = 0 .. s; each floor division is exact.
-    T = itertools.accumulate(range(s), lambda t, i: t * (s * s - i * i) // (2 * i + 1), initial=1)
-    D = [2**k * t for k, t in enumerate(T)][::-1]
-    D_neg = [(-1) ** j * d for j, d in enumerate(D)]
-    # Q_k is the coefficient of z**(k+1) in (1 + z) D(-z) - D(z).
-    Q = [d + (D_neg[k + 1] - D[k + 1] if k < s else 0) for k, d in enumerate(D_neg)]
-    p = round((D[0].bit_length() - 1) / s)  # at least 1: D_0 >= 2**(2s-1)
-    return CgRational(2.0**p, *(tuple(c * 2 ** (p * j) / D[0] for j, c in enumerate(a)) for a in (D, D_neg, Q)))
+    if n == 1:
+        return p  # the recurrence would cost O(g**2): the collocation kind's g is up to 980
+    a = [p[0] ** n]
+    for k in range(1, n * (len(p) - 1) + 1):
+        a.append(sum(((n + 1) * i - k) * p[i] * a[k - i] for i in range(1, min(k, len(p) - 1) + 1)) // (k * p[0]))
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def rational(kind: PropagatorKind, count: int) -> Rational:
+    """The ``Rational`` of ``kind:count``, cached per kind and count.
+
+    Past the kind's largest count a coefficient of ``K`` would overflow: a
+    one-step kind's ``R`` reads only ``r`` and keeps working, and the
+    collocation kind, whose ``r`` is its ``K``'s ``D(-z) / D(z)``, raises
+    ValueError.
+    """
+    (largest, num, den), J = _KINDS[kind], count
+    if num is None:  # the collocation kind
+        if count > largest:
+            raise ValueError(f"the collocation R(z) and K(z) are tabulated up to cg:{largest} (got cg:{count})")
+        s = count + 1
+        # T_s^(k)(1) for k = 0 .. s; each floor division is exact.
+        T = itertools.accumulate(range(s), lambda t, i: t * (s * s - i * i) // (2 * i + 1), initial=1)
+        den = [2**k * t for k, t in enumerate(T)][::-1]
+        J, num = 1, [(-1) ** j * d for j, d in enumerate(den)]
+    K = None
+    if count <= largest:
+        N, D = (_poly_pow([c * J ** (len(a) - 1 - i) for i, c in enumerate(a)], J) for a in (num, den))
+        # Q_k = N_k + N_(k+1) - D_(k+1) is the coefficient of z**(k+1) in (1 + z) N - D.
+        K = _scaled([n + a - b for n, a, b in zip(N, N[1:] + [0], D[1:] + [0])], D)
+    return Rational(kind, count, J, _scaled(num, den, J), K)
 
 
 def check_z(z) -> np.ndarray:
@@ -532,21 +580,17 @@ def stability(spec: PropagatorSpec, z):
     computation, and each entry's bits equal those of its scalar call.
     Every entry must be nonnegative and finite (``ValueError`` otherwise).
 
-    One-step kinds compose their single-step factor, ``r(z/J)**J``.  The
-    collocation kind's factor is Nørsett's closed form ``R(z) = D(-z) /
+    Every kind's factor is ``r(z/J)**J``, its small integer rational ``r``
+    taken ``J`` times: ``J`` substeps for the one-step kinds, and for the
+    collocation kind ``J = 1`` and Nørsett's closed form ``r(z) = D(-z) /
     D(z)`` (Hairer & Wanner, *Solving ODEs II*, Thm. IV.3.10; see
-    ``CgRational``), ``O(M)`` work per ``z`` from a coefficient table built
-    once per ``M``.  Every coefficient of ``D`` is positive, so ``R`` has
-    no pole on ``z >= 0``, the domain of the paper's analysis: the decay
-    equation with ``A`` symmetric positive semidefinite.  Every kind is
-    A-stable: ``|R| <= 1`` on all of that domain.
+    ``Rational``), from a coefficient table built once per kind and count:
+    ``O(1)`` work per ``z`` and a power for the one-step kinds, ``O(M)``
+    for the collocation kind.  Every coefficient of ``r``'s
+    denominator is positive, so ``R`` has no pole on ``z >= 0``, the domain
+    of the paper's analysis: the decay equation with ``A`` symmetric
+    positive semidefinite.  Every kind is A-stable: ``|R| <= 1`` on all of
+    that domain.  Past ``cg:979`` a collocation coefficient would overflow
+    a float (``ValueError``); a one-step kind's ``R`` works at every count.
     """
-    z = check_z(z)
-    if spec.kind is PropagatorKind.CHEBYSHEV_GAUSS:
-        table = cg_rational(spec.count)
-        return table.ratio(table.D_neg, z)
-    # gauss4's z * z overflows above about 1.3e154, where its formula replaces the entry.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _one_step_stability(spec.kind, z / spec.count)
-    R = _pow(r, spec.count)
-    return float(R) if R.ndim == 0 else R
+    return rational(spec.kind, spec.count).stability(check_z(z))

