@@ -18,16 +18,25 @@ came from returns ``g_prev[n]``, and a fine step from the start value of the
 last pass returns that pass's result.  So the exact prefix costs nothing,
 about half of the steps of a run that takes ``N`` passes.
 
-A coarse step from a changed start value is warm-started: its Newton stage
-solve starts at ``g_prev[n] + (u_new[n] - u[n])``, the cached result plus the
+A coarse step from a changed start value is a chord step: its stage solve
+starts at ``g_prev[n] + (u_new[n] - u[n])``, the cached result plus the
 change in the start value (the ``guess`` of ``propagators.advance``), not at
-the explicit Euler predictor, and takes fewer updates near convergence.  So
+the explicit Euler predictor, and each update multiplies the residual by
+``stage_inv[n]``, the inverse stage matrix ``(I - beta * dT * J)^-1`` at
+the initial sweep's result on that subinterval (simplified Newton, Hairer &
+Wanner, *Solving ODEs II*, Sec. IV.8).  The initial sweep has no cached
+result: it starts cold on Newton's iteration, and then builds every
+subinterval's inverse in one stacked ``jac`` call and one stacked
+inversion, for the kinds that take a guess (``beuler`` and ``tr`` at count
+1).  Near convergence a start value barely moves, so neither does its stage
+matrix: a warm step calls no Jacobian and solves nothing, and a row whose
+chord iteration does not reduce its residual falls back to Newton alone.  So
 G is not a pure function of its start value: the result also depends on the
 cached pair, and lies within the Newton stop, ``tol * (1 + |x|)``, of the
-cold step's.  The initial sweep has no cached result and starts cold.  The
-table is the one a full recomputation under this coarse rule gives, bit for
-bit: a row of ``f`` does not depend on the rows stacked with it (the
-contract of ``problems.IvpProblem``), so neither does a row's step.
+cold step's.  The table is the one a full recomputation under this coarse
+rule gives, bit for bit: a row of ``f`` does not depend on the rows stacked
+with it (the contract of ``problems.IvpProblem``), so neither does a row's
+step.
 
 Runs that differ in their fine propagator only, as in a comparison of fine
 propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
@@ -35,8 +44,9 @@ propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
 a single config is the one-run case of the same code.  The batch shares the
 initial coarse sweep, which never reads ``fine``, and each pass's
 correction: at every subinterval the start values of all runs that need a
-coarse step go to ``advance`` in one stack.  So each run's table and history
-are its solo run's, bit for bit.
+coarse step go to ``advance`` in one stack, with the one inverse stage
+matrix they share.  So each run's table and history are its solo run's, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ import numpy as np
 
 from .errors import MaxIterationsError, SolverError, SweepError, check_integer
 from .problems import IvpProblem
-from .propagators import PropagatorSpec, advance
+from .propagators import PropagatorSpec, advance, stage_inverses
 
 
 @dataclass(frozen=True)
@@ -108,9 +118,14 @@ class PararealState:
 
     ``u[n]`` approximates the solution at ``T_n`` after ``k = len(history)``
     passes; ``g_prev[n]`` caches the coarse result taken from ``u[n]`` (cold
-    in pass 0, warm-started after), so the next correction can subtract
+    in pass 0, a chord step after), so the next correction can subtract
     exactly the value that was added and the next coarse step from a
-    changed ``u[n]`` can start at ``g_prev[n]`` plus the change.  ``f_prev[n]``
+    changed ``u[n]`` can start at ``g_prev[n]`` plus the change.
+    ``stage_inv[n]`` is the coarse stage matrix's inverse at the pass-0
+    ``g_prev[n]``, which every later coarse step on subinterval ``n`` takes
+    its chord updates with: built once per run, read-only and shared by the
+    states of one ``initialize`` call (None for a coarse kind without a
+    guess; NaN where the matrix was singular).  ``f_prev[n]``
     caches the fine result from ``u_prev[n]``, the table the last pass
     started from (both None before the first pass).  A pass reuses
     ``g_prev[n]`` for a corrected start value bitwise equal to ``u[n]``, and
@@ -120,6 +135,7 @@ class PararealState:
     u: np.ndarray
     g_prev: np.ndarray
     history: list[ConvergenceRecord]
+    stage_inv: np.ndarray | None = None
     ref_table: np.ndarray | None = None
     f_prev: np.ndarray | None = None
     u_prev: np.ndarray | None = None
@@ -151,12 +167,15 @@ def _batch(cfg: PararealConfig | Sequence[PararealConfig]) -> list[PararealConfi
 def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
     """Bind a propagator spec and problem into a ``(t, u) -> u_next`` callable.
 
-    ``t`` and ``u`` are one start time and state, or a stack of them, and
-    ``guess`` an optional estimate of the result (see ``propagators.advance``).
+    ``t`` and ``u`` are one start time and state, or a stack of them,
+    ``guess`` an optional estimate of the result and ``inverse`` the
+    inverse stage matrix of a chord solve (see ``propagators.advance``).
     """
 
-    def step(t, u, guess=None):
-        return advance(spec, problem.f, t, u, dT, jac=problem.jacobian, linear=problem.linear, guess=guess)
+    def step(t, u, guess=None, inverse=None):
+        return advance(
+            spec, problem.f, t, u, dT, jac=problem.jacobian, linear=problem.linear, guess=guess, inverse=inverse
+        )
 
     return step
 
@@ -184,7 +203,9 @@ def initialize(
     and takes the coarse steps from all ``N`` drawn values in one stacked
     ``advance`` call.  Either way the coarse result from every ``u[n]`` is
     cached in ``g_prev`` for the first correction.  Every step starts cold
-    (there is no cached result to warm-start from).
+    (there is no cached result to warm-start from).  Then, for a coarse kind
+    that takes a guess, one stacked ``stage_inverses`` call builds
+    ``stage_inv``, the inverse stage matrix at every ``g_prev[n]``.
 
     A batch of configs (see ``run``) gets a list of states, one per config,
     from one sweep: the table does not depend on ``fine``.  A failed coarse
@@ -220,10 +241,14 @@ def initialize(
             raise
         raise error from None
 
+    inverse = stage_inverses(first.coarse, problem.f, np.arange(N) * dT, g_prev, dT, jac=problem.jacobian)
     ref_table = None
     if problem.reference is not None:
         ref_table = np.array([problem.reference(n * dT) for n in range(N + 1)])
-    states = [PararealState(u=u.copy(), g_prev=g_prev.copy(), history=[], ref_table=ref_table) for _ in cfgs]
+    states = [
+        PararealState(u=u.copy(), g_prev=g_prev.copy(), history=[], stage_inv=inverse, ref_table=ref_table)
+        for _ in cfgs
+    ]
     return states[0] if isinstance(cfg, PararealConfig) else states
 
 
@@ -268,12 +293,13 @@ def iterate(
 
     The correction walks the subintervals once for the whole batch.  At each
     it takes a coarse step only for the runs whose corrected start value
-    differs from the cached one's, warm-started from the cached result plus
-    that difference: one state goes to ``advance`` alone, several in one
-    stack.  A failed coarse step raises its own error, naming
-    its subinterval, pass and run (``subinterval``, ``k``, ``run``, the
-    run's index in the batch); of several failures in one stack, the lowest
-    run's.  A ``SolverError`` from a fine sweep names its run too.
+    differs from the cached one's, a chord step from the cached result plus
+    that difference with the subinterval's ``stage_inv``: one state goes to
+    ``advance`` alone, several in one stack.  A failed coarse step (its
+    Newton fallback's error) raises its own error, naming its subinterval,
+    pass and run (``subinterval``, ``k``, ``run``, the run's index in the
+    batch); of several failures in one stack, the lowest run's.  A
+    ``SolverError`` from a fine sweep names its run too.
     """
     cfgs = _batch(cfg)
     states = [state] if isinstance(state, PararealState) else list(state)
@@ -295,6 +321,7 @@ def iterate(
     # Rows 1..N of u_new are overwritten by the correction.
     u_new = [s.u.copy() for s in states]
     g_new = [s.g_prev.copy() for s in states]
+    inverses = [s.stage_inv for s in states]
     batch = list(enumerate(zip(u_new, g_new, fine_results, [s.g_prev for s in states], [s.u for s in states])))
     coarse = _make_stepper(first.coarse, problem, dT)
     runs = []  # the runs whose start value at T_n differs from the cached one's
@@ -303,11 +330,18 @@ def iterate(
             # Each step's guess: the cached result plus the change in its start value.
             # One state alone only for speed: a stack gives each row the same bits.
             if len(runs) == 1:
-                _, (u, g, _, g_prev, u_old) = batch[runs[0]]
-                g[n] = coarse(t, u[n], g_prev[n] + (u[n] - u_old[n]))
+                r = runs[0]
+                _, (u, g, _, g_prev, u_old) = batch[r]
+                inverse = inverses[r]
+                g[n] = coarse(t, u[n], g_prev[n] + (u[n] - u_old[n]), None if inverse is None else inverse[n])
             elif runs:
                 guesses = [states[r].g_prev[n] + (u_new[r][n] - states[r].u[n]) for r in runs]
-                steps = coarse(np.full(len(runs), t), np.array([u_new[r][n] for r in runs]), np.array(guesses))
+                stack = [inverses[r] for r in runs]
+                if all(i is stack[0] for i in stack):  # the states of one initialize call share theirs
+                    inverse = None if stack[0] is None else stack[0][n]
+                else:  # a state without inverses takes the Newton fallback of a NaN one
+                    inverse = np.array([np.full(g_new[0].shape[1:] * 2, np.nan) if i is None else i[n] for i in stack])
+                steps = coarse(np.full(len(runs), t), np.array([u_new[r][n] for r in runs]), np.array(guesses), inverse)
                 for r, g in zip(runs, steps):
                     g_new[r][n] = g
             runs = []

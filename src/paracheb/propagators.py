@@ -258,18 +258,34 @@ def _identity(n: int) -> np.ndarray:
 # ``guess`` of it (see ``advance``).
 
 
-def _solve_stage(f, jac, spec, t_stage, beta_h, rhs, predict, guess=None):
-    """Newton solve of the stage equations ``x = rhs + beta_h * f(t_stage, x)``, row by row.
+def _solve_stage(f, jac, spec, t_stage, beta_h, rhs, predict, guess=None, inverse=None):
+    """Solve the stage equations ``x = rhs + beta_h * f(t_stage, x)``, row by row.
 
     A row starts from its row of ``guess`` where that is finite, and from
     its row of the explicit predictor ``predict()`` otherwise; ``predict``
-    is called only when some row, or the missing guess, needs it.
+    is called only when some row, or the missing guess, needs it.  With an
+    ``inverse`` of the stage matrix (``advance`` passes one only with a
+    guess), every row runs the chord iteration (``_chord``) first, and a
+    row that falls back restarts alone on the Newton iteration from its
+    start.
     """
     if guess is None:
         x0 = predict()
     else:
         finite = np.isfinite(guess)
         x0 = guess if count_nonzero(finite) == finite.size else np.where(finite.all(axis=-1)[:, None], guess, predict())
+    if inverse is None:
+        return _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0)
+    x, back = _chord(f, t_stage, beta_h, rhs, x0, inverse, spec)
+    if not back:
+        return x, {}
+    rows = np.array(sorted(back))
+    x[rows], lost = _newton_stage(f, jac, spec, _rows(t_stage, rows), beta_h, rhs[rows], x0[rows])
+    return x, {int(rows[i]): exc for i, exc in lost.items()}
+
+
+def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
+    """Newton solve of the stage equations from ``x0``: ``_newton`` on their residual and Jacobian."""
     eye = _identity(x0.shape[-1])
 
     def residual(y, rows):
@@ -283,13 +299,80 @@ def _solve_stage(f, jac, spec, t_stage, beta_h, rhs, predict, guess=None):
     return _newton(residual, jacobian, x0, spec)
 
 
-def _step_backward_euler(f, jac, spec, t, u, h, guess=None):
-    return _solve_stage(f, jac, spec, t + h, h, u, lambda: u + h * f(t, u), guess)
+def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
+    """Chord (simplified Newton) iteration for ``x = rhs + beta_h * f(t_stage, x)`` on a stack of rows.
+
+    Each update steps by ``inverse @ residual``, one fixed inverse stage
+    matrix instead of a Jacobian and a solve per update (Hairer & Wanner,
+    *Solving ODEs II*, Sec. IV.8): ``inverse`` is one ``(n, n)`` matrix
+    for every row, or one per row.  It keeps ``_newton``'s rules: a row
+    settles within ``spec.tol * (1 + |x|)`` after at least one update, and
+    a row that met the stop keeps its state when an update does not reduce
+    its residual.  A row falls back when its residual is not finite at the
+    start, when an update neither reduces its residual nor started within
+    the stop (a residual that turns non-finite, as a non-finite inverse
+    makes it, never counts as reduced), or when it is still live after
+    ``spec.max_iter`` updates.  Each row's iterates are its own, whatever
+    rows are stacked with it.
+
+    Returns the stack of solutions, whose fallback rows are unset, and the
+    fallback rows in a list.
+    """
+    tol = spec.tol
+    res = x - rhs - beta_h * f(t_stage, x)
+    norm = np.maximum.reduce(np.abs(res), axis=-1)
+    ids = out = None  # the live rows' indices and every row's solution, once a row has left
+    back = []
+    t, b, S = t_stage, rhs, inverse
+    finite = norm < math.inf  # False for NaN too
+    if count_nonzero(finite) < len(finite):
+        back = np.flatnonzero(~finite).tolist()
+        ids, out = np.flatnonzero(finite), np.empty_like(x)
+        if not len(ids):
+            return out, back
+        x, res, norm, t, b = x[ids], res[ids], norm[ids], _rows(t_stage, ids), rhs[ids]
+        S = inverse if inverse.ndim == 2 else inverse[ids]
+    for _ in range(spec.max_iter):
+        x_new = x - np.matvec(S, res)
+        res_new = x_new - b - beta_h * f(t, x_new)
+        norm_new = np.maximum.reduce(np.abs(res_new), axis=-1)
+        done = norm_new <= tol * (1.0 + np.maximum.reduce(np.abs(x_new), axis=-1))
+        # A NaN or infinite residual fails the comparison: max propagates NaN.
+        ok = norm_new < norm
+        leave = done
+        if count_nonzero(ok) < len(ok):
+            met = ~ok & (norm_new < math.inf) & (norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1)))
+            x_new[met] = x[met]
+            done = (done & ok) | met
+            leave = done | ~ok
+        if ids is None and count_nonzero(done) == len(done):
+            return x_new, back
+        if count_nonzero(leave):
+            if ids is None:
+                ids, out = np.arange(len(x)), np.empty_like(x)
+            out[ids[done]] = x_new[done]
+            back.extend(ids[leave & ~done].tolist())
+            ids = ids[~leave]
+            if not len(ids):
+                return out, back
+            x, res, norm = x_new[~leave], res_new[~leave], norm_new[~leave]
+            t, b = _rows(t_stage, ids), rhs[ids]
+            S = inverse if inverse.ndim == 2 else inverse[ids]
+        else:
+            x, res, norm = x_new, res_new, norm_new
+    if ids is None:
+        return np.empty_like(x), list(range(len(x)))
+    back.extend(ids.tolist())
+    return out, back
 
 
-def _step_trapezoidal(f, jac, spec, t, u, h, guess=None):
+def _step_backward_euler(f, jac, spec, t, u, h, guess=None, inverse=None):
+    return _solve_stage(f, jac, spec, t + h, h, u, lambda: u + h * f(t, u), guess, inverse)
+
+
+def _step_trapezoidal(f, jac, spec, t, u, h, guess=None, inverse=None):
     fn = f(t, u)
-    return _solve_stage(f, jac, spec, t + h, 0.5 * h, u + 0.5 * h * fn, lambda: u + h * fn, guess)
+    return _solve_stage(f, jac, spec, t + h, 0.5 * h, u + 0.5 * h * fn, lambda: u + h * fn, guess, inverse)
 
 
 def _step_gauss4(f, jac, spec, t, u, h):
@@ -337,6 +420,7 @@ def advance(
     jac: RhsFunction | None = None,
     linear: LinearRhs | None = None,
     guess=None,
+    inverse=None,
 ) -> np.ndarray:
     """Advance a stack of states, row ``i`` from ``t_n[i]`` to ``t_n[i] + dT``.
 
@@ -360,18 +444,32 @@ def advance(
     ``guess``, of ``u_n``'s shape (``ValueError`` otherwise), estimates
     each row's end state.
     ``beuler`` and ``tr`` at count 1 solve their one stage for the end
-    state, and start each row's Newton iteration at its guess, where it is
+    state, and start each row's iteration at its guess, where it is
     finite, instead of at the explicit Euler predictor.  A row whose guess
     holds a NaN or an infinity starts at the predictor, as without a
-    guess.  Every other kind or count ignores ``guess``.  Every Newton
-    stage solve, from a guess or from a predictor, makes at least one
-    update.
+    guess.  Every other kind or count ignores ``guess``, and ``inverse``.
+    Every stage solve, from a guess or from a predictor, makes at least
+    one update.
 
-    A stage solve runs as one flat chain under this call: the kind's
-    stepper, ``_solve_stage`` (the start and the stage residual and
-    Jacobian), ``_newton`` and ``settle_rows``.  A single state is the
-    one-row stack of the same code, so a warm coarse step of ``parareal``
-    pays for its arithmetic and its checks, and for little else.
+    ``inverse``, used only with a guess, is an inverse stage matrix
+    ``(I - beta * dT * J)^-1`` from ``stage_inverses`` (``beta`` 1 for
+    ``beuler``, 1/2 for ``tr``): one ``(dim, dim)`` matrix for every row,
+    or one per row, ``(N, dim, dim)`` (``ValueError`` for another shape).
+    Each row then takes chord updates, one matrix-vector product and one
+    ``f`` call each and no Jacobian, in a flat loop (``_chord``).  The
+    result lies within the Newton stop ``tol * (1 + |x|)`` of the root, as
+    a Newton solve's does, but not on the same bits.  A row whose chord
+    iteration does not reduce its residual, meets a non-finite one (a NaN
+    inverse gives one) or uses up ``max_iter``, falls back: that row alone
+    restarts on the Newton iteration from its start, which raises any
+    typed error.
+
+    A Newton stage solve runs as one flat chain under this call: the
+    kind's stepper, ``_solve_stage`` (the start), ``_newton_stage`` (the
+    stage residual and Jacobian), ``_newton`` and ``settle_rows``.  A
+    single state is the one-row stack of the same code, so a coarse step
+    of ``parareal`` pays for its arithmetic and its checks, and for little
+    else.
 
     Every row stops its inner iterations on its own (``settle_rows``).  A
     failing row carries on through the remaining substeps as NaN while the
@@ -389,6 +487,11 @@ def advance(
         guess = np.asarray(guess, dtype=float)
         if guess.shape != u.shape:
             raise ValueError(f"guess has shape {guess.shape}, expected {u.shape}")
+        if inverse is not None:
+            inverse = np.asarray(inverse, dtype=float)
+            square = u.shape[-1:] * 2
+            if inverse.shape != square and (u.ndim < 2 or inverse.shape != (len(u), *square)):
+                raise ValueError(f"inverse has shape {inverse.shape}, expected {square} or one per row")
 
     step = _STEPPERS.get(spec.kind)
     if step is None:  # the collocation kind
@@ -408,7 +511,7 @@ def advance(
         t = np.asarray(t_n, dtype=float)
         t = t[:, None] if t.ndim else float(t)  # per-row column, or one float
     if guess is not None and spec.count == 1 and spec.kind in _WARM_KINDS:
-        U, failures = step(f, jac, spec, t, U, h, guess if stacked else guess.reshape(1, -1))
+        U, failures = step(f, jac, spec, t, U, h, guess if stacked else guess.reshape(1, -1), inverse)
     else:
         failures: dict[int, Exception] = {}
         for j in range(spec.count):
@@ -417,6 +520,37 @@ def advance(
                 failures = {**lost, **failures}
     raise_row_failures(failures, stacked)
     return U if stacked else U[0]
+
+
+def stage_inverses(spec: PropagatorSpec, f: RhsFunction, t_n, x, dT: float, jac: RhsFunction | None = None):
+    """The inverse stage matrices ``(I - beta * dT * J(t_n + dT, x))^-1`` of a stack of end states ``x``.
+
+    These are the ``inverse`` of ``advance`` for the kinds that take a
+    ``guess`` (``beuler`` and ``tr`` at count 1, ``beta`` 1 and 1/2), with
+    ``t_n`` the start times ``(N,)`` and ``x`` ``(N, dim)``, in one
+    ``jac`` call (forward differences of ``f`` when it is None) and one
+    stacked inversion; None for every other kind or count.  A singular or
+    non-finite row comes out NaN, and its steps fall back to Newton.  The
+    array is read-only.
+    """
+    if spec.count != 1 or spec.kind not in _WARM_KINDS:
+        return None
+    x = np.asarray(x, dtype=float)
+    beta_h = dT if spec.kind is PropagatorKind.BACKWARD_EULER else 0.5 * dT
+    if jac is None:
+        jac = functools.partial(_fd_jacobian, f)
+    S = _identity(x.shape[-1]) - beta_h * jac(np.asarray(t_n, dtype=float)[:, None] + dT, x)
+    try:
+        inverse = np.linalg.inv(S)
+    except np.linalg.LinAlgError:
+        inverse = np.empty_like(S)
+        for i, s in enumerate(S):
+            try:
+                inverse[i] = np.linalg.inv(s)
+            except np.linalg.LinAlgError:
+                inverse[i] = np.nan
+    inverse.flags.writeable = False
+    return inverse
 
 
 #: Each kind's largest count whose ``K`` coefficients fit a float, and a

@@ -27,6 +27,7 @@ from paracheb import (
 from paracheb import parareal
 from paracheb.analysis import contraction
 from paracheb.parareal import _make_stepper
+from paracheb.propagators import stage_inverses
 
 BE = PropagatorSpec.backward_euler(1)
 
@@ -61,20 +62,22 @@ def reference_run(cfg, problem):
     recomputes every fine step, in one stack of all ``N`` rows.  The coarse
     rule is the one ``iterate`` states: a start value with unchanged bits
     returns ``g_prev[n]``, a changed one is stepped from the guess
-    ``g_prev[n] + (u_new[n] - u[n])``."""
+    ``g_prev[n] + (u_new[n] - u[n])`` by chord updates, with the inverse
+    stage matrix at the initial sweep's result from ``u[n]``."""
     state = initialize(cfg, problem)
     dT = problem.T / cfg.N
     fine = _make_stepper(cfg.fine, problem, dT)
     coarse = _make_stepper(cfg.coarse, problem, dT)
     times = np.arange(cfg.N) * dT
     u, g_prev, history = state.u, state.g_prev, []
+    inverse = stage_inverses(cfg.coarse, problem.f, times, g_prev, dT, jac=problem.jacobian)
     for k in range(1, cfg.max_k + 1):
         fine_results = fine(times, u[: cfg.N])
         u_new = u.copy()
         g_new = g_prev.copy()
         for n in range(cfg.N):
             if u_new[n].tobytes() != u[n].tobytes():
-                g_new[n] = coarse(times[n], u_new[n], g_prev[n] + (u_new[n] - u[n]))
+                g_new[n] = coarse(times[n], u_new[n], g_prev[n] + (u_new[n] - u[n]), inverse[n])
             u_new[n + 1] = fine_results[n] + (g_new[n] - g_prev[n])
         iter_error = float(np.max(np.abs(u_new - u)))
         component_error = None
@@ -238,9 +241,10 @@ class TestIterate:
         # The correction subtracts g_prev[n], so it must be exactly the
         # coarse step that pass took from the current iterate u[n],
         # whichever way the pass-0 table was filled: cold in pass 0, then
-        # warm-started from the last pass's result plus the change in u[n]
-        # (or that result itself where u[n] kept its bits).  A cold step
-        # from u[n] lands within the Newton stop of it.
+        # chord steps from the last pass's result plus the change in u[n]
+        # (or that result itself where u[n] kept its bits), with the
+        # inverse stage matrices at the pass-0 results.  A cold step from
+        # u[n] lands within the Newton stop of it.
         prob = diag_problem(T=0.5)
         for init in ("coarse", "random"):
             cfg = PararealConfig(
@@ -251,13 +255,15 @@ class TestIterate:
             state = initialize(cfg, prob)
             for n in range(cfg.N):
                 np.testing.assert_array_equal(state.g_prev[n], coarse(n * dT, state.u[n]))
+            inverse = stage_inverses(BE, prob.f, np.arange(cfg.N) * dT, state.g_prev, dT, jac=prob.jacobian)
+            np.testing.assert_array_equal(state.stage_inv, inverse)
             for k in range(3):
                 u_old, g_old = state.u.copy(), state.g_prev.copy()
                 state = iterate(state, cfg, prob)
                 for n in range(cfg.N):
                     warm = g_old[n]
                     if state.u[n].tobytes() != u_old[n].tobytes():
-                        warm = coarse(n * dT, state.u[n], g_old[n] + (state.u[n] - u_old[n]))
+                        warm = coarse(n * dT, state.u[n], g_old[n] + (state.u[n] - u_old[n]), inverse[n])
                     np.testing.assert_array_equal(state.g_prev[n], warm)
                     cold = coarse(n * dT, state.u[n])
                     stop = BE.tol * (1.0 + np.abs(cold).max())
@@ -520,6 +526,54 @@ class TestRun:
         assert len(history) == len(history_cold) > 2
         assert warm < len(jacobians)
 
+    @pytest.mark.parametrize("nu, init", [(0.05, "coarse"), (0.005, "coarse"), (0.05, "random")])
+    def test_warm_coarse_steps_call_no_jacobian(self, nu, init):
+        # The initial sweep's Newton solves call the jacobian, and so does
+        # the one stacked call that builds every subinterval's inverse stage
+        # matrix; each later coarse step takes chord updates with its
+        # subinterval's inverse and calls none.
+        jacobians = []
+        burgers = BurgersProblem(nu, 8, T=0.5).to_ivp()
+
+        def jacobian(t, u):
+            jacobians.append(len(u))
+            return burgers.jacobian(t, u)
+
+        prob = dataclasses.replace(burgers, jacobian=jacobian)
+        cfg = PararealConfig(N=16, coarse=BE, fine=parse_spec("cg:8"), init=init, seed=3)
+        state = initialize(cfg, prob)
+        assert jacobians[-1] == 16
+        jacobians.clear()
+        while not (state.history and state.history[-1].iter_error <= cfg.tol):
+            state = iterate(state, cfg, prob)
+        assert state.k >= 2 and jacobians == []
+
+    def test_singular_pass_0_stage_matrix_falls_back_to_newton(self):
+        # u' = -u, with a jacobian that is exactly singular for backward
+        # Euler (1/dT) at the pass-0 result of subinterval 2 only: the
+        # initial sweep's Newton solves evaluate it at their predictors.
+        # That subinterval's inverse comes out NaN, the others are each
+        # their own matrix's inverse, and its coarse steps fall back to
+        # Newton, which meets the exact Jacobian -1 at its guesses.
+        base = IvpProblem(f=lambda t, u: -u, u0=np.ones(1), T=1.0)
+        cfg = PararealConfig(N=5, coarse=BE, fine=parse_spec("cg:4"))
+        dT = base.T / cfg.N
+        singular_at = initialize(cfg, base).g_prev[2]
+
+        def jacobian(t, u):
+            return np.where(u == singular_at, 1.0 / dT, -1.0)[..., None]
+
+        prob = dataclasses.replace(base, jacobian=jacobian)
+        state = initialize(cfg, prob)
+        assert np.isnan(state.stage_inv[2]).all()
+        for n in (0, 1, 3, 4):
+            np.testing.assert_array_equal(state.stage_inv[n], np.linalg.inv(np.eye(1) + dT * np.eye(1)))
+        u, history = run(cfg, prob)
+        u_ref, history_ref = reference_run(cfg, prob)
+        np.testing.assert_array_equal(u, u_ref)
+        assert history == history_ref
+        assert [len(h) for _, h in (run(cfg, base), (u, history))] == [len(history)] * 2
+
     def test_reuse_to_the_end_of_the_table(self, advance_calls):
         # Pass N has one changed start value, stepped alone; pass N + 1 has
         # none, so it steps nothing and changes nothing.
@@ -701,6 +755,29 @@ class TestBatch:
                 solo = iterate(solo, cfg, prob)
             np.testing.assert_array_equal(state.u, solo.u)
             assert state.history == solo.history
+
+    def test_states_that_do_not_share_their_inverses(self):
+        # The states of one initialize call share one array of inverse stage
+        # matrices; states from separate calls hold equal copies, which a
+        # stacked coarse step takes row by row, with the same bits.  A state
+        # without inverses takes Newton steps, alone or in a stack.
+        prob = BurgersProblem(0.05, 8, T=0.5).to_ivp()
+        cfgs = [PararealConfig(N=8, coarse=BE, fine=parse_spec(f)) for f in ("cg:4", "cg:6")]
+        shared = initialize(cfgs, prob)
+        apart = [initialize(cfg, prob) for cfg in cfgs]
+        newton = [initialize(cfg, prob) for cfg in cfgs]
+        newton_solo = initialize(cfgs[1], prob)
+        assert shared[0].stage_inv is shared[1].stage_inv and apart[0].stage_inv is not apart[1].stage_inv
+        newton[1].stage_inv = newton_solo.stage_inv = None
+        for _ in range(3):
+            shared, apart, newton = (iterate(states, cfgs, prob) for states in (shared, apart, newton))
+            newton_solo = iterate(newton_solo, cfgs[1], prob)
+        for a, b, c in zip(shared, apart, newton):
+            np.testing.assert_array_equal(a.u, b.u)
+            assert a.history == b.history
+        np.testing.assert_array_equal(newton[0].u, shared[0].u)
+        np.testing.assert_array_equal(newton[1].u, newton_solo.u)
+        assert newton[1].u.tobytes() != shared[1].u.tobytes()
 
     def test_failure_names_its_run_subinterval_and_pass(self):
         # u' = -12 u on dT = 1/4 (z = 3), with f NaN at t = T_4 = 1 above

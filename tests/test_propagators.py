@@ -464,6 +464,112 @@ class TestWarmStart:
         np.testing.assert_array_equal(advance(spec, cubic, np.zeros(2), U, 0.2, guess=np.full((2, 2), 7.0)), plain)
 
 
+class TestChord:
+    """``advance`` from a guess with an inverse stage matrix: chord updates,
+    and a row that falls back restarts alone on the Newton iteration."""
+
+    U = np.array([[0.5, 1.0], [2.0, -1.0], [1.5, 0.25]])
+    dT = 0.5
+
+    def start(self, text, jac=None):
+        """The spec, the cold results, a guess near them and a writeable
+        copy of the inverse stage matrices at them."""
+        spec = parse_spec(text)
+        cold = advance(spec, cubic, np.zeros(3), self.U, self.dT)
+        inverse = propagators.stage_inverses(spec, cubic, np.zeros(3), cold, self.dT, jac or counting_cubic_jacobian([]))
+        assert not inverse.flags.writeable
+        return spec, cold, cold * (1.0 + 1e-6), inverse.copy()
+
+    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    def test_chord_step_calls_no_jacobian(self, text):
+        spec, _, guess, inverse = self.start(text)
+        calls = []
+        got = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=counting_cubic_jacobian(calls), guess=guess, inverse=inverse)
+        assert calls == []
+        newton = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess)
+        np.testing.assert_allclose(got, newton, rtol=0, atol=spec.tol * (1.0 + np.abs(newton).max()))
+        assert got.tobytes() != newton.tobytes()
+        for i in range(3):
+            alone = advance(spec, cubic, 0.0, self.U[i], self.dT, guess=guess[i], inverse=inverse[i])
+            np.testing.assert_array_equal(got[i], alone)
+        # One matrix for every row is the same as that matrix in each row.
+        shared = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse[0])
+        one_each = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=np.stack([inverse[0]] * 3))
+        np.testing.assert_array_equal(shared, one_each)
+
+    @pytest.mark.parametrize("cause", ["no reduction", "nan inverse", "singular", "stall"])
+    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    def test_stacked_step_equals_its_rows_when_one_falls_back(self, text, cause):
+        # Row 1 falls back: its update increases the residual (a negated
+        # inverse), its inverse is NaN, its stage matrix was singular where
+        # the inverses were built (inverted row by row, that row comes out
+        # NaN), or its updates, half the chord's, use up max_iter.  It then
+        # takes the Newton steps it takes alone from its guess, and calls
+        # the jacobian for itself only; rows 0 and 2 keep their chord steps.
+        def singular(t, u):
+            J = counting_cubic_jacobian([])(t, u)
+            J[1] = np.eye(2) / (self.dT if text == "beuler:1" else 0.5 * self.dT)
+            return J
+
+        spec, cold, guess, inverse = self.start(text, singular if cause == "singular" else None)
+        if cause == "no reduction":
+            inverse[1] *= -1.0
+        elif cause == "nan inverse":
+            inverse[1] = np.nan
+        elif cause == "singular":
+            assert np.isnan(inverse[1]).all()
+            for i in (0, 2):
+                jac = counting_cubic_jacobian([])
+                alone = propagators.stage_inverses(spec, cubic, np.zeros(1), cold[i : i + 1], self.dT, jac)
+                np.testing.assert_array_equal(inverse[i], alone[0])
+        else:
+            spec = dataclasses.replace(spec, max_iter=3)
+            inverse[1] *= 0.5
+        calls = []
+        got = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=counting_cubic_jacobian(calls), guess=guess, inverse=inverse)
+        assert calls and calls == [1] * len(calls)
+        newton = advance(spec, cubic, 0.0, self.U[1], self.dT, jac=counting_cubic_jacobian([]), guess=guess[1])
+        np.testing.assert_array_equal(got[1], newton)
+        for i in range(3):
+            alone = advance(
+                spec, cubic, 0.0, self.U[i], self.dT, jac=counting_cubic_jacobian([]), guess=guess[i], inverse=inverse[i]
+            )
+            np.testing.assert_array_equal(got[i], alone)
+
+    @NONFINITE
+    def test_failing_row_raises_its_newton_error(self, value):
+        # Row 1 starts where f is non-finite: it falls back before its first
+        # update, and its Newton iteration raises the error it raises alone.
+        def f(t, u):
+            return np.where(u > 1.8, value, -(u**3))
+
+        spec, _, guess, inverse = self.start("beuler:1")
+        guess[1, 0] = 1.9
+        with np.errstate(invalid="ignore"), pytest.raises(SweepError) as err:
+            advance(spec, f, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse)
+        with np.errstate(invalid="ignore"), pytest.raises(NonConvergenceError) as alone:
+            advance(spec, f, 0.0, self.U[1], self.dT, guess=guess[1])
+        assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
+
+    def test_inverse_of_another_shape_rejected(self):
+        spec, _, guess, inverse = self.start("beuler:1")
+        with pytest.raises(ValueError, match=r"inverse has shape \(2, 2, 2\), expected \(2, 2\) or one per row"):
+            advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse[:2])
+        with pytest.raises(ValueError, match=r"inverse has shape \(1, 2, 2\)"):
+            advance(spec, cubic, 0.0, self.U[0], self.dT, guess=guess[0], inverse=inverse[:1])
+
+    @pytest.mark.parametrize("text", ["beuler:1", "beuler:2", "tr:3", "gauss4:1", "cg:4"])
+    def test_inverse_needs_a_guess_and_a_warm_kind(self, text):
+        spec = parse_spec(text)
+        inverse = self.start("beuler:1")[3]
+        plain = advance(spec, cubic, np.zeros(3), self.U, self.dT)
+        np.testing.assert_array_equal(advance(spec, cubic, np.zeros(3), self.U, self.dT, inverse=inverse), plain)
+        if text != "beuler:1":
+            assert propagators.stage_inverses(spec, cubic, np.zeros(3), plain, self.dT) is None
+            got = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=plain, inverse=inverse)
+            np.testing.assert_array_equal(got, advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=plain))
+
+
 class TestStability:
     @pytest.mark.parametrize("z", [0.01, 0.1, 1.0, 2.0, 10.0, 100.0])
     def test_collocation_closed_forms(self, z):

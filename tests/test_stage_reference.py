@@ -8,6 +8,11 @@ chain as it stood before it was flattened (``_start``, ``_solve_stage``,
 error state built per call, ``ndarray.max`` reductions and a zeros mask
 for the first test).  Each case asserts the same bits, the same typed
 errors and messages, and the same ``f`` and ``jac`` calls.
+
+Given an inverse stage matrix with its guess, ``advance`` takes chord
+updates instead of Newton updates; the reference's Newton step from the
+same guess is the yardstick the chord steps must land within the Newton
+stop of.
 """
 
 import dataclasses
@@ -20,7 +25,7 @@ from numpy.linalg import _umath_linalg
 
 from paracheb import BurgersProblem, KeplerProblem, SolverError, SweepError, advance, parse_spec, spd_catalog
 from paracheb.errors import NonConvergenceError, SingularSystemError, raise_row_failures
-from paracheb.propagators import _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, PropagatorKind, _fd_jacobian
+from paracheb.propagators import _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, PropagatorKind, _fd_jacobian, stage_inverses
 
 
 def ref_rows(a, rows):
@@ -328,3 +333,29 @@ def test_nonfinite_and_stalled_rows_match_reference(text):
         assert_same_outcome(spec, f, 0.0, U[1], 0.5)
         stalling = dataclasses.replace(spec, max_iter=2)
         assert_same_outcome(stalling, cubic, np.zeros(3), np.array([[0.1], [20.0], [3.0]]), 0.2)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+def test_chord_steps_land_within_the_newton_stop(text, name):
+    # With the inverse stage matrices at the cold results, as parareal
+    # builds them after its initial sweep, a step from a guess takes chord
+    # updates.  From the cold result moved by 1e-7 and by 1e-4, each row
+    # lands within the Newton stop, tol * (1 + |x|), of the reference
+    # chain's Newton step from the same guess, and so does a stack.
+    make, dT = PROBLEMS[name]
+    ivp, spec = make(), parse_spec(text)
+    rng = np.random.default_rng(5)
+    times = rng.uniform(0.0, 1.0, 4)
+    U = ivp.u0 * rng.uniform(0.9, 1.1, (4, ivp.dim))
+    for jac in (ivp.jacobian, None):
+        cold = advance(spec, ivp.f, times, U, dT, jac=jac)
+        inverse = stage_inverses(spec, ivp.f, times, cold, dT, jac=jac)
+        for move in (1e-7, 1e-4):
+            guess = cold * (1.0 + move)
+            newton = ref_advance(spec, ivp.f, times, U, dT, jac=jac, guess=guess)
+            stop = spec.tol * (1.0 + np.abs(newton).max(axis=-1))
+            for t, u, g, inv, expected, s in zip(times, U, guess, inverse, newton, stop):
+                assert np.abs(advance(spec, ivp.f, t, u, dT, jac=jac, guess=g, inverse=inv) - expected).max() <= s
+            chord = advance(spec, ivp.f, times, U, dT, jac=jac, guess=guess, inverse=inverse)
+            assert (np.abs(chord - newton).max(axis=-1) <= stop).all()
