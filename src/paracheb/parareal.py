@@ -30,7 +30,10 @@ subinterval's inverse in one stacked ``jac`` call and one stacked
 inversion, for the kinds that take a guess (``beuler`` and ``tr`` at count
 1).  Near convergence a start value barely moves, so neither does its stage
 matrix: a warm step calls no Jacobian and solves nothing, and a row whose
-chord iteration does not reduce its residual falls back to Newton alone.  So
+chord iteration converges too slowly falls back to Newton alone.  A
+nonlinear run from random starts gets no inverses, and takes Newton steps
+from its guesses: the coarse result of a drawn value says nothing about the
+Jacobian where the run goes (a linear problem's is the same everywhere).  So
 G is not a pure function of its start value: the result also depends on the
 cached pair, and lies within the Newton stop, ``tol * (1 + |x|)``, of the
 cold step's.  The table is the one a full recomputation under this coarse
@@ -125,7 +128,8 @@ class PararealState:
     ``g_prev[n]``, which every later coarse step on subinterval ``n`` takes
     its chord updates with: built once per run, read-only and shared by the
     states of one ``initialize`` call (None for a coarse kind without a
-    guess; NaN where the matrix was singular).  ``f_prev[n]``
+    guess and for a nonlinear problem from random starts; NaN where the
+    matrix was singular).  ``f_prev[n]``
     caches the fine result from ``u_prev[n]``, the table the last pass
     started from (both None before the first pass).  A pass reuses
     ``g_prev[n]`` for a corrected start value bitwise equal to ``u[n]``, and
@@ -205,7 +209,8 @@ def initialize(
     cached in ``g_prev`` for the first correction.  Every step starts cold
     (there is no cached result to warm-start from).  Then, for a coarse kind
     that takes a guess, one stacked ``stage_inverses`` call builds
-    ``stage_inv``, the inverse stage matrix at every ``g_prev[n]``.
+    ``stage_inv``, the inverse stage matrix at every ``g_prev[n]``; not for
+    the random policy on a nonlinear problem (``problem.linear`` None).
 
     A batch of configs (see ``run``) gets a list of states, one per config,
     from one sweep: the table does not depend on ``fine``.  A failed coarse
@@ -241,7 +246,11 @@ def initialize(
             raise
         raise error from None
 
-    inverse = stage_inverses(first.coarse, problem.f, np.arange(N) * dT, g_prev, dT, jac=problem.jacobian)
+    # A drawn start's coarse result says nothing about the Jacobian where a
+    # nonlinear run goes; a linear problem's Jacobian is the same everywhere.
+    inverse = None
+    if first.init == "coarse" or problem.linear is not None:
+        inverse = stage_inverses(first.coarse, problem.f, np.arange(N) * dT, g_prev, dT, jac=problem.jacobian)
     ref_table = None
     if problem.reference is not None:
         ref_table = np.array([problem.reference(n * dT) for n in range(N + 1)])

@@ -266,8 +266,8 @@ def _solve_stage(f, jac, spec, t_stage, beta_h, rhs, predict, guess=None, invers
     is called only when some row, or the missing guess, needs it.  With an
     ``inverse`` of the stage matrix (``advance`` passes one only with a
     guess), every row runs the chord iteration (``_chord``) first, and a
-    row that falls back restarts alone on the Newton iteration from its
-    start.
+    row that falls back restarts alone on the Newton iteration from the
+    state the chord iteration leaves it in.
     """
     if guess is None:
         x0 = predict()
@@ -280,7 +280,7 @@ def _solve_stage(f, jac, spec, t_stage, beta_h, rhs, predict, guess=None, invers
     if not back:
         return x, {}
     rows = np.array(sorted(back))
-    x[rows], lost = _newton_stage(f, jac, spec, _rows(t_stage, rows), beta_h, rhs[rows], x0[rows])
+    x[rows], lost = _newton_stage(f, jac, spec, _rows(t_stage, rows), beta_h, rhs[rows], x[rows])
     return x, {int(rows[i]): exc for i, exc in lost.items()}
 
 
@@ -299,6 +299,12 @@ def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
     return _newton(residual, jacobian, x0, spec)
 
 
+#: The least factor by which a chord update must cut a row's residual short
+#: of the stop: at a slower rate the iteration takes more updates than the
+#: Newton iteration it falls back to.
+_CHORD_RATE = 0.1
+
+
 def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
     """Chord (simplified Newton) iteration for ``x = rhs + beta_h * f(t_stage, x)`` on a stack of rows.
 
@@ -309,25 +315,25 @@ def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
     settles within ``spec.tol * (1 + |x|)`` after at least one update, and
     a row that met the stop keeps its state when an update does not reduce
     its residual.  A row falls back when its residual is not finite at the
-    start, when an update neither reduces its residual nor started within
-    the stop (a residual that turns non-finite, as a non-finite inverse
-    makes it, never counts as reduced), or when it is still live after
-    ``spec.max_iter`` updates.  Each row's iterates are its own, whatever
-    rows are stacked with it.
+    start, when an update short of the stop cuts its residual by less than
+    the factor ``_CHORD_RATE`` (a residual that grows or turns non-finite,
+    as a non-finite inverse makes it, never counts as cut), or when it is
+    still live after ``spec.max_iter`` updates.  Each row's iterates are
+    its own, whatever rows are stacked with it.
 
-    Returns the stack of solutions, whose fallback rows are unset, and the
-    fallback rows in a list.
+    Returns every row's state and the fallback rows in a list: a settled
+    row holds its solution, a fallback row the last iterate that reduced
+    its residual (its start if none did), where Newton takes over.
     """
     tol = spec.tol
     res = x - rhs - beta_h * f(t_stage, x)
     norm = np.maximum.reduce(np.abs(res), axis=-1)
-    ids = out = None  # the live rows' indices and every row's solution, once a row has left
+    ids = None  # the live rows' indices into the stack, once a row has left
     back = []
     t, b, S = t_stage, rhs, inverse
     finite = norm < math.inf  # False for NaN too
     if count_nonzero(finite) < len(finite):
-        back = np.flatnonzero(~finite).tolist()
-        ids, out = np.flatnonzero(finite), np.empty_like(x)
+        back, ids, out = np.flatnonzero(~finite).tolist(), np.flatnonzero(finite), x.copy()
         if not len(ids):
             return out, back
         x, res, norm, t, b = x[ids], res[ids], norm[ids], _rows(t_stage, ids), rhs[ids]
@@ -339,18 +345,18 @@ def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
         done = norm_new <= tol * (1.0 + np.maximum.reduce(np.abs(x_new), axis=-1))
         # A NaN or infinite residual fails the comparison: max propagates NaN.
         ok = norm_new < norm
-        leave = done
         if count_nonzero(ok) < len(ok):
             met = ~ok & (norm_new < math.inf) & (norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1)))
-            x_new[met] = x[met]
+            x_new[~ok] = x[~ok]
             done = (done & ok) | met
-            leave = done | ~ok
         if ids is None and count_nonzero(done) == len(done):
             return x_new, back
+        # A slower chord iteration would cost more updates than Newton's.
+        leave = done | ~(norm_new <= _CHORD_RATE * norm)
         if count_nonzero(leave):
             if ids is None:
                 ids, out = np.arange(len(x)), np.empty_like(x)
-            out[ids[done]] = x_new[done]
+            out[ids[leave]] = x_new[leave]
             back.extend(ids[leave & ~done].tolist())
             ids = ids[~leave]
             if not len(ids):
@@ -361,7 +367,8 @@ def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
         else:
             x, res, norm = x_new, res_new, norm_new
     if ids is None:
-        return np.empty_like(x), list(range(len(x)))
+        return x, list(range(len(x)))
+    out[ids] = x
     back.extend(ids.tolist())
     return out, back
 
@@ -459,10 +466,11 @@ def advance(
     ``f`` call each and no Jacobian, in a flat loop (``_chord``).  The
     result lies within the Newton stop ``tol * (1 + |x|)`` of the root, as
     a Newton solve's does, but not on the same bits.  A row whose chord
-    iteration does not reduce its residual, meets a non-finite one (a NaN
-    inverse gives one) or uses up ``max_iter``, falls back: that row alone
-    restarts on the Newton iteration from its start, which raises any
-    typed error.
+    update short of the stop cuts its residual by less than a factor of 10
+    (a residual that grows or turns non-finite, as a NaN inverse makes it,
+    is not cut), or that uses up ``max_iter``, falls back: that row alone
+    restarts on the Newton iteration from its last iterate that reduced
+    its residual (its start if none did), which raises any typed error.
 
     A Newton stage solve runs as one flat chain under this call: the
     kind's stepper, ``_solve_stage`` (the start), ``_newton_stage`` (the

@@ -476,7 +476,8 @@ class TestChord:
         copy of the inverse stage matrices at them."""
         spec = parse_spec(text)
         cold = advance(spec, cubic, np.zeros(3), self.U, self.dT)
-        inverse = propagators.stage_inverses(spec, cubic, np.zeros(3), cold, self.dT, jac or counting_cubic_jacobian([]))
+        jac = jac or counting_cubic_jacobian([])
+        inverse = propagators.stage_inverses(spec, cubic, np.zeros(3), cold, self.dT, jac)
         assert not inverse.flags.writeable
         return spec, cold, cold * (1.0 + 1e-6), inverse.copy()
 
@@ -484,7 +485,8 @@ class TestChord:
     def test_chord_step_calls_no_jacobian(self, text):
         spec, _, guess, inverse = self.start(text)
         calls = []
-        got = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=counting_cubic_jacobian(calls), guess=guess, inverse=inverse)
+        jac = counting_cubic_jacobian(calls)
+        got = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=jac, guess=guess, inverse=inverse)
         assert calls == []
         newton = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess)
         np.testing.assert_allclose(got, newton, rtol=0, atol=spec.tol * (1.0 + np.abs(newton).max()))
@@ -497,21 +499,30 @@ class TestChord:
         one_each = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=np.stack([inverse[0]] * 3))
         np.testing.assert_array_equal(shared, one_each)
 
-    @pytest.mark.parametrize("cause", ["no reduction", "nan inverse", "singular", "stall"])
+    def first_update(self, text, guess, inverse):
+        """The chord iterate one update from ``guess``, for the middle row."""
+        h, u = self.dT, self.U[1]
+        beta_h, rhs = (h, u) if text == "beuler:1" else (0.5 * h, u + 0.5 * h * cubic(0.0, u))
+        return guess - np.matvec(inverse, guess - rhs - beta_h * cubic(h, guess))
+
+    @pytest.mark.parametrize("cause", ["no reduction", "nan inverse", "singular", "slow"])
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
     def test_stacked_step_equals_its_rows_when_one_falls_back(self, text, cause):
         # Row 1 falls back: its update increases the residual (a negated
         # inverse), its inverse is NaN, its stage matrix was singular where
         # the inverses were built (inverted row by row, that row comes out
-        # NaN), or its updates, half the chord's, use up max_iter.  It then
-        # takes the Newton steps it takes alone from its guess, and calls
-        # the jacobian for itself only; rows 0 and 2 keep their chord steps.
+        # NaN), or its update, half the chord's, cuts the residual by about
+        # 2, less than _CHORD_RATE asks.  It then takes the Newton steps it
+        # takes alone from its last iterate that reduced its residual (the
+        # guess, or the slow row's first update), and calls the jacobian for
+        # itself only; rows 0 and 2 keep their chord steps.
         def singular(t, u):
             J = counting_cubic_jacobian([])(t, u)
             J[1] = np.eye(2) / (self.dT if text == "beuler:1" else 0.5 * self.dT)
             return J
 
         spec, cold, guess, inverse = self.start(text, singular if cause == "singular" else None)
+        restart = guess[1]
         if cause == "no reduction":
             inverse[1] *= -1.0
         elif cause == "nan inverse":
@@ -523,18 +534,52 @@ class TestChord:
                 alone = propagators.stage_inverses(spec, cubic, np.zeros(1), cold[i : i + 1], self.dT, jac)
                 np.testing.assert_array_equal(inverse[i], alone[0])
         else:
-            spec = dataclasses.replace(spec, max_iter=3)
             inverse[1] *= 0.5
+            restart = self.first_update(text, guess[1], inverse[1])
         calls = []
-        got = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=counting_cubic_jacobian(calls), guess=guess, inverse=inverse)
+        got = advance(
+            spec, cubic, np.zeros(3), self.U, self.dT, jac=counting_cubic_jacobian(calls), guess=guess, inverse=inverse
+        )
         assert calls and calls == [1] * len(calls)
-        newton = advance(spec, cubic, 0.0, self.U[1], self.dT, jac=counting_cubic_jacobian([]), guess=guess[1])
+        jac = counting_cubic_jacobian([])
+        newton = advance(spec, cubic, 0.0, self.U[1], self.dT, jac=jac, guess=restart)
         np.testing.assert_array_equal(got[1], newton)
         for i in range(3):
-            alone = advance(
-                spec, cubic, 0.0, self.U[i], self.dT, jac=counting_cubic_jacobian([]), guess=guess[i], inverse=inverse[i]
-            )
+            alone = advance(spec, cubic, 0.0, self.U[i], self.dT, jac=jac, guess=guess[i], inverse=inverse[i])
             np.testing.assert_array_equal(got[i], alone)
+
+    def test_nan_inverse_falls_back_from_a_start_within_the_stop(self):
+        # A row that starts within the stop keeps its state when an update
+        # does not reduce its residual, but not when the update is not
+        # finite: a NaN inverse always hands the row to Newton.
+        spec, cold, _, inverse = self.start("beuler:1")
+        inverse[1] = np.nan
+        calls = []
+        jac = counting_cubic_jacobian(calls)
+        got = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=jac, guess=cold, inverse=inverse)
+        assert calls and calls == [1] * len(calls)
+        newton = advance(spec, cubic, 0.0, self.U[1], self.dT, jac=counting_cubic_jacobian([]), guess=cold[1])
+        np.testing.assert_array_equal(got[1], newton)
+
+    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    def test_row_still_live_after_max_iter_falls_back(self, text):
+        # With max_iter = 1, rows 0 and 2 start at their cold results and
+        # settle; row 1 starts 1% off, and its one update cuts the residual
+        # fast but not to the stop.  It restarts on Newton from that update
+        # and stalls there too: the stack raises the error it raises alone.
+        spec, cold, guess, inverse = self.start(text)
+        spec = dataclasses.replace(spec, max_iter=1)
+        guess = cold.copy()
+        guess[1] *= 1.01
+        with pytest.raises(SweepError) as err:
+            advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse)
+        restart = self.first_update(text, guess[1], inverse[1])
+        with pytest.raises(NonConvergenceError) as alone:
+            advance(spec, cubic, 0.0, self.U[1], self.dT, guess=restart)
+        assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
+        with pytest.raises(NonConvergenceError) as from_guess:
+            advance(spec, cubic, 0.0, self.U[1], self.dT, guess=guess[1])
+        assert str(from_guess.value) != str(alone.value)
 
     @NONFINITE
     def test_failing_row_raises_its_newton_error(self, value):
@@ -545,9 +590,9 @@ class TestChord:
 
         spec, _, guess, inverse = self.start("beuler:1")
         guess[1, 0] = 1.9
-        with np.errstate(invalid="ignore"), pytest.raises(SweepError) as err:
+        with pytest.raises(SweepError) as err:  # and no warning: no update reaches the non-finite row
             advance(spec, f, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse)
-        with np.errstate(invalid="ignore"), pytest.raises(NonConvergenceError) as alone:
+        with pytest.raises(NonConvergenceError) as alone:
             advance(spec, f, 0.0, self.U[1], self.dT, guess=guess[1])
         assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
 
