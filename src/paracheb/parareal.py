@@ -49,7 +49,10 @@ initial coarse sweep, which never reads ``fine``, and each pass's
 correction: at every subinterval the start values of all runs that need a
 coarse step go to ``advance`` in one stack, with the one inverse stage
 matrix they share.  So each run's table and history are its solo run's, bit
-for bit.
+for bit.  The correction holds the batch's tables as arrays, time first
+(``(N+1, R, dim)`` for ``R`` runs), so each subinterval's corrected values,
+its "changed" test and its live runs' starts and guesses are a few array
+operations for all runs; one live run steps alone, as a single state.
 """
 
 from __future__ import annotations
@@ -304,7 +307,9 @@ def iterate(
     it takes a coarse step only for the runs whose corrected start value
     differs from the cached one's, a chord step from the cached result plus
     that difference with the subinterval's ``stage_inv``: one state goes to
-    ``advance`` alone, several in one stack.  A failed coarse step (its
+    ``advance`` alone, several in one stack.  The runs' tables are arrays
+    indexed by subinterval and run, so each subinterval's bookkeeping is a
+    few array operations for the whole batch.  A failed coarse step (its
     Newton fallback's error) raises its own error, naming its subinterval,
     pass and run (``subinterval``, ``k``, ``run``, the run's index in the
     batch); of several failures in one stack, the lowest run's.  A
@@ -327,53 +332,59 @@ def iterate(
             exc.run = r
             raise
 
-    # Rows 1..N of u_new are overwritten by the correction.
-    u_new = [s.u.copy() for s in states]
-    g_new = [s.g_prev.copy() for s in states]
-    inverses = [s.stage_inv for s in states]
-    batch = list(enumerate(zip(u_new, g_new, fine_results, [s.g_prev for s in states], [s.u for s in states])))
-    coarse = _make_stepper(first.coarse, problem, dT)
-    runs = []  # the runs whose start value at T_n differs from the cached one's
+    # The batch's tables, time first: entry n holds every run's row n, one
+    # contiguous block.  Rows 1..N of U are overwritten by the correction.
+    U_old = np.stack([s.u for s in states], axis=1)
+    G_old = np.stack([s.g_prev for s in states], axis=1)
+    F = np.stack(fine_results, axis=1)
+    U, G = U_old.copy(), G_old.copy()
+    # Comparing the words compares bits, so -0.0 differs from 0.0.
+    U_bits, U_old_bits = U.view(np.uint64), U_old.view(np.uint64)
+    one_run = len(states) == 1
+    stage_inv = [s.stage_inv for s in states]
+    shared = all(i is stage_inv[0] for i in stage_inv)  # the states of one initialize call share theirs
+    if not shared:  # stacked row by row; a state without inverses takes the Newton fallback of a NaN one
+        nan = np.full(G.shape[:1] + G.shape[-1:] * 2, np.nan)
+        by_run = np.stack([nan if i is None else i for i in stage_inv], axis=1)
+    spec, f, jac, linear = first.coarse, problem.f, problem.jacobian, problem.linear
+    live = ()  # the runs whose start value at T_n differs from the cached one's
     try:
         for n, t in enumerate(times.tolist()):
             # Each step's guess: the cached result plus the change in its start value.
-            # One state alone only for speed: a stack gives each row the same bits.
-            if len(runs) == 1:
-                r = runs[0]
-                _, (u, g, _, g_prev, u_old) = batch[r]
-                inverse = inverses[r]
-                g[n] = coarse(t, u[n], g_prev[n] + (u[n] - u_old[n]), None if inverse is None else inverse[n])
-            elif runs:
-                guesses = [states[r].g_prev[n] + (u_new[r][n] - states[r].u[n]) for r in runs]
-                stack = [inverses[r] for r in runs]
-                if all(i is stack[0] for i in stack):  # the states of one initialize call share theirs
-                    inverse = None if stack[0] is None else stack[0][n]
-                else:  # a state without inverses takes the Newton fallback of a NaN one
-                    inverse = np.array([np.full(g_new[0].shape[1:] * 2, np.nan) if i is None else i[n] for i in stack])
-                steps = coarse(np.full(len(runs), t), np.array([u_new[r][n] for r in runs]), np.array(guesses), inverse)
-                for r, g in zip(runs, steps):
-                    g_new[r][n] = g
-            runs = []
-            for r, (u, g, f, g_prev, u_old) in batch:
-                # Summed as fine value plus small coarse increment: near convergence
-                # the increment vanishes, so the fine result's bits are preserved.
-                u[n + 1] = row = f[n] + (g[n] - g_prev[n])
-                if row.tobytes() != u_old[n + 1].tobytes():
-                    runs.append(r)
+            if len(live) == 1:  # one state alone, only for speed: a stack gives each row the same bits
+                r = live[0]
+                guess = G_old[n, r] + (U[n, r] - U_old[n, r])
+                inverse = None if stage_inv[r] is None else stage_inv[r][n]
+                G[n, r] = advance(spec, f, t, U[n, r], dT, jac, linear, guess=guess, inverse=inverse)
+            elif len(live):
+                guess = G_old[n, live] + (U[n, live] - U_old[n, live])
+                inverse = (None if stage_inv[0] is None else stage_inv[0][n]) if shared else by_run[n, live]
+                t_live = np.full(len(live), t)
+                G[n, live] = advance(spec, f, t_live, U[n, live], dT, jac, linear, guess=guess, inverse=inverse)
+            # Summed as fine value plus small coarse increment: near convergence
+            # the increment vanishes, so the fine result's bits are preserved.
+            U[n + 1] = F[n] + (G[n] - G_old[n])
+            if U[n + 1].tobytes() == U_old[n + 1].tobytes():
+                live = ()
+            elif one_run:
+                live = (0,)
+            else:
+                live = np.flatnonzero((U_bits[n + 1] != U_old_bits[n + 1]).any(axis=1))
     except SolverError as exc:
-        error, r = _coarse_failure(exc, runs)
-        error.name_coarse_step(n, states[r].k + 1, r)
+        error, r = _coarse_failure(exc, live)
+        error.name_coarse_step(n, states[r].k + 1, int(r))
         if error is exc:
             raise
         raise error from None
 
-    for s, u, g, f in zip(states, u_new, g_new, fine_results):
+    for r, (s, fine) in enumerate(zip(states, fine_results)):
+        u = U[:, r].copy()
         iter_error = float(np.max(np.abs(u - s.u)))
         ref = s.ref_table
         component_error = None if ref is None else tuple(np.max(np.abs(u - ref), axis=0).tolist())
         s.u_prev, s.u = s.u, u
-        s.f_prev = f
-        s.g_prev = g
+        s.f_prev = fine
+        s.g_prev = G[:, r].copy()
         s.history.append(ConvergenceRecord(s.k + 1, iter_error, component_error))
     return states[0] if isinstance(state, PararealState) else states
 

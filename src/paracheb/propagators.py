@@ -253,39 +253,13 @@ def _identity(n: int) -> np.ndarray:
 # float or an (N, 1) column) to the states one substep later, plus the rows
 # whose stage solves failed (a dict row -> error).  A failed row comes out as
 # NaN and stays in the stack; a NaN row leaves each later stage solve at its
-# first test, and its first error is the one kept.  Backward Euler and the
-# trapezoidal rule solve one stage for the end state, so they also take a
-# ``guess`` of it (see ``advance``).
-
-
-def _solve_stage(f, jac, spec, t_stage, beta_h, rhs, predict, guess=None, inverse=None):
-    """Solve the stage equations ``x = rhs + beta_h * f(t_stage, x)``, row by row.
-
-    A row starts from its row of ``guess`` where that is finite, and from
-    its row of the explicit predictor ``predict()`` otherwise; ``predict``
-    is called only when some row, or the missing guess, needs it.  With an
-    ``inverse`` of the stage matrix (``advance`` passes one only with a
-    guess), every row runs the chord iteration (``_chord``) first, and a
-    row that falls back restarts alone on the Newton iteration from the
-    state the chord iteration leaves it in.
-    """
-    if guess is None:
-        x0 = predict()
-    else:
-        finite = np.isfinite(guess)
-        x0 = guess if count_nonzero(finite) == finite.size else np.where(finite.all(axis=-1)[:, None], guess, predict())
-    if inverse is None:
-        return _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0)
-    x, back = _chord(f, t_stage, beta_h, rhs, x0, inverse, spec)
-    if not back:
-        return x, {}
-    rows = np.array(sorted(back))
-    x[rows], lost = _newton_stage(f, jac, spec, _rows(t_stage, rows), beta_h, rhs[rows], x[rows])
-    return x, {int(rows[i]): exc for i, exc in lost.items()}
+# first test, and its first error is the one kept.  These steppers start
+# cold; a step from a guess of its end state is ``_warm_step``'s.
 
 
 def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
-    """Newton solve of the stage equations from ``x0``: ``_newton`` on their residual and Jacobian."""
+    """Newton solve of the stage equations ``x = rhs + beta_h * f(t_stage, x)``
+    from ``x0``: ``_newton`` on their residual and Jacobian."""
     eye = _identity(x0.shape[-1])
 
     def residual(y, rows):
@@ -323,7 +297,8 @@ def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
 
     Returns every row's state and the fallback rows in a list: a settled
     row holds its solution, a fallback row the last iterate that reduced
-    its residual (its start if none did), where Newton takes over.
+    its residual (its start if none did), where Newton takes over.  The
+    state array is never ``x``.
     """
     tol = spec.tol
     res = x - rhs - beta_h * f(t_stage, x)
@@ -373,13 +348,102 @@ def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
     return out, back
 
 
-def _step_backward_euler(f, jac, spec, t, u, h, guess=None, inverse=None):
-    return _solve_stage(f, jac, spec, t + h, h, u, lambda: u + h * f(t, u), guess, inverse)
+def _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec):
+    """``_chord`` for one state ``x`` of shape ``(n,)`` and one ``inverse``.
+
+    The same updates, stop and fallback tests on 1-D arrays, with each norm
+    one scalar: the iterates and the exit of that state's row in any stack,
+    bit for bit.  Returns the state and whether it settled: a state that
+    falls back is its last iterate that reduced the residual (or its
+    start), where Newton takes over.  A settled state is never ``x``.
+    """
+    tol = spec.tol
+    res = x - rhs - beta_h * f(t_stage, x)
+    norm = np.maximum.reduce(np.abs(res))
+    if not norm < math.inf:
+        return x, False
+    for _ in range(spec.max_iter):
+        x_new = x - np.matvec(inverse, res)
+        res_new = x_new - rhs - beta_h * f(t_stage, x_new)
+        norm_new = np.maximum.reduce(np.abs(res_new))
+        # A NaN or infinite residual fails the comparison: max propagates NaN.
+        if not norm_new < norm:
+            # Only a first update can start within the stop.
+            met = norm_new < math.inf and norm <= tol * (1.0 + np.maximum.reduce(np.abs(x)))
+            return (x.copy(), True) if met else (x, False)
+        if norm_new <= tol * (1.0 + np.maximum.reduce(np.abs(x_new))):
+            return x_new, True
+        # A slower chord iteration would cost more updates than Newton's.
+        if not norm_new <= _CHORD_RATE * norm:
+            return x_new, False
+        x, res, norm = x_new, res_new, norm_new
+    return x, False
 
 
-def _step_trapezoidal(f, jac, spec, t, u, h, guess=None, inverse=None):
+def _times(t_n):
+    """Start times as a float, or as a per-row column ``(N, 1)``."""
+    if isinstance(t_n, float):  # a Python or numpy float
+        return float(t_n)
+    t = np.asarray(t_n, dtype=float)
+    return t[:, None] if t.ndim else float(t)
+
+
+def _warm_step(spec, f, jac, t_n, u, dT, guess, inverse):
+    """One ``beuler:1`` or ``tr:1`` step of a state or a stack from a ``guess`` of its end state.
+
+    The whole warm step of ``advance``, which checked the arguments: the
+    stage equations ``x = rhs + beta_h * f(t + dT, x)`` (``beta_h`` is
+    ``dT`` for ``beuler``, ``dT / 2`` for ``tr``), each row's start (its
+    guess where that is finite, the explicit Euler predictor otherwise),
+    the chord iteration with ``inverse`` (``_chord_state`` for a single
+    state, ``_chord`` for a stack) and the Newton fallback, from the last
+    iterate that reduced the residual, of the rows that need it.  Without
+    an inverse every row takes Newton updates from its start, and a single
+    state is then the one-row stack of a cold step.  Returns the end
+    states; failed rows raise as ``advance`` states.
+    """
+    t = _times(t_n)
+    stacked = u.ndim == 2
+    if not stacked and (inverse is None or not isinstance(t, float)):
+        u, guess = u[None], guess[None]
+    beta_h, rhs, slope = dT, u, None
+    if spec.kind is PropagatorKind.TRAPEZOIDAL:
+        slope = f(t, u)
+        beta_h, rhs = 0.5 * dT, u + 0.5 * dT * slope
+    t_stage = t + dT
+    x = guess
+    finite = np.isfinite(guess)
+    if count_nonzero(finite) < finite.size:
+        predictor = u + dT * (f(t, u) if slope is None else slope)
+        x = np.where(finite.all(axis=-1)[..., None], guess, predictor)
+    if jac is None:
+        jac = functools.partial(_fd_jacobian, f)
+    back = None  # the rows that restart on Newton where the chord left them; None: every row, from its start
+    if u.ndim == 1:
+        x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
+        if settled:
+            return x
+        x, rhs = x[None], rhs[None]
+    elif inverse is not None:
+        x, back = _chord(f, t_stage, beta_h, rhs, x, inverse, spec)
+    failures = {}
+    if back is None:
+        x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x)
+    elif back:
+        rows = np.array(sorted(back))
+        x[rows], lost = _newton_stage(f, jac, spec, _rows(t_stage, rows), beta_h, rhs[rows], x[rows])
+        failures = {int(rows[i]): exc for i, exc in lost.items()}
+    raise_row_failures(failures, stacked)
+    return x if stacked else x[0]
+
+
+def _step_backward_euler(f, jac, spec, t, u, h):
+    return _newton_stage(f, jac, spec, t + h, h, u, u + h * f(t, u))
+
+
+def _step_trapezoidal(f, jac, spec, t, u, h):
     fn = f(t, u)
-    return _solve_stage(f, jac, spec, t + h, 0.5 * h, u + 0.5 * h * fn, lambda: u + h * fn, guess, inverse)
+    return _newton_stage(f, jac, spec, t + h, 0.5 * h, u + 0.5 * h * fn, u + h * fn)
 
 
 def _step_gauss4(f, jac, spec, t, u, h):
@@ -414,7 +478,8 @@ _STEPPERS = {
     PropagatorKind.GAUSS4: _step_gauss4,
 }
 
-#: The kinds whose one stage solves for the end state and takes a ``guess``.
+#: The kinds whose one stage solves for the end state and takes a ``guess``
+#: (``_warm_step``) at count 1.
 _WARM_KINDS = (PropagatorKind.BACKWARD_EULER, PropagatorKind.TRAPEZOIDAL)
 
 
@@ -463,21 +528,25 @@ def advance(
     ``beuler``, 1/2 for ``tr``): one ``(dim, dim)`` matrix for every row,
     or one per row, ``(N, dim, dim)`` (``ValueError`` for another shape).
     Each row then takes chord updates, one matrix-vector product and one
-    ``f`` call each and no Jacobian, in a flat loop (``_chord``).  The
-    result lies within the Newton stop ``tol * (1 + |x|)`` of the root, as
-    a Newton solve's does, but not on the same bits.  A row whose chord
-    update short of the stop cuts its residual by less than a factor of 10
-    (a residual that grows or turns non-finite, as a NaN inverse makes it,
-    is not cut), or that uses up ``max_iter``, falls back: that row alone
-    restarts on the Newton iteration from its last iterate that reduced
-    its residual (its start if none did), which raises any typed error.
+    ``f`` call each and no Jacobian.  The result lies within the Newton
+    stop ``tol * (1 + |x|)`` of the root, as a Newton solve's does, but
+    not on the same bits.  A row whose chord update short of the stop cuts
+    its residual by less than a factor of 10 (a residual that grows or
+    turns non-finite, as a NaN inverse makes it, is not cut), or that uses
+    up ``max_iter``, falls back: that row alone restarts on the Newton
+    iteration from its last iterate that reduced its residual (its start
+    if none did), which raises any typed error.
 
-    A Newton stage solve runs as one flat chain under this call: the
-    kind's stepper, ``_solve_stage`` (the start), ``_newton_stage`` (the
-    stage residual and Jacobian), ``_newton`` and ``settle_rows``.  A
-    single state is the one-row stack of the same code, so a coarse step
-    of ``parareal`` pays for its arithmetic and its checks, and for little
-    else.
+    After the argument checks, a step from a guess is one call,
+    ``_warm_step``, which owns the stage equations, the start, the chord
+    iteration and the Newton fallback.  A single state runs the chord loop
+    on 1-D arrays with scalar norms (``_chord_state``), a stack the same
+    loop with row masks (``_chord``), and each row of a stack gets the
+    bits of its single-state step.  A Newton stage solve is the kind's
+    stepper (or ``_warm_step``), ``_newton_stage`` (the stage residual and
+    Jacobian), ``_newton`` and ``settle_rows``, on a stack: a single state
+    is its one-row stack.  So a coarse step of ``parareal`` pays for its
+    arithmetic and its checks, and for little else.
 
     Every row stops its inner iterations on its own (``settle_rows``).  A
     failing row carries on through the remaining substeps as NaN while the
@@ -500,6 +569,8 @@ def advance(
             square = u.shape[-1:] * 2
             if inverse.shape != square and (u.ndim < 2 or inverse.shape != (len(u), *square)):
                 raise ValueError(f"inverse has shape {inverse.shape}, expected {square} or one per row")
+        if spec.count == 1 and spec.kind in _WARM_KINDS:
+            return _warm_step(spec, f, jac, t_n, u, dT, guess, inverse)
 
     step = _STEPPERS.get(spec.kind)
     if step is None:  # the collocation kind
@@ -513,19 +584,12 @@ def advance(
     h = dT / spec.count
     stacked = u.ndim == 2
     U = u if stacked else u.reshape(1, -1)
-    if isinstance(t_n, float):  # a Python or numpy float
-        t = float(t_n)
-    else:
-        t = np.asarray(t_n, dtype=float)
-        t = t[:, None] if t.ndim else float(t)  # per-row column, or one float
-    if guess is not None and spec.count == 1 and spec.kind in _WARM_KINDS:
-        U, failures = step(f, jac, spec, t, U, h, guess if stacked else guess.reshape(1, -1), inverse)
-    else:
-        failures: dict[int, Exception] = {}
-        for j in range(spec.count):
-            U, lost = step(f, jac, spec, t + j * h, U, h)
-            if lost:
-                failures = {**lost, **failures}
+    t = _times(t_n)
+    failures: dict[int, Exception] = {}
+    for j in range(spec.count):
+        U, lost = step(f, jac, spec, t + j * h, U, h)
+        if lost:
+            failures = {**lost, **failures}
     raise_row_failures(failures, stacked)
     return U if stacked else U[0]
 

@@ -791,6 +791,30 @@ class TestBatch:
         np.testing.assert_array_equal(newton[1].u, newton_solo.u)
         assert newton[1].u.tobytes() != shared[1].u.tobytes()
 
+    def test_a_run_live_alone_in_a_batch_steps_as_its_solo_run(self):
+        # Run 0's fine propagator is the coarse one, so its fine results are
+        # its initial sweep's coarse results bit for bit: its table never
+        # changes and it is never live, while run 1 takes every coarse step
+        # of every pass alone, as a single state.  With the inverses shared,
+        # and from separate initialize calls with none for run 0, each table
+        # and history is the solo run's, bit for bit.
+        prob = BurgersProblem(0.05, 8, T=0.5).to_ivp()
+        cfgs = [PararealConfig(N=8, coarse=BE, fine=parse_spec(f)) for f in ("beuler:1", "cg:4")]
+        solo = [initialize(cfg, prob) for cfg in cfgs]
+        shared = initialize(cfgs, prob)
+        apart = [initialize(cfg, prob) for cfg in cfgs]
+        apart[0].stage_inv = None
+        for _ in range(4):
+            solo = [iterate(state, cfg, prob) for state, cfg in zip(solo, cfgs)]
+            shared, apart = (iterate(states, cfgs, prob) for states in (shared, apart))
+        assert [r.iter_error for r in solo[0].history] == [0.0] * 4
+        assert all(r.iter_error > 0.0 for r in solo[1].history)
+        for states in (shared, apart):
+            for state, alone in zip(states, solo):
+                np.testing.assert_array_equal(state.u, alone.u)
+                np.testing.assert_array_equal(state.g_prev, alone.g_prev)
+                assert state.history == alone.history
+
     def test_failure_names_its_run_subinterval_and_pass(self):
         # u' = -12 u on dT = 1/4 (z = 3), with f NaN at t = T_4 = 1 above
         # u = 0.02.  Before the coarse steps of pass 2, no step evaluates f

@@ -418,6 +418,31 @@ def counting_cubic_jacobian(calls):
     return jac
 
 
+def assert_rows_step_alone(spec, f, U, dT, guess, inverse=None, jac=None):
+    """A warm step of the stack ``U`` (at times 0) against each row's
+    single-state step with its guess and inverse: the same bits, or, where
+    the stack raises, the lowest failed row's own error and no error for a
+    row that did not fail.  Returns the stack's result or its ``SweepError``."""
+
+    def step(u, g, inv):
+        t = np.zeros(len(u)) if u.ndim == 2 else 0.0
+        try:
+            return advance(spec, f, t, u, dT, jac=jac, guess=g, inverse=inv)
+        except SolverError as exc:
+            return exc
+
+    got = step(U, guess, inverse)
+    for i in range(len(U)):
+        alone = step(U[i], guess[i], None if inverse is None else inverse if inverse.ndim == 2 else inverse[i])
+        if isinstance(got, SweepError):
+            if i == got.indices[0]:
+                assert type(alone) is type(got.cause) and str(alone) == str(got.cause)
+            assert isinstance(alone, SolverError) is (i in got.indices)
+        else:
+            assert isinstance(alone, np.ndarray) and alone.tobytes() == got[i].tobytes()
+    return got
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
     def test_guess_meeting_the_stop_still_makes_one_update(self, text):
@@ -429,6 +454,18 @@ class TestWarmStart:
         warm = advance(spec, cubic, 0.0, u, 0.5, jac=counting_cubic_jacobian(warm_calls), guess=cold)
         assert len(cold_calls) > 1 and warm_calls == [1]
         np.testing.assert_allclose(warm, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
+        # With an inverse stage matrix, one chord update: one f call for the
+        # start's residual and one for the update's (and tr's slope at u).
+        inverse = propagators.stage_inverses(spec, cubic, np.zeros(1), cold, 0.5)
+        f_calls = []
+
+        def f(t, x):
+            f_calls.append(x.shape)
+            return cubic(t, x)
+
+        chord = assert_rows_step_alone(spec, f, u, 0.5, cold, inverse)
+        assert len(f_calls) == 2 * (3 if text == "tr:1" else 2)
+        np.testing.assert_allclose(chord, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
 
     @NONFINITE
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
@@ -449,6 +486,11 @@ class TestWarmStart:
         for i in (0, 2):
             alone = advance(spec, cubic, 0.0, U[i], dT, jac=counting_cubic_jacobian([]), guess=guess[i])
             np.testing.assert_array_equal(got[i], alone)
+        # With inverse stage matrices, the middle row's chord iteration starts
+        # at the predictor; each row gets the bits of its single-state step.
+        inverse = propagators.stage_inverses(spec, cubic, np.zeros(3), cold, dT)
+        assert_rows_step_alone(spec, cubic, U, dT, guess, inverse)
+        assert_rows_step_alone(spec, cubic, U, dT, guess, inverse[0])
 
     @pytest.mark.parametrize("text", ["beuler:1", "cg:4"])
     def test_guess_of_another_shape_rejected(self, text):
@@ -494,6 +536,10 @@ class TestChord:
         for i in range(3):
             alone = advance(spec, cubic, 0.0, self.U[i], self.dT, guess=guess[i], inverse=inverse[i])
             np.testing.assert_array_equal(got[i], alone)
+            # A single state's time as a one-element array gives the same state.
+            for t in (np.zeros(1), np.array(0.0)):
+                again = advance(spec, cubic, t, self.U[i], self.dT, guess=guess[i], inverse=inverse[i])
+                assert again.shape == alone.shape and again.tobytes() == alone.tobytes()
         # One matrix for every row is the same as that matrix in each row.
         shared = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse[0])
         one_each = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=np.stack([inverse[0]] * 3))
@@ -544,22 +590,22 @@ class TestChord:
         jac = counting_cubic_jacobian([])
         newton = advance(spec, cubic, 0.0, self.U[1], self.dT, jac=jac, guess=restart)
         np.testing.assert_array_equal(got[1], newton)
-        for i in range(3):
-            alone = advance(spec, cubic, 0.0, self.U[i], self.dT, jac=jac, guess=guess[i], inverse=inverse[i])
-            np.testing.assert_array_equal(got[i], alone)
+        assert_rows_step_alone(spec, cubic, self.U, self.dT, guess, inverse, jac)
 
     def test_nan_inverse_falls_back_from_a_start_within_the_stop(self):
         # A row that starts within the stop keeps its state when an update
         # does not reduce its residual, but not when the update is not
         # finite: a NaN inverse always hands the row to Newton.
-        spec, cold, _, inverse = self.start("beuler:1")
-        inverse[1] = np.nan
-        calls = []
-        jac = counting_cubic_jacobian(calls)
-        got = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=jac, guess=cold, inverse=inverse)
-        assert calls and calls == [1] * len(calls)
-        newton = advance(spec, cubic, 0.0, self.U[1], self.dT, jac=counting_cubic_jacobian([]), guess=cold[1])
-        np.testing.assert_array_equal(got[1], newton)
+        for text in ("beuler:1", "tr:1"):
+            spec, cold, _, inverse = self.start(text)
+            inverse[1] = np.nan
+            calls = []
+            jac = counting_cubic_jacobian(calls)
+            got = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=jac, guess=cold, inverse=inverse)
+            assert calls and calls == [1] * len(calls)
+            newton = advance(spec, cubic, 0.0, self.U[1], self.dT, jac=counting_cubic_jacobian([]), guess=cold[1])
+            np.testing.assert_array_equal(got[1], newton)
+            np.testing.assert_array_equal(assert_rows_step_alone(spec, cubic, self.U, self.dT, cold, inverse), got)
 
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
     def test_row_still_live_after_max_iter_falls_back(self, text):
@@ -577,6 +623,7 @@ class TestChord:
         with pytest.raises(NonConvergenceError) as alone:
             advance(spec, cubic, 0.0, self.U[1], self.dT, guess=restart)
         assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
+        assert_rows_step_alone(spec, cubic, self.U, self.dT, guess, inverse)
         with pytest.raises(NonConvergenceError) as from_guess:
             advance(spec, cubic, 0.0, self.U[1], self.dT, guess=guess[1])
         assert str(from_guess.value) != str(alone.value)
@@ -588,13 +635,41 @@ class TestChord:
         def f(t, u):
             return np.where(u > 1.8, value, -(u**3))
 
-        spec, _, guess, inverse = self.start("beuler:1")
-        guess[1, 0] = 1.9
-        with pytest.raises(SweepError) as err:  # and no warning: no update reaches the non-finite row
-            advance(spec, f, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse)
-        with pytest.raises(NonConvergenceError) as alone:
-            advance(spec, f, 0.0, self.U[1], self.dT, guess=guess[1])
-        assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
+        for text in ("beuler:1", "tr:1"):
+            spec, _, guess, inverse = self.start(text)
+            guess[1, 0] = 1.9
+            with pytest.raises(SweepError) as err:  # and no warning: no update reaches the non-finite row
+                advance(spec, f, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse)
+            with pytest.raises(NonConvergenceError) as alone:
+                advance(spec, f, 0.0, self.U[1], self.dT, guess=guess[1])
+            assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
+            assert isinstance(assert_rows_step_alone(spec, f, self.U, self.dT, guess, inverse), SweepError)
+
+    @pytest.mark.parametrize("path", ["kept start", "settled", "fallback"])
+    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    def test_single_state_step_returns_a_new_array(self, text, path, monkeypatch):
+        # u' = 0: the guess u is the root, so its residual is 0 and the one
+        # update leaves it at 0, no reduction; the start met the stop and is
+        # kept, as a new array.  The other exits return new arrays too, and
+        # neither the guess nor u changes.  A single state never takes the
+        # stacked loop.
+        def stacked_only(*args):
+            raise AssertionError("a single state took the stacked chord loop")
+
+        monkeypatch.setattr(propagators, "_chord", stacked_only)
+        spec, cold, guess, inverse = self.start(text)
+        u, f, guess, inverse = self.U[1].copy(), cubic, guess[1], inverse[1]
+        if path == "kept start":
+            f, guess = (lambda t, x: np.zeros_like(x)), u
+        elif path == "fallback":
+            inverse = np.full_like(inverse, np.nan)
+        before = u.copy(), guess.copy()
+        got = advance(spec, f, 0.0, u, self.dT, guess=guess, inverse=inverse)
+        assert not np.shares_memory(got, u) and not np.shares_memory(got, guess)
+        np.testing.assert_array_equal(u, before[0])
+        np.testing.assert_array_equal(guess, before[1])
+        if path == "kept start":
+            np.testing.assert_array_equal(got, u)
 
     def test_inverse_of_another_shape_rejected(self):
         spec, _, guess, inverse = self.start("beuler:1")
