@@ -253,8 +253,8 @@ def _identity(n: int) -> np.ndarray:
 # float or an (N, 1) column) to the states one substep later, plus the rows
 # whose stage solves failed (a dict row -> error).  A failed row comes out as
 # NaN and stays in the stack; a NaN row leaves each later stage solve at its
-# first test, and its first error is the one kept.  These steppers start
-# cold; a step from a guess of its end state is ``_warm_step``'s.
+# first test, and its first error is the one kept.  ``beuler`` and ``tr`` are
+# one stepper, ``_stage_step``, which also takes the step from a guess.
 
 
 def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
@@ -280,42 +280,25 @@ _CHORD_RATE = 0.1
 
 
 def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
-    """Chord (simplified Newton) iteration for ``x = rhs + beta_h * f(t_stage, x)`` on a stack of rows.
+    """``_chord_state``'s iteration on a stack of rows ``x``, every row in lockstep.
 
-    Each update steps by ``inverse @ residual``, one fixed inverse stage
-    matrix instead of a Jacobian and a solve per update (Hairer & Wanner,
-    *Solving ODEs II*, Sec. IV.8): ``inverse`` is one ``(n, n)`` matrix
-    for every row, or one per row.  It keeps ``_newton``'s rules: a row
-    settles within ``spec.tol * (1 + |x|)`` after at least one update, and
-    a row that met the stop keeps its state when an update does not reduce
-    its residual.  A row falls back when its residual is not finite at the
-    start, when an update short of the stop cuts its residual by less than
-    the factor ``_CHORD_RATE`` (a residual that grows or turns non-finite,
-    as a non-finite inverse makes it, never counts as cut), or when it is
-    still live after ``spec.max_iter`` updates.  Each row's iterates are
-    its own, whatever rows are stacked with it.
-
-    Returns every row's state and the fallback rows in a list: a settled
-    row holds its solution, a fallback row the last iterate that reduced
-    its residual (its start if none did), where Newton takes over.  The
-    state array is never ``x``.
+    Each update is one stacked matrix-vector product with ``inverse`` (one
+    ``(n, n)`` matrix for every row, or one per row) and one stacked ``f``
+    call.  Returns the new state array when every row leaves in the same
+    round, each one settled or keeping a start that met the stop: then each
+    row has the bits of its ``_chord_state`` iteration.  Returns None as
+    soon as the rows part ways: a row starts non-finite, settles before
+    another, would fall back, or is still live after ``spec.max_iter``
+    updates.  The caller then steps each row alone.
     """
     tol = spec.tol
     res = x - rhs - beta_h * f(t_stage, x)
     norm = np.maximum.reduce(np.abs(res), axis=-1)
-    ids = None  # the live rows' indices into the stack, once a row has left
-    back = []
-    t, b, S = t_stage, rhs, inverse
-    finite = norm < math.inf  # False for NaN too
-    if count_nonzero(finite) < len(finite):
-        back, ids, out = np.flatnonzero(~finite).tolist(), np.flatnonzero(finite), x.copy()
-        if not len(ids):
-            return out, back
-        x, res, norm, t, b = x[ids], res[ids], norm[ids], _rows(t_stage, ids), rhs[ids]
-        S = inverse if inverse.ndim == 2 else inverse[ids]
+    if count_nonzero(norm < math.inf) < len(norm):  # False for NaN too
+        return None
     for _ in range(spec.max_iter):
-        x_new = x - np.matvec(S, res)
-        res_new = x_new - b - beta_h * f(t, x_new)
+        x_new = x - np.matvec(inverse, res)
+        res_new = x_new - rhs - beta_h * f(t_stage, x_new)
         norm_new = np.maximum.reduce(np.abs(res_new), axis=-1)
         done = norm_new <= tol * (1.0 + np.maximum.reduce(np.abs(x_new), axis=-1))
         # A NaN or infinite residual fails the comparison: max propagates NaN.
@@ -324,38 +307,33 @@ def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
             met = ~ok & (norm_new < math.inf) & (norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1)))
             x_new[~ok] = x[~ok]
             done = (done & ok) | met
-        if ids is None and count_nonzero(done) == len(done):
-            return x_new, back
-        # A slower chord iteration would cost more updates than Newton's.
-        leave = done | ~(norm_new <= _CHORD_RATE * norm)
-        if count_nonzero(leave):
-            if ids is None:
-                ids, out = np.arange(len(x)), np.empty_like(x)
-            out[ids[leave]] = x_new[leave]
-            back.extend(ids[leave & ~done].tolist())
-            ids = ids[~leave]
-            if not len(ids):
-                return out, back
-            x, res, norm = x_new[~leave], res_new[~leave], norm_new[~leave]
-            t, b = _rows(t_stage, ids), rhs[ids]
-            S = inverse if inverse.ndim == 2 else inverse[ids]
-        else:
-            x, res, norm = x_new, res_new, norm_new
-    if ids is None:
-        return x, list(range(len(x)))
-    out[ids] = x
-    back.extend(ids.tolist())
-    return out, back
+        if count_nonzero(done) == len(done):
+            return x_new
+        if count_nonzero(done | ~(norm_new <= _CHORD_RATE * norm)):
+            return None
+        x, res, norm = x_new, res_new, norm_new
+    return None
 
 
 def _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec):
-    """``_chord`` for one state ``x`` of shape ``(n,)`` and one ``inverse``.
+    """Chord (simplified Newton) iteration for ``x = rhs + beta_h * f(t_stage, x)`` from one state ``x``.
 
-    The same updates, stop and fallback tests on 1-D arrays, with each norm
-    one scalar: the iterates and the exit of that state's row in any stack,
-    bit for bit.  Returns the state and whether it settled: a state that
-    falls back is its last iterate that reduced the residual (or its
-    start), where Newton takes over.  A settled state is never ``x``.
+    Each update steps by ``inverse @ residual``, one fixed inverse stage
+    matrix instead of a Jacobian and a solve per update (Hairer & Wanner,
+    *Solving ODEs II*, Sec. IV.8), on 1-D arrays with scalar norms.  It
+    keeps ``_newton``'s rules: the state settles within ``spec.tol * (1 +
+    |x|)`` after at least one update, and a state that met the stop keeps
+    it when an update does not reduce its residual.  It falls back when its
+    residual is not finite at the start, when an update short of the stop
+    cuts its residual by less than the factor ``_CHORD_RATE`` (a residual
+    that grows or turns non-finite, as a non-finite inverse makes it, never
+    counts as cut), or when it is still live after ``spec.max_iter``
+    updates.  These are the chord's only exit rules: a stack's rows leave
+    ``_chord`` only where each would leave here.
+
+    Returns the state and whether it settled: a state that falls back is
+    its last iterate that reduced the residual (or its start), where Newton
+    takes over.  A settled state is never ``x``.
     """
     tol = spec.tol
     res = x - rhs - beta_h * f(t_stage, x)
@@ -388,62 +366,54 @@ def _times(t_n):
     return t[:, None] if t.ndim else float(t)
 
 
-def _warm_step(spec, f, jac, t_n, u, dT, guess, inverse):
-    """One ``beuler:1`` or ``tr:1`` step of a state or a stack from a ``guess`` of its end state.
+#: ``beta`` of each kind whose one stage solves ``x = rhs + beta * h * f(t + h, x)`` for the end state.
+_BETA = {PropagatorKind.BACKWARD_EULER: 1.0, PropagatorKind.TRAPEZOIDAL: 0.5}
 
-    The whole warm step of ``advance``, which checked the arguments: the
-    stage equations ``x = rhs + beta_h * f(t + dT, x)`` (``beta_h`` is
-    ``dT`` for ``beuler``, ``dT / 2`` for ``tr``), each row's start (its
-    guess where that is finite, the explicit Euler predictor otherwise),
-    the chord iteration with ``inverse`` (``_chord_state`` for a single
-    state, ``_chord`` for a stack) and the Newton fallback, from the last
-    iterate that reduced the residual, of the rows that need it.  Without
-    an inverse every row takes Newton updates from its start, and a single
-    state is then the one-row stack of a cold step.  Returns the end
-    states; failed rows raise as ``advance`` states.
+
+def _stage_step(f, jac, spec, t, u, h, guess=None, inverse=None):
+    """One ``beuler`` or ``tr`` step of length ``h`` from ``u`` at ``t``: the end states and the failed rows.
+
+    The stage equations ``x = rhs + beta_h * f(t + h, x)``, with ``beta_h``
+    ``_BETA[kind] * h`` and ``rhs`` ``u`` for ``beuler``, ``u + beta_h *
+    f(t, u)`` for ``tr``, are solved from each row's start: its ``guess``
+    where that is finite, the explicit Euler predictor ``u + h * f(t, u)``
+    otherwise.  Without an ``inverse`` that is the Newton stage solve of a
+    stack.  With one, a single state ``u`` of shape ``(n,)`` takes
+    ``_chord_state``, and Newton from where that falls back.  A stack takes
+    ``_chord``'s lockstep updates; where its rows part ways, each row takes
+    this single-state step from its start, repeating the lockstep rounds
+    row by row.  No workload or experiment reaches that case: in their
+    traces every stacked chord call ends in the lockstep loop.  Either way
+    each row has the bits of its single-state step.
     """
-    t = _times(t_n)
-    stacked = u.ndim == 2
-    if not stacked and (inverse is None or not isinstance(t, float)):
-        u, guess = u[None], guess[None]
-    beta_h, rhs, slope = dT, u, None
+    beta_h, rhs, slope = _BETA[spec.kind] * h, u, None
     if spec.kind is PropagatorKind.TRAPEZOIDAL:
         slope = f(t, u)
-        beta_h, rhs = 0.5 * dT, u + 0.5 * dT * slope
-    t_stage = t + dT
+        rhs = u + beta_h * slope
+    t_stage = t + h
     x = guess
-    finite = np.isfinite(guess)
-    if count_nonzero(finite) < finite.size:
-        predictor = u + dT * (f(t, u) if slope is None else slope)
-        x = np.where(finite.all(axis=-1)[..., None], guess, predictor)
-    if jac is None:
-        jac = functools.partial(_fd_jacobian, f)
-    back = None  # the rows that restart on Newton where the chord left them; None: every row, from its start
+    finite = None if guess is None else np.isfinite(guess)
+    if guess is None or count_nonzero(finite) < finite.size:
+        x = u + h * (f(t, u) if slope is None else slope)
+        if guess is not None:
+            x = np.where(finite.all(axis=-1)[..., None], guess, x)
+    if inverse is None:
+        return _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x)
     if u.ndim == 1:
         x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
         if settled:
-            return x
-        x, rhs = x[None], rhs[None]
-    elif inverse is not None:
-        x, back = _chord(f, t_stage, beta_h, rhs, x, inverse, spec)
-    failures = {}
-    if back is None:
-        x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x)
-    elif back:
-        rows = np.array(sorted(back))
-        x[rows], lost = _newton_stage(f, jac, spec, _rows(t_stage, rows), beta_h, rhs[rows], x[rows])
-        failures = {int(rows[i]): exc for i, exc in lost.items()}
-    raise_row_failures(failures, stacked)
-    return x if stacked else x[0]
-
-
-def _step_backward_euler(f, jac, spec, t, u, h):
-    return _newton_stage(f, jac, spec, t + h, h, u, u + h * f(t, u))
-
-
-def _step_trapezoidal(f, jac, spec, t, u, h):
-    fn = f(t, u)
-    return _newton_stage(f, jac, spec, t + h, 0.5 * h, u + 0.5 * h * fn, u + h * fn)
+            return x, {}
+        x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
+        return x[0], failures
+    y = _chord(f, t_stage, beta_h, rhs, x, inverse, spec)
+    if y is not None:
+        return y, {}
+    y, failures = np.empty_like(x), {}
+    for i in range(len(x)):
+        y[i], lost = _stage_step(f, jac, spec, _rows(t, i), u[i], h, x[i], inverse if inverse.ndim == 2 else inverse[i])
+        if lost:
+            failures[i] = lost[0]
+    return y, failures
 
 
 def _step_gauss4(f, jac, spec, t, u, h):
@@ -473,14 +443,10 @@ def _step_gauss4(f, jac, spec, t, u, h):
 
 
 _STEPPERS = {
-    PropagatorKind.BACKWARD_EULER: _step_backward_euler,
-    PropagatorKind.TRAPEZOIDAL: _step_trapezoidal,
+    PropagatorKind.BACKWARD_EULER: _stage_step,
+    PropagatorKind.TRAPEZOIDAL: _stage_step,
     PropagatorKind.GAUSS4: _step_gauss4,
 }
-
-#: The kinds whose one stage solves for the end state and takes a ``guess``
-#: (``_warm_step``) at count 1.
-_WARM_KINDS = (PropagatorKind.BACKWARD_EULER, PropagatorKind.TRAPEZOIDAL)
 
 
 def advance(
@@ -537,16 +503,18 @@ def advance(
     iteration from its last iterate that reduced its residual (its start
     if none did), which raises any typed error.
 
-    After the argument checks, a step from a guess is one call,
-    ``_warm_step``, which owns the stage equations, the start, the chord
-    iteration and the Newton fallback.  A single state runs the chord loop
-    on 1-D arrays with scalar norms (``_chord_state``), a stack the same
-    loop with row masks (``_chord``), and each row of a stack gets the
-    bits of its single-state step.  A Newton stage solve is the kind's
-    stepper (or ``_warm_step``), ``_newton_stage`` (the stage residual and
-    Jacobian), ``_newton`` and ``settle_rows``, on a stack: a single state
-    is its one-row stack.  So a coarse step of ``parareal`` pays for its
-    arithmetic and its checks, and for little else.
+    After the argument checks, ``beuler`` and ``tr`` take every step, cold
+    or from a guess, through one stepper, ``_stage_step``, which holds the
+    stage equations and the start.  With an inverse, a single state runs
+    the chord loop on 1-D arrays with scalar norms (``_chord_state``) and
+    restarts on Newton where that falls back.  A stack takes its chord
+    updates together (``_chord``) when all its rows leave in the same
+    round, and otherwise each row takes its single-state step: each row of
+    a stack gets the bits of its single-state step.  A Newton stage solve
+    is ``_newton_stage`` (the stage residual and Jacobian), ``_newton`` and
+    ``settle_rows``, on a stack: a single state is its one-row stack.  So a
+    coarse step of ``parareal`` pays for its arithmetic and its checks,
+    and for little else.
 
     Every row stops its inner iterations on its own (``settle_rows``).  A
     failing row carries on through the remaining substeps as NaN while the
@@ -569,8 +537,6 @@ def advance(
             square = u.shape[-1:] * 2
             if inverse.shape != square and (u.ndim < 2 or inverse.shape != (len(u), *square)):
                 raise ValueError(f"inverse has shape {inverse.shape}, expected {square} or one per row")
-        if spec.count == 1 and spec.kind in _WARM_KINDS:
-            return _warm_step(spec, f, jac, t_n, u, dT, guess, inverse)
 
     step = _STEPPERS.get(spec.kind)
     if step is None:  # the collocation kind
@@ -581,10 +547,19 @@ def advance(
 
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
-    h = dT / spec.count
     stacked = u.ndim == 2
-    U = u if stacked else u.reshape(1, -1)
     t = _times(t_n)
+    if guess is not None and spec.count == 1 and spec.kind in _BETA:
+        if stacked or inverse is not None and isinstance(t, float):
+            x, failures = _stage_step(f, jac, spec, t, u, dT, guess, inverse)
+        else:  # a single state without an inverse or at an array time: its one-row stack
+            x, failures = _stage_step(f, jac, spec, t, u[None], dT, guess[None], inverse)
+            x = x[0]
+        if failures:
+            raise_row_failures(failures, stacked)
+        return x
+    h = dT / spec.count
+    U = u if stacked else u.reshape(1, -1)
     failures: dict[int, Exception] = {}
     for j in range(spec.count):
         U, lost = step(f, jac, spec, t + j * h, U, h)
@@ -605,10 +580,10 @@ def stage_inverses(spec: PropagatorSpec, f: RhsFunction, t_n, x, dT: float, jac:
     non-finite row comes out NaN, and its steps fall back to Newton.  The
     array is read-only.
     """
-    if spec.count != 1 or spec.kind not in _WARM_KINDS:
+    if spec.count != 1 or spec.kind not in _BETA:
         return None
     x = np.asarray(x, dtype=float)
-    beta_h = dT if spec.kind is PropagatorKind.BACKWARD_EULER else 0.5 * dT
+    beta_h = _BETA[spec.kind] * dT
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
     S = _identity(x.shape[-1]) - beta_h * jac(np.asarray(t_n, dtype=float)[:, None] + dT, x)

@@ -671,6 +671,38 @@ class TestChord:
         if path == "kept start":
             np.testing.assert_array_equal(got, u)
 
+    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    def test_rows_leaving_together_step_in_lockstep(self, text, monkeypatch):
+        # The middle row is the zero state with guess 0: its one update
+        # does not reduce its zero residual, so it keeps its start, which met
+        # the stop.  The other rows settle on that same update.  Every row
+        # leaves in the first round, so the stack never steps a row alone,
+        # and each row has the bits of its single-state step.
+        spec, dT = parse_spec(text), self.dT
+        U = self.U.copy()
+        U[1] = 0.0
+        cold = advance(spec, cubic, np.zeros(3), U, dT)
+        guess = cold * (1.0 + 1e-6)
+        guess[1] = 0.0
+        inverse = propagators.stage_inverses(spec, cubic, np.zeros(3), cold, dT)
+        alone = [advance(spec, cubic, 0.0, U[i], dT, guess=guess[i], inverse=inverse[i]) for i in range(3)]
+
+        def row_by_row(*args):
+            raise AssertionError("a stack whose rows leave together stepped a row alone")
+
+        monkeypatch.setattr(propagators, "_chord_state", row_by_row)
+        f_calls = []
+
+        def f(t, x):
+            f_calls.append(x.shape)
+            return cubic(t, x)
+
+        got = advance(spec, f, np.zeros(3), U, dT, guess=guess, inverse=inverse)
+        assert f_calls == [(3, 2)] * (3 if text == "tr:1" else 2)
+        for i in range(3):
+            assert got[i].tobytes() == alone[i].tobytes()
+        np.testing.assert_array_equal(got[1], 0.0)
+
     def test_inverse_of_another_shape_rejected(self):
         spec, _, guess, inverse = self.start("beuler:1")
         with pytest.raises(ValueError, match=r"inverse has shape \(2, 2, 2\), expected \(2, 2\) or one per row"):

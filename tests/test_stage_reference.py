@@ -12,18 +12,24 @@ errors and messages, and the same ``f`` and ``jac`` calls.
 Given an inverse stage matrix with its guess, ``advance`` takes chord
 updates instead of Newton updates; the reference's Newton step from the
 same guess is the yardstick the chord steps must land within the Newton
-stop of.
+stop of.  A stack takes its chord updates in lockstep and, where its rows
+part ways, steps each row alone.  The reference for that is the stacked
+path as it stood before: one chord loop that retired each row as it left,
+then one stacked Newton solve of the rows that fell back.  Random stacks
+must give its bits and its errors.
 """
 
 import dataclasses
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
 from paracheb import BurgersProblem, KeplerProblem, SolverError, SweepError, advance, parse_spec, spd_catalog
+from paracheb import propagators
 from paracheb.errors import NonConvergenceError, SingularSystemError, raise_row_failures
 from paracheb.propagators import _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, PropagatorKind, _fd_jacobian, stage_inverses
 
@@ -215,6 +221,80 @@ def ref_advance(spec, f, t_n, u_n, dT, jac=None, guess=None):
     return U if stacked else U[0]
 
 
+def ref_chord(f, t_stage, beta_h, rhs, x, inverse, spec):
+    """The chord iteration of a stack with row retirement: every row's state
+    and the rows that fall back, each where Newton takes over."""
+    tol = spec.tol
+    res = x - rhs - beta_h * f(t_stage, x)
+    norm = np.abs(res).max(axis=-1)
+    ids = None
+    back = []
+    t, b, S = t_stage, rhs, inverse
+    finite = norm < math.inf
+    if np.count_nonzero(finite) < len(finite):
+        back, ids, out = np.flatnonzero(~finite).tolist(), np.flatnonzero(finite), x.copy()
+        if not len(ids):
+            return out, back
+        x, res, norm, t, b = x[ids], res[ids], norm[ids], ref_rows(t_stage, ids), rhs[ids]
+        S = inverse if inverse.ndim == 2 else inverse[ids]
+    for _ in range(spec.max_iter):
+        x_new = x - np.matvec(S, res)
+        res_new = x_new - b - beta_h * f(t, x_new)
+        norm_new = np.abs(res_new).max(axis=-1)
+        done = norm_new <= tol * (1.0 + np.abs(x_new).max(axis=-1))
+        ok = norm_new < norm
+        if np.count_nonzero(ok) < len(ok):
+            met = ~ok & (norm_new < math.inf) & (norm <= tol * (1.0 + np.abs(x).max(axis=-1)))
+            x_new[~ok] = x[~ok]
+            done = (done & ok) | met
+        if ids is None and np.count_nonzero(done) == len(done):
+            return x_new, back
+        leave = done | ~(norm_new <= 0.1 * norm)
+        if np.count_nonzero(leave):
+            if ids is None:
+                ids, out = np.arange(len(x)), np.empty_like(x)
+            out[ids[leave]] = x_new[leave]
+            back.extend(ids[leave & ~done].tolist())
+            ids = ids[~leave]
+            if not len(ids):
+                return out, back
+            x, res, norm = x_new[~leave], res_new[~leave], norm_new[~leave]
+            t, b = ref_rows(t_stage, ids), rhs[ids]
+            S = inverse if inverse.ndim == 2 else inverse[ids]
+        else:
+            x, res, norm = x_new, res_new, norm_new
+    if ids is None:
+        return x, list(range(len(x)))
+    out[ids] = x
+    back.extend(ids.tolist())
+    return out, back
+
+
+def ref_chord_advance(spec, f, t_n, U, dT, jac, guess, inverse):
+    """A stacked ``beuler:1`` or ``tr:1`` step from ``guess`` with ``inverse``:
+    ``ref_chord``, then one stacked Newton solve of the rows that fell back."""
+    t = np.asarray(t_n, dtype=float)[:, None]
+    beta_h, rhs, slope = dT, U, None
+    if spec.kind is PropagatorKind.TRAPEZOIDAL:
+        slope = f(t, U)
+        beta_h, rhs = 0.5 * dT, U + 0.5 * dT * slope
+    t_stage = t + dT
+    x = guess
+    finite = np.isfinite(guess)
+    if np.count_nonzero(finite) < finite.size:
+        x = np.where(finite.all(axis=-1)[:, None], guess, U + dT * (f(t, U) if slope is None else slope))
+    if jac is None:
+        jac = functools.partial(_fd_jacobian, f)
+    x, back = ref_chord(f, t_stage, beta_h, rhs, x, inverse, spec)
+    failures = {}
+    if back:
+        rows = np.array(sorted(back))
+        x[rows], lost = ref_solve_stage(f, jac, spec, t_stage[rows], beta_h, rhs[rows], x[rows])
+        failures = {int(rows[i]): exc for i, exc in lost.items()}
+    raise_row_failures(failures, True)
+    return x
+
+
 def counted(fn, calls):
     """``fn``, recording the shape of the state stack of each call."""
 
@@ -242,14 +322,21 @@ def assert_same_outcome(spec, f, t, U, dT, jac=None, guess=None):
     ref = outcome(lambda f, jac: ref_advance(spec, f, t, U, dT, jac=jac, guess=guess), f, jac)
     (result, f_calls, jac_calls), (expected, ref_f_calls, ref_jac_calls) = got, ref
     assert (f_calls, jac_calls) == (ref_f_calls, ref_jac_calls)
+    assert_same_result(result, expected)
+    return expected
+
+
+def assert_same_result(result, expected):
+    """The same bits, or the same typed error: for a ``SweepError``, the same
+    failed rows and the same cause."""
     if isinstance(expected, Exception):
         assert type(result) is type(expected) and str(result) == str(expected)
         if isinstance(expected, SweepError):
             assert result.indices == expected.indices
             assert type(result.cause) is type(expected.cause) and str(result.cause) == str(expected.cause)
-        return expected
+        return
+    assert isinstance(result, np.ndarray), result
     assert result.shape == expected.shape and result.tobytes() == expected.tobytes()
-    return expected
 
 
 SPECS = ["beuler:1", "beuler:3", "tr:1", "gauss4:2"]
@@ -359,3 +446,65 @@ def test_chord_steps_land_within_the_newton_stop(text, name):
                 assert np.abs(advance(spec, ivp.f, t, u, dT, jac=jac, guess=g, inverse=inv) - expected).max() <= s
             chord = advance(spec, ivp.f, times, U, dT, jac=jac, guess=guess, inverse=inverse)
             assert (np.abs(chord - newton).max(axis=-1) <= stop).all()
+
+
+def cubic_jacobian(t, u):
+    return -3.0 * u[..., :, None] ** 2 * np.eye(u.shape[-1])
+
+
+FUZZ = {
+    "burgers-0.05": PROBLEMS["burgers"],
+    "burgers-0.005": (lambda: BurgersProblem(0.005, 16).to_ivp(), 4.0 / 128),
+    "kepler": PROBLEMS["kepler"],
+    "cubic": (lambda: SimpleNamespace(f=cubic, jacobian=cubic_jacobian, u0=np.array([0.5, -1.5])), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", FUZZ)
+@pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
+    # Random stacks at random times, from guesses near their cold results
+    # or NaN, with inverses at those results: as built, NaN, negated or
+    # scaled in some rows, one shared or one per row; max_iter 1 to 3; the
+    # jac hook or forward differences.  Each stacked step gives
+    # ref_chord_advance's bits or its SweepError, and the lockstep loop
+    # both returns and hands its rows on.
+    make, dT = FUZZ[name]
+    ivp = make()
+    exits = []
+    chord = propagators._chord
+
+    def recorded(*args):
+        x = chord(*args)
+        exits.append(x is not None)
+        return x
+
+    monkeypatch.setattr(propagators, "_chord", recorded)
+    rng = np.random.default_rng(list(FUZZ).index(name) * 2 + (text == "tr:1"))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            times = rng.uniform(0.0, 1.0, n)
+            U = ivp.u0 * rng.uniform(0.8, 1.2, (n, len(ivp.u0)))
+            cold = advance(parse_spec(text), ivp.f, times, U, dT, jac=ivp.jacobian)
+            spec = dataclasses.replace(parse_spec(text), max_iter=int(rng.integers(1, 4)))
+            inverse = stage_inverses(spec, ivp.f, times, cold, dT, jac=ivp.jacobian).copy()
+            move = rng.choice([0.0, 1e-9, 1e-6, 1e-3])
+            guess = cold * (1.0 + move * rng.standard_normal(cold.shape))
+            for i in range(n):
+                change = rng.choice(["none"] * 4 + ["nan guess", "nan", "negated", "scaled"])
+                if change == "nan guess":
+                    guess[i, rng.integers(len(ivp.u0))] = np.nan
+                elif change == "nan":
+                    inverse[i] = np.nan
+                elif change == "negated":
+                    inverse[i] *= -1.0
+                elif change == "scaled":
+                    inverse[i] *= rng.choice([0.5, 0.97, 1.3])
+            if rng.random() < 0.25:
+                inverse = inverse[0]
+            jac = ivp.jacobian if rng.random() < 0.5 else None
+            got = outcome(lambda f, j: advance(spec, f, times, U, dT, jac=j, guess=guess, inverse=inverse), ivp.f, jac)
+            ref = outcome(lambda f, j: ref_chord_advance(spec, f, times, U, dT, j, guess, inverse), ivp.f, jac)
+            assert_same_result(got[0], ref[0])
+    assert True in exits and False in exits
