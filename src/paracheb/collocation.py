@@ -8,7 +8,7 @@ side at the CG nodes.  Nonlinear problems run fixed-point (Picard) sweeps,
     node values   u_nodes = T1 @ u_hat,
 
 which converge linearly when the Lipschitz constant times the interval
-length is small.  Linear problems ``u' + A u = g`` with symmetric positive
+length is small.  Linear problems ``u' + A u = 0`` with symmetric positive
 semidefinite ``A`` are instead solved directly in the eigenbasis of ``A``,
 which their ``LinearRhs`` checks and takes once, when it is built:
 each eigenvalue ``lambda`` gives one ``(M+1)``-sized shifted system ``I + z
@@ -288,7 +288,7 @@ def solve_nonlinear(
 
 @dataclass(frozen=True, eq=False)
 class LinearRhs:
-    """The right-hand side ``g(t) - A u`` of a linear problem ``u' + A u = g(t)``.
+    """The right-hand side ``-A u`` of a linear problem ``u' + A u = 0``.
 
     ``A`` must be a square, finite, symmetric and positive semidefinite
     matrix, and the constructor checks it once, where it enters:
@@ -297,13 +297,10 @@ class LinearRhs:
     rounding of ``eigh``; each failure raises ``ValueError``.  Its one
     ``eigh`` gives ``A = Q diag(lam) Q^T``, ascending, with the eigenvalues
     in that rounding band taken as 0, so every shift ``lam * dT`` of the
-    direct collocation solve is ``>= 0``.  ``g`` is the forcing, a function
-    of time that follows the stacking rule of ``problems.IvpProblem``'s
-    ``f``, or None for ``g = 0``.
+    direct collocation solve is ``>= 0``.
     """
 
     A: np.ndarray
-    g: Callable[[float], np.ndarray] | None = None
     lam: np.ndarray = field(init=False, repr=False)
     Q: np.ndarray = field(init=False, repr=False)
 
@@ -323,20 +320,19 @@ class LinearRhs:
 
 
 def solve_linear(linear: LinearRhs, points: CgPointSet, u_a) -> CollocationSolution:
-    """Direct collocation solve of ``u' + A u = g(t)``, the problem of ``linear``.
+    """Direct collocation solve of ``u' + A u = 0``, the problem of ``linear``.
 
     With ``A = Q diag(lam) Q^T``, the decomposition ``linear`` holds, the
     node system decouples into one shifted system per eigenvalue, in the
-    eigenbasis coordinates ``c = Q^T u_a`` and ``G~ = G Q`` of the initial
-    value and the forcing node values (one call ``g(t_nodes[..., None])``):
+    eigenbasis coordinates ``c = Q^T u_a`` of the initial value:
 
-        (I + lam_i dT T1_C) x_i = c_i + dT * T1_C @ G~[:, i]
+        (I + lam_i dT T1_C) x_i = c_i 1
 
     ``dT`` is the interval length, which every row of a stack shares, so
     the systems are built once per call and every row's right-hand sides
     go to ``solve_checked`` in one stacked call.  The coefficients are
-    formed in the eigenbasis from ``F = G~ - X lam`` and only then mapped
-    back with ``Q^T``.
+    formed in the eigenbasis from ``F = -X lam`` and only then mapped back
+    with ``Q^T``.
 
     Every shift ``lam_i dT`` is ``>= 0``, where no system is singular:
     ``LinearRhs`` checked ``A`` when it was built.  A state whose size is
@@ -346,27 +342,20 @@ def solve_linear(linear: LinearRhs, points: CgPointSet, u_a) -> CollocationSolut
     op = build_operator(points.M)
     u_a = _as_state(u_a)
     U = u_a if u_a.ndim == 2 else u_a[None]
-    N, dim = U.shape
-    lam, Q, g = linear.lam, linear.Q, linear.g
+    dim = U.shape[-1]
+    lam, Q = linear.lam, linear.Q
     if Q.shape != (dim, dim):
         raise ValueError(f"matrix must be {dim}x{dim} (got shape {Q.shape})")
-    n = op.M + 1
     dT = points.length
-    t_nodes = np.broadcast_to(points.t, (N, n))
-
-    G = np.zeros((N, n, dim))
-    failures: dict[int, Exception] = {}
-    if g is not None:
-        G = _rhs_table(lambda t, _: g(t), t_nodes, G)
-        failures = _nonfinite_rows(G, t_nodes)
 
     c = np.vecmat(U, Q)
-    G_eig = G @ Q
-    X = solve_checked(op, lam * dT, c[:, :, None] + dT * (op.T1_C @ G_eig).swapaxes(-1, -2))
-    for i in np.flatnonzero(~np.isfinite(X).all(axis=(-2, -1))):
-        failures.setdefault(int(i), SingularSystemError("collocation system produced non-finite values"))
+    X = solve_checked(op, lam * dT, np.repeat(c[:, :, None], op.M + 1, axis=-1))
+    failures = {
+        int(i): SingularSystemError("collocation system produced non-finite values")
+        for i in np.flatnonzero(~np.isfinite(X).all(axis=(-2, -1)))
+    }
     raise_row_failures(failures, u_a.ndim == 2)
 
-    F = G_eig - X.swapaxes(-1, -2) * lam
+    F = -X.swapaxes(-1, -2) * lam
     u_hat = _coefficients(op, dT, c, F) @ Q.T
     return CollocationSolution(u_hat if u_a.ndim == 2 else u_hat[0], iterations=0)

@@ -2,7 +2,7 @@
 
 Three families drive the experiments and tests:
 
-* symmetric positive definite linear systems ``u' + A u = g`` whose
+* symmetric positive definite linear systems ``u' + A u = 0`` whose
   eigenvalues map the contraction analysis onto scalar ``z`` values,
 * a low-Earth-orbit two-body problem with an analytic Lagrange-coefficient
   reference propagated in universal variables,
@@ -16,7 +16,6 @@ horizon, and optional jacobian / linear-structure / reference hooks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -45,8 +44,7 @@ class IvpProblem:
     same whatever other rows share the call (the catalog's matrix products
     go through ``_matvec`` for that), so a stacked solve gives each row the
     bits it gets alone.  The constructor checks the shape once, on two
-    copies of ``u0``.  The forcing ``g(t)`` of ``linear`` follows the same
-    rule.
+    copies of ``u0``.
 
     ``jacobian`` is the optional analytic hook used by implicit stage
     solves.  It takes the same ``(t, u)`` as ``f`` and returns the stack of
@@ -55,13 +53,13 @@ class IvpProblem:
 
     ``reference`` maps a time to the exact (or high-accuracy) state when one
     is known.  ``linear`` is a ``collocation.LinearRhs`` when the
-    right-hand side has the form ``g(t) - A u`` with symmetric positive
-    semidefinite ``A``, which lets the collocation propagator use its direct
-    linear solve in the eigenbasis of ``A``; ``LinearRhs`` checks ``A`` and
-    takes that eigenbasis once, when it is built, so no step rejects it.
+    right-hand side is ``-A u`` with symmetric positive semidefinite ``A``,
+    which lets the collocation propagator use its direct linear solve in
+    the eigenbasis of ``A``; ``LinearRhs`` checks ``A`` and takes that
+    eigenbasis once, when it is built, so no step rejects it.
     Any other value of ``linear`` but None raises ``TypeError``.
     The constructor rejects an ``A`` that is not ``dim x dim``, and an
-    ``f`` that differs from ``g(t) - A u`` by more than 1e-12 times their
+    ``f`` that differs from ``-A u`` by more than 1e-12 times their
     largest entry on ``u0`` and every ``u0 + e_i`` at ``t = 0`` and on
     ``u0`` at ``t = T``: one extra ``f`` call on ``dim + 1`` states.
     """
@@ -88,22 +86,20 @@ class IvpProblem:
         if not np.all(np.isfinite(val)):
             raise ValueError("f(0, u0) is not finite")
         if self.linear is not None:
-            A, g = self.linear.A, self.linear.g
+            A = self.linear.A
             if A.shape != (self.dim, self.dim):
                 raise ValueError(f"linear matrix has shape {A.shape}, expected ({self.dim}, {self.dim})")
             # u0 and u0 + e_i at t = 0 are dim + 1 affinely independent
             # states, so an affine f that agrees there agrees everywhere;
-            # u0 at t = T checks the forcing at a second time.
+            # u0 at t = T catches an f that also depends on time.
             u = np.concatenate(([u0], u0 + np.eye(self.dim), [u0]))
             t = np.zeros((len(u), 1))
             t[-1] = self.T
             fu = np.concatenate((val[:1], self.f(t[1:], u[1:])))
             lin = -(u @ A.T)
-            if g is not None:
-                lin = g(t) + lin
             scale = max(np.abs(fu).max(), np.abs(lin).max())
             if not np.max(np.abs(fu - lin)) <= 1e-12 * scale:
-                raise ValueError("f disagrees with g(t) - A u of linear at u0, u0 + e_i or t = T")
+                raise ValueError("f disagrees with -A u of linear at u0, u0 + e_i or t = T")
         if self.jacobian is not None:
             J = self.jacobian(np.zeros((2, 1)), np.stack((u0, u0)))
             expected = (2, self.dim, self.dim)
@@ -145,9 +141,9 @@ def _matvec(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SpdLinearProblem:
-    """Linear system ``u' + A u = g(t)`` with symmetric positive definite A.
+    """Linear system ``u' + A u = 0`` with symmetric positive definite A.
 
-    The constructor builds ``linear``, the ``LinearRhs(A, g)`` that checks
+    The constructor builds ``linear``, the ``LinearRhs(A)`` that checks
     ``A`` (``ValueError`` for a matrix that is not square, finite,
     symmetric and positive semidefinite) and holds its eigendecomposition,
     and rejects an ``A`` whose smallest eigenvalue there is not positive.
@@ -158,13 +154,12 @@ class SpdLinearProblem:
     A: np.ndarray
     u0: np.ndarray
     T: float
-    g: Callable[[float], np.ndarray] | None = None
     linear: LinearRhs = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValueError("T must be positive and finite")
-        linear = LinearRhs(self.A, self.g)
+        linear = LinearRhs(self.A)
         if linear.lam[0] <= 0.0:
             raise ValueError("A must be positive definite")
         n = len(linear.A)
@@ -179,19 +174,16 @@ class SpdLinearProblem:
         return self.A.shape[0]
 
     def to_ivp(self) -> IvpProblem:
-        A, g = self.A, self.g
-        reference = None
-        if g is None:
-            lam, Q = self.linear.lam, self.linear.Q
-            c0 = Q.T @ self.u0
+        A, lam, Q = self.A, self.linear.lam, self.linear.Q
+        c0 = Q.T @ self.u0
 
-            def reference(t):
-                return Q @ (np.exp(-lam * t) * c0)
+        def reference(t):
+            return Q @ (np.exp(-lam * t) * c0)
 
         Au = _matvec(A)
 
         def f(t, u):
-            return -Au(u) if g is None else g(t) - Au(u)
+            return -Au(u)
 
         neg_A = -A
 
@@ -218,7 +210,6 @@ def spd_catalog(name: str, **params) -> SpdLinearProblem:
         raise ValueError(f"unknown SPD problem {name!r} (expected one of {sorted(known)})")
 
     T = float(params.pop("T", 1.0))
-    u0 = params.pop("u0", None)
 
     m = params.pop("m", 3 if name == "diag-spectrum" else 32)
     check_integer("m", m)
@@ -239,8 +230,7 @@ def spd_catalog(name: str, **params) -> SpdLinearProblem:
         dx = 1.0 / (m + 1)
         A = (np.diag(np.full(m, 2.0)) - np.diag(np.ones(m - 1), 1) - np.diag(np.ones(m - 1), -1)) / dx**2
 
-    u0 = np.ones(m) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float))
-    return SpdLinearProblem(A=A, u0=u0, T=T)
+    return SpdLinearProblem(A=A, u0=np.ones(m), T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +242,19 @@ def spd_catalog(name: str, **params) -> SpdLinearProblem:
 class KeplerProblem:
     """Two-body motion in low Earth orbit, first-order six-dimensional form.
 
-    State layout is ``[x, y, z, vx, vy, vz]`` in km and km/s.
+    State layout is ``[x, y, z, vx, vy, vz]`` in km and km/s.  The orbit
+    is fixed: it starts at ``_KEPLER_R0``, ``_KEPLER_V0`` about a body of
+    gravitational parameter ``MU_EARTH``.
     """
 
-    mu: float = MU_EARTH
-    r0: np.ndarray = field(default_factory=lambda: np.array(_KEPLER_R0))
-    v0: np.ndarray = field(default_factory=lambda: np.array(_KEPLER_V0))
     T: float = 50.0
 
     @property
     def u0(self) -> np.ndarray:
-        return np.concatenate((np.asarray(self.r0, float), np.asarray(self.v0, float)))
+        return np.concatenate((_KEPLER_R0, _KEPLER_V0))
 
     def to_ivp(self) -> IvpProblem:
-        mu, eye = self.mu, np.eye(3)
+        mu, eye = MU_EARTH, np.eye(3)
 
         def f(t, u):
             r = u[..., :3]
@@ -286,7 +275,7 @@ class KeplerProblem:
             f=f,
             u0=self.u0,
             T=self.T,
-            reference=functools.partial(kepler_reference, self),
+            reference=kepler_reference,
             jacobian=jacobian,
         )
 
@@ -304,8 +293,8 @@ def _stumpff(z: float) -> tuple[float, float]:
     return (math.cosh(sz) - 1.0) / (-z), (math.sinh(sz) - sz) / sz**3
 
 
-def kepler_reference(problem: KeplerProblem, t: float) -> np.ndarray:
-    """Analytic state at time ``t`` via Lagrange coefficients.
+def kepler_reference(t: float) -> np.ndarray:
+    """Analytic state of the ``KeplerProblem`` orbit at time ``t`` via Lagrange coefficients.
 
     Solves the universal-variable Kepler equation for the anomaly by Brent's
     method (``scipy.optimize.brentq``; the time residual is monotone in the
@@ -315,9 +304,7 @@ def kepler_reference(problem: KeplerProblem, t: float) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    r0 = np.asarray(problem.r0, dtype=float)
-    v0 = np.asarray(problem.v0, dtype=float)
-    mu = problem.mu
+    r0, v0, mu = np.array(_KEPLER_R0), np.array(_KEPLER_V0), MU_EARTH
     if t == 0.0:
         return np.concatenate((r0, v0))
 
@@ -392,7 +379,6 @@ class BurgersProblem:
 
     nu: float
     Nx: int
-    alpha: float = 2.0
     T: float = 4.0
     dx: float = field(init=False)
     x: np.ndarray = field(init=False)
@@ -460,13 +446,14 @@ class BurgersProblem:
 def burgers_exact(problem: BurgersProblem, x, t: float):
     """Closed-form solution of the viscous Burgers test case.
 
-    At ``t = 0`` this reduces to the initial profile; the denominator stays
-    at or above ``alpha - 1`` so the expression is well defined everywhere.
+    At ``t = 0`` this reduces to the initial profile; the denominator
+    ``2 + decay * cos(pi x)`` stays at or above 1, so the expression is well
+    defined everywhere.
     """
     x = np.asarray(x, dtype=float)
     decay = math.exp(-math.pi**2 * problem.nu * t)
     return (
         2.0 * problem.nu * math.pi * decay * np.sin(math.pi * x)
-        / (problem.alpha + decay * np.cos(math.pi * x))
+        / (2.0 + decay * np.cos(math.pi * x))
     )
 

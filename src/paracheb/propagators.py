@@ -358,14 +358,6 @@ def _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec):
     return x, False
 
 
-def _times(t_n):
-    """Start times as a float, or as a per-row column ``(N, 1)``."""
-    if isinstance(t_n, float):  # a Python or numpy float
-        return float(t_n)
-    t = np.asarray(t_n, dtype=float)
-    return t[:, None] if t.ndim else float(t)
-
-
 #: ``beta`` of each kind whose one stage solves ``x = rhs + beta * h * f(t + h, x)`` for the end state.
 _BETA = {PropagatorKind.BACKWARD_EULER: 1.0, PropagatorKind.TRAPEZOIDAL: 0.5}
 
@@ -462,20 +454,22 @@ def advance(
 ) -> np.ndarray:
     """Advance a stack of states, row ``i`` from ``t_n[i]`` to ``t_n[i] + dT``.
 
-    ``u_n`` has shape ``(N, dim)`` and ``t_n`` shape ``(N,)``, one row per
-    subinterval; a single state ``(dim,)`` with a float ``t_n`` is the
-    ``N = 1`` case and gives back shape ``(dim,)`` (a state of more axes
-    raises ``ValueError``, whatever the kind).  All rows advance
-    together: ``f`` takes a stack of states and ``jac`` a stack of
-    Jacobians, as stated on ``problems.IvpProblem``, so each stage, Newton
-    iteration or collocation sweep is one call for the whole stack.
+    ``u_n`` has shape ``(N, dim)``, one row per subinterval, and ``t_n``
+    shape ``(N,)``, or is a float that every row shares; a single state
+    ``(dim,)`` with a float ``t_n`` is the ``N = 1`` case and gives back
+    shape ``(dim,)``.  A state of more axes, or a ``t_n`` of another shape,
+    raises ``ValueError`` before ``f`` is called, whatever the kind.  All
+    rows advance together: ``f`` takes a stack of states and ``jac`` a
+    stack of Jacobians, as stated on ``problems.IvpProblem``, so each
+    stage, Newton iteration or collocation sweep is one call for the whole
+    stack.
     One-step kinds take ``spec.count`` equal substeps; the collocation
     kind performs a single spectral solve over each subinterval on
     ``spec.count + 1`` CG points, and that solve takes the operator for
     its point count from the cache.  The one-step kinds' stage solves use
     ``jac``, or forward differences of ``f`` when it is None.  When the
     problem is linear, callers may pass its ``LinearRhs`` as ``linear``
-    (``u' + A u = g``, with ``A`` checked and decomposed when that was
+    (``u' + A u = 0``, with ``A`` checked and decomposed when that was
     built); the collocation kind then uses the direct solve, which is
     defined even where the fixed-point sweep diverges.
 
@@ -528,6 +522,15 @@ def advance(
     u = np.asarray(u_n, dtype=float)
     if u.ndim > 2:
         raise ValueError(f"state must have shape (dim,) or (N, dim) (got shape {u.shape})")
+    # The start times as a float, or as a per-row column (N, 1).
+    if isinstance(t_n, float):  # a Python or numpy float
+        t = float(t_n)
+    else:
+        t = np.asarray(t_n, dtype=float)
+        if t.ndim and t.shape != u.shape[:-1]:
+            expected = f"a scalar or shape {u.shape[:-1]}" if u.ndim == 2 else "a scalar"
+            raise ValueError(f"t_n has shape {t.shape}, expected {expected}")
+        t = t[:, None] if t.ndim else float(t)
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
         if guess.shape != u.shape:
@@ -548,11 +551,10 @@ def advance(
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
     stacked = u.ndim == 2
-    t = _times(t_n)
     if guess is not None and spec.count == 1 and spec.kind in _BETA:
-        if stacked or inverse is not None and isinstance(t, float):
+        if stacked or inverse is not None:
             x, failures = _stage_step(f, jac, spec, t, u, dT, guess, inverse)
-        else:  # a single state without an inverse or at an array time: its one-row stack
+        else:  # a single state without an inverse: its one-row stack
             x, failures = _stage_step(f, jac, spec, t, u[None], dT, guess[None], inverse)
             x = x[0]
         if failures:

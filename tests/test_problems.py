@@ -25,15 +25,15 @@ from paracheb import (
 )
 
 
-def newton_root(problem, t):
+def newton_root(t):
     """``brentq`` stand-in for ``kepler_reference`` at time ``t``: the
     bisection-safeguarded Newton iteration it ran before Brent's method,
     from the same initial guess and inside the same expanded bracket."""
-    r0, v0 = np.asarray(problem.r0, float), np.asarray(problem.v0, float)
+    r0, v0 = np.array(problems._KEPLER_R0), np.array(problems._KEPLER_V0)
     r0n = float(np.linalg.norm(r0))
     vr0 = float(r0 @ v0) / r0n
-    alpha = 2.0 / r0n - float(v0 @ v0) / problem.mu
-    sqrt_mu = math.sqrt(problem.mu)
+    alpha = 2.0 / r0n - float(v0 @ v0) / problems.MU_EARTH
+    sqrt_mu = math.sqrt(problems.MU_EARTH)
 
     def slope(chi):
         z = alpha * chi * chi
@@ -98,8 +98,7 @@ class TestSpdCatalog:
 
     def test_linear_metadata(self):
         ivp = spd_catalog("diag-spectrum", m=2).to_ivp()
-        A, g = ivp.linear.A, ivp.linear.g
-        assert g is None
+        A = ivp.linear.A
         u = np.array([1.0, 2.0])
         np.testing.assert_allclose(ivp.f(0.0, u), -A @ u)
         np.testing.assert_allclose(ivp.jacobian(0.0, u), -A)
@@ -143,18 +142,17 @@ class TestSpdCatalog:
 
 class TestKepler:
     def test_reference_identity_at_zero(self):
-        kp = KeplerProblem()
-        np.testing.assert_array_equal(kepler_reference(kp, 0.0), kp.u0)
+        np.testing.assert_array_equal(kepler_reference(0.0), KeplerProblem().u0)
 
     def test_conservation_laws(self):
-        kp = KeplerProblem()
-        r0, v0 = kp.u0[:3], kp.u0[3:]
-        energy0 = 0.5 * v0 @ v0 - kp.mu / np.linalg.norm(r0)
+        mu = problems.MU_EARTH
+        r0, v0 = np.array(problems._KEPLER_R0), np.array(problems._KEPLER_V0)
+        energy0 = 0.5 * v0 @ v0 - mu / np.linalg.norm(r0)
         momentum0 = np.cross(r0, v0)
         for t in (5.0, 17.3, 50.0, 400.0):
-            s = kepler_reference(kp, t)
+            s = kepler_reference(t)
             r, v = s[:3], s[3:]
-            energy = 0.5 * v @ v - kp.mu / np.linalg.norm(r)
+            energy = 0.5 * v @ v - mu / np.linalg.norm(r)
             assert abs(energy - energy0) / abs(energy0) < 1e-9
             np.testing.assert_allclose(np.cross(r, v), momentum0, rtol=1e-9)
 
@@ -163,9 +161,9 @@ class TestKepler:
         # builds one reference table: N + 1 calls, with no cache behind them.
         calls = []
 
-        def counting(problem, t):
+        def counting(t):
             calls.append(t)
-            return kepler_reference(problem, t)
+            return kepler_reference(t)
 
         monkeypatch.setattr(problems, "kepler_reference", counting)
         kp = KeplerProblem(T=2.0)
@@ -175,7 +173,7 @@ class TestKepler:
                 for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")]
         results = run(cfgs, ivp)
         assert calls == [n * (kp.T / N) for n in range(N + 1)]
-        table = np.array([kepler_reference(kp, t) for t in calls])
+        table = np.array([kepler_reference(t) for t in calls])
         for u, history in results:
             last = np.max(np.abs(u - table), axis=0)
             assert history[-1].component_error == tuple(last.tolist())
@@ -185,9 +183,8 @@ class TestKepler:
         # independent oracle for the analytic propagation.  It runs on plain
         # floats with its own two-body right-hand side, checked against the
         # problem's at the start and end states.
-        kp = KeplerProblem()
-        ivp = kp.to_ivp()
-        mu = kp.mu
+        ivp = KeplerProblem().to_ivp()
+        mu = problems.MU_EARTH
 
         def rhs(u):
             x, y, z, vx, vy, vz = u
@@ -205,7 +202,7 @@ class TestKepler:
             u = tuple(a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(u, k1, k2, k3, k4))
         for state in (ivp.u0, np.array(u)):
             np.testing.assert_allclose(rhs(state.tolist()), ivp.f(50.0, state), rtol=1e-15, atol=0.0)
-        ref = kepler_reference(kp, 50.0)
+        ref = kepler_reference(50.0)
         assert np.max(np.abs(np.array(u[:3]) - ref[:3])) < 1e-6
 
     def test_rhs_consistent_with_reference(self):
@@ -231,22 +228,21 @@ class TestKepler:
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            kepler_reference(KeplerProblem(), -1.0)
+            kepler_reference(-1.0)
 
     def test_brent_matches_newton_reference(self, monkeypatch):
         # The kepler-compare grid (N = 200 steps of 0.25 s) and a few far times.
-        kp = KeplerProblem()
         times = [*(n * 0.25 for n in range(201)), 5.0, 17.3, 50.0, 400.0]
-        states = [kepler_reference(kp, t) for t in times]
+        states = [kepler_reference(t) for t in times]
         for t, state in zip(times, states):
-            monkeypatch.setattr(scipy.optimize, "brentq", newton_root(kp, t))
-            reference = kepler_reference(kp, t)
+            monkeypatch.setattr(scipy.optimize, "brentq", newton_root(t))
+            reference = kepler_reference(t)
             assert np.max(np.abs(state - reference)) <= 1e-13 * np.linalg.norm(reference)
 
     def test_unconverged_anomaly_raises_naming_t(self, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1))
         with pytest.raises(SolverError, match="did not converge at t=17.3"):
-            kepler_reference(KeplerProblem(), 17.3)
+            kepler_reference(17.3)
 
 
 class TestBurgers:
@@ -378,11 +374,10 @@ class TestLinearHook:
             IvpProblem(f=lambda t, u: u, u0=np.ones(2), T=1.0, linear=LinearRhs(np.diag([1.0, 4.0])))
 
     def test_forcing_disagreeing_with_linear_rejected(self):
+        # f is -A u off by a constant.
         A = np.diag([1.0, 4.0])
         with pytest.raises(ValueError, match="disagrees"):
-            IvpProblem(
-                f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=1.0, linear=LinearRhs(A, lambda t: 2.0 + 0.0 * t)
-            )
+            IvpProblem(f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=1.0, linear=LinearRhs(A))
 
     def test_disagreement_away_from_u0_rejected(self):
         # f and -A u both vanish at u0 = 0; they differ on u0 + e_i.
@@ -390,10 +385,14 @@ class TestLinearHook:
             IvpProblem(f=lambda t, u: u, u0=np.zeros(2), T=1.0, linear=LinearRhs(np.diag([1.0, 4.0])))
 
     def test_forcing_disagreeing_at_the_horizon_rejected(self):
-        # g(t) = 1 + t and the constant 1 of f agree at t = 0 only.
+        # f = g(t) - A u with g(t) = t agrees with -A u at t = 0 only.
         A = np.diag([1.0, 4.0])
+
+        def g(t):
+            return t
+
         with pytest.raises(ValueError, match="disagrees"):
-            IvpProblem(f=lambda t, u: 1.0 - u @ A.T, u0=np.ones(2), T=2.0, linear=LinearRhs(A, lambda t: 1.0 + t))
+            IvpProblem(f=lambda t, u: g(t) - u @ A.T, u0=np.ones(2), T=2.0, linear=LinearRhs(A))
 
     def test_linear_of_another_type_rejected(self):
         # The (A, g) tuple that a LinearRhs replaced is not one.
@@ -423,8 +422,8 @@ class TestLinearHook:
         # last bits only.
         A = spd_catalog("laplacian-1d", m=8).A
         u0 = np.linspace(0.1, 2.3, 8)
-        f = lambda t, u: np.sin(t) - np.einsum("ij,...j->...i", A, u)  # noqa: E731
-        ivp = IvpProblem(f=f, u0=u0, T=1.0, linear=LinearRhs(A, lambda t: np.sin(t) + 0.0 * u0))
+        f = lambda t, u: -np.einsum("ij,...j->...i", A, u)  # noqa: E731
+        ivp = IvpProblem(f=f, u0=u0, T=1.0, linear=LinearRhs(A))
         assert ivp.linear.A is A
 
 
@@ -467,12 +466,6 @@ STACK_CASES = {
     "burgers": lambda: BurgersProblem(0.05, 16).to_ivp(),
     "kepler": lambda: KeplerProblem().to_ivp(),
     "spd": lambda: spd_catalog("laplacian-1d", m=8).to_ivp(),
-    "spd-forced": lambda: SpdLinearProblem(
-        A=spd_catalog("laplacian-1d", m=8).A,
-        u0=np.ones(8),
-        T=1.0,
-        g=lambda t: np.sin(t) * np.ones(8),
-    ).to_ivp(),
 }
 
 
