@@ -30,6 +30,7 @@ Z1_STAR = 8.0 + 6.0 * math.sqrt(2.0)
 _SEARCH_CAP = 512
 _RHO_GRID = 2048  # log-spaced samples of K(z) before the maxima are refined
 _RHO_XTOL = 1e-8  # absolute tolerance of the refined maxima
+_ZOOM = 257  # samples per bracket in each round of the zoom search
 _ROOT_XTOL = 1e-10  # bisection tolerance of the threshold roots
 
 
@@ -95,14 +96,16 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
 
     Samples ``K`` on a log-spaced grid from ``max(z_max * 1e-6, 1e-8)``
     (or ``z_max`` itself, if smaller) to ``z_max``, plus ``z = 0`` where
-    ``K`` is 0, with one ``contraction`` call for the whole grid (Horner's
-    rule on exact integer coefficients, ``O(count)`` per ``z``).  It then
-    sharpens every local maximum, including the right endpoint, by Brent's
-    bounded search (``scipy.optimize.minimize_scalar``, ``xatol`` 1e-8) on
-    scalar ``contraction`` calls; a bracket narrower than that tolerance is
-    left to its grid point.  Each grid value equals its scalar
-    ``contraction`` call bit for bit.  The refined points are merged into
-    the returned grid so ``rho`` equals the maximum of ``K_values``.  Every
+    ``K`` is 0, with one ``contraction`` call for the whole grid; each grid
+    value equals its scalar ``contraction`` call bit for bit.  It then
+    sharpens every local maximum, including the right endpoint, by a zoom
+    search on all of their brackets at once: each round samples ``K`` at
+    ``_ZOOM`` evenly spaced points of every bracket, in one ``contraction``
+    call, and narrows each bracket to the two neighbours of its largest
+    sample, until it is narrower than 1e-8 or, a few ulps wide above ``z``
+    of about 3e7, stops shrinking.  A bracket narrower than 1e-8 is left to
+    its grid point.  Each bracket's best sample is merged into the
+    returned grid, so ``rho`` equals the maximum of ``K_values``.  Every
     kind's ``K`` is exact down to the smallest ``z``, so every positive
     finite ``z_max`` has a report.
     """
@@ -113,29 +116,30 @@ def rho_over_interval(spec: PropagatorSpec, z_max: float) -> ContractionReport:
     zs = np.concatenate(([0.0], grid))
     Ks = contraction(spec, zs)
 
-    extra_z, extra_K = [], []
-    brackets = [
-        (zs[i - 1], zs[i + 1])
-        for i in range(1, len(zs) - 1)
-        if Ks[i] >= Ks[i - 1] and Ks[i] >= Ks[i + 1]
-    ]
+    peaks = np.flatnonzero((Ks[1:-1] >= Ks[:-2]) & (Ks[1:-1] >= Ks[2:])) + 1
+    a, b = zs[peaks - 1], zs[peaks + 1]
     if Ks[-1] >= Ks[-2]:
-        brackets.append((zs[-2], zs[-1]))
-    from scipy.optimize import minimize_scalar  # imported here: most commands never load scipy
+        a, b = np.append(a, zs[-2]), np.append(b, zs[-1])
+    wide = b - a >= _RHO_XTOL  # a narrower bracket's grid point is within the tolerance
+    a, b = a[wide], b[wide]
+    steps = np.linspace(0.0, 1.0, _ZOOM)
+    best_z, best_K = [], []
+    while a.size:
+        rows = np.arange(a.size)
+        z = np.minimum(a[:, None] + (b - a)[:, None] * steps, b[:, None])
+        K = contraction(spec, z)
+        j = np.argmax(K, axis=1)
+        width = b - a
+        a, b = z[rows, np.maximum(j - 1, 0)], z[rows, np.minimum(j + 1, _ZOOM - 1)]
+        done = (b - a < _RHO_XTOL) | (b - a >= width)
+        best_z.append(z[rows, j][done])
+        best_K.append(K[rows, j][done])
+        a, b = a[~done], b[~done]
 
-    for a, b in brackets:
-        if b - a < _RHO_XTOL:
-            continue  # the grid point is already within the tolerance
-        best = minimize_scalar(
-            lambda z: -contraction(spec, z), bounds=(a, b), method="bounded",
-            options={"xatol": _RHO_XTOL},
-        )
-        extra_z.append(best.x)
-        extra_K.append(-best.fun)
-
-    if extra_z:
-        zs = np.concatenate((zs, extra_z))
-        Ks = np.concatenate((Ks, extra_K))
+    if best_z:
+        best_z, best_K = np.concatenate(best_z), np.concatenate(best_K)
+        new = ~np.isin(best_z, zs)  # a best sample on a grid point adds nothing
+        zs, Ks = np.concatenate((zs, best_z[new])), np.concatenate((Ks, best_K[new]))
         order = np.argsort(zs)
         zs, Ks = zs[order], Ks[order]
     return ContractionReport(z_grid=zs, K_values=Ks)
@@ -170,19 +174,27 @@ def find_threshold_roots() -> tuple[float, float]:
 
     The first is the unique positive root of ``K(z) = 1/3`` with zero
     interior points; the second is the largest positive root with one
-    interior point.  Both are found by bisection of ``z (K(z) - 1/3) =
-    |(1 + z) R(z) - 1| - z/3``, which has the same roots, on bracketing
-    intervals.  ``R`` is this module's ``stability``, whose cg:0 and cg:1
-    values are the closed forms behind ``Z0_STAR`` and ``Z1_STAR``; the
-    roots are an independent check of those constants only when
-    ``stability`` is swapped for another evaluator, such as LU solves of
-    the collocation systems.
+    interior point.  Both are found to within 1e-10 by bisection of ``z
+    (K(z) - 1/3) = |(1 + z) R(z) - 1| - z/3``, which has the same roots, on
+    bracketing intervals.  ``R`` is this module's ``stability``, whose cg:0
+    and cg:1 values are the closed forms behind ``Z0_STAR`` and
+    ``Z1_STAR``; the roots are an independent check of those constants
+    only when ``stability`` is swapped for another evaluator, such as LU
+    solves of the collocation systems.
     """
-    from scipy.optimize import bisect
-
     def excess(z: float, M: int) -> float:
         return abs((1.0 + z) * stability(PropagatorSpec.chebyshev_gauss(M), z) - 1.0) - z / 3.0
 
     # With one interior point K re-crosses 1/3 from below somewhere past
     # z = 8 and increases from there; bracket to the right of the tangency.
-    return tuple(float(bisect(excess, a, b, args=(M,), xtol=_ROOT_XTOL)) for M, a, b in ((0, 1e-6, 10.0), (1, 8.5, 1e3)))
+    roots = []
+    for M, a, b in ((0, 1e-6, 10.0), (1, 8.5, 1e3)):
+        below = excess(a, M) < 0.0
+        while b - a > _ROOT_XTOL:
+            mid = 0.5 * (a + b)
+            if (excess(mid, M) < 0.0) == below:
+                a = mid
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+    return tuple(roots)

@@ -256,7 +256,7 @@ def initialize(
         inverse = stage_inverses(first.coarse, problem.f, np.arange(N) * dT, g_prev, dT, jac=problem.jacobian)
     ref_table = None
     if problem.reference is not None:
-        ref_table = np.array([problem.reference(n * dT) for n in range(N + 1)])
+        ref_table = problem.reference(np.arange(N + 1) * dT)
     states = [
         PararealState(u=u.copy(), g_prev=g_prev.copy(), history=[], stage_inv=inverse, ref_table=ref_table)
         for _ in cfgs

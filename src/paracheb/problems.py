@@ -51,8 +51,10 @@ class IvpProblem:
     Jacobians, shape ``(..., dim, dim)``, whose entry ``i`` is the Jacobian
     of ``f`` at ``(t_i, u_i)``; the constructor checks it like ``f``.
 
-    ``reference`` maps a time to the exact (or high-accuracy) state when one
-    is known.  ``linear`` is a ``collocation.LinearRhs`` when the
+    ``reference`` gives the exact (or high-accuracy) state when one is
+    known: a time gives the state ``(dim,)``, and a 1-D array of ``n``
+    times gives one state per time, ``(n, dim)``, each row the bits of its
+    time's own call.  ``linear`` is a ``collocation.LinearRhs`` when the
     right-hand side is ``-A u`` with symmetric positive semidefinite ``A``,
     which lets the collocation propagator use its direct linear solve in
     the eigenbasis of ``A``; ``LinearRhs`` checks ``A`` and takes that
@@ -67,7 +69,7 @@ class IvpProblem:
     f: Callable[[float, np.ndarray], np.ndarray]
     u0: np.ndarray
     T: float
-    reference: Callable[[float], np.ndarray] | None = None
+    reference: Callable[[float | np.ndarray], np.ndarray] | None = None
     jacobian: Callable[[float, np.ndarray], np.ndarray] | None = None
     linear: LinearRhs | None = None
 
@@ -177,8 +179,10 @@ class SpdLinearProblem:
         A, lam, Q = self.A, self.linear.lam, self.linear.Q
         c0 = Q.T @ self.u0
 
+        Qc = _matvec(Q)
+
         def reference(t):
-            return Q @ (np.exp(-lam * t) * c0)
+            return Qc(np.exp(-np.asarray(t)[..., None] * lam) * c0)
 
         Au = _matvec(A)
 
@@ -280,83 +284,101 @@ class KeplerProblem:
         )
 
 
-def _stumpff(z: float) -> tuple[float, float]:
-    """Stumpff functions C(z) and S(z), series-evaluated near zero."""
-    if abs(z) < 1e-6:
-        C = 1.0 / 2.0 - z / 24.0 + z * z / 720.0 - z**3 / 40320.0
-        S = 1.0 / 6.0 - z / 120.0 + z * z / 5040.0 - z**3 / 362880.0
-        return C, S
-    if z > 0:
-        sz = math.sqrt(z)
-        return (1.0 - math.cos(sz)) / z, (sz - math.sin(sz)) / sz**3
-    sz = math.sqrt(-z)
-    return (math.cosh(sz) - 1.0) / (-z), (math.sinh(sz) - sz) / sz**3
+def _stumpff(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stumpff functions C(z) and S(z) of each entry of ``z``, series-evaluated near zero.
 
-
-def kepler_reference(t: float) -> np.ndarray:
-    """Analytic state of the ``KeplerProblem`` orbit at time ``t`` via Lagrange coefficients.
-
-    Solves the universal-variable Kepler equation for the anomaly by Brent's
-    method (``scipy.optimize.brentq``; the time residual is monotone in the
-    anomaly, so a bracket is always available), then combines the initial
-    position and velocity with the F and G coefficients.  The Wronskian
-    identity ``F*Gdot - Fdot*G = 1`` is verified before returning.
+    Each branch runs on its own entries only, so no entry outside a branch's
+    domain raises a floating-point warning.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    r0, v0, mu = np.array(_KEPLER_R0), np.array(_KEPLER_V0), MU_EARTH
-    if t == 0.0:
-        return np.concatenate((r0, v0))
+    z = np.asarray(z, dtype=float)
+    C, S = np.empty_like(z), np.empty_like(z)
+    small, pos = np.abs(z) < 1e-6, z >= 1e-6
+    neg = ~(small | pos)
+    w = z[small]
+    C[small] = 1.0 / 2.0 - w / 24.0 + w * w / 720.0 - w**3 / 40320.0
+    S[small] = 1.0 / 6.0 - w / 120.0 + w * w / 5040.0 - w**3 / 362880.0
+    w = z[pos]
+    sw = np.sqrt(w)
+    C[pos], S[pos] = (1.0 - np.cos(sw)) / w, (sw - np.sin(sw)) / sw**3
+    w = -z[neg]
+    sw = np.sqrt(w)
+    C[neg], S[neg] = (np.cosh(sw) - 1.0) / w, (np.sinh(sw) - sw) / sw**3
+    return C, S
 
+
+def kepler_reference(t) -> np.ndarray:
+    """Analytic state of the ``KeplerProblem`` orbit via Lagrange coefficients.
+
+    ``t`` is a time, giving the state ``(6,)``, or a 1-D array of times,
+    giving one state per time, ``(n, 6)``; every time must be nonnegative
+    and finite (``ValueError``).  The universal-variable Kepler equation is
+    solved for every time at once by bisection on its time residual, which
+    increases with the anomaly: the bracket's upper end doubles until it
+    passes the root, halving stops when the midpoint equals an end, and
+    each time keeps the end with the smaller residual.  At ``t = 0`` the
+    anomaly is 0 and the state is the start state.  The Wronskian identity
+    ``F*Gdot - Fdot*G = 1`` is checked on every state.  A bracket that
+    cannot be found or a failed identity raises ``SolverError`` naming the
+    time.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"t must be a time or a 1-D array of times (got shape {t.shape})")
+    if not ((0.0 <= t) & (t < math.inf)).all():
+        raise ValueError("t must be nonnegative and finite")
+    ts = np.atleast_1d(t)
+    r0, v0, mu = np.array(_KEPLER_R0), np.array(_KEPLER_V0), MU_EARTH
     r0n = float(np.linalg.norm(r0))
     vr0 = float(r0 @ v0) / r0n
     alpha = 2.0 / r0n - float(v0 @ v0) / mu  # inverse semi-major axis
     sqrt_mu = math.sqrt(mu)
 
-    def residual(chi: float) -> float:
-        z = alpha * chi * chi
-        C, S = _stumpff(z)
+    def residual(chi):
+        C, S = _stumpff(alpha * chi * chi)
         return (
             r0n * vr0 / sqrt_mu * chi * chi * C
             + (1.0 - alpha * r0n) * chi**3 * S
             + r0n * chi
-            - sqrt_mu * t
+            - sqrt_mu * ts
         )
 
-    chi = sqrt_mu * abs(alpha) * t if abs(alpha) > 1e-12 else sqrt_mu * t / r0n
-
-    # Expand a sign-changing bracket from the guess; residual(0) < 0 for t > 0.
-    hi = max(chi, 1.0)
-    while residual(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise SolverError("failed to bracket the universal Kepler equation")
-
-    # brentq's smallest rtol (4 ulp) decides; its default xtol of 2e-12
-    # would stop chi up to that far off, ~1.6e-10 km of position.  Imported
-    # here, so only the Kepler commands load scipy.
-    from scipy.optimize import brentq
-
-    chi, info = brentq(
-        residual, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, full_output=True, disp=False
-    )
-    if not info.converged:
-        raise SolverError(f"universal Kepler equation did not converge at t={t!r}")
+    # residual(0) < 0 for t > 0; a t = 0 row starts at lo = hi = 0, its root.
+    guess = sqrt_mu * abs(alpha) * ts if abs(alpha) > 1e-12 else sqrt_mu * ts / r0n
+    lo, hi = np.zeros_like(ts), np.where(ts > 0.0, np.maximum(guess, 1.0), 0.0)
+    f_lo, f_hi = residual(lo), residual(hi)
+    while (short := f_hi < 0.0).any():
+        if (far := short & (hi > 1e12)).any():
+            raise SolverError(f"failed to bracket the universal Kepler equation at t={float(ts[far][0])!r}")
+        lo, f_lo = np.where(short, hi, lo), np.where(short, f_hi, f_lo)
+        hi = np.where(short, 2.0 * hi, hi)
+        f_hi = residual(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (mid != lo) & (mid != hi)
+        if not live.any():
+            break
+        f_mid = residual(mid)
+        up, down = live & (f_mid < 0.0), live & ~(f_mid < 0.0)
+        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
+        hi, f_hi = np.where(down, mid, hi), np.where(down, f_mid, f_hi)
+    chi = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
 
     z = alpha * chi * chi
     C, S = _stumpff(z)
     F = 1.0 - chi * chi * C / r0n
-    G = t - chi**3 * S / sqrt_mu
-    r = F * r0 + G * v0
-    rn = float(np.linalg.norm(r))
+    G = ts - chi**3 * S / sqrt_mu
+    r = F[:, None] * r0 + G[:, None] * v0
+    rn = np.linalg.norm(r, axis=-1)
     Fdot = sqrt_mu / (rn * r0n) * chi * (z * S - 1.0)
     Gdot = 1.0 - chi * chi * C / rn
-    v = Fdot * r0 + Gdot * v0
+    v = Fdot[:, None] * r0 + Gdot[:, None] * v0
 
-    wronskian = F * Gdot - Fdot * G
-    if abs(wronskian - 1.0) > 1e-10:
-        raise SolverError(f"Lagrange coefficient identity violated: {wronskian - 1.0:.3e}")
-    return np.concatenate((r, v))
+    defect = F * Gdot - Fdot * G - 1.0
+    if (bad := ~(np.abs(defect) <= 1e-10)).any():
+        i = np.flatnonzero(bad)[0]
+        raise SolverError(f"Lagrange coefficient identity violated at t={float(ts[i])!r}: {defect[i]:.3e}")
+    states = np.concatenate((r, v), axis=-1)
+    return states if t.ndim else states[0]
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +456,16 @@ class BurgersProblem:
             # matrix-vector product per state.
             return neg_A1 - (A2 @ u[..., None]) * eye - u[..., :, None] * A2
 
+        def reference(t):
+            # burgers_exact takes math.exp of each time: numpy's exp of a
+            # time array differs from it in the last bit for some times.
+            return np.array([burgers_exact(self, x, s) for s in t]) if np.ndim(t) else burgers_exact(self, x, t)
+
         return IvpProblem(
             f=f,
             u0=self.u0,
             T=self.T,
-            reference=lambda t: burgers_exact(self, x, t),
+            reference=reference,
             jacobian=jacobian,
         )
 

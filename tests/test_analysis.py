@@ -1,10 +1,8 @@
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import paracheb.analysis as analysis
 from paracheb import chebyshev, collocation, propagators
@@ -45,10 +43,18 @@ def golden_max(fun, a, b, xtol):
     return x, fun(x)
 
 
-def golden_minimize_scalar(fun, bounds, method, options):
-    """``minimize_scalar`` stand-in that runs ``golden_max`` on ``-fun``."""
-    x, neg = golden_max(lambda z: -fun(z), *bounds, options["xatol"])
-    return SimpleNamespace(x=x, fun=-neg)
+def golden_rho(spec, z_max):
+    """Reference ``rho``: the grid of ``rho_over_interval``, with each local
+    maximum and a rising right end sharpened by ``golden_max`` on scalar
+    ``contraction`` calls."""
+    lo = min(max(z_max * 1e-6, 1e-8), z_max)
+    zs = [0.0, *np.geomspace(lo, z_max, analysis._RHO_GRID if lo < z_max else 1).tolist()]
+    Ks = [contraction(spec, z) for z in zs]
+    brackets = [(zs[i - 1], zs[i + 1]) for i in range(1, len(zs) - 1) if Ks[i - 1] <= Ks[i] >= Ks[i + 1]]
+    if Ks[-1] >= Ks[-2]:
+        brackets.append((zs[-2], zs[-1]))
+    peaks = [golden_max(lambda z: contraction(spec, z), a, b, analysis._RHO_XTOL)[1] for a, b in brackets]
+    return max(Ks + peaks)
 
 
 #: The bench's five search rows and the cases of TestRhoOverInterval.
@@ -207,11 +213,18 @@ class TestRhoOverInterval:
         np.testing.assert_array_equal(rep.K_values[on_grid], [contraction(spec, z) for z in grid])
 
     @pytest.mark.parametrize("spec, z_max", RHO_CASES, ids=lambda v: v.label if isinstance(v, PropagatorSpec) else f"{v:g}")
-    def test_brent_matches_golden_section(self, spec, z_max, monkeypatch):
+    def test_brent_matches_golden_section(self, spec, z_max):
         rho = rho_over_interval(spec, z_max).rho
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", golden_minimize_scalar)
-        reference = rho_over_interval(spec, z_max).rho
+        reference = golden_rho(spec, z_max)
         assert abs(rho - reference) <= 1e-12 * abs(reference)
+
+    @pytest.mark.parametrize("z_max", [1e8, 1e15, 1e300])
+    def test_huge_z_max_ends(self, z_max):
+        # Above z ~ 3e7 a bracket a few ulps wide is wider than 1e-8; the
+        # zoom search stops when it no longer shrinks.
+        for text in ("cg:1", "cg:5", "beuler:2", "gauss4:1"):
+            rep = rho_over_interval(propagators.parse_spec(text), z_max)
+            assert rep.z_grid.max() == z_max and 0.0 < rep.rho <= 1.0 and rep.rho == rep.K_values.max(), text
 
     @pytest.mark.parametrize("z_max", [1e-9, 2e-16, 5e-16, 1e-12, 1.5e-8, 1e-3])
     def test_samples_stay_in_the_interval(self, z_max):

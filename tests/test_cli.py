@@ -322,16 +322,22 @@ runs = {
     "burgers": ["run", "--set", "problem=burgers", "--set", "nx=8", "--set", "N=8",
                 "--set", "T=0.5", "--set", "fine=cg:4"],
     "kepler-compare": ["experiment", "--set", "name=kepler-compare"],
+    "mmin": ["mmin", "--set", "z_max_list=0.5,10,100"],
+    "analyze": ["analyze", "--set", "specs=cg:0,cg:5,beuler:2", "--set", "z_points=20"],
 }
 for name, argv in runs.items():
     assert cli.main([*argv, "--out", os.path.join(out, name + ".csv")]) == 0
     loaded[name] = scipy_modules()
+paracheb.rho_over_interval(paracheb.PropagatorSpec.chebyshev_gauss(16), 1e3)
+loaded["rho_over_interval"] = scipy_modules()
+paracheb.find_threshold_roots()
+loaded["find_threshold_roots"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
 class TestColdStart:
-    def test_only_kepler_loads_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         # pytest has loaded scipy already, so the check needs its own interpreter.
         src = os.path.dirname(os.path.dirname(paracheb.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -340,10 +346,10 @@ class TestColdStart:
             env=env, capture_output=True, text=True, check=True,
         )
         loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert loaded["import"] == loaded["laplacian-1d"] == loaded["burgers"] == []
-        # Kepler's anomaly solve imports brentq where it calls it, and gives
-        # the table it gives in a process that loaded scipy first.
-        assert "scipy.optimize" in loaded["kepler-compare"]
+        assert list(loaded) == ["import", "laplacian-1d", "burgers", "kepler-compare", "mmin", "analyze",
+                                "rho_over_interval", "find_threshold_roots"]
+        assert all(modules == [] for modules in loaded.values()), loaded
+        # The Kepler table is the same in a process that loaded scipy first.
         assert main(["experiment", "--set", "name=kepler-compare", "--out", str(tmp_path / "k.csv")]) == 0
         assert (tmp_path / "kepler-compare.csv").read_bytes() == (tmp_path / "k.csv").read_bytes()
 

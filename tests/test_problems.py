@@ -1,11 +1,8 @@
 import dataclasses
-import functools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.linalg import lu_factor, lu_solve
 
 import paracheb.problems as problems
@@ -25,38 +22,72 @@ from paracheb import (
 )
 
 
-def newton_root(t):
-    """``brentq`` stand-in for ``kepler_reference`` at time ``t``: the
-    bisection-safeguarded Newton iteration it ran before Brent's method,
-    from the same initial guess and inside the same expanded bracket."""
+def _orbit():
     r0, v0 = np.array(problems._KEPLER_R0), np.array(problems._KEPLER_V0)
     r0n = float(np.linalg.norm(r0))
     vr0 = float(r0 @ v0) / r0n
     alpha = 2.0 / r0n - float(v0 @ v0) / problems.MU_EARTH
-    sqrt_mu = math.sqrt(problems.MU_EARTH)
+    return r0, v0, r0n, vr0, alpha, math.sqrt(problems.MU_EARTH)
+
+
+def scalar_stumpff(z):
+    """Stumpff functions C(z) and S(z) of a float, on ``math``."""
+    if abs(z) < 1e-6:
+        return 1 / 2 - z / 24 + z * z / 720 - z**3 / 40320, 1 / 6 - z / 120 + z * z / 5040 - z**3 / 362880
+    if z > 0:
+        sz = math.sqrt(z)
+        return (1.0 - math.cos(sz)) / z, (sz - math.sin(sz)) / sz**3
+    sz = math.sqrt(-z)
+    return (math.cosh(sz) - 1.0) / (-z), (math.sinh(sz) - sz) / sz**3
+
+
+def newton_root(t):
+    """Reference anomaly of the ``KeplerProblem`` orbit at time ``t > 0``:
+    the bisection-safeguarded Newton iteration ``kepler_reference`` ran
+    before its bisection, on plain floats, from the same initial guess
+    inside a bracket expanded from ``[0, max(guess, 1)]``."""
+    r0, v0, r0n, vr0, alpha, sqrt_mu = _orbit()
+
+    def residual(chi):
+        C, S = scalar_stumpff(alpha * chi * chi)
+        return r0n * vr0 / sqrt_mu * chi * chi * C + (1.0 - alpha * r0n) * chi**3 * S + r0n * chi - sqrt_mu * t
 
     def slope(chi):
         z = alpha * chi * chi
-        C, S = problems._stumpff(z)
+        C, S = scalar_stumpff(z)
         return r0n * vr0 / sqrt_mu * chi * (1.0 - z * S) + (1.0 - alpha * r0n) * chi * chi * C + r0n
 
-    def root(residual, lo, hi, **kwargs):
-        chi = sqrt_mu * abs(alpha) * t if abs(alpha) > 1e-12 else sqrt_mu * t / r0n
-        for _ in range(60):
-            res = residual(chi)
-            if res < 0.0:
-                lo = chi
-            else:
-                hi = chi
-            chi_new = chi - res / slope(chi)
-            if not lo < chi_new < hi:
-                chi_new = 0.5 * (lo + hi)
-            if abs(chi_new - chi) <= 1e-13 * max(1.0, abs(chi_new)):
-                return chi_new, SimpleNamespace(converged=True)
-            chi = chi_new
-        return chi, SimpleNamespace(converged=False)
+    chi = sqrt_mu * abs(alpha) * t if abs(alpha) > 1e-12 else sqrt_mu * t / r0n
+    lo, hi = 0.0, max(chi, 1.0)
+    while residual(hi) < 0.0:
+        hi *= 2.0
+    for _ in range(60):
+        res = residual(chi)
+        if res < 0.0:
+            lo = chi
+        else:
+            hi = chi
+        chi_new = chi - res / slope(chi)
+        if not lo < chi_new < hi:
+            chi_new = 0.5 * (lo + hi)
+        if abs(chi_new - chi) <= 1e-13 * max(1.0, abs(chi_new)):
+            return chi_new
+        chi = chi_new
+    raise AssertionError(f"the Newton reference did not converge at t={t}")
 
-    return root
+
+def lagrange_state(t, chi):
+    """State of the ``KeplerProblem`` orbit at time ``t`` and anomaly ``chi``, on plain floats."""
+    r0, v0, r0n, vr0, alpha, sqrt_mu = _orbit()
+    z = alpha * chi * chi
+    C, S = scalar_stumpff(z)
+    F = 1.0 - chi * chi * C / r0n
+    G = t - chi**3 * S / sqrt_mu
+    r = F * r0 + G * v0
+    rn = math.sqrt(float(r @ r))
+    Fdot = sqrt_mu / (rn * r0n) * chi * (z * S - 1.0)
+    Gdot = 1.0 - chi * chi * C / rn
+    return np.concatenate((r, Fdot * r0 + Gdot * v0))
 
 
 def hand_circulant(n, main, sup, sub):
@@ -158,7 +189,8 @@ class TestKepler:
 
     def test_batch_run_evaluates_the_reference_once_per_grid_point(self, monkeypatch):
         # kepler-compare runs its four fine propagators as one batch, which
-        # builds one reference table: N + 1 calls, with no cache behind them.
+        # builds one reference table: one call on the N + 1 grid times, with
+        # no cache behind it.
         calls = []
 
         def counting(t):
@@ -172,8 +204,9 @@ class TestKepler:
         cfgs = [PararealConfig(N=N, coarse=coarse, fine=parse_spec(fine))
                 for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")]
         results = run(cfgs, ivp)
-        assert calls == [n * (kp.T / N) for n in range(N + 1)]
-        table = np.array([kepler_reference(t) for t in calls])
+        assert len(calls) == 1
+        assert calls[0].tolist() == [n * (kp.T / N) for n in range(N + 1)]
+        table = np.array([kepler_reference(t) for t in calls[0].tolist()])
         for u, history in results:
             last = np.max(np.abs(u - table), axis=0)
             assert history[-1].component_error == tuple(last.tolist())
@@ -230,19 +263,48 @@ class TestKepler:
         with pytest.raises(ValueError):
             kepler_reference(-1.0)
 
-    def test_brent_matches_newton_reference(self, monkeypatch):
-        # The kepler-compare grid (N = 200 steps of 0.25 s) and a few far times.
-        times = [*(n * 0.25 for n in range(201)), 5.0, 17.3, 50.0, 400.0]
-        states = [kepler_reference(t) for t in times]
-        for t, state in zip(times, states):
-            monkeypatch.setattr(scipy.optimize, "brentq", newton_root(t))
-            reference = kepler_reference(t)
+    @pytest.mark.parametrize("t", [math.inf, math.nan, np.array([1.0, -1.0]), np.ones((2, 2))],
+                             ids=["inf", "nan", "negative-row", "matrix"])
+    def test_rejects_bad_times(self, t):
+        with pytest.raises(ValueError, match="t must be"):
+            kepler_reference(t)
+
+    def test_brent_matches_newton_reference(self):
+        # The kepler-compare grid (N = 200 steps of 0.25 s) and a few far
+        # times, as one table against the Newton anomaly time by time.
+        times = np.concatenate((np.arange(201) * 0.25, [5.0, 17.3, 50.0, 400.0]))
+        table = kepler_reference(times)
+        assert table.shape == (len(times), 6)
+        np.testing.assert_array_equal(table[0], KeplerProblem().u0)
+        for t, state in zip(times[1:].tolist(), table[1:]):
+            reference = lagrange_state(t, newton_root(t))
             assert np.max(np.abs(state - reference)) <= 1e-13 * np.linalg.norm(reference)
 
     def test_unconverged_anomaly_raises_naming_t(self, monkeypatch):
-        monkeypatch.setattr(scipy.optimize, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1))
-        with pytest.raises(SolverError, match="did not converge at t=17.3"):
-            kepler_reference(17.3)
+        # At t = 1e20 the anomaly, about 9e18, has lost the digits that
+        # F*Gdot - Fdot*G = 1 needs: the check fails at that row.
+        with pytest.raises(SolverError, match=r"identity violated at t=1e\+20"):
+            kepler_reference(np.array([17.3, 1e20]))
+        # With C = 1e6 and S = 0 the residual is a downward parabola in the
+        # anomaly (the orbit starts with r . v < 0) that stays below 0 for
+        # t > 0: no bracket exists, and the first such row fails.
+        monkeypatch.setattr(problems, "_stumpff", lambda z: (np.full_like(z, 1e6), np.zeros_like(z)))
+        with pytest.raises(SolverError, match="failed to bracket the universal Kepler equation at t=17.3"):
+            kepler_reference(np.array([0.0, 17.3]))
+
+    def test_stacked_reference_equals_each_time(self):
+        # A table of times gives each row the bits of its time's own call.
+        cases = [
+            (KeplerProblem().to_ivp(), np.arange(201) * 0.25),
+            (BurgersProblem(0.05, 16).to_ivp(), np.arange(129) * (4.0 / 128)),
+            (spd_catalog("laplacian-1d", m=24, T=0.1).to_ivp(), np.arange(17) * (0.1 / 16)),
+            (spd_catalog("diag-spectrum", m=3, lambda_max=1e16).to_ivp(), np.arange(11) * 0.1),
+        ]
+        for ivp, times in cases:
+            table = ivp.reference(times)
+            assert table.shape == (len(times), ivp.dim)
+            np.testing.assert_array_equal(table, [ivp.reference(t) for t in times.tolist()])
+            assert ivp.reference(times[:1]).shape == (1, ivp.dim)
 
 
 class TestBurgers:
