@@ -342,9 +342,12 @@ def kepler_reference(t) -> np.ndarray:
             - sqrt_mu * ts
         )
 
-    # residual(0) < 0 for t > 0; a t = 0 row starts at lo = hi = 0, its root.
+    # residual(0) < 0 for t > 0; a t = 0 row starts at lo = hi = 0, its
+    # root.  hi starts at the guess (at least t, should the guess
+    # underflow), on the root's scale: a tiny t takes as few halvings as a
+    # large one.
     guess = sqrt_mu * abs(alpha) * ts if abs(alpha) > 1e-12 else sqrt_mu * ts / r0n
-    lo, hi = np.zeros_like(ts), np.where(ts > 0.0, np.maximum(guess, 1.0), 0.0)
+    lo, hi = np.zeros_like(ts), np.where(ts > 0.0, np.maximum(guess, ts), 0.0)
     f_lo, f_hi = residual(lo), residual(hi)
     while (short := f_hi < 0.0).any():
         if (far := short & (hi > 1e12)).any():

@@ -292,6 +292,16 @@ class TestKepler:
         with pytest.raises(SolverError, match="failed to bracket the universal Kepler equation at t=17.3"):
             kepler_reference(np.array([0.0, 17.3]))
 
+    def test_tiny_times_halve_as_often_as_large_ones(self, monkeypatch):
+        # The bracket starts on the root's scale: a tiny or subnormal t does
+        # not halve its way down from an anomaly of 1 through the subnormals.
+        calls = []
+        stumpff = problems._stumpff
+        monkeypatch.setattr(problems, "_stumpff", lambda z: calls.append(z.size) or stumpff(z))
+        states = kepler_reference(np.array([1e-300, 5e-324]))
+        np.testing.assert_allclose(states, np.tile(KeplerProblem().u0, (2, 1)), rtol=1e-15)
+        assert len(calls) < 80
+
     def test_stacked_reference_equals_each_time(self):
         # A table of times gives each row the bits of its time's own call.
         cases = [
