@@ -39,7 +39,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy._core.multiarray import count_nonzero
+
+try:  # numpy's C function, without the Python wrapper of np.count_nonzero
+    from numpy._core.multiarray import count_nonzero
+except ImportError:  # a numpy that moved it: the public function, the same count
+    count_nonzero = np.count_nonzero
 
 from .chebyshev import CgPointSet, CollocationOperator, build_operator
 from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError, check_integer, raise_row_failures

@@ -18,28 +18,37 @@ came from returns ``g_prev[n]``, and a fine step from the start value of the
 last pass returns that pass's result.  So the exact prefix costs nothing,
 about half of the steps of a run that takes ``N`` passes.
 
-A coarse step from a changed start value is a chord step: its stage solve
-starts at ``g_prev[n] + (u_new[n] - u[n])``, the cached result plus the
-change in the start value (the ``guess`` of ``propagators.advance``), not at
-the explicit Euler predictor, and each update multiplies the residual by
-``stage_inv[n]``, the inverse stage matrix ``(I - beta * dT * J)^-1`` at
-the initial sweep's result on that subinterval (simplified Newton, Hairer &
-Wanner, *Solving ODEs II*, Sec. IV.8).  The initial sweep has no cached
-result: it starts cold on Newton's iteration, and then builds every
-subinterval's inverse in one stacked ``jac`` call and one stacked
-inversion, for the kinds that take a guess (``beuler`` and ``tr`` at count
-1).  Near convergence a start value barely moves, so neither does its stage
-matrix: a warm step calls no Jacobian and solves nothing, and a row whose
-chord iteration converges too slowly falls back to Newton alone.  A
-nonlinear run from random starts gets no inverses, and takes Newton steps
-from its guesses: the coarse result of a drawn value says nothing about the
-Jacobian where the run goes (a linear problem's is the same everywhere).  So
-G is not a pure function of its start value: the result also depends on the
-cached pair, and lies within the Newton stop, ``tol * (1 + |x|)``, of the
-cold step's.  The table is the one a full recomputation under this coarse
-rule gives, bit for bit: a row of ``f`` does not depend on the rows stacked
-with it (the contract of ``problems.IvpProblem``), so neither does a row's
-step.
+A coarse step from a changed start value ``u_new[n]`` is a warm step from
+the cached one: ``propagators.advance`` gets that step's start value
+``u[n]`` and result ``g_prev[n]`` as ``guess_from`` and ``guess``, and
+``stage_inv[n]``, the inverse stage matrix ``S = (I - beta * dT * J)^-1``
+at the initial sweep's result on that subinterval.  The stage solve starts
+at the linearized predictor ``g_prev[n] + S (b(u_new[n]) - b(u[n]))``,
+``b`` the right-hand side of the stage equation (``u`` for ``beuler``, ``u
++ (dT/2) f(T_n, u)`` for ``tr``): read as a Newton iteration (Gander &
+Vandewalle, SIAM J. Sci. Comput. 29(2), 2007), the coarse correction
+stands in for the derivative ``G'(u) delta``, and ``S`` is that
+derivative.  The predictor's residual is the cached step's plus
+O(delta**2), so it is tested against the Newton stop before any update; a
+row that meets it settles there, with one ``f`` call, and the others take
+chord updates with ``S`` (simplified Newton, Hairer & Wanner, *Solving
+ODEs II*, Sec. IV.8).  The initial sweep has no cached result: it starts
+cold on Newton's iteration, and then builds every subinterval's inverse in
+one stacked ``jac`` call and one stacked inversion, for the kinds that take
+a guess (``beuler`` and ``tr`` at count 1).  Near convergence a start
+value barely moves, so neither does its stage matrix: a warm step calls no
+Jacobian and solves nothing, and a row whose chord iteration converges too
+slowly falls back to Newton alone.  A nonlinear run from random starts gets
+no inverses, and a subinterval whose pass-0 stage matrix was singular a NaN
+one; their steps take Newton's iteration, with at least one update, from
+``g_prev[n] + (u_new[n] - u[n])``: the coarse result of a drawn value says
+nothing about the Jacobian where the run goes (a linear problem's is the
+same everywhere).  So G is not a pure function of its start value: the
+result also depends on the cached pair, and lies within the Newton stop,
+``tol * (1 + |x|)``, of the cold step's.  The table is the one a full
+recomputation under this coarse rule gives, bit for bit: a row of ``f``
+does not depend on the rows stacked with it (the contract of
+``problems.IvpProblem``), so neither does a row's step.
 
 Runs that differ in their fine propagator only, as in a comparison of fine
 propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
@@ -48,8 +57,9 @@ a single config is the one-run case of the same code.  The batch shares the
 initial coarse sweep, which never reads ``fine``, and each pass's
 correction: at every subinterval the start values of all runs that need a
 coarse step go to ``advance`` in one stack, with the one inverse stage
-matrix they share.  So each run's table and history are its solo run's, bit
-for bit.  The correction holds the batch's tables as arrays, time first
+matrix they share; ``iterate`` rejects a batch whose states do not share
+their ``stage_inv``, as the states of one ``initialize`` call do.  So each
+run's table and history are its solo run's, bit for bit.  The correction holds the batch's tables as arrays, time first
 (``(N+1, R, dim)`` for ``R`` runs), so each subinterval's corrected values,
 its "changed" test and its live runs' starts and guesses are a few array
 operations for all runs; one live run steps alone, as a single state.
@@ -124,15 +134,16 @@ class PararealState:
 
     ``u[n]`` approximates the solution at ``T_n`` after ``k = len(history)``
     passes; ``g_prev[n]`` caches the coarse result taken from ``u[n]`` (cold
-    in pass 0, a chord step after), so the next correction can subtract
-    exactly the value that was added and the next coarse step from a
-    changed ``u[n]`` can start at ``g_prev[n]`` plus the change.
+    in pass 0, warm after), so the next correction can subtract exactly
+    the value that was added and the next coarse step from a changed
+    ``u[n]`` can start from the cached step ``u[n]`` -> ``g_prev[n]``.
     ``stage_inv[n]`` is the coarse stage matrix's inverse at the pass-0
     ``g_prev[n]``, which every later coarse step on subinterval ``n`` takes
-    its chord updates with: built once per run, read-only and shared by the
-    states of one ``initialize`` call (None for a coarse kind without a
-    guess and for a nonlinear problem from random starts; NaN where the
-    matrix was singular).  ``f_prev[n]``
+    its linearized predictor and its chord updates with: built once per
+    run, read-only and shared by the states of one ``initialize`` call,
+    which a batch must be (None for a coarse kind without a guess and for
+    a nonlinear problem from random starts; NaN where the matrix was
+    singular).  ``f_prev[n]``
     caches the fine result from ``u_prev[n]``, the table the last pass
     started from (both None before the first pass).  A pass reuses
     ``g_prev[n]`` for a corrected start value bitwise equal to ``u[n]``, and
@@ -174,14 +185,16 @@ def _batch(cfg: PararealConfig | Sequence[PararealConfig]) -> list[PararealConfi
 def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
     """Bind a propagator spec and problem into a ``(t, u) -> u_next`` callable.
 
-    ``t`` and ``u`` are one start time and state, or a stack of them,
-    ``guess`` an optional estimate of the result and ``inverse`` the
-    inverse stage matrix of a chord solve (see ``propagators.advance``).
+    ``t`` and ``u`` are one start time and state, or a stack of them;
+    ``guess``, ``guess_from`` and ``inverse`` are an earlier step's result
+    and start and the inverse stage matrix of a warm step (see
+    ``propagators.advance``).
     """
 
-    def step(t, u, guess=None, inverse=None):
+    def step(t, u, guess=None, guess_from=None, inverse=None):
         return advance(
-            spec, problem.f, t, u, dT, jac=problem.jacobian, linear=problem.linear, guess=guess, inverse=inverse
+            spec, problem.f, t, u, dT, problem.jacobian, problem.linear,
+            guess=guess, guess_from=guess_from, inverse=inverse,
         )
 
     return step
@@ -303,11 +316,13 @@ def iterate(
     not tied to a row (an exception raised by ``f`` itself, say) propagates
     with its own type.
 
+    The states of a batch must share their ``stage_inv``, as those of one
+    ``initialize`` call do (``ValueError`` before any step otherwise).
     The correction walks the subintervals once for the whole batch.  At each
     it takes a coarse step only for the runs whose corrected start value
-    differs from the cached one's, a chord step from the cached result plus
-    that difference with the subinterval's ``stage_inv``: one state goes to
-    ``advance`` alone, several in one stack.  The runs' tables are arrays
+    differs from the cached one's, a warm step from the cached step with
+    the subinterval's ``stage_inv`` (see the module docstring): one state
+    goes to ``advance`` alone, several in one stack.  The runs' tables are arrays
     indexed by subinterval and run, so each subinterval's bookkeeping is a
     few array operations for the whole batch.  A failed coarse step (its
     Newton fallback's error) raises its own error, naming its subinterval,
@@ -319,6 +334,9 @@ def iterate(
     states = [state] if isinstance(state, PararealState) else list(state)
     if len(states) != len(cfgs):
         raise ValueError(f"{len(states)} states for {len(cfgs)} configs")
+    stage_inv = states[0].stage_inv
+    if any(s.stage_inv is not stage_inv for s in states[1:]):
+        raise ValueError("the states of a batch must share one stage_inv: those of one initialize call")
     first = cfgs[0]
     N = first.N
     dT = problem.T / N
@@ -341,26 +359,23 @@ def iterate(
     # Comparing the words compares bits, so -0.0 differs from 0.0.
     U_bits, U_old_bits = U.view(np.uint64), U_old.view(np.uint64)
     one_run = len(states) == 1
-    stage_inv = [s.stage_inv for s in states]
-    shared = all(i is stage_inv[0] for i in stage_inv)  # the states of one initialize call share theirs
-    if not shared:  # stacked row by row; a state without inverses takes the Newton fallback of a NaN one
-        nan = np.full(G.shape[:1] + G.shape[-1:] * 2, np.nan)
-        by_run = np.stack([nan if i is None else i for i in stage_inv], axis=1)
     spec, f, jac, linear = first.coarse, problem.f, problem.jacobian, problem.linear
     live = ()  # the runs whose start value at T_n differs from the cached one's
     try:
         for n, t in enumerate(times.tolist()):
-            # Each step's guess: the cached result plus the change in its start value.
+            # Each step starts from the cached step: its start value and result.
+            inverse = None if stage_inv is None else stage_inv[n]
             if len(live) == 1:  # one state alone, only for speed: a stack gives each row the same bits
                 r = live[0]
-                guess = G_old[n, r] + (U[n, r] - U_old[n, r])
-                inverse = None if stage_inv[r] is None else stage_inv[r][n]
-                G[n, r] = advance(spec, f, t, U[n, r], dT, jac, linear, guess=guess, inverse=inverse)
+                G[n, r] = advance(
+                    spec, f, t, U[n, r], dT, jac, linear, guess=G_old[n, r], guess_from=U_old[n, r], inverse=inverse
+                )
             elif len(live):
-                guess = G_old[n, live] + (U[n, live] - U_old[n, live])
-                inverse = (None if stage_inv[0] is None else stage_inv[0][n]) if shared else by_run[n, live]
                 t_live = np.full(len(live), t)
-                G[n, live] = advance(spec, f, t_live, U[n, live], dT, jac, linear, guess=guess, inverse=inverse)
+                G[n, live] = advance(
+                    spec, f, t_live, U[n, live], dT, jac, linear, guess=G_old[n, live], guess_from=U_old[n, live],
+                    inverse=inverse,
+                )
             # Summed as fine value plus small coarse increment: near convergence
             # the increment vanishes, so the fine result's bits are preserved.
             U[n + 1] = F[n] + (G[n] - G_old[n])

@@ -17,12 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from numpy._core.multiarray import count_nonzero
-from numpy._core.umath import _extobj_contextvar, _make_extobj
-from numpy.linalg import _umath_linalg
 
 from .chebyshev import cg_points
-from .collocation import RhsFunction, _rows, check_limits, settle_rows
+from .collocation import RhsFunction, _rows, check_limits, count_nonzero, settle_rows
 from .collocation import LinearRhs, solve_linear, solve_nonlinear
 from .errors import NonConvergenceError, SingularSystemError, check_integer, raise_row_failures
 
@@ -125,13 +122,37 @@ def _fd_jacobian(f: RhsFunction, t, u: np.ndarray) -> np.ndarray:
     return ((F[..., 1:, :] - F[..., :1, :]) / h[..., :, None]).swapaxes(-1, -2)
 
 
-def _singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
+try:
+    from numpy._core.umath import _extobj_contextvar, _make_extobj
+    from numpy.linalg._umath_linalg import solve1
+except ImportError:  # a numpy that moved them: the public solve, the same LAPACK call
 
+    def _solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``J^-1 b`` for a stack of matrices and vectors; ``LinAlgError`` if one is singular."""
+        return np.linalg.solve(J, b[..., None])[..., 0]
 
-#: ``np.linalg.solve``'s floating-point error state, built once: LAPACK's
-#: invalid flag on a singular matrix raises ``LinAlgError`` through ``_singular``.
-_SOLVE_ERRORS = _make_extobj(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+else:
+
+    def _singular(err, flag):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    #: ``np.linalg.solve``'s floating-point error state, built once: LAPACK's
+    #: invalid flag on a singular matrix raises ``LinAlgError`` through ``_singular``.
+    _SOLVE_ERRORS = _make_extobj(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+    def _solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``J^-1 b`` for a stack of matrices and vectors; ``LinAlgError`` if one is singular.
+
+        The gufunc that ``np.linalg.solve`` calls for one right-hand side,
+        under the same error state, set as ``np.errstate`` sets it but
+        built once: the same bits without the argument checks, the type
+        resolution and the error-state set-up.
+        """
+        token = _extobj_contextvar.set(_SOLVE_ERRORS)
+        try:
+            return solve1(J, b, signature="dd->d")
+        finally:
+            _extobj_contextvar.reset(token)
 
 
 def _newton(
@@ -149,24 +170,25 @@ def _newton(
     residual; far-off starting values occur routinely under randomized
     outer iterations.  A row settles within ``spec.tol * (1 + |x|)``, and
     ``settle_rows`` retires the rows over ``spec.max_iter`` updates.  Every
-    row makes at least one update before it may settle: a start, guess or
-    predictor, can meet the stop, which is far looser than an outer
-    tolerance, and still be off by as much as the stop allows, so the test
-    before the first update settles no row.  A row that met the stop keeps
-    its state when the update does not reduce its residual, without halving
-    the step: the residual is then at its rounding floor.
+    row makes at least one update before it may settle: a start, a guess or
+    the explicit predictor, can meet the stop, which is far looser than an
+    outer tolerance, and still be off by as much as the stop allows, so the
+    test before the first update settles no row.  (The chord steps test
+    their start first: it is a linearized predictor, off by O(change**2),
+    see ``_stage_step``.)  A row that met the stop keeps its state when the
+    update does not reduce its residual, without halving the step: the
+    residual is then at its rounding floor.
 
     The solve is this function's test and update under ``settle_rows``,
-    and each update makes one ``jacobian`` call, one LAPACK call and one
-    ``residual`` call.  The LAPACK call is the gufunc that
-    ``np.linalg.solve`` calls for one right-hand side, ``solve1``, under
-    the same error state, ``_SOLVE_ERRORS``, set as ``np.errstate`` sets it
-    but built once: the same bits without the argument checks, the type
-    resolution and the error-state set-up, about half the cost of
-    ``np.linalg.solve`` on the 16-by-16 matrix of a Burgers Newton update.
-    Row maxima are ``np.maximum.reduce``, the reduction of ``ndarray.max``
-    without its Python wrapper, and masks are counted by numpy's C
-    ``count_nonzero``, cheaper than ``all()`` on a few rows.
+    and each update makes one ``jacobian`` call, one LAPACK call
+    (``_solve``) and one ``residual`` call.  Where numpy has them,
+    ``_solve`` is the gufunc that ``np.linalg.solve`` calls, ``solve1``,
+    under its error state built once, about half the cost of
+    ``np.linalg.solve`` on the 16-by-16 matrix of a Burgers Newton update;
+    otherwise it is ``np.linalg.solve`` itself.  Row maxima are
+    ``np.maximum.reduce``, the reduction of ``ndarray.max`` without its
+    Python wrapper, and masks are counted by ``count_nonzero`` (numpy's C
+    function where numpy has it), cheaper than ``all()`` on a few rows.
 
     Returns the solution stack and the failures, a dict row -> error: a
     singular stage matrix gives ``SingularSystemError`` (the row takes a
@@ -198,9 +220,8 @@ def _newton(
         x, res, _ = state
         failed = {}
         J = jacobian(x, rows)
-        token = _extobj_contextvar.set(_SOLVE_ERRORS)
         try:
-            step = _umath_linalg.solve1(J, res, signature="dd->d")
+            step = _solve(J, res)
         except np.linalg.LinAlgError:
             # Find the singular rows one by one.  Each takes a NaN step, so
             # it fails the next test; the others keep their steps.
@@ -211,8 +232,6 @@ def _newton(
                 except np.linalg.LinAlgError as exc:
                     failed[i] = SingularSystemError(f"Newton stage matrix is singular: {exc}")
                     step[i] = np.nan
-        finally:
-            _extobj_contextvar.reset(token)
 
         x_new = x - step
         res_new = residual(x_new, rows)
@@ -254,7 +273,7 @@ def _identity(n: int) -> np.ndarray:
 # whose stage solves failed (a dict row -> error).  A failed row comes out as
 # NaN and stays in the stack; a NaN row leaves each later stage solve at its
 # first test, and its first error is the one kept.  ``beuler`` and ``tr`` are
-# one stepper, ``_stage_step``, which also takes the step from a guess.
+# one stepper, ``_stage_step``, which also takes the step from a cached one.
 
 
 def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
@@ -282,31 +301,32 @@ _CHORD_RATE = 0.1
 def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
     """``_chord_state``'s iteration on a stack of rows ``x``, every row in lockstep.
 
-    Each update is one stacked matrix-vector product with ``inverse`` (one
-    ``(n, n)`` matrix for every row, or one per row) and one stacked ``f``
-    call.  Returns the new state array when every row leaves in the same
-    round, each one settled or keeping a start that met the stop: then each
-    row has the bits of its ``_chord_state`` iteration.  Returns None as
-    soon as the rows part ways: a row starts non-finite, settles before
-    another, would fall back, or is still live after ``spec.max_iter``
-    updates.  The caller then steps each row alone.
+    The start is tested first, then each update is one stacked
+    matrix-vector product with ``inverse``, the one ``(n, n)`` matrix of
+    every row, and one stacked ``f`` call.  Returns the new state array
+    when every row settles in the same round, at its start or on the same
+    update: then each row has the bits of its ``_chord_state`` iteration.
+    Returns None as soon as the rows part ways: a row's residual at the
+    start is not finite, a row settles before another, would fall back, or
+    is still live after ``spec.max_iter`` updates.  The caller then steps
+    each row alone.
     """
     tol = spec.tol
     res = x - rhs - beta_h * f(t_stage, x)
     norm = np.maximum.reduce(np.abs(res), axis=-1)
-    if count_nonzero(norm < math.inf) < len(norm):  # False for NaN too
+    settled = count_nonzero(norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1)))
+    if settled == len(norm):
+        return x
+    if settled or count_nonzero(norm < math.inf) < len(norm):  # False for NaN too
         return None
     for _ in range(spec.max_iter):
         x_new = x - np.matvec(inverse, res)
         res_new = x_new - rhs - beta_h * f(t_stage, x_new)
         norm_new = np.maximum.reduce(np.abs(res_new), axis=-1)
-        done = norm_new <= tol * (1.0 + np.maximum.reduce(np.abs(x_new), axis=-1))
         # A NaN or infinite residual fails the comparison: max propagates NaN.
-        ok = norm_new < norm
-        if count_nonzero(ok) < len(ok):
-            met = ~ok & (norm_new < math.inf) & (norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1)))
-            x_new[~ok] = x[~ok]
-            done = (done & ok) | met
+        if count_nonzero(norm_new < norm) < len(norm):
+            return None
+        done = norm_new <= tol * (1.0 + np.maximum.reduce(np.abs(x_new), axis=-1))
         if count_nonzero(done) == len(done):
             return x_new
         if count_nonzero(done | ~(norm_new <= _CHORD_RATE * norm)):
@@ -320,24 +340,26 @@ def _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec):
 
     Each update steps by ``inverse @ residual``, one fixed inverse stage
     matrix instead of a Jacobian and a solve per update (Hairer & Wanner,
-    *Solving ODEs II*, Sec. IV.8), on 1-D arrays with scalar norms.  It
-    keeps ``_newton``'s rules: the state settles within ``spec.tol * (1 +
-    |x|)`` after at least one update, and a state that met the stop keeps
-    it when an update does not reduce its residual.  It falls back when its
-    residual is not finite at the start, when an update short of the stop
-    cuts its residual by less than the factor ``_CHORD_RATE`` (a residual
-    that grows or turns non-finite, as a non-finite inverse makes it, never
-    counts as cut), or when it is still live after ``spec.max_iter``
-    updates.  These are the chord's only exit rules: a stack's rows leave
-    ``_chord`` only where each would leave here.
+    *Solving ODEs II*, Sec. IV.8), on 1-D arrays with scalar norms.  The
+    state settles within ``spec.tol * (1 + |x|)``, and its start, a
+    linearized predictor (see ``_stage_step``), is tested before any
+    update.  It falls back when its residual is not finite at the start,
+    when an update does not reduce it (a residual that turns non-finite, as
+    a non-finite inverse makes it, is never reduced), when an update short
+    of the stop cuts it by less than the factor ``_CHORD_RATE``, or when it
+    is still live after ``spec.max_iter`` updates.  These are the chord's
+    only exit rules: a stack's rows leave ``_chord`` only where each would
+    leave here.
 
     Returns the state and whether it settled: a state that falls back is
     its last iterate that reduced the residual (or its start), where Newton
-    takes over.  A settled state is never ``x``.
+    takes over.
     """
     tol = spec.tol
     res = x - rhs - beta_h * f(t_stage, x)
     norm = np.maximum.reduce(np.abs(res))
+    if norm <= tol * (1.0 + np.maximum.reduce(np.abs(x))):
+        return x, True
     if not norm < math.inf:
         return x, False
     for _ in range(spec.max_iter):
@@ -346,9 +368,7 @@ def _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec):
         norm_new = np.maximum.reduce(np.abs(res_new))
         # A NaN or infinite residual fails the comparison: max propagates NaN.
         if not norm_new < norm:
-            # Only a first update can start within the stop.
-            met = norm_new < math.inf and norm <= tol * (1.0 + np.maximum.reduce(np.abs(x)))
-            return (x.copy(), True) if met else (x, False)
+            return x, False
         if norm_new <= tol * (1.0 + np.maximum.reduce(np.abs(x_new))):
             return x_new, True
         # A slower chord iteration would cost more updates than Newton's.
@@ -362,50 +382,89 @@ def _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec):
 _BETA = {PropagatorKind.BACKWARD_EULER: 1.0, PropagatorKind.TRAPEZOIDAL: 0.5}
 
 
-def _stage_step(f, jac, spec, t, u, h, guess=None, inverse=None):
+def _stage_rhs(kind, f, t, u, beta_h):
+    """The ``rhs`` of the stage equations from the states ``u`` at ``t``, and the slope ``f(t, u)`` it took.
+
+    ``rhs`` is ``u`` for ``beuler``, with no slope (None), and ``u + beta_h
+    * f(t, u)`` for ``tr``.
+    """
+    if kind is PropagatorKind.TRAPEZOIDAL:
+        slope = f(t, u)
+        return u + beta_h * slope, slope
+    return u, None
+
+
+def _stage_step(f, jac, spec, t, u, h, guess=None, guess_from=None, inverse=None):
     """One ``beuler`` or ``tr`` step of length ``h`` from ``u`` at ``t``: the end states and the failed rows.
 
     The stage equations ``x = rhs + beta_h * f(t + h, x)``, with ``beta_h``
-    ``_BETA[kind] * h`` and ``rhs`` ``u`` for ``beuler``, ``u + beta_h *
-    f(t, u)`` for ``tr``, are solved from each row's start: its ``guess``
-    where that is finite, the explicit Euler predictor ``u + h * f(t, u)``
-    otherwise.  Without an ``inverse`` that is the Newton stage solve of a
-    stack.  With one, a single state ``u`` of shape ``(n,)`` takes
+    ``_BETA[kind] * h`` and ``rhs`` from ``_stage_rhs``, are solved from
+    each row's start.  ``guess`` is the result of this step from
+    ``guess_from`` (``u`` itself when None), and ``inverse`` the inverse
+    stage matrix ``S = (I - beta_h * J)^-1`` near that result.
+
+    With a finite ``S``, a row starts at the linearized predictor ``guess +
+    S (rhs - rhs_from)``, ``rhs_from`` the stage equations' ``rhs`` from
+    ``guess_from``: ``S`` is the derivative of the end state with respect to
+    ``rhs``, the term that parareal's coarse correction stands in for
+    (Gander & Vandewalle, SIAM J. Sci. Comput. 29(2), 2007).  Its residual
+    is the cached step's plus O(|rhs - rhs_from|**2), so the start is tested
+    before any update, and a row that meets the stop settles there: one
+    ``f`` call for ``beuler``, and two more for ``tr``'s slopes.  Other rows
+    take chord updates.  A single state, of shape ``(n,)``, takes
     ``_chord_state``, and Newton from where that falls back.  A stack takes
-    ``_chord``'s lockstep updates; where its rows part ways, each row takes
-    this single-state step from its start, repeating the lockstep rounds
-    row by row.  No workload or experiment reaches that case: in their
-    traces every stacked chord call ends in the lockstep loop.  Either way
-    each row has the bits of its single-state step.
+    ``_chord``'s lockstep rounds; where its rows part ways, each row takes
+    this single-state step, repeating the lockstep rounds row by row.
+    Either way each row has the bits of its single-state step.  No stacked
+    chord call parts ways in the bench workloads or the CI commands: all
+    594 of the kepler-compare experiment settle at their predictors, and
+    of burgers-m's 1,125, 759 settle there and 366 on the same update.
+
+    A row whose predictor is not finite (there is no ``S``, or ``S``,
+    ``guess`` or ``guess_from`` holds a NaN or an infinity) takes Newton's
+    iteration, which makes at least one update, from ``guess + (u -
+    guess_from)``, the cached result plus the change in its start, where
+    that is finite, and from the explicit Euler predictor ``u + h * f(t,
+    u)`` otherwise, as every row does without a guess.  The predictor is a
+    new array, so a row that settles there never returns ``guess`` itself.
     """
-    beta_h, rhs, slope = _BETA[spec.kind] * h, u, None
-    if spec.kind is PropagatorKind.TRAPEZOIDAL:
-        slope = f(t, u)
-        rhs = u + beta_h * slope
+    beta_h = _BETA[spec.kind] * h
+    rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
     t_stage = t + h
-    x = guess
-    finite = None if guess is None else np.isfinite(guess)
-    if guess is None or count_nonzero(finite) < finite.size:
+    if guess is not None and inverse is not None:
+        change = np.zeros_like(u) if guess_from is None else rhs - _stage_rhs(spec.kind, f, t, guess_from, beta_h)[0]
+        x = guess + np.matvec(inverse, change)  # not finite where S holds a NaN or an infinity
+        finite = np.isfinite(x)
+        if count_nonzero(finite) == finite.size:
+            if u.ndim == 1:
+                x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
+                if settled:
+                    return x, {}
+                x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
+                return x[0], failures
+            y = _chord(f, t_stage, beta_h, rhs, x, inverse, spec)
+            if y is not None:
+                return y, {}
+        if u.ndim == 2 and finite.all(axis=-1).any():
+            y, failures = np.empty_like(x), {}
+            for i in range(len(x)):
+                y[i], lost = _stage_step(
+                    f, jac, spec, _rows(t, i), u[i], h, guess[i], None if guess_from is None else guess_from[i], inverse
+                )
+                if lost:
+                    failures[i] = lost[0]
+            return y, failures
+    if guess is None:
         x = u + h * (f(t, u) if slope is None else slope)
-        if guess is not None:
-            x = np.where(finite.all(axis=-1)[..., None], guess, x)
-    if inverse is None:
-        return _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x)
+    else:
+        x = guess if guess_from is None else guess + (u - guess_from)
+        finite = np.isfinite(x)
+        if count_nonzero(finite) < finite.size:
+            x = np.where(finite.all(axis=-1)[..., None], x, u + h * (f(t, u) if slope is None else slope))
     if u.ndim == 1:
-        x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
-        if settled:
-            return x, {}
         x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
         return x[0], failures
-    y = _chord(f, t_stage, beta_h, rhs, x, inverse, spec)
-    if y is not None:
-        return y, {}
-    y, failures = np.empty_like(x), {}
-    for i in range(len(x)):
-        y[i], lost = _stage_step(f, jac, spec, _rows(t, i), u[i], h, x[i], inverse if inverse.ndim == 2 else inverse[i])
-        if lost:
-            failures[i] = lost[0]
-    return y, failures
+    return _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x)
 
 
 def _step_gauss4(f, jac, spec, t, u, h):
@@ -450,6 +509,7 @@ def advance(
     jac: RhsFunction | None = None,
     linear: LinearRhs | None = None,
     guess=None,
+    guess_from=None,
     inverse=None,
 ) -> np.ndarray:
     """Advance a stack of states, row ``i`` from ``t_n[i]`` to ``t_n[i] + dT``.
@@ -473,41 +533,55 @@ def advance(
     built); the collocation kind then uses the direct solve, which is
     defined even where the fixed-point sweep diverges.
 
-    ``guess``, of ``u_n``'s shape (``ValueError`` otherwise), estimates
-    each row's end state.
-    ``beuler`` and ``tr`` at count 1 solve their one stage for the end
-    state, and start each row's iteration at its guess, where it is
-    finite, instead of at the explicit Euler predictor.  A row whose guess
-    holds a NaN or an infinity starts at the predictor, as without a
-    guess.  Every other kind or count ignores ``guess``, and ``inverse``.
-    Every stage solve, from a guess or from a predictor, makes at least
-    one update.
+    ``guess``, of ``u_n``'s shape (``ValueError`` otherwise), is each
+    row's result of an earlier step of this spec and ``dT``, at the same
+    time, from ``guess_from`` (of the same shape; ``u_n`` itself when it is
+    None): the cached step of ``parareal``.  ``beuler`` and ``tr`` at count
+    1 solve their one stage for the end state, and start each row's
+    iteration from the cached step instead of at the explicit Euler
+    predictor.  Every other kind or count ignores ``guess``,
+    ``guess_from`` and ``inverse``.
 
-    ``inverse``, used only with a guess, is an inverse stage matrix
-    ``(I - beta * dT * J)^-1`` from ``stage_inverses`` (``beta`` 1 for
-    ``beuler``, 1/2 for ``tr``): one ``(dim, dim)`` matrix for every row,
-    or one per row, ``(N, dim, dim)`` (``ValueError`` for another shape).
-    Each row then takes chord updates, one matrix-vector product and one
-    ``f`` call each and no Jacobian.  The result lies within the Newton
-    stop ``tol * (1 + |x|)`` of the root, as a Newton solve's does, but
-    not on the same bits.  A row whose chord update short of the stop cuts
-    its residual by less than a factor of 10 (a residual that grows or
-    turns non-finite, as a NaN inverse makes it, is not cut), or that uses
-    up ``max_iter``, falls back: that row alone restarts on the Newton
-    iteration from its last iterate that reduced its residual (its start
-    if none did), which raises any typed error.
+    ``inverse``, used only with a guess, is the inverse stage matrix ``S =
+    (I - beta * dT * J)^-1`` near ``guess`` from ``stage_inverses``
+    (``beta`` 1 for ``beuler``, 1/2 for ``tr``): one ``(dim, dim)`` matrix
+    for every row (``ValueError`` for another shape).  Each row then
+    starts at the linearized predictor ``guess + S (b - b_from)``, where
+    ``b`` is the right-hand side of the stage equation, ``u`` for
+    ``beuler`` and ``u + (dT / 2) f(t_n, u)`` for ``tr``, from ``u_n`` and
+    ``b_from`` from ``guess_from``.  Its residual is the cached step's plus
+    a second-order term, so it is tested against the Newton stop ``tol *
+    (1 + |x|)`` before any update, and a row that meets the stop settles
+    there with one ``f`` call (``beuler``).  Other rows take chord updates,
+    one matrix-vector product and one ``f`` call each and no Jacobian.
+    The result lies within the Newton stop of the root, as a Newton
+    solve's does, but not on the same bits.  A row whose update does not
+    reduce its residual (a residual that turns non-finite is not reduced),
+    whose update short of the stop cuts its residual by less than a
+    factor of 10, or that uses up ``max_iter``, falls back: that row alone
+    restarts on the Newton iteration from its last iterate that reduced
+    its residual (its predictor if none did), which raises any typed
+    error.
+
+    A row whose predictor is not finite (no ``inverse``, or a NaN or an
+    infinity in ``inverse``, ``guess`` or ``guess_from``) takes the Newton
+    iteration, which makes at least one update, from ``guess + (u_n -
+    guess_from)``, the cached result plus the change in its start value,
+    or, where that holds a NaN or an infinity, from the explicit Euler
+    predictor, as without a guess.
 
     After the argument checks, ``beuler`` and ``tr`` take every step, cold
-    or from a guess, through one stepper, ``_stage_step``, which holds the
-    stage equations and the start.  With an inverse, a single state runs
-    the chord loop on 1-D arrays with scalar norms (``_chord_state``) and
-    restarts on Newton where that falls back.  A stack takes its chord
-    updates together (``_chord``) when all its rows leave in the same
-    round, and otherwise each row takes its single-state step: each row of
-    a stack gets the bits of its single-state step.  A Newton stage solve
-    is ``_newton_stage`` (the stage residual and Jacobian), ``_newton`` and
-    ``settle_rows``, on a stack: a single state is its one-row stack.  So a
-    coarse step of ``parareal`` pays for its arithmetic and its checks,
+    or from a cached step, through one stepper, ``_stage_step``, which
+    holds the stage equations, their right-hand side (``_stage_rhs``) and
+    the start.  With an inverse, a single state runs the chord loop on 1-D
+    arrays with scalar norms (``_chord_state``) and restarts on Newton
+    where that falls back.  A stack takes its chord updates together
+    (``_chord``) when all its rows settle in the same round, and otherwise
+    each row takes its single-state step: each row of a stack gets the
+    bits of its single-state step.  A Newton stage solve is
+    ``_newton_stage`` (the stage residual and Jacobian), ``_newton`` and
+    ``settle_rows``, on a stack: a single state is its one-row stack.  So
+    a coarse step of ``parareal`` pays for its arithmetic and its checks,
     and for little else.
 
     Every row stops its inner iterations on its own (``settle_rows``).  A
@@ -535,11 +609,14 @@ def advance(
         guess = np.asarray(guess, dtype=float)
         if guess.shape != u.shape:
             raise ValueError(f"guess has shape {guess.shape}, expected {u.shape}")
+        if guess_from is not None:
+            guess_from = np.asarray(guess_from, dtype=float)
+            if guess_from.shape != u.shape:
+                raise ValueError(f"guess_from has shape {guess_from.shape}, expected {u.shape}")
         if inverse is not None:
             inverse = np.asarray(inverse, dtype=float)
-            square = u.shape[-1:] * 2
-            if inverse.shape != square and (u.ndim < 2 or inverse.shape != (len(u), *square)):
-                raise ValueError(f"inverse has shape {inverse.shape}, expected {square} or one per row")
+            if inverse.shape != u.shape[-1:] * 2:
+                raise ValueError(f"inverse has shape {inverse.shape}, expected {u.shape[-1:] * 2}")
 
     step = _STEPPERS.get(spec.kind)
     if step is None:  # the collocation kind
@@ -553,9 +630,10 @@ def advance(
     stacked = u.ndim == 2
     if guess is not None and spec.count == 1 and spec.kind in _BETA:
         if stacked or inverse is not None:
-            x, failures = _stage_step(f, jac, spec, t, u, dT, guess, inverse)
+            x, failures = _stage_step(f, jac, spec, t, u, dT, guess, guess_from, inverse)
         else:  # a single state without an inverse: its one-row stack
-            x, failures = _stage_step(f, jac, spec, t, u[None], dT, guess[None], inverse)
+            start = None if guess_from is None else guess_from[None]
+            x, failures = _stage_step(f, jac, spec, t, u[None], dT, guess[None], start, inverse)
             x = x[0]
         if failures:
             raise_row_failures(failures, stacked)
@@ -574,13 +652,13 @@ def advance(
 def stage_inverses(spec: PropagatorSpec, f: RhsFunction, t_n, x, dT: float, jac: RhsFunction | None = None):
     """The inverse stage matrices ``(I - beta * dT * J(t_n + dT, x))^-1`` of a stack of end states ``x``.
 
-    These are the ``inverse`` of ``advance`` for the kinds that take a
-    ``guess`` (``beuler`` and ``tr`` at count 1, ``beta`` 1 and 1/2), with
-    ``t_n`` the start times ``(N,)`` and ``x`` ``(N, dim)``, in one
-    ``jac`` call (forward differences of ``f`` when it is None) and one
-    stacked inversion; None for every other kind or count.  A singular or
-    non-finite row comes out NaN, and its steps fall back to Newton.  The
-    array is read-only.
+    Row ``n`` is the ``inverse`` of ``advance`` for the steps from ``t_n[n]``
+    of the kinds that take a ``guess`` (``beuler`` and ``tr`` at count 1,
+    ``beta`` 1 and 1/2), with ``t_n`` the start times ``(N,)`` and ``x``
+    ``(N, dim)``, in one ``jac`` call (forward differences of ``f`` when
+    it is None) and one stacked inversion; None for every other kind or
+    count.  A singular or non-finite row comes out NaN, and its steps take
+    Newton's iteration.  The array is read-only.
     """
     if spec.count != 1 or spec.kind not in _BETA:
         return None

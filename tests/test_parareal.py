@@ -24,7 +24,7 @@ from paracheb import (
     parse_spec,
     spd_catalog,
 )
-from paracheb import parareal
+from paracheb import advance, parareal
 from paracheb.analysis import contraction
 from paracheb.parareal import _make_stepper
 from paracheb.propagators import stage_inverses
@@ -61,9 +61,10 @@ def reference_run(cfg, problem):
     """``run`` without the fine reuse, the reference for it: every pass
     recomputes every fine step, in one stack of all ``N`` rows.  The coarse
     rule is the one ``iterate`` states: a start value with unchanged bits
-    returns ``g_prev[n]``, a changed one is stepped from the guess
-    ``g_prev[n] + (u_new[n] - u[n])`` by chord updates, with the inverse
-    stage matrix at the initial sweep's result from ``u[n]``."""
+    returns ``g_prev[n]``, a changed one is stepped from the cached step,
+    from ``u[n]`` to ``g_prev[n]``, with the inverse stage matrix at the
+    initial sweep's result: its start is the linearized predictor, tested
+    before any chord update."""
     state = initialize(cfg, problem)
     dT = problem.T / cfg.N
     fine = _make_stepper(cfg.fine, problem, dT)
@@ -77,7 +78,7 @@ def reference_run(cfg, problem):
         g_new = g_prev.copy()
         for n in range(cfg.N):
             if u_new[n].tobytes() != u[n].tobytes():
-                g_new[n] = coarse(times[n], u_new[n], g_prev[n] + (u_new[n] - u[n]), inverse[n])
+                g_new[n] = coarse(times[n], u_new[n], g_prev[n], u[n], inverse[n])
             u_new[n + 1] = fine_results[n] + (g_new[n] - g_prev[n])
         iter_error = float(np.max(np.abs(u_new - u)))
         component_error = None
@@ -241,10 +242,10 @@ class TestIterate:
         # The correction subtracts g_prev[n], so it must be exactly the
         # coarse step that pass took from the current iterate u[n],
         # whichever way the pass-0 table was filled: cold in pass 0, then
-        # chord steps from the last pass's result plus the change in u[n]
-        # (or that result itself where u[n] kept its bits), with the
-        # inverse stage matrices at the pass-0 results.  A cold step from
-        # u[n] lands within the Newton stop of it.
+        # chord steps from the last pass's cached step (or its result
+        # itself where u[n] kept its bits), with the inverse stage matrices
+        # at the pass-0 results.  A cold step from u[n] lands within the
+        # Newton stop of it.
         prob = diag_problem(T=0.5)
         for init in ("coarse", "random"):
             cfg = PararealConfig(
@@ -263,7 +264,7 @@ class TestIterate:
                 for n in range(cfg.N):
                     warm = g_old[n]
                     if state.u[n].tobytes() != u_old[n].tobytes():
-                        warm = coarse(n * dT, state.u[n], g_old[n] + (state.u[n] - u_old[n]), inverse[n])
+                        warm = coarse(n * dT, state.u[n], g_old[n], u_old[n], inverse[n])
                     np.testing.assert_array_equal(state.g_prev[n], warm)
                     cold = coarse(n * dT, state.u[n])
                     stop = BE.tol * (1.0 + np.abs(cold).max())
@@ -586,6 +587,97 @@ class TestRun:
         assert history == history_ref
         assert [len(h) for _, h in (run(cfg, base), (u, history))] == [len(history)] * 2
 
+    def test_singular_pass_0_row_steps_newton_from_the_cached_result_plus_the_change(self):
+        # The subinterval without a finite inverse has no predictor: its
+        # warm steps take Newton's iteration from g_prev[n] + (u_new[n] -
+        # u[n]), with at least one update, as without an inverse.  The
+        # others take their predictors.
+        base = IvpProblem(f=lambda t, u: -u, u0=np.ones(1), T=1.0)
+        cfg = PararealConfig(N=5, coarse=BE, fine=parse_spec("cg:4"))
+        dT = base.T / cfg.N
+        singular_at = initialize(cfg, base).g_prev[2]
+        jacobians = []
+
+        def jacobian(t, u):
+            jacobians.append(np.ravel(u).tolist())
+            return np.where(u == singular_at, 1.0 / dT, -1.0)[..., None]
+
+        prob = dataclasses.replace(base, jacobian=jacobian)
+        state = initialize(cfg, prob)
+        assert np.isnan(state.stage_inv[2]).all()
+        steps = 0
+        while not (state.history and state.history[-1].iter_error <= cfg.tol):
+            u_old, g_old = state.u.copy(), state.g_prev.copy()
+            jacobians.clear()
+            state = iterate(state, cfg, prob)
+            if state.u[2].tobytes() != u_old[2].tobytes():
+                steps += 1
+                start = g_old[2] + (state.u[2] - u_old[2])
+                newton = advance(BE, prob.f, 2 * dT, state.u[2], dT, jac=prob.jacobian, guess=start)
+                np.testing.assert_array_equal(state.g_prev[2], newton)
+                assert jacobians and jacobians[0] == start.tolist()
+            else:
+                assert jacobians == []
+        assert steps >= 2
+
+    def test_warm_kepler_coarse_steps_make_one_f_call(self, monkeypatch):
+        # The kepler-compare batch: every warm coarse step, stacked or
+        # alone, settles at its linearized predictor, so its one f call is
+        # the residual there: no chord update, no Jacobian.
+        kepler = KeplerProblem().to_ivp()
+        calls = []
+
+        def f(t, u):
+            calls.append("f")
+            return kepler.f(t, u)
+
+        def jacobian(t, u):
+            calls.append("jacobian")
+            return kepler.jacobian(t, u)
+
+        prob = dataclasses.replace(kepler, f=f, jacobian=jacobian)
+        warm = []
+        advance_ = parareal.advance
+
+        def counting(spec, *args, **kwargs):
+            calls.clear()
+            x = advance_(spec, *args, **kwargs)
+            if spec == BE and kwargs.get("guess") is not None:
+                warm.append(list(calls))
+            return x
+
+        monkeypatch.setattr(parareal, "advance", counting)
+        cfgs = [
+            PararealConfig(N=round(kepler.T / 0.25), coarse=BE, fine=parse_spec(fine))
+            for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")
+        ]
+        results = run(cfgs, prob)
+        assert [len(h) for _, h in results] == [3] * 4
+        assert len(warm) > 100 and warm == [["f"]] * len(warm)
+
+    def test_trapezoidal_coarse_differences_match_cold_steps(self):
+        # The CI tr:1 Burgers run: its warm steps start at the predictor
+        # with tr's right-hand side u + (dT/2) f(t, u), and each pass's
+        # coarse increment G(u_new) - G(u_old) matches that of two cold
+        # steps to 1e-12 max|u|, in as many passes as before.
+        prob = BurgersProblem(0.05, 8, T=0.5).to_ivp()
+        tr = parse_spec("tr:1")
+        cfg = PararealConfig(N=16, coarse=tr, fine=parse_spec("cg:4"))
+        dT = prob.T / cfg.N
+        cold = _make_stepper(tr, prob, dT)
+        state = initialize(cfg, prob)
+        worst = 0.0
+        while not (state.history and state.history[-1].iter_error <= cfg.tol):
+            u_old, g_old = state.u.copy(), state.g_prev.copy()
+            state = iterate(state, cfg, prob)
+            for n in range(cfg.N):
+                if state.u[n].tobytes() != u_old[n].tobytes():
+                    expected = cold(n * dT, state.u[n]) - cold(n * dT, u_old[n])
+                    got = state.g_prev[n] - g_old[n]
+                    worst = max(worst, np.abs(got - expected).max() / np.abs(state.u).max())
+        assert state.k == 3
+        assert 0.0 < worst <= 1e-12
+
     def test_reuse_to_the_end_of_the_table(self, advance_calls):
         # Pass N has one changed start value, stepped alone; pass N + 1 has
         # none, so it steps nothing and changes nothing.
@@ -770,61 +862,61 @@ class TestBatch:
 
     def test_states_that_do_not_share_their_inverses(self):
         # The states of one initialize call share one array of inverse stage
-        # matrices; states from separate calls hold equal copies, which a
-        # stacked coarse step takes row by row, with the same bits.  A state
-        # without inverses takes Newton steps, alone or in a stack.
+        # matrices, and every coarse stack takes one of its matrices.
+        # States from separate calls hold equal copies, and a state without
+        # inverses none: a batch of either is rejected before any step.
         prob = BurgersProblem(0.05, 8, T=0.5).to_ivp()
         cfgs = [PararealConfig(N=8, coarse=BE, fine=parse_spec(f)) for f in ("cg:4", "cg:6")]
         shared = initialize(cfgs, prob)
         apart = [initialize(cfg, prob) for cfg in cfgs]
         newton = [initialize(cfg, prob) for cfg in cfgs]
-        newton_solo = initialize(cfgs[1], prob)
         assert shared[0].stage_inv is shared[1].stage_inv and apart[0].stage_inv is not apart[1].stage_inv
-        newton[1].stage_inv = newton_solo.stage_inv = None
-        for _ in range(3):
-            shared, apart, newton = (iterate(states, cfgs, prob) for states in (shared, apart, newton))
-            newton_solo = iterate(newton_solo, cfgs[1], prob)
-        for a, b, c in zip(shared, apart, newton):
-            np.testing.assert_array_equal(a.u, b.u)
-            assert a.history == b.history
-        np.testing.assert_array_equal(newton[0].u, shared[0].u)
-        np.testing.assert_array_equal(newton[1].u, newton_solo.u)
-        assert newton[1].u.tobytes() != shared[1].u.tobytes()
+        newton[1].stage_inv = None
+        for states in (apart, newton):
+            before = [s.u.copy() for s in states]
+            with pytest.raises(ValueError, match="the states of a batch must share one stage_inv"):
+                iterate(states, cfgs, prob)
+            for state, u in zip(states, before):
+                assert state.k == 0 and state.u.tobytes() == u.tobytes()
+        for state in (newton[0], newton[1]):  # alone, each state is a batch of one
+            iterate(state, cfgs[0], prob)
+        iterate(shared, cfgs, prob)
 
     def test_a_run_live_alone_in_a_batch_steps_as_its_solo_run(self):
         # Run 0's fine propagator is the coarse one, so its fine results are
         # its initial sweep's coarse results bit for bit: its table never
         # changes and it is never live, while run 1 takes every coarse step
-        # of every pass alone, as a single state.  With the inverses shared,
-        # and from separate initialize calls with none for run 0, each table
-        # and history is the solo run's, bit for bit.
+        # of every pass alone, as a single state.  Each table and history
+        # is the solo run's, bit for bit.
         prob = BurgersProblem(0.05, 8, T=0.5).to_ivp()
         cfgs = [PararealConfig(N=8, coarse=BE, fine=parse_spec(f)) for f in ("beuler:1", "cg:4")]
         solo = [initialize(cfg, prob) for cfg in cfgs]
         shared = initialize(cfgs, prob)
-        apart = [initialize(cfg, prob) for cfg in cfgs]
-        apart[0].stage_inv = None
         for _ in range(4):
             solo = [iterate(state, cfg, prob) for state, cfg in zip(solo, cfgs)]
-            shared, apart = (iterate(states, cfgs, prob) for states in (shared, apart))
+            shared = iterate(shared, cfgs, prob)
         assert [r.iter_error for r in solo[0].history] == [0.0] * 4
         assert all(r.iter_error > 0.0 for r in solo[1].history)
-        for states in (shared, apart):
-            for state, alone in zip(states, solo):
-                np.testing.assert_array_equal(state.u, alone.u)
-                np.testing.assert_array_equal(state.g_prev, alone.g_prev)
-                assert state.history == alone.history
+        for state, alone in zip(shared, solo):
+            np.testing.assert_array_equal(state.u, alone.u)
+            np.testing.assert_array_equal(state.g_prev, alone.g_prev)
+            assert state.history == alone.history
 
     def test_failure_names_its_run_subinterval_and_pass(self):
-        # u' = -12 u on dT = 1/4 (z = 3), with f NaN at t = T_4 = 1 above
-        # u = 0.02.  Before the coarse steps of pass 2, no step evaluates f
-        # at T_4 above 1/256, the initial sweep's value there (beuler:1 and
-        # tr:2 end at T_4; the nodes of cg:4 are interior).  In pass 2 the
-        # coarse steps of subinterval 3 start, in one stack, from the
-        # guesses 0.0327 (tr:2) and 0.0246 (cg:4), where f is NaN.  The
-        # first run (fine equal to coarse) has left after pass 1, so the
-        # stack's lower run is run 1 of the batch.
-        prob = IvpProblem(f=lambda t, u: np.where((t == 1.0) & (u > 0.02), np.nan, -12.0 * u), u0=np.ones(1), T=1.0)
+        # u' = -12 u on dT = 1/4 (z = 3), with f NaN at t = T_4 = 1 for u
+        # between 0.002 and 0.0035.  Before the coarse steps of pass 2, no
+        # step evaluates f at T_4 in that band: the initial sweep ends there
+        # at 1/256, pass 1's coarse steps below 0, and the fine steps of
+        # tr:2 at 0.00196 or below (beuler:1 and tr:2 end at T_4; the nodes
+        # of cg:4 are interior).  In pass 2 the coarse steps of subinterval
+        # 3 start, in one stack, at the predictors 0.00303 (tr:2) and
+        # 0.00203 (cg:4), where f is NaN.  The first run (fine equal to
+        # coarse) has left after pass 1, so the stack's lower run is run 1
+        # of the batch.
+        def f(t, u):
+            return np.where((t == 1.0) & (u > 0.002) & (u < 0.0035), np.nan, -12.0 * u)
+
+        prob = IvpProblem(f=f, u0=np.ones(1), T=1.0)
         cfgs = [
             PararealConfig(N=4, coarse=BE, fine=parse_spec(f)) for f in ("beuler:1", "tr:2", "cg:4")
         ]

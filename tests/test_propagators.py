@@ -1,8 +1,12 @@
 import csv
 import dataclasses
+import importlib
 import itertools
+import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +16,7 @@ from paracheb import (
     BurgersProblem,
     KeplerProblem,
     LinearRhs,
+    PararealConfig,
     NonConvergenceError,
     NonFiniteRhsError,
     PropagatorKind,
@@ -22,6 +27,7 @@ from paracheb import (
     advance,
     cg_points,
     parse_spec,
+    run,
     solve_nonlinear,
     spd_catalog,
     stability,
@@ -439,22 +445,23 @@ def counting_cubic_jacobian(calls):
     return jac
 
 
-def assert_rows_step_alone(spec, f, U, dT, guess, inverse=None, jac=None):
+def assert_rows_step_alone(spec, f, U, dT, guess, inverse=None, jac=None, guess_from=None):
     """A warm step of the stack ``U`` (at times 0) against each row's
-    single-state step with its guess and inverse: the same bits, or, where
-    the stack raises, the lowest failed row's own error and no error for a
-    row that did not fail.  Returns the stack's result or its ``SweepError``."""
+    single-state step with its guess and ``guess_from`` and the stack's
+    inverse: the same bits, or, where the stack raises, the lowest failed
+    row's own error and no error for a row that did not fail.  Returns the
+    stack's result or its ``SweepError``."""
 
-    def step(u, g, inv):
+    def step(u, g, g_from):
         t = np.zeros(len(u)) if u.ndim == 2 else 0.0
         try:
-            return advance(spec, f, t, u, dT, jac=jac, guess=g, inverse=inv)
+            return advance(spec, f, t, u, dT, jac=jac, guess=g, guess_from=g_from, inverse=inverse)
         except SolverError as exc:
             return exc
 
-    got = step(U, guess, inverse)
+    got = step(U, guess, guess_from)
     for i in range(len(U)):
-        alone = step(U[i], guess[i], None if inverse is None else inverse if inverse.ndim == 2 else inverse[i])
+        alone = step(U[i], guess[i], None if guess_from is None else guess_from[i])
         if isinstance(got, SweepError):
             if i == got.indices[0]:
                 assert type(alone) is type(got.cause) and str(alone) == str(got.cause)
@@ -467,26 +474,15 @@ def assert_rows_step_alone(spec, f, U, dT, guess, inverse=None, jac=None):
 class TestWarmStart:
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
     def test_guess_meeting_the_stop_still_makes_one_update(self, text):
-        # The cold result meets the residual test; started there, the
-        # stage solve still makes exactly one update.
+        # The cold result meets the residual test; started there without an
+        # inverse stage matrix, the Newton stage solve still makes exactly
+        # one update.
         spec, u = parse_spec(text), np.array([[2.0, -1.0]])
         cold_calls, warm_calls = [], []
         cold = advance(spec, cubic, 0.0, u, 0.5, jac=counting_cubic_jacobian(cold_calls))
         warm = advance(spec, cubic, 0.0, u, 0.5, jac=counting_cubic_jacobian(warm_calls), guess=cold)
         assert len(cold_calls) > 1 and warm_calls == [1]
         np.testing.assert_allclose(warm, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
-        # With an inverse stage matrix, one chord update: one f call for the
-        # start's residual and one for the update's (and tr's slope at u).
-        inverse = propagators.stage_inverses(spec, cubic, np.zeros(1), cold, 0.5)
-        f_calls = []
-
-        def f(t, x):
-            f_calls.append(x.shape)
-            return cubic(t, x)
-
-        chord = assert_rows_step_alone(spec, f, u, 0.5, cold, inverse)
-        assert len(f_calls) == 2 * (3 if text == "tr:1" else 2)
-        np.testing.assert_allclose(chord, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
 
     @NONFINITE
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
@@ -507,11 +503,26 @@ class TestWarmStart:
         for i in (0, 2):
             alone = advance(spec, cubic, 0.0, U[i], dT, jac=counting_cubic_jacobian([]), guess=guess[i])
             np.testing.assert_array_equal(got[i], alone)
-        # With inverse stage matrices, the middle row's chord iteration starts
-        # at the predictor; each row gets the bits of its single-state step.
-        inverse = propagators.stage_inverses(spec, cubic, np.zeros(3), cold, dT)
-        assert_rows_step_alone(spec, cubic, U, dT, guess, inverse)
-        assert_rows_step_alone(spec, cubic, U, dT, guess, inverse[0])
+        # With an inverse stage matrix the middle row has no finite
+        # predictor: it takes the Newton steps it takes alone from the
+        # explicit predictor, and each row gets the bits of its single-state
+        # step, whichever row's matrix the stack shares.
+        for inverse in propagators.stage_inverses(spec, cubic, np.zeros(3), cold, dT):
+            got = assert_rows_step_alone(spec, cubic, U, dT, guess, inverse)
+            np.testing.assert_array_equal(got[1], advance(spec, cubic, 0.0, U[1], dT))
+
+    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    def test_guess_from_moves_the_guess_by_the_change_in_start(self, text):
+        # Without an inverse stage matrix, the result of a step from
+        # guess_from starts Newton's iteration at that result plus the
+        # change in the start value, the same bits as that sum as a guess.
+        spec, dT = parse_spec(text), 0.5
+        U = np.array([[0.5, 1.0], [2.0, -1.0], [1.5, 0.25]])
+        before = U * (1.0 + 1e-3)
+        cached = advance(spec, cubic, np.zeros(3), before, dT)
+        got = advance(spec, cubic, np.zeros(3), U, dT, guess=cached, guess_from=before)
+        np.testing.assert_array_equal(got, advance(spec, cubic, np.zeros(3), U, dT, guess=cached + (U - before)))
+        assert_rows_step_alone(spec, cubic, U, dT, cached, guess_from=before)
 
     @pytest.mark.parametrize("text", ["beuler:1", "cg:4"])
     def test_guess_of_another_shape_rejected(self, text):
@@ -519,6 +530,8 @@ class TestWarmStart:
         U = np.array([[0.5, 1.0, 2.0], [2.0, -1.0, 0.0]])
         with pytest.raises(ValueError, match=r"guess has shape \(3, 2\), expected \(2, 3\)"):
             advance(parse_spec(text), cubic, np.zeros(2), U, 0.2, guess=U.T)
+        with pytest.raises(ValueError, match=r"guess_from has shape \(3, 2\), expected \(2, 3\)"):
+            advance(parse_spec(text), cubic, np.zeros(2), U, 0.2, guess=U, guess_from=U.T)
 
     @pytest.mark.parametrize("text", ["beuler:2", "tr:3", "gauss4:1", "cg:4"])
     def test_other_kinds_and_counts_ignore_the_guess(self, text):
@@ -528,15 +541,16 @@ class TestWarmStart:
 
 
 class TestChord:
-    """``advance`` from a guess with an inverse stage matrix: chord updates,
-    and a row that falls back restarts alone on the Newton iteration."""
+    """``advance`` from a guess with an inverse stage matrix: a start at the
+    linearized predictor, tested before any update, then chord updates, and
+    a row that falls back restarts alone on the Newton iteration."""
 
     U = np.array([[0.5, 1.0], [2.0, -1.0], [1.5, 0.25]])
     dT = 0.5
 
     def start(self, text, jac=None):
-        """The spec, the cold results, a guess near them and a writeable
-        copy of the inverse stage matrices at them."""
+        """The spec, the cold results, a guess near them and writeable
+        copies of the inverse stage matrices at them, one per row."""
         spec = parse_spec(text)
         cold = advance(spec, cubic, np.zeros(3), self.U, self.dT)
         jac = jac or counting_cubic_jacobian([])
@@ -544,26 +558,72 @@ class TestChord:
         assert not inverse.flags.writeable
         return spec, cold, cold * (1.0 + 1e-6), inverse.copy()
 
+    def near(self, spec):
+        """Three states near ``U[1]``, their cold results and the inverse
+        stage matrix at the first, which the three share: the stack of a
+        batch's runs on one subinterval."""
+        V = self.U[1] * np.array([[1.0], [1.0 + 1e-6], [1.0 - 1e-6]])
+        cold = advance(spec, cubic, np.zeros(3), V, self.dT)
+        return V, cold, propagators.stage_inverses(spec, cubic, np.zeros(1), cold[:1], self.dT)[0]
+
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
     def test_chord_step_calls_no_jacobian(self, text):
-        spec, _, guess, inverse = self.start(text)
+        spec = parse_spec(text)
+        V, cold, inverse = self.near(spec)
+        guess = cold * (1.0 + 1e-6)
         calls = []
-        jac = counting_cubic_jacobian(calls)
-        got = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=jac, guess=guess, inverse=inverse)
+        got = advance(spec, cubic, np.zeros(3), V, self.dT, jac=counting_cubic_jacobian(calls), guess=guess, inverse=inverse)
         assert calls == []
-        newton = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess)
+        newton = advance(spec, cubic, np.zeros(3), V, self.dT, guess=guess)
         np.testing.assert_allclose(got, newton, rtol=0, atol=spec.tol * (1.0 + np.abs(newton).max()))
         assert got.tobytes() != newton.tobytes()
         for i in range(3):
-            alone = advance(spec, cubic, 0.0, self.U[i], self.dT, guess=guess[i], inverse=inverse[i])
+            alone = advance(spec, cubic, 0.0, V[i], self.dT, guess=guess[i], inverse=inverse)
             np.testing.assert_array_equal(got[i], alone)
             # A single state's time as a 0-d array gives the same state.
-            again = advance(spec, cubic, np.array(0.0), self.U[i], self.dT, guess=guess[i], inverse=inverse[i])
+            again = advance(spec, cubic, np.array(0.0), V[i], self.dT, guess=guess[i], inverse=inverse)
             assert again.shape == alone.shape and again.tobytes() == alone.tobytes()
-        # One matrix for every row is the same as that matrix in each row.
-        shared = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse[0])
-        one_each = advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=np.stack([inverse[0]] * 3))
-        np.testing.assert_array_equal(shared, one_each)
+
+    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    def test_predictor_meeting_the_stop_settles_without_an_update(self, text):
+        # Each row's cached step is a cold step from its start moved by
+        # 1e-8.  The predictor, that result plus S times the change in the
+        # stage equation's right-hand side (u for beuler, u + (dT/2) f(t, u)
+        # for tr), is off by O(1e-16): it meets the stop, and every row
+        # settles there without an update or a Jacobian, within the stop of
+        # its cold step.  A stack makes one f call for the residuals, tr two
+        # more for the slopes at u and at guess_from.
+        spec = parse_spec(text)
+        V, cold, inverse = self.near(spec)
+        before = V * (1.0 + 1e-8)
+        cached = advance(spec, cubic, np.zeros(3), before, self.dT)
+        f_calls, calls = [], []
+
+        def f(t, x):
+            f_calls.append(x.shape)
+            return cubic(t, x)
+
+        jac = counting_cubic_jacobian(calls)
+        got = advance(spec, f, np.zeros(3), V, self.dT, jac=jac, guess=cached, guess_from=before, inverse=inverse)
+        assert f_calls == [(3, 2)] * (3 if text == "tr:1" else 1) and calls == []
+
+        def rhs(u):
+            return u if text == "beuler:1" else u + 0.5 * self.dT * cubic(0.0, u)
+
+        np.testing.assert_array_equal(got, cached + np.matvec(inverse, rhs(V) - rhs(before)))
+        np.testing.assert_allclose(got, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
+        assert_rows_step_alone(spec, cubic, V, self.dT, cached, inverse, jac, guess_from=before)
+        # The change in u alone is not tr's change in its right-hand side:
+        # from that first-order start the same step takes a chord update.
+        if text == "tr:1":
+            f_calls.clear()
+            start = cached + np.matvec(inverse, V - before)
+            advance(spec, f, np.zeros(3), V, self.dT, guess=start, inverse=inverse)
+            assert len(f_calls) == 3
+        # Started at its cold result, which meets the stop, a row keeps it.
+        f_calls.clear()
+        np.testing.assert_array_equal(advance(spec, f, np.zeros(3), V, self.dT, guess=cold, inverse=inverse), cold)
+        assert len(f_calls) == (2 if text == "tr:1" else 1)
 
     def first_update(self, text, guess, inverse):
         """The chord iterate one update from ``guess``, for the middle row."""
@@ -574,72 +634,83 @@ class TestChord:
     @pytest.mark.parametrize("cause", ["no reduction", "nan inverse", "singular", "slow"])
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
     def test_stacked_step_equals_its_rows_when_one_falls_back(self, text, cause):
-        # Row 1 falls back: its update increases the residual (a negated
-        # inverse), its inverse is NaN, its stage matrix was singular where
-        # the inverses were built (inverted row by row, that row comes out
-        # NaN), or its update, half the chord's, cuts the residual by about
-        # 2, less than _CHORD_RATE asks.  It then takes the Newton steps it
-        # takes alone from its last iterate that reduced its residual (the
-        # guess, or the slow row's first update), and calls the jacobian for
-        # itself only; rows 0 and 2 keep their chord steps.
+        # The stack shares row 1's inverse stage matrix.  Rows 0 and 2 start
+        # at their cold results and settle there.  Row 1 starts 1e-6 off and
+        # falls back: its update increases the residual (the matrix
+        # negated), or cuts it by about 2, less than _CHORD_RATE asks (the
+        # matrix halved).  It then takes the Newton steps it takes alone
+        # from its last iterate that reduced its residual (its start, or its
+        # first update), and calls the jacobian for itself only.  A NaN
+        # matrix, given or built where the stage matrix was singular (the
+        # inverses are then taken row by row, and that row's comes out NaN),
+        # leaves every row without a predictor: each takes the Newton steps
+        # it takes alone from its guess.
         def singular(t, u):
             J = counting_cubic_jacobian([])(t, u)
             J[1] = np.eye(2) / (self.dT if text == "beuler:1" else 0.5 * self.dT)
             return J
 
-        spec, cold, guess, inverse = self.start(text, singular if cause == "singular" else None)
+        spec, cold, guess, inverses = self.start(text, singular if cause == "singular" else None)
+        guess[[0, 2]] = cold[[0, 2]]
+        inverse = inverses[1]
         restart = guess[1]
         if cause == "no reduction":
-            inverse[1] *= -1.0
+            inverse *= -1.0
         elif cause == "nan inverse":
-            inverse[1] = np.nan
+            inverse[:] = np.nan
         elif cause == "singular":
-            assert np.isnan(inverse[1]).all()
+            assert np.isnan(inverse).all()
             for i in (0, 2):
                 jac = counting_cubic_jacobian([])
                 alone = propagators.stage_inverses(spec, cubic, np.zeros(1), cold[i : i + 1], self.dT, jac)
-                np.testing.assert_array_equal(inverse[i], alone[0])
+                np.testing.assert_array_equal(inverses[i], alone[0])
         else:
-            inverse[1] *= 0.5
-            restart = self.first_update(text, guess[1], inverse[1])
+            inverse *= 0.5
+            restart = self.first_update(text, guess[1], inverse)
         calls = []
         got = advance(
             spec, cubic, np.zeros(3), self.U, self.dT, jac=counting_cubic_jacobian(calls), guess=guess, inverse=inverse
         )
-        assert calls and calls == [1] * len(calls)
         jac = counting_cubic_jacobian([])
-        newton = advance(spec, cubic, 0.0, self.U[1], self.dT, jac=jac, guess=restart)
-        np.testing.assert_array_equal(got[1], newton)
+        if cause in ("nan inverse", "singular"):
+            assert calls[0] == 3
+            np.testing.assert_array_equal(got, advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=jac, guess=guess))
+        else:
+            assert calls and calls == [1] * len(calls)
+            np.testing.assert_array_equal(got[[0, 2]], cold[[0, 2]])
+            np.testing.assert_array_equal(got[1], advance(spec, cubic, 0.0, self.U[1], self.dT, jac=jac, guess=restart))
         assert_rows_step_alone(spec, cubic, self.U, self.dT, guess, inverse, jac)
 
     def test_nan_inverse_falls_back_from_a_start_within_the_stop(self):
-        # A row that starts within the stop keeps its state when an update
-        # does not reduce its residual, but not when the update is not
-        # finite: a NaN inverse always hands the row to Newton.
+        # A NaN inverse leaves no predictor, even where the guess meets the
+        # stop: every row takes Newton's iteration from its guess, which
+        # makes one update, with one stacked Jacobian call.
         for text in ("beuler:1", "tr:1"):
-            spec, cold, _, inverse = self.start(text)
-            inverse[1] = np.nan
+            spec, cold, _, inverses = self.start(text)
+            inverse = np.full_like(inverses[1], np.nan)
             calls = []
             jac = counting_cubic_jacobian(calls)
             got = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=jac, guess=cold, inverse=inverse)
-            assert calls and calls == [1] * len(calls)
-            newton = advance(spec, cubic, 0.0, self.U[1], self.dT, jac=counting_cubic_jacobian([]), guess=cold[1])
-            np.testing.assert_array_equal(got[1], newton)
+            assert calls == [3]
+            newton = advance(spec, cubic, np.zeros(3), self.U, self.dT, jac=counting_cubic_jacobian([]), guess=cold)
+            np.testing.assert_array_equal(got, newton)
             np.testing.assert_array_equal(assert_rows_step_alone(spec, cubic, self.U, self.dT, cold, inverse), got)
 
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
     def test_row_still_live_after_max_iter_falls_back(self, text):
         # With max_iter = 1, rows 0 and 2 start at their cold results and
-        # settle; row 1 starts 1% off, and its one update cuts the residual
+        # settle there; row 1 starts 1% off, and its one update, with its
+        # own inverse stage matrix, which the stack shares, cuts the residual
         # fast but not to the stop.  It restarts on Newton from that update
         # and stalls there too: the stack raises the error it raises alone.
-        spec, cold, guess, inverse = self.start(text)
+        spec, cold, guess, inverses = self.start(text)
         spec = dataclasses.replace(spec, max_iter=1)
+        inverse = inverses[1]
         guess = cold.copy()
         guess[1] *= 1.01
         with pytest.raises(SweepError) as err:
             advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse)
-        restart = self.first_update(text, guess[1], inverse[1])
+        restart = self.first_update(text, guess[1], inverse)
         with pytest.raises(NonConvergenceError) as alone:
             advance(spec, cubic, 0.0, self.U[1], self.dT, guess=restart)
         assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
@@ -656,23 +727,23 @@ class TestChord:
             return np.where(u > 1.8, value, -(u**3))
 
         for text in ("beuler:1", "tr:1"):
-            spec, _, guess, inverse = self.start(text)
+            spec, cold, guess, inverses = self.start(text)
+            guess[[0, 2]] = cold[[0, 2]]
             guess[1, 0] = 1.9
             with pytest.raises(SweepError) as err:  # and no warning: no update reaches the non-finite row
-                advance(spec, f, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse)
+                advance(spec, f, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverses[1])
             with pytest.raises(NonConvergenceError) as alone:
                 advance(spec, f, 0.0, self.U[1], self.dT, guess=guess[1])
             assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
-            assert isinstance(assert_rows_step_alone(spec, f, self.U, self.dT, guess, inverse), SweepError)
+            assert isinstance(assert_rows_step_alone(spec, f, self.U, self.dT, guess, inverses[1]), SweepError)
 
     @pytest.mark.parametrize("path", ["kept start", "settled", "fallback"])
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
     def test_single_state_step_returns_a_new_array(self, text, path, monkeypatch):
-        # u' = 0: the guess u is the root, so its residual is 0 and the one
-        # update leaves it at 0, no reduction; the start met the stop and is
-        # kept, as a new array.  The other exits return new arrays too, and
-        # neither the guess nor u changes.  A single state never takes the
-        # stacked loop.
+        # u' = 0: the guess u is the root, so its residual is 0 and the
+        # start settles, as a new array.  The other exits return new arrays
+        # too, and neither the guess nor u changes.  A single state never
+        # takes the stacked loop.
         def stacked_only(*args):
             raise AssertionError("a single state took the stacked chord loop")
 
@@ -693,47 +764,45 @@ class TestChord:
 
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
     def test_rows_leaving_together_step_in_lockstep(self, text, monkeypatch):
-        # The middle row is the zero state with guess 0: its one update
-        # does not reduce its zero residual, so it keeps its start, which met
-        # the stop.  The other rows settle on that same update.  Every row
-        # leaves in the first round, so the stack never steps a row alone,
+        # Three states near U[1] share one inverse stage matrix.  Started at
+        # their cold results, every row settles at its start; started 1e-7
+        # off, every row settles on the first update.  Either way every row
+        # leaves in the same round, so the stack never steps a row alone,
         # and each row has the bits of its single-state step.
-        spec, dT = parse_spec(text), self.dT
-        U = self.U.copy()
-        U[1] = 0.0
-        cold = advance(spec, cubic, np.zeros(3), U, dT)
-        guess = cold * (1.0 + 1e-6)
-        guess[1] = 0.0
-        inverse = propagators.stage_inverses(spec, cubic, np.zeros(3), cold, dT)
-        alone = [advance(spec, cubic, 0.0, U[i], dT, guess=guess[i], inverse=inverse[i]) for i in range(3)]
+        spec = parse_spec(text)
+        V, cold, inverse = self.near(spec)
 
         def row_by_row(*args):
             raise AssertionError("a stack whose rows leave together stepped a row alone")
 
-        monkeypatch.setattr(propagators, "_chord_state", row_by_row)
         f_calls = []
 
         def f(t, x):
             f_calls.append(x.shape)
             return cubic(t, x)
 
-        got = advance(spec, f, np.zeros(3), U, dT, guess=guess, inverse=inverse)
-        assert f_calls == [(3, 2)] * (3 if text == "tr:1" else 2)
-        for i in range(3):
-            assert got[i].tobytes() == alone[i].tobytes()
-        np.testing.assert_array_equal(got[1], 0.0)
+        for guess, updates in ((cold, 0), (cold * (1.0 + 1e-7), 1)):
+            alone = [advance(spec, cubic, 0.0, V[i], self.dT, guess=guess[i], inverse=inverse) for i in range(3)]
+            f_calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(propagators, "_chord_state", row_by_row)
+                got = advance(spec, f, np.zeros(3), V, self.dT, guess=guess, inverse=inverse)
+            assert f_calls == [(3, 2)] * ((2 if text == "tr:1" else 1) + updates)
+            for i in range(3):
+                assert got[i].tobytes() == alone[i].tobytes()
 
     def test_inverse_of_another_shape_rejected(self):
+        # One matrix serves every row of a stack: one per row is rejected.
         spec, _, guess, inverse = self.start("beuler:1")
-        with pytest.raises(ValueError, match=r"inverse has shape \(2, 2, 2\), expected \(2, 2\) or one per row"):
-            advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse[:2])
-        with pytest.raises(ValueError, match=r"inverse has shape \(1, 2, 2\)"):
+        with pytest.raises(ValueError, match=r"inverse has shape \(3, 2, 2\), expected \(2, 2\)$"):
+            advance(spec, cubic, np.zeros(3), self.U, self.dT, guess=guess, inverse=inverse)
+        with pytest.raises(ValueError, match=r"inverse has shape \(1, 2, 2\), expected \(2, 2\)$"):
             advance(spec, cubic, 0.0, self.U[0], self.dT, guess=guess[0], inverse=inverse[:1])
 
     @pytest.mark.parametrize("text", ["beuler:1", "beuler:2", "tr:3", "gauss4:1", "cg:4"])
     def test_inverse_needs_a_guess_and_a_warm_kind(self, text):
         spec = parse_spec(text)
-        inverse = self.start("beuler:1")[3]
+        inverse = self.start("beuler:1")[3][1]
         plain = advance(spec, cubic, np.zeros(3), self.U, self.dT)
         np.testing.assert_array_equal(advance(spec, cubic, np.zeros(3), self.U, self.dT, inverse=inverse), plain)
         if text != "beuler:1":
@@ -1175,3 +1244,66 @@ def test_stage_identity_is_built_once_and_read_only():
     np.testing.assert_array_equal(eye, np.eye(4))
     with pytest.raises(ValueError, match="read-only"):
         eye[0, 0] = 2.0
+
+
+#: The numpy internals the fast paths import, each with a public fallback.
+PRIVATE_NUMPY = [
+    ("numpy._core.multiarray", "count_nonzero"),
+    ("numpy._core.umath", "_extobj_contextvar"),
+    ("numpy._core.umath", "_make_extobj"),
+    ("numpy.linalg._umath_linalg", "solve1"),
+]
+
+# Hides PRIVATE_NUMPY while paracheb is imported, then runs Burgers from the
+# coarse sweep and from random starts (Newton steps throughout) and prints
+# each run's k and table.
+_FALLBACK_RUN = """
+import importlib, json, sys
+import numpy as np
+hidden = []
+for path, name in json.loads(sys.argv[1]):
+    try:
+        module = importlib.import_module(path)
+    except ImportError:
+        continue
+    if hasattr(module, name):
+        hidden.append((module, name, getattr(module, name)))
+        delattr(module, name)
+from paracheb import BurgersProblem, PararealConfig, collocation, parse_spec, propagators, run
+for module, name, value in hidden:
+    setattr(module, name, value)
+assert collocation.count_nonzero is np.count_nonzero and propagators.count_nonzero is np.count_nonzero
+assert not hasattr(propagators, "_SOLVE_ERRORS")
+prob = BurgersProblem(0.05, 8, T=0.5).to_ivp()
+out = []
+for init in ("coarse", "random"):
+    cfg = PararealConfig(N=16, coarse=parse_spec("beuler:1"), fine=parse_spec("cg:4"), init=init)
+    u, history = run(cfg, prob)
+    out.append([len(history), u.tolist()])
+print(json.dumps(out))
+"""
+
+
+def test_public_numpy_fallbacks_keep_the_iteration_counts():
+    # In a process whose numpy lacks the internal names, count_nonzero and
+    # the Newton solve fall back to np.count_nonzero and np.linalg.solve,
+    # and a Burgers run keeps its k and its bits (the same LAPACK call);
+    # here, where numpy has them, the fast paths are the ones imported.
+    src = os.path.dirname(os.path.dirname(propagators.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_RUN, json.dumps(PRIVATE_NUMPY)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    fallback = json.loads(proc.stdout.splitlines()[-1])
+    prob = BurgersProblem(0.05, 8, T=0.5).to_ivp()
+    for init, (k, table) in zip(("coarse", "random"), fallback):
+        cfg = PararealConfig(N=16, coarse=parse_spec("beuler:1"), fine=parse_spec("cg:4"), init=init)
+        u, history = run(cfg, prob)
+        assert k == len(history)
+        np.testing.assert_array_equal(table, u)
+    modules = {path: importlib.import_module(path) for path, _ in PRIVATE_NUMPY}
+    if hasattr(modules["numpy._core.multiarray"], "count_nonzero"):
+        assert collocation.count_nonzero is modules["numpy._core.multiarray"].count_nonzero
+    if all(hasattr(modules[path], name) for path, name in PRIVATE_NUMPY[1:]):
+        assert hasattr(propagators, "_SOLVE_ERRORS")

@@ -9,14 +9,15 @@ error state built per call, ``ndarray.max`` reductions and a zeros mask
 for the first test).  Each case asserts the same bits, the same typed
 errors and messages, and the same ``f`` and ``jac`` calls.
 
-Given an inverse stage matrix with its guess, ``advance`` takes chord
-updates instead of Newton updates; the reference's Newton step from the
-same guess is the yardstick the chord steps must land within the Newton
-stop of.  A stack takes its chord updates in lockstep and, where its rows
-part ways, steps each row alone.  The reference for that is the stacked
-path as it stood before: one chord loop that retired each row as it left,
-then one stacked Newton solve of the rows that fell back.  Random stacks
-must give its bits and its errors.
+Given an inverse stage matrix with its guess, ``advance`` starts at the
+linearized predictor and takes chord updates instead of Newton updates;
+the reference's Newton step from the same guess is the yardstick the chord
+steps must land within the Newton stop of.  A stack takes its chord
+updates in lockstep and, where its rows part ways, steps each row alone.
+The reference for that is one chord loop that retires each row as it
+leaves, the rows that settle at their predictors first, then one stacked
+Newton solve of the rows without a finite predictor and of the rows that
+fell back.  Random stacks must give its bits and its errors.
 """
 
 import dataclasses
@@ -26,7 +27,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
 from paracheb import BurgersProblem, KeplerProblem, SolverError, SweepError, advance, parse_spec, spd_catalog
 from paracheb import propagators
@@ -67,13 +67,8 @@ def ref_settle_rows(test, update, state, max_iter, stall):
         state, failed = update(state, norm, rows)
 
 
-def ref_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
 def ref_solve(J, b):
-    with np.errstate(call=ref_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.solve(J, b[..., None], signature="dd->d")[..., 0]
+    return np.linalg.solve(J, b[..., None])[..., 0]
 
 
 def ref_newton(residual, jacobian, x0, spec):
@@ -222,73 +217,67 @@ def ref_advance(spec, f, t_n, u_n, dT, jac=None, guess=None):
 
 
 def ref_chord(f, t_stage, beta_h, rhs, x, inverse, spec):
-    """The chord iteration of a stack with row retirement: every row's state
-    and the rows that fall back, each where Newton takes over."""
+    """The chord iteration of a stack with row retirement, from a start that
+    is tested first: every row's state and the rows that fall back, each
+    where Newton takes over."""
     tol = spec.tol
     res = x - rhs - beta_h * f(t_stage, x)
     norm = np.abs(res).max(axis=-1)
-    ids = None
-    back = []
-    t, b, S = t_stage, rhs, inverse
-    finite = norm < math.inf
-    if np.count_nonzero(finite) < len(finite):
-        back, ids, out = np.flatnonzero(~finite).tolist(), np.flatnonzero(finite), x.copy()
+    out = x.copy()
+    live = ~(norm <= tol * (1.0 + np.abs(x).max(axis=-1)))
+    back = np.flatnonzero(live & ~(norm < math.inf)).tolist()
+    ids = np.flatnonzero(live & (norm < math.inf))
+    x, res, norm = x[ids], res[ids], norm[ids]
+    for _ in range(spec.max_iter):
         if not len(ids):
             return out, back
-        x, res, norm, t, b = x[ids], res[ids], norm[ids], ref_rows(t_stage, ids), rhs[ids]
-        S = inverse if inverse.ndim == 2 else inverse[ids]
-    for _ in range(spec.max_iter):
-        x_new = x - np.matvec(S, res)
+        t, b = ref_rows(t_stage, ids), rhs[ids]
+        x_new = x - np.matvec(inverse, res)
         res_new = x_new - b - beta_h * f(t, x_new)
         norm_new = np.abs(res_new).max(axis=-1)
-        done = norm_new <= tol * (1.0 + np.abs(x_new).max(axis=-1))
         ok = norm_new < norm
-        if np.count_nonzero(ok) < len(ok):
-            met = ~ok & (norm_new < math.inf) & (norm <= tol * (1.0 + np.abs(x).max(axis=-1)))
-            x_new[~ok] = x[~ok]
-            done = (done & ok) | met
-        if ids is None and np.count_nonzero(done) == len(done):
-            return x_new, back
-        leave = done | ~(norm_new <= 0.1 * norm)
-        if np.count_nonzero(leave):
-            if ids is None:
-                ids, out = np.arange(len(x)), np.empty_like(x)
-            out[ids[leave]] = x_new[leave]
-            back.extend(ids[leave & ~done].tolist())
-            ids = ids[~leave]
-            if not len(ids):
-                return out, back
-            x, res, norm = x_new[~leave], res_new[~leave], norm_new[~leave]
-            t, b = ref_rows(t_stage, ids), rhs[ids]
-            S = inverse if inverse.ndim == 2 else inverse[ids]
-        else:
-            x, res, norm = x_new, res_new, norm_new
-    if ids is None:
-        return x, list(range(len(x)))
+        done = ok & (norm_new <= tol * (1.0 + np.abs(x_new).max(axis=-1)))
+        slow = ok & ~done & ~(norm_new <= 0.1 * norm)
+        out[ids[~ok]] = x[~ok]
+        out[ids[done | slow]] = x_new[done | slow]
+        back.extend(ids[~ok | slow].tolist())
+        keep = ok & ~done & ~slow
+        ids, x, res, norm = ids[keep], x_new[keep], res_new[keep], norm_new[keep]
     out[ids] = x
     back.extend(ids.tolist())
     return out, back
 
 
-def ref_chord_advance(spec, f, t_n, U, dT, jac, guess, inverse):
-    """A stacked ``beuler:1`` or ``tr:1`` step from ``guess`` with ``inverse``:
-    ``ref_chord``, then one stacked Newton solve of the rows that fell back."""
+def ref_chord_advance(spec, f, t_n, U, dT, jac, guess, guess_from, inverse):
+    """A stacked ``beuler:1`` or ``tr:1`` step from the cached step
+    ``guess_from`` -> ``guess`` with one ``inverse``: ``ref_chord`` from the
+    linearized predictor on the rows where it is finite, then one stacked
+    Newton solve of the other rows, from the cached result plus the change
+    in their start (or the explicit predictor), and of the rows that fell
+    back."""
     t = np.asarray(t_n, dtype=float)[:, None]
-    beta_h, rhs, slope = dT, U, None
+    beta_h, slope = dT, None
     if spec.kind is PropagatorKind.TRAPEZOIDAL:
-        slope = f(t, U)
-        beta_h, rhs = 0.5 * dT, U + 0.5 * dT * slope
+        beta_h, slope = 0.5 * dT, f(t, U)
+
+    def rhs_of(u, slope):
+        return u if slope is None else u + beta_h * slope
+
+    rhs = rhs_of(U, slope)
     t_stage = t + dT
-    x = guess
-    finite = np.isfinite(guess)
-    if np.count_nonzero(finite) < finite.size:
-        x = np.where(finite.all(axis=-1)[:, None], guess, U + dT * (f(t, U) if slope is None else slope))
+    rhs_from = rhs_of(guess_from, None if slope is None else f(t, guess_from))
+    predictor = guess + np.matvec(inverse, rhs - rhs_from)
+    chord = np.flatnonzero(np.isfinite(predictor).all(axis=-1))
+    x = guess + (U - guess_from)
+    cold = ~np.isfinite(x).all(axis=-1)
+    if cold.any():
+        x[cold] = (U + dT * (f(t, U) if slope is None else slope))[cold]
+    x[chord], back = ref_chord(f, t_stage[chord], beta_h, rhs[chord], predictor[chord], inverse, spec)
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
-    x, back = ref_chord(f, t_stage, beta_h, rhs, x, inverse, spec)
+    rows = np.array(sorted(set(range(len(U))) - set(chord.tolist()) | set(chord[back].tolist())), dtype=int)
     failures = {}
-    if back:
-        rows = np.array(sorted(back))
+    if len(rows):
         x[rows], lost = ref_solve_stage(f, jac, spec, t_stage[rows], beta_h, rhs[rows], x[rows])
         failures = {int(rows[i]): exc for i, exc in lost.items()}
     raise_row_failures(failures, True)
@@ -429,7 +418,9 @@ def test_chord_steps_land_within_the_newton_stop(text, name):
     # builds them after its initial sweep, a step from a guess takes chord
     # updates.  From the cold result moved by 1e-7 and by 1e-4, each row
     # lands within the Newton stop, tol * (1 + |x|), of the reference
-    # chain's Newton step from the same guess, and so does a stack.
+    # chain's Newton step from the same guess, and so does a stack sharing
+    # one row's matrix.  From the cached step of a start moved by the same,
+    # each row's predictor lands there too.
     make, dT = PROBLEMS[name]
     ivp, spec = make(), parse_spec(text)
     rng = np.random.default_rng(5)
@@ -438,14 +429,21 @@ def test_chord_steps_land_within_the_newton_stop(text, name):
     for jac in (ivp.jacobian, None):
         cold = advance(spec, ivp.f, times, U, dT, jac=jac)
         inverse = stage_inverses(spec, ivp.f, times, cold, dT, jac=jac)
+        reference = ref_advance(spec, ivp.f, times, U, dT, jac=jac)
         for move in (1e-7, 1e-4):
             guess = cold * (1.0 + move)
             newton = ref_advance(spec, ivp.f, times, U, dT, jac=jac, guess=guess)
             stop = spec.tol * (1.0 + np.abs(newton).max(axis=-1))
             for t, u, g, inv, expected, s in zip(times, U, guess, inverse, newton, stop):
                 assert np.abs(advance(spec, ivp.f, t, u, dT, jac=jac, guess=g, inverse=inv) - expected).max() <= s
-            chord = advance(spec, ivp.f, times, U, dT, jac=jac, guess=guess, inverse=inverse)
-            assert (np.abs(chord - newton).max(axis=-1) <= stop).all()
+            for inv in inverse:
+                chord = advance(spec, ivp.f, times, U, dT, jac=jac, guess=guess, inverse=inv)
+                assert (np.abs(chord - newton).max(axis=-1) <= stop).all()
+            before = U * (1.0 + move)
+            cached = advance(spec, ivp.f, times, before, dT, jac=jac)
+            for t, u, g, g_from, inv, expected, s in zip(times, U, cached, before, inverse, reference, stop):
+                got = advance(spec, ivp.f, t, u, dT, jac=jac, guess=g, guess_from=g_from, inverse=inv)
+                assert np.abs(got - expected).max() <= s
 
 
 def cubic_jacobian(t, u):
@@ -463,12 +461,13 @@ FUZZ = {
 @pytest.mark.parametrize("name", FUZZ)
 @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
 def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
-    # Random stacks at random times, from guesses near their cold results
-    # or NaN, with inverses at those results: as built, NaN, negated or
-    # scaled in some rows, one shared or one per row; max_iter 1 to 3; the
-    # jac hook or forward differences.  Each stacked step gives
-    # ref_chord_advance's bits or its SweepError, and the lockstep loop
-    # both returns and hands its rows on.
+    # Random stacks at random times, each row's cached step a cold step
+    # from its start moved by 0 to 1e-3, its result moved by up to 1e-6 in
+    # some rows and NaN in its result or its start in others; one inverse
+    # stage matrix for the stack, at one row's cold result: as built, NaN,
+    # negated or scaled; max_iter 1 to 3; the jac hook or forward
+    # differences.  Each stacked step gives ref_chord_advance's bits or its
+    # SweepError, and the lockstep loop both returns and hands its rows on.
     make, dT = FUZZ[name]
     ivp = make()
     exits = []
@@ -488,23 +487,31 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
             U = ivp.u0 * rng.uniform(0.8, 1.2, (n, len(ivp.u0)))
             cold = advance(parse_spec(text), ivp.f, times, U, dT, jac=ivp.jacobian)
             spec = dataclasses.replace(parse_spec(text), max_iter=int(rng.integers(1, 4)))
-            inverse = stage_inverses(spec, ivp.f, times, cold, dT, jac=ivp.jacobian).copy()
-            move = rng.choice([0.0, 1e-9, 1e-6, 1e-3])
-            guess = cold * (1.0 + move * rng.standard_normal(cold.shape))
+            k = int(rng.integers(n))
+            inverse = stage_inverses(spec, ivp.f, times[k : k + 1], cold[k : k + 1], dT, jac=ivp.jacobian)[0].copy()
+            change = rng.choice(["none"] * 4 + ["nan", "negated", "scaled"])
+            if change == "nan":
+                inverse[:] = np.nan
+            elif change == "negated":
+                inverse *= -1.0
+            elif change == "scaled":
+                inverse *= rng.choice([0.5, 0.97, 1.3])
+            before = U * (1.0 + rng.choice([0.0, 1e-9, 1e-6, 1e-3]) * rng.standard_normal(U.shape))
+            guess = advance(parse_spec(text), ivp.f, times, before, dT, jac=ivp.jacobian)
             for i in range(n):
-                change = rng.choice(["none"] * 4 + ["nan guess", "nan", "negated", "scaled"])
-                if change == "nan guess":
+                row = rng.choice(["none"] * 6 + ["moved", "nan guess", "nan from"])
+                if row == "moved":
+                    guess[i] *= 1.0 + 1e-6 * rng.standard_normal(len(ivp.u0))
+                elif row == "nan guess":
                     guess[i, rng.integers(len(ivp.u0))] = np.nan
-                elif change == "nan":
-                    inverse[i] = np.nan
-                elif change == "negated":
-                    inverse[i] *= -1.0
-                elif change == "scaled":
-                    inverse[i] *= rng.choice([0.5, 0.97, 1.3])
-            if rng.random() < 0.25:
-                inverse = inverse[0]
+                elif row == "nan from":
+                    before[i, rng.integers(len(ivp.u0))] = np.nan
             jac = ivp.jacobian if rng.random() < 0.5 else None
-            got = outcome(lambda f, j: advance(spec, f, times, U, dT, jac=j, guess=guess, inverse=inverse), ivp.f, jac)
-            ref = outcome(lambda f, j: ref_chord_advance(spec, f, times, U, dT, j, guess, inverse), ivp.f, jac)
+
+            def step(f, j):
+                return advance(spec, f, times, U, dT, jac=j, guess=guess, guess_from=before, inverse=inverse)
+
+            got = outcome(step, ivp.f, jac)
+            ref = outcome(lambda f, j: ref_chord_advance(spec, f, times, U, dT, j, guess, before, inverse), ivp.f, jac)
             assert_same_result(got[0], ref[0])
     assert True in exits and False in exits
