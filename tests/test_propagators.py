@@ -572,7 +572,8 @@ class TestChord:
         V, cold, inverse = self.near(spec)
         guess = cold * (1.0 + 1e-6)
         calls = []
-        got = advance(spec, cubic, np.zeros(3), V, self.dT, jac=counting_cubic_jacobian(calls), guess=guess, inverse=inverse)
+        jac = counting_cubic_jacobian(calls)
+        got = advance(spec, cubic, np.zeros(3), V, self.dT, jac=jac, guess=guess, inverse=inverse)
         assert calls == []
         newton = advance(spec, cubic, np.zeros(3), V, self.dT, guess=guess)
         np.testing.assert_allclose(got, newton, rtol=0, atol=spec.tol * (1.0 + np.abs(newton).max()))
