@@ -19,36 +19,51 @@ last pass returns that pass's result.  So the exact prefix costs nothing,
 about half of the steps of a run that takes ``N`` passes.
 
 A coarse step from a changed start value ``u_new[n]`` is a warm step from
-the cached one: ``propagators.advance`` gets that step's start value
-``u[n]`` and result ``g_prev[n]`` as ``guess_from`` and ``guess``, and
+the cached one, the step from ``u[n]`` to ``g_prev[n]``, with
 ``stage_inv[n]``, the inverse stage matrix ``S = (I - beta * dT * J)^-1``
-at the initial sweep's result on that subinterval.  The stage solve starts
-at the linearized predictor ``g_prev[n] + S (b(u_new[n]) - b(u[n]))``,
-``b`` the right-hand side of the stage equation (``u`` for ``beuler``, ``u
-+ (dT/2) f(T_n, u)`` for ``tr``): read as a Newton iteration (Gander &
-Vandewalle, SIAM J. Sci. Comput. 29(2), 2007), the coarse correction
-stands in for the derivative ``G'(u) delta``, and ``S`` is that
-derivative.  The predictor's residual is the cached step's plus
-O(delta**2), so it is tested against the Newton stop before any update; a
-row that meets it settles there, with one ``f`` call, and the others take
-chord updates with ``S`` (simplified Newton, Hairer & Wanner, *Solving
-ODEs II*, Sec. IV.8).  The initial sweep has no cached result: it starts
-cold on Newton's iteration, and then builds every subinterval's inverse in
-one stacked ``jac`` call and one stacked inversion, for the kinds that take
-a guess (``beuler`` and ``tr`` at count 1).  Near convergence a start
-value barely moves, so neither does its stage matrix: a warm step calls no
-Jacobian and solves nothing, and a row whose chord iteration converges too
-slowly falls back to Newton alone.  A nonlinear run from random starts gets
-no inverses, and a subinterval whose pass-0 stage matrix was singular a NaN
-one; their steps take Newton's iteration, with at least one update, from
-``g_prev[n] + (u_new[n] - u[n])``: the coarse result of a drawn value says
-nothing about the Jacobian where the run goes (a linear problem's is the
-same everywhere).  So G is not a pure function of its start value: the
-result also depends on the cached pair, and lies within the Newton stop,
-``tol * (1 + |x|)``, of the cold step's.  The table is the one a full
-recomputation under this coarse rule gives, bit for bit: a row of ``f``
-does not depend on the rows stacked with it (the contract of
-``problems.IvpProblem``), so neither does a row's step.
+at the initial sweep's result on that subinterval.  It starts at the
+linearized predictor ``g_prev[n] + S (b(u_new[n]) - b(u[n]))``, ``b`` the
+right-hand side of the stage equation (``u`` for ``beuler``, ``u + (dT/2)
+f(T_n, u)`` for ``tr``): read as a Newton iteration (Gander & Vandewalle,
+SIAM J. Sci. Comput. 29(2), 2007), the coarse correction stands in for the
+derivative ``G'(u) delta``, and ``S`` is that derivative.  The predictor's
+residual is the cached step's plus O(delta**2), so it is tested against
+the Newton stop before any update; a step that meets it settles there, and
+the others take chord updates with ``S`` (simplified Newton, Hairer &
+Wanner, *Solving ODEs II*, Sec. IV.8) in ``propagators.advance``.  The
+initial sweep has no cached result: it starts cold on Newton's iteration,
+and then builds every subinterval's inverse in one stacked ``jac`` call and
+one stacked inversion, for the kinds that take a guess (``beuler`` and
+``tr`` at count 1).  Near convergence a start value barely moves, so
+neither does its stage matrix: a warm step calls no Jacobian and solves
+nothing, and a row whose chord iteration converges too slowly falls back to
+Newton alone.  A nonlinear run from random starts gets no inverses, and a
+subinterval whose pass-0 stage matrix was singular a NaN one; their steps
+take Newton's iteration, with at least one update, from ``g_prev[n] +
+(u_new[n] - u[n])``: the coarse result of a drawn value says nothing about
+the Jacobian where the run goes (a linear problem's is the same
+everywhere).  So G is not a pure function of its start value: the result
+also depends on the cached pair, and lies within the Newton stop, ``tol *
+(1 + |x|)``, of the cold step's.
+
+Most warm steps settle at their predictors, so the sequential correction
+runs as the linearized recurrence itself, verified afterwards: row by row,
+each changed start value's step is taken at its ``propagators.predictor``
+(a matrix-vector product and a few additions, no ``f`` call) and the next
+start value corrected from it; then a chunk of such steps is tested in one
+stacked ``propagators.settles`` call, the test a warm step applies first.
+The steps before the first one that misses are final; the correction
+rewinds to that row and steps it through ``advance``, and so every later
+row until a step lands on its predictor, where verified chunks start again
+at one row and double while every predictor meets the stop.  A missed
+chunk wastes at most its own predictions.  Values past a miss are never
+kept, so the recurrence and its check run under ``np.errstate(all=
+"ignore")``, and an ``f`` that raises in the check is a miss at the chunk's
+first row: an error propagates only where the row-by-row step raises it.
+The table is the one a full recomputation under this coarse rule gives,
+bit for bit: a row of ``f`` does not depend on the rows stacked with it
+(the contract of ``problems.IvpProblem``), so neither does a row's step,
+and a step verified in a stack has the bits ``advance`` gives it.
 
 Runs that differ in their fine propagator only, as in a comparison of fine
 propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
@@ -56,13 +71,15 @@ propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
 a single config is the one-run case of the same code.  The batch shares the
 initial coarse sweep, which never reads ``fine``, and each pass's
 correction: at every subinterval the start values of all runs that need a
-coarse step go to ``advance`` in one stack, with the one inverse stage
-matrix they share; ``iterate`` rejects a batch whose states do not share
-their ``stage_inv``, as the states of one ``initialize`` call do.  So each
-run's table and history are its solo run's, bit for bit.  The correction holds the batch's tables as arrays, time first
-(``(N+1, R, dim)`` for ``R`` runs), so each subinterval's corrected values,
-its "changed" test and its live runs' starts and guesses are a few array
-operations for all runs; one live run steps alone, as a single state.
+coarse step are predicted, checked and, where missed, stepped in one
+stack, with the one inverse stage matrix they share; ``iterate`` rejects a
+batch whose states do not share their ``stage_inv``, as the states of one
+``initialize`` call do.  So each run's table and history are its solo
+run's, bit for bit.  The correction holds the batch's tables as arrays,
+time first (``(N+1, R, dim)`` for ``R`` runs), so each subinterval's
+corrected values, its "changed" test and its live runs' starts and guesses
+are a few array operations for all runs; one live run steps alone, as a
+single state.
 """
 
 from __future__ import annotations
@@ -76,8 +93,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MaxIterationsError, SolverError, SweepError, check_integer
+from .collocation import count_nonzero
 from .problems import IvpProblem
-from .propagators import PropagatorSpec, advance, stage_inverses
+from .propagators import PropagatorSpec, advance, predictor, settles, stage_inverses
 
 
 @dataclass(frozen=True)
@@ -297,6 +315,128 @@ def _fine_results(state: PararealState, fine, times: np.ndarray) -> np.ndarray:
     return results
 
 
+def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> None:
+    """The sequential coarse correction of one pass over a batch's tables, in place.
+
+    ``U_old`` ``(N + 1, runs, dim)`` and ``G_old`` ``(N, runs, dim)`` are
+    the tables the pass started from and ``F`` the fine results, of
+    ``G_old``'s shape; ``U`` and ``G`` enter as their copies and leave
+    corrected.  Row ``n`` steps the runs whose start value ``U[n]`` differs
+    from ``U_old[n]``, and then ``U[n + 1] = F[n] + (G[n] - G_old[n])``.
+    With inverse stage matrices, rows are first stepped to their
+    ``predictor``s, and a chunk of them is verified in one stacked
+    ``settles`` call: the rows before the first miss are final, and the
+    missed row steps through ``advance``, as does every row until a step
+    lands on its predictor (see the module docstring).  ``passes[r]`` is
+    run ``r``'s pass, which a failed step's error names.
+    """
+    N, runs, dim = F.shape
+    f, jac, linear = problem.f, problem.jacobian, problem.linear
+    times_col = np.arange(N)[:, None] * dT
+    times = times_col.ravel().tolist()
+    U_bits, U_old_bits = U.view(np.uint64), U_old.view(np.uint64)
+
+    def changed(n):
+        """The runs whose start value at ``T_n`` differs from the cached one's,
+        as an index into the run axis: None, one run, all of them or a mask."""
+        # Comparing the words compares bits, so -0.0 differs from 0.0.
+        if U[n].tobytes() == U_old[n].tobytes():
+            return None
+        if runs == 1:
+            return 0
+        live = np.logical_or.reduce(U_bits[n] != U_old_bits[n], axis=1)
+        count = count_nonzero(live)
+        return slice(None) if count == runs else int(live.argmax()) if count == 1 else live
+
+    def predict(n, live):
+        """Row ``n``'s predictors and stage right-hand sides, or None where
+        ``f`` raised: that row steps through ``advance``."""
+        try:
+            return predictor(spec, f, times[n], U[n, live], dT, G_old[n, live], U_old[n, live], stage_inv[n])[:2]
+        except Exception:  # U[n] may lie past a miss; advance raises it again where it is real
+            return None
+
+    def first_miss(rows, x, rhs):
+        """The index into ``rows`` of the first row whose predictors ``x``
+        (one stack per row) do not all settle, tested in one stacked call, or
+        None when every one does.  An exception from ``f`` misses at the
+        first row."""
+        x = np.concatenate(x)
+        counts = None if len(x) == len(rows) else [len(a) for a in rhs]
+        t = times_col[rows] if counts is None else np.repeat(times_col[rows], counts, axis=0)
+        try:
+            ok = settles(spec, f, t, x, np.concatenate(rhs), dT)
+        except Exception:  # which row raised is unknown: advance raises it again where it is real
+            return 0
+        if count_nonzero(ok) == len(ok):
+            return None
+        return int(ok.argmin() if counts is None else np.repeat(np.arange(len(rows)), counts)[ok.argmin()])
+
+    def speculate(n, live, chunk):
+        """Step up to ``chunk`` rows with live runs from row ``n`` on to their
+        predictors, then verify them.  Returns the next row, its live runs and
+        the next chunk: doubled after a full chunk that met the stop, 0 (one
+        row at a time through ``advance``) at the first row that did not, or
+        where ``f`` raised."""
+        rows, lives, x, rhs = [], [], [], []  # the pending rows, their live runs, predictors and stage rhs
+        with np.errstate(all="ignore"):  # no value past a miss is kept
+            while n < N:
+                if live is not None:
+                    start = None if len(rows) == chunk else predict(n, live)
+                    if start is None:
+                        break
+                    G[n, live] = start[0]
+                    rows.append(n)
+                    lives.append(live)
+                    x.append(start[0].reshape(-1, dim))
+                    rhs.append(start[1].reshape(-1, dim))
+                U[n + 1] = F[n] + (G[n] - G_old[n])
+                live = changed(n + 1)
+                n += 1
+            miss = first_miss(rows, x, rhs) if rows else None
+        if miss is None:
+            return n, live, 2 * chunk if len(rows) == chunk else 0
+        G[rows[miss]:n] = G_old[rows[miss]:n]
+        return rows[miss], lives[miss], 0
+
+    def step(n, live):
+        """Row ``n``'s coarse steps through ``advance``, warm from the cached step."""
+        ids = np.arange(runs)[live]
+        inverse = None if stage_inv is None else stage_inv[n]
+        t = times[n] if ids.ndim == 0 else np.full(len(ids), times[n])
+        try:
+            G[n, live] = advance(
+                spec, f, t, U[n, live], dT, jac, linear, guess=G_old[n, live], guess_from=U_old[n, live],
+                inverse=inverse,
+            )
+        except SolverError as exc:
+            error, r = _coarse_failure(exc, np.atleast_1d(ids))
+            error.name_coarse_step(n, passes[r], int(r))
+            if error is exc:
+                raise
+            raise error from None
+
+    n, live = 0, None
+    chunk = 0 if stage_inv is None else 1
+    while n < N:
+        if live is not None and chunk:
+            n, live, chunk = speculate(n, live, chunk)
+            continue
+        if live is not None:
+            start = None
+            if stage_inv is not None:
+                with np.errstate(all="ignore"):
+                    start = predict(n, live)
+            step(n, live)
+            if start is not None and G[n, live].tobytes() == start[0].tobytes():
+                chunk = 1  # the step landed on its predictor: predict again
+        # Summed as fine value plus small coarse increment: near convergence
+        # the increment vanishes, so the fine result's bits are preserved.
+        U[n + 1] = F[n] + (G[n] - G_old[n])
+        live = changed(n + 1)
+        n += 1
+
+
 def iterate(
     state: PararealState | Sequence[PararealState],
     cfg: PararealConfig | Sequence[PararealConfig],
@@ -321,14 +461,19 @@ def iterate(
     The correction walks the subintervals once for the whole batch.  At each
     it takes a coarse step only for the runs whose corrected start value
     differs from the cached one's, a warm step from the cached step with
-    the subinterval's ``stage_inv`` (see the module docstring): one state
-    goes to ``advance`` alone, several in one stack.  The runs' tables are arrays
-    indexed by subinterval and run, so each subinterval's bookkeeping is a
-    few array operations for the whole batch.  A failed coarse step (its
-    Newton fallback's error) raises its own error, naming its subinterval,
-    pass and run (``subinterval``, ``k``, ``run``, the run's index in the
-    batch); of several failures in one stack, the lowest run's.  A
-    ``SolverError`` from a fine sweep names its run too.
+    the subinterval's ``stage_inv`` (see the module docstring).  With
+    inverses, the correction is the linearized recurrence, each step taken
+    at its predictor, verified a chunk at a time in one stacked ``f`` call;
+    a step whose predictor misses the Newton stop, and every step after it
+    until one lands on its predictor again, goes to ``advance``: one state
+    alone, several in one stack.  The runs' tables are arrays indexed by
+    subinterval and run, so each subinterval's bookkeeping is a few array
+    operations for the whole batch.  A failed coarse step (its Newton
+    fallback's error) raises its own error, naming its subinterval, pass
+    and run (``subinterval``, ``k``, ``run``, the run's index in the
+    batch); of several failures in one stack, the lowest run's.  An
+    exception from ``f`` on a predicted step past a miss never surfaces.
+    A ``SolverError`` from a fine sweep names its run too.
     """
     cfgs = _batch(cfg)
     states = [state] if isinstance(state, PararealState) else list(state)
@@ -356,41 +501,7 @@ def iterate(
     G_old = np.stack([s.g_prev for s in states], axis=1)
     F = np.stack(fine_results, axis=1)
     U, G = U_old.copy(), G_old.copy()
-    # Comparing the words compares bits, so -0.0 differs from 0.0.
-    U_bits, U_old_bits = U.view(np.uint64), U_old.view(np.uint64)
-    one_run = len(states) == 1
-    spec, f, jac, linear = first.coarse, problem.f, problem.jacobian, problem.linear
-    live = ()  # the runs whose start value at T_n differs from the cached one's
-    try:
-        for n, t in enumerate(times.tolist()):
-            # Each step starts from the cached step: its start value and result.
-            inverse = None if stage_inv is None else stage_inv[n]
-            if len(live) == 1:  # one state alone, only for speed: a stack gives each row the same bits
-                r = live[0]
-                G[n, r] = advance(
-                    spec, f, t, U[n, r], dT, jac, linear, guess=G_old[n, r], guess_from=U_old[n, r], inverse=inverse
-                )
-            elif len(live):
-                t_live = np.full(len(live), t)
-                G[n, live] = advance(
-                    spec, f, t_live, U[n, live], dT, jac, linear, guess=G_old[n, live], guess_from=U_old[n, live],
-                    inverse=inverse,
-                )
-            # Summed as fine value plus small coarse increment: near convergence
-            # the increment vanishes, so the fine result's bits are preserved.
-            U[n + 1] = F[n] + (G[n] - G_old[n])
-            if U[n + 1].tobytes() == U_old[n + 1].tobytes():
-                live = ()
-            elif one_run:
-                live = (0,)
-            else:
-                live = np.flatnonzero((U_bits[n + 1] != U_old_bits[n + 1]).any(axis=1))
-    except SolverError as exc:
-        error, r = _coarse_failure(exc, live)
-        error.name_coarse_step(n, states[r].k + 1, int(r))
-        if error is exc:
-            raise
-        raise error from None
+    _correct(U, U_old, G, G_old, F, stage_inv, first.coarse, problem, dT, [s.k + 1 for s in states])
 
     for r, (s, fine) in enumerate(zip(states, fine_results)):
         u = U[:, r].copy()

@@ -175,7 +175,7 @@ def _newton(
     outer tolerance, and still be off by as much as the stop allows, so the
     test before the first update settles no row.  (The chord steps test
     their start first: it is a linearized predictor, off by O(change**2),
-    see ``_stage_step``.)  A row that met the stop keeps its state when the
+    see ``predictor``.)  A row that met the stop keeps its state when the
     update does not reduce its residual, without halving the step: the
     residual is then at its rounding floor.
 
@@ -203,7 +203,7 @@ def _newton(
     # of the residuals it makes, and the next test reads them.
     def test(state):
         x, _, norm = state
-        settled = norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1)) if updated else None
+        settled = _meets_stop(norm, x, tol) if updated else None
         lost = {}
         if check:
             finite = np.isfinite(norm)
@@ -241,7 +241,7 @@ def _newton(
         check = count_nonzero(ok) < len(ok)
         if check:
             # Only a first update can start within the stop.
-            met = ~ok & (norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1)))
+            met = ~ok & _meets_stop(norm, x, tol)
             x_new[met], res_new[met], norm_new[met] = x[met], res[met], norm[met]
             back = np.flatnonzero(~ok & ~met & np.isfinite(step).all(axis=-1))  # a NaN step cannot recover
             for halvings in range(1, 8):
@@ -292,47 +292,27 @@ def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
     return _newton(residual, jacobian, x0, spec)
 
 
+def _meets_stop(norm, x, tol):
+    """Whether residual norms ``norm`` meet the Newton stop at ``x``, ``norm <= tol * (1 + |x|)``, row by row.
+
+    ``|x|`` is each row's largest magnitude; a NaN norm does not meet it.
+    Every Newton, chord and predictor test of the one-step kinds is this one.
+    """
+    return norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1))
+
+
+def _stage_test(tol, f, t_stage, beta_h, rhs, x):
+    """The residual ``x - rhs - beta_h * f(t_stage, x)`` of the stage
+    equations at ``x``, its row maxima, and whether each row meets the stop."""
+    res = x - rhs - beta_h * f(t_stage, x)
+    norm = np.maximum.reduce(np.abs(res), axis=-1)
+    return res, norm, _meets_stop(norm, x, tol)
+
+
 #: The least factor by which a chord update must cut a row's residual short
 #: of the stop: at a slower rate the iteration takes more updates than the
 #: Newton iteration it falls back to.
 _CHORD_RATE = 0.1
-
-
-def _chord(f, t_stage, beta_h, rhs, x, inverse, spec):
-    """``_chord_state``'s iteration on a stack of rows ``x``, every row in lockstep.
-
-    The start is tested first, then each update is one stacked
-    matrix-vector product with ``inverse``, the one ``(n, n)`` matrix of
-    every row, and one stacked ``f`` call.  Returns the new state array
-    when every row settles in the same round, at its start or on the same
-    update: then each row has the bits of its ``_chord_state`` iteration.
-    Returns None as soon as the rows part ways: a row's residual at the
-    start is not finite, a row settles before another, would fall back, or
-    is still live after ``spec.max_iter`` updates.  The caller then steps
-    each row alone.
-    """
-    tol = spec.tol
-    res = x - rhs - beta_h * f(t_stage, x)
-    norm = np.maximum.reduce(np.abs(res), axis=-1)
-    settled = count_nonzero(norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1)))
-    if settled == len(norm):
-        return x
-    if settled or count_nonzero(norm < math.inf) < len(norm):  # False for NaN too
-        return None
-    for _ in range(spec.max_iter):
-        x_new = x - np.matvec(inverse, res)
-        res_new = x_new - rhs - beta_h * f(t_stage, x_new)
-        norm_new = np.maximum.reduce(np.abs(res_new), axis=-1)
-        # A NaN or infinite residual fails the comparison: max propagates NaN.
-        if count_nonzero(norm_new < norm) < len(norm):
-            return None
-        done = norm_new <= tol * (1.0 + np.maximum.reduce(np.abs(x_new), axis=-1))
-        if count_nonzero(done) == len(done):
-            return x_new
-        if count_nonzero(done | ~(norm_new <= _CHORD_RATE * norm)):
-            return None
-        x, res, norm = x_new, res_new, norm_new
-    return None
 
 
 def _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec):
@@ -342,34 +322,31 @@ def _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec):
     matrix instead of a Jacobian and a solve per update (Hairer & Wanner,
     *Solving ODEs II*, Sec. IV.8), on 1-D arrays with scalar norms.  The
     state settles within ``spec.tol * (1 + |x|)``, and its start, a
-    linearized predictor (see ``_stage_step``), is tested before any
-    update.  It falls back when its residual is not finite at the start,
-    when an update does not reduce it (a residual that turns non-finite, as
-    a non-finite inverse makes it, is never reduced), when an update short
-    of the stop cuts it by less than the factor ``_CHORD_RATE``, or when it
-    is still live after ``spec.max_iter`` updates.  These are the chord's
-    only exit rules: a stack's rows leave ``_chord`` only where each would
-    leave here.
+    linearized predictor (see ``predictor``), is tested before any update,
+    by the residual test that ``settles`` applies to a stack.  It falls
+    back when its residual is not finite at the start, when an update does
+    not reduce it (a residual that turns non-finite, as a non-finite
+    inverse makes it, is never reduced), when an update short of the stop
+    cuts it by less than the factor ``_CHORD_RATE``, or when it is still
+    live after ``spec.max_iter`` updates.
 
     Returns the state and whether it settled: a state that falls back is
     its last iterate that reduced the residual (or its start), where Newton
     takes over.
     """
     tol = spec.tol
-    res = x - rhs - beta_h * f(t_stage, x)
-    norm = np.maximum.reduce(np.abs(res))
-    if norm <= tol * (1.0 + np.maximum.reduce(np.abs(x))):
+    res, norm, settled = _stage_test(tol, f, t_stage, beta_h, rhs, x)
+    if settled:
         return x, True
     if not norm < math.inf:
         return x, False
     for _ in range(spec.max_iter):
         x_new = x - np.matvec(inverse, res)
-        res_new = x_new - rhs - beta_h * f(t_stage, x_new)
-        norm_new = np.maximum.reduce(np.abs(res_new))
+        res_new, norm_new, settled = _stage_test(tol, f, t_stage, beta_h, rhs, x_new)
         # A NaN or infinite residual fails the comparison: max propagates NaN.
         if not norm_new < norm:
             return x, False
-        if norm_new <= tol * (1.0 + np.maximum.reduce(np.abs(x_new))):
+        if settled:
             return x_new, True
         # A slower chord iteration would cost more updates than Newton's.
         if not norm_new <= _CHORD_RATE * norm:
@@ -394,6 +371,47 @@ def _stage_rhs(kind, f, t, u, beta_h):
     return u, None
 
 
+def predictor(spec: PropagatorSpec, f: RhsFunction, t, u, dT: float, guess, guess_from, inverse):
+    """The linearized predictor of a warm ``beuler:1`` or ``tr:1`` step of length ``dT`` from ``u`` at ``t``.
+
+    ``guess`` is the step's result from ``guess_from`` (``u`` itself when
+    None) and ``inverse`` the inverse stage matrix ``S = (I - beta_h *
+    J)^-1`` near it, ``beta_h`` ``_BETA[kind] * dT``.  The predictor is
+    ``guess + S (rhs - rhs_from)``, ``rhs`` the right-hand side of the stage
+    equations ``x = rhs + beta_h * f(t + dT, x)`` from ``u`` (``_stage_rhs``:
+    ``u`` for ``beuler``, ``u + beta_h * f(t, u)`` for ``tr``) and
+    ``rhs_from`` the same from ``guess_from``: ``S`` is the derivative of
+    the end state with respect to ``rhs``, the term that parareal's coarse
+    correction stands in for (Gander & Vandewalle, SIAM J. Sci. Comput.
+    29(2), 2007), so the predictor's residual is the cached step's plus
+    O(|rhs - rhs_from|**2).  ``u``, ``guess`` and ``guess_from`` are one
+    state or a stack, and a row's predictor does not depend on the rows
+    stacked with it.  It is a new array, not finite where ``S``, ``guess``
+    or ``guess_from`` holds a NaN or an infinity.
+
+    Returns the predictor, ``rhs`` and the slope ``f(t, u)`` that ``rhs``
+    took (None for ``beuler``).
+    """
+    beta_h = _BETA[spec.kind] * dT
+    rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
+    change = np.zeros_like(u) if guess_from is None else rhs - _stage_rhs(spec.kind, f, t, guess_from, beta_h)[0]
+    return guess + np.matvec(inverse, change), rhs, slope
+
+
+def settles(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float) -> np.ndarray:
+    """Whether each ``predictor`` ``x`` of a ``beuler:1`` or ``tr:1`` step from ``t`` is that step's result.
+
+    ``x`` and ``rhs`` are a stack of rows ``(P, n)`` and ``t`` a float or
+    a column ``(P, 1)`` of start times; ``rhs`` is the stage equations'
+    right-hand side from ``predictor``.  One ``f`` call tests every row:
+    a row settles when it is finite and the residual of the stage
+    equations there meets ``spec.tol * (1 + |x|)``, the test a warm step
+    applies to its predictor before any update, so a row that settles is
+    the step's result, bit for bit.
+    """
+    return np.logical_and.reduce(np.isfinite(x), axis=-1) & _stage_test(spec.tol, f, t + dT, _BETA[spec.kind] * dT, rhs, x)[2]
+
+
 def _stage_step(f, jac, spec, t, u, h, guess=None, guess_from=None, inverse=None):
     """One ``beuler`` or ``tr`` step of length ``h`` from ``u`` at ``t``: the end states and the failed rows.
 
@@ -403,22 +421,13 @@ def _stage_step(f, jac, spec, t, u, h, guess=None, guess_from=None, inverse=None
     ``guess_from`` (``u`` itself when None), and ``inverse`` the inverse
     stage matrix ``S = (I - beta_h * J)^-1`` near that result.
 
-    With a finite ``S``, a row starts at the linearized predictor ``guess +
-    S (rhs - rhs_from)``, ``rhs_from`` the stage equations' ``rhs`` from
-    ``guess_from``: ``S`` is the derivative of the end state with respect to
-    ``rhs``, the term that parareal's coarse correction stands in for
-    (Gander & Vandewalle, SIAM J. Sci. Comput. 29(2), 2007).  Its residual
-    is the cached step's plus O(|rhs - rhs_from|**2), so the start is tested
+    With a finite ``S``, a row starts at its ``predictor``, which is tested
     before any update, and a row that meets the stop settles there: one
     ``f`` call for ``beuler``, and two more for ``tr``'s slopes.  Other rows
     take chord updates.  A single state, of shape ``(n,)``, takes
-    ``_chord_state``, and Newton from where that falls back.  A stack takes
-    ``_chord``'s lockstep rounds; where its rows part ways, each row takes
-    this single-state step, repeating the lockstep rounds row by row.
-    Either way each row has the bits of its single-state step.  No stacked
-    chord call parts ways in the bench workloads or the CI commands: all
-    594 of the kepler-compare experiment settle at their predictors, and
-    of burgers-m's 1,125, 759 settle there and 366 on the same update.
+    ``_chord_state``, and Newton from where that falls back; a stack with a
+    finite predictor in some row steps each row as a single state, so each
+    row has the bits of its single-state step.
 
     A row whose predictor is not finite (there is no ``S``, or ``S``,
     ``guess`` or ``guess_from`` holds a NaN or an infinity) takes Newton's
@@ -429,23 +438,18 @@ def _stage_step(f, jac, spec, t, u, h, guess=None, guess_from=None, inverse=None
     new array, so a row that settles there never returns ``guess`` itself.
     """
     beta_h = _BETA[spec.kind] * h
-    rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
     t_stage = t + h
     if guess is not None and inverse is not None:
-        change = np.zeros_like(u) if guess_from is None else rhs - _stage_rhs(spec.kind, f, t, guess_from, beta_h)[0]
-        x = guess + np.matvec(inverse, change)  # not finite where S holds a NaN or an infinity
+        x, rhs, slope = predictor(spec, f, t, u, h, guess, guess_from, inverse)
         finite = np.isfinite(x)
-        if count_nonzero(finite) == finite.size:
-            if u.ndim == 1:
+        if u.ndim == 1:
+            if count_nonzero(finite) == finite.size:
                 x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
                 if settled:
                     return x, {}
                 x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
                 return x[0], failures
-            y = _chord(f, t_stage, beta_h, rhs, x, inverse, spec)
-            if y is not None:
-                return y, {}
-        if u.ndim == 2 and finite.all(axis=-1).any():
+        elif finite.all(axis=-1).any():
             y, failures = np.empty_like(x), {}
             for i in range(len(x)):
                 y[i], lost = _stage_step(
@@ -454,6 +458,8 @@ def _stage_step(f, jac, spec, t, u, h, guess=None, guess_from=None, inverse=None
                 if lost:
                     failures[i] = lost[0]
             return y, failures
+    else:
+        rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
     if guess is None:
         x = u + h * (f(t, u) if slope is None else slope)
     else:
@@ -573,12 +579,10 @@ def advance(
     After the argument checks, ``beuler`` and ``tr`` take every step, cold
     or from a cached step, through one stepper, ``_stage_step``, which
     holds the stage equations, their right-hand side (``_stage_rhs``) and
-    the start.  With an inverse, a single state runs the chord loop on 1-D
-    arrays with scalar norms (``_chord_state``) and restarts on Newton
-    where that falls back.  A stack takes its chord updates together
-    (``_chord``) when all its rows settle in the same round, and otherwise
-    each row takes its single-state step: each row of a stack gets the
-    bits of its single-state step.  A Newton stage solve is
+    the start (``predictor``).  With an inverse, a single state runs the
+    chord loop on 1-D arrays with scalar norms (``_chord_state``) and
+    restarts on Newton where that falls back, and each row of a stack takes
+    its single-state step.  A Newton stage solve is
     ``_newton_stage`` (the stage residual and Jacobian), ``_newton`` and
     ``settle_rows``, on a stack: a single state is its one-row stack.  So
     a coarse step of ``parareal`` pays for its arithmetic and its checks,

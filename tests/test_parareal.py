@@ -105,6 +105,34 @@ def advance_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def checks(monkeypatch):
+    """``(rows, kept)`` of each stacked ``settles`` call of parareal's
+    correction: the steps it tests at their predictors, and those the table
+    keeps, every one before the first row with a step that does not
+    settle."""
+    calls = []
+    settles = parareal.settles
+
+    def counting(spec, f, t, x, rhs, dT):
+        ok = settles(spec, f, t, x, rhs, dT)
+        t = np.ravel(t)
+        missed = t[~ok]
+        calls.append((len(x), int(np.count_nonzero(t < missed.min())) if len(missed) else len(x)))
+        return ok
+
+    monkeypatch.setattr(parareal, "settles", counting)
+    return calls
+
+
+def coarse_rows(calls, checks):
+    """``(calls, rows)`` of the backward Euler steps in ``calls`` and
+    ``checks``: each ``advance`` call and each stacked check is a call, and
+    its rows, or the check's kept rows, are steps."""
+    coarse = [rows for spec, rows in calls if spec == BE]
+    return len(coarse) + len(checks), sum(coarse) + sum(kept for _, kept in checks)
+
+
 class TestInitialize:
     def test_single_interval(self):
         prob = diag_problem(T=0.3)
@@ -470,20 +498,35 @@ class TestRun:
         assert state.history == history
         assert len(end_values) == len(history)
 
-    def test_one_fine_call_per_pass(self, advance_calls):
+    def test_one_fine_call_per_pass(self, advance_calls, checks, monkeypatch):
         # Pass k reuses the k grid values the earlier passes made exact: its
-        # coarse steps start from the other 16 - k, and its one fine call
-        # stacks the 17 - k rows whose start value moved in pass k - 1.
+        # coarse steps start from the other 16 - k, each predicted once and
+        # kept by a stacked check (a linear problem's predictors are exact),
+        # and its one fine call stacks the 17 - k rows whose start value
+        # moved in pass k - 1.
         calls = advance_calls
         fine = parse_spec("cg:6")
         prob = spd_catalog("laplacian-1d", m=8, T=2.0).to_ivp()
         cfg = PararealConfig(N=16, coarse=BE, fine=fine, init="random", seed=5)
+        dT = prob.T / cfg.N
+        predicted = []
+        predictor = parareal.predictor
+
+        def counting(spec, f, t, *args):
+            predicted.append(round(t / dT))
+            return predictor(spec, f, t, *args)
+
+        monkeypatch.setattr(parareal, "predictor", counting)
         state = initialize(cfg, prob)
         for k in (1, 2, 3):
             calls.clear()
+            checks.clear()
+            predicted.clear()
             state = iterate(state, cfg, prob)
             assert [rows for spec, rows in calls if spec == fine] == [17 - k]
-            assert [spec for spec, _ in calls].count(BE) == 16 - k
+            assert predicted == list(range(k, 16))
+            assert coarse_rows(calls, checks)[1] == 16 - k and all(rows == kept for rows, kept in checks)
+            assert [spec for spec, _ in calls].count(BE) == 0
 
     @pytest.mark.parametrize(
         "prob, N, fine, init",
@@ -621,39 +664,55 @@ class TestRun:
         assert steps >= 2
 
     def test_warm_kepler_coarse_steps_make_one_f_call(self, monkeypatch):
-        # The kepler-compare batch: every warm coarse step, stacked or
-        # alone, settles at its linearized predictor, so its one f call is
-        # the residual there: no chord update, no Jacobian.
+        # The kepler-compare batch: every warm coarse step, of one run or of
+        # several, settles at its linearized predictor, so none steps
+        # through advance, the predictors call nothing, and each chunk of
+        # predicted steps costs one stacked f call, the residuals there: no
+        # chord update, no Jacobian.
         kepler = KeplerProblem().to_ivp()
         calls = []
 
         def f(t, u):
-            calls.append("f")
+            calls.append(("f", len(u)))
             return kepler.f(t, u)
 
         def jacobian(t, u):
-            calls.append("jacobian")
+            calls.append(("jacobian", len(u)))
             return kepler.jacobian(t, u)
 
         prob = dataclasses.replace(kepler, f=f, jacobian=jacobian)
-        warm = []
-        advance_ = parareal.advance
+        warm, predicted, verified = [], [], []
+        advance_, predictor, settles = parareal.advance, parareal.predictor, parareal.settles
 
-        def counting(spec, *args, **kwargs):
-            calls.clear()
-            x = advance_(spec, *args, **kwargs)
+        def advancing(spec, *args, **kwargs):
             if spec == BE and kwargs.get("guess") is not None:
-                warm.append(list(calls))
+                warm.append(spec)
+            return advance_(spec, *args, **kwargs)
+
+        def predicting(spec, f, t, u, *args):
+            calls.clear()
+            x = predictor(spec, f, t, u, *args)
+            predicted.append((np.size(u) // u.shape[-1], list(calls)))
             return x
 
-        monkeypatch.setattr(parareal, "advance", counting)
+        def verifying(spec, f, t, x, *args):
+            calls.clear()
+            ok = settles(spec, f, t, x, *args)
+            verified.append((len(x), bool(ok.all()), list(calls)))
+            return ok
+
+        monkeypatch.setattr(parareal, "advance", advancing)
+        monkeypatch.setattr(parareal, "predictor", predicting)
+        monkeypatch.setattr(parareal, "settles", verifying)
         cfgs = [
             PararealConfig(N=round(kepler.T / 0.25), coarse=BE, fine=parse_spec(fine))
             for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")
         ]
         results = run(cfgs, prob)
         assert [len(h) for _, h in results] == [3] * 4
-        assert len(warm) > 100 and warm == [["f"]] * len(warm)
+        assert warm == [] and len(predicted) > 100 and all(made == [] for _, made in predicted)
+        assert verified == [(rows, True, [("f", rows)]) for rows, _, _ in verified]
+        assert sum(rows for rows, _, _ in verified) == sum(rows for rows, _ in predicted)
 
     def test_trapezoidal_coarse_differences_match_cold_steps(self):
         # The CI tr:1 Burgers run: its warm steps start at the predictor
@@ -678,22 +737,25 @@ class TestRun:
         assert state.k == 3
         assert 0.0 < worst <= 1e-12
 
-    def test_reuse_to_the_end_of_the_table(self, advance_calls):
-        # Pass N has one changed start value, stepped alone; pass N + 1 has
-        # none, so it steps nothing and changes nothing.
+    def test_reuse_to_the_end_of_the_table(self, advance_calls, checks):
+        # Pass N has one changed start value, stepped alone at its
+        # predictor; pass N + 1 has none, so it steps and checks nothing and
+        # changes nothing.
         calls = advance_calls
         fine = parse_spec("cg:6")
         prob = diag_problem(T=0.4)
-        for N, fine_rows, coarse_calls in [(4, [4, 3, 2, 1, 0], [3, 2, 1, 0, 0]), (1, [1, 0], [0, 0])]:
+        for N, fine_rows, coarse_steps in [(4, [4, 3, 2, 1, 0], [3, 2, 1, 0, 0]), (1, [1, 0], [0, 0])]:
             cfg = PararealConfig(N=N, coarse=BE, fine=fine, init="random", seed=1)
             state = initialize(cfg, prob)
             rows, coarse = [], []
             for _ in range(N + 1):
                 calls.clear()
+                checks.clear()
                 state = iterate(state, cfg, prob)
                 rows.append(sum(r for spec, r in calls if spec == fine))
-                coarse.append(sum(spec == BE for spec, _ in calls))
-            assert (rows, coarse) == (fine_rows, coarse_calls)
+                coarse.append(coarse_rows(calls, checks)[1])
+                assert BE not in [spec for spec, _ in calls] and (len(checks) > 0) == (coarse[-1] > 0)
+            assert (rows, coarse) == (fine_rows, coarse_steps)
             assert state.history[-1].iter_error == 0.0
             np.testing.assert_array_equal(state.u, serial_trajectory(fine, prob, N, prob.T / N))
 
@@ -768,12 +830,6 @@ class TestRun:
                 PararealConfig(N=2, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(4), tol=value)
 
 
-def coarse_rows(calls):
-    """``(calls, rows)`` of the backward Euler ``advance`` calls in ``calls``."""
-    coarse = [rows for spec, rows in calls if spec == BE]
-    return len(coarse), sum(coarse)
-
-
 class TestBatch:
     """Configs that differ in ``fine`` only run as one batch; each run's solo
     ``run`` is the reference."""
@@ -787,9 +843,10 @@ class TestBatch:
         ],
         ids=["kepler", "burgers", "spd"],
     )
-    def test_batch_matches_solo_runs_bit_for_bit(self, advance_calls, prob):
+    def test_batch_matches_solo_runs_bit_for_bit(self, advance_calls, checks, prob):
         # A row of f does not depend on the rows stacked with it, so a
-        # stacked coarse step gives each row the bits it gets alone.
+        # stacked coarse step, or a stacked check of predicted ones, gives
+        # each row the bits it gets alone.
         cfgs = [
             PararealConfig(N=8, coarse=BE, fine=parse_spec(fine))
             for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")
@@ -797,21 +854,24 @@ class TestBatch:
         solo = []
         for cfg in cfgs:
             advance_calls.clear()
-            solo.append((run(cfg, prob), coarse_rows(advance_calls)))
+            checks.clear()
+            solo.append((run(cfg, prob), coarse_rows(advance_calls, checks)))
         advance_calls.clear()
+        checks.clear()
         batch = run(cfgs, prob)
         assert len(batch) == len(cfgs)
         for (u, history), ((u_solo, history_solo), _) in zip(batch, solo):
             np.testing.assert_array_equal(u, u_solo)
             assert history == history_solo
         # The same coarse steps, less the three repeated initial sweeps, in
-        # at most one call per subinterval and pass.
-        calls, rows = coarse_rows(advance_calls)
+        # at most one call (an advance call or a check) per subinterval and
+        # pass.
+        calls, rows = coarse_rows(advance_calls, checks)
         assert rows == sum(r for _, (_, r) in solo) - 3 * 8
         assert calls <= 8 * (1 + max(len(h) for _, h in batch))
         assert calls < sum(c for _, (c, _) in solo) - 3 * 8
 
-    def test_runs_leave_the_batch_on_convergence(self, advance_calls):
+    def test_runs_leave_the_batch_on_convergence(self, advance_calls, checks):
         # These runs take 1, 10, 15 and 17 passes; each returns its own history.
         prob = spd_catalog("diag-spectrum", m=3, lambda_min=1.0, lambda_max=100.0, T=2.0).to_ivp()
         cfgs = [
@@ -821,12 +881,14 @@ class TestBatch:
         solo = [run(cfg, prob) for cfg in cfgs]
         assert [len(h) for _, h in solo] == [1, 10, 15, 17]
         advance_calls.clear()
+        checks.clear()
         batch = run(cfgs, prob)
         for (u, history), (u_solo, history_solo) in zip(batch, solo):
             np.testing.assert_array_equal(u, u_solo)
             assert history == history_solo
-        # One initial sweep, then at most one coarse call per subinterval and pass.
-        assert coarse_rows(advance_calls)[0] <= 16 * (1 + 17)
+        # One initial sweep, then at most one coarse call (an advance call or
+        # a check) per subinterval and pass.
+        assert coarse_rows(advance_calls, checks)[0] <= 16 * (1 + 17)
         # The fine calls: one per live run and pass (the last pass of the
         # 17-pass run has no changed start value left to step).
         fine_calls = [spec for spec, _ in advance_calls if spec != BE]

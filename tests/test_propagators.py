@@ -592,7 +592,7 @@ class TestChord:
         # stage equation's right-hand side (u for beuler, u + (dT/2) f(t, u)
         # for tr), is off by O(1e-16): it meets the stop, and every row
         # settles there without an update or a Jacobian, within the stop of
-        # its cold step.  A stack makes one f call for the residuals, tr two
+        # its cold step.  Each row makes one f call for its residual, tr two
         # more for the slopes at u and at guess_from.
         spec = parse_spec(text)
         V, cold, inverse = self.near(spec)
@@ -606,7 +606,10 @@ class TestChord:
 
         jac = counting_cubic_jacobian(calls)
         got = advance(spec, f, np.zeros(3), V, self.dT, jac=jac, guess=cached, guess_from=before, inverse=inverse)
-        assert f_calls == [(3, 2)] * (3 if text == "tr:1" else 1) and calls == []
+        # The stack's predictor, then each row alone: its residual at its
+        # predictor, and for tr its slopes at u and at guess_from.
+        tr = text == "tr:1"
+        assert f_calls == [(3, 2)] * (2 * tr) + [(2,)] * 3 * (1 + 2 * tr) and calls == []
 
         def rhs(u):
             return u if text == "beuler:1" else u + 0.5 * self.dT * cubic(0.0, u)
@@ -615,16 +618,16 @@ class TestChord:
         np.testing.assert_allclose(got, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
         assert_rows_step_alone(spec, cubic, V, self.dT, cached, inverse, jac, guess_from=before)
         # The change in u alone is not tr's change in its right-hand side:
-        # from that first-order start the same step takes a chord update.
+        # from that first-order start each row takes a chord update.
         if text == "tr:1":
             f_calls.clear()
             start = cached + np.matvec(inverse, V - before)
             advance(spec, f, np.zeros(3), V, self.dT, guess=start, inverse=inverse)
-            assert len(f_calls) == 3
+            assert f_calls == [(3, 2)] + [(2,)] * 3 * 3
         # Started at its cold result, which meets the stop, a row keeps it.
         f_calls.clear()
         np.testing.assert_array_equal(advance(spec, f, np.zeros(3), V, self.dT, guess=cold, inverse=inverse), cold)
-        assert len(f_calls) == (2 if text == "tr:1" else 1)
+        assert f_calls == [(3, 2)] * tr + [(2,)] * 3 * (1 + tr)
 
     def first_update(self, text, guess, inverse):
         """The chord iterate one update from ``guess``, for the middle row."""
@@ -740,15 +743,10 @@ class TestChord:
 
     @pytest.mark.parametrize("path", ["kept start", "settled", "fallback"])
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
-    def test_single_state_step_returns_a_new_array(self, text, path, monkeypatch):
+    def test_single_state_step_returns_a_new_array(self, text, path):
         # u' = 0: the guess u is the root, so its residual is 0 and the
         # start settles, as a new array.  The other exits return new arrays
-        # too, and neither the guess nor u changes.  A single state never
-        # takes the stacked loop.
-        def stacked_only(*args):
-            raise AssertionError("a single state took the stacked chord loop")
-
-        monkeypatch.setattr(propagators, "_chord", stacked_only)
+        # too, and neither the guess nor u changes.
         spec, cold, guess, inverse = self.start(text)
         u, f, guess, inverse = self.U[1].copy(), cubic, guess[1], inverse[1]
         if path == "kept start":
@@ -764,18 +762,14 @@ class TestChord:
             np.testing.assert_array_equal(got, u)
 
     @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
-    def test_rows_leaving_together_step_in_lockstep(self, text, monkeypatch):
+    def test_stacked_rows_step_alone(self, text):
         # Three states near U[1] share one inverse stage matrix.  Started at
         # their cold results, every row settles at its start; started 1e-7
-        # off, every row settles on the first update.  Either way every row
-        # leaves in the same round, so the stack never steps a row alone,
-        # and each row has the bits of its single-state step.
+        # off, every row settles on the first update.  Either way each row
+        # of the stack takes its single-state step, with its own f calls
+        # after the stack's predictor, and has that step's bits.
         spec = parse_spec(text)
         V, cold, inverse = self.near(spec)
-
-        def row_by_row(*args):
-            raise AssertionError("a stack whose rows leave together stepped a row alone")
-
         f_calls = []
 
         def f(t, x):
@@ -785,10 +779,9 @@ class TestChord:
         for guess, updates in ((cold, 0), (cold * (1.0 + 1e-7), 1)):
             alone = [advance(spec, cubic, 0.0, V[i], self.dT, guess=guess[i], inverse=inverse) for i in range(3)]
             f_calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(propagators, "_chord_state", row_by_row)
-                got = advance(spec, f, np.zeros(3), V, self.dT, guess=guess, inverse=inverse)
-            assert f_calls == [(3, 2)] * ((2 if text == "tr:1" else 1) + updates)
+            got = advance(spec, f, np.zeros(3), V, self.dT, guess=guess, inverse=inverse)
+            tr = text == "tr:1"
+            assert f_calls == [(3, 2)] * tr + [(2,)] * 3 * (tr + 1 + updates)
             for i in range(3):
                 assert got[i].tobytes() == alone[i].tobytes()
 

@@ -12,24 +12,31 @@ errors and messages, and the same ``f`` and ``jac`` calls.
 Given an inverse stage matrix with its guess, ``advance`` starts at the
 linearized predictor and takes chord updates instead of Newton updates;
 the reference's Newton step from the same guess is the yardstick the chord
-steps must land within the Newton stop of.  A stack takes its chord
-updates in lockstep and, where its rows part ways, steps each row alone.
+steps must land within the Newton stop of.  A stack steps each row alone.
 The reference for that is one chord loop that retires each row as it
 leaves, the rows that settle at their predictors first, then one stacked
 Newton solve of the rows without a finite predictor and of the rows that
 fell back.  Random stacks must give its bits and its errors.
+
+``parareal``'s correction takes its rows at their predictors and verifies
+them in stacked chunks; ``ref_correction`` is the loop it replaced, one
+``advance`` call per subinterval.  Random runs, batches and failures must
+give its tables, errors and warnings.
 """
 
+import copy
 import dataclasses
 import functools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from paracheb import BurgersProblem, KeplerProblem, SolverError, SweepError, advance, parse_spec, spd_catalog
-from paracheb import propagators
+from paracheb import BurgersProblem, IvpProblem, KeplerProblem, PararealConfig, SolverError, SweepError, advance
+from paracheb import initialize, iterate, parse_spec, spd_catalog
+from paracheb import parareal, propagators
 from paracheb.errors import NonConvergenceError, SingularSystemError, raise_row_failures
 from paracheb.propagators import _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, PropagatorKind, _fd_jacobian, stage_inverses
 
@@ -466,19 +473,20 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
     # some rows and NaN in its result or its start in others; one inverse
     # stage matrix for the stack, at one row's cold result: as built, NaN,
     # negated or scaled; max_iter 1 to 3; the jac hook or forward
-    # differences.  Each stacked step gives ref_chord_advance's bits or its
-    # SweepError, and the lockstep loop both returns and hands its rows on.
+    # differences.  Each stacked step, each row a single-state chord
+    # iteration, gives ref_chord_advance's bits or its SweepError, and some
+    # rows settle in the chord iteration while others fall back to Newton.
     make, dT = FUZZ[name]
     ivp = make()
     exits = []
-    chord = propagators._chord
+    chord = propagators._chord_state
 
     def recorded(*args):
-        x = chord(*args)
-        exits.append(x is not None)
-        return x
+        x, settled = chord(*args)
+        exits.append(settled)
+        return x, settled
 
-    monkeypatch.setattr(propagators, "_chord", recorded)
+    monkeypatch.setattr(propagators, "_chord_state", recorded)
     rng = np.random.default_rng(list(FUZZ).index(name) * 2 + (text == "tr:1"))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(60):
@@ -515,3 +523,216 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
             ref = outcome(lambda f, j: ref_chord_advance(spec, f, times, U, dT, j, guess, before, inverse), ivp.f, jac)
             assert_same_result(got[0], ref[0])
     assert True in exits and False in exits
+
+
+def ref_correction(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes):
+    """``parareal._correct`` as one loop over the subintervals: each row's
+    live runs step through one ``advance`` call, one state alone and several
+    as a stack, and a failed step names its subinterval, pass and run."""
+    N = len(F)
+    f, jac, linear = problem.f, problem.jacobian, problem.linear
+    U_bits, U_old_bits = U.view(np.uint64), U_old.view(np.uint64)
+    one_run = U.shape[1] == 1
+    live = ()
+    try:
+        for n, t in enumerate((np.arange(N) * dT).tolist()):
+            inverse = None if stage_inv is None else stage_inv[n]
+            if len(live) == 1:
+                r = live[0]
+                G[n, r] = advance(
+                    spec, f, t, U[n, r], dT, jac, linear, guess=G_old[n, r], guess_from=U_old[n, r], inverse=inverse
+                )
+            elif len(live):
+                G[n, live] = advance(
+                    spec, f, np.full(len(live), t), U[n, live], dT, jac, linear, guess=G_old[n, live],
+                    guess_from=U_old[n, live], inverse=inverse,
+                )
+            U[n + 1] = F[n] + (G[n] - G_old[n])
+            if U[n + 1].tobytes() == U_old[n + 1].tobytes():
+                live = ()
+            elif one_run:
+                live = (0,)
+            else:
+                live = np.flatnonzero((U_bits[n + 1] != U_old_bits[n + 1]).any(axis=1))
+    except SolverError as exc:
+        error, r = parareal._coarse_failure(exc, live)
+        error.name_coarse_step(n, passes[r], int(r))
+        if error is exc:
+            raise
+        raise error from None
+
+
+def cubic_problem():
+    return IvpProblem(f=cubic, u0=np.array([0.5, -1.5]), T=2.0, jacobian=cubic_jacobian)
+
+
+#: Problems of the correction fuzz: (problem, the init policies it takes).
+CORRECTION_PROBLEMS = {
+    "cubic": (cubic_problem, ("coarse", "random")),
+    "burgers": (lambda: BurgersProblem(0.05, 8, T=0.5).to_ivp(), ("coarse", "random")),
+    "kepler": (lambda: KeplerProblem(T=5.0).to_ivp(), ("coarse",)),
+    "laplacian-1d": (lambda: spd_catalog("laplacian-1d", m=6, T=0.5).to_ivp(), ("coarse", "random")),
+}
+
+#: How a fuzz case changes ``f`` once the initial sweep is done: not at all;
+#: a jump of 1e-3 where one component passes a threshold, which the
+#: predictors that cross it miss; or, at the grid times only, where the
+#: coarse stages are and no collocation or gauss4 node, an infinity there
+#: or an exception.
+CHANGES = ["none", "jump", "jump", "infinite", "raises"]
+
+
+def outcome_of_passes(states, cfgs, problem, passes):
+    """Up to ``passes`` calls of ``iterate``, each run leaving once it has
+    converged, as ``run`` does: per pass the bits of every live run's table,
+    cache and record, then the first error's type, message and step, and the
+    warnings raised on the way."""
+    out = []
+    live = list(range(len(cfgs)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(passes):
+            try:
+                iterate([states[r] for r in live], [cfgs[r] for r in live], problem)
+            except Exception as exc:
+                out.append((type(exc), str(exc), getattr(exc, "subinterval", None), getattr(exc, "k", None),
+                            getattr(exc, "run", None)))
+                break
+            out.append([(r, states[r].u.tobytes(), states[r].g_prev.tobytes(), repr(states[r].history[-1]))
+                        for r in live])
+            live = [r for r in live if not states[r].history[-1].iter_error <= cfgs[r].tol]
+            if not live:
+                break
+    return out, sorted(str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
+    # Random cases: a problem, linear or not, from the coarse or a random
+    # start; one to three runs whose fine propagators differ, so the batch
+    # loses runs as they converge; max_iter 25 or 2, so some Newton
+    # fallbacks stall; an f that changes after the initial sweep (see
+    # CHANGES), where a predictor misses, a step fails, or f raises, on a
+    # row that counts or on one past a miss; and a NaN row of stage_inv,
+    # as a singular stage matrix leaves it.  Every pass gives the tables,
+    # the caches, the records, the errors and the warnings of
+    # ref_correction, and the cases see misses after a hit in the same
+    # chunk, failed steps, exceptions from f and NaN rows.
+    checks = []
+    settles = parareal.settles
+
+    def recorded(*args):
+        ok = settles(*args)
+        checks.append(ok.copy())
+        return ok
+
+    monkeypatch.setattr(parareal, "settles", recorded)
+    rng = np.random.default_rng(7 + (text == "tr:1"))
+    seen = set()
+    for case in range(48):
+        name = list(CORRECTION_PROBLEMS)[case % len(CORRECTION_PROBLEMS)]
+        make, inits = CORRECTION_PROBLEMS[name]
+        base = make()
+        active, change = [False], CHANGES[int(rng.integers(len(CHANGES)))]
+        j = int(rng.integers(base.dim))
+        threshold = [math.inf]
+
+        N = int(rng.integers(4, 24))
+        dT = base.T / N
+
+        def f(t, u, base_f=base.f, change=change, j=j, dT=dT):
+            value = base_f(t, u)
+            if not active[0] or change == "none":
+                return value
+            over = u[..., j : j + 1] > threshold[0]
+            if change in ("infinite", "raises"):
+                r = np.asarray(t) / dT
+                over = over & (np.abs(r - np.round(r)) < 1e-9)
+            if change == "raises":
+                if over.any():
+                    raise ValueError("f raised above the threshold")
+                return value
+            return value + np.where(over, 1e-3 if change == "jump" else np.inf, 0.0)
+
+        problem = dataclasses.replace(base, f=f)
+        coarse = dataclasses.replace(parse_spec(text), max_iter=int(rng.choice([25, 25, 2])))
+        init = inits[int(rng.integers(len(inits)))]
+        fines = ["cg:4", "gauss4:1"] if change in ("infinite", "raises") else ["cg:4", "beuler:2", "gauss4:1", "tr:2"]
+        runs = rng.choice(fines, size=int(rng.integers(1, len(fines) + 1)), replace=False)
+        cfgs = [PararealConfig(N=N, coarse=coarse, fine=parse_spec(str(fine)), init=init, seed=case) for fine in runs]
+        with np.errstate(all="ignore"):
+            try:
+                states = initialize(cfgs, problem)
+            except SolverError:
+                continue
+        if states[0].stage_inv is not None and rng.random() < 0.3:
+            stage_inv = states[0].stage_inv.copy()
+            stage_inv[int(rng.integers(len(stage_inv)))] = np.nan
+            for state in states:
+                state.stage_inv = stage_inv
+            seen.add("nan row")
+        threshold[0] = float(np.quantile(states[0].u[1:, j], rng.uniform(0.2, 0.8)))
+        active[0] = True
+        got = outcome_of_passes(copy.deepcopy(states), cfgs, problem, 6)
+        with monkeypatch.context() as m:
+            m.setattr(parareal, "_correct", ref_correction)
+            expected = outcome_of_passes(copy.deepcopy(states), cfgs, problem, 6)
+        assert got == expected, (case, name, change)
+        error = got[0][-1]
+        if isinstance(error, tuple):
+            seen.add("step failed" if error[2] is not None else error[0].__name__)
+    assert {"nan row", "step failed", "ValueError"} <= seen, seen
+    assert any(not ok.all() and ok[0] for ok in checks)
+
+
+@pytest.mark.parametrize("poison", ["raises", "infinite"])
+@pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+def test_rows_past_a_miss_do_not_surface(text, poison, monkeypatch):
+    # A jump of 1e-3 in f, once the initial sweep is done, where the first
+    # Burgers component passes its median: the predictors that cross it
+    # miss in mid-chunk.  The predictors past a miss, which no row-by-row
+    # step evaluates, are recorded; then f raises, or is infinite, at those
+    # states only.  The passes give the tables and caches of the unpoisoned
+    # row-by-row loop, with no error and no warning, though f was called
+    # there.
+    base = BurgersProblem(0.05, 8, T=0.5).to_ivp()
+    cfg = PararealConfig(N=32, coarse=parse_spec(text), fine=parse_spec("cg:4"))
+    active, poisoned, threshold, hits = [False], set(), [0.0], []
+
+    def f(t, u):
+        value = base.f(t, u)
+        if not active[0]:
+            return value
+        value = value + np.where(u[..., :1] > threshold[0], 1e-3, 0.0)
+        hit = np.array([row.tobytes() in poisoned for row in u.reshape(-1, base.dim)]).reshape(u.shape[:-1])
+        if hit.any():
+            hits.append(int(hit.sum()))
+            if poison == "raises":
+                raise ValueError("f raised at a state past a miss")
+            value[hit] = np.inf
+        return value
+
+    problem = dataclasses.replace(base, f=f)
+    states = initialize([cfg], problem)
+    threshold[0] = float(np.median(states[0].u[1:, 0]))
+    active[0] = True
+    settles = parareal.settles
+
+    def recorded(spec, f, t, x, rhs, dT):
+        ok = settles(spec, f, t, x, rhs, dT)
+        if not ok.all():
+            past = np.ravel(t) > np.ravel(t)[np.argmin(ok)]
+            poisoned.update(row.tobytes() for row in x[past])
+        return ok
+
+    with monkeypatch.context() as m:
+        m.setattr(parareal, "settles", recorded)
+        outcome_of_passes(copy.deepcopy(states), [cfg], problem, 4)
+    assert poisoned
+    got = outcome_of_passes(copy.deepcopy(states), [cfg], problem, 4)
+    assert hits
+    with monkeypatch.context() as m:
+        m.setattr(parareal, "_correct", ref_correction)
+        expected = outcome_of_passes(copy.deepcopy(states), [cfg], problem, 4)
+    assert got == expected
+    assert expected[1] == [] and len(expected[0]) == 4 and all(isinstance(p, list) for p in expected[0])
