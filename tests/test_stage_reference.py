@@ -610,10 +610,10 @@ def outcome_of_passes(states, cfgs, problem, passes):
 def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
     # Random cases: a problem, linear or not, from the coarse or a random
     # start; one to three runs whose fine propagators differ, so the batch
-    # loses runs as they converge; max_iter 25 or 2, so some Newton
-    # fallbacks stall; an f that changes after the initial sweep (see
-    # CHANGES), where a predictor misses, a step fails, or f raises, on a
-    # row that counts or on one past a miss; and a NaN row of stage_inv,
+    # loses runs as they converge; max_iter 25 or 2; an f that changes
+    # after the initial sweep (see CHANGES), where a predictor misses, a
+    # step fails, or f raises, on a row that counts or on one past a miss;
+    # and a NaN row of stage_inv,
     # as a singular stage matrix leaves it.  Every pass gives the tables,
     # the caches, the records, the errors and the warnings of
     # ref_correction, and the cases see misses after a hit in the same
@@ -636,7 +636,6 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
         active, change = [False], CHANGES[int(rng.integers(len(CHANGES)))]
         j = int(rng.integers(base.dim))
         threshold = [math.inf]
-
         N = int(rng.integers(4, 24))
         dT = base.T / N
 
