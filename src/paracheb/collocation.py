@@ -211,10 +211,16 @@ def _rhs_table(f: RhsFunction, t_nodes: np.ndarray, u_nodes: np.ndarray) -> np.n
 
 
 def _coefficients(op: CollocationOperator, length: float, u_a: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """``u_hat = U0 + length * C_alpha @ F`` for a node table or a stack of them."""
+    """``u_hat = U0 + length * C_alpha @ F`` for a node table or a stack of them.
+
+    The product is scaled in place, one temporary; every entry has the
+    bits of ``U0 + length * (C_alpha @ F)``.
+    """
     u_hat = np.zeros(F.shape[:-2] + (op.M + 2, F.shape[-1]))
     u_hat[..., 0, :] = u_a
-    u_hat += length * (op.C_alpha @ F)
+    scaled = op.C_alpha @ F
+    scaled *= length
+    u_hat += scaled
     return u_hat
 
 
@@ -274,7 +280,8 @@ def solve_nonlinear(
     def sweep(state, _norm, rows):
         live = points if rows is None else dataclasses.replace(points, t=t_nodes[rows], a=_rows(points.a, rows))
         u_hat, u_new, failed = picard_sweep(f, live, _rows(U, rows), state[1])
-        diff = np.max(np.abs(u_new - state[1]), axis=(-2, -1))
+        diff = u_new - state[1]
+        diff = np.max(np.abs(diff, out=diff), axis=(-2, -1))
         for i in np.flatnonzero(~np.isfinite(diff)):
             failed.setdefault(int(i), NonConvergenceError(stall, diff[i]))
         return (u_hat, u_new, diff), failed

@@ -30,7 +30,7 @@ derivative ``G'(u) delta``, and ``S`` is that derivative.  The predictor's
 residual is the cached step's plus O(delta**2), so it is tested against
 the Newton stop before any update; a step that meets it settles there, and
 the others take chord updates with ``S`` (simplified Newton, Hairer &
-Wanner, *Solving ODEs II*, Sec. IV.8) in ``propagators.advance``.  The
+Wanner, *Solving ODEs II*, Sec. IV.8) in ``propagators.warm_step``.  The
 initial sweep has no cached result: it starts cold on Newton's iteration,
 and then builds every subinterval's inverse in one stacked ``jac`` call and
 one stacked inversion, for the kinds that take a guess (``beuler`` and
@@ -53,13 +53,16 @@ each changed start value's step is taken at its ``propagators.predictor``
 start value corrected from it; then a chunk of such steps is tested in one
 stacked ``propagators.settles`` call, the test a warm step applies first.
 The steps before the first one that misses are final; the correction
-rewinds to that row and steps it through ``advance``, and so every later
-row until a step lands on its predictor, where verified chunks start again
-at one row and double while every predictor meets the stop.  A missed
-chunk wastes at most its own predictions.  Values past a miss are never
-kept, so the recurrence and its check run under ``np.errstate(all=
-"ignore")``, and an ``f`` that raises in the check is a miss at the chunk's
-first row: an error propagates only where the row-by-row step raises it.
+rewinds to that row and steps it on from the predictor it made, through
+``propagators.warm_step``, and so every later row until a step lands on its
+predictor, where verified chunks start again at one row and double while
+every predictor meets the stop.  Only a row whose predictor is not finite,
+or where ``f`` raised, steps through ``advance``, which makes its own
+start.  A missed chunk wastes at most its own predictions.  Values past a
+miss are never kept, so the recurrence and its check run under
+``np.errstate(all="ignore")``, and an ``f`` that raises in the check is a
+miss at the chunk's first row: an error propagates only where the
+row-by-row step raises it.
 The table is the one a full recomputation under this coarse rule gives,
 bit for bit: a row of ``f`` does not depend on the rows stacked with it
 (the contract of ``problems.IvpProblem``), so neither does a row's step,
@@ -92,10 +95,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MaxIterationsError, SolverError, SweepError, check_integer
+from .errors import MaxIterationsError, SolverError, SweepError, check_integer, raise_row_failures
 from .collocation import count_nonzero
 from .problems import IvpProblem
-from .propagators import PropagatorSpec, advance, predictor, settles, stage_inverses
+from .propagators import PropagatorSpec, advance, predictor, settles, stage_inverses, warm_step
 
 
 @dataclass(frozen=True)
@@ -326,9 +329,10 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
     With inverse stage matrices, rows are first stepped to their
     ``predictor``s, and a chunk of them is verified in one stacked
     ``settles`` call: the rows before the first miss are final, and the
-    missed row steps through ``advance``, as does every row until a step
-    lands on its predictor (see the module docstring).  ``passes[r]`` is
-    run ``r``'s pass, which a failed step's error names.
+    missed row steps on from its predictors through ``warm_step``, as does
+    every row until a step lands on its predictor (see the module
+    docstring); a row without finite predictors steps through ``advance``.
+    ``passes[r]`` is run ``r``'s pass, which a failed step's error names.
     """
     N, runs, dim = F.shape
     f, jac, linear = problem.f, problem.jacobian, problem.linear
@@ -399,16 +403,23 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
         G[rows[miss]:n] = G_old[rows[miss]:n]
         return rows[miss], lives[miss], 0
 
-    def step(n, live):
-        """Row ``n``'s coarse steps through ``advance``, warm from the cached step."""
+    def step(n, live, start):
+        """Row ``n``'s coarse steps, warm from the cached step: from the
+        predictors and stage right-hand sides ``start`` where every one is
+        finite, through ``advance`` otherwise."""
         ids = np.arange(runs)[live]
-        inverse = None if stage_inv is None else stage_inv[n]
-        t = times[n] if ids.ndim == 0 else np.full(len(ids), times[n])
         try:
-            G[n, live] = advance(
-                spec, f, t, U[n, live], dT, jac, linear, guess=G_old[n, live], guess_from=U_old[n, live],
-                inverse=inverse,
-            )
+            if start is not None and count_nonzero(np.isfinite(start[0])) == start[0].size:
+                x, failures = warm_step(spec, f, times[n], *start, dT, stage_inv[n], jac)
+                raise_row_failures(failures, ids.ndim > 0)
+                G[n, live] = x
+            else:
+                inverse = None if stage_inv is None else stage_inv[n]
+                t = times[n] if ids.ndim == 0 else np.full(len(ids), times[n])
+                G[n, live] = advance(
+                    spec, f, t, U[n, live], dT, jac, linear, guess=G_old[n, live], guess_from=U_old[n, live],
+                    inverse=inverse,
+                )
         except SolverError as exc:
             error, r = _coarse_failure(exc, np.atleast_1d(ids))
             error.name_coarse_step(n, passes[r], int(r))
@@ -427,7 +438,7 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
             if stage_inv is not None:
                 with np.errstate(all="ignore"):
                     start = predict(n, live)
-            step(n, live)
+            step(n, live, start)
             if start is not None and G[n, live].tobytes() == start[0].tobytes():
                 chunk = 1  # the step landed on its predictor: predict again
         # Summed as fine value plus small coarse increment: near convergence
@@ -465,15 +476,16 @@ def iterate(
     inverses, the correction is the linearized recurrence, each step taken
     at its predictor, verified a chunk at a time in one stacked ``f`` call;
     a step whose predictor misses the Newton stop, and every step after it
-    until one lands on its predictor again, goes to ``advance``: one state
-    alone, several in one stack.  The runs' tables are arrays indexed by
-    subinterval and run, so each subinterval's bookkeeping is a few array
-    operations for the whole batch.  A failed coarse step (its Newton
-    fallback's error) raises its own error, naming its subinterval, pass
-    and run (``subinterval``, ``k``, ``run``, the run's index in the
-    batch); of several failures in one stack, the lowest run's.  An
-    exception from ``f`` on a predicted step past a miss never surfaces.
-    A ``SolverError`` from a fine sweep names its run too.
+    until one lands on its predictor again, steps on from that predictor
+    through ``propagators.warm_step``, each run's state alone, and goes to
+    ``advance`` only where the predictor is not finite.  The runs' tables
+    are arrays indexed by subinterval and run, so each subinterval's
+    bookkeeping is a few array operations for the whole batch.  A failed
+    coarse step (its Newton fallback's error) raises its own error, naming
+    its subinterval, pass and run (``subinterval``, ``k``, ``run``, the
+    run's index in the batch); of several failures in one stack, the
+    lowest run's.  An exception from ``f`` on a predicted step past a miss
+    never surfaces.  A ``SolverError`` from a fine sweep names its run too.
     """
     cfgs = _batch(cfg)
     states = [state] if isinstance(state, PararealState) else list(state)

@@ -450,7 +450,10 @@ class BurgersProblem:
         A1u, A2u = _matvec(A1), _matvec(A2)
 
         def f(t, u):
-            return -A1u(u) - u * A2u(u)
+            # -A1 u - u * (A2 u), negated, multiplied and subtracted in place.
+            out, A2_u = A1u(u), A2u(u)
+            np.negative(out, out=out)
+            return np.subtract(out, np.multiply(u, A2_u, out=A2_u), out=out)
 
         neg_A1, eye = -A1, np.eye(self.Nx)
 

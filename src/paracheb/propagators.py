@@ -412,6 +412,41 @@ def settles(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float) -> np.nd
     return np.logical_and.reduce(np.isfinite(x), axis=-1) & _stage_test(spec.tol, f, t + dT, _BETA[spec.kind] * dT, rhs, x)[2]
 
 
+def warm_step(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float, inverse, jac: RhsFunction | None = None):
+    """Warm ``beuler:1`` or ``tr:1`` steps of length ``dT`` from ``t``, each started at its finite ``predictor``.
+
+    ``x`` and ``rhs`` are the predictors and the stage equations'
+    right-hand sides that ``predictor`` gave, one state each or a stack of
+    rows that share ``t`` and ``inverse``, the inverse stage matrix the
+    predictors took; none is checked.  Each row steps alone: its start is
+    tested before any update and settles where it meets the stop;
+    otherwise the chord iteration (``_chord_state``) runs from it, and
+    Newton's iteration (``jac``, or forward differences of ``f`` when it is
+    None) from where that falls back.  ``advance`` takes every warm
+    single-state step with a finite predictor through here, and
+    ``parareal``'s correction the steps whose predictors it already made.
+
+    Returns the end states and the failures, a dict row -> the Newton
+    fallback's typed error (row 0 for a single state), whose rows hold NaN.
+    """
+    if x.ndim == 2:
+        y, failures = np.empty_like(x), {}
+        for i in range(len(x)):
+            y[i], lost = warm_step(spec, f, t, x[i], rhs[i], dT, inverse, jac)
+            if lost:
+                failures[i] = lost[0]
+        return y, failures
+    beta_h = _BETA[spec.kind] * dT
+    t_stage = t + dT
+    x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
+    if settled:
+        return x, {}
+    if jac is None:
+        jac = functools.partial(_fd_jacobian, f)
+    x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
+    return x[0], failures
+
+
 def _stage_step(f, jac, spec, t, u, h, guess=None, guess_from=None, inverse=None):
     """One ``beuler`` or ``tr`` step of length ``h`` from ``u`` at ``t``: the end states and the failed rows.
 
@@ -421,13 +456,14 @@ def _stage_step(f, jac, spec, t, u, h, guess=None, guess_from=None, inverse=None
     ``guess_from`` (``u`` itself when None), and ``inverse`` the inverse
     stage matrix ``S = (I - beta_h * J)^-1`` near that result.
 
-    With a finite ``S``, a row starts at its ``predictor``, which is tested
-    before any update, and a row that meets the stop settles there: one
-    ``f`` call for ``beuler``, and two more for ``tr``'s slopes.  Other rows
-    take chord updates.  A single state, of shape ``(n,)``, takes
-    ``_chord_state``, and Newton from where that falls back; a stack with a
-    finite predictor in some row steps each row as a single state, so each
-    row has the bits of its single-state step.
+    With ``S``, a single state, of shape ``(n,)``, starts at its
+    ``predictor`` and, where that is finite, takes ``warm_step``: the
+    predictor is tested before any update, and a state that meets the stop
+    settles there, with one ``f`` call for ``beuler`` and two more for
+    ``tr``'s slopes; others take chord updates, and Newton from where those
+    fall back.  A stack in which some row has a finite ``S``, ``guess`` and
+    ``guess_from`` steps each row as a single state, so each row has the
+    bits of its single-state step and the stack makes no stacked call.
 
     A row whose predictor is not finite (there is no ``S``, or ``S``,
     ``guess`` or ``guess_from`` holds a NaN or an infinity) takes Newton's
@@ -438,27 +474,25 @@ def _stage_step(f, jac, spec, t, u, h, guess=None, guess_from=None, inverse=None
     new array, so a row that settles there never returns ``guess`` itself.
     """
     beta_h = _BETA[spec.kind] * h
-    t_stage = t + h
+    rhs = None
     if guess is not None and inverse is not None:
-        x, rhs, slope = predictor(spec, f, t, u, h, guess, guess_from, inverse)
-        finite = np.isfinite(x)
         if u.ndim == 1:
-            if count_nonzero(finite) == finite.size:
-                x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
-                if settled:
-                    return x, {}
-                x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
-                return x[0], failures
-        elif finite.all(axis=-1).any():
-            y, failures = np.empty_like(x), {}
-            for i in range(len(x)):
-                y[i], lost = _stage_step(
-                    f, jac, spec, _rows(t, i), u[i], h, guess[i], None if guess_from is None else guess_from[i], inverse
-                )
-                if lost:
-                    failures[i] = lost[0]
-            return y, failures
-    else:
+            x, rhs, slope = predictor(spec, f, t, u, h, guess, guess_from, inverse)
+            if count_nonzero(np.isfinite(x)) == x.size:
+                return warm_step(spec, f, t, x, rhs, h, inverse, jac)
+        else:
+            finite = np.isfinite(guess) if guess_from is None else np.isfinite(guess) & np.isfinite(guess_from)
+            if count_nonzero(np.isfinite(inverse)) == inverse.size and finite.all(axis=-1).any():
+                y, failures = np.empty_like(u), {}
+                for i in range(len(u)):
+                    y[i], lost = _stage_step(
+                        f, jac, spec, _rows(t, i), u[i], h, guess[i], None if guess_from is None else guess_from[i],
+                        inverse,
+                    )
+                    if lost:
+                        failures[i] = lost[0]
+                return y, failures
+    if rhs is None:
         rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
     if guess is None:
         x = u + h * (f(t, u) if slope is None else slope)
@@ -468,9 +502,9 @@ def _stage_step(f, jac, spec, t, u, h, guess=None, guess_from=None, inverse=None
         if count_nonzero(finite) < finite.size:
             x = np.where(finite.all(axis=-1)[..., None], x, u + h * (f(t, u) if slope is None else slope))
     if u.ndim == 1:
-        x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
+        x, failures = _newton_stage(f, jac, spec, t + h, beta_h, rhs[None], x[None])
         return x[0], failures
-    return _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x)
+    return _newton_stage(f, jac, spec, t + h, beta_h, rhs, x)
 
 
 def _step_gauss4(f, jac, spec, t, u, h):
@@ -489,10 +523,11 @@ def _step_gauss4(f, jac, spec, t, u, h):
         return K - f(times(rows), stages_of(K, rows)).reshape(len(K), 2 * n)
 
     def jacobian(K, rows):
-        # Block (i, j) of row r is h * A[i, j] * Jf[r, i].
+        # Block (i, j) of row r is h * A[i, j] * Jf[r, i], built in its
+        # (rows, 2, n, 2, n) layout and subtracted from I in place.
         Jf = jac(times(rows), stages_of(K, rows))
-        blocks = (h * _GAUSS4_A)[:, :, None, None] * Jf[:, :, None]
-        return _identity(2 * n) - blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 2 * n, 2 * n)
+        J = ((h * _GAUSS4_A)[:, None, :, None] * Jf[:, :, :, None, :]).reshape(-1, 2 * n, 2 * n)
+        return np.subtract(_identity(2 * n), J, out=J)
 
     K0 = f(ts, np.stack((u, u), axis=1)).reshape(N, 2 * n)
     K, lost = _newton(residual, jacobian, K0, spec)
@@ -579,14 +614,17 @@ def advance(
     After the argument checks, ``beuler`` and ``tr`` take every step, cold
     or from a cached step, through one stepper, ``_stage_step``, which
     holds the stage equations, their right-hand side (``_stage_rhs``) and
-    the start (``predictor``).  With an inverse, a single state runs the
-    chord loop on 1-D arrays with scalar norms (``_chord_state``) and
-    restarts on Newton where that falls back, and each row of a stack takes
-    its single-state step.  A Newton stage solve is
-    ``_newton_stage`` (the stage residual and Jacobian), ``_newton`` and
-    ``settle_rows``, on a stack: a single state is its one-row stack.  So
-    a coarse step of ``parareal`` pays for its arithmetic and its checks,
-    and for little else.
+    the start (``predictor``).  With an inverse, a single state whose
+    predictor is finite takes ``warm_step``: the chord loop on 1-D arrays
+    with scalar norms (``_chord_state``), restarted on Newton where that
+    falls back.  A stack in which some row has a finite ``inverse``,
+    ``guess`` and ``guess_from`` steps each row as a single state, with no
+    stacked predictor; one in which none has takes one stacked Newton
+    solve.  A Newton stage solve is ``_newton_stage`` (the stage residual
+    and Jacobian), ``_newton`` and ``settle_rows``, on a stack: a single
+    state is its one-row stack.  ``parareal``'s correction replays a
+    warm step from the predictor it made through ``warm_step`` itself,
+    without these checks.
 
     Every row stops its inner iterations on its own (``settle_rows``).  A
     failing row carries on through the remaining substeps as NaN while the

@@ -56,6 +56,24 @@ def kronecker_solve(op, A, points, u_a):
 
 
 class TestPicardSweep:
+    @pytest.mark.parametrize("lead", [(), (1,), (7,)])
+    def test_coefficients_match_zeros_plus_the_scaled_product(self, lead):
+        # The product is scaled in place: every coefficient, from node
+        # values and start values that hold 0.0 and -0.0 too, has the bits
+        # of zeros with u_a in row 0, plus length * (C_alpha @ F).
+        op, length = build_operator(5), 0.3
+        rng = np.random.default_rng(len(lead) + sum(lead))
+        F = rng.standard_normal(lead + (6, 3))
+        F[..., 1] = -0.0
+        F[..., 2] = 0.0
+        u_a = rng.standard_normal(lead + (3,))
+        u_a[..., 0] = -0.0
+        expected = np.zeros(lead + (7, 3))
+        expected[..., 0, :] = u_a
+        expected += length * (op.C_alpha @ F)
+        got = collocation._coefficients(op, length, u_a, F)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
     def test_zero_rhs_preserves_constants(self):
         pts = cg_points(3, 0.0, 1.0)
         u_hat, u_nodes, failures = picard_sweep(lambda t, u: 0.0 * u, pts, 2.5, np.full((4, 1), 2.5))

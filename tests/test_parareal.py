@@ -106,6 +106,22 @@ def advance_calls(monkeypatch):
 
 
 @pytest.fixture
+def warm_steps(monkeypatch):
+    """``(spec, rows)`` of each ``warm_step`` call of parareal's correction:
+    a row it replays from the predictors it made, one state alone and
+    several runs as a stack."""
+    calls = []
+    warm_step = parareal.warm_step
+
+    def counting(spec, f, t, x, *args):
+        calls.append((spec, len(x) if np.ndim(x) == 2 else 1))
+        return warm_step(spec, f, t, x, *args)
+
+    monkeypatch.setattr(parareal, "warm_step", counting)
+    return calls
+
+
+@pytest.fixture
 def checks(monkeypatch):
     """``(rows, kept)`` of each stacked ``settles`` call of parareal's
     correction: the steps it tests at their predictors, and those the table
@@ -125,11 +141,11 @@ def checks(monkeypatch):
     return calls
 
 
-def coarse_rows(calls, checks):
-    """``(calls, rows)`` of the backward Euler steps in ``calls`` and
-    ``checks``: each ``advance`` call and each stacked check is a call, and
-    its rows, or the check's kept rows, are steps."""
-    coarse = [rows for spec, rows in calls if spec == BE]
+def coarse_rows(calls, checks, warm):
+    """``(calls, rows)`` of the backward Euler steps in ``calls``, ``checks``
+    and ``warm``: each ``advance`` call, each stacked check and each warm
+    step is a call, and its rows, or the check's kept rows, are steps."""
+    coarse = [rows for spec, rows in calls + warm if spec == BE]
     return len(coarse) + len(checks), sum(coarse) + sum(kept for _, kept in checks)
 
 
@@ -498,7 +514,7 @@ class TestRun:
         assert state.history == history
         assert len(end_values) == len(history)
 
-    def test_one_fine_call_per_pass(self, advance_calls, checks, monkeypatch):
+    def test_one_fine_call_per_pass(self, advance_calls, checks, warm_steps, monkeypatch):
         # Pass k reuses the k grid values the earlier passes made exact: its
         # coarse steps start from the other 16 - k, each predicted once and
         # kept by a stacked check (a linear problem's predictors are exact),
@@ -522,11 +538,12 @@ class TestRun:
             calls.clear()
             checks.clear()
             predicted.clear()
+            warm_steps.clear()
             state = iterate(state, cfg, prob)
             assert [rows for spec, rows in calls if spec == fine] == [17 - k]
             assert predicted == list(range(k, 16))
-            assert coarse_rows(calls, checks)[1] == 16 - k and all(rows == kept for rows, kept in checks)
-            assert [spec for spec, _ in calls].count(BE) == 0
+            assert coarse_rows(calls, checks, warm_steps)[1] == 16 - k and all(rows == kept for rows, kept in checks)
+            assert [spec for spec, _ in calls].count(BE) == 0 and warm_steps == []
 
     @pytest.mark.parametrize(
         "prob, N, fine, init",
@@ -547,10 +564,14 @@ class TestRun:
         np.testing.assert_array_equal(u, u_ref)
         assert history == history_ref
 
-    def test_warm_start_cuts_coarse_newton_updates(self, monkeypatch):
+    def test_warm_start_cuts_coarse_newton_updates(self, warm_steps, monkeypatch):
         # Each coarse step of a pass starts from the cached result plus the
         # change in its start value: fewer Newton updates (one Jacobian
-        # each) than from the explicit predictor, in as many passes.
+        # each) than from the explicit predictor, in as many passes.  The
+        # cold passes drop the guess of every coarse step that goes through
+        # advance, and take each replayed one, which warm_step would start
+        # at its predictor, cold from its start value (backward Euler's
+        # stage right-hand side).
         jacobians = []
         burgers = BurgersProblem(0.05, 8, T=0.5).to_ivp()
 
@@ -563,8 +584,14 @@ class TestRun:
         jacobians.clear()
         _, history = run(cfg, prob)
         warm = len(jacobians)
+        assert warm_steps
         advance = parareal.advance
         monkeypatch.setattr(parareal, "advance", lambda *args, guess=None, **kw: advance(*args, **kw))
+
+        def cold(spec, f, t, x, rhs, dT, inverse, jac):
+            return advance(spec, f, t, rhs, dT, jac), {}
+
+        monkeypatch.setattr(parareal, "warm_step", cold)
         jacobians.clear()
         _, history_cold = run(cfg, prob)
         assert len(history) == len(history_cold) > 2
@@ -683,11 +710,16 @@ class TestRun:
         prob = dataclasses.replace(kepler, f=f, jacobian=jacobian)
         warm, predicted, verified = [], [], []
         advance_, predictor, settles = parareal.advance, parareal.predictor, parareal.settles
+        warm_step = parareal.warm_step
 
         def advancing(spec, *args, **kwargs):
             if spec == BE and kwargs.get("guess") is not None:
                 warm.append(spec)
             return advance_(spec, *args, **kwargs)
+
+        def replaying(spec, *args):
+            warm.append(spec)
+            return warm_step(spec, *args)
 
         def predicting(spec, f, t, u, *args):
             calls.clear()
@@ -702,6 +734,7 @@ class TestRun:
             return ok
 
         monkeypatch.setattr(parareal, "advance", advancing)
+        monkeypatch.setattr(parareal, "warm_step", replaying)
         monkeypatch.setattr(parareal, "predictor", predicting)
         monkeypatch.setattr(parareal, "settles", verifying)
         cfgs = [
@@ -737,7 +770,7 @@ class TestRun:
         assert state.k == 3
         assert 0.0 < worst <= 1e-12
 
-    def test_reuse_to_the_end_of_the_table(self, advance_calls, checks):
+    def test_reuse_to_the_end_of_the_table(self, advance_calls, checks, warm_steps):
         # Pass N has one changed start value, stepped alone at its
         # predictor; pass N + 1 has none, so it steps and checks nothing and
         # changes nothing.
@@ -751,10 +784,11 @@ class TestRun:
             for _ in range(N + 1):
                 calls.clear()
                 checks.clear()
+                warm_steps.clear()
                 state = iterate(state, cfg, prob)
                 rows.append(sum(r for spec, r in calls if spec == fine))
-                coarse.append(coarse_rows(calls, checks)[1])
-                assert BE not in [spec for spec, _ in calls] and (len(checks) > 0) == (coarse[-1] > 0)
+                coarse.append(coarse_rows(calls, checks, warm_steps)[1])
+                assert BE not in [spec for spec, _ in calls + warm_steps] and (len(checks) > 0) == (coarse[-1] > 0)
             assert (rows, coarse) == (fine_rows, coarse_steps)
             assert state.history[-1].iter_error == 0.0
             np.testing.assert_array_equal(state.u, serial_trajectory(fine, prob, N, prob.T / N))
@@ -843,7 +877,7 @@ class TestBatch:
         ],
         ids=["kepler", "burgers", "spd"],
     )
-    def test_batch_matches_solo_runs_bit_for_bit(self, advance_calls, checks, prob):
+    def test_batch_matches_solo_runs_bit_for_bit(self, advance_calls, checks, warm_steps, prob):
         # A row of f does not depend on the rows stacked with it, so a
         # stacked coarse step, or a stacked check of predicted ones, gives
         # each row the bits it gets alone.
@@ -855,23 +889,25 @@ class TestBatch:
         for cfg in cfgs:
             advance_calls.clear()
             checks.clear()
-            solo.append((run(cfg, prob), coarse_rows(advance_calls, checks)))
+            warm_steps.clear()
+            solo.append((run(cfg, prob), coarse_rows(advance_calls, checks, warm_steps)))
         advance_calls.clear()
         checks.clear()
+        warm_steps.clear()
         batch = run(cfgs, prob)
         assert len(batch) == len(cfgs)
         for (u, history), ((u_solo, history_solo), _) in zip(batch, solo):
             np.testing.assert_array_equal(u, u_solo)
             assert history == history_solo
         # The same coarse steps, less the three repeated initial sweeps, in
-        # at most one call (an advance call or a check) per subinterval and
-        # pass.
-        calls, rows = coarse_rows(advance_calls, checks)
+        # at most one call (an advance call, a check or a warm step) per
+        # subinterval and pass.
+        calls, rows = coarse_rows(advance_calls, checks, warm_steps)
         assert rows == sum(r for _, (_, r) in solo) - 3 * 8
         assert calls <= 8 * (1 + max(len(h) for _, h in batch))
         assert calls < sum(c for _, (c, _) in solo) - 3 * 8
 
-    def test_runs_leave_the_batch_on_convergence(self, advance_calls, checks):
+    def test_runs_leave_the_batch_on_convergence(self, advance_calls, checks, warm_steps):
         # These runs take 1, 10, 15 and 17 passes; each returns its own history.
         prob = spd_catalog("diag-spectrum", m=3, lambda_min=1.0, lambda_max=100.0, T=2.0).to_ivp()
         cfgs = [
@@ -882,26 +918,28 @@ class TestBatch:
         assert [len(h) for _, h in solo] == [1, 10, 15, 17]
         advance_calls.clear()
         checks.clear()
+        warm_steps.clear()
         batch = run(cfgs, prob)
         for (u, history), (u_solo, history_solo) in zip(batch, solo):
             np.testing.assert_array_equal(u, u_solo)
             assert history == history_solo
-        # One initial sweep, then at most one coarse call (an advance call or
-        # a check) per subinterval and pass.
-        assert coarse_rows(advance_calls, checks)[0] <= 16 * (1 + 17)
+        # One initial sweep, then at most one coarse call (an advance call, a
+        # check or a warm step) per subinterval and pass.
+        assert coarse_rows(advance_calls, checks, warm_steps)[0] <= 16 * (1 + 17)
         # The fine calls: one per live run and pass (the last pass of the
         # 17-pass run has no changed start value left to step).
         fine_calls = [spec for spec, _ in advance_calls if spec != BE]
         assert len(fine_calls) <= 1 + 10 + 15 + 17
 
-    def test_one_config_batch_makes_the_solo_calls(self, advance_calls):
+    def test_one_config_batch_makes_the_solo_calls(self, advance_calls, warm_steps):
         prob = spd_catalog("laplacian-1d", m=8, T=2.0).to_ivp()
         cfg = PararealConfig(N=16, coarse=BE, fine=parse_spec("cg:6"), init="random", seed=5)
         u, history = run(cfg, prob)
-        solo_calls = list(advance_calls)
+        solo_calls = list(advance_calls), list(warm_steps)
         advance_calls.clear()
+        warm_steps.clear()
         [(u_batch, history_batch)] = run([cfg], prob)
-        assert advance_calls == solo_calls
+        assert (advance_calls, warm_steps) == solo_calls
         np.testing.assert_array_equal(u_batch, u)
         assert history_batch == history
 

@@ -411,6 +411,28 @@ class TestBurgers:
         for row, want in zip(u, full):
             np.testing.assert_array_equal(f(0.0, row).view(np.uint64), want)
 
+    @pytest.mark.parametrize("shape", [(16,), (5, 16), (128, 9, 16)])
+    def test_rhs_matches_the_unfused_formula(self, shape):
+        # f negates, multiplies and subtracts in place: every state, the
+        # exact zeros and -0.0 among them, has the bits of -A1 u - u * (A2 u)
+        # as separate array operations.
+        p = BurgersProblem(0.05, 16)
+        A1u, A2u = problems._matvec(p.A1), problems._matvec(p.A2)
+        u = np.random.default_rng(len(shape)).uniform(-0.5, 0.5, shape)
+        flat = u.reshape(-1, 16)
+        flat[:, 3] = 0.0
+        flat[:, 5] = -0.0
+        if len(flat) > 1:
+            flat[0] = 0.0
+            flat[1] = -0.0
+        zeros = []
+        for v in [u] if u.ndim > 1 else [u, np.zeros(16), np.full(16, -0.0)]:
+            got = p.to_ivp().f(0.0, v)
+            expected = -A1u(v) - v * A2u(v)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            zeros.extend(np.signbit(expected[expected == 0.0]))
+        assert True in zeros and False in zeros
+
     def test_build_validation(self):
         with pytest.raises(ValueError, match="Nx must be >= 4"):
             BurgersProblem(0.05, 3)

@@ -606,10 +606,10 @@ class TestChord:
 
         jac = counting_cubic_jacobian(calls)
         got = advance(spec, f, np.zeros(3), V, self.dT, jac=jac, guess=cached, guess_from=before, inverse=inverse)
-        # The stack's predictor, then each row alone: its residual at its
-        # predictor, and for tr its slopes at u and at guess_from.
+        # Each row alone, with no stacked call: for tr its slopes at u and
+        # at guess_from, then its residual at its predictor.
         tr = text == "tr:1"
-        assert f_calls == [(3, 2)] * (2 * tr) + [(2,)] * 3 * (1 + 2 * tr) and calls == []
+        assert f_calls == [(2,)] * 3 * (1 + 2 * tr) and calls == []
 
         def rhs(u):
             return u if text == "beuler:1" else u + 0.5 * self.dT * cubic(0.0, u)
@@ -623,11 +623,11 @@ class TestChord:
             f_calls.clear()
             start = cached + np.matvec(inverse, V - before)
             advance(spec, f, np.zeros(3), V, self.dT, guess=start, inverse=inverse)
-            assert f_calls == [(3, 2)] + [(2,)] * 3 * 3
+            assert f_calls == [(2,)] * 3 * 3
         # Started at its cold result, which meets the stop, a row keeps it.
         f_calls.clear()
         np.testing.assert_array_equal(advance(spec, f, np.zeros(3), V, self.dT, guess=cold, inverse=inverse), cold)
-        assert f_calls == [(3, 2)] * tr + [(2,)] * 3 * (1 + tr)
+        assert f_calls == [(2,)] * 3 * (1 + tr)
 
     def first_update(self, text, guess, inverse):
         """The chord iterate one update from ``guess``, for the middle row."""
@@ -767,7 +767,7 @@ class TestChord:
         # their cold results, every row settles at its start; started 1e-7
         # off, every row settles on the first update.  Either way each row
         # of the stack takes its single-state step, with its own f calls
-        # after the stack's predictor, and has that step's bits.
+        # and no stacked one, and has that step's bits.
         spec = parse_spec(text)
         V, cold, inverse = self.near(spec)
         f_calls = []
@@ -781,9 +781,40 @@ class TestChord:
             f_calls.clear()
             got = advance(spec, f, np.zeros(3), V, self.dT, guess=guess, inverse=inverse)
             tr = text == "tr:1"
-            assert f_calls == [(3, 2)] * tr + [(2,)] * 3 * (tr + 1 + updates)
+            assert f_calls == [(2,)] * 3 * (tr + 1 + updates)
             for i in range(3):
                 assert got[i].tobytes() == alone[i].tobytes()
+
+    @NONFINITE
+    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    def test_warm_step_from_the_predictor_is_advance(self, text, value):
+        # warm_step from the predictors and stage right-hand sides that
+        # predictor gives: each row settles at its start, takes chord
+        # updates, or falls back to Newton and fails as advance does.  A row
+        # of a stack has its single-state bits, and a failed row is NaN with
+        # the error advance raises for that state.
+        def f(t, u):
+            return np.where(u > 2.5, value, -(u**3))
+
+        spec, cold, guess, inverses = self.start(text)
+        guess[0] = cold[0]
+        guess[2, 0] = 3.0
+        inverse = inverses[1]
+        x, rhs, _ = propagators.predictor(spec, f, 0.0, self.U, self.dT, guess, None, inverse)
+        got, failures = propagators.warm_step(spec, f, 0.0, x, rhs, self.dT, inverse)
+        assert list(failures) == [2] and np.isnan(got[2]).all()
+        assert got[0].tobytes() == x[0].tobytes() and got[1].tobytes() != x[1].tobytes()
+        for i in range(3):
+            alone, lost = propagators.warm_step(spec, f, 0.0, x[i], rhs[i], self.dT, inverse)
+            assert alone.tobytes() == got[i].tobytes() and list(lost) == [0] * (i == 2)
+            if i < 2:
+                expected = advance(spec, f, 0.0, self.U[i], self.dT, guess=guess[i], inverse=inverse)
+                assert alone.tobytes() == expected.tobytes()
+                continue
+            with pytest.raises(NonConvergenceError) as err:
+                advance(spec, f, 0.0, self.U[i], self.dT, guess=guess[i], inverse=inverse)
+            assert type(lost[0]) is type(failures[2]) is NonConvergenceError
+            assert str(lost[0]) == str(failures[2]) == str(err.value)
 
     def test_inverse_of_another_shape_rejected(self):
         # One matrix serves every row of a stack: one per row is rejected.

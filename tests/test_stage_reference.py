@@ -168,6 +168,16 @@ def ref_trapezoidal(f, jac, spec, t, u, h, guess=None):
     return ref_solve_stage(f, jac, spec, t + h, 0.5 * h, rhs, ref_start(guess, lambda: u + h * fn))
 
 
+def ref_gauss4_matrix(h, Jf):
+    """gauss4's Newton matrices from the stage Jacobians ``Jf`` ``(rows, 2,
+    n, n)`` as first built: blocks ``(rows, 2, 2, n, n)`` by a broadcast
+    product, a transposed copy into ``(rows, 2n, 2n)`` and a subtraction
+    from ``I``."""
+    n = Jf.shape[-1]
+    blocks = (h * _GAUSS4_A)[:, :, None, None] * Jf[:, :, None]
+    return np.eye(2 * n) - blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 2 * n, 2 * n)
+
+
 def ref_gauss4(f, jac, spec, t, u, h):
     N, n = u.shape
     ts = (t + _GAUSS4_C * h)[..., None]
@@ -182,9 +192,7 @@ def ref_gauss4(f, jac, spec, t, u, h):
         return K - f(times(rows), stages_of(K, rows)).reshape(len(K), 2 * n)
 
     def jacobian(K, rows):
-        Jf = jac(times(rows), stages_of(K, rows))
-        blocks = (h * _GAUSS4_A)[:, :, None, None] * Jf[:, :, None]
-        return np.eye(2 * n) - blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 2 * n, 2 * n)
+        return ref_gauss4_matrix(h, jac(times(rows), stages_of(K, rows)))
 
     K0 = f(ts, np.stack((u, u), axis=1)).reshape(N, 2 * n)
     K, lost = ref_newton(residual, jacobian, K0, spec)
@@ -368,6 +376,39 @@ def test_catalog_steps_match_reference(text, name):
 
 def cubic(t, u):
     return -(u**3)
+
+
+@pytest.mark.parametrize("height", [1, 3, 200])
+def test_gauss4_newton_matrices_match_the_transposed_copy(height, monkeypatch):
+    # gauss4's Newton matrix is built in its (rows, 2, n, 2, n) layout and
+    # subtracted from I in place.  Each matrix a stacked step solves with,
+    # for every row or for the rows still live, has the bits of the
+    # transposed-copy reference built from that update's stage Jacobians.
+    # States of the cubic problem spread from 0.1 to 2 settle after
+    # different numbers of updates, so later matrices are of row subsets.
+    rng = np.random.default_rng(height)
+    U, dT = rng.uniform(0.1, 2.0, (height, 2)), 0.5
+    times = rng.uniform(0.0, 1.0, height)
+    pairs = []
+    solve = propagators._solve
+
+    def jac(t, u):
+        Jf = cubic_jacobian(t, u)
+        pairs.append([Jf])
+        return Jf
+
+    def solving(J, b):
+        pairs[-1].append(J.copy())
+        return solve(J, b)
+
+    monkeypatch.setattr(propagators, "_solve", solving)
+    spec = parse_spec("gauss4:2")
+    advance(spec, cubic, times, U, dT, jac=jac)
+    for Jf, J in pairs:
+        expected = ref_gauss4_matrix(dT / spec.count, Jf)
+        assert J.shape == expected.shape and J.tobytes() == expected.tobytes()
+    heights = sorted({len(Jf) for Jf, _ in pairs})
+    assert heights[-1] == height and (height == 1 or heights[0] < height)
 
 
 @pytest.mark.parametrize("text", SPECS)
@@ -617,16 +658,25 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
     # as a singular stage matrix leaves it.  Every pass gives the tables,
     # the caches, the records, the errors and the warnings of
     # ref_correction, and the cases see misses after a hit in the same
-    # chunk, failed steps, exceptions from f and NaN rows.
-    checks = []
-    settles = parareal.settles
+    # chunk, failed steps, exceptions from f and NaN rows, and rows
+    # replayed from their predictors through warm_step, of one run and of
+    # a batch, some whose Newton fallback fails and raises the pass's
+    # error.
+    checks, replays = [], []
+    settles, warm_step = parareal.settles, parareal.warm_step
 
     def recorded(*args):
         ok = settles(*args)
         checks.append(ok.copy())
         return ok
 
+    def replayed(spec, f, t, x, *args):
+        y, failures = warm_step(spec, f, t, x, *args)
+        replays.append((x.ndim, bool(failures)))
+        return y, failures
+
     monkeypatch.setattr(parareal, "settles", recorded)
+    monkeypatch.setattr(parareal, "warm_step", replayed)
     rng = np.random.default_rng(7 + (text == "tr:1"))
     seen = set()
     for case in range(48):
@@ -672,6 +722,7 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
             seen.add("nan row")
         threshold[0] = float(np.quantile(states[0].u[1:, j], rng.uniform(0.2, 0.8)))
         active[0] = True
+        replays.clear()
         got = outcome_of_passes(copy.deepcopy(states), cfgs, problem, 6)
         with monkeypatch.context() as m:
             m.setattr(parareal, "_correct", ref_correction)
@@ -680,7 +731,11 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
         error = got[0][-1]
         if isinstance(error, tuple):
             seen.add("step failed" if error[2] is not None else error[0].__name__)
-    assert {"nan row", "step failed", "ValueError"} <= seen, seen
+        seen.update("replay failed" if failed else ("solo", "batch")[ndim - 1] + " replay" for ndim, failed in replays)
+        if any(failed for _, failed in replays):
+            # A replay's Newton fallback failed: its error is the pass's.
+            assert isinstance(error, tuple) and error[2] is not None
+    assert {"nan row", "step failed", "ValueError", "solo replay", "batch replay", "replay failed"} <= seen, seen
     assert any(not ok.all() and ok[0] for ok in checks)
 
 
