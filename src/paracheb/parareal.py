@@ -33,16 +33,16 @@ the others take chord updates with ``S`` (simplified Newton, Hairer &
 Wanner, *Solving ODEs II*, Sec. IV.8) in ``propagators.warm_step``.  The
 initial sweep has no cached result: it starts cold on Newton's iteration,
 and then builds every subinterval's inverse in one stacked ``jac`` call and
-one stacked inversion, for the kinds that take a guess (``beuler`` and
-``tr`` at count 1).  Near convergence a start value barely moves, so
+one stacked inversion, for the kinds that take warm steps (``beuler`` and
+``tr`` at count 1); every other kind steps cold through ``advance``.  Near convergence a start value barely moves, so
 neither does its stage matrix: a warm step calls no Jacobian and solves
 nothing, and a row whose chord iteration converges too slowly falls back to
 Newton alone.  A nonlinear run from random starts gets no inverses, and a
 subinterval whose pass-0 stage matrix was singular a NaN one; their steps
-take Newton's iteration, with at least one update, from ``g_prev[n] +
-(u_new[n] - u[n])``: the coarse result of a drawn value says nothing about
-the Jacobian where the run goes (a linear problem's is the same
-everywhere).  So G is not a pure function of its start value: the result
+take ``warm_step`` without an inverse, Newton's iteration with at least
+one update, from ``g_prev[n] + (u_new[n] - u[n])``: the coarse result of
+a drawn value says nothing about the Jacobian where the run goes (a
+linear problem's is the same everywhere).  So G is not a pure function of its start value: the result
 also depends on the cached pair, and lies within the Newton stop, ``tol *
 (1 + |x|)``, of the cold step's.
 
@@ -56,17 +56,20 @@ The steps before the first one that misses are final; the correction
 rewinds to that row and steps it on from the predictor it made, through
 ``propagators.warm_step``, and so every later row until a step lands on its
 predictor, where verified chunks start again at one row and double while
-every predictor meets the stop.  Only a row whose predictor is not finite,
-or where ``f`` raised, steps through ``advance``, which makes its own
-start.  A missed chunk wastes at most its own predictions.  Values past a
-miss are never kept, so the recurrence and its check run under
+every predictor meets the stop.  A row whose predictor is not finite, or
+where ``f`` raised, makes it again, run by run (``_warm_steps``), and a run
+without a finite one steps through ``warm_step`` without an inverse.  A
+missed chunk wastes at most its own predictions.  Values past a miss are
+never kept, so the recurrence and its check run under
 ``np.errstate(all="ignore")``, and an ``f`` that raises in the check is a
 miss at the chunk's first row: an error propagates only where the
 row-by-row step raises it.
 The table is the one a full recomputation under this coarse rule gives,
 bit for bit: a row of ``f`` does not depend on the rows stacked with it
 (the contract of ``problems.IvpProblem``), so neither does a row's step,
-and a step verified in a stack has the bits ``advance`` gives it.
+and a step verified in a stack has the bits ``warm_step`` gives it.
+``advance`` takes the initial sweep's cold coarse steps, and every coarse
+step of a kind without warm steps.
 
 Runs that differ in their fine propagator only, as in a comparison of fine
 propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
@@ -96,9 +99,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MaxIterationsError, SolverError, SweepError, check_integer, raise_row_failures
-from .collocation import count_nonzero
+from .collocation import _rows, count_nonzero
 from .problems import IvpProblem
-from .propagators import PropagatorSpec, advance, predictor, settles, stage_inverses, warm_step
+from .propagators import PropagatorSpec, _takes_warm_steps, advance, predictor, settles, stage_inverses, warm_step
 
 
 @dataclass(frozen=True)
@@ -160,11 +163,13 @@ class PararealState:
     ``u[n]`` can start from the cached step ``u[n]`` -> ``g_prev[n]``.
     ``stage_inv[n]`` is the coarse stage matrix's inverse at the pass-0
     ``g_prev[n]``, which every later coarse step on subinterval ``n`` takes
-    its linearized predictor and its chord updates with: built once per
-    run, read-only and shared by the states of one ``initialize`` call,
-    which a batch must be (None for a coarse kind without a guess and for
-    a nonlinear problem from random starts; NaN where the matrix was
-    singular).  ``f_prev[n]``
+    its linearized ``propagators.predictor`` and its chord updates in
+    ``propagators.warm_step`` with: built once per run, read-only and
+    shared by the states of one ``initialize`` call, which a batch must be.
+    It is None for a coarse kind without warm steps, which steps cold, and
+    for a nonlinear problem from random starts, whose warm steps take
+    ``warm_step`` without an inverse; a row is NaN where the matrix was
+    singular, and its steps take ``warm_step`` without one.  ``f_prev[n]``
     caches the fine result from ``u_prev[n]``, the table the last pass
     started from (both None before the first pass).  A pass reuses
     ``g_prev[n]`` for a corrected start value bitwise equal to ``u[n]``, and
@@ -204,19 +209,11 @@ def _batch(cfg: PararealConfig | Sequence[PararealConfig]) -> list[PararealConfi
 
 
 def _make_stepper(spec: PropagatorSpec, problem: IvpProblem, dT: float):
-    """Bind a propagator spec and problem into a ``(t, u) -> u_next`` callable.
+    """Bind a propagator spec and problem into a ``(t, u) -> u_next``
+    callable, a cold ``advance`` of one start time and state or a stack."""
 
-    ``t`` and ``u`` are one start time and state, or a stack of them;
-    ``guess``, ``guess_from`` and ``inverse`` are an earlier step's result
-    and start and the inverse stage matrix of a warm step (see
-    ``propagators.advance``).
-    """
-
-    def step(t, u, guess=None, guess_from=None, inverse=None):
-        return advance(
-            spec, problem.f, t, u, dT, problem.jacobian, problem.linear,
-            guess=guess, guess_from=guess_from, inverse=inverse,
-        )
+    def step(t, u):
+        return advance(spec, problem.f, t, u, dT, problem.jacobian, problem.linear)
 
     return step
 
@@ -245,7 +242,7 @@ def initialize(
     ``advance`` call.  Either way the coarse result from every ``u[n]`` is
     cached in ``g_prev`` for the first correction.  Every step starts cold
     (there is no cached result to warm-start from).  Then, for a coarse kind
-    that takes a guess, one stacked ``stage_inverses`` call builds
+    that takes warm steps, one stacked ``stage_inverses`` call builds
     ``stage_inv``, the inverse stage matrix at every ``g_prev[n]``; not for
     the random policy on a nonlinear problem (``problem.linear`` None).
 
@@ -318,6 +315,38 @@ def _fine_results(state: PararealState, fine, times: np.ndarray) -> np.ndarray:
     return results
 
 
+def _warm_steps(spec, f, t, u, dT, guess, guess_from, inverse, jac):
+    """Warm ``beuler:1`` or ``tr:1`` steps of ``u``, one state or a stack
+    ``(R, dim)``, from the cached steps ``guess_from`` -> ``guess``, with
+    the inverse stage matrix ``inverse`` (or None) they share; ``t`` is a
+    float or a column ``(R, 1)``.
+
+    A stack with a finite inverse steps each row alone, as a single state.
+    A single state with an inverse starts at its ``predictor`` and, where
+    that is finite, steps from it through ``warm_step`` with the inverse.
+    Every other step, and a stack whose inverse is not finite, goes through
+    ``warm_step`` without an inverse, from the start ``predictor`` makes
+    without one.  Returns the end states and the failures, a dict row ->
+    error (row 0 for a single state).
+    """
+    if inverse is not None and u.ndim == 2:
+        if count_nonzero(np.isfinite(inverse)) < inverse.size:
+            inverse = None  # no row has a finite predictor
+        else:
+            y, failures = np.empty_like(u), {}
+            for i in range(len(u)):
+                y[i], lost = _warm_steps(spec, f, _rows(t, i), u[i], dT, guess[i], guess_from[i], inverse, jac)
+                if lost:
+                    failures[i] = lost[0]
+            return y, failures
+    if inverse is not None:
+        x, rhs, _ = predictor(spec, f, t, u, dT, guess, guess_from, inverse)
+        if count_nonzero(np.isfinite(x)) == x.size:
+            return warm_step(spec, f, t, x, rhs, dT, inverse, jac)
+    x, rhs, _ = predictor(spec, f, t, u, dT, guess, guess_from, None)
+    return warm_step(spec, f, t, x, rhs, dT, None, jac)
+
+
 def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> None:
     """The sequential coarse correction of one pass over a batch's tables, in place.
 
@@ -331,11 +360,13 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
     ``settles`` call: the rows before the first miss are final, and the
     missed row steps on from its predictors through ``warm_step``, as does
     every row until a step lands on its predictor (see the module
-    docstring); a row without finite predictors steps through ``advance``.
+    docstring); a row without finite predictors steps through
+    ``_warm_steps``, and a kind without warm steps through ``advance``.
     ``passes[r]`` is run ``r``'s pass, which a failed step's error names.
     """
     N, runs, dim = F.shape
     f, jac, linear = problem.f, problem.jacobian, problem.linear
+    warm = _takes_warm_steps(spec)
     times_col = np.arange(N)[:, None] * dT
     times = times_col.ravel().tolist()
     U_bits, U_old_bits = U.view(np.uint64), U_old.view(np.uint64)
@@ -354,10 +385,10 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
 
     def predict(n, live):
         """Row ``n``'s predictors and stage right-hand sides, or None where
-        ``f`` raised: that row steps through ``advance``."""
+        ``f`` raised: that row steps through ``_warm_steps``."""
         try:
             return predictor(spec, f, times[n], U[n, live], dT, G_old[n, live], U_old[n, live], stage_inv[n])[:2]
-        except Exception:  # U[n] may lie past a miss; advance raises it again where it is real
+        except Exception:  # U[n] may lie past a miss; _warm_steps raises it again where it is real
             return None
 
     def first_miss(rows, x, rhs):
@@ -370,7 +401,7 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
         t = times_col[rows] if counts is None else np.repeat(times_col[rows], counts, axis=0)
         try:
             ok = settles(spec, f, t, x, np.concatenate(rhs), dT)
-        except Exception:  # which row raised is unknown: advance raises it again where it is real
+        except Exception:  # which row raised is unknown: the row-by-row step raises it again where it is real
             return 0
         if count_nonzero(ok) == len(ok):
             return None
@@ -380,7 +411,7 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
         """Step up to ``chunk`` rows with live runs from row ``n`` on to their
         predictors, then verify them.  Returns the next row, its live runs and
         the next chunk: doubled after a full chunk that met the stop, 0 (one
-        row at a time through ``advance``) at the first row that did not, or
+        row at a time) at the first row that did not, or
         where ``f`` raised."""
         rows, lives, x, rhs = [], [], [], []  # the pending rows, their live runs, predictors and stage rhs
         with np.errstate(all="ignore"):  # no value past a miss is kept
@@ -406,20 +437,22 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
     def step(n, live, start):
         """Row ``n``'s coarse steps, warm from the cached step: from the
         predictors and stage right-hand sides ``start`` where every one is
-        finite, through ``advance`` otherwise."""
+        finite, through ``_warm_steps`` otherwise; a cold ``advance`` for a
+        kind without warm steps."""
         ids = np.arange(runs)[live]
         try:
+            if not warm:
+                t = times[n] if ids.ndim == 0 else np.full(len(ids), times[n])
+                G[n, live] = advance(spec, f, t, U[n, live], dT, jac, linear)
+                return
             if start is not None and count_nonzero(np.isfinite(start[0])) == start[0].size:
                 x, failures = warm_step(spec, f, times[n], *start, dT, stage_inv[n], jac)
-                raise_row_failures(failures, ids.ndim > 0)
-                G[n, live] = x
             else:
                 inverse = None if stage_inv is None else stage_inv[n]
-                t = times[n] if ids.ndim == 0 else np.full(len(ids), times[n])
-                G[n, live] = advance(
-                    spec, f, t, U[n, live], dT, jac, linear, guess=G_old[n, live], guess_from=U_old[n, live],
-                    inverse=inverse,
-                )
+                u, guess, guess_from = U[n, live], G_old[n, live], U_old[n, live]
+                x, failures = _warm_steps(spec, f, times[n], u, dT, guess, guess_from, inverse, jac)
+            raise_row_failures(failures, ids.ndim > 0)
+            G[n, live] = x
         except SolverError as exc:
             error, r = _coarse_failure(exc, np.atleast_1d(ids))
             error.name_coarse_step(n, passes[r], int(r))
@@ -477,8 +510,8 @@ def iterate(
     at its predictor, verified a chunk at a time in one stacked ``f`` call;
     a step whose predictor misses the Newton stop, and every step after it
     until one lands on its predictor again, steps on from that predictor
-    through ``propagators.warm_step``, each run's state alone, and goes to
-    ``advance`` only where the predictor is not finite.  The runs' tables
+    through ``propagators.warm_step``, each run's state alone, and without
+    an inverse where the predictor is not finite.  The runs' tables
     are arrays indexed by subinterval and run, so each subinterval's
     bookkeeping is a few array operations for the whole batch.  A failed
     coarse step (its Newton fallback's error) raises its own error, naming

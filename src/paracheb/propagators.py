@@ -273,7 +273,7 @@ def _identity(n: int) -> np.ndarray:
 # whose stage solves failed (a dict row -> error).  A failed row comes out as
 # NaN and stays in the stack; a NaN row leaves each later stage solve at its
 # first test, and its first error is the one kept.  ``beuler`` and ``tr`` are
-# one stepper, ``_stage_step``, which also takes the step from a cached one.
+# one stepper, ``_stage_step``; their warm steps are ``predictor`` and ``warm_step``.
 
 
 def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
@@ -372,30 +372,41 @@ def _stage_rhs(kind, f, t, u, beta_h):
 
 
 def predictor(spec: PropagatorSpec, f: RhsFunction, t, u, dT: float, guess, guess_from, inverse):
-    """The linearized predictor of a warm ``beuler:1`` or ``tr:1`` step of length ``dT`` from ``u`` at ``t``.
+    """The start of a warm ``beuler:1`` or ``tr:1`` step of length ``dT`` from ``u`` at ``t``.
 
-    ``guess`` is the step's result from ``guess_from`` (``u`` itself when
-    None) and ``inverse`` the inverse stage matrix ``S = (I - beta_h *
-    J)^-1`` near it, ``beta_h`` ``_BETA[kind] * dT``.  The predictor is
-    ``guess + S (rhs - rhs_from)``, ``rhs`` the right-hand side of the stage
-    equations ``x = rhs + beta_h * f(t + dT, x)`` from ``u`` (``_stage_rhs``:
-    ``u`` for ``beuler``, ``u + beta_h * f(t, u)`` for ``tr``) and
-    ``rhs_from`` the same from ``guess_from``: ``S`` is the derivative of
-    the end state with respect to ``rhs``, the term that parareal's coarse
-    correction stands in for (Gander & Vandewalle, SIAM J. Sci. Comput.
-    29(2), 2007), so the predictor's residual is the cached step's plus
-    O(|rhs - rhs_from|**2).  ``u``, ``guess`` and ``guess_from`` are one
-    state or a stack, and a row's predictor does not depend on the rows
-    stacked with it.  It is a new array, not finite where ``S``, ``guess``
-    or ``guess_from`` holds a NaN or an infinity.
+    ``guess`` is the step's result from ``guess_from``, the cached step.
+    With ``inverse``, the inverse stage matrix ``S = (I - beta_h * J)^-1``
+    near it, ``beta_h`` ``_BETA[kind] * dT``, the start is the linearized
+    predictor ``guess + S (rhs - rhs_from)``, ``rhs`` the right-hand side
+    of the stage equations ``x = rhs + beta_h * f(t + dT, x)`` from ``u``
+    (``_stage_rhs``: ``u`` for ``beuler``, ``u + beta_h * f(t, u)`` for
+    ``tr``) and ``rhs_from`` the same from ``guess_from``: ``S`` is the
+    derivative of the end state with respect to ``rhs``, the term that
+    parareal's coarse correction stands in for (Gander & Vandewalle, SIAM
+    J. Sci. Comput. 29(2), 2007), so the predictor's residual is the cached
+    step's plus O(|rhs - rhs_from|**2).  It is not finite where ``S``,
+    ``guess`` or ``guess_from`` holds a NaN or an infinity.
 
-    Returns the predictor, ``rhs`` and the slope ``f(t, u)`` that ``rhs``
-    took (None for ``beuler``).
+    With ``inverse`` None the start is ``guess + (u - guess_from)``, the
+    cached result plus the change in its start, and the explicit Euler
+    predictor ``u + dT * f(t, u)`` in a row where that is not finite; no
+    ``f`` call is made at ``guess_from``.  ``warm_step`` without an inverse
+    takes Newton's iteration from it.
+
+    ``u``, ``guess`` and ``guess_from`` are one state or a stack, and a
+    row's start does not depend on the rows stacked with it.  Returns the
+    start, a new array, ``rhs`` and the slope ``f(t, u)`` that ``rhs`` took
+    (None for ``beuler``).
     """
     beta_h = _BETA[spec.kind] * dT
     rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
-    change = np.zeros_like(u) if guess_from is None else rhs - _stage_rhs(spec.kind, f, t, guess_from, beta_h)[0]
-    return guess + np.matvec(inverse, change), rhs, slope
+    if inverse is not None:
+        return guess + np.matvec(inverse, rhs - _stage_rhs(spec.kind, f, t, guess_from, beta_h)[0]), rhs, slope
+    x = guess + (u - guess_from)
+    finite = np.isfinite(x)
+    if count_nonzero(finite) < finite.size:
+        x = np.where(finite.all(axis=-1)[..., None], x, _euler(f, t, u, dT, slope))
+    return x, rhs, slope
 
 
 def settles(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float) -> np.ndarray:
@@ -413,98 +424,59 @@ def settles(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float) -> np.nd
 
 
 def warm_step(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float, inverse, jac: RhsFunction | None = None):
-    """Warm ``beuler:1`` or ``tr:1`` steps of length ``dT`` from ``t``, each started at its finite ``predictor``.
+    """Warm ``beuler:1`` or ``tr:1`` steps of length ``dT`` from ``t``, each from the start ``predictor`` gave.
 
-    ``x`` and ``rhs`` are the predictors and the stage equations'
-    right-hand sides that ``predictor`` gave, one state each or a stack of
-    rows that share ``t`` and ``inverse``, the inverse stage matrix the
-    predictors took; none is checked.  Each row steps alone: its start is
-    tested before any update and settles where it meets the stop;
-    otherwise the chord iteration (``_chord_state``) runs from it, and
-    Newton's iteration (``jac``, or forward differences of ``f`` when it is
-    None) from where that falls back.  ``advance`` takes every warm
-    single-state step with a finite predictor through here, and
-    ``parareal``'s correction the steps whose predictors it already made.
+    ``x`` and ``rhs`` are the starts and the stage equations' right-hand
+    sides that ``predictor`` gave with ``inverse``, one state each or a
+    stack of rows, and ``t`` a float or a column ``(N, 1)`` of start
+    times; none is checked.  With an inverse stage matrix each row steps
+    alone from its finite predictor: its start is tested before any update
+    and settles where it meets the stop; otherwise the chord iteration
+    (``_chord_state``) runs from it, and Newton's iteration from where that
+    falls back.  With ``inverse`` None the rows take one Newton solve from
+    their starts, which makes at least one update.  Newton's iteration
+    uses ``jac``, or forward differences of ``f`` when it is None.
+    ``parareal``'s correction takes every warm step through here.
 
     Returns the end states and the failures, a dict row -> the Newton
-    fallback's typed error (row 0 for a single state), whose rows hold NaN.
+    iteration's typed error (row 0 for a single state), whose rows hold NaN.
     """
-    if x.ndim == 2:
+    if inverse is not None and x.ndim == 2:
         y, failures = np.empty_like(x), {}
         for i in range(len(x)):
-            y[i], lost = warm_step(spec, f, t, x[i], rhs[i], dT, inverse, jac)
+            y[i], lost = warm_step(spec, f, _rows(t, i), x[i], rhs[i], dT, inverse, jac)
             if lost:
                 failures[i] = lost[0]
         return y, failures
     beta_h = _BETA[spec.kind] * dT
     t_stage = t + dT
-    x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
-    if settled:
-        return x, {}
+    if inverse is not None:
+        x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
+        if settled:
+            return x, {}
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
+    if x.ndim == 2:
+        return _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x)
     x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
     return x[0], failures
 
 
-def _stage_step(f, jac, spec, t, u, h, guess=None, guess_from=None, inverse=None):
-    """One ``beuler`` or ``tr`` step of length ``h`` from ``u`` at ``t``: the end states and the failed rows.
+def _euler(f, t, u, h, slope):
+    """The explicit Euler predictor ``u + h * f(t, u)``, with the slope ``f(t, u)`` when it was taken (not None)."""
+    return u + h * (f(t, u) if slope is None else slope)
+
+
+def _stage_step(f, jac, spec, t, u, h):
+    """One ``beuler`` or ``tr`` substep of length ``h`` from the stack ``u`` at ``t``: the end states, the failed rows.
 
     The stage equations ``x = rhs + beta_h * f(t + h, x)``, with ``beta_h``
-    ``_BETA[kind] * h`` and ``rhs`` from ``_stage_rhs``, are solved from
-    each row's start.  ``guess`` is the result of this step from
-    ``guess_from`` (``u`` itself when None), and ``inverse`` the inverse
-    stage matrix ``S = (I - beta_h * J)^-1`` near that result.
-
-    With ``S``, a single state, of shape ``(n,)``, starts at its
-    ``predictor`` and, where that is finite, takes ``warm_step``: the
-    predictor is tested before any update, and a state that meets the stop
-    settles there, with one ``f`` call for ``beuler`` and two more for
-    ``tr``'s slopes; others take chord updates, and Newton from where those
-    fall back.  A stack in which some row has a finite ``S``, ``guess`` and
-    ``guess_from`` steps each row as a single state, so each row has the
-    bits of its single-state step and the stack makes no stacked call.
-
-    A row whose predictor is not finite (there is no ``S``, or ``S``,
-    ``guess`` or ``guess_from`` holds a NaN or an infinity) takes Newton's
-    iteration, which makes at least one update, from ``guess + (u -
-    guess_from)``, the cached result plus the change in its start, where
-    that is finite, and from the explicit Euler predictor ``u + h * f(t,
-    u)`` otherwise, as every row does without a guess.  The predictor is a
-    new array, so a row that settles there never returns ``guess`` itself.
+    ``_BETA[kind] * h`` and ``rhs`` from ``_stage_rhs``, are solved by
+    Newton's iteration from the explicit Euler predictor.
     """
     beta_h = _BETA[spec.kind] * h
-    rhs = None
-    if guess is not None and inverse is not None:
-        if u.ndim == 1:
-            x, rhs, slope = predictor(spec, f, t, u, h, guess, guess_from, inverse)
-            if count_nonzero(np.isfinite(x)) == x.size:
-                return warm_step(spec, f, t, x, rhs, h, inverse, jac)
-        else:
-            finite = np.isfinite(guess) if guess_from is None else np.isfinite(guess) & np.isfinite(guess_from)
-            if count_nonzero(np.isfinite(inverse)) == inverse.size and finite.all(axis=-1).any():
-                y, failures = np.empty_like(u), {}
-                for i in range(len(u)):
-                    y[i], lost = _stage_step(
-                        f, jac, spec, _rows(t, i), u[i], h, guess[i], None if guess_from is None else guess_from[i],
-                        inverse,
-                    )
-                    if lost:
-                        failures[i] = lost[0]
-                return y, failures
-    if rhs is None:
-        rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
-    if guess is None:
-        x = u + h * (f(t, u) if slope is None else slope)
-    else:
-        x = guess if guess_from is None else guess + (u - guess_from)
-        finite = np.isfinite(x)
-        if count_nonzero(finite) < finite.size:
-            x = np.where(finite.all(axis=-1)[..., None], x, u + h * (f(t, u) if slope is None else slope))
-    if u.ndim == 1:
-        x, failures = _newton_stage(f, jac, spec, t + h, beta_h, rhs[None], x[None])
-        return x[0], failures
-    return _newton_stage(f, jac, spec, t + h, beta_h, rhs, x)
+    rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
+    return _newton_stage(f, jac, spec, t + h, beta_h, rhs, _euler(f, t, u, h, slope))
 
 
 def _step_gauss4(f, jac, spec, t, u, h):
@@ -549,9 +521,6 @@ def advance(
     dT: float,
     jac: RhsFunction | None = None,
     linear: LinearRhs | None = None,
-    guess=None,
-    guess_from=None,
-    inverse=None,
 ) -> np.ndarray:
     """Advance a stack of states, row ``i`` from ``t_n[i]`` to ``t_n[i] + dT``.
 
@@ -574,57 +543,11 @@ def advance(
     built); the collocation kind then uses the direct solve, which is
     defined even where the fixed-point sweep diverges.
 
-    ``guess``, of ``u_n``'s shape (``ValueError`` otherwise), is each
-    row's result of an earlier step of this spec and ``dT``, at the same
-    time, from ``guess_from`` (of the same shape; ``u_n`` itself when it is
-    None): the cached step of ``parareal``.  ``beuler`` and ``tr`` at count
-    1 solve their one stage for the end state, and start each row's
-    iteration from the cached step instead of at the explicit Euler
-    predictor.  Every other kind or count ignores ``guess``,
-    ``guess_from`` and ``inverse``.
-
-    ``inverse``, used only with a guess, is the inverse stage matrix ``S =
-    (I - beta * dT * J)^-1`` near ``guess`` from ``stage_inverses``
-    (``beta`` 1 for ``beuler``, 1/2 for ``tr``): one ``(dim, dim)`` matrix
-    for every row (``ValueError`` for another shape).  Each row then
-    starts at the linearized predictor ``guess + S (b - b_from)``, where
-    ``b`` is the right-hand side of the stage equation, ``u`` for
-    ``beuler`` and ``u + (dT / 2) f(t_n, u)`` for ``tr``, from ``u_n`` and
-    ``b_from`` from ``guess_from``.  Its residual is the cached step's plus
-    a second-order term, so it is tested against the Newton stop ``tol *
-    (1 + |x|)`` before any update, and a row that meets the stop settles
-    there with one ``f`` call (``beuler``).  Other rows take chord updates,
-    one matrix-vector product and one ``f`` call each and no Jacobian.
-    The result lies within the Newton stop of the root, as a Newton
-    solve's does, but not on the same bits.  A row whose update does not
-    reduce its residual (a residual that turns non-finite is not reduced),
-    whose update short of the stop cuts its residual by less than a
-    factor of 10, or that uses up ``max_iter``, falls back: that row alone
-    restarts on the Newton iteration from its last iterate that reduced
-    its residual (its predictor if none did), which raises any typed
-    error.
-
-    A row whose predictor is not finite (no ``inverse``, or a NaN or an
-    infinity in ``inverse``, ``guess`` or ``guess_from``) takes the Newton
-    iteration, which makes at least one update, from ``guess + (u_n -
-    guess_from)``, the cached result plus the change in its start value,
-    or, where that holds a NaN or an infinity, from the explicit Euler
-    predictor, as without a guess.
-
-    After the argument checks, ``beuler`` and ``tr`` take every step, cold
-    or from a cached step, through one stepper, ``_stage_step``, which
-    holds the stage equations, their right-hand side (``_stage_rhs``) and
-    the start (``predictor``).  With an inverse, a single state whose
-    predictor is finite takes ``warm_step``: the chord loop on 1-D arrays
-    with scalar norms (``_chord_state``), restarted on Newton where that
-    falls back.  A stack in which some row has a finite ``inverse``,
-    ``guess`` and ``guess_from`` steps each row as a single state, with no
-    stacked predictor; one in which none has takes one stacked Newton
-    solve.  A Newton stage solve is ``_newton_stage`` (the stage residual
-    and Jacobian), ``_newton`` and ``settle_rows``, on a stack: a single
-    state is its one-row stack.  ``parareal``'s correction replays a
-    warm step from the predictor it made through ``warm_step`` itself,
-    without these checks.
+    Every step is cold: ``beuler`` and ``tr`` start each substep's Newton
+    stage solve at the explicit Euler predictor (``_stage_step``), and a
+    Newton stage solve is ``_newton_stage`` (the stage residual and
+    Jacobian), ``_newton`` and ``settle_rows``.  A warm ``beuler:1`` or
+    ``tr:1`` step from a cached one is ``predictor`` and ``warm_step``.
 
     Every row stops its inner iterations on its own (``settle_rows``).  A
     failing row carries on through the remaining substeps as NaN while the
@@ -647,18 +570,6 @@ def advance(
             expected = f"a scalar or shape {u.shape[:-1]}" if u.ndim == 2 else "a scalar"
             raise ValueError(f"t_n has shape {t.shape}, expected {expected}")
         t = t[:, None] if t.ndim else float(t)
-    if guess is not None:
-        guess = np.asarray(guess, dtype=float)
-        if guess.shape != u.shape:
-            raise ValueError(f"guess has shape {guess.shape}, expected {u.shape}")
-        if guess_from is not None:
-            guess_from = np.asarray(guess_from, dtype=float)
-            if guess_from.shape != u.shape:
-                raise ValueError(f"guess_from has shape {guess_from.shape}, expected {u.shape}")
-        if inverse is not None:
-            inverse = np.asarray(inverse, dtype=float)
-            if inverse.shape != u.shape[-1:] * 2:
-                raise ValueError(f"inverse has shape {inverse.shape}, expected {u.shape[-1:] * 2}")
 
     step = _STEPPERS.get(spec.kind)
     if step is None:  # the collocation kind
@@ -670,16 +581,6 @@ def advance(
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
     stacked = u.ndim == 2
-    if guess is not None and spec.count == 1 and spec.kind in _BETA:
-        if stacked or inverse is not None:
-            x, failures = _stage_step(f, jac, spec, t, u, dT, guess, guess_from, inverse)
-        else:  # a single state without an inverse: its one-row stack
-            start = None if guess_from is None else guess_from[None]
-            x, failures = _stage_step(f, jac, spec, t, u[None], dT, guess[None], start, inverse)
-            x = x[0]
-        if failures:
-            raise_row_failures(failures, stacked)
-        return x
     h = dT / spec.count
     U = u if stacked else u.reshape(1, -1)
     failures: dict[int, Exception] = {}
@@ -691,18 +592,27 @@ def advance(
     return U if stacked else U[0]
 
 
+def _takes_warm_steps(spec: PropagatorSpec) -> bool:
+    """Whether ``spec`` steps warm from a cached step: ``beuler`` and ``tr`` at count 1.
+
+    Each solves one stage for its end state, so a cached step's result is a start for it.
+    """
+    return spec.count == 1 and spec.kind in _BETA
+
+
 def stage_inverses(spec: PropagatorSpec, f: RhsFunction, t_n, x, dT: float, jac: RhsFunction | None = None):
     """The inverse stage matrices ``(I - beta * dT * J(t_n + dT, x))^-1`` of a stack of end states ``x``.
 
-    Row ``n`` is the ``inverse`` of ``advance`` for the steps from ``t_n[n]``
-    of the kinds that take a ``guess`` (``beuler`` and ``tr`` at count 1,
-    ``beta`` 1 and 1/2), with ``t_n`` the start times ``(N,)`` and ``x``
-    ``(N, dim)``, in one ``jac`` call (forward differences of ``f`` when
-    it is None) and one stacked inversion; None for every other kind or
-    count.  A singular or non-finite row comes out NaN, and its steps take
-    Newton's iteration.  The array is read-only.
+    Row ``n`` is the ``inverse`` of ``predictor`` and ``warm_step`` for the
+    warm steps from ``t_n[n]`` of the kinds that take them (``beuler`` and
+    ``tr`` at count 1, ``beta`` 1 and 1/2), with ``t_n`` the start times
+    ``(N,)`` and ``x`` ``(N, dim)``, in one ``jac`` call (forward
+    differences of ``f`` when it is None) and one stacked inversion; None
+    for every other kind or count.  A singular or non-finite row comes out
+    NaN: its predictors are not finite, and its steps take Newton's
+    iteration.  The array is read-only.
     """
-    if spec.count != 1 or spec.kind not in _BETA:
+    if not _takes_warm_steps(spec):
         return None
     x = np.asarray(x, dtype=float)
     beta_h = _BETA[spec.kind] * dT

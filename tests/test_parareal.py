@@ -28,6 +28,7 @@ from paracheb import advance, parareal
 from paracheb.analysis import contraction
 from paracheb.parareal import _make_stepper
 from paracheb.propagators import stage_inverses
+from warm_start import warm_advance
 
 BE = PropagatorSpec.backward_euler(1)
 
@@ -68,7 +69,6 @@ def reference_run(cfg, problem):
     state = initialize(cfg, problem)
     dT = problem.T / cfg.N
     fine = _make_stepper(cfg.fine, problem, dT)
-    coarse = _make_stepper(cfg.coarse, problem, dT)
     times = np.arange(cfg.N) * dT
     u, g_prev, history = state.u, state.g_prev, []
     inverse = stage_inverses(cfg.coarse, problem.f, times, g_prev, dT, jac=problem.jacobian)
@@ -78,7 +78,8 @@ def reference_run(cfg, problem):
         g_new = g_prev.copy()
         for n in range(cfg.N):
             if u_new[n].tobytes() != u[n].tobytes():
-                g_new[n] = coarse(times[n], u_new[n], g_prev[n], u[n], inverse[n])
+                g_new[n] = warm_advance(cfg.coarse, problem.f, times[n], u_new[n], dT, g_prev[n], u[n], inverse[n],
+                                        problem.jacobian)
             u_new[n + 1] = fine_results[n] + (g_new[n] - g_prev[n])
         iter_error = float(np.max(np.abs(u_new - u)))
         component_error = None
@@ -308,7 +309,8 @@ class TestIterate:
                 for n in range(cfg.N):
                     warm = g_old[n]
                     if state.u[n].tobytes() != u_old[n].tobytes():
-                        warm = coarse(n * dT, state.u[n], g_old[n], u_old[n], inverse[n])
+                        warm = warm_advance(BE, prob.f, n * dT, state.u[n], dT, g_old[n], u_old[n], inverse[n],
+                                            prob.jacobian)
                     np.testing.assert_array_equal(state.g_prev[n], warm)
                     cold = coarse(n * dT, state.u[n])
                     stop = BE.tol * (1.0 + np.abs(cold).max())
@@ -568,10 +570,9 @@ class TestRun:
         # Each coarse step of a pass starts from the cached result plus the
         # change in its start value: fewer Newton updates (one Jacobian
         # each) than from the explicit predictor, in as many passes.  The
-        # cold passes drop the guess of every coarse step that goes through
-        # advance, and take each replayed one, which warm_step would start
-        # at its predictor, cold from its start value (backward Euler's
-        # stage right-hand side).
+        # cold passes take every warm step, which warm_step would start at
+        # its predictor, cold from its start value (backward Euler's stage
+        # right-hand side).
         jacobians = []
         burgers = BurgersProblem(0.05, 8, T=0.5).to_ivp()
 
@@ -585,8 +586,6 @@ class TestRun:
         _, history = run(cfg, prob)
         warm = len(jacobians)
         assert warm_steps
-        advance = parareal.advance
-        monkeypatch.setattr(parareal, "advance", lambda *args, guess=None, **kw: advance(*args, **kw))
 
         def cold(spec, f, t, x, rhs, dT, inverse, jac):
             return advance(spec, f, t, rhs, dT, jac), {}
@@ -683,7 +682,7 @@ class TestRun:
             if state.u[2].tobytes() != u_old[2].tobytes():
                 steps += 1
                 start = g_old[2] + (state.u[2] - u_old[2])
-                newton = advance(BE, prob.f, 2 * dT, state.u[2], dT, jac=prob.jacobian, guess=start)
+                newton = warm_advance(BE, prob.f, 2 * dT, state.u[2], dT, start, jac=prob.jacobian)
                 np.testing.assert_array_equal(state.g_prev[2], newton)
                 assert jacobians and jacobians[0] == start.tolist()
             else:
@@ -693,9 +692,10 @@ class TestRun:
     def test_warm_kepler_coarse_steps_make_one_f_call(self, monkeypatch):
         # The kepler-compare batch: every warm coarse step, of one run or of
         # several, settles at its linearized predictor, so none steps
-        # through advance, the predictors call nothing, and each chunk of
+        # through warm_step, the predictors call nothing, and each chunk of
         # predicted steps costs one stacked f call, the residuals there: no
-        # chord update, no Jacobian.
+        # chord update, no Jacobian.  advance takes the initial sweep's cold
+        # coarse steps only.
         kepler = KeplerProblem().to_ivp()
         calls = []
 
@@ -708,14 +708,14 @@ class TestRun:
             return kepler.jacobian(t, u)
 
         prob = dataclasses.replace(kepler, f=f, jacobian=jacobian)
-        warm, predicted, verified = [], [], []
+        warm, cold, predicted, verified = [], [], [], []
         advance_, predictor, settles = parareal.advance, parareal.predictor, parareal.settles
         warm_step = parareal.warm_step
 
-        def advancing(spec, *args, **kwargs):
-            if spec == BE and kwargs.get("guess") is not None:
-                warm.append(spec)
-            return advance_(spec, *args, **kwargs)
+        def advancing(spec, f, t, u, *args):
+            if spec == BE:
+                cold.append(len(u) if np.ndim(u) == 2 else 1)
+            return advance_(spec, f, t, u, *args)
 
         def replaying(spec, *args):
             warm.append(spec)
@@ -743,6 +743,7 @@ class TestRun:
         ]
         results = run(cfgs, prob)
         assert [len(h) for _, h in results] == [3] * 4
+        assert cold == [1] * cfgs[0].N
         assert warm == [] and len(predicted) > 100 and all(made == [] for _, made in predicted)
         assert verified == [(rows, True, [("f", rows)]) for rows, _, _ in verified]
         assert sum(rows for rows, _, _ in verified) == sum(rows for rows, _ in predicted)

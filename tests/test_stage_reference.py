@@ -9,19 +9,25 @@ error state built per call, ``ndarray.max`` reductions and a zeros mask
 for the first test).  Each case asserts the same bits, the same typed
 errors and messages, and the same ``f`` and ``jac`` calls.
 
-Given an inverse stage matrix with its guess, ``advance`` starts at the
-linearized predictor and takes chord updates instead of Newton updates;
-the reference's Newton step from the same guess is the yardstick the chord
-steps must land within the Newton stop of.  A stack steps each row alone.
-The reference for that is one chord loop that retires each row as it
-leaves, the rows that settle at their predictors first, then one stacked
-Newton solve of the rows without a finite predictor and of the rows that
-fell back.  Random stacks must give its bits and its errors.
+A warm ``beuler:1`` or ``tr:1`` step from a cached one goes through
+``predictor`` and ``warm_step`` (``warm_start.warm_advance``, the way
+``parareal``'s correction takes it).  Without an inverse stage matrix it
+is the reference's Newton step from the guess, bit for bit.  With one it
+starts at the linearized predictor and takes chord updates instead of
+Newton updates; the reference's Newton step from the same guess is the
+yardstick the chord steps must land within the Newton stop of.  A stack
+steps each row alone.  The reference for that is one chord loop that
+retires each row as it leaves, the rows that settle at their predictors
+first, then one stacked Newton solve of the rows without a finite
+predictor and of the rows that fell back.  Random stacks must give its
+bits and its errors.
 
 ``parareal``'s correction takes its rows at their predictors and verifies
 them in stacked chunks; ``ref_correction`` is the loop it replaced, one
-``advance`` call per subinterval.  Random runs, batches and failures must
-give its tables, errors and warnings.
+warm step per subinterval through ``ref_warm_advance``, a copy of the warm
+branch of ``advance`` as it stood before that moved to ``predictor`` and
+``warm_step``.  Random runs, batches and failures must give its tables,
+errors and warnings.
 """
 
 import copy
@@ -38,7 +44,9 @@ from paracheb import BurgersProblem, IvpProblem, KeplerProblem, PararealConfig, 
 from paracheb import initialize, iterate, parse_spec, spd_catalog
 from paracheb import parareal, propagators
 from paracheb.errors import NonConvergenceError, SingularSystemError, raise_row_failures
-from paracheb.propagators import _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, PropagatorKind, _fd_jacobian, stage_inverses
+from paracheb.propagators import _BETA, _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, PropagatorKind, _fd_jacobian, stage_inverses
+from paracheb.propagators import _chord_state, _newton_stage, _stage_rhs, _takes_warm_steps
+from warm_start import warm_advance
 
 
 def ref_rows(a, rows):
@@ -320,9 +328,14 @@ def outcome(run, f, jac):
 
 
 def assert_same_outcome(spec, f, t, U, dT, jac=None, guess=None):
-    """``advance`` and the reference chain give the same bits or the same
-    typed error, and make the same ``f`` and ``jac`` calls."""
-    got = outcome(lambda f, jac: advance(spec, f, t, U, dT, jac=jac, guess=guess), f, jac)
+    """``advance``, or with a ``guess`` and a kind that takes warm steps the
+    warm step from the cached step ``U`` -> ``guess``, and the reference
+    chain give the same bits or the same typed error, and make the same
+    ``f`` and ``jac`` calls."""
+    if guess is None or not _takes_warm_steps(spec):
+        got = outcome(lambda f, jac: advance(spec, f, t, U, dT, jac=jac), f, jac)
+    else:
+        got = outcome(lambda f, jac: warm_advance(spec, f, t, U, dT, guess, jac=jac), f, jac)
     ref = outcome(lambda f, jac: ref_advance(spec, f, t, U, dT, jac=jac, guess=guess), f, jac)
     (result, f_calls, jac_calls), (expected, ref_f_calls, ref_jac_calls) = got, ref
     assert (f_calls, jac_calls) == (ref_f_calls, ref_jac_calls)
@@ -376,6 +389,58 @@ def test_catalog_steps_match_reference(text, name):
 
 def cubic(t, u):
     return -(u**3)
+
+
+@pytest.mark.parametrize("hook", [True, False], ids=["jac", "differences"])
+@pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+def test_warm_step_without_an_inverse_is_the_reference_newton_step(text, hook):
+    # predictor without an inverse starts each row at guess + (u -
+    # guess_from), or at the explicit Euler predictor where that is not
+    # finite, and warm_step without one takes Newton's iteration from
+    # there.  For a single state and a stack, with the jac hook or forward
+    # differences: the reference chain's bits and Jacobian calls from that
+    # start as its guess, no f call at a guess_from other than u, and one
+    # update (one Jacobian call) from a start that already meets the stop,
+    # the cold result from u.
+    spec, dT = parse_spec(text), 0.5
+    U = np.array([[0.5, 1.0], [2.0, -1.0], [1.5, 0.25]])
+    cold = advance(spec, cubic, 0.0, U, dT)
+    before = U * (1.0 + 1e-3)
+    cached = advance(spec, cubic, 0.0, before, dT)
+    nan_from = before.copy()
+    nan_from[1, 0] = np.nan
+    seen = []
+
+    def f(t, u):
+        seen.extend(row.tobytes() for row in u.reshape(-1, 2))
+        return cubic(t, u)
+
+    def counting(calls):
+        def jac(t, u):
+            calls.append(u.shape)
+            return cubic_jacobian(t, u)
+
+        return jac
+
+    for guess, guess_from in ((cold, U), (cached, before), (cached, nan_from)):
+        start = guess + (U - guess_from)
+        for rows in (slice(None), 0, 1):
+            u, g, g_from = U[rows], guess[rows], guess_from[rows]
+            seen.clear()
+            calls, ref_calls = [], []
+            jac, ref_jac = (counting(calls), counting(ref_calls)) if hook else (None, None)
+            x, rhs, _ = propagators.predictor(spec, f, 0.0, u, dT, g, g_from, None)
+            got, failures = propagators.warm_step(spec, f, 0.0, x, rhs, dT, None, jac)
+            expected = ref_advance(spec, cubic, 0.0, u, dT, jac=ref_jac, guess=start[rows])
+            assert failures == {} and got.tobytes() == expected.tobytes()
+            assert [shape[-2:] for shape in calls] == [shape[-2:] for shape in ref_calls]
+            if guess_from is not U:  # else the slope at u is one at guess_from
+                assert not set(seen) & {row.tobytes() for row in g_from.reshape(-1, 2)}
+            if guess is cold and hook:
+                assert len(calls) == 1
+            euler = U[1] + dT * cubic(0.0, U[1])
+            if guess_from is nan_from and rows != 0:
+                assert x.reshape(-1, 2)[-1 if rows == 1 else 1].tobytes() == euler.tobytes()
 
 
 @pytest.mark.parametrize("height", [1, 3, 200])
@@ -483,14 +548,14 @@ def test_chord_steps_land_within_the_newton_stop(text, name):
             newton = ref_advance(spec, ivp.f, times, U, dT, jac=jac, guess=guess)
             stop = spec.tol * (1.0 + np.abs(newton).max(axis=-1))
             for t, u, g, inv, expected, s in zip(times, U, guess, inverse, newton, stop):
-                assert np.abs(advance(spec, ivp.f, t, u, dT, jac=jac, guess=g, inverse=inv) - expected).max() <= s
+                assert np.abs(warm_advance(spec, ivp.f, t, u, dT, g, inverse=inv, jac=jac) - expected).max() <= s
             for inv in inverse:
-                chord = advance(spec, ivp.f, times, U, dT, jac=jac, guess=guess, inverse=inv)
+                chord = warm_advance(spec, ivp.f, times, U, dT, guess, inverse=inv, jac=jac)
                 assert (np.abs(chord - newton).max(axis=-1) <= stop).all()
             before = U * (1.0 + move)
             cached = advance(spec, ivp.f, times, before, dT, jac=jac)
             for t, u, g, g_from, inv, expected, s in zip(times, U, cached, before, inverse, reference, stop):
-                got = advance(spec, ivp.f, t, u, dT, jac=jac, guess=g, guess_from=g_from, inverse=inv)
+                got = warm_advance(spec, ivp.f, t, u, dT, g, g_from, inv, jac)
                 assert np.abs(got - expected).max() <= s
 
 
@@ -558,7 +623,7 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
             jac = ivp.jacobian if rng.random() < 0.5 else None
 
             def step(f, j):
-                return advance(spec, f, times, U, dT, jac=j, guess=guess, guess_from=before, inverse=inverse)
+                return warm_advance(spec, f, times, U, dT, guess, before, inverse, j)
 
             got = outcome(step, ivp.f, jac)
             ref = outcome(lambda f, j: ref_chord_advance(spec, f, times, U, dT, j, guess, before, inverse), ivp.f, jac)
@@ -566,12 +631,79 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
     assert True in exits and False in exits
 
 
+def ref_warm_step(spec, f, t, x, rhs, dT, inverse, jac):
+    """``warm_step`` of one state as it stood before it took steps without an inverse."""
+    beta_h = _BETA[spec.kind] * dT
+    t_stage = t + dT
+    x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
+    if settled:
+        return x, {}
+    x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
+    return x[0], failures
+
+
+def ref_warm_stage_step(f, jac, spec, t, u, h, guess, guess_from, inverse):
+    """The warm branch of ``_stage_step`` as it stood before warm steps
+    moved to ``predictor`` and ``warm_step``: a single state with an inverse
+    from its finite linearized predictor, a stack with a finite inverse and
+    some finite row alone row by row, every other row by Newton's iteration
+    from ``guess + (u - guess_from)`` or the explicit Euler predictor."""
+    beta_h = _BETA[spec.kind] * h
+    rhs = None
+    if inverse is not None:
+        if u.ndim == 1:
+            rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
+            x = guess + np.matvec(inverse, rhs - _stage_rhs(spec.kind, f, t, guess_from, beta_h)[0])
+            if np.count_nonzero(np.isfinite(x)) == x.size:
+                return ref_warm_step(spec, f, t, x, rhs, h, inverse, jac)
+        else:
+            finite = np.isfinite(guess) & np.isfinite(guess_from)
+            if np.count_nonzero(np.isfinite(inverse)) == inverse.size and finite.all(axis=-1).any():
+                y, failures = np.empty_like(u), {}
+                for i in range(len(u)):
+                    y[i], lost = ref_warm_stage_step(
+                        f, jac, spec, ref_rows(t, i), u[i], h, guess[i], guess_from[i], inverse
+                    )
+                    if lost:
+                        failures[i] = lost[0]
+                return y, failures
+    if rhs is None:
+        rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
+    x = guess + (u - guess_from)
+    finite = np.isfinite(x)
+    if np.count_nonzero(finite) < finite.size:
+        x = np.where(finite.all(axis=-1)[..., None], x, u + h * (f(t, u) if slope is None else slope))
+    if u.ndim == 1:
+        x, failures = _newton_stage(f, jac, spec, t + h, beta_h, rhs[None], x[None])
+        return x[0], failures
+    return _newton_stage(f, jac, spec, t + h, beta_h, rhs, x)
+
+
+def ref_warm_advance(spec, f, t_n, u, dT, jac, guess, guess_from, inverse):
+    """``advance`` of a ``beuler:1`` or ``tr:1`` state or stack from the cached
+    step ``guess_from`` -> ``guess`` as it stood before warm steps moved to
+    ``predictor`` and ``warm_step``: a single state without an inverse as its
+    one-row stack."""
+    t = np.asarray(t_n, dtype=float)
+    t = t[:, None] if t.ndim else float(t)
+    if jac is None:
+        jac = functools.partial(_fd_jacobian, f)
+    stacked = u.ndim == 2
+    if stacked or inverse is not None:
+        x, failures = ref_warm_stage_step(f, jac, spec, t, u, dT, guess, guess_from, inverse)
+    else:
+        x, failures = ref_warm_stage_step(f, jac, spec, t, u[None], dT, guess[None], guess_from[None], inverse)
+        x = x[0]
+    raise_row_failures(failures, stacked)
+    return x
+
+
 def ref_correction(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes):
     """``parareal._correct`` as one loop over the subintervals: each row's
-    live runs step through one ``advance`` call, one state alone and several
-    as a stack, and a failed step names its subinterval, pass and run."""
+    live runs take one warm step (``ref_warm_advance``), one state alone and
+    several as a stack, and a failed step names its subinterval, pass and run."""
     N = len(F)
-    f, jac, linear = problem.f, problem.jacobian, problem.linear
+    f, jac = problem.f, problem.jacobian
     U_bits, U_old_bits = U.view(np.uint64), U_old.view(np.uint64)
     one_run = U.shape[1] == 1
     live = ()
@@ -580,13 +712,10 @@ def ref_correction(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes):
             inverse = None if stage_inv is None else stage_inv[n]
             if len(live) == 1:
                 r = live[0]
-                G[n, r] = advance(
-                    spec, f, t, U[n, r], dT, jac, linear, guess=G_old[n, r], guess_from=U_old[n, r], inverse=inverse
-                )
+                G[n, r] = ref_warm_advance(spec, f, t, U[n, r], dT, jac, G_old[n, r], U_old[n, r], inverse)
             elif len(live):
-                G[n, live] = advance(
-                    spec, f, np.full(len(live), t), U[n, live], dT, jac, linear, guess=G_old[n, live],
-                    guess_from=U_old[n, live], inverse=inverse,
+                G[n, live] = ref_warm_advance(
+                    spec, f, np.full(len(live), t), U[n, live], dT, jac, G_old[n, live], U_old[n, live], inverse
                 )
             U[n + 1] = F[n] + (G[n] - G_old[n])
             if U[n + 1].tobytes() == U_old[n + 1].tobytes():
