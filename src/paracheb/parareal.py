@@ -40,9 +40,10 @@ nothing, and a row whose chord iteration converges too slowly falls back to
 Newton alone.  A nonlinear run from random starts gets no inverses, and a
 subinterval whose pass-0 stage matrix was singular a NaN one; their steps
 take ``warm_step`` without an inverse, Newton's iteration with at least
-one update, from ``g_prev[n] + (u_new[n] - u[n])``: the coarse result of
-a drawn value says nothing about the Jacobian where the run goes (a
-linear problem's is the same everywhere).  So G is not a pure function of its start value: the result
+one update, from ``g_prev[n] + (u_new[n] - u[n])``
+(``propagators._newton_start``): the coarse result of a drawn value says
+nothing about the Jacobian where the run goes (a linear problem's is the
+same everywhere).  So G is not a pure function of its start value: the result
 also depends on the cached pair, and lies within the Newton stop, ``tol *
 (1 + |x|)``, of the cold step's.
 
@@ -53,17 +54,19 @@ each changed start value's step is taken at its ``propagators.predictor``
 start value corrected from it; then a chunk of such steps is tested in one
 stacked ``propagators.settles`` call, the test a warm step applies first.
 The steps before the first one that misses are final; the correction
-rewinds to that row and steps it on from the predictor it made, through
-``propagators.warm_step``, and so every later row until a step lands on its
-predictor, where verified chunks start again at one row and double while
-every predictor meets the stop.  A row whose predictor is not finite, or
-where ``f`` raised, makes it again, run by run (``_warm_steps``), and a run
-without a finite one steps through ``warm_step`` without an inverse.  A
-missed chunk wastes at most its own predictions.  Values past a miss are
-never kept, so the recurrence and its check run under
-``np.errstate(all="ignore")``, and an ``f`` that raises in the check is a
-miss at the chunk's first row: an error propagates only where the
-row-by-row step raises it.
+rewinds to that row and steps it, and every later row until a step lands
+on its predictor, where verified chunks start again at one row and double
+while every predictor meets the stop.  Outside verified chunks a row steps
+through ``_warm_steps`` alone, the step a row-by-row correction takes:
+each run's state makes its predictor again and, where that is finite,
+steps on from it through ``propagators.warm_step`` with the inverse; a run
+without a finite predictor, and a batch's stack without a finite inverse,
+steps through ``warm_step`` without one, from ``_newton_start`` with the
+stage right-hand side and slope its predictor took.  A missed chunk
+wastes at most its own predictions.  Values past a miss are never kept,
+so the recurrence and its check run under ``np.errstate(all="ignore")``,
+and an ``f`` that raises in the check is a miss at the chunk's first row:
+an error propagates only where the row-by-row step raises it.
 The table is the one a full recomputation under this coarse rule gives,
 bit for bit: a row of ``f`` does not depend on the rows stacked with it
 (the contract of ``problems.IvpProblem``), so neither does a row's step,
@@ -77,10 +80,10 @@ propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
 a single config is the one-run case of the same code.  The batch shares the
 initial coarse sweep, which never reads ``fine``, and each pass's
 correction: at every subinterval the start values of all runs that need a
-coarse step are predicted, checked and, where missed, stepped in one
-stack, with the one inverse stage matrix they share; ``iterate`` rejects a
-batch whose states do not share their ``stage_inv``, as the states of one
-``initialize`` call do.  So each run's table and history are its solo
+coarse step are predicted and checked in one stack and, where missed,
+stepped run by run, with the one inverse stage matrix they share (in one
+stack without one); ``iterate`` rejects a batch whose states do not share
+their ``stage_inv``, as the states of one ``initialize`` call do.  So each run's table and history are its solo
 run's, bit for bit.  The correction holds the batch's tables as arrays,
 time first (``(N+1, R, dim)`` for ``R`` runs), so each subinterval's
 corrected values, its "changed" test and its live runs' starts and guesses
@@ -101,7 +104,7 @@ import numpy as np
 from .errors import MaxIterationsError, SolverError, SweepError, check_integer, raise_row_failures
 from .collocation import _rows, count_nonzero
 from .problems import IvpProblem
-from .propagators import PropagatorSpec, _takes_warm_steps, advance, predictor, settles, stage_inverses, warm_step
+from .propagators import PropagatorSpec, _newton_start, _takes_warm_steps, advance, predictor, settles, stage_inverses, warm_step
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,9 @@ class PararealState:
     shared by the states of one ``initialize`` call, which a batch must be.
     It is None for a coarse kind without warm steps, which steps cold, and
     for a nonlinear problem from random starts, whose warm steps take
-    ``warm_step`` without an inverse; a row is NaN where the matrix was
-    singular, and its steps take ``warm_step`` without one.  ``f_prev[n]``
+    ``warm_step`` without an inverse, from ``propagators._newton_start``; a
+    row is NaN where the matrix was singular, and its steps take
+    ``warm_step`` without one, from the same start.  ``f_prev[n]``
     caches the fine result from ``u_prev[n]``, the table the last pass
     started from (both None before the first pass).  A pass reuses
     ``g_prev[n]`` for a corrected start value bitwise equal to ``u[n]``, and
@@ -325,26 +329,31 @@ def _warm_steps(spec, f, t, u, dT, guess, guess_from, inverse, jac):
     A single state with an inverse starts at its ``predictor`` and, where
     that is finite, steps from it through ``warm_step`` with the inverse.
     Every other step, and a stack whose inverse is not finite, goes through
-    ``warm_step`` without an inverse, from the start ``predictor`` makes
-    without one.  Returns the end states and the failures, a dict row ->
-    error (row 0 for a single state).
+    ``warm_step`` without an inverse, from ``propagators._newton_start``,
+    which reuses the stage right-hand side and slope a predictor took.
+    Returns the end states, the failures, a dict row -> error (row 0 for a
+    single state), and whether every step settled at its predictor, bit
+    for bit.
     """
     if inverse is not None and u.ndim == 2:
         if count_nonzero(np.isfinite(inverse)) < inverse.size:
             inverse = None  # no row has a finite predictor
         else:
-            y, failures = np.empty_like(u), {}
+            y, failures, settled = np.empty_like(u), {}, True
             for i in range(len(u)):
-                y[i], lost = _warm_steps(spec, f, _rows(t, i), u[i], dT, guess[i], guess_from[i], inverse, jac)
+                y[i], lost, at = _warm_steps(spec, f, _rows(t, i), u[i], dT, guess[i], guess_from[i], inverse, jac)
+                settled &= at
                 if lost:
                     failures[i] = lost[0]
-            return y, failures
+            return y, failures, settled
+    rhs = slope = None
     if inverse is not None:
-        x, rhs, _ = predictor(spec, f, t, u, dT, guess, guess_from, inverse)
+        x, rhs, slope = predictor(spec, f, t, u, dT, guess, guess_from, inverse)
         if count_nonzero(np.isfinite(x)) == x.size:
-            return warm_step(spec, f, t, x, rhs, dT, inverse, jac)
-    x, rhs, _ = predictor(spec, f, t, u, dT, guess, guess_from, None)
-    return warm_step(spec, f, t, x, rhs, dT, None, jac)
+            y, failures = warm_step(spec, f, t, x, rhs, dT, inverse, jac)
+            return y, failures, y.tobytes() == x.tobytes()
+    x, rhs = _newton_start(spec, f, t, u, dT, guess, guess_from, rhs, slope)
+    return *warm_step(spec, f, t, x, rhs, dT, None, jac), False
 
 
 def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> None:
@@ -357,11 +366,10 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
     from ``U_old[n]``, and then ``U[n + 1] = F[n] + (G[n] - G_old[n])``.
     With inverse stage matrices, rows are first stepped to their
     ``predictor``s, and a chunk of them is verified in one stacked
-    ``settles`` call: the rows before the first miss are final, and the
-    missed row steps on from its predictors through ``warm_step``, as does
-    every row until a step lands on its predictor (see the module
-    docstring); a row without finite predictors steps through
-    ``_warm_steps``, and a kind without warm steps through ``advance``.
+    ``settles`` call: the rows before the first miss are final.  The missed
+    row and every later one until a step lands on its predictor, and every
+    row without inverses, is one ``step``: a ``_warm_steps`` call (see the
+    module docstring), or ``advance`` for a kind without warm steps.
     ``passes[r]`` is run ``r``'s pass, which a failed step's error names.
     """
     N, runs, dim = F.shape
@@ -434,25 +442,22 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
         G[rows[miss]:n] = G_old[rows[miss]:n]
         return rows[miss], lives[miss], 0
 
-    def step(n, live, start):
-        """Row ``n``'s coarse steps, warm from the cached step: from the
-        predictors and stage right-hand sides ``start`` where every one is
-        finite, through ``_warm_steps`` otherwise; a cold ``advance`` for a
-        kind without warm steps."""
+    def step(n, live):
+        """Row ``n``'s coarse steps: warm from the cached step through
+        ``_warm_steps``, cold through ``advance`` for a kind without warm
+        steps.  Returns whether every step settled at its predictor."""
         ids = np.arange(runs)[live]
         try:
             if not warm:
                 t = times[n] if ids.ndim == 0 else np.full(len(ids), times[n])
                 G[n, live] = advance(spec, f, t, U[n, live], dT, jac, linear)
-                return
-            if start is not None and count_nonzero(np.isfinite(start[0])) == start[0].size:
-                x, failures = warm_step(spec, f, times[n], *start, dT, stage_inv[n], jac)
-            else:
-                inverse = None if stage_inv is None else stage_inv[n]
-                u, guess, guess_from = U[n, live], G_old[n, live], U_old[n, live]
-                x, failures = _warm_steps(spec, f, times[n], u, dT, guess, guess_from, inverse, jac)
+                return False
+            inverse = None if stage_inv is None else stage_inv[n]
+            u, guess, guess_from = U[n, live], G_old[n, live], U_old[n, live]
+            x, failures, settled = _warm_steps(spec, f, times[n], u, dT, guess, guess_from, inverse, jac)
             raise_row_failures(failures, ids.ndim > 0)
             G[n, live] = x
+            return settled
         except SolverError as exc:
             error, r = _coarse_failure(exc, np.atleast_1d(ids))
             error.name_coarse_step(n, passes[r], int(r))
@@ -466,14 +471,8 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
         if live is not None and chunk:
             n, live, chunk = speculate(n, live, chunk)
             continue
-        if live is not None:
-            start = None
-            if stage_inv is not None:
-                with np.errstate(all="ignore"):
-                    start = predict(n, live)
-            step(n, live, start)
-            if start is not None and G[n, live].tobytes() == start[0].tobytes():
-                chunk = 1  # the step landed on its predictor: predict again
+        if live is not None and step(n, live):
+            chunk = 1  # the step landed on its predictor: predict again
         # Summed as fine value plus small coarse increment: near convergence
         # the increment vanishes, so the fine result's bits are preserved.
         U[n + 1] = F[n] + (G[n] - G_old[n])
@@ -509,9 +508,10 @@ def iterate(
     inverses, the correction is the linearized recurrence, each step taken
     at its predictor, verified a chunk at a time in one stacked ``f`` call;
     a step whose predictor misses the Newton stop, and every step after it
-    until one lands on its predictor again, steps on from that predictor
+    until one lands on its predictor again, steps on from its predictor
     through ``propagators.warm_step``, each run's state alone, and without
-    an inverse where the predictor is not finite.  The runs' tables
+    an inverse, from the cached result plus the change in its start value,
+    where the predictor is not finite.  The runs' tables
     are arrays indexed by subinterval and run, so each subinterval's
     bookkeeping is a few array operations for the whole batch.  A failed
     coarse step (its Newton fallback's error) raises its own error, naming

@@ -285,24 +285,21 @@ class KeplerProblem:
 
 
 def _stumpff(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stumpff functions C(z) and S(z) of each entry of ``z``, series-evaluated near zero.
+    """Stumpff functions C(z) and S(z) of each entry of ``z >= 0``, series-evaluated near zero.
 
-    Each branch runs on its own entries only, so no entry outside a branch's
-    domain raises a floating-point warning.
+    The orbit is bound (``alpha > 0``), so ``z = alpha * chi**2`` is never
+    negative.  Each branch runs on its own entries only, so no entry outside
+    a branch's domain raises a floating-point warning.
     """
     z = np.asarray(z, dtype=float)
     C, S = np.empty_like(z), np.empty_like(z)
-    small, pos = np.abs(z) < 1e-6, z >= 1e-6
-    neg = ~(small | pos)
+    small = z < 1e-6
     w = z[small]
     C[small] = 1.0 / 2.0 - w / 24.0 + w * w / 720.0 - w**3 / 40320.0
     S[small] = 1.0 / 6.0 - w / 120.0 + w * w / 5040.0 - w**3 / 362880.0
-    w = z[pos]
+    w = z[~small]
     sw = np.sqrt(w)
-    C[pos], S[pos] = (1.0 - np.cos(sw)) / w, (sw - np.sin(sw)) / sw**3
-    w = -z[neg]
-    sw = np.sqrt(w)
-    C[neg], S[neg] = (np.cosh(sw) - 1.0) / w, (np.sinh(sw) - sw) / sw**3
+    C[~small], S[~small] = (1.0 - np.cos(sw)) / w, (sw - np.sin(sw)) / sw**3
     return C, S
 
 
@@ -330,7 +327,7 @@ def kepler_reference(t) -> np.ndarray:
     r0, v0, mu = np.array(_KEPLER_R0), np.array(_KEPLER_V0), MU_EARTH
     r0n = float(np.linalg.norm(r0))
     vr0 = float(r0 @ v0) / r0n
-    alpha = 2.0 / r0n - float(v0 @ v0) / mu  # inverse semi-major axis
+    alpha = 2.0 / r0n - float(v0 @ v0) / mu  # inverse semi-major axis, > 0: a bound orbit
     sqrt_mu = math.sqrt(mu)
 
     def residual(chi):
@@ -346,7 +343,7 @@ def kepler_reference(t) -> np.ndarray:
     # root.  hi starts at the guess (at least t, should the guess
     # underflow), on the root's scale: a tiny t takes as few halvings as a
     # large one.
-    guess = sqrt_mu * abs(alpha) * ts if abs(alpha) > 1e-12 else sqrt_mu * ts / r0n
+    guess = sqrt_mu * alpha * ts
     lo, hi = np.zeros_like(ts), np.where(ts > 0.0, np.maximum(guess, ts), 0.0)
     f_lo, f_hi = residual(lo), residual(hi)
     while (short := f_hi < 0.0).any():

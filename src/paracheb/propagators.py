@@ -273,7 +273,8 @@ def _identity(n: int) -> np.ndarray:
 # whose stage solves failed (a dict row -> error).  A failed row comes out as
 # NaN and stays in the stack; a NaN row leaves each later stage solve at its
 # first test, and its first error is the one kept.  ``beuler`` and ``tr`` are
-# one stepper, ``_stage_step``; their warm steps are ``predictor`` and ``warm_step``.
+# one stepper, ``_stage_step``; their warm steps are ``predictor`` (or
+# ``_newton_start``) and ``warm_step``.
 
 
 def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
@@ -372,41 +373,50 @@ def _stage_rhs(kind, f, t, u, beta_h):
 
 
 def predictor(spec: PropagatorSpec, f: RhsFunction, t, u, dT: float, guess, guess_from, inverse):
-    """The start of a warm ``beuler:1`` or ``tr:1`` step of length ``dT`` from ``u`` at ``t``.
+    """The linearized predictor of a warm ``beuler:1`` or ``tr:1`` step of length ``dT`` from ``u`` at ``t``.
 
-    ``guess`` is the step's result from ``guess_from``, the cached step.
-    With ``inverse``, the inverse stage matrix ``S = (I - beta_h * J)^-1``
-    near it, ``beta_h`` ``_BETA[kind] * dT``, the start is the linearized
-    predictor ``guess + S (rhs - rhs_from)``, ``rhs`` the right-hand side
-    of the stage equations ``x = rhs + beta_h * f(t + dT, x)`` from ``u``
-    (``_stage_rhs``: ``u`` for ``beuler``, ``u + beta_h * f(t, u)`` for
-    ``tr``) and ``rhs_from`` the same from ``guess_from``: ``S`` is the
-    derivative of the end state with respect to ``rhs``, the term that
-    parareal's coarse correction stands in for (Gander & Vandewalle, SIAM
-    J. Sci. Comput. 29(2), 2007), so the predictor's residual is the cached
-    step's plus O(|rhs - rhs_from|**2).  It is not finite where ``S``,
-    ``guess`` or ``guess_from`` holds a NaN or an infinity.
-
-    With ``inverse`` None the start is ``guess + (u - guess_from)``, the
-    cached result plus the change in its start, and the explicit Euler
-    predictor ``u + dT * f(t, u)`` in a row where that is not finite; no
-    ``f`` call is made at ``guess_from``.  ``warm_step`` without an inverse
-    takes Newton's iteration from it.
+    ``guess`` is the step's result from ``guess_from``, the cached step,
+    and ``inverse`` the inverse stage matrix ``S = (I - beta_h * J)^-1``
+    near it, ``beta_h`` ``_BETA[kind] * dT``.  The predictor is ``guess +
+    S (rhs - rhs_from)``, ``rhs`` the right-hand side of the stage
+    equations ``x = rhs + beta_h * f(t + dT, x)`` from ``u`` (``_stage_rhs``:
+    ``u`` for ``beuler``, ``u + beta_h * f(t, u)`` for ``tr``) and
+    ``rhs_from`` the same from ``guess_from``: ``S`` is the derivative of
+    the end state with respect to ``rhs``, the term that parareal's coarse
+    correction stands in for (Gander & Vandewalle, SIAM J. Sci. Comput.
+    29(2), 2007), so the predictor's residual is the cached step's plus
+    O(|rhs - rhs_from|**2).  It is not finite where ``S``, ``guess`` or
+    ``guess_from`` holds a NaN or an infinity; ``_newton_start`` is the
+    start of such a step.
 
     ``u``, ``guess`` and ``guess_from`` are one state or a stack, and a
-    row's start does not depend on the rows stacked with it.  Returns the
-    start, a new array, ``rhs`` and the slope ``f(t, u)`` that ``rhs`` took
-    (None for ``beuler``).
+    row's predictor does not depend on the rows stacked with it.  Returns
+    the predictor, a new array, ``rhs`` and the slope ``f(t, u)`` that
+    ``rhs`` took (None for ``beuler``).
     """
     beta_h = _BETA[spec.kind] * dT
     rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
-    if inverse is not None:
-        return guess + np.matvec(inverse, rhs - _stage_rhs(spec.kind, f, t, guess_from, beta_h)[0]), rhs, slope
+    return guess + np.matvec(inverse, rhs - _stage_rhs(spec.kind, f, t, guess_from, beta_h)[0]), rhs, slope
+
+
+def _newton_start(spec: PropagatorSpec, f: RhsFunction, t, u, dT: float, guess, guess_from, rhs=None, slope=None):
+    """The start of a warm ``beuler:1`` or ``tr:1`` step without a finite predictor, and its stage ``rhs``.
+
+    The start is ``guess + (u - guess_from)``, the cached result plus the
+    change in its start, and the explicit Euler predictor ``u + dT * f(t,
+    u)`` in a row where that is not finite; no ``f`` call is made at
+    ``guess_from``.  ``rhs`` and ``slope`` are what ``predictor`` returned
+    from ``u``, or None to take them (``_stage_rhs``).  ``u``, ``guess`` and
+    ``guess_from`` are one state or a stack; ``warm_step`` without an
+    inverse takes Newton's iteration from the start.
+    """
+    if rhs is None:
+        rhs, slope = _stage_rhs(spec.kind, f, t, u, _BETA[spec.kind] * dT)
     x = guess + (u - guess_from)
     finite = np.isfinite(x)
     if count_nonzero(finite) < finite.size:
         x = np.where(finite.all(axis=-1)[..., None], x, _euler(f, t, u, dT, slope))
-    return x, rhs, slope
+    return x, rhs
 
 
 def settles(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float) -> np.ndarray:
@@ -424,30 +434,23 @@ def settles(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float) -> np.nd
 
 
 def warm_step(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float, inverse, jac: RhsFunction | None = None):
-    """Warm ``beuler:1`` or ``tr:1`` steps of length ``dT`` from ``t``, each from the start ``predictor`` gave.
+    """A warm ``beuler:1`` or ``tr:1`` step of length ``dT`` from ``t``, from its start ``x``.
 
-    ``x`` and ``rhs`` are the starts and the stage equations' right-hand
-    sides that ``predictor`` gave with ``inverse``, one state each or a
-    stack of rows, and ``t`` a float or a column ``(N, 1)`` of start
-    times; none is checked.  With an inverse stage matrix each row steps
-    alone from its finite predictor: its start is tested before any update
-    and settles where it meets the stop; otherwise the chord iteration
-    (``_chord_state``) runs from it, and Newton's iteration from where that
-    falls back.  With ``inverse`` None the rows take one Newton solve from
-    their starts, which makes at least one update.  Newton's iteration
-    uses ``jac``, or forward differences of ``f`` when it is None.
-    ``parareal``'s correction takes every warm step through here.
+    With ``inverse``, an inverse stage matrix, ``x`` is one state's finite
+    ``predictor`` and ``rhs`` the stage equations' right-hand side that
+    ``predictor`` gave, and ``t`` a float or a one-element array: the start
+    is tested before any update and settles where it meets the stop;
+    otherwise the chord iteration (``_chord_state``) runs from it, and
+    Newton's iteration from where that falls back.  With ``inverse`` None,
+    ``x`` and ``rhs`` are what ``_newton_start`` gave, one state each or a
+    stack of rows with ``t`` a float or a column ``(N, 1)``, and the rows
+    take one Newton solve from their starts, which makes at least one
+    update.  None of it is checked.  Newton's iteration uses ``jac``, or
+    forward differences of ``f`` when it is None.
 
     Returns the end states and the failures, a dict row -> the Newton
     iteration's typed error (row 0 for a single state), whose rows hold NaN.
     """
-    if inverse is not None and x.ndim == 2:
-        y, failures = np.empty_like(x), {}
-        for i in range(len(x)):
-            y[i], lost = warm_step(spec, f, _rows(t, i), x[i], rhs[i], dT, inverse, jac)
-            if lost:
-                failures[i] = lost[0]
-        return y, failures
     beta_h = _BETA[spec.kind] * dT
     t_stage = t + dT
     if inverse is not None:
@@ -547,7 +550,9 @@ def advance(
     stage solve at the explicit Euler predictor (``_stage_step``), and a
     Newton stage solve is ``_newton_stage`` (the stage residual and
     Jacobian), ``_newton`` and ``settle_rows``.  A warm ``beuler:1`` or
-    ``tr:1`` step from a cached one is ``predictor`` and ``warm_step``.
+    ``tr:1`` step from a cached one is ``parareal._warm_steps``: its
+    ``predictor`` and ``warm_step`` with an inverse stage matrix, or
+    ``_newton_start`` and ``warm_step`` without one.
 
     Every row stops its inner iterations on its own (``settle_rows``).  A
     failing row carries on through the remaining substeps as NaN while the

@@ -28,7 +28,7 @@ from paracheb import advance, parareal
 from paracheb.analysis import contraction
 from paracheb.parareal import _make_stepper
 from paracheb.propagators import stage_inverses
-from warm_start import warm_advance
+from warm_start import record_row_steps, warm_advance
 
 BE = PropagatorSpec.backward_euler(1)
 
@@ -109,8 +109,8 @@ def advance_calls(monkeypatch):
 @pytest.fixture
 def warm_steps(monkeypatch):
     """``(spec, rows)`` of each ``warm_step`` call of parareal's correction:
-    a row it replays from the predictors it made, one state alone and
-    several runs as a stack."""
+    one state from its predictor, or without an inverse one state alone
+    or several runs as a stack."""
     calls = []
     warm_step = parareal.warm_step
 
@@ -120,6 +120,13 @@ def warm_steps(monkeypatch):
 
     monkeypatch.setattr(parareal, "warm_step", counting)
     return calls
+
+
+@pytest.fixture
+def row_steps(monkeypatch):
+    """``(spec, rows)`` of each row step of parareal's correction, a
+    ``_warm_steps`` call from ``_correct``."""
+    return record_row_steps(monkeypatch)
 
 
 @pytest.fixture
@@ -878,7 +885,7 @@ class TestBatch:
         ],
         ids=["kepler", "burgers", "spd"],
     )
-    def test_batch_matches_solo_runs_bit_for_bit(self, advance_calls, checks, warm_steps, prob):
+    def test_batch_matches_solo_runs_bit_for_bit(self, advance_calls, checks, row_steps, prob):
         # A row of f does not depend on the rows stacked with it, so a
         # stacked coarse step, or a stacked check of predicted ones, gives
         # each row the bits it gets alone.
@@ -890,20 +897,20 @@ class TestBatch:
         for cfg in cfgs:
             advance_calls.clear()
             checks.clear()
-            warm_steps.clear()
-            solo.append((run(cfg, prob), coarse_rows(advance_calls, checks, warm_steps)))
+            row_steps.clear()
+            solo.append((run(cfg, prob), coarse_rows(advance_calls, checks, row_steps)))
         advance_calls.clear()
         checks.clear()
-        warm_steps.clear()
+        row_steps.clear()
         batch = run(cfgs, prob)
         assert len(batch) == len(cfgs)
         for (u, history), ((u_solo, history_solo), _) in zip(batch, solo):
             np.testing.assert_array_equal(u, u_solo)
             assert history == history_solo
         # The same coarse steps, less the three repeated initial sweeps, in
-        # at most one call (an advance call, a check or a warm step) per
+        # at most one call (an advance call, a check or a row step) per
         # subinterval and pass.
-        calls, rows = coarse_rows(advance_calls, checks, warm_steps)
+        calls, rows = coarse_rows(advance_calls, checks, row_steps)
         assert rows == sum(r for _, (_, r) in solo) - 3 * 8
         assert calls <= 8 * (1 + max(len(h) for _, h in batch))
         assert calls < sum(c for _, (c, _) in solo) - 3 * 8

@@ -46,7 +46,7 @@ from paracheb import parareal, propagators
 from paracheb.errors import NonConvergenceError, SingularSystemError, raise_row_failures
 from paracheb.propagators import _BETA, _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, PropagatorKind, _fd_jacobian, stage_inverses
 from paracheb.propagators import _chord_state, _newton_stage, _stage_rhs, _takes_warm_steps
-from warm_start import warm_advance
+from warm_start import record_row_steps, warm_advance
 
 
 def ref_rows(a, rows):
@@ -394,9 +394,9 @@ def cubic(t, u):
 @pytest.mark.parametrize("hook", [True, False], ids=["jac", "differences"])
 @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
 def test_warm_step_without_an_inverse_is_the_reference_newton_step(text, hook):
-    # predictor without an inverse starts each row at guess + (u -
-    # guess_from), or at the explicit Euler predictor where that is not
-    # finite, and warm_step without one takes Newton's iteration from
+    # _newton_start starts each row at guess + (u - guess_from), or at
+    # the explicit Euler predictor where that is not finite, and
+    # warm_step without an inverse takes Newton's iteration from
     # there.  For a single state and a stack, with the jac hook or forward
     # differences: the reference chain's bits and Jacobian calls from that
     # start as its guess, no f call at a guess_from other than u, and one
@@ -429,7 +429,7 @@ def test_warm_step_without_an_inverse_is_the_reference_newton_step(text, hook):
             seen.clear()
             calls, ref_calls = [], []
             jac, ref_jac = (counting(calls), counting(ref_calls)) if hook else (None, None)
-            x, rhs, _ = propagators.predictor(spec, f, 0.0, u, dT, g, g_from, None)
+            x, rhs = propagators._newton_start(spec, f, 0.0, u, dT, g, g_from)
             got, failures = propagators.warm_step(spec, f, 0.0, x, rhs, dT, None, jac)
             expected = ref_advance(spec, cubic, 0.0, u, dT, jac=ref_jac, guess=start[rows])
             assert failures == {} and got.tobytes() == expected.tobytes()
@@ -788,20 +788,22 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
     # the caches, the records, the errors and the warnings of
     # ref_correction, and the cases see misses after a hit in the same
     # chunk, failed steps, exceptions from f and NaN rows, and rows
-    # replayed from their predictors through warm_step, of one run and of
-    # a batch, some whose Newton fallback fails and raises the pass's
-    # error.
+    # replayed from their predictors through warm_step with their
+    # inverse, of one run and of a batch, some whose Newton fallback
+    # fails and raises the pass's error.  A batch's row step is one
+    # _warm_steps call on its stack, which steps each run alone.
     checks, replays = [], []
     settles, warm_step = parareal.settles, parareal.warm_step
+    row_steps = record_row_steps(monkeypatch)
 
     def recorded(*args):
         ok = settles(*args)
         checks.append(ok.copy())
         return ok
 
-    def replayed(spec, f, t, x, *args):
-        y, failures = warm_step(spec, f, t, x, *args)
-        replays.append((x.ndim, bool(failures)))
+    def replayed(spec, f, t, x, rhs, dT, inverse, *args):
+        y, failures = warm_step(spec, f, t, x, rhs, dT, inverse, *args)
+        replays.append((row_steps[-1][1] > 1, inverse is not None, bool(failures)))
         return y, failures
 
     monkeypatch.setattr(parareal, "settles", recorded)
@@ -860,8 +862,9 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
         error = got[0][-1]
         if isinstance(error, tuple):
             seen.add("step failed" if error[2] is not None else error[0].__name__)
-        seen.update("replay failed" if failed else ("solo", "batch")[ndim - 1] + " replay" for ndim, failed in replays)
-        if any(failed for _, failed in replays):
+        seen.update("replay failed" for _, _, failed in replays if failed)
+        seen.update(("solo", "batch")[stacked] + " replay" for stacked, inverse, failed in replays if inverse and not failed)
+        if any(failed for _, _, failed in replays):
             # A replay's Newton fallback failed: its error is the pass's.
             assert isinstance(error, tuple) and error[2] is not None
     assert {"nan row", "step failed", "ValueError", "solo replay", "batch replay", "replay failed"} <= seen, seen
@@ -919,3 +922,40 @@ def test_rows_past_a_miss_do_not_surface(text, poison, monkeypatch):
         expected = outcome_of_passes(copy.deepcopy(states), [cfg], problem, 4)
     assert got == expected
     assert expected[1] == [] and len(expected[0]) == 4 and all(isinstance(p, list) for p in expected[0])
+
+
+def test_nan_inverse_row_takes_its_slope_once(monkeypatch):
+    # A tr:1 Burgers run whose stage_inv row 3 is NaN, as a singular
+    # pass-0 stage matrix leaves it: that row has no finite predictor, so
+    # each step there starts Newton's iteration at _newton_start, which
+    # reuses the slope f(t, u) that the predictor took.  Four passes give
+    # ref_correction's tables, caches and records in fewer f calls than
+    # the 183 of a correction that made that row's predictor twice and its
+    # slope a third time (174 here).
+    base = BurgersProblem(0.05, 8, T=0.5).to_ivp()
+    calls = []
+
+    def f(t, u):
+        calls.append(np.shape(u))
+        return base.f(t, u)
+
+    problem = dataclasses.replace(base, f=f)
+    cfg = PararealConfig(N=16, coarse=parse_spec("tr:1"), fine=parse_spec("cg:4"))
+    state = initialize(cfg, problem)
+    stage_inv = state.stage_inv.copy()
+    stage_inv[3] = np.nan
+    state.stage_inv = stage_inv
+
+    def passes(state):
+        for _ in range(4):
+            iterate(state, cfg, problem)
+        return state.u.tobytes(), state.g_prev.tobytes(), state.history
+
+    calls.clear()
+    got = passes(copy.deepcopy(state))
+    made = len(calls)
+    with monkeypatch.context() as m:
+        m.setattr(parareal, "_correct", ref_correction)
+        expected = passes(copy.deepcopy(state))
+    assert got == expected and len(got[2]) == 4
+    assert made < 183
