@@ -32,8 +32,6 @@ _BURGERS_NUS = [0.05, 0.005]
 
 _EXPERIMENTS = ("kepler-compare", "burgers-dt", "burgers-dx", "burgers-m")
 
-_COARSE = PropagatorSpec.backward_euler(1)  # every experiment's coarse propagator
-
 #: The problem parameters of ``run``; each problem takes some of them.
 _PROBLEM_PARAMS = {"m": int, "lambda_min": float, "lambda_max": float, "nu": float, "nx": int}
 
@@ -190,26 +188,28 @@ def _build_problem(manifest: RunManifest) -> problems.IvpProblem:
     return problem.to_ivp()
 
 
-def _run_config(manifest: RunManifest, coarse, fine, N):
+def _check_coarse(manifest: RunManifest) -> None:
+    """Accept the ``coarse`` key only as ``beuler:1``, the one coarse propagator (``parareal.COARSE``)."""
+    text = manifest.get("coarse", "beuler:1")
+    if parse_spec(text) != parareal.COARSE:
+        raise ValueError(f"coarse must be beuler:1, the paper's backward Euler (got {text!r}); no other is accepted")
+
+
+def _run_config(manifest: RunManifest, fine, N):
     # workers is only checked: the fine sweep is one stacked call.
     if int(manifest.get("workers", 1)) < 1:
         raise ValueError("workers must be >= 1")
     # PararealConfig owns the run defaults: pass only the keys that were set.
-    return parareal.PararealConfig(
-        N=N,
-        coarse=coarse,
-        fine=fine,
-        **manifest.given(tol=float, max_k=int, init=str, seed=int),
-    )
+    return parareal.PararealConfig(N=N, fine=fine, **manifest.given(tol=float, max_k=int, init=str, seed=int))
 
 
 def cmd_run(manifest: RunManifest) -> str:
     """Run one predictor-corrector solve and dump its convergence history."""
+    _check_coarse(manifest)
     problem = _build_problem(manifest)
-    coarse = parse_spec(manifest.get("coarse", "beuler:1"))
     fine = parse_spec(manifest.get("fine", "cg:8"))
     N = int(manifest.get("N", 10))
-    cfg = _run_config(manifest, coarse, fine, N)
+    cfg = _run_config(manifest, fine, N)
     _, history = parareal.run(cfg, problem)
 
     with_ref = history[0].abs_error is not None
@@ -234,7 +234,7 @@ def _experiment_kepler(manifest: RunManifest) -> tuple[list[str], list[list]]:
         PropagatorSpec.gauss4(6),
     ]
     # One batch: the runs share their coarse steps.
-    cfgs = [_run_config(manifest, _COARSE, fine, N) for fine in algorithms]
+    cfgs = [_run_config(manifest, fine, N) for fine in algorithms]
     try:
         results = parareal.run(cfgs, problem)
     except SolverError as exc:
@@ -266,10 +266,7 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
             dt, dx, _ = batch[0]
             problem = problems.BurgersProblem(nu, round(2.0 / dx)).to_ivp()
             N = round(problem.T / dt)
-            cfgs = [
-                _run_config(manifest, _COARSE, PropagatorSpec.chebyshev_gauss(m), N)
-                for _, _, m in batch
-            ]
+            cfgs = [_run_config(manifest, PropagatorSpec.chebyshev_gauss(m), N) for _, _, m in batch]
             params = [{"dt": dt, "dx": dx, "m": m}[sweep] for dt, dx, m in batch]
             try:
                 results = parareal.run(cfgs, problem)
@@ -284,8 +281,7 @@ def _experiment_burgers(manifest: RunManifest, sweep: str) -> tuple[list[str], l
 
 def cmd_experiment(manifest: RunManifest) -> str:
     """Reproduce one of the named desk-scale studies as a CSV table."""
-    if parse_spec(manifest.get("coarse", "beuler:1")) != _COARSE:
-        raise ValueError("every experiment uses coarse = beuler:1; no other coarse is accepted")
+    _check_coarse(manifest)
     name = manifest.get("name", "")
     if name == "kepler-compare":
         header, rows = _experiment_kepler(manifest)

@@ -1,8 +1,9 @@
 """Predictor-corrector iteration over a uniform coarse time grid.
 
 A cheap coarse propagator G initializes and corrects sequentially; an
-accurate fine propagator F runs on all subintervals at once.  Each pass
-applies
+accurate fine propagator F runs on all subintervals at once.  G is the
+paper's: one backward Euler step per subinterval (``COARSE``), the coarse
+propagator that the contraction analysis assumes.  Each pass applies
 
     u[n+1] <- G(T_n, u_new[n]) + F(T_n, u_old[n]) - G(T_n, u_old[n]),
 
@@ -20,21 +21,20 @@ about half of the steps of a run that takes ``N`` passes.
 
 A coarse step from a changed start value ``u_new[n]`` is a warm step from
 the cached one, the step from ``u[n]`` to ``g_prev[n]``, with
-``stage_inv[n]``, the inverse stage matrix ``S = (I - beta * dT * J)^-1``
-at the initial sweep's result on that subinterval.  It starts at the
-linearized predictor ``g_prev[n] + S (b(u_new[n]) - b(u[n]))``, ``b`` the
-right-hand side of the stage equation (``u`` for ``beuler``, ``u + (dT/2)
-f(T_n, u)`` for ``tr``): read as a Newton iteration (Gander & Vandewalle,
+``stage_inv[n]``, the inverse stage matrix ``S = (I - dT * J)^-1`` at the
+initial sweep's result on that subinterval.  It starts at the linearized
+predictor ``g_prev[n] + S (u_new[n] - u[n])``, a matrix-vector product:
+the stage equation ``x = u + dT f(T_n + dT, x)`` has the start state as
+its right-hand side.  Read as a Newton iteration (Gander & Vandewalle,
 SIAM J. Sci. Comput. 29(2), 2007), the coarse correction stands in for the
 derivative ``G'(u) delta``, and ``S`` is that derivative.  The predictor's
 residual is the cached step's plus O(delta**2), so it is tested against
 the Newton stop before any update; a step that meets it settles there, and
 the others take chord updates with ``S`` (simplified Newton, Hairer &
 Wanner, *Solving ODEs II*, Sec. IV.8) in ``propagators.warm_step``.  The
-initial sweep has no cached result: it starts cold on Newton's iteration,
+initial sweep has no cached result: it steps cold through ``advance``,
 and then builds every subinterval's inverse in one stacked ``jac`` call and
-one stacked inversion, for the kinds that take warm steps (``beuler`` and
-``tr`` at count 1); every other kind steps cold through ``advance``.  Near convergence a start value barely moves, so
+one stacked inversion.  Near convergence a start value barely moves, so
 neither does its stage matrix: a warm step calls no Jacobian and solves
 nothing, and a row whose chord iteration converges too slowly falls back to
 Newton alone.  A nonlinear run from random starts gets no inverses, and a
@@ -61,21 +61,20 @@ through ``_warm_steps`` alone, the step a row-by-row correction takes:
 each run's state makes its predictor again and, where that is finite,
 steps on from it through ``propagators.warm_step`` with the inverse; a run
 without a finite predictor, and a batch's stack without a finite inverse,
-steps through ``warm_step`` without one, from ``_newton_start`` with the
-stage right-hand side and slope its predictor took.  A missed chunk
-wastes at most its own predictions.  Values past a miss are never kept,
-so the recurrence and its check run under ``np.errstate(all="ignore")``,
-and an ``f`` that raises in the check is a miss at the chunk's first row:
-an error propagates only where the row-by-row step raises it.
+steps through ``warm_step`` without one, from ``_newton_start``.  A
+missed chunk wastes at most its own predictions.  Values past a miss are
+never kept, so the recurrence and its check run under
+``np.errstate(all="ignore")``, and an ``f`` that raises in the check is a
+miss at the chunk's first row: an error propagates only where the
+row-by-row step raises it.
 The table is the one a full recomputation under this coarse rule gives,
 bit for bit: a row of ``f`` does not depend on the rows stacked with it
 (the contract of ``problems.IvpProblem``), so neither does a row's step,
 and a step verified in a stack has the bits ``warm_step`` gives it.
-``advance`` takes the initial sweep's cold coarse steps, and every coarse
-step of a kind without warm steps.
+``advance`` takes the initial sweep's cold coarse steps only.
 
 Runs that differ in their fine propagator only, as in a comparison of fine
-propagators under one coarse one, go as a batch: ``run``, ``initialize`` and
+propagators, go as a batch: ``run``, ``initialize`` and
 ``iterate`` take a sequence of configs (and states) where they take one, and
 a single config is the one-run case of the same code.  The batch shares the
 initial coarse sweep, which never reads ``fine``, and each pass's
@@ -104,16 +103,19 @@ import numpy as np
 from .errors import MaxIterationsError, SolverError, SweepError, check_integer, raise_row_failures
 from .collocation import _rows, count_nonzero
 from .problems import IvpProblem
-from .propagators import PropagatorSpec, _newton_start, _takes_warm_steps, advance, predictor, settles, stage_inverses, warm_step
+from .propagators import PropagatorSpec, _newton_start, advance, predictor, settles, stage_inverses, warm_step
+
+#: The coarse propagator G of every run: one backward Euler step per subinterval.
+COARSE = PropagatorSpec.backward_euler(1)
 
 
 @dataclass(frozen=True)
 class PararealConfig:
     """The settings of one run.  The grid splits the problem's horizon
-    ``problem.T`` into ``N`` subintervals of length ``dT = problem.T / N``."""
+    ``problem.T`` into ``N`` subintervals of length ``dT = problem.T / N``;
+    ``COARSE`` steps across each, and ``fine`` is the accurate propagator."""
 
     N: int
-    coarse: PropagatorSpec
     fine: PropagatorSpec
     tol: float = 1e-10
     max_k: int = 100
@@ -169,9 +171,9 @@ class PararealState:
     its linearized ``propagators.predictor`` and its chord updates in
     ``propagators.warm_step`` with: built once per run, read-only and
     shared by the states of one ``initialize`` call, which a batch must be.
-    It is None for a coarse kind without warm steps, which steps cold, and
-    for a nonlinear problem from random starts, whose warm steps take
-    ``warm_step`` without an inverse, from ``propagators._newton_start``; a
+    It is None for a nonlinear problem from random starts, whose warm steps
+    take ``warm_step`` without an inverse, from
+    ``propagators._newton_start``; a
     row is NaN where the matrix was singular, and its steps take
     ``warm_step`` without one, from the same start.  ``f_prev[n]``
     caches the fine result from ``u_prev[n]``, the table the last pass
@@ -244,11 +246,11 @@ def initialize(
     seeded generator, which reproduces the randomized-start experiments,
     and takes the coarse steps from all ``N`` drawn values in one stacked
     ``advance`` call.  Either way the coarse result from every ``u[n]`` is
-    cached in ``g_prev`` for the first correction.  Every step starts cold
-    (there is no cached result to warm-start from).  Then, for a coarse kind
-    that takes warm steps, one stacked ``stage_inverses`` call builds
-    ``stage_inv``, the inverse stage matrix at every ``g_prev[n]``; not for
-    the random policy on a nonlinear problem (``problem.linear`` None).
+    cached in ``g_prev`` for the first correction.  Every step is a cold
+    ``advance(COARSE, ...)`` call (there is no cached result to warm-start
+    from).  Then one stacked ``stage_inverses`` call builds ``stage_inv``,
+    the inverse stage matrix at every ``g_prev[n]``; not for the random
+    policy on a nonlinear problem (``problem.linear`` None).
 
     A batch of configs (see ``run``) gets a list of states, one per config,
     from one sweep: the table does not depend on ``fine``.  A failed coarse
@@ -266,7 +268,7 @@ def initialize(
         rng = np.random.default_rng(first.seed)
         u[1:] = rng.uniform(-1.0, 1.0, size=(N, dim))
 
-    coarse = _make_stepper(first.coarse, problem, dT)
+    coarse = _make_stepper(COARSE, problem, dT)
     g_prev = np.empty((N, dim))
     try:
         if first.init == "random":
@@ -288,7 +290,7 @@ def initialize(
     # nonlinear run goes; a linear problem's Jacobian is the same everywhere.
     inverse = None
     if first.init == "coarse" or problem.linear is not None:
-        inverse = stage_inverses(first.coarse, problem.f, np.arange(N) * dT, g_prev, dT, jac=problem.jacobian)
+        inverse = stage_inverses(problem.f, np.arange(N) * dT, g_prev, dT, jac=problem.jacobian)
     ref_table = None
     if problem.reference is not None:
         ref_table = problem.reference(np.arange(N + 1) * dT)
@@ -320,17 +322,16 @@ def _fine_results(state: PararealState, fine, times: np.ndarray) -> np.ndarray:
 
 
 def _warm_steps(spec, f, t, u, dT, guess, guess_from, inverse, jac):
-    """Warm ``beuler:1`` or ``tr:1`` steps of ``u``, one state or a stack
-    ``(R, dim)``, from the cached steps ``guess_from`` -> ``guess``, with
-    the inverse stage matrix ``inverse`` (or None) they share; ``t`` is a
-    float or a column ``(R, 1)``.
+    """Warm coarse steps of ``u``, one state or a stack ``(R, dim)``, from
+    the cached steps ``guess_from`` -> ``guess``, with the inverse stage
+    matrix ``inverse`` (or None) they share; ``t`` is a float or a column
+    ``(R, 1)``.
 
     A stack with a finite inverse steps each row alone, as a single state.
     A single state with an inverse starts at its ``predictor`` and, where
     that is finite, steps from it through ``warm_step`` with the inverse.
     Every other step, and a stack whose inverse is not finite, goes through
-    ``warm_step`` without an inverse, from ``propagators._newton_start``,
-    which reuses the stage right-hand side and slope a predictor took.
+    ``warm_step`` without an inverse, from ``propagators._newton_start``.
     Returns the end states, the failures, a dict row -> error (row 0 for a
     single state), and whether every step settled at its predictor, bit
     for bit.
@@ -346,14 +347,12 @@ def _warm_steps(spec, f, t, u, dT, guess, guess_from, inverse, jac):
                 if lost:
                     failures[i] = lost[0]
             return y, failures, settled
-    rhs = slope = None
     if inverse is not None:
-        x, rhs, slope = predictor(spec, f, t, u, dT, guess, guess_from, inverse)
+        x = predictor(u, guess, guess_from, inverse)
         if count_nonzero(np.isfinite(x)) == x.size:
-            y, failures = warm_step(spec, f, t, x, rhs, dT, inverse, jac)
+            y, failures = warm_step(spec, f, t, x, u, dT, inverse, jac)
             return y, failures, y.tobytes() == x.tobytes()
-    x, rhs = _newton_start(spec, f, t, u, dT, guess, guess_from, rhs, slope)
-    return *warm_step(spec, f, t, x, rhs, dT, None, jac), False
+    return *warm_step(spec, f, t, _newton_start(f, t, u, dT, guess, guess_from), u, dT, None, jac), False
 
 
 def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> None:
@@ -368,13 +367,13 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
     ``predictor``s, and a chunk of them is verified in one stacked
     ``settles`` call: the rows before the first miss are final.  The missed
     row and every later one until a step lands on its predictor, and every
-    row without inverses, is one ``step``: a ``_warm_steps`` call (see the
-    module docstring), or ``advance`` for a kind without warm steps.
-    ``passes[r]`` is run ``r``'s pass, which a failed step's error names.
+    row without inverses, is one ``step``, a ``_warm_steps`` call (see the
+    module docstring).  ``spec`` is the coarse propagator, whose ``tol``
+    and ``max_iter`` stop its stage solves.  ``passes[r]`` is run ``r``'s
+    pass, which a failed step's error names.
     """
     N, runs, dim = F.shape
-    f, jac, linear = problem.f, problem.jacobian, problem.linear
-    warm = _takes_warm_steps(spec)
+    f, jac = problem.f, problem.jacobian
     times_col = np.arange(N)[:, None] * dT
     times = times_col.ravel().tolist()
     U_bits, U_old_bits = U.view(np.uint64), U_old.view(np.uint64)
@@ -391,24 +390,16 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
         count = count_nonzero(live)
         return slice(None) if count == runs else int(live.argmax()) if count == 1 else live
 
-    def predict(n, live):
-        """Row ``n``'s predictors and stage right-hand sides, or None where
-        ``f`` raised: that row steps through ``_warm_steps``."""
-        try:
-            return predictor(spec, f, times[n], U[n, live], dT, G_old[n, live], U_old[n, live], stage_inv[n])[:2]
-        except Exception:  # U[n] may lie past a miss; _warm_steps raises it again where it is real
-            return None
-
-    def first_miss(rows, x, rhs):
+    def first_miss(rows, x, u):
         """The index into ``rows`` of the first row whose predictors ``x``
-        (one stack per row) do not all settle, tested in one stacked call, or
-        None when every one does.  An exception from ``f`` misses at the
-        first row."""
+        from the start values ``u`` (one stack per row) do not all settle,
+        tested in one stacked call, or None when every one does.  An
+        exception from ``f`` misses at the first row."""
         x = np.concatenate(x)
-        counts = None if len(x) == len(rows) else [len(a) for a in rhs]
+        counts = None if len(x) == len(rows) else [len(a) for a in u]
         t = times_col[rows] if counts is None else np.repeat(times_col[rows], counts, axis=0)
         try:
-            ok = settles(spec, f, t, x, np.concatenate(rhs), dT)
+            ok = settles(spec, f, t, x, np.concatenate(u), dT)
         except Exception:  # which row raised is unknown: the row-by-row step raises it again where it is real
             return 0
         if count_nonzero(ok) == len(ok):
@@ -419,39 +410,33 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
         """Step up to ``chunk`` rows with live runs from row ``n`` on to their
         predictors, then verify them.  Returns the next row, its live runs and
         the next chunk: doubled after a full chunk that met the stop, 0 (one
-        row at a time) at the first row that did not, or
-        where ``f`` raised."""
-        rows, lives, x, rhs = [], [], [], []  # the pending rows, their live runs, predictors and stage rhs
+        row at a time) at the first row that did not, or where ``f``
+        raised."""
+        rows, lives, x, u = [], [], [], []  # the pending rows, their live runs, predictors and start values
         with np.errstate(all="ignore"):  # no value past a miss is kept
             while n < N:
                 if live is not None:
-                    start = None if len(rows) == chunk else predict(n, live)
-                    if start is None:
+                    if len(rows) == chunk:
                         break
-                    G[n, live] = start[0]
+                    G[n, live] = p = predictor(U[n, live], G_old[n, live], U_old[n, live], stage_inv[n])
                     rows.append(n)
                     lives.append(live)
-                    x.append(start[0].reshape(-1, dim))
-                    rhs.append(start[1].reshape(-1, dim))
+                    x.append(p.reshape(-1, dim))
+                    u.append(U[n, live].reshape(-1, dim))
                 U[n + 1] = F[n] + (G[n] - G_old[n])
                 live = changed(n + 1)
                 n += 1
-            miss = first_miss(rows, x, rhs) if rows else None
+            miss = first_miss(rows, x, u) if rows else None
         if miss is None:
             return n, live, 2 * chunk if len(rows) == chunk else 0
         G[rows[miss]:n] = G_old[rows[miss]:n]
         return rows[miss], lives[miss], 0
 
     def step(n, live):
-        """Row ``n``'s coarse steps: warm from the cached step through
-        ``_warm_steps``, cold through ``advance`` for a kind without warm
-        steps.  Returns whether every step settled at its predictor."""
+        """Row ``n``'s warm coarse steps through ``_warm_steps``.  Returns
+        whether every step settled at its predictor."""
         ids = np.arange(runs)[live]
         try:
-            if not warm:
-                t = times[n] if ids.ndim == 0 else np.full(len(ids), times[n])
-                G[n, live] = advance(spec, f, t, U[n, live], dT, jac, linear)
-                return False
             inverse = None if stage_inv is None else stage_inv[n]
             u, guess, guess_from = U[n, live], G_old[n, live], U_old[n, live]
             x, failures, settled = _warm_steps(spec, f, times[n], u, dT, guess, guess_from, inverse, jac)
@@ -503,8 +488,8 @@ def iterate(
     ``initialize`` call do (``ValueError`` before any step otherwise).
     The correction walks the subintervals once for the whole batch.  At each
     it takes a coarse step only for the runs whose corrected start value
-    differs from the cached one's, a warm step from the cached step with
-    the subinterval's ``stage_inv`` (see the module docstring).  With
+    differs from the cached one's, a warm ``COARSE`` step from the cached
+    step with the subinterval's ``stage_inv`` (see the module docstring).  With
     inverses, the correction is the linearized recurrence, each step taken
     at its predictor, verified a chunk at a time in one stacked ``f`` call;
     a step whose predictor misses the Newton stop, and every step after it
@@ -546,7 +531,7 @@ def iterate(
     G_old = np.stack([s.g_prev for s in states], axis=1)
     F = np.stack(fine_results, axis=1)
     U, G = U_old.copy(), G_old.copy()
-    _correct(U, U_old, G, G_old, F, stage_inv, first.coarse, problem, dT, [s.k + 1 for s in states])
+    _correct(U, U_old, G, G_old, F, stage_inv, COARSE, problem, dT, [s.k + 1 for s in states])
 
     for r, (s, fine) in enumerate(zip(states, fine_results)):
         u = U[:, r].copy()

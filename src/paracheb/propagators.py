@@ -273,8 +273,8 @@ def _identity(n: int) -> np.ndarray:
 # whose stage solves failed (a dict row -> error).  A failed row comes out as
 # NaN and stays in the stack; a NaN row leaves each later stage solve at its
 # first test, and its first error is the one kept.  ``beuler`` and ``tr`` are
-# one stepper, ``_stage_step``; their warm steps are ``predictor`` (or
-# ``_newton_start``) and ``warm_step``.
+# one stepper, ``_stage_step``; the warm coarse steps of backward Euler are
+# ``predictor`` (or ``_newton_start``) and ``warm_step``.
 
 
 def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
@@ -372,96 +372,86 @@ def _stage_rhs(kind, f, t, u, beta_h):
     return u, None
 
 
-def predictor(spec: PropagatorSpec, f: RhsFunction, t, u, dT: float, guess, guess_from, inverse):
-    """The linearized predictor of a warm ``beuler:1`` or ``tr:1`` step of length ``dT`` from ``u`` at ``t``.
+def predictor(u, guess, guess_from, inverse):
+    """The linearized predictor of a warm coarse step from ``u``: ``guess + S (u - guess_from)``.
 
     ``guess`` is the step's result from ``guess_from``, the cached step,
-    and ``inverse`` the inverse stage matrix ``S = (I - beta_h * J)^-1``
-    near it, ``beta_h`` ``_BETA[kind] * dT``.  The predictor is ``guess +
-    S (rhs - rhs_from)``, ``rhs`` the right-hand side of the stage
-    equations ``x = rhs + beta_h * f(t + dT, x)`` from ``u`` (``_stage_rhs``:
-    ``u`` for ``beuler``, ``u + beta_h * f(t, u)`` for ``tr``) and
-    ``rhs_from`` the same from ``guess_from``: ``S`` is the derivative of
-    the end state with respect to ``rhs``, the term that parareal's coarse
-    correction stands in for (Gander & Vandewalle, SIAM J. Sci. Comput.
-    29(2), 2007), so the predictor's residual is the cached step's plus
-    O(|rhs - rhs_from|**2).  It is not finite where ``S``, ``guess`` or
-    ``guess_from`` holds a NaN or an infinity; ``_newton_start`` is the
-    start of such a step.
+    and ``inverse`` the inverse stage matrix ``S = (I - dT * J)^-1`` near
+    it (``stage_inverses``).  The stage equations ``x = u + dT * f(t + dT,
+    x)`` of a backward Euler step have the start state as their right-hand
+    side, and ``S`` is the derivative of the end state with respect to it,
+    the term that parareal's coarse correction stands in for (Gander &
+    Vandewalle, SIAM J. Sci. Comput. 29(2), 2007), so the predictor's
+    residual is the cached step's plus O(|u - guess_from|**2).  It makes no
+    ``f`` call.  It is not finite where ``S``, ``guess`` or ``guess_from``
+    holds a NaN or an infinity; ``_newton_start`` is the start of such a
+    step.
 
     ``u``, ``guess`` and ``guess_from`` are one state or a stack, and a
-    row's predictor does not depend on the rows stacked with it.  Returns
-    the predictor, a new array, ``rhs`` and the slope ``f(t, u)`` that
-    ``rhs`` took (None for ``beuler``).
+    row's predictor does not depend on the rows stacked with it.  Returns a
+    new array.
     """
-    beta_h = _BETA[spec.kind] * dT
-    rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
-    return guess + np.matvec(inverse, rhs - _stage_rhs(spec.kind, f, t, guess_from, beta_h)[0]), rhs, slope
+    return guess + np.matvec(inverse, u - guess_from)
 
 
-def _newton_start(spec: PropagatorSpec, f: RhsFunction, t, u, dT: float, guess, guess_from, rhs=None, slope=None):
-    """The start of a warm ``beuler:1`` or ``tr:1`` step without a finite predictor, and its stage ``rhs``.
+def _newton_start(f: RhsFunction, t, u, dT: float, guess, guess_from):
+    """The start of a warm coarse step of length ``dT`` from ``u`` at ``t`` without a finite predictor.
 
     The start is ``guess + (u - guess_from)``, the cached result plus the
     change in its start, and the explicit Euler predictor ``u + dT * f(t,
     u)`` in a row where that is not finite; no ``f`` call is made at
-    ``guess_from``.  ``rhs`` and ``slope`` are what ``predictor`` returned
-    from ``u``, or None to take them (``_stage_rhs``).  ``u``, ``guess`` and
-    ``guess_from`` are one state or a stack; ``warm_step`` without an
-    inverse takes Newton's iteration from the start.
+    ``guess_from``.  ``u``, ``guess`` and ``guess_from`` are one state or a
+    stack; ``warm_step`` without an inverse takes Newton's iteration from
+    the start.
     """
-    if rhs is None:
-        rhs, slope = _stage_rhs(spec.kind, f, t, u, _BETA[spec.kind] * dT)
     x = guess + (u - guess_from)
     finite = np.isfinite(x)
     if count_nonzero(finite) < finite.size:
-        x = np.where(finite.all(axis=-1)[..., None], x, _euler(f, t, u, dT, slope))
-    return x, rhs
+        x = np.where(finite.all(axis=-1)[..., None], x, _euler(f, t, u, dT, None))
+    return x
 
 
-def settles(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float) -> np.ndarray:
-    """Whether each ``predictor`` ``x`` of a ``beuler:1`` or ``tr:1`` step from ``t`` is that step's result.
+def settles(spec: PropagatorSpec, f: RhsFunction, t, x, u, dT: float) -> np.ndarray:
+    """Whether each ``predictor`` ``x`` of a warm coarse step from ``u`` at ``t`` is that step's result.
 
-    ``x`` and ``rhs`` are a stack of rows ``(P, n)`` and ``t`` a float or
-    a column ``(P, 1)`` of start times; ``rhs`` is the stage equations'
-    right-hand side from ``predictor``.  One ``f`` call tests every row:
-    a row settles when it is finite and the residual of the stage
-    equations there meets ``spec.tol * (1 + |x|)``, the test a warm step
-    applies to its predictor before any update, so a row that settles is
-    the step's result, bit for bit.
+    ``x`` and ``u`` are a stack of rows ``(P, n)`` and ``t`` a float or a
+    column ``(P, 1)`` of start times.  One ``f`` call tests every row: a
+    row settles when it is finite and the residual of the stage equations
+    ``x = u + dT * f(t + dT, x)`` there meets ``spec.tol * (1 + |x|)``, the
+    test a warm step applies to its predictor before any update, so a row
+    that settles is the step's result, bit for bit.
     """
-    return np.logical_and.reduce(np.isfinite(x), axis=-1) & _stage_test(spec.tol, f, t + dT, _BETA[spec.kind] * dT, rhs, x)[2]
+    return np.logical_and.reduce(np.isfinite(x), axis=-1) & _stage_test(spec.tol, f, t + dT, dT, u, x)[2]
 
 
-def warm_step(spec: PropagatorSpec, f: RhsFunction, t, x, rhs, dT: float, inverse, jac: RhsFunction | None = None):
-    """A warm ``beuler:1`` or ``tr:1`` step of length ``dT`` from ``t``, from its start ``x``.
+def warm_step(spec: PropagatorSpec, f: RhsFunction, t, x, u, dT: float, inverse, jac: RhsFunction | None = None):
+    """A warm coarse step of length ``dT`` from ``u`` at ``t``, from its start ``x``.
 
-    With ``inverse``, an inverse stage matrix, ``x`` is one state's finite
-    ``predictor`` and ``rhs`` the stage equations' right-hand side that
-    ``predictor`` gave, and ``t`` a float or a one-element array: the start
-    is tested before any update and settles where it meets the stop;
-    otherwise the chord iteration (``_chord_state``) runs from it, and
-    Newton's iteration from where that falls back.  With ``inverse`` None,
-    ``x`` and ``rhs`` are what ``_newton_start`` gave, one state each or a
-    stack of rows with ``t`` a float or a column ``(N, 1)``, and the rows
-    take one Newton solve from their starts, which makes at least one
-    update.  None of it is checked.  Newton's iteration uses ``jac``, or
-    forward differences of ``f`` when it is None.
+    The step solves the backward Euler stage equations ``x = u + dT * f(t +
+    dT, x)``.  With ``inverse``, an inverse stage matrix, ``x`` is one
+    state's finite ``predictor`` and ``t`` a float or a one-element array:
+    the start is tested before any update and settles where it meets the
+    stop; otherwise the chord iteration (``_chord_state``) runs from it,
+    and Newton's iteration from where that falls back.  With ``inverse``
+    None, ``x`` is what ``_newton_start`` gave, one state or a stack of
+    rows with ``t`` a float or a column ``(N, 1)``, and the rows take one
+    Newton solve from their starts, which makes at least one update.  None
+    of it is checked.  Newton's iteration uses ``jac``, or forward
+    differences of ``f`` when it is None.
 
     Returns the end states and the failures, a dict row -> the Newton
     iteration's typed error (row 0 for a single state), whose rows hold NaN.
     """
-    beta_h = _BETA[spec.kind] * dT
     t_stage = t + dT
     if inverse is not None:
-        x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
+        x, settled = _chord_state(f, t_stage, dT, u, x, inverse, spec)
         if settled:
             return x, {}
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
     if x.ndim == 2:
-        return _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x)
-    x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
+        return _newton_stage(f, jac, spec, t_stage, dT, u, x)
+    x, failures = _newton_stage(f, jac, spec, t_stage, dT, u[None], x[None])
     return x[0], failures
 
 
@@ -549,8 +539,8 @@ def advance(
     Every step is cold: ``beuler`` and ``tr`` start each substep's Newton
     stage solve at the explicit Euler predictor (``_stage_step``), and a
     Newton stage solve is ``_newton_stage`` (the stage residual and
-    Jacobian), ``_newton`` and ``settle_rows``.  A warm ``beuler:1`` or
-    ``tr:1`` step from a cached one is ``parareal._warm_steps``: its
+    Jacobian), ``_newton`` and ``settle_rows``.  A warm coarse step, a
+    backward Euler step from a cached one, is ``parareal._warm_steps``: its
     ``predictor`` and ``warm_step`` with an inverse stage matrix, or
     ``_newton_start`` and ``warm_step`` without one.
 
@@ -597,33 +587,20 @@ def advance(
     return U if stacked else U[0]
 
 
-def _takes_warm_steps(spec: PropagatorSpec) -> bool:
-    """Whether ``spec`` steps warm from a cached step: ``beuler`` and ``tr`` at count 1.
-
-    Each solves one stage for its end state, so a cached step's result is a start for it.
-    """
-    return spec.count == 1 and spec.kind in _BETA
-
-
-def stage_inverses(spec: PropagatorSpec, f: RhsFunction, t_n, x, dT: float, jac: RhsFunction | None = None):
-    """The inverse stage matrices ``(I - beta * dT * J(t_n + dT, x))^-1`` of a stack of end states ``x``.
+def stage_inverses(f: RhsFunction, t_n, x, dT: float, jac: RhsFunction | None = None):
+    """The inverse stage matrices ``(I - dT * J(t_n + dT, x))^-1`` of a stack of end states ``x``.
 
     Row ``n`` is the ``inverse`` of ``predictor`` and ``warm_step`` for the
-    warm steps from ``t_n[n]`` of the kinds that take them (``beuler`` and
-    ``tr`` at count 1, ``beta`` 1 and 1/2), with ``t_n`` the start times
-    ``(N,)`` and ``x`` ``(N, dim)``, in one ``jac`` call (forward
-    differences of ``f`` when it is None) and one stacked inversion; None
-    for every other kind or count.  A singular or non-finite row comes out
-    NaN: its predictors are not finite, and its steps take Newton's
-    iteration.  The array is read-only.
+    warm coarse steps from ``t_n[n]``, with ``t_n`` the start times ``(N,)``
+    and ``x`` ``(N, dim)``, in one ``jac`` call (forward differences of
+    ``f`` when it is None) and one stacked inversion.  A singular or
+    non-finite row comes out NaN: its predictors are not finite, and its
+    steps take Newton's iteration.  The array is read-only.
     """
-    if not _takes_warm_steps(spec):
-        return None
     x = np.asarray(x, dtype=float)
-    beta_h = _BETA[spec.kind] * dT
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
-    S = _identity(x.shape[-1]) - beta_h * jac(np.asarray(t_n, dtype=float)[:, None] + dT, x)
+    S = _identity(x.shape[-1]) - dT * jac(np.asarray(t_n, dtype=float)[:, None] + dT, x)
     try:
         inverse = np.linalg.inv(S)
     except np.linalg.LinAlgError:

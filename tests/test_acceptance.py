@@ -27,7 +27,6 @@ from paracheb import (
 from paracheb.cli import main as cli_main
 from paracheb.parareal import _make_stepper
 
-BE = PropagatorSpec.backward_euler(1)
 Z_GRID = [0.01, 0.1, 1.0, 2.0, 10.0, 100.0]
 
 
@@ -101,7 +100,7 @@ def test_criterion_06_exactness_and_finite_termination():
         "diag-spectrum", m=3, lambda_min=1.0, lambda_max=100.0, T=6 * dT
     ).to_ivp()
     fine = PropagatorSpec.chebyshev_gauss(8)
-    cfg = PararealConfig(N=6, coarse=BE, fine=fine, tol=1e-10, max_k=12)
+    cfg = PararealConfig(N=6, fine=fine, tol=1e-10, max_k=12)
 
     fine_serial = np.empty((7, 3))
     fine_serial[0] = problem.u0
@@ -128,7 +127,7 @@ def test_criterion_07_convergence_factor_bound():
     count = m_min(100.0).m_min
     problem = spd_catalog("diag-spectrum", m=3, lambda_min=1.0, lambda_max=100.0, T=40.0).to_ivp()
     cfg = PararealConfig(
-        N=40, coarse=BE, fine=PropagatorSpec.chebyshev_gauss(count),
+        N=40, fine=PropagatorSpec.chebyshev_gauss(count),
         tol=1e-10, max_k=60, init="random", seed=1234,
     )
     _, history = run(cfg, problem)

@@ -282,7 +282,7 @@ class TestProblemSelectors:
         out = tmp_path / "cli.csv"
         keys = keys + ["N=8", "fine=cg:6"]
         assert main(["run", "--out", str(out)] + [arg for key in keys for arg in ("--set", key)]) == 0
-        cfg = PararealConfig(N=8, coarse=parse_spec("beuler:1"), fine=parse_spec("cg:6"))
+        cfg = PararealConfig(N=8, fine=parse_spec("cg:6"))
         _, history = run(cfg, problem.to_ivp())
         rows = [[rec.k, rec.iter_error, rec.abs_error] for rec in history]
         write_csv(str(tmp_path / "lib.csv"), ["k", "iter_error", "abs_error"], rows)
@@ -426,6 +426,29 @@ class TestMainEntry:
         args = ["experiment", "--set", "name=kepler-compare"]
         assert main(args + ["--out", str(paths["default"])]) == 0
         assert main(args + ["--out", str(paths["pinned"]), "--set", "coarse=beuler:1"]) == 0
+        assert paths["pinned"].read_bytes() == paths["default"].read_bytes()
+
+    @pytest.mark.parametrize("coarse", ["tr:1", "beuler:2"])
+    def test_run_takes_only_the_backward_euler_coarse(self, tmp_path, capsys, coarse):
+        # run and experiment share one check: any other coarse spec is a bad
+        # value, one line naming beuler:1, before any step; beuler:1 pinned
+        # is the default run.
+        out = tmp_path / "x.csv"
+        run_argv = ["run", "--set", "problem=burgers", "--set", "nx=8", "--set", "N=8", "--set", "T=0.5",
+                    "--set", "fine=cg:4"]
+        messages = []
+        for argv in (run_argv, ["experiment", "--set", "name=burgers-m"]):
+            with pytest.raises(ValueError, match="beuler:1") as err:
+                main([*argv, "--set", f"coarse={coarse}", "--out", str(out)])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and "\n" not in messages[0]
+        assert console([*run_argv, "--set", f"coarse={coarse}", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"paracheb: error: {messages[0]}\n"
+        assert not out.exists()
+        paths = {name: tmp_path / f"{name}.csv" for name in ("default", "pinned")}
+        assert main([*run_argv, "--out", str(paths["default"])]) == 0
+        assert main([*run_argv, "--set", "coarse=beuler:1", "--out", str(paths["pinned"])]) == 0
         assert paths["pinned"].read_bytes() == paths["default"].read_bytes()
 
     @pytest.mark.parametrize("workload", ["burgers", "kepler", "laplacian", "analysis"])

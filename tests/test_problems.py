@@ -200,9 +200,8 @@ class TestKepler:
         monkeypatch.setattr(problems, "kepler_reference", counting)
         kp = KeplerProblem(T=2.0)
         ivp = kp.to_ivp()
-        N, coarse = 8, parse_spec("beuler:1")
-        cfgs = [PararealConfig(N=N, coarse=coarse, fine=parse_spec(fine))
-                for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")]
+        N = 8
+        cfgs = [PararealConfig(N=N, fine=parse_spec(fine)) for fine in ("cg:6", "beuler:6", "tr:6", "gauss4:6")]
         results = run(cfgs, ivp)
         assert len(calls) == 1
         assert calls[0].tolist() == [n * (kp.T / N) for n in range(N + 1)]

@@ -37,7 +37,7 @@ from paracheb import analysis, collocation, parareal, propagators
 from paracheb.chebyshev import build_operator
 from paracheb.cli import console
 from paracheb.collocation import solve_checked
-from paracheb.propagators import _fd_jacobian, _identity, _newton, _takes_warm_steps
+from paracheb.propagators import _fd_jacobian, _identity, _newton
 from warm_start import warm_advance
 
 ALL_SPECS = [
@@ -55,6 +55,9 @@ IMPLICIT_KINDS = [
 
 
 NONFINITE = pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+
+#: The coarse propagator that takes warm steps, the one of every parareal run.
+WARM = pytest.mark.parametrize("text", ["beuler:1"])
 
 
 def decay(lam):
@@ -473,7 +476,7 @@ def assert_rows_step_alone(spec, f, U, dT, guess, inverse=None, jac=None, guess_
 
 
 class TestWarmStart:
-    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    @WARM
     def test_guess_meeting_the_stop_still_makes_one_update(self, text):
         # The cold result meets the residual test; started there without an
         # inverse stage matrix, the Newton stage solve still makes exactly
@@ -486,7 +489,7 @@ class TestWarmStart:
         np.testing.assert_allclose(warm, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
 
     @NONFINITE
-    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    @WARM
     def test_nonfinite_guess_row_starts_cold(self, text, value):
         # The middle row's guess holds a NaN or an infinity, so it starts at
         # the explicit predictor and follows its cold iterates; the rows
@@ -508,11 +511,11 @@ class TestWarmStart:
         # predictor: it takes the Newton steps it takes alone from the
         # explicit predictor, and each row gets the bits of its single-state
         # step, whichever row's matrix the stack shares.
-        for inverse in propagators.stage_inverses(spec, cubic, np.zeros(3), cold, dT):
+        for inverse in propagators.stage_inverses(cubic, np.zeros(3), cold, dT):
             got = assert_rows_step_alone(spec, cubic, U, dT, guess, inverse)
             np.testing.assert_array_equal(got[1], advance(spec, cubic, 0.0, U[1], dT))
 
-    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    @WARM
     def test_guess_from_moves_the_guess_by_the_change_in_start(self, text):
         # Without an inverse stage matrix, the result of a step from
         # guess_from starts Newton's iteration at that result plus the
@@ -524,24 +527,6 @@ class TestWarmStart:
         got = warm_advance(spec, cubic, np.zeros(3), U, dT, cached, before)
         np.testing.assert_array_equal(got, warm_advance(spec, cubic, np.zeros(3), U, dT, cached + (U - before)))
         assert_rows_step_alone(spec, cubic, U, dT, cached, guess_from=before)
-
-    @pytest.mark.parametrize("text", ["beuler:2", "tr:3", "gauss4:1", "cg:4"])
-    def test_other_kinds_and_counts_ignore_the_guess(self, text, monkeypatch):
-        # Only beuler:1 and tr:1 step warm: parareal's correction steps any
-        # other coarse kind cold, through advance, with no warm step, and
-        # caches the cold step from each corrected start value.
-        spec = parse_spec(text)
-        assert not _takes_warm_steps(spec)
-        warm = []
-        monkeypatch.setattr(parareal, "warm_step", lambda *args: warm.append(args))
-        prob = spd_catalog("diag-spectrum", m=2, lambda_min=1.0, lambda_max=4.0, T=0.4).to_ivp()
-        cfg = PararealConfig(N=4, coarse=spec, fine=parse_spec("cg:4"), init="random", seed=2)
-        state = parareal.initialize(cfg, prob)
-        for _ in range(2):
-            state = parareal.iterate(state, cfg, prob)
-            cold = advance(spec, prob.f, np.arange(4) * 0.1, state.u[:4], 0.1, prob.jacobian, prob.linear)
-            np.testing.assert_array_equal(state.g_prev, cold)
-        assert warm == [] and state.stage_inv is None
 
 
 class TestChord:
@@ -559,7 +544,7 @@ class TestChord:
         spec = parse_spec(text)
         cold = advance(spec, cubic, np.zeros(3), self.U, self.dT)
         jac = jac or counting_cubic_jacobian([])
-        inverse = propagators.stage_inverses(spec, cubic, np.zeros(3), cold, self.dT, jac)
+        inverse = propagators.stage_inverses(cubic, np.zeros(3), cold, self.dT, jac)
         assert not inverse.flags.writeable
         return spec, cold, cold * (1.0 + 1e-6), inverse.copy()
 
@@ -569,9 +554,9 @@ class TestChord:
         batch's runs on one subinterval."""
         V = self.U[1] * np.array([[1.0], [1.0 + 1e-6], [1.0 - 1e-6]])
         cold = advance(spec, cubic, np.zeros(3), V, self.dT)
-        return V, cold, propagators.stage_inverses(spec, cubic, np.zeros(1), cold[:1], self.dT)[0]
+        return V, cold, propagators.stage_inverses(cubic, np.zeros(1), cold[:1], self.dT)[0]
 
-    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    @WARM
     def test_chord_step_calls_no_jacobian(self, text):
         spec = parse_spec(text)
         V, cold, inverse = self.near(spec)
@@ -590,15 +575,14 @@ class TestChord:
             again = warm_advance(spec, cubic, np.array(0.0), V[i], self.dT, guess[i], inverse=inverse)
             assert again.shape == alone.shape and again.tobytes() == alone.tobytes()
 
-    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    @WARM
     def test_predictor_meeting_the_stop_settles_without_an_update(self, text):
         # Each row's cached step is a cold step from its start moved by
         # 1e-8.  The predictor, that result plus S times the change in the
-        # stage equation's right-hand side (u for beuler, u + (dT/2) f(t, u)
-        # for tr), is off by O(1e-16): it meets the stop, and every row
-        # settles there without an update or a Jacobian, within the stop of
-        # its cold step.  Each row makes one f call for its residual, tr two
-        # more for the slopes at u and at guess_from.
+        # start, the stage equation's right-hand side, is off by O(1e-16):
+        # it meets the stop, and every row settles there without an update
+        # or a Jacobian, within the stop of its cold step.  Each row makes
+        # one f call, for its residual.
         spec = parse_spec(text)
         V, cold, inverse = self.near(spec)
         before = V * (1.0 + 1e-8)
@@ -611,42 +595,26 @@ class TestChord:
 
         jac = counting_cubic_jacobian(calls)
         got = warm_advance(spec, f, np.zeros(3), V, self.dT, cached, before, inverse, jac)
-        # Each row alone, with no stacked call: for tr its slopes at u and
-        # at guess_from, then its residual at its predictor.
-        tr = text == "tr:1"
-        assert f_calls == [(2,)] * 3 * (1 + 2 * tr) and calls == []
-
-        def rhs(u):
-            return u if text == "beuler:1" else u + 0.5 * self.dT * cubic(0.0, u)
-
-        np.testing.assert_array_equal(got, cached + np.matvec(inverse, rhs(V) - rhs(before)))
+        # Each row alone, with no stacked call: its residual at its predictor.
+        assert f_calls == [(2,)] * 3 and calls == []
+        np.testing.assert_array_equal(got, cached + np.matvec(inverse, V - before))
         np.testing.assert_allclose(got, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
         assert_rows_step_alone(spec, cubic, V, self.dT, cached, inverse, jac, guess_from=before)
-        # The change in u alone is not tr's change in its right-hand side:
-        # warm_step from that first-order start takes a chord update in
-        # each row: its residual there, then after the update.
-        if text == "tr:1":
-            f_calls.clear()
-            start = cached + np.matvec(inverse, V - before)
-            for i in range(3):
-                propagators.warm_step(spec, f, 0.0, start[i], rhs(V)[i], self.dT, inverse)
-            assert f_calls == [(2,)] * 3 * 2
         # Started at its cold result, which meets the stop, a row keeps it
         # with one f call, its residual there.
         f_calls.clear()
         for i in range(3):
-            kept, _ = propagators.warm_step(spec, f, 0.0, cold[i], rhs(V)[i], self.dT, inverse)
+            kept, _ = propagators.warm_step(spec, f, 0.0, cold[i], V[i], self.dT, inverse)
             np.testing.assert_array_equal(kept, cold[i])
         assert f_calls == [(2,)] * 3
 
-    def first_update(self, text, guess, inverse):
+    def first_update(self, guess, inverse):
         """The chord iterate one update from ``guess``, for the middle row."""
         h, u = self.dT, self.U[1]
-        beta_h, rhs = (h, u) if text == "beuler:1" else (0.5 * h, u + 0.5 * h * cubic(0.0, u))
-        return guess - np.matvec(inverse, guess - rhs - beta_h * cubic(h, guess))
+        return guess - np.matvec(inverse, guess - u - h * cubic(h, guess))
 
     @pytest.mark.parametrize("cause", ["no reduction", "nan inverse", "singular", "slow"])
-    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    @WARM
     def test_stacked_step_equals_its_rows_when_one_falls_back(self, text, cause):
         # The stack shares row 1's inverse stage matrix.  Rows 0 and 2 start
         # at their cold results and settle there.  Row 1 starts 1e-6 off and
@@ -661,7 +629,7 @@ class TestChord:
         # it takes alone from its guess.
         def singular(t, u):
             J = counting_cubic_jacobian([])(t, u)
-            J[1] = np.eye(2) / (self.dT if text == "beuler:1" else 0.5 * self.dT)
+            J[1] = np.eye(2) / self.dT
             return J
 
         spec, cold, guess, inverses = self.start(text, singular if cause == "singular" else None)
@@ -676,11 +644,11 @@ class TestChord:
             assert np.isnan(inverse).all()
             for i in (0, 2):
                 jac = counting_cubic_jacobian([])
-                alone = propagators.stage_inverses(spec, cubic, np.zeros(1), cold[i : i + 1], self.dT, jac)
+                alone = propagators.stage_inverses(cubic, np.zeros(1), cold[i : i + 1], self.dT, jac)
                 np.testing.assert_array_equal(inverses[i], alone[0])
         else:
             inverse *= 0.5
-            restart = self.first_update(text, guess[1], inverse)
+            restart = self.first_update(guess[1], inverse)
         calls = []
         got = warm_advance(
             spec, cubic, np.zeros(3), self.U, self.dT, guess, inverse=inverse, jac=counting_cubic_jacobian(calls)
@@ -699,18 +667,17 @@ class TestChord:
         # A NaN inverse leaves no predictor, even where the guess meets the
         # stop: every row takes Newton's iteration from its guess, which
         # makes one update, with one stacked Jacobian call.
-        for text in ("beuler:1", "tr:1"):
-            spec, cold, _, inverses = self.start(text)
-            inverse = np.full_like(inverses[1], np.nan)
-            calls = []
-            jac = counting_cubic_jacobian(calls)
-            got = warm_advance(spec, cubic, np.zeros(3), self.U, self.dT, cold, inverse=inverse, jac=jac)
-            assert calls == [3]
-            newton = warm_advance(spec, cubic, np.zeros(3), self.U, self.dT, cold, jac=counting_cubic_jacobian([]))
-            np.testing.assert_array_equal(got, newton)
-            np.testing.assert_array_equal(assert_rows_step_alone(spec, cubic, self.U, self.dT, cold, inverse), got)
+        spec, cold, _, inverses = self.start("beuler:1")
+        inverse = np.full_like(inverses[1], np.nan)
+        calls = []
+        jac = counting_cubic_jacobian(calls)
+        got = warm_advance(spec, cubic, np.zeros(3), self.U, self.dT, cold, inverse=inverse, jac=jac)
+        assert calls == [3]
+        newton = warm_advance(spec, cubic, np.zeros(3), self.U, self.dT, cold, jac=counting_cubic_jacobian([]))
+        np.testing.assert_array_equal(got, newton)
+        np.testing.assert_array_equal(assert_rows_step_alone(spec, cubic, self.U, self.dT, cold, inverse), got)
 
-    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    @WARM
     def test_row_still_live_after_max_iter_falls_back(self, text):
         # With max_iter = 1, rows 0 and 2 start at their cold results and
         # settle there; row 1 starts 1% off, and its one update, with its
@@ -724,7 +691,7 @@ class TestChord:
         guess[1] *= 1.01
         with pytest.raises(SweepError) as err:
             warm_advance(spec, cubic, np.zeros(3), self.U, self.dT, guess, inverse=inverse)
-        restart = self.first_update(text, guess[1], inverse)
+        restart = self.first_update(guess[1], inverse)
         with pytest.raises(NonConvergenceError) as alone:
             warm_advance(spec, cubic, 0.0, self.U[1], self.dT, restart)
         assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
@@ -737,29 +704,26 @@ class TestChord:
     def test_failing_row_raises_its_newton_error(self, value):
         # Row 1 starts where f is non-finite: it falls back before its first
         # update, and its Newton iteration raises the error it raises alone.
-        # No update reaches the non-finite row, so the only warning is tr's
-        # predictor with an infinite slope at u and at guess_from (here u):
-        # their difference.
+        # No update reaches the non-finite row, and the predictor makes no f
+        # call, so there is no warning.
         def f(t, u):
             return np.where(u > 1.8, value, -(u**3))
 
-        for text in ("beuler:1", "tr:1"):
-            spec, cold, guess, inverses = self.start(text)
-            guess[[0, 2]] = cold[[0, 2]]
-            guess[1, 0] = 1.9
-            with warnings.catch_warnings(record=True) as caught, pytest.raises(SweepError) as err:
-                warnings.simplefilter("always")
-                warm_advance(spec, f, np.zeros(3), self.U, self.dT, guess, inverse=inverses[1])
-            inf_slopes = text == "tr:1" and value == math.inf
-            assert [str(w.message) for w in caught] == ["invalid value encountered in subtract"] * inf_slopes
-            with pytest.raises(NonConvergenceError) as alone:
-                warm_advance(spec, f, 0.0, self.U[1], self.dT, guess[1])
-            assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
-            with np.errstate(invalid="ignore"):
-                assert isinstance(assert_rows_step_alone(spec, f, self.U, self.dT, guess, inverses[1]), SweepError)
+        spec, cold, guess, inverses = self.start("beuler:1")
+        guess[[0, 2]] = cold[[0, 2]]
+        guess[1, 0] = 1.9
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(SweepError) as err:
+            warnings.simplefilter("always")
+            warm_advance(spec, f, np.zeros(3), self.U, self.dT, guess, inverse=inverses[1])
+        assert caught == []
+        with pytest.raises(NonConvergenceError) as alone:
+            warm_advance(spec, f, 0.0, self.U[1], self.dT, guess[1])
+        assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
+        with np.errstate(invalid="ignore"):
+            assert isinstance(assert_rows_step_alone(spec, f, self.U, self.dT, guess, inverses[1]), SweepError)
 
     @pytest.mark.parametrize("path", ["kept start", "settled", "fallback"])
-    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    @WARM
     def test_single_state_step_returns_a_new_array(self, text, path):
         # u' = 0: the guess u is the root, so its residual is 0 and the
         # start settles, as a new array.  The other exits return new arrays
@@ -778,14 +742,13 @@ class TestChord:
         if path == "kept start":
             np.testing.assert_array_equal(got, u)
 
-    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    @WARM
     def test_stacked_rows_step_alone(self, text):
         # Three states near U[1] share one inverse stage matrix.  Started at
         # their cold results, every row settles at its start; started 1e-7
         # off, every row settles on the first update.  Either way each row
         # of the stack takes its single-state step, with its own f calls
-        # (for tr, its slopes at u and at guess_from, here u) and no
-        # stacked one, and has that step's bits.
+        # and no stacked one, and has that step's bits.
         spec = parse_spec(text)
         V, cold, inverse = self.near(spec)
         f_calls = []
@@ -798,16 +761,15 @@ class TestChord:
             alone = [warm_advance(spec, cubic, 0.0, V[i], self.dT, guess[i], inverse=inverse) for i in range(3)]
             f_calls.clear()
             got = warm_advance(spec, f, np.zeros(3), V, self.dT, guess, inverse=inverse)
-            tr = text == "tr:1"
-            assert f_calls == [(2,)] * 3 * (2 * tr + 1 + updates)
+            assert f_calls == [(2,)] * 3 * (1 + updates)
             for i in range(3):
                 assert got[i].tobytes() == alone[i].tobytes()
 
     @NONFINITE
-    @pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+    @WARM
     def test_warm_step_from_the_predictor_is_advance(self, text, value):
-        # warm_step from the predictor and stage right-hand side that
-        # predictor gives for each row of a stack: row 0 settles at its
+        # warm_step from the predictor of each row of a stack, with that
+        # row's start as the stage right-hand side: row 0 settles at its
         # start, row 1 takes chord updates, and row 2 falls back to Newton
         # and fails as advance does, NaN with the error advance raises for
         # that state.
@@ -818,9 +780,9 @@ class TestChord:
         guess[0] = cold[0]
         guess[2, 0] = 3.0
         inverse = inverses[1]
-        x, rhs, _ = propagators.predictor(spec, f, 0.0, self.U, self.dT, guess, self.U, inverse)
+        x = propagators.predictor(self.U, guess, self.U, inverse)
         for i in range(3):
-            alone, lost = propagators.warm_step(spec, f, 0.0, x[i], rhs[i], self.dT, inverse)
+            alone, lost = propagators.warm_step(spec, f, 0.0, x[i], self.U[i], self.dT, inverse)
             assert list(lost) == [0] * (i == 2) and (alone.tobytes() == x[i].tobytes()) is (i == 0)
             if i < 2:
                 expected = warm_advance(spec, f, 0.0, self.U[i], self.dT, guess[i], inverse=inverse)
@@ -831,14 +793,17 @@ class TestChord:
                 warm_advance(spec, f, 0.0, self.U[i], self.dT, guess[i], inverse=inverse)
             assert type(lost[0]) is NonConvergenceError and str(lost[0]) == str(err.value)
 
-    @pytest.mark.parametrize("text", ["beuler:1", "beuler:2", "tr:3", "gauss4:1", "cg:4"])
-    def test_inverse_needs_a_guess_and_a_warm_kind(self, text):
-        # Inverse stage matrices are built for the kinds that take warm
-        # steps, from a cached step, only: beuler and tr at count 1.
-        spec = parse_spec(text)
-        plain = advance(spec, cubic, np.zeros(3), self.U, self.dT)
-        inverse = propagators.stage_inverses(spec, cubic, np.zeros(3), plain, self.dT)
-        assert _takes_warm_steps(spec) is (text == "beuler:1") is (inverse is not None)
+    def test_stage_inverses_invert_the_backward_euler_stage_matrices(self):
+        # Row n is (I - dT J(t_n + dT, x_n))^-1, from one stacked jac call,
+        # as the inversion of each row's matrix alone gives it; read-only.
+        times = np.array([0.0, 0.25, 0.5])
+        calls = []
+        inverse = propagators.stage_inverses(cubic, times, self.U, self.dT, counting_cubic_jacobian(calls))
+        assert calls == [3] and not inverse.flags.writeable
+        for t, x, inv in zip(times, self.U, inverse):
+            J = counting_cubic_jacobian([])(t + self.dT, x[None])[0]
+            expected = np.linalg.inv(np.eye(2) - self.dT * J)
+            assert inv.tobytes() == expected.tobytes()
 
 
 class TestStability:
@@ -1307,7 +1272,7 @@ assert not hasattr(propagators, "_SOLVE_ERRORS")
 prob = BurgersProblem(0.05, 8, T=0.5).to_ivp()
 out = []
 for init in ("coarse", "random"):
-    cfg = PararealConfig(N=16, coarse=parse_spec("beuler:1"), fine=parse_spec("cg:4"), init=init)
+    cfg = PararealConfig(N=16, fine=parse_spec("cg:4"), init=init)
     u, history = run(cfg, prob)
     out.append([len(history), u.tolist()])
 print(json.dumps(out))
@@ -1328,7 +1293,7 @@ def test_public_numpy_fallbacks_keep_the_iteration_counts():
     fallback = json.loads(proc.stdout.splitlines()[-1])
     prob = BurgersProblem(0.05, 8, T=0.5).to_ivp()
     for init, (k, table) in zip(("coarse", "random"), fallback):
-        cfg = PararealConfig(N=16, coarse=parse_spec("beuler:1"), fine=parse_spec("cg:4"), init=init)
+        cfg = PararealConfig(N=16, fine=parse_spec("cg:4"), init=init)
         u, history = run(cfg, prob)
         assert k == len(history)
         np.testing.assert_array_equal(table, u)

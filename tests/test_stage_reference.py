@@ -9,7 +9,7 @@ error state built per call, ``ndarray.max`` reductions and a zeros mask
 for the first test).  Each case asserts the same bits, the same typed
 errors and messages, and the same ``f`` and ``jac`` calls.
 
-A warm ``beuler:1`` or ``tr:1`` step from a cached one goes through
+A warm coarse step, a ``beuler:1`` step from a cached one, goes through
 ``predictor`` and ``warm_step`` (``warm_start.warm_advance``, the way
 ``parareal``'s correction takes it).  Without an inverse stage matrix it
 is the reference's Newton step from the guess, bit for bit.  With one it
@@ -45,7 +45,7 @@ from paracheb import initialize, iterate, parse_spec, spd_catalog
 from paracheb import parareal, propagators
 from paracheb.errors import NonConvergenceError, SingularSystemError, raise_row_failures
 from paracheb.propagators import _BETA, _GAUSS4_A, _GAUSS4_B, _GAUSS4_C, PropagatorKind, _fd_jacobian, stage_inverses
-from paracheb.propagators import _chord_state, _newton_stage, _stage_rhs, _takes_warm_steps
+from paracheb.propagators import _chord_state, _newton_stage, _stage_rhs
 from warm_start import record_row_steps, warm_advance
 
 
@@ -328,11 +328,13 @@ def outcome(run, f, jac):
 
 
 def assert_same_outcome(spec, f, t, U, dT, jac=None, guess=None):
-    """``advance``, or with a ``guess`` and a kind that takes warm steps the
-    warm step from the cached step ``U`` -> ``guess``, and the reference
-    chain give the same bits or the same typed error, and make the same
-    ``f`` and ``jac`` calls."""
-    if guess is None or not _takes_warm_steps(spec):
+    """``advance``, or with a ``guess`` and ``beuler:1``, the coarse
+    propagator, the warm step from the cached step ``U`` -> ``guess``, and
+    the reference chain give the same bits or the same typed error, and
+    make the same ``f`` and ``jac`` calls.  Every other spec steps cold,
+    whatever the guess."""
+    if guess is None or (spec.kind, spec.count) != (PropagatorKind.BACKWARD_EULER, 1):
+        guess = None
         got = outcome(lambda f, jac: advance(spec, f, t, U, dT, jac=jac), f, jac)
     else:
         got = outcome(lambda f, jac: warm_advance(spec, f, t, U, dT, guess, jac=jac), f, jac)
@@ -391,8 +393,12 @@ def cubic(t, u):
     return -(u**3)
 
 
+#: The coarse propagator, the one kind that takes warm steps.
+WARM = pytest.mark.parametrize("text", ["beuler:1"])
+
+
 @pytest.mark.parametrize("hook", [True, False], ids=["jac", "differences"])
-@pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+@WARM
 def test_warm_step_without_an_inverse_is_the_reference_newton_step(text, hook):
     # _newton_start starts each row at guess + (u - guess_from), or at
     # the explicit Euler predictor where that is not finite, and
@@ -429,8 +435,8 @@ def test_warm_step_without_an_inverse_is_the_reference_newton_step(text, hook):
             seen.clear()
             calls, ref_calls = [], []
             jac, ref_jac = (counting(calls), counting(ref_calls)) if hook else (None, None)
-            x, rhs = propagators._newton_start(spec, f, 0.0, u, dT, g, g_from)
-            got, failures = propagators.warm_step(spec, f, 0.0, x, rhs, dT, None, jac)
+            x = propagators._newton_start(f, 0.0, u, dT, g, g_from)
+            got, failures = propagators.warm_step(spec, f, 0.0, x, u, dT, None, jac)
             expected = ref_advance(spec, cubic, 0.0, u, dT, jac=ref_jac, guess=start[rows])
             assert failures == {} and got.tobytes() == expected.tobytes()
             assert [shape[-2:] for shape in calls] == [shape[-2:] for shape in ref_calls]
@@ -525,7 +531,7 @@ def test_nonfinite_and_stalled_rows_match_reference(text):
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
-@pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+@WARM
 def test_chord_steps_land_within_the_newton_stop(text, name):
     # With the inverse stage matrices at the cold results, as parareal
     # builds them after its initial sweep, a step from a guess takes chord
@@ -541,7 +547,7 @@ def test_chord_steps_land_within_the_newton_stop(text, name):
     U = ivp.u0 * rng.uniform(0.9, 1.1, (4, ivp.dim))
     for jac in (ivp.jacobian, None):
         cold = advance(spec, ivp.f, times, U, dT, jac=jac)
-        inverse = stage_inverses(spec, ivp.f, times, cold, dT, jac=jac)
+        inverse = stage_inverses(ivp.f, times, cold, dT, jac=jac)
         reference = ref_advance(spec, ivp.f, times, U, dT, jac=jac)
         for move in (1e-7, 1e-4):
             guess = cold * (1.0 + move)
@@ -572,7 +578,7 @@ FUZZ = {
 
 
 @pytest.mark.parametrize("name", FUZZ)
-@pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+@WARM
 def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
     # Random stacks at random times, each row's cached step a cold step
     # from its start moved by 0 to 1e-3, its result moved by up to 1e-6 in
@@ -593,7 +599,7 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
         return x, settled
 
     monkeypatch.setattr(propagators, "_chord_state", recorded)
-    rng = np.random.default_rng(list(FUZZ).index(name) * 2 + (text == "tr:1"))
+    rng = np.random.default_rng(list(FUZZ).index(name) * 2)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(60):
             n = int(rng.integers(2, 6))
@@ -602,7 +608,7 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
             cold = advance(parse_spec(text), ivp.f, times, U, dT, jac=ivp.jacobian)
             spec = dataclasses.replace(parse_spec(text), max_iter=int(rng.integers(1, 4)))
             k = int(rng.integers(n))
-            inverse = stage_inverses(spec, ivp.f, times[k : k + 1], cold[k : k + 1], dT, jac=ivp.jacobian)[0].copy()
+            inverse = stage_inverses(ivp.f, times[k : k + 1], cold[k : k + 1], dT, jac=ivp.jacobian)[0].copy()
             change = rng.choice(["none"] * 4 + ["nan", "negated", "scaled"])
             if change == "nan":
                 inverse[:] = np.nan
@@ -776,15 +782,15 @@ def outcome_of_passes(states, cfgs, problem, passes):
     return out, sorted(str(w.message) for w in caught)
 
 
-@pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+@WARM
 def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
     # Random cases: a problem, linear or not, from the coarse or a random
     # start; one to three runs whose fine propagators differ, so the batch
-    # loses runs as they converge; max_iter 25 or 2; an f that changes
+    # loses runs as they converge; max_iter 25 or 2 (COARSE replaced with
+    # that limit, for the initial sweep and every pass); an f that changes
     # after the initial sweep (see CHANGES), where a predictor misses, a
     # step fails, or f raises, on a row that counts or on one past a miss;
-    # and a NaN row of stage_inv,
-    # as a singular stage matrix leaves it.  Every pass gives the tables,
+    # and a NaN row of stage_inv, as a singular stage matrix leaves it.  Every pass gives the tables,
     # the caches, the records, the errors and the warnings of
     # ref_correction, and the cases see misses after a hit in the same
     # chunk, failed steps, exceptions from f and NaN rows, and rows
@@ -801,14 +807,14 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
         checks.append(ok.copy())
         return ok
 
-    def replayed(spec, f, t, x, rhs, dT, inverse, *args):
-        y, failures = warm_step(spec, f, t, x, rhs, dT, inverse, *args)
+    def replayed(spec, f, t, x, u, dT, inverse, *args):
+        y, failures = warm_step(spec, f, t, x, u, dT, inverse, *args)
         replays.append((row_steps[-1][1] > 1, inverse is not None, bool(failures)))
         return y, failures
 
     monkeypatch.setattr(parareal, "settles", recorded)
     monkeypatch.setattr(parareal, "warm_step", replayed)
-    rng = np.random.default_rng(7 + (text == "tr:1"))
+    rng = np.random.default_rng(7)
     seen = set()
     for case in range(48):
         name = list(CORRECTION_PROBLEMS)[case % len(CORRECTION_PROBLEMS)]
@@ -836,10 +842,11 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
 
         problem = dataclasses.replace(base, f=f)
         coarse = dataclasses.replace(parse_spec(text), max_iter=int(rng.choice([25, 25, 2])))
+        monkeypatch.setattr(parareal, "COARSE", coarse)
         init = inits[int(rng.integers(len(inits)))]
         fines = ["cg:4", "gauss4:1"] if change in ("infinite", "raises") else ["cg:4", "beuler:2", "gauss4:1", "tr:2"]
         runs = rng.choice(fines, size=int(rng.integers(1, len(fines) + 1)), replace=False)
-        cfgs = [PararealConfig(N=N, coarse=coarse, fine=parse_spec(str(fine)), init=init, seed=case) for fine in runs]
+        cfgs = [PararealConfig(N=N, fine=parse_spec(str(fine)), init=init, seed=case) for fine in runs]
         with np.errstate(all="ignore"):
             try:
                 states = initialize(cfgs, problem)
@@ -872,7 +879,7 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
 
 
 @pytest.mark.parametrize("poison", ["raises", "infinite"])
-@pytest.mark.parametrize("text", ["beuler:1", "tr:1"])
+@WARM
 def test_rows_past_a_miss_do_not_surface(text, poison, monkeypatch):
     # A jump of 1e-3 in f, once the initial sweep is done, where the first
     # Burgers component passes its median: the predictors that cross it
@@ -882,7 +889,7 @@ def test_rows_past_a_miss_do_not_surface(text, poison, monkeypatch):
     # row-by-row loop, with no error and no warning, though f was called
     # there.
     base = BurgersProblem(0.05, 8, T=0.5).to_ivp()
-    cfg = PararealConfig(N=32, coarse=parse_spec(text), fine=parse_spec("cg:4"))
+    cfg = PararealConfig(N=32, fine=parse_spec("cg:4"))
     active, poisoned, threshold, hits = [False], set(), [0.0], []
 
     def f(t, u):
@@ -904,8 +911,8 @@ def test_rows_past_a_miss_do_not_surface(text, poison, monkeypatch):
     active[0] = True
     settles = parareal.settles
 
-    def recorded(spec, f, t, x, rhs, dT):
-        ok = settles(spec, f, t, x, rhs, dT)
+    def recorded(spec, f, t, x, u, dT):
+        ok = settles(spec, f, t, x, u, dT)
         if not ok.all():
             past = np.ravel(t) > np.ravel(t)[np.argmin(ok)]
             poisoned.update(row.tobytes() for row in x[past])
@@ -922,40 +929,3 @@ def test_rows_past_a_miss_do_not_surface(text, poison, monkeypatch):
         expected = outcome_of_passes(copy.deepcopy(states), [cfg], problem, 4)
     assert got == expected
     assert expected[1] == [] and len(expected[0]) == 4 and all(isinstance(p, list) for p in expected[0])
-
-
-def test_nan_inverse_row_takes_its_slope_once(monkeypatch):
-    # A tr:1 Burgers run whose stage_inv row 3 is NaN, as a singular
-    # pass-0 stage matrix leaves it: that row has no finite predictor, so
-    # each step there starts Newton's iteration at _newton_start, which
-    # reuses the slope f(t, u) that the predictor took.  Four passes give
-    # ref_correction's tables, caches and records in fewer f calls than
-    # the 183 of a correction that made that row's predictor twice and its
-    # slope a third time (174 here).
-    base = BurgersProblem(0.05, 8, T=0.5).to_ivp()
-    calls = []
-
-    def f(t, u):
-        calls.append(np.shape(u))
-        return base.f(t, u)
-
-    problem = dataclasses.replace(base, f=f)
-    cfg = PararealConfig(N=16, coarse=parse_spec("tr:1"), fine=parse_spec("cg:4"))
-    state = initialize(cfg, problem)
-    stage_inv = state.stage_inv.copy()
-    stage_inv[3] = np.nan
-    state.stage_inv = stage_inv
-
-    def passes(state):
-        for _ in range(4):
-            iterate(state, cfg, problem)
-        return state.u.tobytes(), state.g_prev.tobytes(), state.history
-
-    calls.clear()
-    got = passes(copy.deepcopy(state))
-    made = len(calls)
-    with monkeypatch.context() as m:
-        m.setattr(parareal, "_correct", ref_correction)
-        expected = passes(copy.deepcopy(state))
-    assert got == expected and len(got[2]) == 4
-    assert made < 183

@@ -8,7 +8,7 @@ from paracheb.errors import raise_row_failures
 
 
 def warm_advance(spec, f, t, u, dT, guess, guess_from=None, inverse=None, jac=None):
-    """A warm ``beuler:1`` or ``tr:1`` step of ``u``, one state or a stack,
+    """A warm coarse (backward Euler) step of ``u``, one state or a stack,
     from the cached step ``guess_from`` -> ``guess`` (``u`` itself when
     None), through ``parareal._warm_steps``: ``predictor`` and ``warm_step``
     with ``inverse`` where the predictor is finite, ``_newton_start`` and
