@@ -100,7 +100,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MaxIterationsError, SolverError, SweepError, check_integer, raise_row_failures
+from .errors import MaxIterationsError, SolverError, SweepError, check_integer
 from .collocation import _rows, count_nonzero
 from .problems import IvpProblem
 from .propagators import PropagatorSpec, _newton_start, advance, predictor, settles, stage_inverses, warm_step
@@ -434,21 +434,18 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
 
     def step(n, live):
         """Row ``n``'s warm coarse steps through ``_warm_steps``.  Returns
-        whether every step settled at its predictor."""
-        ids = np.arange(runs)[live]
-        try:
-            inverse = None if stage_inv is None else stage_inv[n]
-            u, guess, guess_from = U[n, live], G_old[n, live], U_old[n, live]
-            x, failures, settled = _warm_steps(spec, f, times[n], u, dT, guess, guess_from, inverse, jac)
-            raise_row_failures(failures, ids.ndim > 0)
-            G[n, live] = x
-            return settled
-        except SolverError as exc:
-            error, r = _coarse_failure(exc, np.atleast_1d(ids))
-            error.name_coarse_step(n, passes[r], int(r))
-            if error is exc:
-                raise
-            raise error from None
+        whether every step settled at its predictor.  A failed step raises
+        the lowest failed run's error, naming its step."""
+        inverse = None if stage_inv is None else stage_inv[n]
+        u, guess, guess_from = U[n, live], G_old[n, live], U_old[n, live]
+        x, failures, settled = _warm_steps(spec, f, times[n], u, dT, guess, guess_from, inverse, jac)
+        if failures:
+            i = min(failures)
+            r = int(np.atleast_1d(np.arange(runs)[live])[i])
+            failures[i].name_coarse_step(n, passes[r], r)
+            raise failures[i]
+        G[n, live] = x
+        return settled
 
     n, live = 0, None
     chunk = 0 if stage_inv is None else 1

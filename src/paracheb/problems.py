@@ -5,7 +5,7 @@ Three families drive the experiments and tests:
 * symmetric positive definite linear systems ``u' + A u = 0`` whose
   eigenvalues map the contraction analysis onto scalar ``z`` values,
 * a low-Earth-orbit two-body problem with an analytic Lagrange-coefficient
-  reference propagated in universal variables,
+  reference propagated in the eccentric anomaly,
 * the periodic viscous Burgers equation semi-discretized with fourth-order
   compact finite differences.
 
@@ -284,23 +284,8 @@ class KeplerProblem:
         )
 
 
-def _stumpff(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stumpff functions C(z) and S(z) of each entry of ``z >= 0``, series-evaluated near zero.
-
-    The orbit is bound (``alpha > 0``), so ``z = alpha * chi**2`` is never
-    negative.  Each branch runs on its own entries only, so no entry outside
-    a branch's domain raises a floating-point warning.
-    """
-    z = np.asarray(z, dtype=float)
-    C, S = np.empty_like(z), np.empty_like(z)
-    small = z < 1e-6
-    w = z[small]
-    C[small] = 1.0 / 2.0 - w / 24.0 + w * w / 720.0 - w**3 / 40320.0
-    S[small] = 1.0 / 6.0 - w / 120.0 + w * w / 5040.0 - w**3 / 362880.0
-    w = z[~small]
-    sw = np.sqrt(w)
-    C[~small], S[~small] = (1.0 - np.cos(sw)) / w, (sw - np.sin(sw)) / sw**3
-    return C, S
+#: Newton updates of Kepler's equation a time may take before it raises.
+_KEPLER_MAX_ITER = 50
 
 
 def kepler_reference(t) -> np.ndarray:
@@ -308,15 +293,20 @@ def kepler_reference(t) -> np.ndarray:
 
     ``t`` is a time, giving the state ``(6,)``, or a 1-D array of times,
     giving one state per time, ``(n, 6)``; every time must be nonnegative
-    and finite (``ValueError``).  The universal-variable Kepler equation is
-    solved for every time at once by bisection on its time residual, which
-    increases with the anomaly: the bracket's upper end doubles until it
-    passes the root, halving stops when the midpoint equals an end, and
-    each time keeps the end with the smaller residual.  At ``t = 0`` the
-    anomaly is 0 and the state is the start state.  The Wronskian identity
-    ``F*Gdot - Fdot*G = 1`` is checked on every state.  A bracket that
-    cannot be found or a failed identity raises ``SolverError`` naming the
-    time.
+    and finite (``ValueError``).  The orbit is an ellipse (``alpha``, the
+    inverse semi-major axis ``1 / a``, is positive), so Kepler's equation
+    in the change of eccentric anomaly, ``n t = dE + s (1 - cos dE) - c sin
+    dE`` with the mean motion ``n``, ``s = e sin E0`` and ``c = e cos E0``,
+    is monotone: its slope ``r / a`` is at least ``1 - e`` (Battin, *An
+    Introduction to the Mathematics and Methods of Astrodynamics*, 1999,
+    Sec. 5.4).  Newton's
+    iteration solves it for every time at once from ``dE = n t``, and a time
+    leaves the iteration once its update is within a few ulps, so each row
+    of a table is the bits of its time's own call.  At ``t = 0`` the update
+    is 0 and the state is the start state.  The Wronskian identity
+    ``F*Gdot - Fdot*G = 1`` is checked on every state.  A time still moving
+    after ``_KEPLER_MAX_ITER`` updates or a failed identity raises
+    ``SolverError`` naming the time.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
@@ -326,51 +316,32 @@ def kepler_reference(t) -> np.ndarray:
     ts = np.atleast_1d(t)
     r0, v0, mu = np.array(_KEPLER_R0), np.array(_KEPLER_V0), MU_EARTH
     r0n = float(np.linalg.norm(r0))
-    vr0 = float(r0 @ v0) / r0n
     alpha = 2.0 / r0n - float(v0 @ v0) / mu  # inverse semi-major axis, > 0: a bound orbit
-    sqrt_mu = math.sqrt(mu)
+    a, n = 1.0 / alpha, math.sqrt(mu * alpha**3)
+    sqrt_mu_a = math.sqrt(mu * a)
+    s, c = float(r0 @ v0) / sqrt_mu_a, 1.0 - r0n / a
 
-    def residual(chi):
-        C, S = _stumpff(alpha * chi * chi)
-        return (
-            r0n * vr0 / sqrt_mu * chi * chi * C
-            + (1.0 - alpha * r0n) * chi**3 * S
-            + r0n * chi
-            - sqrt_mu * ts
-        )
-
-    # residual(0) < 0 for t > 0; a t = 0 row starts at lo = hi = 0, its
-    # root.  hi starts at the guess (at least t, should the guess
-    # underflow), on the root's scale: a tiny t takes as few halvings as a
-    # large one.
-    guess = sqrt_mu * alpha * ts
-    lo, hi = np.zeros_like(ts), np.where(ts > 0.0, np.maximum(guess, ts), 0.0)
-    f_lo, f_hi = residual(lo), residual(hi)
-    while (short := f_hi < 0.0).any():
-        if (far := short & (hi > 1e12)).any():
-            raise SolverError(f"failed to bracket the universal Kepler equation at t={float(ts[far][0])!r}")
-        lo, f_lo = np.where(short, hi, lo), np.where(short, f_hi, f_lo)
-        hi = np.where(short, 2.0 * hi, hi)
-        f_hi = residual(hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (mid != lo) & (mid != hi)
-        if not live.any():
+    mean = n * ts
+    dE = mean.copy()
+    live = np.arange(len(ts))
+    for _ in range(_KEPLER_MAX_ITER):
+        x = dE[live]
+        sin, cos = np.sin(x), np.cos(x)
+        step = (x + s * (1.0 - cos) - c * sin - mean[live]) / (1.0 + s * sin - c * cos)
+        dE[live] = x - step
+        live = live[~(np.abs(step) <= 4.0 * np.spacing(np.abs(x)))]
+        if not len(live):
             break
-        f_mid = residual(mid)
-        up, down = live & (f_mid < 0.0), live & ~(f_mid < 0.0)
-        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
-        hi, f_hi = np.where(down, mid, hi), np.where(down, f_mid, f_hi)
-    chi = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+    else:
+        raise SolverError(f"Kepler's equation did not converge at t={float(ts[live[0]])!r}")
 
-    z = alpha * chi * chi
-    C, S = _stumpff(z)
-    F = 1.0 - chi * chi * C / r0n
-    G = ts - chi**3 * S / sqrt_mu
+    sin, versin = np.sin(dE), 1.0 - np.cos(dE)
+    F = 1.0 - a / r0n * versin
+    G = ts - (dE - sin) / n
     r = F[:, None] * r0 + G[:, None] * v0
     rn = np.linalg.norm(r, axis=-1)
-    Fdot = sqrt_mu / (rn * r0n) * chi * (z * S - 1.0)
-    Gdot = 1.0 - chi * chi * C / rn
+    Fdot = -sqrt_mu_a * sin / (rn * r0n)
+    Gdot = 1.0 - a / rn * versin
     v = Fdot[:, None] * r0 + Gdot[:, None] * v0
 
     defect = F * Gdot - Fdot * G - 1.0
