@@ -340,9 +340,11 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
         if flag is not None:
             params[key] = repr(flag)  # exact: repr round-trips a float
     out = args.out if args.out is not None else params.pop("out", None)
-    if out is None:
+    if not out:
         raise ValueError("an output path is required (--out or 'out' in the config)")
     # Checked before the command runs, which may take long, and named as given.
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     return RunManifest(command=args.command, out=out, params=params)

@@ -34,7 +34,6 @@ from ``chebyshev.build_operator(points.M)``, which caches them per ``M``.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,18 +45,15 @@ except ImportError:  # a numpy that moved it: the public function, the same coun
     count_nonzero = np.count_nonzero
 
 from .chebyshev import CgPointSet, CollocationOperator, build_operator
-from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError, check_integer, raise_row_failures
+from .errors import NonConvergenceError, NonFiniteRhsError, SingularSystemError, raise_row_failures
 
 RhsFunction = Callable[[float, np.ndarray], np.ndarray]
 
-
-def check_limits(tol: float, max_iter: int) -> None:
-    """Reject inner-iteration limits no iteration can meet."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    check_integer("max_iter", max_iter)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+#: The stop and the sweep limit of ``solve_nonlinear``: a row settles when
+#: its node values move by less than ``_PICARD_TOL`` in a sweep, and one
+#: still sweeping after ``_PICARD_MAX_ITER`` sweeps fails.
+_PICARD_TOL = 1e-12
+_PICARD_MAX_ITER = 100
 
 
 def _rows(a, rows):
@@ -251,26 +247,21 @@ def picard_sweep(
     return u_hat, op.T1 @ u_hat, _nonfinite_rows(F.reshape((-1,) + expected[-2:]), points.t)
 
 
-def solve_nonlinear(
-    f: RhsFunction,
-    points: CgPointSet,
-    u_a,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> CollocationSolution:
+def solve_nonlinear(f: RhsFunction, points: CgPointSet, u_a) -> CollocationSolution:
     """Iterate fixed-point sweeps, starting from the initial value at every
     node, until successive node values settle.
 
     The stopping metric is the max norm of the node-value difference between
-    consecutive sweeps, which must fall below ``tol``.  Hitting ``max_iter``
-    sweeps raises ``NonConvergenceError``, a non-finite ``f`` value
-    ``NonFiniteRhsError``.  Each sweep is one ``picard_sweep`` call on the
-    node tables of every row still sweeping, so ``f`` always sees a stack,
-    one row for a single state; ``settle_rows`` decides when a row leaves.
+    consecutive sweeps, which must fall below ``_PICARD_TOL``.  Hitting
+    ``_PICARD_MAX_ITER`` sweeps raises ``NonConvergenceError``, a non-finite
+    ``f`` value ``NonFiniteRhsError``.  Both limits are read at each call.
+    Each sweep is one ``picard_sweep`` call on the node tables of every row
+    still sweeping, so ``f`` always sees a stack, one row for a single
+    state; ``settle_rows`` decides when a row leaves.
     The sweeps, ``f`` included, run with numpy's overflow and invalid-value
     warnings off, so a diverging solve reports only its typed error.
     """
-    check_limits(tol, max_iter)
+    tol, max_iter = _PICARD_TOL, _PICARD_MAX_ITER
     M = points.M
     u_a = _as_state(u_a)
     U = u_a if u_a.ndim == 2 else u_a[None]

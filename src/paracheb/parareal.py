@@ -44,8 +44,8 @@ one update, from ``g_prev[n] + (u_new[n] - u[n])``
 (``propagators._newton_start``): the coarse result of a drawn value says
 nothing about the Jacobian where the run goes (a linear problem's is the
 same everywhere).  So G is not a pure function of its start value: the result
-also depends on the cached pair, and lies within the Newton stop, ``tol *
-(1 + |x|)``, of the cold step's.
+also depends on the cached pair, and lies within the Newton stop,
+``propagators._NEWTON_TOL * (1 + |x|)``, of the cold step's.
 
 Most warm steps settle at their predictors, so the sequential correction
 runs as the linearized recurrence itself, verified afterwards: row by row,
@@ -321,7 +321,7 @@ def _fine_results(state: PararealState, fine, times: np.ndarray) -> np.ndarray:
     return results
 
 
-def _warm_steps(spec, f, t, u, dT, guess, guess_from, inverse, jac):
+def _warm_steps(f, t, u, dT, guess, guess_from, inverse, jac):
     """Warm coarse steps of ``u``, one state or a stack ``(R, dim)``, from
     the cached steps ``guess_from`` -> ``guess``, with the inverse stage
     matrix ``inverse`` (or None) they share; ``t`` is a float or a column
@@ -342,7 +342,7 @@ def _warm_steps(spec, f, t, u, dT, guess, guess_from, inverse, jac):
         else:
             y, failures, settled = np.empty_like(u), {}, True
             for i in range(len(u)):
-                y[i], lost, at = _warm_steps(spec, f, _rows(t, i), u[i], dT, guess[i], guess_from[i], inverse, jac)
+                y[i], lost, at = _warm_steps(f, _rows(t, i), u[i], dT, guess[i], guess_from[i], inverse, jac)
                 settled &= at
                 if lost:
                     failures[i] = lost[0]
@@ -350,12 +350,12 @@ def _warm_steps(spec, f, t, u, dT, guess, guess_from, inverse, jac):
     if inverse is not None:
         x = predictor(u, guess, guess_from, inverse)
         if count_nonzero(np.isfinite(x)) == x.size:
-            y, failures = warm_step(spec, f, t, x, u, dT, inverse, jac)
+            y, failures = warm_step(f, t, x, u, dT, inverse, jac)
             return y, failures, y.tobytes() == x.tobytes()
-    return *warm_step(spec, f, t, _newton_start(f, t, u, dT, guess, guess_from), u, dT, None, jac), False
+    return *warm_step(f, t, _newton_start(f, t, u, dT, guess, guess_from), u, dT, None, jac), False
 
 
-def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> None:
+def _correct(U, U_old, G, G_old, F, stage_inv, problem, dT, passes) -> None:
     """The sequential coarse correction of one pass over a batch's tables, in place.
 
     ``U_old`` ``(N + 1, runs, dim)`` and ``G_old`` ``(N, runs, dim)`` are
@@ -368,9 +368,9 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
     ``settles`` call: the rows before the first miss are final.  The missed
     row and every later one until a step lands on its predictor, and every
     row without inverses, is one ``step``, a ``_warm_steps`` call (see the
-    module docstring).  ``spec`` is the coarse propagator, whose ``tol``
-    and ``max_iter`` stop its stage solves.  ``passes[r]`` is run ``r``'s
-    pass, which a failed step's error names.
+    module docstring), the warm steps of ``COARSE``, stopped by the Newton
+    limits of ``propagators``.  ``passes[r]`` is run ``r``'s pass, which a
+    failed step's error names.
     """
     N, runs, dim = F.shape
     f, jac = problem.f, problem.jacobian
@@ -399,7 +399,7 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
         counts = None if len(x) == len(rows) else [len(a) for a in u]
         t = times_col[rows] if counts is None else np.repeat(times_col[rows], counts, axis=0)
         try:
-            ok = settles(spec, f, t, x, np.concatenate(u), dT)
+            ok = settles(f, t, x, np.concatenate(u), dT)
         except Exception:  # which row raised is unknown: the row-by-row step raises it again where it is real
             return 0
         if count_nonzero(ok) == len(ok):
@@ -438,7 +438,7 @@ def _correct(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes) -> Non
         the lowest failed run's error, naming its step."""
         inverse = None if stage_inv is None else stage_inv[n]
         u, guess, guess_from = U[n, live], G_old[n, live], U_old[n, live]
-        x, failures, settled = _warm_steps(spec, f, times[n], u, dT, guess, guess_from, inverse, jac)
+        x, failures, settled = _warm_steps(f, times[n], u, dT, guess, guess_from, inverse, jac)
         if failures:
             i = min(failures)
             r = int(np.atleast_1d(np.arange(runs)[live])[i])
@@ -528,7 +528,7 @@ def iterate(
     G_old = np.stack([s.g_prev for s in states], axis=1)
     F = np.stack(fine_results, axis=1)
     U, G = U_old.copy(), G_old.copy()
-    _correct(U, U_old, G, G_old, F, stage_inv, COARSE, problem, dT, [s.k + 1 for s in states])
+    _correct(U, U_old, G, G_old, F, stage_inv, problem, dT, [s.k + 1 for s in states])
 
     for r, (s, fine) in enumerate(zip(states, fine_results)):
         u = U[:, r].copy()

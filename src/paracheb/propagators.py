@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .chebyshev import cg_points
-from .collocation import RhsFunction, _rows, check_limits, count_nonzero, settle_rows
+from .collocation import RhsFunction, _rows, count_nonzero, settle_rows
 from .collocation import LinearRhs, solve_linear, solve_nonlinear
 from .errors import NonConvergenceError, SingularSystemError, check_integer, raise_row_failures
 
@@ -32,6 +32,13 @@ _GAUSS4_A = np.array(
 _GAUSS4_B = np.array([0.5, 0.5])
 _GAUSS4_C = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 
+#: The stop and the update limit of every Newton stage solve, chord
+#: iteration and ``settles`` test: a row settles within ``_NEWTON_TOL * (1 +
+#: |x|)``, and one still live after ``_NEWTON_MAX_ITER`` updates fails (or,
+#: in the chord iteration, falls back).
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 25
+
 
 class PropagatorKind(str, enum.Enum):
     BACKWARD_EULER = "beuler"
@@ -42,29 +49,26 @@ class PropagatorKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PropagatorSpec:
-    """A named integrator: its kind, its count and its inner-iteration limits.
+    """A named integrator: its kind and its count.
 
     ``count`` is the number in ``kind:number``: collocation points for
-    ``cg`` (default 0), substeps otherwise (default 1).  ``tol`` and
-    ``max_iter`` stop the kind's inner iteration: Picard sweeps for ``cg``
-    (default 100), Newton stage solves for the one-step kinds (default 25).
+    ``cg`` (default 0), substeps otherwise (default 1).  The limits of the
+    kind's inner iteration are constants of the solver that iterates:
+    ``collocation._PICARD_TOL`` and ``_PICARD_MAX_ITER`` for the Picard
+    sweeps of ``cg``, ``_NEWTON_TOL`` and ``_NEWTON_MAX_ITER`` here for the
+    Newton stage solves of the one-step kinds.
     """
 
     kind: PropagatorKind
     count: int | None = None
-    tol: float = 1e-12
-    max_iter: int | None = None
 
     def __post_init__(self):
         cg = self.kind is PropagatorKind.CHEBYSHEV_GAUSS
         if self.count is None:
             object.__setattr__(self, "count", 0 if cg else 1)
-        if self.max_iter is None:
-            object.__setattr__(self, "max_iter", 100 if cg else 25)
         check_integer("count", self.count)
         if self.count < (0 if cg else 1):
             raise ValueError(f"{self.kind.value} count must be >= {0 if cg else 1}")
-        check_limits(self.tol, self.max_iter)
 
     @property
     def label(self) -> str:
@@ -73,20 +77,20 @@ class PropagatorSpec:
         return f"{self.kind.value}_j{self.count}"
 
     @classmethod
-    def backward_euler(cls, count: int = 1, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.BACKWARD_EULER, count, **kw)
+    def backward_euler(cls, count: int = 1) -> "PropagatorSpec":
+        return cls(PropagatorKind.BACKWARD_EULER, count)
 
     @classmethod
-    def trapezoidal(cls, count: int = 1, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.TRAPEZOIDAL, count, **kw)
+    def trapezoidal(cls, count: int = 1) -> "PropagatorSpec":
+        return cls(PropagatorKind.TRAPEZOIDAL, count)
 
     @classmethod
-    def gauss4(cls, count: int = 1, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.GAUSS4, count, **kw)
+    def gauss4(cls, count: int = 1) -> "PropagatorSpec":
+        return cls(PropagatorKind.GAUSS4, count)
 
     @classmethod
-    def chebyshev_gauss(cls, count: int, **kw) -> "PropagatorSpec":
-        return cls(PropagatorKind.CHEBYSHEV_GAUSS, count, **kw)
+    def chebyshev_gauss(cls, count: int) -> "PropagatorSpec":
+        return cls(PropagatorKind.CHEBYSHEV_GAUSS, count)
 
 
 def parse_spec(text: str) -> PropagatorSpec:
@@ -159,7 +163,6 @@ def _newton(
     residual: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     jacobian: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     x0: np.ndarray,
-    spec: PropagatorSpec,
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """Damped Newton iteration for ``residual(x) = 0`` on a stack of rows.
 
@@ -168,8 +171,8 @@ def _newton(
     stack (all of them when None) at ``x``.  A row's step is halved (up to
     8 tries in all) whenever the full update fails to reduce that row's
     residual; far-off starting values occur routinely under randomized
-    outer iterations.  A row settles within ``spec.tol * (1 + |x|)``, and
-    ``settle_rows`` retires the rows over ``spec.max_iter`` updates.  Every
+    outer iterations.  A row settles within ``_NEWTON_TOL * (1 + |x|)``, and
+    ``settle_rows`` retires the rows over ``_NEWTON_MAX_ITER`` updates.  Every
     row makes at least one update before it may settle: a start, a guess or
     the explicit predictor, can meet the stop, which is far looser than an
     outer tolerance, and still be off by as much as the stop allows, so the
@@ -195,7 +198,7 @@ def _newton(
     NaN step), a residual that turns non-finite or misses the tolerance
     ``NonConvergenceError``.  Failed rows hold NaN.
     """
-    tol = spec.tol
+    tol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
     check = True  # a residual may be non-finite: at the start and after backtracking
     updated = False  # no row may settle before its first update
 
@@ -253,10 +256,10 @@ def _newton(
                 back = back[~(norm_new[back] < norm[back])]
         return (x_new, res_new, norm_new), failed
 
-    stall = f"Newton stage solve did not converge in {spec.max_iter} iterations"
+    stall = f"Newton stage solve did not converge in {max_iter} iterations"
     res0 = residual(x0, None)
     start = (x0, res0, np.maximum.reduce(np.abs(res0), axis=-1))
-    (x, _, _), failures, _ = settle_rows(test, update, start, spec.max_iter, stall)
+    (x, _, _), failures, _ = settle_rows(test, update, start, max_iter, stall)
     return x, failures
 
 
@@ -277,7 +280,7 @@ def _identity(n: int) -> np.ndarray:
 # ``predictor`` (or ``_newton_start``) and ``warm_step``.
 
 
-def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
+def _newton_stage(f, jac, t_stage, beta_h, rhs, x0):
     """Newton solve of the stage equations ``x = rhs + beta_h * f(t_stage, x)``
     from ``x0``: ``_newton`` on their residual and Jacobian."""
     eye = _identity(x0.shape[-1])
@@ -290,7 +293,7 @@ def _newton_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
     def jacobian(y, rows):
         return eye - beta_h * jac(t_stage if rows is None else _rows(t_stage, rows), y)
 
-    return _newton(residual, jacobian, x0, spec)
+    return _newton(residual, jacobian, x0)
 
 
 def _meets_stop(norm, x, tol):
@@ -302,12 +305,12 @@ def _meets_stop(norm, x, tol):
     return norm <= tol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1))
 
 
-def _stage_test(tol, f, t_stage, beta_h, rhs, x):
+def _stage_test(f, t_stage, beta_h, rhs, x):
     """The residual ``x - rhs - beta_h * f(t_stage, x)`` of the stage
     equations at ``x``, its row maxima, and whether each row meets the stop."""
     res = x - rhs - beta_h * f(t_stage, x)
     norm = np.maximum.reduce(np.abs(res), axis=-1)
-    return res, norm, _meets_stop(norm, x, tol)
+    return res, norm, _meets_stop(norm, x, _NEWTON_TOL)
 
 
 #: The least factor by which a chord update must cut a row's residual short
@@ -316,34 +319,33 @@ def _stage_test(tol, f, t_stage, beta_h, rhs, x):
 _CHORD_RATE = 0.1
 
 
-def _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec):
+def _chord_state(f, t_stage, beta_h, rhs, x, inverse):
     """Chord (simplified Newton) iteration for ``x = rhs + beta_h * f(t_stage, x)`` from one state ``x``.
 
     Each update steps by ``inverse @ residual``, one fixed inverse stage
     matrix instead of a Jacobian and a solve per update (Hairer & Wanner,
     *Solving ODEs II*, Sec. IV.8), on 1-D arrays with scalar norms.  The
-    state settles within ``spec.tol * (1 + |x|)``, and its start, a
+    state settles within ``_NEWTON_TOL * (1 + |x|)``, and its start, a
     linearized predictor (see ``predictor``), is tested before any update,
     by the residual test that ``settles`` applies to a stack.  It falls
     back when its residual is not finite at the start, when an update does
     not reduce it (a residual that turns non-finite, as a non-finite
     inverse makes it, is never reduced), when an update short of the stop
     cuts it by less than the factor ``_CHORD_RATE``, or when it is still
-    live after ``spec.max_iter`` updates.
+    live after ``_NEWTON_MAX_ITER`` updates.
 
     Returns the state and whether it settled: a state that falls back is
     its last iterate that reduced the residual (or its start), where Newton
     takes over.
     """
-    tol = spec.tol
-    res, norm, settled = _stage_test(tol, f, t_stage, beta_h, rhs, x)
+    res, norm, settled = _stage_test(f, t_stage, beta_h, rhs, x)
     if settled:
         return x, True
     if not norm < math.inf:
         return x, False
-    for _ in range(spec.max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         x_new = x - np.matvec(inverse, res)
-        res_new, norm_new, settled = _stage_test(tol, f, t_stage, beta_h, rhs, x_new)
+        res_new, norm_new, settled = _stage_test(f, t_stage, beta_h, rhs, x_new)
         # A NaN or infinite residual fails the comparison: max propagates NaN.
         if not norm_new < norm:
             return x, False
@@ -411,20 +413,20 @@ def _newton_start(f: RhsFunction, t, u, dT: float, guess, guess_from):
     return x
 
 
-def settles(spec: PropagatorSpec, f: RhsFunction, t, x, u, dT: float) -> np.ndarray:
+def settles(f: RhsFunction, t, x, u, dT: float) -> np.ndarray:
     """Whether each ``predictor`` ``x`` of a warm coarse step from ``u`` at ``t`` is that step's result.
 
     ``x`` and ``u`` are a stack of rows ``(P, n)`` and ``t`` a float or a
     column ``(P, 1)`` of start times.  One ``f`` call tests every row: a
     row settles when it is finite and the residual of the stage equations
-    ``x = u + dT * f(t + dT, x)`` there meets ``spec.tol * (1 + |x|)``, the
+    ``x = u + dT * f(t + dT, x)`` there meets ``_NEWTON_TOL * (1 + |x|)``, the
     test a warm step applies to its predictor before any update, so a row
     that settles is the step's result, bit for bit.
     """
-    return np.logical_and.reduce(np.isfinite(x), axis=-1) & _stage_test(spec.tol, f, t + dT, dT, u, x)[2]
+    return np.logical_and.reduce(np.isfinite(x), axis=-1) & _stage_test(f, t + dT, dT, u, x)[2]
 
 
-def warm_step(spec: PropagatorSpec, f: RhsFunction, t, x, u, dT: float, inverse, jac: RhsFunction | None = None):
+def warm_step(f: RhsFunction, t, x, u, dT: float, inverse, jac: RhsFunction | None = None):
     """A warm coarse step of length ``dT`` from ``u`` at ``t``, from its start ``x``.
 
     The step solves the backward Euler stage equations ``x = u + dT * f(t +
@@ -444,14 +446,14 @@ def warm_step(spec: PropagatorSpec, f: RhsFunction, t, x, u, dT: float, inverse,
     """
     t_stage = t + dT
     if inverse is not None:
-        x, settled = _chord_state(f, t_stage, dT, u, x, inverse, spec)
+        x, settled = _chord_state(f, t_stage, dT, u, x, inverse)
         if settled:
             return x, {}
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
     if x.ndim == 2:
-        return _newton_stage(f, jac, spec, t_stage, dT, u, x)
-    x, failures = _newton_stage(f, jac, spec, t_stage, dT, u[None], x[None])
+        return _newton_stage(f, jac, t_stage, dT, u, x)
+    x, failures = _newton_stage(f, jac, t_stage, dT, u[None], x[None])
     return x[0], failures
 
 
@@ -460,19 +462,19 @@ def _euler(f, t, u, h, slope):
     return u + h * (f(t, u) if slope is None else slope)
 
 
-def _stage_step(f, jac, spec, t, u, h):
-    """One ``beuler`` or ``tr`` substep of length ``h`` from the stack ``u`` at ``t``: the end states, the failed rows.
+def _stage_step(kind, f, jac, t, u, h):
+    """One ``kind`` substep, ``beuler`` or ``tr``, of length ``h`` from the stack ``u`` at ``t``: the end states, the failed rows.
 
     The stage equations ``x = rhs + beta_h * f(t + h, x)``, with ``beta_h``
     ``_BETA[kind] * h`` and ``rhs`` from ``_stage_rhs``, are solved by
     Newton's iteration from the explicit Euler predictor.
     """
-    beta_h = _BETA[spec.kind] * h
-    rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
-    return _newton_stage(f, jac, spec, t + h, beta_h, rhs, _euler(f, t, u, h, slope))
+    beta_h = _BETA[kind] * h
+    rhs, slope = _stage_rhs(kind, f, t, u, beta_h)
+    return _newton_stage(f, jac, t + h, beta_h, rhs, _euler(f, t, u, h, slope))
 
 
-def _step_gauss4(f, jac, spec, t, u, h):
+def _step_gauss4(f, jac, t, u, h):
     # K holds each row's two stage slopes end to end; f and jac see every
     # row's two stages as one (rows, 2, n) stack.
     N, n = u.shape
@@ -495,13 +497,13 @@ def _step_gauss4(f, jac, spec, t, u, h):
         return np.subtract(_identity(2 * n), J, out=J)
 
     K0 = f(ts, np.stack((u, u), axis=1)).reshape(N, 2 * n)
-    K, lost = _newton(residual, jacobian, K0, spec)
+    K, lost = _newton(residual, jacobian, K0)
     return u + h * (_GAUSS4_B[0] * K[:, :n] + _GAUSS4_B[1] * K[:, n:]), lost
 
 
 _STEPPERS = {
-    PropagatorKind.BACKWARD_EULER: _stage_step,
-    PropagatorKind.TRAPEZOIDAL: _stage_step,
+    PropagatorKind.BACKWARD_EULER: functools.partial(_stage_step, PropagatorKind.BACKWARD_EULER),
+    PropagatorKind.TRAPEZOIDAL: functools.partial(_stage_step, PropagatorKind.TRAPEZOIDAL),
     PropagatorKind.GAUSS4: _step_gauss4,
 }
 
@@ -571,7 +573,7 @@ def advance(
         points = cg_points(spec.count, 0.0, dT).shifted(t_n)
         if linear is not None:
             return solve_linear(linear, points, u).u_end
-        return solve_nonlinear(f, points, u, spec.tol, spec.max_iter).u_end
+        return solve_nonlinear(f, points, u).u_end
 
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
@@ -580,7 +582,7 @@ def advance(
     U = u if stacked else u.reshape(1, -1)
     failures: dict[int, Exception] = {}
     for j in range(spec.count):
-        U, lost = step(f, jac, spec, t + j * h, U, h)
+        U, lost = step(f, jac, t + j * h, U, h)
         if lost:
             failures = {**lost, **failures}
     raise_row_failures(failures, stacked)

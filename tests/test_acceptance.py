@@ -24,6 +24,7 @@ from paracheb import (
     spd_catalog,
     stability,
 )
+from paracheb import collocation
 from paracheb.cli import main as cli_main
 from paracheb.parareal import _make_stepper
 
@@ -192,7 +193,9 @@ def test_criterion_09_burgers_sweeps(tmp_path):
     _report(9, "viscous sweeps", started, 300.0)
 
 
-def test_criterion_10_direct_solve_equals_fixed_point():
+def test_criterion_10_direct_solve_equals_fixed_point(monkeypatch):
+    monkeypatch.setattr(collocation, "_PICARD_TOL", 1e-14)
+    monkeypatch.setattr(collocation, "_PICARD_MAX_ITER", 300)
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     for _ in range(20):
@@ -201,19 +204,19 @@ def test_criterion_10_direct_solve_equals_fixed_point():
         u0 = rng.uniform(-3.0, 3.0)
         pts = cg_points(M, 0.0, 1.0)
         direct = solve_linear(LinearRhs(np.array([[lam]])), pts, u0)
-        picard = solve_nonlinear(lambda t, u: -lam * u, pts, u0, tol=1e-14, max_iter=300
-        )
+        picard = solve_nonlinear(lambda t, u: -lam * u, pts, u0)
         assert abs(direct.u_end[0] - picard.u_end[0]) < 1e-10
     _report(10, "direct vs fixed-point solve", started, 1.0)
 
 
-def test_criterion_11_spectral_accuracy_growth():
+def test_criterion_11_spectral_accuracy_growth(monkeypatch):
+    monkeypatch.setattr(collocation, "_PICARD_TOL", 1e-14)
+    monkeypatch.setattr(collocation, "_PICARD_MAX_ITER", 200)
     started = time.perf_counter()
     errors = []
     for M in (4, 6, 8, 10):
         pts = cg_points(M, 0.0, 1.0)
-        sol = solve_nonlinear(lambda t, u: -u, pts, 1.0, tol=1e-14, max_iter=200
-        )
+        sol = solve_nonlinear(lambda t, u: -u, pts, 1.0)
         errors.append(abs(sol.u_end[0] - math.exp(-1.0)))
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert errors[0] / errors[-1] > 1e6

@@ -635,6 +635,23 @@ class TestMainEntry:
         assert captured.err == f"paracheb: error: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
 
+        # An --out that names a directory, or is empty, fails the same way,
+        # naming the path as given, and no command function is called.
+        monkeypatch.setitem(paracheb.cli._COMMANDS, "mmin", lambda *a: pytest.fail("the command ran"))
+        argv = ["mmin", "--set", "z_max_list=0.5", "--out", str(tmp_path)]
+        with pytest.raises(IsADirectoryError) as err:
+            main(argv)
+        assert err.value.filename == str(tmp_path)
+        assert console(argv) == 2
+        assert capsys.readouterr().err == f"paracheb: error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        argv[-1] = ""
+        with pytest.raises(ValueError, match="an output path is required"):
+            main(argv)
+        assert console(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "paracheb: error: an output path is required (--out or 'out' in the config)\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("option", ["--tol", "T"])
     def test_run_rejects_nonfinite_time_and_tolerance(self, tmp_path, option, value):

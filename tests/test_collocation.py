@@ -143,23 +143,21 @@ class TestPicardSweep:
 
 
 class TestSolveNonlinear:
-    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_tol_must_be_finite(self, value):
-        with pytest.raises(ValueError, match="finite"):
-            solve_nonlinear(lambda t, u: -u, cg_points(2, 0.0, 1.0), 1.0, tol=value)
-
-    def test_exponential_decay(self):
+    def test_exponential_decay(self, monkeypatch):
+        monkeypatch.setattr(collocation, "_PICARD_TOL", 1e-13)
         pts = cg_points(16, 0.0, 0.5)
-        sol = solve_nonlinear(lambda t, u: -u, pts, 1.0, tol=1e-13)
+        sol = solve_nonlinear(lambda t, u: -u, pts, 1.0)
         assert sol.u_end[0] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
-    def test_single_node_endpoint(self):
+    def test_single_node_endpoint(self, monkeypatch):
+        monkeypatch.setattr(collocation, "_PICARD_TOL", 1e-13)
         pts = cg_points(0, 0.0, 1.0)
-        sol = solve_nonlinear(lambda t, u: -u, pts, 1.0, tol=1e-13)
+        sol = solve_nonlinear(lambda t, u: -u, pts, 1.0)
         assert sol.u_end[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    def test_one_rhs_call_per_sweep(self):
+    def test_one_rhs_call_per_sweep(self, monkeypatch):
         # Inside a solve, f always sees a stack: one row for a single state.
+        monkeypatch.setattr(collocation, "_PICARD_TOL", 1e-13)
         pts = cg_points(8, 0.0, 0.5)
         shapes = []
 
@@ -167,7 +165,7 @@ class TestSolveNonlinear:
             shapes.append((t.shape, u.shape))
             return -u
 
-        sol = solve_nonlinear(f, pts, 1.0, tol=1e-13)
+        sol = solve_nonlinear(f, pts, 1.0)
         assert shapes == [((9, 1), (1, 9, 1))] * sol.iterations
 
     def test_every_sweep_is_one_picard_sweep_call(self, monkeypatch):
@@ -180,7 +178,8 @@ class TestSolveNonlinear:
             return picard_sweep(f, points, u_a, u_prev_nodes)
 
         monkeypatch.setattr(collocation, "picard_sweep", counting)
-        sol = solve_nonlinear(lambda t, u: -u, cg_points(8, 0.0, 0.5), 1.0, tol=1e-13)
+        monkeypatch.setattr(collocation, "_PICARD_TOL", 1e-13)
+        sol = solve_nonlinear(lambda t, u: -u, cg_points(8, 0.0, 0.5), 1.0)
         assert heights == [1] * sol.iterations
 
         f = lambda t, u: np.where(t > 0.5, np.nan, -u)  # row 1 reaches past t = 0.5
@@ -281,11 +280,13 @@ class TestSolveNonlinear:
         ratios = [b / a for a, b in zip(diffs, diffs[1:]) if b > 1e-15]
         assert all(r < 1.0 for r in ratios)
 
-    def test_spectral_endpoint_accuracy(self):
+    def test_spectral_endpoint_accuracy(self, monkeypatch):
+        monkeypatch.setattr(collocation, "_PICARD_TOL", 1e-14)
+        monkeypatch.setattr(collocation, "_PICARD_MAX_ITER", 200)
         errors = []
         for M in (4, 6, 8, 10, 12):
             pts = cg_points(M, 0.0, 1.0)
-            sol = solve_nonlinear(lambda t, u: -u, pts, 1.0, tol=1e-14, max_iter=200)
+            sol = solve_nonlinear(lambda t, u: -u, pts, 1.0)
             errors.append(abs(sol.u_end[0] - math.exp(-1.0)))
         for e_coarse, e_fine in zip(errors, errors[1:]):
             if e_coarse < 1e-14:
@@ -421,7 +422,9 @@ class TestSolveLinear:
         assert np.max(np.abs(sol.u_end - u_end)) <= 1e-13 * scale
         assert np.max(np.abs(sol.u_hat - u_hat)) <= 1e-13 * scale
 
-    def test_agrees_with_picard_in_convergent_regime(self):
+    def test_agrees_with_picard_in_convergent_regime(self, monkeypatch):
+        monkeypatch.setattr(collocation, "_PICARD_TOL", 1e-14)
+        monkeypatch.setattr(collocation, "_PICARD_MAX_ITER", 300)
         rng = np.random.default_rng(3)
         for _ in range(10):
             lam = rng.uniform(0.05, 0.95)
@@ -429,7 +432,7 @@ class TestSolveLinear:
             pts = cg_points(M, 0.0, 1.0)
             u0 = rng.uniform(-2.0, 2.0)
             direct = solve_linear(LinearRhs(np.array([[lam]])), pts, u0)
-            picard = solve_nonlinear(lambda t, u: -lam * u, pts, u0, tol=1e-14, max_iter=300)
+            picard = solve_nonlinear(lambda t, u: -lam * u, pts, u0)
             assert direct.u_end[0] == pytest.approx(picard.u_end[0], abs=1e-10)
 
 

@@ -24,7 +24,7 @@ from paracheb import (
     parse_spec,
     spd_catalog,
 )
-from paracheb import advance, parareal
+from paracheb import advance, parareal, propagators
 from paracheb.analysis import contraction
 from paracheb.parareal import _make_stepper
 from paracheb.propagators import stage_inverses
@@ -78,7 +78,7 @@ def reference_run(cfg, problem):
         g_new = g_prev.copy()
         for n in range(cfg.N):
             if u_new[n].tobytes() != u[n].tobytes():
-                g_new[n] = warm_advance(parareal.COARSE, problem.f, times[n], u_new[n], dT, g_prev[n], u[n],
+                g_new[n] = warm_advance(problem.f, times[n], u_new[n], dT, g_prev[n], u[n],
                                         inverse[n], problem.jacobian)
             u_new[n + 1] = fine_results[n] + (g_new[n] - g_prev[n])
         iter_error = float(np.max(np.abs(u_new - u)))
@@ -108,15 +108,15 @@ def advance_calls(monkeypatch):
 
 @pytest.fixture
 def warm_steps(monkeypatch):
-    """``(spec, rows)`` of each ``warm_step`` call of parareal's correction:
-    one state from its predictor, or without an inverse one state alone
-    or several runs as a stack."""
+    """The rows of each ``warm_step`` call of parareal's correction: one
+    state from its predictor, or without an inverse one state alone or
+    several runs as a stack."""
     calls = []
     warm_step = parareal.warm_step
 
-    def counting(spec, f, t, x, *args):
-        calls.append((spec, len(x) if np.ndim(x) == 2 else 1))
-        return warm_step(spec, f, t, x, *args)
+    def counting(f, t, x, *args):
+        calls.append(len(x) if np.ndim(x) == 2 else 1)
+        return warm_step(f, t, x, *args)
 
     monkeypatch.setattr(parareal, "warm_step", counting)
     return calls
@@ -124,7 +124,7 @@ def warm_steps(monkeypatch):
 
 @pytest.fixture
 def row_steps(monkeypatch):
-    """``(spec, rows)`` of each row step of parareal's correction, a
+    """The rows of each row step of parareal's correction, a
     ``_warm_steps`` call from ``_correct``."""
     return record_row_steps(monkeypatch)
 
@@ -138,8 +138,8 @@ def checks(monkeypatch):
     calls = []
     settles = parareal.settles
 
-    def counting(spec, f, t, x, u, dT):
-        ok = settles(spec, f, t, x, u, dT)
+    def counting(f, t, x, u, dT):
+        ok = settles(f, t, x, u, dT)
         t = np.ravel(t)
         missed = t[~ok]
         calls.append((len(x), int(np.count_nonzero(t < missed.min())) if len(missed) else len(x)))
@@ -153,7 +153,7 @@ def coarse_rows(calls, checks, warm):
     """``(calls, rows)`` of the backward Euler steps in ``calls``, ``checks``
     and ``warm``: each ``advance`` call, each stacked check and each warm
     step is a call, and its rows, or the check's kept rows, are steps."""
-    coarse = [rows for spec, rows in calls + warm if spec == BE]
+    coarse = [rows for spec, rows in calls if spec == BE] + list(warm)
     return len(coarse) + len(checks), sum(coarse) + sum(kept for _, kept in checks)
 
 
@@ -219,7 +219,7 @@ class TestInitialize:
         coarse = _make_stepper(BE, prob, dT)
         for n in range(cfg.N):
             alone = coarse(n * dT, state.u[n])
-            np.testing.assert_allclose(state.g_prev[n], alone, rtol=0, atol=BE.tol * (1.0 + np.abs(alone).max()))
+            np.testing.assert_allclose(state.g_prev[n], alone, rtol=0, atol=propagators._NEWTON_TOL * (1.0 + np.abs(alone).max()))
 
     def test_random_policy_raises_the_lowest_failing_subinterval(self):
         # f is infinite above 0.5, so every coarse step from a drawn value
@@ -329,11 +329,11 @@ class TestIterate:
                 for n in range(cfg.N):
                     warm = g_old[n]
                     if state.u[n].tobytes() != u_old[n].tobytes():
-                        warm = warm_advance(BE, prob.f, n * dT, state.u[n], dT, g_old[n], u_old[n], inverse[n],
+                        warm = warm_advance(prob.f, n * dT, state.u[n], dT, g_old[n], u_old[n], inverse[n],
                                             prob.jacobian)
                     np.testing.assert_array_equal(state.g_prev[n], warm)
                     cold = coarse(n * dT, state.u[n])
-                    stop = BE.tol * (1.0 + np.abs(cold).max())
+                    stop = propagators._NEWTON_TOL * (1.0 + np.abs(cold).max())
                     assert np.abs(state.g_prev[n] - cold).max() <= stop
 
     def test_failing_fine_subinterval_reported(self):
@@ -608,8 +608,8 @@ class TestRun:
         warm = len(jacobians)
         assert warm_steps
 
-        def cold(spec, f, t, x, u, dT, inverse, jac):
-            return advance(spec, f, t, u, dT, jac), {}
+        def cold(f, t, x, u, dT, inverse, jac):
+            return advance(BE, f, t, u, dT, jac), {}
 
         monkeypatch.setattr(parareal, "warm_step", cold)
         jacobians.clear()
@@ -703,7 +703,7 @@ class TestRun:
             if state.u[2].tobytes() != u_old[2].tobytes():
                 steps += 1
                 start = g_old[2] + (state.u[2] - u_old[2])
-                newton = warm_advance(BE, prob.f, 2 * dT, state.u[2], dT, start, jac=prob.jacobian)
+                newton = warm_advance(prob.f, 2 * dT, state.u[2], dT, start, jac=prob.jacobian)
                 np.testing.assert_array_equal(state.g_prev[2], newton)
                 assert jacobians and jacobians[0] == start.tolist()
             else:
@@ -738,9 +738,9 @@ class TestRun:
                 cold.append(len(u) if np.ndim(u) == 2 else 1)
             return advance_(spec, f, t, u, *args)
 
-        def replaying(spec, *args):
-            warm.append(spec)
-            return warm_step(spec, *args)
+        def replaying(*args):
+            warm.append(args)
+            return warm_step(*args)
 
         def predicting(u, *args):
             calls.clear()
@@ -748,9 +748,9 @@ class TestRun:
             predicted.append((np.size(u) // u.shape[-1], list(calls)))
             return x
 
-        def verifying(spec, f, t, x, *args):
+        def verifying(f, t, x, *args):
             calls.clear()
-            ok = settles(spec, f, t, x, *args)
+            ok = settles(f, t, x, *args)
             verified.append((len(x), bool(ok.all()), list(calls)))
             return ok
 
@@ -786,7 +786,7 @@ class TestRun:
             for n in range(cfg.N):
                 if state.u[n].tobytes() != u_old[n].tobytes():
                     new, old = cold(n * dT, state.u[n]), cold(n * dT, u_old[n])
-                    stop = BE.tol * (1.0 + max(np.abs(new).max(), np.abs(old).max()))
+                    stop = propagators._NEWTON_TOL * (1.0 + max(np.abs(new).max(), np.abs(old).max()))
                     got = state.g_prev[n] - g_old[n]
                     worst = max(worst, np.abs(got - (new - old)).max() / stop)
         assert state.k == 5
@@ -810,7 +810,7 @@ class TestRun:
                 state = iterate(state, cfg, prob)
                 rows.append(sum(r for spec, r in calls if spec == fine))
                 coarse.append(coarse_rows(calls, checks, warm_steps)[1])
-                assert BE not in [spec for spec, _ in calls + warm_steps] and (len(checks) > 0) == (coarse[-1] > 0)
+                assert BE not in [spec for spec, _ in calls] and warm_steps == [] and (len(checks) > 0) == (coarse[-1] > 0)
             assert (rows, coarse) == (fine_rows, coarse_steps)
             assert state.history[-1].iter_error == 0.0
             np.testing.assert_array_equal(state.u, serial_trajectory(fine, prob, N, prob.T / N))
@@ -866,9 +866,8 @@ class TestRun:
             ("seed", lambda: PararealConfig(N=2, fine=BE, seed=1.5)),
             ("seed", lambda: PararealConfig(N=2, fine=BE, seed="3")),
             ("count", lambda: PropagatorSpec(PropagatorKind.BACKWARD_EULER, 2.5)),
-            ("max_iter", lambda: PropagatorSpec(PropagatorKind.BACKWARD_EULER, 1, max_iter=2.5)),
         ],
-        ids=["N", "max_k", "seed", "seed-str", "count", "max_iter"],
+        ids=["N", "max_k", "seed", "seed-str", "count"],
     )
     def test_float_counts_rejected_when_built(self, field, build):
         # Each of these counts reaches a range() later; a float failed there.

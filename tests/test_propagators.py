@@ -26,10 +26,8 @@ from paracheb import (
     SolverError,
     SweepError,
     advance,
-    cg_points,
     parse_spec,
     run,
-    solve_nonlinear,
     spd_catalog,
     stability,
 )
@@ -106,10 +104,10 @@ class TestAdvance:
             advance(parse_spec(text), decay(1.0), 0.0, np.array([1.0]), value)
 
     @pytest.mark.parametrize("kind", IMPLICIT_KINDS, ids=lambda k: k.value)
-    def test_newton_nonconvergence_raises(self, kind):
-        spec = PropagatorSpec(kind, max_iter=1)
+    def test_newton_nonconvergence_raises(self, kind, monkeypatch):
+        monkeypatch.setattr(propagators, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(NonConvergenceError, match="did not converge"):
-            advance(spec, lambda t, u: -(u**3), 0.0, np.array([2.0]), 10.0)
+            advance(PropagatorSpec(kind), lambda t, u: -(u**3), 0.0, np.array([2.0]), 10.0)
 
     @pytest.mark.parametrize("kind", IMPLICIT_KINDS, ids=lambda k: k.value)
     def test_newton_nonfinite_raises(self, kind):
@@ -131,7 +129,7 @@ class TestAdvance:
             with pytest.raises(NonConvergenceError, match="non-finite values"):
                 advance(PropagatorSpec(kind), lambda t, u: -(u**3), 0.0, np.array([1e200]), 1.0)
 
-    def test_newton_settles_on_its_last_update(self):
+    def test_newton_settles_on_its_last_update(self, monkeypatch):
         # From u = 5 with dT = 10 the stage equation 10 x^3 + x - 5 = 0
         # takes all 25 updates: the last one reaches the tolerance, and the
         # test after it counts.  One update fewer is not enough.
@@ -140,9 +138,9 @@ class TestAdvance:
 
         x = advance(PropagatorSpec.backward_euler(1), f, 0.0, np.array([5.0]), 10.0)[0]
         assert abs(10.0 * x**3 + x - 5.0) <= 1e-12 * (1.0 + abs(x))
-        spec = PropagatorSpec.backward_euler(1, max_iter=24)
+        monkeypatch.setattr(propagators, "_NEWTON_MAX_ITER", 24)
         with pytest.raises(NonConvergenceError, match="did not converge in 24 iterations"):
-            advance(spec, f, 0.0, np.array([5.0]), 10.0)
+            advance(PropagatorSpec.backward_euler(1), f, 0.0, np.array([5.0]), 10.0)
 
     @pytest.mark.parametrize("text, solves", [("beuler:1", 1), ("tr:1", 1), ("gauss4:1", 1)])
     def test_start_meeting_the_stop_still_makes_one_update(self, text, solves):
@@ -355,7 +353,9 @@ class TestStackedAdvance:
         def f(t, u):
             return np.where(u > 10.0, np.inf, -(u**2))
 
-        spec = dataclasses.replace(parse_spec(text), max_iter=max_iter)
+        spec = parse_spec(text)
+        cg = spec.kind is PropagatorKind.CHEBYSHEV_GAUSS
+        monkeypatch.setattr(*((collocation, "_PICARD_MAX_ITER") if cg else (propagators, "_NEWTON_MAX_ITER")), max_iter)
         U = np.array([[0.1], [20.0], [3.0]])
         with np.errstate(invalid="ignore", over="ignore"):
             alone = advance(spec, f, 0.0, U[0], 0.2)
@@ -430,7 +430,7 @@ class TestStackedAdvance:
             seen.append(rows)
             return np.broadcast_to(2.0 * np.eye(2), (len(x), 2, 2))
 
-        x, failures = _newton(residual, jacobian, np.zeros((3, 2)), PropagatorSpec.backward_euler(1))
+        x, failures = _newton(residual, jacobian, np.zeros((3, 2)))
         assert failures == {} and seen == [None] * 3
         np.testing.assert_array_equal(x, b / 2.0)
 
@@ -449,7 +449,7 @@ def counting_cubic_jacobian(calls):
     return jac
 
 
-def assert_rows_step_alone(spec, f, U, dT, guess, inverse=None, jac=None, guess_from=None):
+def assert_rows_step_alone(f, U, dT, guess, inverse=None, jac=None, guess_from=None):
     """A warm step (``warm_advance``) of the stack ``U`` (at times 0)
     against each row's single-state step with its guess and ``guess_from``
     and the stack's inverse: the same bits, or, where the stack raises, the
@@ -459,7 +459,7 @@ def assert_rows_step_alone(spec, f, U, dT, guess, inverse=None, jac=None, guess_
     def step(u, g, g_from):
         t = np.zeros(len(u)) if u.ndim == 2 else 0.0
         try:
-            return warm_advance(spec, f, t, u, dT, g, g_from, inverse, jac)
+            return warm_advance(f, t, u, dT, g, g_from, inverse, jac)
         except SolverError as exc:
             return exc
 
@@ -484,9 +484,9 @@ class TestWarmStart:
         spec, u = parse_spec(text), np.array([[2.0, -1.0]])
         cold_calls, warm_calls = [], []
         cold = advance(spec, cubic, 0.0, u, 0.5, jac=counting_cubic_jacobian(cold_calls))
-        warm = warm_advance(spec, cubic, 0.0, u, 0.5, cold, jac=counting_cubic_jacobian(warm_calls))
+        warm = warm_advance(cubic, 0.0, u, 0.5, cold, jac=counting_cubic_jacobian(warm_calls))
         assert len(cold_calls) > 1 and warm_calls == [1]
-        np.testing.assert_allclose(warm, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
+        np.testing.assert_allclose(warm, cold, rtol=0, atol=propagators._NEWTON_TOL * (1.0 + np.abs(cold).max()))
 
     @NONFINITE
     @WARM
@@ -500,19 +500,19 @@ class TestWarmStart:
         guess = cold * (1.0 + 1e-6)
         guess[1, 0] = value
         calls, solo_calls = [], []
-        got = warm_advance(spec, cubic, np.zeros(3), U, dT, guess, jac=counting_cubic_jacobian(calls))
+        got = warm_advance(cubic, np.zeros(3), U, dT, guess, jac=counting_cubic_jacobian(calls))
         advance(spec, cubic, 0.0, U[1], dT, jac=counting_cubic_jacobian(solo_calls))
         assert calls == [3] + [1] * (len(solo_calls) - 1)
         np.testing.assert_array_equal(got[1], advance(spec, cubic, 0.0, U[1], dT, jac=counting_cubic_jacobian([])))
         for i in (0, 2):
-            alone = warm_advance(spec, cubic, 0.0, U[i], dT, guess[i], jac=counting_cubic_jacobian([]))
+            alone = warm_advance(cubic, 0.0, U[i], dT, guess[i], jac=counting_cubic_jacobian([]))
             np.testing.assert_array_equal(got[i], alone)
         # With an inverse stage matrix the middle row has no finite
         # predictor: it takes the Newton steps it takes alone from the
         # explicit predictor, and each row gets the bits of its single-state
         # step, whichever row's matrix the stack shares.
         for inverse in propagators.stage_inverses(cubic, np.zeros(3), cold, dT):
-            got = assert_rows_step_alone(spec, cubic, U, dT, guess, inverse)
+            got = assert_rows_step_alone(cubic, U, dT, guess, inverse)
             np.testing.assert_array_equal(got[1], advance(spec, cubic, 0.0, U[1], dT))
 
     @WARM
@@ -524,9 +524,9 @@ class TestWarmStart:
         U = np.array([[0.5, 1.0], [2.0, -1.0], [1.5, 0.25]])
         before = U * (1.0 + 1e-3)
         cached = advance(spec, cubic, np.zeros(3), before, dT)
-        got = warm_advance(spec, cubic, np.zeros(3), U, dT, cached, before)
-        np.testing.assert_array_equal(got, warm_advance(spec, cubic, np.zeros(3), U, dT, cached + (U - before)))
-        assert_rows_step_alone(spec, cubic, U, dT, cached, guess_from=before)
+        got = warm_advance(cubic, np.zeros(3), U, dT, cached, before)
+        np.testing.assert_array_equal(got, warm_advance(cubic, np.zeros(3), U, dT, cached + (U - before)))
+        assert_rows_step_alone(cubic, U, dT, cached, guess_from=before)
 
 
 class TestChord:
@@ -563,16 +563,16 @@ class TestChord:
         guess = cold * (1.0 + 1e-6)
         calls = []
         jac = counting_cubic_jacobian(calls)
-        got = warm_advance(spec, cubic, np.zeros(3), V, self.dT, guess, inverse=inverse, jac=jac)
+        got = warm_advance(cubic, np.zeros(3), V, self.dT, guess, inverse=inverse, jac=jac)
         assert calls == []
-        newton = warm_advance(spec, cubic, np.zeros(3), V, self.dT, guess)
-        np.testing.assert_allclose(got, newton, rtol=0, atol=spec.tol * (1.0 + np.abs(newton).max()))
+        newton = warm_advance(cubic, np.zeros(3), V, self.dT, guess)
+        np.testing.assert_allclose(got, newton, rtol=0, atol=propagators._NEWTON_TOL * (1.0 + np.abs(newton).max()))
         assert got.tobytes() != newton.tobytes()
         for i in range(3):
-            alone = warm_advance(spec, cubic, 0.0, V[i], self.dT, guess[i], inverse=inverse)
+            alone = warm_advance(cubic, 0.0, V[i], self.dT, guess[i], inverse=inverse)
             np.testing.assert_array_equal(got[i], alone)
             # A single state's time as a 0-d array gives the same state.
-            again = warm_advance(spec, cubic, np.array(0.0), V[i], self.dT, guess[i], inverse=inverse)
+            again = warm_advance(cubic, np.array(0.0), V[i], self.dT, guess[i], inverse=inverse)
             assert again.shape == alone.shape and again.tobytes() == alone.tobytes()
 
     @WARM
@@ -594,17 +594,17 @@ class TestChord:
             return cubic(t, x)
 
         jac = counting_cubic_jacobian(calls)
-        got = warm_advance(spec, f, np.zeros(3), V, self.dT, cached, before, inverse, jac)
+        got = warm_advance(f, np.zeros(3), V, self.dT, cached, before, inverse, jac)
         # Each row alone, with no stacked call: its residual at its predictor.
         assert f_calls == [(2,)] * 3 and calls == []
         np.testing.assert_array_equal(got, cached + np.matvec(inverse, V - before))
-        np.testing.assert_allclose(got, cold, rtol=0, atol=spec.tol * (1.0 + np.abs(cold).max()))
-        assert_rows_step_alone(spec, cubic, V, self.dT, cached, inverse, jac, guess_from=before)
+        np.testing.assert_allclose(got, cold, rtol=0, atol=propagators._NEWTON_TOL * (1.0 + np.abs(cold).max()))
+        assert_rows_step_alone(cubic, V, self.dT, cached, inverse, jac, guess_from=before)
         # Started at its cold result, which meets the stop, a row keeps it
         # with one f call, its residual there.
         f_calls.clear()
         for i in range(3):
-            kept, _ = propagators.warm_step(spec, f, 0.0, cold[i], V[i], self.dT, inverse)
+            kept, _ = propagators.warm_step(f, 0.0, cold[i], V[i], self.dT, inverse)
             np.testing.assert_array_equal(kept, cold[i])
         assert f_calls == [(2,)] * 3
 
@@ -650,18 +650,17 @@ class TestChord:
             inverse *= 0.5
             restart = self.first_update(guess[1], inverse)
         calls = []
-        got = warm_advance(
-            spec, cubic, np.zeros(3), self.U, self.dT, guess, inverse=inverse, jac=counting_cubic_jacobian(calls)
+        got = warm_advance(cubic, np.zeros(3), self.U, self.dT, guess, inverse=inverse, jac=counting_cubic_jacobian(calls)
         )
         jac = counting_cubic_jacobian([])
         if cause in ("nan inverse", "singular"):
             assert calls[0] == 3
-            np.testing.assert_array_equal(got, warm_advance(spec, cubic, np.zeros(3), self.U, self.dT, guess, jac=jac))
+            np.testing.assert_array_equal(got, warm_advance(cubic, np.zeros(3), self.U, self.dT, guess, jac=jac))
         else:
             assert calls and calls == [1] * len(calls)
             np.testing.assert_array_equal(got[[0, 2]], cold[[0, 2]])
-            np.testing.assert_array_equal(got[1], warm_advance(spec, cubic, 0.0, self.U[1], self.dT, restart, jac=jac))
-        assert_rows_step_alone(spec, cubic, self.U, self.dT, guess, inverse, jac)
+            np.testing.assert_array_equal(got[1], warm_advance(cubic, 0.0, self.U[1], self.dT, restart, jac=jac))
+        assert_rows_step_alone(cubic, self.U, self.dT, guess, inverse, jac)
 
     def test_nan_inverse_falls_back_from_a_start_within_the_stop(self):
         # A NaN inverse leaves no predictor, even where the guess meets the
@@ -671,33 +670,33 @@ class TestChord:
         inverse = np.full_like(inverses[1], np.nan)
         calls = []
         jac = counting_cubic_jacobian(calls)
-        got = warm_advance(spec, cubic, np.zeros(3), self.U, self.dT, cold, inverse=inverse, jac=jac)
+        got = warm_advance(cubic, np.zeros(3), self.U, self.dT, cold, inverse=inverse, jac=jac)
         assert calls == [3]
-        newton = warm_advance(spec, cubic, np.zeros(3), self.U, self.dT, cold, jac=counting_cubic_jacobian([]))
+        newton = warm_advance(cubic, np.zeros(3), self.U, self.dT, cold, jac=counting_cubic_jacobian([]))
         np.testing.assert_array_equal(got, newton)
-        np.testing.assert_array_equal(assert_rows_step_alone(spec, cubic, self.U, self.dT, cold, inverse), got)
+        np.testing.assert_array_equal(assert_rows_step_alone(cubic, self.U, self.dT, cold, inverse), got)
 
     @WARM
-    def test_row_still_live_after_max_iter_falls_back(self, text):
-        # With max_iter = 1, rows 0 and 2 start at their cold results and
+    def test_row_still_live_after_max_iter_falls_back(self, text, monkeypatch):
+        # With a cap of 1 update, rows 0 and 2 start at their cold results and
         # settle there; row 1 starts 1% off, and its one update, with its
         # own inverse stage matrix, which the stack shares, cuts the residual
         # fast but not to the stop.  It restarts on Newton from that update
         # and stalls there too: the stack raises the error it raises alone.
         spec, cold, guess, inverses = self.start(text)
-        spec = dataclasses.replace(spec, max_iter=1)
+        monkeypatch.setattr(propagators, "_NEWTON_MAX_ITER", 1)
         inverse = inverses[1]
         guess = cold.copy()
         guess[1] *= 1.01
         with pytest.raises(SweepError) as err:
-            warm_advance(spec, cubic, np.zeros(3), self.U, self.dT, guess, inverse=inverse)
+            warm_advance(cubic, np.zeros(3), self.U, self.dT, guess, inverse=inverse)
         restart = self.first_update(guess[1], inverse)
         with pytest.raises(NonConvergenceError) as alone:
-            warm_advance(spec, cubic, 0.0, self.U[1], self.dT, restart)
+            warm_advance(cubic, 0.0, self.U[1], self.dT, restart)
         assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
-        assert_rows_step_alone(spec, cubic, self.U, self.dT, guess, inverse)
+        assert_rows_step_alone(cubic, self.U, self.dT, guess, inverse)
         with pytest.raises(NonConvergenceError) as from_guess:
-            warm_advance(spec, cubic, 0.0, self.U[1], self.dT, guess[1])
+            warm_advance(cubic, 0.0, self.U[1], self.dT, guess[1])
         assert str(from_guess.value) != str(alone.value)
 
     @NONFINITE
@@ -714,13 +713,13 @@ class TestChord:
         guess[1, 0] = 1.9
         with warnings.catch_warnings(record=True) as caught, pytest.raises(SweepError) as err:
             warnings.simplefilter("always")
-            warm_advance(spec, f, np.zeros(3), self.U, self.dT, guess, inverse=inverses[1])
+            warm_advance(f, np.zeros(3), self.U, self.dT, guess, inverse=inverses[1])
         assert caught == []
         with pytest.raises(NonConvergenceError) as alone:
-            warm_advance(spec, f, 0.0, self.U[1], self.dT, guess[1])
+            warm_advance(f, 0.0, self.U[1], self.dT, guess[1])
         assert err.value.indices == [1] and str(err.value.cause) == str(alone.value)
         with np.errstate(invalid="ignore"):
-            assert isinstance(assert_rows_step_alone(spec, f, self.U, self.dT, guess, inverses[1]), SweepError)
+            assert isinstance(assert_rows_step_alone(f, self.U, self.dT, guess, inverses[1]), SweepError)
 
     @pytest.mark.parametrize("path", ["kept start", "settled", "fallback"])
     @WARM
@@ -735,7 +734,7 @@ class TestChord:
         elif path == "fallback":
             inverse = np.full_like(inverse, np.nan)
         before = u.copy(), guess.copy()
-        got = warm_advance(spec, f, 0.0, u, self.dT, guess, inverse=inverse)
+        got = warm_advance(f, 0.0, u, self.dT, guess, inverse=inverse)
         assert not np.shares_memory(got, u) and not np.shares_memory(got, guess)
         np.testing.assert_array_equal(u, before[0])
         np.testing.assert_array_equal(guess, before[1])
@@ -758,9 +757,9 @@ class TestChord:
             return cubic(t, x)
 
         for guess, updates in ((cold, 0), (cold * (1.0 + 1e-7), 1)):
-            alone = [warm_advance(spec, cubic, 0.0, V[i], self.dT, guess[i], inverse=inverse) for i in range(3)]
+            alone = [warm_advance(cubic, 0.0, V[i], self.dT, guess[i], inverse=inverse) for i in range(3)]
             f_calls.clear()
-            got = warm_advance(spec, f, np.zeros(3), V, self.dT, guess, inverse=inverse)
+            got = warm_advance(f, np.zeros(3), V, self.dT, guess, inverse=inverse)
             assert f_calls == [(2,)] * 3 * (1 + updates)
             for i in range(3):
                 assert got[i].tobytes() == alone[i].tobytes()
@@ -782,15 +781,15 @@ class TestChord:
         inverse = inverses[1]
         x = propagators.predictor(self.U, guess, self.U, inverse)
         for i in range(3):
-            alone, lost = propagators.warm_step(spec, f, 0.0, x[i], self.U[i], self.dT, inverse)
+            alone, lost = propagators.warm_step(f, 0.0, x[i], self.U[i], self.dT, inverse)
             assert list(lost) == [0] * (i == 2) and (alone.tobytes() == x[i].tobytes()) is (i == 0)
             if i < 2:
-                expected = warm_advance(spec, f, 0.0, self.U[i], self.dT, guess[i], inverse=inverse)
+                expected = warm_advance(f, 0.0, self.U[i], self.dT, guess[i], inverse=inverse)
                 assert alone.tobytes() == expected.tobytes()
                 continue
             assert np.isnan(alone).all()
             with pytest.raises(NonConvergenceError) as err:
-                warm_advance(spec, f, 0.0, self.U[i], self.dT, guess[i], inverse=inverse)
+                warm_advance(f, 0.0, self.U[i], self.dT, guess[i], inverse=inverse)
             assert type(lost[0]) is NonConvergenceError and str(lost[0]) == str(err.value)
 
     def test_stage_inverses_invert_the_backward_euler_stage_matrices(self):
@@ -1187,24 +1186,11 @@ class TestSpecPlumbing:
             PropagatorSpec.backward_euler(0)
         with pytest.raises(ValueError):
             PropagatorSpec.chebyshev_gauss(-1)
-        with pytest.raises(ValueError):
-            PropagatorSpec.backward_euler(1, max_iter=0)
-
-    @NONFINITE
-    def test_newton_tol_must_be_finite(self, value):
-        with pytest.raises(ValueError, match="finite"):
-            PropagatorSpec.backward_euler(1, tol=value)
-
-    def test_spec_is_kind_count_and_limits(self):
-        names = [f.name for f in dataclasses.fields(PropagatorSpec)]
-        assert names == ["kind", "count", "tol", "max_iter"]
 
     def test_kind_derived_defaults(self):
         assert parse_spec("cg") == PropagatorSpec.chebyshev_gauss(0)
         assert PropagatorSpec.backward_euler(2) == parse_spec("beuler:2")
-        cg, beuler = parse_spec("cg"), parse_spec("beuler")
-        assert (cg.count, cg.tol, cg.max_iter) == (0, 1e-12, 100)
-        assert (beuler.count, beuler.tol, beuler.max_iter) == (1, 1e-12, 25)
+        assert (parse_spec("cg").count, parse_spec("beuler").count) == (0, 1)
         for kind in PropagatorKind:
             assert PropagatorSpec(kind) == parse_spec(kind.value)
 
@@ -1215,22 +1201,59 @@ class TestSpecPlumbing:
         with pytest.raises(ValueError, match=f"{kind.value} count must be >= {least}"):
             PropagatorSpec(kind, least - 1)
 
-    @pytest.mark.parametrize("kind", list(PropagatorKind), ids=lambda k: k.value)
-    @pytest.mark.parametrize("limits", [{"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"max_iter": 0}])
-    def test_limits_rejected_for_every_kind(self, kind, limits):
-        with pytest.raises(ValueError, match="tol must be positive and finite|max_iter must be >= 1"):
-            PropagatorSpec(kind, **limits)
+    def test_each_limit_has_one_source(self, monkeypatch):
+        # A spec is its kind and count.  The stop and the cap of each inner
+        # iteration are constants of the module that iterates, read at each
+        # call: Newton's (25 updates) for the cold steps of every one-step
+        # kind, warm_step and settles, and Picard's (100 sweeps) for cg.
+        assert [f.name for f in dataclasses.fields(PropagatorSpec)] == ["kind", "count"]
+        one, five = np.array([1.0]), np.array([5.0])
 
-    def test_limits_reach_the_picard_sweeps(self):
-        # u' = -u over dT = 0.5 with 9 nodes takes more than 3 sweeps to
-        # settle to 1e-12; a loose tol stops the same sweeps early.
-        f, u = decay(1.0), np.array([1.0])
-        with pytest.raises(NonConvergenceError, match="fixed-point sweep did not converge in 3 iterations"):
-            advance(PropagatorSpec.chebyshev_gauss(8, max_iter=3), f, 0.0, u, 0.5)
-        pts = cg_points(8, 0.0, 0.5)
-        loose = advance(PropagatorSpec.chebyshev_gauss(8, tol=1e-4), f, 0.0, u, 0.5)
-        np.testing.assert_array_equal(loose, solve_nonlinear(f, pts, u, tol=1e-4).u_end)
-        assert not np.array_equal(loose, advance(PropagatorSpec.chebyshev_gauss(8), f, 0.0, u, 0.5))
+        def rootless(t, u):  # the stage equation x = 1 + x**2 + 1 has no real root
+            return u**2 + 1.0
+
+        def warm(f, u, dT):
+            # warm_step without an inverse from the cold step's start, the
+            # explicit Euler predictor: the cold step's stage solve.
+            x, failures = propagators.warm_step(f, 0.0, u + dT * f(0.0, u), u, dT, None)
+            if failures:
+                raise failures[0]
+            return x
+
+        def stalls(newton, picard):
+            for step in (
+                lambda: advance(parse_spec("beuler:1"), rootless, 0.0, one, 1.0),
+                lambda: advance(parse_spec("gauss4:1"), rootless, 0.0, one, 1.0),
+                lambda: warm(rootless, one, 1.0),
+            ):
+                with pytest.raises(NonConvergenceError, match=f"Newton stage solve did not converge in {newton} "):
+                    step()
+            # u' = -8 u over dT = 1 on 9 nodes: the sweeps contract too slowly for 100.
+            with pytest.raises(NonConvergenceError, match=f"fixed-point sweep did not converge in {picard} "):
+                advance(parse_spec("cg:8"), decay(8.0), 0.0, one, 1.0)
+
+        def stops():
+            # The cubic step from 5 over dT = 10 takes all 25 updates, cold
+            # or warm; the decay step's stage solution is 1/2, and 1e-6 off
+            # it the residual is 2e-6; u' = -u over 0.5 takes more sweeps
+            # than a loose stop.
+            cold = advance(parse_spec("beuler:1"), cubic, 0.0, five, 10.0)
+            np.testing.assert_array_equal(warm(cubic, five, 10.0), cold)
+            near = propagators.settles(decay(1.0), 0.0, np.array([[0.5 + 1e-6]]), np.array([[1.0]]), 1.0)
+            picard = advance(parse_spec("cg:8"), decay(1.0), 0.0, one, 0.5)
+            return cold, bool(near[0]), picard
+
+        stalls(25, 100)
+        cold, near, picard = stops()
+        assert not near
+        monkeypatch.setattr(propagators, "_NEWTON_TOL", 1e-5)
+        monkeypatch.setattr(collocation, "_PICARD_TOL", 1e-4)
+        loose, near, loose_picard = stops()
+        assert near and loose[0] != cold[0] and abs(10.0 * loose[0] ** 3 + loose[0] - 5.0) <= 1e-5 * (1.0 + abs(loose[0]))
+        assert loose_picard[0] != picard[0]
+        monkeypatch.setattr(propagators, "_NEWTON_MAX_ITER", 3)
+        monkeypatch.setattr(collocation, "_PICARD_MAX_ITER", 3)
+        stalls(3, 3)
 
 
 def test_stage_identity_is_built_once_and_read_only():

@@ -86,14 +86,15 @@ def ref_solve(J, b):
     return np.linalg.solve(J, b[..., None])[..., 0]
 
 
-def ref_newton(residual, jacobian, x0, spec):
+def ref_newton(residual, jacobian, x0):
+    tol, max_iter = propagators._NEWTON_TOL, propagators._NEWTON_MAX_ITER
     check = True
     first = True
 
     def test(state):
         nonlocal first
         x, _, norm = state
-        settled = np.zeros(len(norm), dtype=bool) if first else norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1))
+        settled = np.zeros(len(norm), dtype=bool) if first else norm <= tol * (1.0 + np.abs(x).max(axis=-1))
         first = False
         lost = {}
         if check:
@@ -125,7 +126,7 @@ def ref_newton(residual, jacobian, x0, spec):
         ok = norm_new < norm
         check = np.count_nonzero(ok) < len(ok)
         if check:
-            met = ~ok & (norm <= spec.tol * (1.0 + np.abs(x).max(axis=-1)))
+            met = ~ok & (norm <= tol * (1.0 + np.abs(x).max(axis=-1)))
             x_new[met], res_new[met], norm_new[met] = x[met], res[met], norm[met]
             back = np.flatnonzero(~ok & ~met & np.isfinite(step).all(axis=-1))
             for halvings in range(1, 8):
@@ -137,15 +138,13 @@ def ref_newton(residual, jacobian, x0, spec):
                 back = back[~(norm_new[back] < norm[back])]
         return (x_new, res_new, norm_new), failed
 
-    stall = f"Newton stage solve did not converge in {spec.max_iter} iterations"
+    stall = f"Newton stage solve did not converge in {max_iter} iterations"
     res0 = residual(x0, None)
-    (x, _, _), failures, _ = ref_settle_rows(
-        test, update, (x0, res0, np.abs(res0).max(axis=-1)), spec.max_iter, stall
-    )
+    (x, _, _), failures, _ = ref_settle_rows(test, update, (x0, res0, np.abs(res0).max(axis=-1)), max_iter, stall)
     return x, failures
 
 
-def ref_solve_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
+def ref_solve_stage(f, jac, t_stage, beta_h, rhs, x0):
     eye = np.eye(x0.shape[-1])
 
     def residual(y, rows):
@@ -154,7 +153,7 @@ def ref_solve_stage(f, jac, spec, t_stage, beta_h, rhs, x0):
     def jacobian(y, rows):
         return eye - beta_h * jac(ref_rows(t_stage, rows), y)
 
-    return ref_newton(residual, jacobian, x0, spec)
+    return ref_newton(residual, jacobian, x0)
 
 
 def ref_start(guess, predict):
@@ -166,14 +165,14 @@ def ref_start(guess, predict):
     return np.where(finite.all(axis=-1)[:, None], guess, predict())
 
 
-def ref_backward_euler(f, jac, spec, t, u, h, guess=None):
-    return ref_solve_stage(f, jac, spec, t + h, h, u, ref_start(guess, lambda: u + h * f(t, u)))
+def ref_backward_euler(f, jac, t, u, h, guess=None):
+    return ref_solve_stage(f, jac, t + h, h, u, ref_start(guess, lambda: u + h * f(t, u)))
 
 
-def ref_trapezoidal(f, jac, spec, t, u, h, guess=None):
+def ref_trapezoidal(f, jac, t, u, h, guess=None):
     fn = f(t, u)
     rhs = u + 0.5 * h * fn
-    return ref_solve_stage(f, jac, spec, t + h, 0.5 * h, rhs, ref_start(guess, lambda: u + h * fn))
+    return ref_solve_stage(f, jac, t + h, 0.5 * h, rhs, ref_start(guess, lambda: u + h * fn))
 
 
 def ref_gauss4_matrix(h, Jf):
@@ -186,7 +185,7 @@ def ref_gauss4_matrix(h, Jf):
     return np.eye(2 * n) - blocks.transpose(0, 1, 3, 2, 4).reshape(-1, 2 * n, 2 * n)
 
 
-def ref_gauss4(f, jac, spec, t, u, h):
+def ref_gauss4(f, jac, t, u, h):
     N, n = u.shape
     ts = (t + _GAUSS4_C * h)[..., None]
 
@@ -203,7 +202,7 @@ def ref_gauss4(f, jac, spec, t, u, h):
         return ref_gauss4_matrix(h, jac(times(rows), stages_of(K, rows)))
 
     K0 = f(ts, np.stack((u, u), axis=1)).reshape(N, 2 * n)
-    K, lost = ref_newton(residual, jacobian, K0, spec)
+    K, lost = ref_newton(residual, jacobian, K0)
     return u + h * (_GAUSS4_B[0] * K[:, :n] + _GAUSS4_B[1] * K[:, n:]), lost
 
 
@@ -233,17 +232,17 @@ def ref_advance(spec, f, t_n, u_n, dT, jac=None, guess=None):
         start["guess"] = guess if stacked else guess[None]
     failures = {}
     for j in range(spec.count):
-        U, lost = step(f, jac, spec, t + j * h, U, h, **start)
+        U, lost = step(f, jac, t + j * h, U, h, **start)
         failures = {**lost, **failures}
     raise_row_failures(failures, stacked)
     return U if stacked else U[0]
 
 
-def ref_chord(f, t_stage, beta_h, rhs, x, inverse, spec):
+def ref_chord(f, t_stage, beta_h, rhs, x, inverse):
     """The chord iteration of a stack with row retirement, from a start that
     is tested first: every row's state and the rows that fall back, each
     where Newton takes over."""
-    tol = spec.tol
+    tol = propagators._NEWTON_TOL
     res = x - rhs - beta_h * f(t_stage, x)
     norm = np.abs(res).max(axis=-1)
     out = x.copy()
@@ -251,7 +250,7 @@ def ref_chord(f, t_stage, beta_h, rhs, x, inverse, spec):
     back = np.flatnonzero(live & ~(norm < math.inf)).tolist()
     ids = np.flatnonzero(live & (norm < math.inf))
     x, res, norm = x[ids], res[ids], norm[ids]
-    for _ in range(spec.max_iter):
+    for _ in range(propagators._NEWTON_MAX_ITER):
         if not len(ids):
             return out, back
         t, b = ref_rows(t_stage, ids), rhs[ids]
@@ -295,13 +294,13 @@ def ref_chord_advance(spec, f, t_n, U, dT, jac, guess, guess_from, inverse):
     cold = ~np.isfinite(x).all(axis=-1)
     if cold.any():
         x[cold] = (U + dT * (f(t, U) if slope is None else slope))[cold]
-    x[chord], back = ref_chord(f, t_stage[chord], beta_h, rhs[chord], predictor[chord], inverse, spec)
+    x[chord], back = ref_chord(f, t_stage[chord], beta_h, rhs[chord], predictor[chord], inverse)
     if jac is None:
         jac = functools.partial(_fd_jacobian, f)
     rows = np.array(sorted(set(range(len(U))) - set(chord.tolist()) | set(chord[back].tolist())), dtype=int)
     failures = {}
     if len(rows):
-        x[rows], lost = ref_solve_stage(f, jac, spec, t_stage[rows], beta_h, rhs[rows], x[rows])
+        x[rows], lost = ref_solve_stage(f, jac, t_stage[rows], beta_h, rhs[rows], x[rows])
         failures = {int(rows[i]): exc for i, exc in lost.items()}
     raise_row_failures(failures, True)
     return x
@@ -337,7 +336,7 @@ def assert_same_outcome(spec, f, t, U, dT, jac=None, guess=None):
         guess = None
         got = outcome(lambda f, jac: advance(spec, f, t, U, dT, jac=jac), f, jac)
     else:
-        got = outcome(lambda f, jac: warm_advance(spec, f, t, U, dT, guess, jac=jac), f, jac)
+        got = outcome(lambda f, jac: warm_advance(f, t, U, dT, guess, jac=jac), f, jac)
     ref = outcome(lambda f, jac: ref_advance(spec, f, t, U, dT, jac=jac, guess=guess), f, jac)
     (result, f_calls, jac_calls), (expected, ref_f_calls, ref_jac_calls) = got, ref
     assert (f_calls, jac_calls) == (ref_f_calls, ref_jac_calls)
@@ -436,7 +435,7 @@ def test_warm_step_without_an_inverse_is_the_reference_newton_step(text, hook):
             calls, ref_calls = [], []
             jac, ref_jac = (counting(calls), counting(ref_calls)) if hook else (None, None)
             x = propagators._newton_start(f, 0.0, u, dT, g, g_from)
-            got, failures = propagators.warm_step(spec, f, 0.0, x, u, dT, None, jac)
+            got, failures = propagators.warm_step(f, 0.0, x, u, dT, None, jac)
             expected = ref_advance(spec, cubic, 0.0, u, dT, jac=ref_jac, guess=start[rows])
             assert failures == {} and got.tobytes() == expected.tobytes()
             assert [shape[-2:] for shape in calls] == [shape[-2:] for shape in ref_calls]
@@ -515,9 +514,10 @@ def test_singular_stage_matrix_matches_reference(text):
 
 
 @pytest.mark.parametrize("text", SPECS)
-def test_nonfinite_and_stalled_rows_match_reference(text):
+def test_nonfinite_and_stalled_rows_match_reference(text, monkeypatch):
     # f is infinite above 0.5: rows starting there fail at once, the others
-    # decay towards 0.  With max_iter = 2 the far rows of -(u**3) stall.
+    # decay towards 0.  With a cap of 2 Newton updates the far rows of
+    # -(u**3) stall.
     def f(t, u):
         return np.where(u > 0.5, np.inf, -u)
 
@@ -526,8 +526,8 @@ def test_nonfinite_and_stalled_rows_match_reference(text):
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_outcome(spec, f, np.zeros(5), U, 0.5)
         assert_same_outcome(spec, f, 0.0, U[1], 0.5)
-        stalling = dataclasses.replace(spec, max_iter=2)
-        assert_same_outcome(stalling, cubic, np.zeros(3), np.array([[0.1], [20.0], [3.0]]), 0.2)
+        monkeypatch.setattr(propagators, "_NEWTON_MAX_ITER", 2)
+        assert_same_outcome(spec, cubic, np.zeros(3), np.array([[0.1], [20.0], [3.0]]), 0.2)
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
@@ -552,16 +552,16 @@ def test_chord_steps_land_within_the_newton_stop(text, name):
         for move in (1e-7, 1e-4):
             guess = cold * (1.0 + move)
             newton = ref_advance(spec, ivp.f, times, U, dT, jac=jac, guess=guess)
-            stop = spec.tol * (1.0 + np.abs(newton).max(axis=-1))
+            stop = propagators._NEWTON_TOL * (1.0 + np.abs(newton).max(axis=-1))
             for t, u, g, inv, expected, s in zip(times, U, guess, inverse, newton, stop):
-                assert np.abs(warm_advance(spec, ivp.f, t, u, dT, g, inverse=inv, jac=jac) - expected).max() <= s
+                assert np.abs(warm_advance(ivp.f, t, u, dT, g, inverse=inv, jac=jac) - expected).max() <= s
             for inv in inverse:
-                chord = warm_advance(spec, ivp.f, times, U, dT, guess, inverse=inv, jac=jac)
+                chord = warm_advance(ivp.f, times, U, dT, guess, inverse=inv, jac=jac)
                 assert (np.abs(chord - newton).max(axis=-1) <= stop).all()
             before = U * (1.0 + move)
             cached = advance(spec, ivp.f, times, before, dT, jac=jac)
             for t, u, g, g_from, inv, expected, s in zip(times, U, cached, before, inverse, reference, stop):
-                got = warm_advance(spec, ivp.f, t, u, dT, g, g_from, inv, jac)
+                got = warm_advance(ivp.f, t, u, dT, g, g_from, inv, jac)
                 assert np.abs(got - expected).max() <= s
 
 
@@ -584,7 +584,7 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
     # from its start moved by 0 to 1e-3, its result moved by up to 1e-6 in
     # some rows and NaN in its result or its start in others; one inverse
     # stage matrix for the stack, at one row's cold result: as built, NaN,
-    # negated or scaled; max_iter 1 to 3; the jac hook or forward
+    # negated or scaled; a cap of 1 to 3 updates; the jac hook or forward
     # differences.  Each stacked step, each row a single-state chord
     # iteration, gives ref_chord_advance's bits or its SweepError, and some
     # rows settle in the chord iteration while others fall back to Newton.
@@ -605,8 +605,9 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
             n = int(rng.integers(2, 6))
             times = rng.uniform(0.0, 1.0, n)
             U = ivp.u0 * rng.uniform(0.8, 1.2, (n, len(ivp.u0)))
-            cold = advance(parse_spec(text), ivp.f, times, U, dT, jac=ivp.jacobian)
-            spec = dataclasses.replace(parse_spec(text), max_iter=int(rng.integers(1, 4)))
+            spec = parse_spec(text)
+            cold = advance(spec, ivp.f, times, U, dT, jac=ivp.jacobian)
+            cap = int(rng.integers(1, 4))
             k = int(rng.integers(n))
             inverse = stage_inverses(ivp.f, times[k : k + 1], cold[k : k + 1], dT, jac=ivp.jacobian)[0].copy()
             change = rng.choice(["none"] * 4 + ["nan", "negated", "scaled"])
@@ -617,7 +618,7 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
             elif change == "scaled":
                 inverse *= rng.choice([0.5, 0.97, 1.3])
             before = U * (1.0 + rng.choice([0.0, 1e-9, 1e-6, 1e-3]) * rng.standard_normal(U.shape))
-            guess = advance(parse_spec(text), ivp.f, times, before, dT, jac=ivp.jacobian)
+            guess = advance(spec, ivp.f, times, before, dT, jac=ivp.jacobian)
             for i in range(n):
                 row = rng.choice(["none"] * 6 + ["moved", "nan guess", "nan from"])
                 if row == "moved":
@@ -629,64 +630,64 @@ def test_random_stacks_match_the_retiring_chord(text, name, monkeypatch):
             jac = ivp.jacobian if rng.random() < 0.5 else None
 
             def step(f, j):
-                return warm_advance(spec, f, times, U, dT, guess, before, inverse, j)
+                return warm_advance(f, times, U, dT, guess, before, inverse, j)
 
-            got = outcome(step, ivp.f, jac)
-            ref = outcome(lambda f, j: ref_chord_advance(spec, f, times, U, dT, j, guess, before, inverse), ivp.f, jac)
+            with monkeypatch.context() as m:
+                m.setattr(propagators, "_NEWTON_MAX_ITER", cap)
+                got = outcome(step, ivp.f, jac)
+                ref = outcome(lambda f, j: ref_chord_advance(spec, f, times, U, dT, j, guess, before, inverse), ivp.f, jac)
             assert_same_result(got[0], ref[0])
     assert True in exits and False in exits
 
 
-def ref_warm_step(spec, f, t, x, rhs, dT, inverse, jac):
+def ref_warm_step(f, t, x, rhs, dT, inverse, jac):
     """``warm_step`` of one state as it stood before it took steps without an inverse."""
-    beta_h = _BETA[spec.kind] * dT
     t_stage = t + dT
-    x, settled = _chord_state(f, t_stage, beta_h, rhs, x, inverse, spec)
+    x, settled = _chord_state(f, t_stage, dT, rhs, x, inverse)
     if settled:
         return x, {}
-    x, failures = _newton_stage(f, jac, spec, t_stage, beta_h, rhs[None], x[None])
+    x, failures = _newton_stage(f, jac, t_stage, dT, rhs[None], x[None])
     return x[0], failures
 
 
-def ref_warm_stage_step(f, jac, spec, t, u, h, guess, guess_from, inverse):
-    """The warm branch of ``_stage_step`` as it stood before warm steps
+def ref_warm_stage_step(f, jac, t, u, h, guess, guess_from, inverse):
+    """The warm branch of ``_stage_step`` for ``beuler:1`` as it stood before warm steps
     moved to ``predictor`` and ``warm_step``: a single state with an inverse
     from its finite linearized predictor, a stack with a finite inverse and
     some finite row alone row by row, every other row by Newton's iteration
     from ``guess + (u - guess_from)`` or the explicit Euler predictor."""
-    beta_h = _BETA[spec.kind] * h
+    kind = PropagatorKind.BACKWARD_EULER
+    beta_h = _BETA[kind] * h
     rhs = None
     if inverse is not None:
         if u.ndim == 1:
-            rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
-            x = guess + np.matvec(inverse, rhs - _stage_rhs(spec.kind, f, t, guess_from, beta_h)[0])
+            rhs, slope = _stage_rhs(kind, f, t, u, beta_h)
+            x = guess + np.matvec(inverse, rhs - _stage_rhs(kind, f, t, guess_from, beta_h)[0])
             if np.count_nonzero(np.isfinite(x)) == x.size:
-                return ref_warm_step(spec, f, t, x, rhs, h, inverse, jac)
+                return ref_warm_step(f, t, x, rhs, h, inverse, jac)
         else:
             finite = np.isfinite(guess) & np.isfinite(guess_from)
             if np.count_nonzero(np.isfinite(inverse)) == inverse.size and finite.all(axis=-1).any():
                 y, failures = np.empty_like(u), {}
                 for i in range(len(u)):
-                    y[i], lost = ref_warm_stage_step(
-                        f, jac, spec, ref_rows(t, i), u[i], h, guess[i], guess_from[i], inverse
-                    )
+                    y[i], lost = ref_warm_stage_step(f, jac, ref_rows(t, i), u[i], h, guess[i], guess_from[i], inverse)
                     if lost:
                         failures[i] = lost[0]
                 return y, failures
     if rhs is None:
-        rhs, slope = _stage_rhs(spec.kind, f, t, u, beta_h)
+        rhs, slope = _stage_rhs(kind, f, t, u, beta_h)
     x = guess + (u - guess_from)
     finite = np.isfinite(x)
     if np.count_nonzero(finite) < finite.size:
         x = np.where(finite.all(axis=-1)[..., None], x, u + h * (f(t, u) if slope is None else slope))
     if u.ndim == 1:
-        x, failures = _newton_stage(f, jac, spec, t + h, beta_h, rhs[None], x[None])
+        x, failures = _newton_stage(f, jac, t + h, beta_h, rhs[None], x[None])
         return x[0], failures
-    return _newton_stage(f, jac, spec, t + h, beta_h, rhs, x)
+    return _newton_stage(f, jac, t + h, beta_h, rhs, x)
 
 
-def ref_warm_advance(spec, f, t_n, u, dT, jac, guess, guess_from, inverse):
-    """``advance`` of a ``beuler:1`` or ``tr:1`` state or stack from the cached
+def ref_warm_advance(f, t_n, u, dT, jac, guess, guess_from, inverse):
+    """``advance`` of a ``beuler:1`` state or stack from the cached
     step ``guess_from`` -> ``guess`` as it stood before warm steps moved to
     ``predictor`` and ``warm_step``: a single state without an inverse as its
     one-row stack."""
@@ -696,15 +697,15 @@ def ref_warm_advance(spec, f, t_n, u, dT, jac, guess, guess_from, inverse):
         jac = functools.partial(_fd_jacobian, f)
     stacked = u.ndim == 2
     if stacked or inverse is not None:
-        x, failures = ref_warm_stage_step(f, jac, spec, t, u, dT, guess, guess_from, inverse)
+        x, failures = ref_warm_stage_step(f, jac, t, u, dT, guess, guess_from, inverse)
     else:
-        x, failures = ref_warm_stage_step(f, jac, spec, t, u[None], dT, guess[None], guess_from[None], inverse)
+        x, failures = ref_warm_stage_step(f, jac, t, u[None], dT, guess[None], guess_from[None], inverse)
         x = x[0]
     raise_row_failures(failures, stacked)
     return x
 
 
-def ref_correction(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes):
+def ref_correction(U, U_old, G, G_old, F, stage_inv, problem, dT, passes):
     """``parareal._correct`` as one loop over the subintervals: each row's
     live runs take one warm step (``ref_warm_advance``), one state alone and
     several as a stack, and a failed step names its subinterval, pass and run."""
@@ -718,10 +719,10 @@ def ref_correction(U, U_old, G, G_old, F, stage_inv, spec, problem, dT, passes):
             inverse = None if stage_inv is None else stage_inv[n]
             if len(live) == 1:
                 r = live[0]
-                G[n, r] = ref_warm_advance(spec, f, t, U[n, r], dT, jac, G_old[n, r], U_old[n, r], inverse)
+                G[n, r] = ref_warm_advance(f, t, U[n, r], dT, jac, G_old[n, r], U_old[n, r], inverse)
             elif len(live):
                 G[n, live] = ref_warm_advance(
-                    spec, f, np.full(len(live), t), U[n, live], dT, jac, G_old[n, live], U_old[n, live], inverse
+                    f, np.full(len(live), t), U[n, live], dT, jac, G_old[n, live], U_old[n, live], inverse
                 )
             U[n + 1] = F[n] + (G[n] - G_old[n])
             if U[n + 1].tobytes() == U_old[n + 1].tobytes():
@@ -786,8 +787,9 @@ def outcome_of_passes(states, cfgs, problem, passes):
 def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
     # Random cases: a problem, linear or not, from the coarse or a random
     # start; one to three runs whose fine propagators differ, so the batch
-    # loses runs as they converge; max_iter 25 or 2 (COARSE replaced with
-    # that limit, for the initial sweep and every pass); an f that changes
+    # loses runs as they converge; a Newton cap of 25 or 2 updates, for the
+    # initial sweep and every pass (with 2, a single cg:4 run, whose fine
+    # sweep the cap does not stop); an f that changes
     # after the initial sweep (see CHANGES), where a predictor misses, a
     # step fails, or f raises, on a row that counts or on one past a miss;
     # and a NaN row of stage_inv, as a singular stage matrix leaves it.  Every pass gives the tables,
@@ -807,9 +809,9 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
         checks.append(ok.copy())
         return ok
 
-    def replayed(spec, f, t, x, u, dT, inverse, *args):
-        y, failures = warm_step(spec, f, t, x, u, dT, inverse, *args)
-        replays.append((row_steps[-1][1] > 1, inverse is not None, bool(failures)))
+    def replayed(f, t, x, u, dT, inverse, *args):
+        y, failures = warm_step(f, t, x, u, dT, inverse, *args)
+        replays.append((row_steps[-1] > 1, inverse is not None, bool(failures)))
         return y, failures
 
     monkeypatch.setattr(parareal, "settles", recorded)
@@ -841,11 +843,13 @@ def test_correction_matches_the_row_by_row_loop(text, monkeypatch):
             return value + np.where(over, 1e-3 if change == "jump" else np.inf, 0.0)
 
         problem = dataclasses.replace(base, f=f)
-        coarse = dataclasses.replace(parse_spec(text), max_iter=int(rng.choice([25, 25, 2])))
-        monkeypatch.setattr(parareal, "COARSE", coarse)
+        cap = int(rng.choice([25, 25, 2]))
+        monkeypatch.setattr(propagators, "_NEWTON_MAX_ITER", cap)
         init = inits[int(rng.integers(len(inits)))]
         fines = ["cg:4", "gauss4:1"] if change in ("infinite", "raises") else ["cg:4", "beuler:2", "gauss4:1", "tr:2"]
         runs = rng.choice(fines, size=int(rng.integers(1, len(fines) + 1)), replace=False)
+        if cap == 2:  # the cap stops the fine one-step kinds' stage solves too
+            runs = ["cg:4"]
         cfgs = [PararealConfig(N=N, fine=parse_spec(str(fine)), init=init, seed=case) for fine in runs]
         with np.errstate(all="ignore"):
             try:
@@ -911,8 +915,8 @@ def test_rows_past_a_miss_do_not_surface(text, poison, monkeypatch):
     active[0] = True
     settles = parareal.settles
 
-    def recorded(spec, f, t, x, u, dT):
-        ok = settles(spec, f, t, x, u, dT)
+    def recorded(f, t, x, u, dT):
+        ok = settles(f, t, x, u, dT)
         if not ok.all():
             past = np.ravel(t) > np.ravel(t)[np.argmin(ok)]
             poisoned.update(row.tobytes() for row in x[past])

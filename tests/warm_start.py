@@ -7,7 +7,7 @@ from paracheb import parareal
 from paracheb.errors import raise_row_failures
 
 
-def warm_advance(spec, f, t, u, dT, guess, guess_from=None, inverse=None, jac=None):
+def warm_advance(f, t, u, dT, guess, guess_from=None, inverse=None, jac=None):
     """A warm coarse (backward Euler) step of ``u``, one state or a stack,
     from the cached step ``guess_from`` -> ``guess`` (``u`` itself when
     None), through ``parareal._warm_steps``: ``predictor`` and ``warm_step``
@@ -23,13 +23,13 @@ def warm_advance(spec, f, t, u, dT, guess, guess_from=None, inverse=None, jac=No
     G = np.asarray(guess, dtype=float).reshape(U.shape)
     G_from = U if guess_from is None else np.asarray(guess_from, dtype=float).reshape(U.shape)
     t = np.asarray(t, dtype=float)[:, None] if np.ndim(t) else float(t)
-    x, failures, _ = parareal._warm_steps(spec, f, t, U, dT, G, G_from, inverse, jac)
+    x, failures, _ = parareal._warm_steps(f, t, U, dT, G, G_from, inverse, jac)
     raise_row_failures(failures, stacked)
     return x if stacked or U is u else x[0]
 
 
 def record_row_steps(monkeypatch):
-    """Record ``(spec, rows)`` of each row step of ``parareal``'s correction,
+    """Record the row count of each row step of ``parareal``'s correction,
     a ``_warm_steps`` call from ``_correct``: one state (one row) or a
     batch's stack, whose rows ``_warm_steps`` steps through itself again,
     not recorded.  Returns the list; during a step its last entry is that
@@ -37,12 +37,12 @@ def record_row_steps(monkeypatch):
     steps, depth = [], [0]
     step = parareal._warm_steps
 
-    def recording(spec, f, t, u, *args):
+    def recording(f, t, u, *args):
         if not depth[0]:
-            steps.append((spec, len(u) if np.ndim(u) == 2 else 1))
+            steps.append(len(u) if np.ndim(u) == 2 else 1)
         depth[0] += 1
         try:
-            return step(spec, f, t, u, *args)
+            return step(f, t, u, *args)
         finally:
             depth[0] -= 1
 
