@@ -32,7 +32,7 @@ from paracheb import (
     stability,
 )
 from paracheb import analysis, collocation, parareal, propagators
-from paracheb.chebyshev import build_operator
+from paracheb.chebyshev import build_operator, cg_points
 from paracheb.cli import console
 from paracheb.collocation import solve_checked
 from paracheb.propagators import _fd_jacobian, _identity, _newton
@@ -1201,12 +1201,32 @@ class TestSpecPlumbing:
         with pytest.raises(ValueError, match=f"{kind.value} count must be >= {least}"):
             PropagatorSpec(kind, least - 1)
 
-    def test_each_limit_has_one_source(self, monkeypatch):
-        # A spec is its kind and count.  The stop and the cap of each inner
-        # iteration are constants of the module that iterates, read at each
-        # call: Newton's (25 updates) for the cold steps of every one-step
-        # kind, warm_step and settles, and Picard's (100 sweeps) for cg.
+    def test_spec_is_kind_count_and_limits(self):
+        # A spec is its kind and count; the limits of its inner iterations
+        # are constants of the module that iterates.
         assert [f.name for f in dataclasses.fields(PropagatorSpec)] == ["kind", "count"]
+        assert (propagators._NEWTON_TOL, propagators._NEWTON_MAX_ITER) == (1e-12, 25)
+        assert (collocation._PICARD_TOL, collocation._PICARD_MAX_ITER) == (1e-12, 100)
+
+    def test_limits_reach_the_picard_sweeps(self, monkeypatch):
+        # u' = -u over dT = 0.5 with 9 nodes takes more than 3 sweeps to
+        # settle to 1e-12; a loose stop ends the same sweeps early.
+        f, u = decay(1.0), np.array([1.0])
+        tight = advance(parse_spec("cg:8"), f, 0.0, u, 0.5)
+        monkeypatch.setattr(collocation, "_PICARD_MAX_ITER", 3)
+        with pytest.raises(NonConvergenceError, match="fixed-point sweep did not converge in 3 iterations"):
+            advance(parse_spec("cg:8"), f, 0.0, u, 0.5)
+        monkeypatch.setattr(collocation, "_PICARD_MAX_ITER", 100)
+        monkeypatch.setattr(collocation, "_PICARD_TOL", 1e-4)
+        loose = advance(parse_spec("cg:8"), f, 0.0, u, 0.5)
+        np.testing.assert_array_equal(loose, collocation.solve_nonlinear(f, cg_points(8, 0.0, 0.5), u).u_end)
+        assert not np.array_equal(loose, tight)
+
+    def test_each_limit_has_one_source(self, monkeypatch):
+        # The stop and the cap of each inner iteration are constants of the
+        # module that iterates, read at each call: Newton's (25 updates) for
+        # the cold steps of every one-step kind, warm_step and settles, and
+        # Picard's (100 sweeps) for cg.
         one, five = np.array([1.0]), np.array([5.0])
 
         def rootless(t, u):  # the stage equation x = 1 + x**2 + 1 has no real root
